@@ -6,7 +6,7 @@ Library layout:
 - ``allocation``  per-user delay-Doppler resource allocation
 - ``modem``       OTFS transmit chain and inverse receive transforms
 - ``pilot``       cyclic-prefixed Zadoff-Chu pilots in a shared delay region
-- ``channel``     doubly-selective channels, sample-level and matrix forms
+- ``channel``     doubly-selective channels, sample-level application
 - ``sync``        filter bank, timing metric, ML CFO + BEM channel estimation
 - ``harness``     Monte Carlo experiments and CSV reports
 - ``cli``         command-line front end (``otfsync``)

@@ -1,4 +1,4 @@
-"""Per-user delay-Doppler resource allocation and selection matrices.
+"""Per-user delay-Doppler resource allocation.
 
 An allocation assigns each user an ordered set of delay bins and an
 ordered set of Doppler bins; the user owns the Cartesian product of the
@@ -68,53 +68,6 @@ def build_allocation(m: int, n: int, num_users: int, scheme: str) -> list[UserAl
             for q in range(num_users)
         ]
     raise AllocationError(f"unknown allocation scheme {scheme!r}")
-
-
-def check_partition(allocs: list[UserAllocation], m: int, n: int) -> None:
-    """Verify the 2-D bins are disjoint across users and tile the grid."""
-    owner = np.full((m, n), -1, dtype=int)
-    for alloc in allocs:
-        rows = np.asarray(alloc.delay_bins)
-        cols = np.asarray(alloc.doppler_bins)
-        if rows.size and (rows.min() < 0 or rows.max() >= m):
-            raise AllocationError(f"user {alloc.user_id}: delay bins leave [0, {m})")
-        if cols.size and (cols.min() < 0 or cols.max() >= n):
-            raise AllocationError(f"user {alloc.user_id}: Doppler bins leave [0, {n})")
-        patch = owner[np.ix_(rows, cols)]
-        if np.any(patch != -1):
-            raise AllocationError(
-                f"user {alloc.user_id} overlaps bins already owned by another user"
-            )
-        owner[np.ix_(rows, cols)] = alloc.user_id
-    if np.any(owner == -1):
-        raise AllocationError("allocation does not cover the full delay-Doppler grid")
-
-
-def selection_matrices(alloc: UserAllocation, m: int, n: int):
-    """Delay selector (M x M_q) and Doppler selector (N_q x N).
-
-    The delay selector holds the columns of I_M indexed by the user's delay
-    bins; the Doppler selector the rows of I_N indexed by its Doppler bins.
-    ``gamma_tau @ D_q @ gamma_nu`` scatters an M_q x N_q data block onto the
-    full grid.
-    """
-    rows = np.asarray(alloc.delay_bins, dtype=int)
-    cols = np.asarray(alloc.doppler_bins, dtype=int)
-    if rows.size == 0 or cols.size == 0:
-        raise AllocationError(f"user {alloc.user_id}: empty allocation")
-    if rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n:
-        raise AllocationError(
-            f"user {alloc.user_id}: allocation indices outside the {m} x {n} grid"
-        )
-    gamma_tau = np.eye(m)[:, rows]
-    gamma_nu = np.eye(n)[cols, :]
-    return gamma_tau, gamma_nu
-
-
-def combined_selector(alloc: UserAllocation, m: int, n: int) -> np.ndarray:
-    """Kronecker selector mapping vec(D_q) onto the combined symbol vector."""
-    gamma_tau, gamma_nu = selection_matrices(alloc, m, n)
-    return np.kron(gamma_nu.T, gamma_tau)
 
 
 def bin_mask(alloc: UserAllocation, m: int, n: int) -> np.ndarray:

@@ -1,23 +1,19 @@
-"""Doubly-selective channel generation, sample-level application, and the
-compound delay-Doppler channel matrix.
+"""Doubly-selective channel generation and sample-level application.
 
-The sample-level path (``apply_channel``) is the physics reference: user q's
-serialized frame is delayed by its timing offset, convolved with the
-time-varying taps, rotated by its CFO, and summed over users.  The matrix
-path (``build_compound_channel``) reproduces the same receive vector in the
-delay-Doppler domain; the two are tested against each other to 1e-9.
+``apply_channel`` is the physics reference: user q's serialized frame is
+delayed by its timing offset, convolved with the time-varying taps, rotated
+by its CFO, and summed over users.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import UserAllocation, bin_mask
 from .config import SystemConfig, SAMPLE_RATE_HZ
-from .errors import NumericError, RealizationError
+from .errors import RealizationError
+from .sync import build_bem_basis
 
 # Extended Vehicular A power-delay profile (excess delay ns, mean power dB)
 EVA_DELAYS_NS = np.array([0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0])
@@ -68,19 +64,6 @@ class PathSet:
         return out
 
 
-def chebyshev_series(coeffs: np.ndarray, kappa: np.ndarray, n_s: int) -> np.ndarray:
-    """Evaluate sum_g coeffs[g] T_g(kprime) at kprime = (2k - N_s + 1)/(N_s - 1)."""
-    x = (2.0 * np.asarray(kappa, dtype=float) - n_s + 1.0) / (n_s - 1.0)
-    out = np.full(x.shape, coeffs[0], dtype=complex)
-    if len(coeffs) > 1:
-        out += coeffs[1] * x
-    t_prev, t_cur = np.ones_like(x), x
-    for g in range(2, len(coeffs)):
-        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
-        out += coeffs[g] * t_cur
-    return out
-
-
 @dataclass
 class BemPathSet:
     """One user's taps as random Chebyshev series (trajectories inside the
@@ -99,11 +82,9 @@ class BemPathSet:
         return int(np.max(self.delays)) + 1
 
     def taps_at(self, ell: int, kappa: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.asarray(kappa, dtype=float).shape, dtype=complex)
-        for delay, c in zip(self.delays, self.coeffs):
-            if delay == ell:
-                out += chebyshev_series(c, kappa, self.n_s)
-        return out
+        """h[ell, kappa] = sum_g coeffs[ell, g] T_g(kprime) on the estimator's basis."""
+        basis = build_bem_basis(self.coeffs.shape[1], kappa, self.n_s).values
+        return np.sum(basis * self.coeffs[self.delays == ell].sum(axis=0), axis=-1)
 
 
 @dataclass
@@ -117,54 +98,6 @@ class ChannelRealization:
     @property
     def num_users(self) -> int:
         return len(self.paths)
-
-    def to_text(self) -> str:
-        """One-line JSON record for trial replay."""
-        entries = []
-        for p in self.paths:
-            if isinstance(p, BemPathSet):
-                entries.append({
-                    "kind": "bem",
-                    "delays": [int(d) for d in p.delays],
-                    "coeffs": [[[float(c.real), float(c.imag)] for c in row]
-                               for row in p.coeffs],
-                    "n_s": int(p.n_s),
-                })
-            else:
-                entries.append({
-                    "kind": "paths",
-                    "delays": [int(d) for d in p.delays],
-                    "gains": [[float(g.real), float(g.imag)] for g in p.gains],
-                    "dopplers": [float(v) for v in p.dopplers],
-                })
-        record = {
-            "to": [int(t) for t in self.to],
-            "cfo": [float(e) for e in self.cfo],
-            "paths": entries,
-        }
-        return json.dumps(record)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ChannelRealization":
-        record = json.loads(text)
-        paths = []
-        for p in record["paths"]:
-            if p.get("kind") == "bem":
-                paths.append(BemPathSet(
-                    delays=np.array(p["delays"], dtype=int),
-                    coeffs=np.array([[complex(re, im) for re, im in row]
-                                     for row in p["coeffs"]]),
-                    n_s=int(p["n_s"]),
-                ))
-            else:
-                paths.append(PathSet(
-                    gains=np.array([complex(re, im) for re, im in p["gains"]]),
-                    delays=np.array(p["delays"], dtype=int),
-                    dopplers=np.array(p["dopplers"], dtype=float),
-                ))
-        return cls(paths=paths, to=np.array(record["to"], dtype=int),
-                   cfo=np.array(record["cfo"], dtype=float))
-
 
 def generate_eva_channel(rng, nu_max_t: float, n_s: int, len_cap: int = 10,
                          sample_rate: float = SAMPLE_RATE_HZ) -> PathSet:
@@ -230,18 +163,6 @@ def draw_realization(rng, cfg: SystemConfig) -> ChannelRealization:
     return ChannelRealization(paths=paths, to=to, cfo=cfo)
 
 
-def channel_taps(paths, ell: int, kappa: np.ndarray) -> np.ndarray:
-    """Time-varying tap h[ell, kappa] for either path-set flavor."""
-    return paths.taps_at(ell, kappa)
-
-
-def compound_taps(paths, eps: float, n_s: int, ell: int,
-                  kappa: np.ndarray) -> np.ndarray:
-    """Effective tap with the CFO absorbed: h[ell, kappa] * exp(j 2 pi eps kappa / N_s)."""
-    rotation = np.exp(2j * np.pi * eps * np.asarray(kappa, dtype=float) / n_s)
-    return paths.taps_at(ell, kappa) * rotation
-
-
 def apply_channel(streams, realization: ChannelRealization, n_s: int,
                   theta_max: int) -> np.ndarray:
     """Noiseless multi-user receive stream.
@@ -281,90 +202,3 @@ def add_awgn(stream: np.ndarray, snr_db: float, rng) -> np.ndarray:
     noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(stream.shape)
                                      + 1j * rng.standard_normal(stream.shape))
     return stream + noise
-
-
-def dd_transform(mat: np.ndarray, m: int, n: int) -> np.ndarray:
-    """(F_N kron I_M) @ mat @ (F_N^H kron I_M) via per-block FFTs."""
-    mn = m * n
-    t = mat.reshape(m, n, m, n, order="F")
-    t = np.fft.fft(t, axis=1) / np.sqrt(n)
-    t = np.fft.ifft(t, axis=3) * np.sqrt(n)
-    return t.reshape(mn, mn, order="F")
-
-
-@dataclass
-class CompoundChannel:
-    """Delay-Doppler compound channel with per-user diagnostics blocks."""
-
-    psi_dd: np.ndarray            # (MN, MN)
-    lambda_dd: list[np.ndarray]   # per-user TO+channel blocks, DD domain
-    phi_dd: list[np.ndarray]      # per-user CFO blocks, DD domain
-
-
-def _user_lambda(paths, theta: int, cp_len: int, mn: int) -> np.ndarray:
-    """TO+channel operator on the CP-removed frame.
-
-    Row i (absolute sample cp_len + i) picks the frame sample delayed by
-    theta + delay, circular thanks to the frame CP:
-    Lambda[i, (i - theta - delay) mod MN] += h[delay, cp_len + i].
-    """
-    lam = np.zeros((mn, mn), dtype=complex)
-    rows = np.arange(mn)
-    kappa = cp_len + rows
-    for delay in np.unique(paths.delays):
-        cols = (rows - theta - int(delay)) % mn
-        lam[rows, cols] += paths.taps_at(int(delay), kappa)
-    return lam
-
-
-def build_compound_channel(realization: ChannelRealization, cfg: SystemConfig,
-                           allocations: list[UserAllocation]) -> CompoundChannel:
-    """Assemble Psi_DD = sum_q Phi_DD(eps_q) Lambda_DD_q P_q.
-
-    P_q is the diagonal selector of user q's bins, so Psi_DD acts on the
-    combined delay-Doppler symbol vector of all users.
-    """
-    m, n, mn = cfg.m, cfg.n, cfg.m * cfg.n
-    if realization.num_users != len(allocations):
-        raise RealizationError("realization/allocation user counts differ")
-    psi = np.zeros((mn, mn), dtype=complex)
-    lambda_dd_all, phi_dd_all = [], []
-    kappa = cfg.cp_len + np.arange(mn)
-    for q, paths in enumerate(realization.paths):
-        theta = int(realization.to[q])
-        if theta > cfg.theta_max:
-            raise RealizationError(
-                f"user {q}: timing offset {theta} exceeds theta_max={cfg.theta_max}"
-            )
-        lam = _user_lambda(paths, theta, cfg.cp_len, mn)
-        phi = np.exp(2j * np.pi * realization.cfo[q] * kappa / cfg.n_s)
-        lam_dd = dd_transform(lam, m, n)
-        phi_dd = dd_transform(np.diag(phi), m, n)
-        mask = bin_mask(allocations[q], m, n).flatten(order="F")
-        psi += (phi_dd @ lam_dd) * mask[np.newaxis, :]
-        lambda_dd_all.append(lam_dd)
-        phi_dd_all.append(phi_dd)
-    return CompoundChannel(psi_dd=psi, lambda_dd=lambda_dd_all, phi_dd=phi_dd_all)
-
-
-def joint_compensate(dd_rx: np.ndarray, compound: CompoundChannel,
-                     noise_var: float = 0.0, loading: float | None = None) -> np.ndarray:
-    """Regularized LS solve of Psi_DD d = dd_rx (MMSE-style diagonal loading).
-
-    ``loading`` defaults to the noise variance.  A singular system at zero
-    loading raises NumericError suggesting loading > 0.
-    """
-    psi = compound.psi_dd
-    lam = noise_var if loading is None else loading
-    gram = psi.conj().T @ psi + lam * np.eye(psi.shape[1])
-    rhs = psi.conj().T @ np.asarray(dd_rx)
-    try:
-        out = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "singular compound-channel system; set loading > 0"
-        ) from exc
-    if not np.all(np.isfinite(out)):
-        raise NumericError("non-finite solve of the compound-channel system; "
-                           "set loading > 0")
-    return out

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import harness
-from .config import SystemConfig, apply_overrides, echo_config, load_config
+from .config import SystemConfig, apply_overrides, coerce, echo_config, load_config
 from .errors import (AllocationError, ConfigError, EstimationError, NumericError,
                      OtfsyncError, PlacementError, RealizationError)
 
@@ -30,69 +30,58 @@ _DOPPLER_POINTS = (0.5, 1.0, 1.5, 2.0, 2.5, 2.91)
 _CFO_POINTS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
+_SNR_SPECS = tuple(
+    harness.ExperimentSpec(f"q{q}", "snr_db", _SNR_POINTS, 200,
+                           config_overrides=(("num_users", str(q)),))
+    for q in (2, 4))
+_DOPPLER_SPECS = tuple(
+    harness.ExperimentSpec(f"q{q}", "nu_max_t", _DOPPLER_POINTS, 200,
+                           config_overrides=(("num_users", str(q)), ("snr_db", "20")))
+    for q in (2, 4))
+
+#: experiment specs behind each figure preset (desk-scale trial counts); fig3
+#: is a single-trial snapshot, handled by ``cmd_figure``
+PRESETS = {
+    "fig4a": _SNR_SPECS,
+    "fig4b": _DOPPLER_SPECS[1:],
+    "fig5a": _SNR_SPECS,
+    "fig5b": _DOPPLER_SPECS,
+    "fig6": (harness.ExperimentSpec("nmse", "cfo_value", _CFO_POINTS, 200,
+                                    absorbed_baseline=True,
+                                    config_overrides=(("num_users", "2"), ("snr_db", "20"))),),
+}
+
+
 def _preset_specs(name: str) -> list[harness.ExperimentSpec]:
-    """Experiment specs behind each figure preset (desk-scale trial counts)."""
-    if name == "fig4a":
-        return [
-            harness.ExperimentSpec(
-                name=f"q{q}", sweep_var="snr_db", sweep_points=_SNR_POINTS,
-                trials=200, config_overrides=(("num_users", str(q)),))
-            for q in (2, 4)
-        ]
-    if name == "fig4b":
-        return [harness.ExperimentSpec(
-            name="q4", sweep_var="nu_max_t", sweep_points=_DOPPLER_POINTS,
-            trials=200, config_overrides=(("num_users", "4"), ("snr_db", "20")))]
-    if name == "fig5a":
-        return [
-            harness.ExperimentSpec(
-                name=f"q{q}", sweep_var="snr_db", sweep_points=_SNR_POINTS,
-                trials=200, config_overrides=(("num_users", str(q)),))
-            for q in (2, 4)
-        ]
-    if name == "fig5b":
-        return [
-            harness.ExperimentSpec(
-                name=f"q{q}", sweep_var="nu_max_t", sweep_points=_DOPPLER_POINTS,
-                trials=200, config_overrides=(("num_users", str(q)), ("snr_db", "20")))
-            for q in (2, 4)
-        ]
-    if name == "fig6":
-        return [harness.ExperimentSpec(
-            name="nmse", sweep_var="cfo_value", sweep_points=_CFO_POINTS,
-            trials=200, absorbed_baseline=True,
-            config_overrides=(("num_users", "2"), ("snr_db", "20")))]
-    raise ConfigError(
-        f"unknown figure {name!r}; available presets: fig3, fig4a, fig4b, "
-        "fig5a, fig5b, fig6"
-    )
+    if name not in PRESETS:
+        raise ConfigError(f"unknown figure {name!r}; available presets: "
+                          + ", ".join(["fig3", *PRESETS]))
+    return list(PRESETS[name])
 
 
 def _out_root(args) -> str:
     return args.out or os.environ.get(OUT_ENV_VAR, "out")
 
 
-def _base_config(args) -> SystemConfig:
+def _base_config(args) -> tuple[SystemConfig, int | None]:
+    """The config after --config, --seed and --override, plus the
+    experiment-level ``trials`` override (None when not given)."""
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config) if args.config else SystemConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
+    overrides, trials = {}, None
+    if args.seed is not None:
         overrides["rng_seed"] = str(args.seed)
-    for item in getattr(args, "override", None) or []:
-        if "=" not in item:
+    for item in args.override or []:
+        key, sep, val = item.partition("=")
+        if not sep:
             raise ConfigError(f"override {item!r} is not of the form key=value")
-        key, val = item.split("=", 1)
         if key.strip() == "trials":
-            continue  # experiment-level key, handled by the caller
-        overrides[key.strip()] = val.strip()
-    return apply_overrides(cfg, overrides) if overrides else cfg.validate()
-
-
-def _trials_override(args) -> int | None:
-    for item in getattr(args, "override", None) or []:
-        key, _, val = item.partition("=")
-        if key.strip() == "trials":
-            return int(val.strip())
-    return None
+            trials = coerce("int", val, "trials")
+        else:
+            overrides[key.strip()] = val.strip()
+    cfg = apply_overrides(cfg, overrides) if overrides else cfg.validate()
+    return cfg, trials
 
 
 def _write(path: str, text: str) -> None:
@@ -119,7 +108,7 @@ def _dump_debug(target: str, debug: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    cfg = _base_config(args)
+    cfg, _ = _base_config(args)
     print("configuration ok")
     if args.verbose:
         print(echo_config(cfg), end="")
@@ -127,7 +116,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_trial(args) -> int:
-    cfg = _base_config(args)
+    cfg, _ = _base_config(args)
     records, debug = harness.run_trial(cfg, args.trial_index,
                                        collect_debug=args.debug_dump)
     for rec in records:
@@ -143,9 +132,8 @@ def cmd_trial(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _base_config(args)
+    cfg, trials = _base_config(args)
     spec = harness.load_experiment(args.spec)
-    trials = _trials_override(args)
     if trials is not None:
         spec = dataclasses.replace(spec, trials=trials)
     if args.debug_dump:
@@ -161,7 +149,7 @@ def cmd_run(args) -> int:
 
 def cmd_figure(args) -> int:
     out_root = os.path.join(_out_root(args), args.name)
-    cfg = _base_config(args)
+    cfg, trials = _base_config(args)
     if args.name == "fig3":
         # timing-metric snapshot for every user of a single trial
         cfg = apply_overrides(cfg, {"num_users": "2"})
@@ -171,7 +159,6 @@ def cmd_figure(args) -> int:
         print(f"fig3: timing metric snapshot -> {out_root}")
         return 3 if any(rec.failed for rec in records) else 0
     specs = _preset_specs(args.name)
-    trials = _trials_override(args)
     worst_fraction = 0.0
     for spec in specs:
         if trials is not None:
@@ -189,7 +176,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_dump_metric(args) -> int:
-    cfg = _base_config(args)
+    cfg, _ = _base_config(args)
     records, debug = harness.run_trial(cfg, args.trial_index, collect_debug=True)
     target = os.path.join(_out_root(args), "dump-metric")
     _dump_debug(target, debug)

@@ -20,7 +20,6 @@ from .errors import ConfigError
 
 ALLOCATION_SCHEMES = ("contiguous-delay", "contiguous-doppler", "interleaved")
 CHANNEL_MODELS = ("eva", "eva-bem", "single-tap", "identity")
-PILOT_REGION_MODES = ("wrap", "error")
 
 #: sample rate the delay axis is quantized to (Hz)
 SAMPLE_RATE_HZ = 3.84e6
@@ -65,8 +64,6 @@ class SystemConfig:
     channel_model: str = "eva"
     channel_len_cap: int = 10   # largest channel length L_ch
     genie_to: bool = False      # use the true TO instead of the estimate
-    pilot_region_mode: str = "wrap"
-    gram_loading: float = 0.0   # diagonal loading for the BEM normal matrix
     rng_seed: int = 20250809
 
     # -- derived dimensions ---------------------------------------------------
@@ -100,16 +97,6 @@ class SystemConfig:
         """BEM order per user (resolved)."""
         return self.bem_order if self.bem_order > 0 else default_bem_order(self.nu_max_t)
 
-    @property
-    def frame_seconds(self) -> float:
-        return self.n_s / SAMPLE_RATE_HZ
-
-    @property
-    def noise_var(self) -> float:
-        if math.isinf(self.snr_db):
-            return 0.0
-        return 10.0 ** (-self.snr_db / 10.0)
-
     # -- validation -------------------------------------------------------------
     def violations(self) -> list[str]:
         """All violated invariants, one message each."""
@@ -133,6 +120,9 @@ class SystemConfig:
             )
         if self.cp_len >= self.m * self.n:
             bad.append(f"cp_len={self.cp_len} must be < m*n={self.m * self.n}")
+        if self.n_s < 2:
+            # the Chebyshev basis maps the frame onto [-1, 1] over N_s - 1 samples
+            bad.append(f"n_s = m*n + cp_len = {self.n_s} must be >= 2")
         if 2 * self.zc_len - 1 > self.m:
             bad.append(f"pilot span 2*zc_len-1={2 * self.zc_len - 1} exceeds m={self.m}")
         elif self.anchor - self.zc_len + 1 < 0 or self.anchor + self.zc_len - 1 > self.m - 1:
@@ -166,12 +156,6 @@ class SystemConfig:
             bad.append(f"allocation={self.allocation!r} not one of {ALLOCATION_SCHEMES}")
         if self.channel_model not in CHANNEL_MODELS:
             bad.append(f"channel_model={self.channel_model!r} not one of {CHANNEL_MODELS}")
-        if self.pilot_region_mode not in PILOT_REGION_MODES:
-            bad.append(
-                f"pilot_region_mode={self.pilot_region_mode!r} not one of {PILOT_REGION_MODES}"
-            )
-        if self.gram_loading < 0:
-            bad.append("gram_loading must be >= 0")
         if not 0 <= self.rng_seed < 2 ** 64:
             bad.append("rng_seed must be a 64-bit non-negative integer")
         return bad
@@ -184,30 +168,33 @@ class SystemConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(SystemConfig)}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
-def _coerce(name: str, raw: str):
-    kind = _FIELD_TYPES[name]
+def coerce(kind: str, raw: str, name: str):
+    """Typed value of ``raw`` for a field annotated ``kind``: int, float
+    (accepts "inf"), bool, str, or a comma-separated tuple[float, ...]."""
     raw = raw.strip()
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)  # accepts "inf"
+            return float(raw)
+        if kind == "tuple[float, ...]":
+            return tuple(float(part) for part in raw.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse {kind} from {raw!r} for key {name!r}") from exc
     if kind == "bool":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
+        if raw.lower() in _TRUE + _FALSE:
+            return raw.lower() in _TRUE
         raise ConfigError(f"cannot parse bool from {raw!r} for key {name!r}")
     return raw
 
 
-def parse_config_text(text: str) -> SystemConfig:
-    """Parse a flat ``key = value`` config (``#`` starts a comment)."""
-    values = {}
+def parse_lines(text: str) -> list[tuple[int, str, str]]:
+    """(line number, key, raw value) of each ``key = value`` line; ``#``
+    starts a comment and blank lines are skipped."""
+    entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -215,12 +202,20 @@ def parse_config_text(text: str) -> SystemConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
+        entries.append((lineno, key, raw))
+    return entries
+
+
+def parse_config_text(text: str) -> SystemConfig:
+    """Parse a flat ``key = value`` config (``#`` starts a comment)."""
+    values = {}
+    for lineno, key, raw in parse_lines(text):
         if key not in _FIELD_TYPES:
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r}; valid keys: "
                 + ", ".join(sorted(_FIELD_TYPES))
             )
-        values[key] = _coerce(key, raw)
+        values[key] = coerce(_FIELD_TYPES[key], raw, key)
     return SystemConfig(**values).validate()
 
 
@@ -241,7 +236,7 @@ def apply_overrides(cfg: SystemConfig, overrides: dict[str, str]) -> SystemConfi
             raise ConfigError(
                 f"unknown config key {key!r}; valid keys: " + ", ".join(sorted(_FIELD_TYPES))
             )
-        updates[key] = _coerce(key, str(raw))
+        updates[key] = coerce(_FIELD_TYPES[key], str(raw), key)
     return replace(cfg, **updates).validate()
 
 

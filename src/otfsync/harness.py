@@ -13,14 +13,15 @@ import concurrent.futures
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 from . import channel as chan
 from . import modem, pilot, sync
 from .allocation import build_allocation
-from .config import SystemConfig, apply_overrides, default_bem_order, echo_config
+from .config import (SystemConfig, apply_overrides, bem_order_bound, coerce,
+                     echo_config, parse_lines)
 from .errors import ConfigError, OtfsyncError
 
 SWEEP_VARS = ("snr_db", "nu_max_t", "cfo_value")
@@ -50,27 +51,19 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial_index])
 
 
-def _pilot_region_kappa(cfg: SystemConfig, theta: int) -> np.ndarray:
-    mn = cfg.m * cfg.n
-    idx = (np.arange(cfg.n)[:, None] * cfg.m + cfg.anchor + theta
-           + np.arange(cfg.zc_len)[None, :]) % mn
-    return cfg.cp_len + idx
-
-
-def true_pilot_taps(paths: chan.PathSet, cfg: SystemConfig, theta: int,
+def true_pilot_taps(paths: chan.PathSet, cfg: SystemConfig,
+                    placement: pilot.PilotPlacement, theta: int,
                     eps: float | None = None) -> np.ndarray:
     """Ground-truth taps h[n, l, j] over the pilot region at true alignment.
 
-    With ``eps`` given, returns the CFO-absorbed compound taps instead.
+    With ``eps`` given, returns the CFO-absorbed compound taps
+    h[l, kappa] * exp(j 2 pi eps kappa / N_s) instead.
     """
-    kappa = _pilot_region_kappa(cfg, theta)
-    out = np.empty((cfg.n, cfg.zc_len, cfg.zc_len), dtype=complex)
-    for ell in range(cfg.zc_len):
-        if eps is None:
-            out[:, ell, :] = chan.channel_taps(paths, ell, kappa)
-        else:
-            out[:, ell, :] = chan.compound_taps(paths, eps, cfg.n_s, ell, kappa)
-    return out
+    kappa = cfg.cp_len + placement.region_index(theta)
+    taps = np.stack([paths.taps_at(ell, kappa) for ell in range(cfg.zc_len)], axis=1)
+    if eps is not None:
+        taps *= sync.cfo_phase(kappa, eps, cfg.n_s)[:, np.newaxis, :]
+    return taps
 
 
 def _nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -83,7 +76,6 @@ def _nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
 def absorbed_beta(cfg: SystemConfig, eps_true: float) -> int:
     """Basis order for the CFO-absorbed baseline: the channel-only order,
     inflated to cover the compound Doppler spread nu_max_t + |eps| (cap 12)."""
-    from .config import bem_order_bound
     return max(cfg.beta, min(12, bem_order_bound(cfg.nu_max_t + abs(eps_true))))
 
 
@@ -136,13 +128,13 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
             record.theta_first = result.to_estimate.first_peak
             record.theta_max = result.to_estimate.max_peak
             record.eps_hat = result.cfo.epsilon_hat
-            truth = true_pilot_taps(realization.paths[q], cfg, theta_true)
+            truth = true_pilot_taps(realization.paths[q], cfg, placement, theta_true)
             record.nmse = _nmse(result.cfo.h_hat, truth)
             if absorbed:
                 h_abs = absorbed_channel_fit(result.region, cfg, placement, pcp,
                                              q, result.theta_used, eps_true)
-                truth_abs = true_pilot_taps(realization.paths[q], cfg, theta_true,
-                                            eps=eps_true)
+                truth_abs = true_pilot_taps(realization.paths[q], cfg, placement,
+                                            theta_true, eps=eps_true)
                 record.nmse_absorbed = _nmse(h_abs, truth_abs)
             if collect_debug:
                 debug.append({
@@ -295,35 +287,24 @@ class ExperimentSpec:
         return self
 
 
+#: spec keys of an experiment file, with their field types
+_SPEC_TYPES = {f.name: f.type for f in fields(ExperimentSpec)
+               if f.name != "config_overrides"}
+
+
 def parse_experiment_text(text: str) -> ExperimentSpec:
     """Parse an experiment spec file: flat keys plus ``config.<field>`` overrides."""
-    values = {"name": "experiment", "absorbed_baseline": False,
-              "per_trial_dump": False}
+    values = {"name": "experiment"}
     overrides = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
+    for lineno, key, raw in parse_lines(text):
         if key.startswith("config."):
             overrides.append((key[len("config."):], raw))
-        elif key == "name":
-            values["name"] = raw
-        elif key == "sweep_var":
-            values["sweep_var"] = raw
-        elif key == "sweep_points":
-            values["sweep_points"] = tuple(float(p) for p in raw.split(","))
-        elif key == "trials":
-            values["trials"] = int(raw)
-        elif key in ("absorbed_baseline", "per_trial_dump"):
-            values[key] = raw.lower() in ("1", "true", "yes", "on")
+        elif key in _SPEC_TYPES:
+            values[key] = coerce(_SPEC_TYPES[key], raw, key)
         else:
             raise ConfigError(
                 f"line {lineno}: unknown experiment key {key!r}; valid keys: "
-                "name, sweep_var, sweep_points, trials, absorbed_baseline, "
-                "per_trial_dump, config.<field>"
+                + ", ".join(_SPEC_TYPES) + ", config.<field>"
             )
     for required in ("sweep_var", "sweep_points", "trials"):
         if required not in values:

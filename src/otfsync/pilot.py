@@ -77,6 +77,14 @@ class PilotPlacement:
     def guard_rows(self) -> range:
         return range(self.delay_lo, self.delay_hi + 1)
 
+    def region_index(self, theta: int) -> np.ndarray:
+        """(N, zc_len) CP-removed stream index of the pilot region at timing
+        offset ``theta``: delay rows anchor + theta + j of every time slot,
+        wrapped modulo M*N (the frame CP makes the wrapped position carry the
+        continuation of the pilot)."""
+        rows = self.anchor + int(theta) + np.arange(self.zc_len)
+        return (np.arange(self.n)[:, None] * self.m + rows[None, :]) % (self.m * self.n)
+
     @classmethod
     def build(cls, m: int, n: int, num_users: int, zc_len: int, anchor: int,
               offset: int) -> "PilotPlacement":

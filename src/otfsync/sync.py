@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial.chebyshev import chebvander
 
 from . import pilot
 from .config import SystemConfig
@@ -134,34 +135,24 @@ class PilotRegion:
     """Received pilot-region samples and their absolute sample indices.
 
     ``samples[n, j]`` is the filtered receive sample at delay row
-    anchor + theta_hat + j of time slot n (linear sample position, wrapped
-    modulo M*N when it crosses the frame edge -- the frame CP makes the
-    wrapped position carry the continuation of the pilot).  ``kappa`` holds
-    the matching absolute post-CP-removal sample indices used for every
-    phase and basis evaluation.
+    anchor + theta_hat + j of time slot n (``PilotPlacement.region_index``).
+    ``kappa`` holds the matching absolute post-CP-removal sample indices used
+    for every phase and basis evaluation.
     """
 
     samples: np.ndarray   # (N, L_p) complex
     kappa: np.ndarray     # (N, L_p) int
-    lp_shift: int         # anchor + theta_hat
 
 
 def extract_pilot_region(filtered: np.ndarray, theta_hat: int,
-                         placement: pilot.PilotPlacement, cp_len: int,
-                         mode: str = "wrap") -> PilotRegion:
+                         placement: pilot.PilotPlacement, cp_len: int) -> PilotRegion:
     """Stack the L_p pilot samples of every time slot after the PCP prefix."""
-    m, n, lp = placement.m, placement.n, placement.zc_len
+    m, n = placement.m, placement.n
     filtered = np.asarray(filtered)
     if filtered.size != m * n:
         raise ConfigError(f"expected {m * n} samples, got {filtered.size}")
-    lp_shift = placement.anchor + int(theta_hat)
-    if mode == "error" and lp_shift + lp - 1 > m - 1:
-        raise EstimationError(
-            f"pilot region [{lp_shift}, {lp_shift + lp - 1}] exceeds the delay axis "
-            f"[0, {m - 1}]; use wrap mode or a smaller anchor"
-        )
-    idx = (np.arange(n)[:, None] * m + lp_shift + np.arange(lp)[None, :]) % (m * n)
-    return PilotRegion(samples=filtered[idx], kappa=cp_len + idx, lp_shift=lp_shift)
+    idx = placement.region_index(theta_hat)
+    return PilotRegion(samples=filtered[idx], kappa=cp_len + idx)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +176,7 @@ def build_bem_basis(beta: int, kappa: np.ndarray, n_s: int) -> BemBasis:
     if beta < 1:
         raise ConfigError(f"bem order {beta} must be >= 1")
     kprime = (2.0 * np.asarray(kappa, dtype=float) - n_s + 1.0) / (n_s - 1.0)
-    values = np.empty(kprime.shape + (beta,))
-    values[..., 0] = 1.0
-    if beta > 1:
-        values[..., 1] = kprime
-    for g in range(2, beta):
-        values[..., g] = 2.0 * kprime * values[..., g - 1] - values[..., g - 2]
-    return BemBasis(values=values, kprime=kprime, beta=beta)
+    return BemBasis(values=chebvander(kprime, beta - 1), kprime=kprime, beta=beta)
 
 
 @dataclass
@@ -205,39 +190,31 @@ class BemRegressor:
     """
 
     g_mat: np.ndarray
-    loading: float = 0.0
-    _q: np.ndarray = field(default=None, repr=False)
-    _qconj: np.ndarray = field(default=None, repr=False)
-    _r: np.ndarray = field(default=None, repr=False)
-    _piv: np.ndarray = field(default=None, repr=False)
-    _cho: tuple = field(default=None, repr=False)
+    _q: np.ndarray = field(repr=False)
+    _qconj: np.ndarray = field(repr=False)
+    _r: np.ndarray = field(repr=False)
+    _piv: np.ndarray = field(repr=False)
 
     def cost(self, z: np.ndarray) -> float:
         """Squared norm of the projection of z onto the regressor range."""
         return float(self.cost_many(z[np.newaxis, :])[0])
 
     def cost_many(self, z_batch: np.ndarray) -> np.ndarray:
-        if self.loading == 0.0:
-            w = z_batch @ self._qconj
-            return np.sum(np.abs(w) ** 2, axis=1)
-        w = z_batch @ np.conj(self.g_mat)          # rows: G^H z
-        sol = scipy.linalg.cho_solve(self._cho, w.T)
-        return np.real(np.sum(np.conj(w.T) * sol, axis=0))
+        w = z_batch @ self._qconj
+        return np.sum(np.abs(w) ** 2, axis=1)
 
     def coeffs(self, z: np.ndarray) -> np.ndarray:
         """LS coefficient solve (G^H G)^-1 G^H z."""
-        if self.loading == 0.0:
-            y = np.conj(self._q.T) @ z
-            sol = scipy.linalg.solve_triangular(self._r, y)
-            c = np.empty_like(sol)
-            c[self._piv] = sol
-            return c
-        return scipy.linalg.cho_solve(self._cho, np.conj(self.g_mat.T) @ z)
+        y = np.conj(self._q.T) @ z
+        sol = scipy.linalg.solve_triangular(self._r, y)
+        c = np.empty_like(sol)
+        c[self._piv] = sol
+        return c
 
 
-def build_bem_regressor(sbar: np.ndarray, bem: BemBasis, loading: float = 0.0,
+def build_bem_regressor(sbar: np.ndarray, bem: BemBasis,
                         pivot_tol: float = 1e-10) -> BemRegressor:
-    """Assemble and factorize the regressor from the pilot template.
+    """Assemble and QR-factorize the regressor from the pilot template.
 
     ``sbar[n, j]`` is the transmitted pilot sample at region position (n, j);
     the circular shifts of each slot's template realize the tap convolution.
@@ -255,10 +232,6 @@ def build_bem_regressor(sbar: np.ndarray, bem: BemBasis, loading: float = 0.0,
             f"BEM regressor is underdetermined: beta*L_p = {n_cols} columns "
             f"exceed N*L_p = {n_rows} rows"
         )
-    if loading > 0.0:
-        gram = np.conj(g_mat.T) @ g_mat + loading * np.eye(n_cols)
-        cho = scipy.linalg.cho_factor(gram)
-        return BemRegressor(g_mat=g_mat, loading=loading, _cho=cho)
     q, r, piv = scipy.linalg.qr(g_mat, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag >= pivot_tol * diag[0])) if diag[0] > 0 else 0
@@ -267,8 +240,7 @@ def build_bem_regressor(sbar: np.ndarray, bem: BemBasis, loading: float = 0.0,
             f"BEM regressor rank-deficient: rank {rank} < beta*L_p = {n_cols} "
             f"(N*L_p = {n_rows}); the pilot does not excite every coefficient"
         )
-    return BemRegressor(g_mat=g_mat, loading=0.0, _q=q, _qconj=np.conj(q),
-                        _r=r, _piv=piv)
+    return BemRegressor(g_mat=g_mat, _q=q, _qconj=np.conj(q), _r=r, _piv=piv)
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +353,13 @@ def reconstruct_channel(c_hat: np.ndarray, bem: BemBasis) -> np.ndarray:
 
 @dataclass
 class EstimatorBundle:
-    """Receive-side quantities fixed by (config, user, theta): the pilot
-    template, basis, factorized regressor, and coarse-grid rotations.  Cached
-    across trials because the expensive QR only depends on the geometry."""
+    """Receive-side quantities fixed by (config, user, theta): the basis,
+    factorized regressor, and coarse-grid rotations.  Cached across trials
+    because the expensive QR only depends on the geometry."""
 
-    sbar: np.ndarray
     bem: BemBasis
     regressor: BemRegressor
     grid_phases: np.ndarray
-    template: np.ndarray
 
 
 _BUNDLE_CACHE: dict = {}
@@ -401,25 +371,19 @@ def estimator_bundle(cfg: SystemConfig, placement: pilot.PilotPlacement,
                      beta: int | None = None) -> EstimatorBundle:
     beta = cfg.beta if beta is None else beta
     key = (cfg.m, cfg.n, cfg.num_users, cfg.cp_len, cfg.zc_len, cfg.zc_root,
-           cfg.pilot_power_db, cfg.anchor, cfg.offset, cfg.gram_loading,
+           cfg.pilot_power_db, cfg.anchor, cfg.offset,
            cfg.cfo_range, cfg.cfo_step, beta, user, int(theta))
     bundle = _BUNDLE_CACHE.get(key)
     if bundle is not None:
         return bundle
     if len(_BUNDLE_CACHE) >= _BUNDLE_CACHE_MAX:
         _BUNDLE_CACHE.clear()
-    m, n, lp = cfg.m, cfg.n, cfg.zc_len
-    idx = (np.arange(n)[:, None] * m + placement.anchor + int(theta)
-           + np.arange(lp)[None, :]) % (m * n)
-    kappa = cfg.cp_len + idx
-    sbar = pilot.pilot_region_ref(placement, pcp, user)
+    kappa = cfg.cp_len + placement.region_index(theta)
     bem = build_bem_basis(beta, kappa, cfg.n_s)
-    regressor = build_bem_regressor(sbar, bem, cfg.gram_loading)
+    regressor = build_bem_regressor(pilot.pilot_region_ref(placement, pcp, user), bem)
     grid = cfo_grid(cfg.cfo_range, cfg.cfo_step)
     grid_phases = np.exp(-2j * np.pi * np.outer(grid, kappa.ravel()) / cfg.n_s)
-    template = pilot.timing_template(placement, pcp, user)
-    bundle = EstimatorBundle(sbar=sbar, bem=bem, regressor=regressor,
-                             grid_phases=grid_phases, template=template)
+    bundle = EstimatorBundle(bem=bem, regressor=regressor, grid_phases=grid_phases)
     _BUNDLE_CACHE[key] = bundle
     return bundle
 
@@ -444,8 +408,7 @@ def synchronize_user(y: np.ndarray, user: int, cfg: SystemConfig,
     metric = timing_correlate(separated, template, placement, cfg.cp_len)
     to_est = estimate_to(metric, cfg.threshold)
     theta = int(theta_override) if theta_override is not None else to_est.first_peak
-    region = extract_pilot_region(separated, theta, placement, cfg.cp_len,
-                                  cfg.pilot_region_mode)
+    region = extract_pilot_region(separated, theta, placement, cfg.cp_len)
     bundle = estimator_bundle(cfg, placement, pcp, user, theta)
     cfo = estimate_cfo(region, bundle.regressor, bundle.bem, cfg.cfo_range,
                        cfg.cfo_step, cfg.cfo_tol, cfg.n_s,

@@ -1,13 +1,15 @@
-"""Channel generation, sample-level application, and the compound matrix."""
+"""Channel generation and sample-level application, checked against the
+dense delay-Doppler matrix oracle."""
 
 import numpy as np
 import pytest
 
+from dd_oracle import build_compound_channel
 from otfsync import channel as chan
 from otfsync import modem
 from otfsync.allocation import build_allocation, bin_mask
 from otfsync.config import SystemConfig
-from otfsync.errors import NumericError, RealizationError
+from otfsync.errors import RealizationError
 
 
 def random_pathset(rng, n_paths=3, len_cap=10, nu_max_t=1.5, n_s=146):
@@ -160,7 +162,7 @@ def test_compound_identity_channel_is_identity():
     allocs = build_allocation(cfg.m, cfg.n, 1, "contiguous-doppler")
     real = chan.ChannelRealization(paths=[chan.identity_pathset()],
                                    to=np.array([0]), cfo=np.array([0.0]))
-    compound = chan.build_compound_channel(real, cfg, allocs)
+    compound = build_compound_channel(real, cfg, allocs)
     assert np.max(np.abs(compound.psi_dd - np.eye(cfg.m * cfg.n))) < 1e-10
 
 
@@ -173,7 +175,7 @@ def keystone_error(cfg, rng, realization, allocs):
     r = chan.apply_channel(streams, realization, cfg.n_s, cfg.theta_max)
     y = modem.remove_cp(r[cfg.theta_max:], cfg.cp_rem)
     d_tilde = modem.demodulate(y, cfg.m, cfg.n).flatten(order="F")
-    compound = chan.build_compound_channel(realization, cfg, allocs)
+    compound = build_compound_channel(realization, cfg, allocs)
     d = sum(f.flatten(order="F") for f in frames)
     return np.max(np.abs(compound.psi_dd @ d - d_tilde))
 
@@ -209,7 +211,7 @@ def test_pure_cfo_block_is_block_circulant():
     real = chan.ChannelRealization(paths=[chan.identity_pathset()],
                                    to=np.array([0]), cfo=np.array([0.4]))
     allocs = build_allocation(cfg.m, cfg.n, 1, "contiguous-doppler")
-    compound = chan.build_compound_channel(real, cfg, allocs)
+    compound = build_compound_channel(real, cfg, allocs)
     phi = compound.phi_dd[0]
     m, n = cfg.m, cfg.n
     blocks = phi.reshape(m, n, m, n, order="F")
@@ -235,7 +237,7 @@ def test_time_invariant_channel_block_structure():
     real = chan.ChannelRealization(paths=[paths], to=np.array([0]),
                                    cfo=np.array([0.0]))
     allocs = build_allocation(cfg.m, cfg.n, 1, "contiguous-doppler")
-    compound = chan.build_compound_channel(real, cfg, allocs)
+    compound = build_compound_channel(real, cfg, allocs)
     lam = compound.lambda_dd[0].reshape(cfg.m, cfg.n, cfg.m, cfg.n, order="F")
     mag0 = np.abs(lam[:, 0, :, 0])
     for k1 in range(cfg.n):
@@ -251,96 +253,3 @@ def test_time_invariant_channel_block_structure():
                 for i in range(cfg.m):
                     expected[i, (i - ell) % cfg.m] += gain * (twist if i < ell else 1.0)
             assert np.max(np.abs(block - expected)) < 1e-10
-
-
-# -- joint compensation ---------------------------------------------------------
-
-def test_joint_compensate_identity():
-    cfg = small_config(num_users=1)
-    mn = cfg.m * cfg.n
-    compound = chan.CompoundChannel(psi_dd=np.eye(mn), lambda_dd=[], phi_dd=[])
-    rng = np.random.default_rng(11)
-    d = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
-    out = chan.joint_compensate(d, compound, noise_var=0.0)
-    assert np.max(np.abs(out - d)) < 1e-10
-
-
-def test_joint_compensate_recovers_noiseless():
-    cfg = small_config(m=8, n=4, zc_len=3)
-    rng = np.random.default_rng(12)
-    allocs = build_allocation(cfg.m, cfg.n, cfg.num_users, cfg.allocation)
-    real = chan.ChannelRealization(
-        paths=[random_pathset(rng, n_paths=2, n_s=cfg.n_s) for _ in range(2)],
-        to=rng.integers(0, cfg.theta_max + 1, 2),
-        cfo=rng.uniform(-0.5, 0.5, 2))
-    frames = [np.where(bin_mask(a, cfg.m, cfg.n),
-                       modem.qam4_symbols(rng, (cfg.m, cfg.n)), 0)
-              for a in allocs]
-    streams = [modem.transmit(f, cfg.cp_len) for f in frames]
-    r = chan.apply_channel(streams, real, cfg.n_s, cfg.theta_max)
-    y = modem.remove_cp(r[cfg.theta_max:], cfg.cp_rem)
-    d_tilde = modem.demodulate(y, cfg.m, cfg.n).flatten(order="F")
-    compound = chan.build_compound_channel(real, cfg, allocs)
-    d = sum(f.flatten(order="F") for f in frames)
-    # exact-inverse oracle at vanishing loading
-    oracle = np.linalg.solve(compound.psi_dd, d_tilde)
-    out = chan.joint_compensate(d_tilde, compound, noise_var=0.0, loading=1e-12)
-    assert np.linalg.norm(out - d) / np.linalg.norm(d) < 1e-6
-    assert np.linalg.norm(oracle - d) / np.linalg.norm(d) < 1e-6
-
-
-def test_joint_compensate_mismatch_residual_grows():
-    cfg = small_config(m=8, n=4, num_users=1, zc_len=3)
-    rng = np.random.default_rng(13)
-    allocs = build_allocation(cfg.m, cfg.n, 1, "contiguous-doppler")
-    residuals = []
-    for eps_err in (0.0, 0.2, 0.4):
-        res_trials = []
-        for trial in range(10):
-            trial_rng = np.random.default_rng([14, trial])
-            paths = random_pathset(trial_rng, n_paths=2, n_s=cfg.n_s)
-            eps = 0.1
-            real = chan.ChannelRealization(paths=[paths], to=np.array([1]),
-                                           cfo=np.array([eps]))
-            frame = np.where(bin_mask(allocs[0], cfg.m, cfg.n),
-                             modem.qam4_symbols(trial_rng, (cfg.m, cfg.n)), 0)
-            stream = modem.transmit(frame, cfg.cp_len)
-            r = chan.apply_channel([stream], real, cfg.n_s, cfg.theta_max)
-            y = modem.remove_cp(r[cfg.theta_max:], cfg.cp_rem)
-            d_tilde = modem.demodulate(y, cfg.m, cfg.n).flatten(order="F")
-            wrong = chan.ChannelRealization(paths=[paths], to=np.array([1]),
-                                            cfo=np.array([eps + eps_err]))
-            compound = chan.build_compound_channel(wrong, cfg, allocs)
-            d = frame.flatten(order="F")
-            d_hat = chan.joint_compensate(d_tilde, compound, loading=1e-9)
-            res_trials.append(np.linalg.norm(d_hat - d) / np.linalg.norm(d))
-        residuals.append(np.mean(res_trials))
-    assert residuals[0] < residuals[1] < residuals[2]
-
-
-def test_joint_compensate_singular_raises():
-    mn = 8
-    compound = chan.CompoundChannel(psi_dd=np.zeros((mn, mn)), lambda_dd=[],
-                                    phi_dd=[])
-    with pytest.raises(NumericError, match="loading"):
-        chan.joint_compensate(np.ones(mn), compound, noise_var=0.0)
-
-
-# -- serialization ---------------------------------------------------------------
-
-def test_realization_text_round_trip():
-    rng = np.random.default_rng(15)
-    real = chan.ChannelRealization(
-        paths=[random_pathset(rng), chan.generate_eva_bem_channel(rng, 1.0, 200, 3)],
-        to=np.array([1, 2]), cfo=np.array([0.1, -0.2]))
-    back = chan.ChannelRealization.from_text(real.to_text())
-    assert np.array_equal(back.to, real.to)
-    assert np.allclose(back.cfo, real.cfo)
-    assert isinstance(back.paths[0], chan.PathSet)
-    assert isinstance(back.paths[1], chan.BemPathSet)
-    assert np.allclose(back.paths[0].gains, real.paths[0].gains)
-    assert np.allclose(back.paths[1].coeffs, real.paths[1].coeffs)
-    kappa = np.arange(50)
-    for ell in (0, 1, 2):
-        assert np.allclose(back.paths[1].taps_at(ell, kappa),
-                           real.paths[1].taps_at(ell, kappa))

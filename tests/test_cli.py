@@ -1,0 +1,99 @@
+"""Command-line front end: malformed input, overrides, and the figure presets."""
+
+import pytest
+
+from otfsync import cli, harness
+from otfsync.errors import ConfigError
+
+SPEC = """
+name = tiny
+sweep_var = snr_db
+sweep_points = 20
+trials = 2
+config.num_users = 1
+config.channel_model = single-tap
+config.nu_max_t = 0.0
+"""
+
+
+def run_cli(tmp_path, *argv, spec=SPEC, config=None):
+    spec_path = tmp_path / "spec.txt"
+    spec_path.write_text(spec)
+    args = ["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]
+    if config is not None:
+        config_path = tmp_path / "system.cfg"
+        config_path.write_text(config)
+        args += ["--config", str(config_path)]
+    return cli.main(args + list(argv))
+
+
+@pytest.mark.parametrize("spec, argv, config, fragment", [
+    (SPEC.replace("sweep_points = 20", "sweep_points = 10, x"), (), None,
+     "cannot parse tuple"),
+    (SPEC + "absorbed_baseline = ture\n", (), None, "cannot parse bool"),
+    (SPEC, ("--override", "trials=abc"), None, "cannot parse int"),
+    (SPEC, ("--override", "trials=x=1"), None, "cannot parse int"),
+    (SPEC, ("--workers", "0"), None, "--workers must be >= 1"),
+    (SPEC, (), "pilot_region_mode = wrap\n", "unknown key 'pilot_region_mode'"),
+    (SPEC, (), "gram_loading = 0.0\n", "unknown key 'gram_loading'"),
+], ids=["sweep-points", "bool", "trials-abc", "trials-x=1", "workers-0",
+        "pilot-region-mode", "gram-loading"])
+def test_malformed_input_is_a_config_error(tmp_path, capsys, spec, argv, config,
+                                           fragment):
+    assert run_cli(tmp_path, *argv, spec=spec, config=config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_trials_override_reaches_the_spec(tmp_path, capsys):
+    assert run_cli(tmp_path, "--override", "trials=1", "--seed", "3") == 0
+    lines = (tmp_path / "out" / "tiny" / "results.csv").read_text().splitlines()
+    assert all(line.endswith(",1,0") for line in lines[1:])
+    assert "tiny: 1 per-user records, 0 failed" in capsys.readouterr().out
+
+
+# -- figure presets ---------------------------------------------------------------
+
+SNR = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+DOPPLER = (0.5, 1.0, 1.5, 2.0, 2.5, 2.91)
+SNR_SPECS = [
+    harness.ExperimentSpec("q2", "snr_db", SNR, 200,
+                           config_overrides=(("num_users", "2"),)),
+    harness.ExperimentSpec("q4", "snr_db", SNR, 200,
+                           config_overrides=(("num_users", "4"),)),
+]
+PRESET_SPECS = {
+    "fig4a": SNR_SPECS,
+    "fig4b": [
+        harness.ExperimentSpec("q4", "nu_max_t", DOPPLER, 200,
+                               config_overrides=(("num_users", "4"), ("snr_db", "20"))),
+    ],
+    "fig5a": SNR_SPECS,
+    "fig5b": [
+        harness.ExperimentSpec("q2", "nu_max_t", DOPPLER, 200,
+                               config_overrides=(("num_users", "2"), ("snr_db", "20"))),
+        harness.ExperimentSpec("q4", "nu_max_t", DOPPLER, 200,
+                               config_overrides=(("num_users", "4"), ("snr_db", "20"))),
+    ],
+    "fig6": [
+        harness.ExperimentSpec("nmse", "cfo_value", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5), 200,
+                               absorbed_baseline=True,
+                               config_overrides=(("num_users", "2"), ("snr_db", "20"))),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_SPECS))
+def test_preset_specs_unchanged(name):
+    assert cli._preset_specs(name) == PRESET_SPECS[name]
+
+
+def test_fig4a_and_fig5a_share_specs():
+    assert cli._preset_specs("fig4a") == cli._preset_specs("fig5a")
+
+
+def test_unknown_preset_lists_all_figures():
+    with pytest.raises(ConfigError, match="fig3, fig4a, fig4b, fig5a, fig5b, fig6"):
+        cli._preset_specs("fig7")

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from otfsync import harness
-from otfsync.config import SystemConfig, apply_overrides
-from otfsync.errors import ConfigError
+from otfsync.config import (ALLOCATION_SCHEMES, CHANNEL_MODELS, SystemConfig,
+                            apply_overrides, bem_order_bound)
+from otfsync.errors import ConfigError, OtfsyncError
 
 
 def quick_config(**kw):
@@ -206,3 +208,46 @@ def test_report_value_lookup():
     assert val == 0.0
     with pytest.raises(KeyError):
         report.value(20.0, 0, "first-peak", "nope")
+
+
+@st.composite
+def small_configs(draw):
+    """Small configs across every channel model and allocation, drawn
+    relative to the validation rules so that most draws are valid."""
+    m, n = draw(st.integers(1, 24)), draw(st.integers(1, 12))
+    num_users = draw(st.integers(1, min(4, m, n)))
+    zc_len = draw(st.integers(1, min(6, (m + 1) // 2)))
+    theta_max = draw(st.integers(0, 3))
+    channel_len_cap = draw(st.integers(1, 10))
+    nu_max_t = draw(st.sampled_from((0.0, 0.5, 1.3, 2.91)))
+    half_band = (n // num_users) / 2
+    return SystemConfig(
+        m=m, n=n, num_users=num_users, zc_len=zc_len,
+        zc_root=draw(st.sampled_from([r for r in (1, 2, 3) if math.gcd(r, zc_len) == 1])),
+        theta_max=theta_max, channel_len_cap=channel_len_cap,
+        cp_len=max(0, channel_len_cap + theta_max - 1) + draw(st.integers(0, 2)),
+        pilot_anchor=draw(st.just(-1) | st.integers(zc_len - 1, m - zc_len)),
+        pilot_offset=draw(st.just(-1) | st.integers(0, n // num_users - 1)),
+        snr_db=draw(st.sampled_from((math.inf, 20.0, 0.0))),
+        pilot_power_db=draw(st.sampled_from((40.0, 0.0))),
+        nu_max_t=nu_max_t,
+        bem_order=draw(st.just(0) | st.integers(bem_order_bound(nu_max_t), 12)),
+        threshold=draw(st.sampled_from((0.25, 1.0))),
+        cfo_range=draw(st.sampled_from([r for r in (0.25, 0.5, 2.0) if r <= half_band])),
+        cfo_step=draw(st.sampled_from((0.02, 0.1, 0.3))),
+        cfo_max=draw(st.sampled_from((0.0, 0.5))),
+        allocation=draw(st.sampled_from(ALLOCATION_SCHEMES)),
+        channel_model=draw(st.sampled_from(CHANNEL_MODELS)),
+        genie_to=draw(st.booleans()))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cfg=small_configs(), absorbed=st.booleans())
+def test_valid_configs_run_or_fail_with_a_record(cfg, absorbed):
+    assume(not cfg.violations())
+    try:
+        records, _ = harness.run_trial(cfg, 0, absorbed=absorbed)
+    except OtfsyncError:
+        return
+    assert len(records) == cfg.num_users
+    assert all(rec.error for rec in records if rec.failed)

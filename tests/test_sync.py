@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
+from numpy.polynomial.chebyshev import chebvander
 
 from otfsync import channel as chan
 from otfsync import modem, pilot, sync
@@ -221,22 +221,17 @@ def test_extraction_pure_cfo_phase_ramp():
 def test_extraction_wrap_indices():
     cfg = paper_config(num_users=1)
     placement = pilot.PilotPlacement.from_config(cfg)
-    region = sync.extract_pilot_region(np.arange(cfg.m * cfg.n, dtype=complex),
-                                       3, placement, cfg.cp_len)
-    # last slot's tail wraps to the head of the stream
-    idx = (np.arange(cfg.n)[:, None] * cfg.m + placement.anchor + 3
-           + np.arange(cfg.zc_len)) % (cfg.m * cfg.n)
-    assert np.array_equal(region.samples.real.astype(int), idx)
-    assert np.array_equal(region.kappa, cfg.cp_len + idx)
-    assert idx.max() < cfg.m * cfg.n and (idx < placement.anchor).any()
-
-
-def test_extraction_error_mode():
-    cfg = paper_config(num_users=1, pilot_region_mode="error")
-    placement = pilot.PilotPlacement.from_config(cfg)
-    with pytest.raises(EstimationError, match="exceeds the delay axis"):
-        sync.extract_pilot_region(np.zeros(cfg.m * cfg.n, complex), 2,
-                                  placement, cfg.cp_len, mode="error")
+    stream = np.arange(cfg.m * cfg.n, dtype=complex)
+    for theta in range(cfg.theta_max + 1):
+        region = sync.extract_pilot_region(stream, theta, placement, cfg.cp_len)
+        # last slot's tail wraps to the head of the stream
+        idx = (np.arange(cfg.n)[:, None] * cfg.m + placement.anchor + theta
+               + np.arange(cfg.zc_len)) % (cfg.m * cfg.n)
+        assert np.array_equal(placement.region_index(theta), idx)
+        assert np.array_equal(region.samples.real.astype(int), idx)
+        assert np.array_equal(region.kappa, cfg.cp_len + idx)
+        assert idx.max() < cfg.m * cfg.n
+        assert (idx < placement.anchor).any() == (theta > 0)
 
 
 def test_wrong_offset_decorrelates_region():
@@ -268,6 +263,11 @@ def test_bem_recursion_matches_closed_form():
     closed = np.cos(np.arange(8)[np.newaxis, np.newaxis, :]
                     * np.arccos(np.clip(bem.kprime, -1, 1))[..., np.newaxis])
     assert np.max(np.abs(bem.values - closed)) < 1e-10
+    # beta = 1: only T_0 exists
+    static = sync.build_bem_basis(1, kappa, cfg.n_s)
+    assert static.values.shape == kappa.shape + (1,)
+    assert np.array_equal(static.values, chebvander(static.kprime, 0))
+    assert np.all(static.values == 1.0)
 
 
 def test_bem_requires_positive_order():
@@ -282,9 +282,7 @@ def test_bem_requires_positive_order():
 def region_fixture(cfg, theta=0):
     placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
-    idx = (np.arange(cfg.n)[:, None] * cfg.m + placement.anchor + theta
-           + np.arange(cfg.zc_len)[None, :]) % (cfg.m * cfg.n)
-    kappa = cfg.cp_len + idx
+    kappa = cfg.cp_len + placement.region_index(theta)
     sbar = pilot.pilot_region_ref(placement, pcp, 0)
     return placement, pcp, sbar, kappa
 
@@ -354,7 +352,7 @@ def bem_exact_observation(cfg, rng, eps0, theta=0, beta=None):
     c = rng.standard_normal(cfg.zc_len * beta) + 1j * rng.standard_normal(cfg.zc_len * beta)
     rbar = sync.cfo_phase(kappa.ravel(), eps0, cfg.n_s) * (reg.g_mat @ c)
     region = sync.PilotRegion(samples=rbar.reshape(cfg.n, cfg.zc_len),
-                              kappa=kappa, lp_shift=0)
+                              kappa=kappa)
     return region, reg, bem, c
 
 
@@ -482,22 +480,6 @@ def test_ls_residual_orthogonality():
     z = np.conj(phase) * result.region.samples.ravel()
     residual = g.conj().T @ (z - g @ result.cfo.c_hat)
     assert np.linalg.norm(residual) < 1e-9 * np.linalg.norm(g.conj().T @ z)
-
-
-def test_loaded_regressor_matches_normal_equations():
-    cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3,
-                       gram_loading=0.05)
-    _, _, sbar, kappa = region_fixture(cfg)
-    bem = sync.build_bem_basis(cfg.beta, kappa, cfg.n_s)
-    reg = sync.build_bem_regressor(sbar, bem, loading=cfg.gram_loading)
-    rng = np.random.default_rng(28)
-    z = rng.standard_normal(cfg.n * cfg.zc_len) + 1j * rng.standard_normal(cfg.n * cfg.zc_len)
-    g = reg.g_mat
-    gram = g.conj().T @ g + cfg.gram_loading * np.eye(g.shape[1])
-    expect_c = np.linalg.solve(gram, g.conj().T @ z)
-    assert np.max(np.abs(reg.coeffs(z) - expect_c)) < 1e-9
-    expect_cost = np.real(np.vdot(g.conj().T @ z, expect_c))
-    assert reg.cost(z) == pytest.approx(expect_cost, rel=1e-9)
 
 
 def test_reconstruct_channel_shapes_and_zero():
