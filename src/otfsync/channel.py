@@ -53,14 +53,15 @@ class PathSet:
         """Channel length L_ch (largest delay + 1)."""
         return int(np.max(self.delays)) + 1
 
-    def taps_at(self, ell: int, kappa: np.ndarray) -> np.ndarray:
-        """h[ell, kappa] = sum_i h_i exp(j 2 pi nu_i (kappa - ell)) over the
-        paths located at delay ``ell``."""
+    def taps(self, kappa: np.ndarray, n_taps: int) -> np.ndarray:
+        """(n_taps, *kappa.shape) array of h[l, kappa] = sum_i h_i
+        exp(j 2 pi nu_i (kappa - l)) over the paths at delay l; paths at
+        delays >= n_taps are left out."""
         kappa = np.asarray(kappa, dtype=float)
-        out = np.zeros(kappa.shape, dtype=complex)
+        out = np.zeros((n_taps,) + kappa.shape, dtype=complex)
         for gain, delay, nu in zip(self.gains, self.delays, self.dopplers):
-            if delay == ell:
-                out += gain * np.exp(2j * np.pi * nu * (kappa - ell))
+            if delay < n_taps:
+                out[delay] += gain * np.exp(2j * np.pi * nu * (kappa - delay))
         return out
 
 
@@ -81,10 +82,16 @@ class BemPathSet:
     def length(self) -> int:
         return int(np.max(self.delays)) + 1
 
-    def taps_at(self, ell: int, kappa: np.ndarray) -> np.ndarray:
-        """h[ell, kappa] = sum_g coeffs[ell, g] T_g(kprime) on the estimator's basis."""
+    def taps(self, kappa: np.ndarray, n_taps: int) -> np.ndarray:
+        """(n_taps, *kappa.shape) array of h[l, kappa] = sum_g coeffs[d, g]
+        T_g(kprime) for the row d at delay l, on the estimator's basis; rows
+        at delays >= n_taps are left out."""
         basis = build_bem_basis(self.coeffs.shape[1], kappa, self.n_s).values
-        return np.sum(basis * self.coeffs[self.delays == ell].sum(axis=0), axis=-1)
+        out = np.zeros((n_taps,) + basis.shape[:-1], dtype=complex)
+        for delay, c in zip(self.delays, self.coeffs):
+            if delay < n_taps:
+                out[delay] += np.sum(basis * c, axis=-1)
+        return out
 
 
 @dataclass
@@ -182,11 +189,12 @@ def apply_channel(streams, realization: ChannelRealization, n_s: int,
         if s.size != n_s:
             raise RealizationError(f"user {q}: stream length {s.size} != N_s={n_s}")
         acc = np.zeros(n_s, dtype=complex)
+        taps = paths.taps(kappa, paths.length)
         for delay in np.unique(paths.delays):
             shift = int(delay) + theta
             shifted = np.zeros(n_s, dtype=complex)
             shifted[shift:] = s[:n_s - shift] if shift > 0 else s
-            acc += paths.taps_at(int(delay), kappa) * shifted
+            acc += taps[delay] * shifted
         r += np.exp(2j * np.pi * realization.cfo[q] * kappa / n_s) * acc
     return r
 

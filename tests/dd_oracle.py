@@ -43,10 +43,10 @@ def _user_lambda(paths, theta: int, cp_len: int, mn: int) -> np.ndarray:
     """
     lam = np.zeros((mn, mn), dtype=complex)
     rows = np.arange(mn)
-    kappa = cp_len + rows
+    taps = paths.taps(cp_len + rows, paths.length)
     for delay in np.unique(paths.delays):
         cols = (rows - theta - int(delay)) % mn
-        lam[rows, cols] += paths.taps_at(int(delay), kappa)
+        lam[rows, cols] += taps[delay]
     return lam
 
 

@@ -65,9 +65,9 @@ def test_bem_pathset_power_and_length():
     rng = np.random.default_rng(2)
     paths = chan.generate_eva_bem_channel(rng, 2.91, 4109, order=7)
     assert paths.length <= 10
-    kappa = np.arange(4109)
-    power = np.mean([np.mean(np.abs(paths.taps_at(int(d), kappa)) ** 2)
-                     for d in paths.delays])
+    taps = paths.taps(np.arange(4109), paths.length)
+    assert taps.shape == (paths.length, 4109)
+    power = np.mean(np.abs(taps[paths.delays]) ** 2)
     assert power > 0
 
 
