@@ -60,6 +60,7 @@ def true_pilot_taps(paths: chan.PathSet, cfg: SystemConfig,
     h[l, kappa] * exp(j 2 pi eps kappa / N_s) instead.
     """
     kappa = cfg.cp_len + placement.region_index(theta)
+    # C order: the NMSE sums then add in the same order as for a fresh (N, L, L) array
     taps = np.ascontiguousarray(paths.taps(kappa, cfg.zc_len).transpose(1, 0, 2))
     if eps is not None:
         taps *= sync.cfo_phase(kappa, eps, cfg.n_s)[:, np.newaxis, :]

@@ -69,6 +69,20 @@ def test_bem_pathset_power_and_length():
     assert taps.shape == (paths.length, 4109)
     power = np.mean(np.abs(taps[paths.delays]) ** 2)
     assert power > 0
+    assert np.array_equal(paths.taps(np.arange(4109), 2), taps[:2])
+
+
+def test_taps_rows_match_per_path_sum():
+    rng = np.random.default_rng(10)
+    paths = random_pathset(rng, n_paths=4)
+    kappa = np.arange(50.0)
+    taps = paths.taps(kappa, paths.length)
+    for ell in range(paths.length):
+        expected = sum((g * np.exp(2j * np.pi * nu * (kappa - d))
+                        for g, d, nu in zip(paths.gains, paths.delays, paths.dopplers)
+                        if d == ell), np.zeros(kappa.shape, complex))
+        assert np.max(np.abs(taps[ell] - expected)) < 1e-14
+    assert np.array_equal(paths.taps(kappa, 3), taps[:3])
 
 
 # -- sample-level application -------------------------------------------------
