@@ -22,14 +22,6 @@ class UserAllocation:
     delay_bins: tuple[int, ...]
     doppler_bins: tuple[int, ...]
 
-    @property
-    def m_q(self) -> int:
-        return len(self.delay_bins)
-
-    @property
-    def n_q(self) -> int:
-        return len(self.doppler_bins)
-
 
 def _contiguous_split(size: int, parts: int) -> list[tuple[int, ...]]:
     # remainder bins go to the highest-indexed user

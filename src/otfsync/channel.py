@@ -45,10 +45,6 @@ class PathSet:
     dopplers: np.ndarray
 
     @property
-    def n_paths(self) -> int:
-        return len(self.gains)
-
-    @property
     def length(self) -> int:
         """Channel length L_ch (largest delay + 1)."""
         return int(np.max(self.delays)) + 1
@@ -75,10 +71,6 @@ class BemPathSet:
     n_s: int
 
     @property
-    def n_paths(self) -> int:
-        return len(self.delays)
-
-    @property
     def length(self) -> int:
         return int(np.max(self.delays)) + 1
 
@@ -86,7 +78,7 @@ class BemPathSet:
         """(n_taps, *kappa.shape) array of h[l, kappa] = sum_g coeffs[d, g]
         T_g(kprime) for the row d at delay l, on the estimator's basis; rows
         at delays >= n_taps are left out."""
-        basis = build_bem_basis(self.coeffs.shape[1], kappa, self.n_s).values
+        basis = build_bem_basis(self.coeffs.shape[1], kappa, self.n_s)
         out = np.zeros((n_taps,) + basis.shape[:-1], dtype=complex)
         for delay, c in zip(self.delays, self.coeffs):
             if delay < n_taps:

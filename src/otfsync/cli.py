@@ -63,9 +63,10 @@ def _out_root(args) -> str:
     return args.out or os.environ.get(OUT_ENV_VAR, "out")
 
 
-def _base_config(args) -> tuple[SystemConfig, int | None]:
+def _base_config(args, runs_experiment: bool = False) -> tuple[SystemConfig, int | None]:
     """The config after --config, --seed and --override, plus the
-    experiment-level ``trials`` override (None when not given)."""
+    experiment-level ``trials`` override (None when not given), which is a
+    ConfigError for a command that runs no experiment."""
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config) if args.config else SystemConfig()
@@ -77,6 +78,10 @@ def _base_config(args) -> tuple[SystemConfig, int | None]:
         if not sep:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         if key.strip() == "trials":
+            if not runs_experiment:
+                command = " ".join([args.command, getattr(args, "name", "")]).strip()
+                raise ConfigError(f"--override trials= does not apply to {command!r}, "
+                                  "which runs no experiment")
             trials = coerce("int", val, "trials")
         else:
             overrides[key.strip()] = val.strip()
@@ -132,7 +137,7 @@ def cmd_trial(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg, trials = _base_config(args)
+    cfg, trials = _base_config(args, runs_experiment=True)
     spec = harness.load_experiment(args.spec)
     if trials is not None:
         spec = dataclasses.replace(spec, trials=trials)
@@ -149,7 +154,7 @@ def cmd_run(args) -> int:
 
 def cmd_figure(args) -> int:
     out_root = os.path.join(_out_root(args), args.name)
-    cfg, trials = _base_config(args)
+    cfg, trials = _base_config(args, runs_experiment=args.name != "fig3")
     if args.name == "fig3":
         # timing-metric snapshot for every user of a single trial
         cfg = apply_overrides(cfg, {"num_users": "2"})

@@ -137,6 +137,10 @@ class SystemConfig:
                 f"bem_order={self.beta} below the bound "
                 f"ceil(2*nu_max_t + 1) = {bem_order_bound(self.nu_max_t)}"
             )
+        if self.beta > self.n:
+            # beta*L_p regressor columns against N*L_p pilot-region rows
+            bad.append(f"bem_order={self.beta} exceeds the Doppler axis n={self.n}; "
+                       "the BEM regressor would be underdetermined")
         if not 0.0 < self.threshold <= 1.0:
             bad.append(f"threshold={self.threshold} outside (0, 1]")
         if self.cfo_range <= 0 or self.cfo_step <= 0 or self.cfo_tol <= 0:

@@ -31,27 +31,13 @@ def zadoff_chu(zc_len: int, root: int) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-@dataclass(frozen=True)
-class PcpSequence:
-    """ZC sequence with its last zc_len-1 elements copied in front."""
-
-    seq: np.ndarray  # length 2*zc_len - 1, amplitude-scaled
-    zc_len: int
-    root: int
-    amp: float
-
-    @property
-    def core(self) -> np.ndarray:
-        """The underlying ZC period (without the prefix copy)."""
-        return self.seq[self.zc_len - 1:]
-
-
-def make_pcp(zc_len: int, root: int = 1, pilot_power_db: float = 0.0) -> PcpSequence:
-    """Build the pilot; each embedded bin carries ``pilot_power_db`` over unit data power."""
+def make_pcp(zc_len: int, root: int = 1, pilot_power_db: float = 0.0) -> np.ndarray:
+    """The 2*zc_len - 1 pilot samples: the ZC sequence with its last zc_len-1
+    elements copied in front, scaled so that each embedded bin carries
+    ``pilot_power_db`` over unit data power."""
     zc = zadoff_chu(zc_len, root)
     amp = 10.0 ** (pilot_power_db / 20.0)
-    seq = amp * np.concatenate([zc[-(zc_len - 1):], zc]) if zc_len > 1 else amp * zc
-    return PcpSequence(seq=seq, zc_len=zc_len, root=root, amp=amp)
+    return amp * np.concatenate([zc[-(zc_len - 1):], zc]) if zc_len > 1 else amp * zc
 
 
 @dataclass(frozen=True)
@@ -107,14 +93,14 @@ class PilotPlacement:
                          cfg.anchor, cfg.offset)
 
 
-def pilot_frame(placement: PilotPlacement, pcp: PcpSequence, user: int) -> np.ndarray:
+def pilot_frame(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
     """Delay-Doppler grid holding only this user's pilot column."""
     frame = np.zeros((placement.m, placement.n), dtype=complex)
-    frame[placement.delay_lo:placement.delay_hi + 1, placement.doppler_bins[user]] = pcp.seq
+    frame[placement.delay_lo:placement.delay_hi + 1, placement.doppler_bins[user]] = pcp
     return frame
 
 
-def embed_pilots(frames, placement: PilotPlacement, pcp: PcpSequence):
+def embed_pilots(frames, placement: PilotPlacement, pcp: np.ndarray):
     """Write each user's pilot into its frame; the span must be data-free."""
     rows = slice(placement.delay_lo, placement.delay_hi + 1)
     out = []
@@ -125,17 +111,17 @@ def embed_pilots(frames, placement: PilotPlacement, pcp: PcpSequence):
                 f"[{placement.delay_lo}, {placement.delay_hi}]"
             )
         frame = frame.copy()
-        frame[rows, placement.doppler_bins[user]] = pcp.seq
+        frame[rows, placement.doppler_bins[user]] = pcp
         out.append(frame)
     return out
 
 
-def timing_template(placement: PilotPlacement, pcp: PcpSequence, user: int) -> np.ndarray:
+def timing_template(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
     """Transmitted delay-time pilot grid used by the timing correlator."""
     return modem.modulate(pilot_frame(placement, pcp, user))
 
 
-def pilot_region_ref(placement: PilotPlacement, pcp: PcpSequence, user: int) -> np.ndarray:
+def pilot_region_ref(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
     """Transmitted pilot samples in delay rows anchor..anchor+zc_len-1.
 
     Returns an (N, zc_len) array indexed [time slot, sample-in-region]; this

@@ -59,12 +59,11 @@ def separate_user(stream: np.ndarray, user: int, num_users: int, m: int, n: int)
 class TimingMetric:
     """Per-delay-bin correlation statistics for one user.
 
-    ``corr2d`` holds the per-slot correlation magnitudes and ``curve`` its
-    time average; both use the reporting index convention in which the
-    estimate is recovered as (l + cp_len - anchor - 1) mod M.
+    ``curve`` is the time average of the per-slot correlation magnitudes, in
+    the reporting index convention in which the estimate is recovered as
+    (l + cp_len - anchor - 1) mod M.
     """
 
-    corr2d: np.ndarray  # (M, N) nonnegative
     curve: np.ndarray   # (M,)
     cp_len: int
     anchor: int
@@ -74,7 +73,6 @@ class TimingMetric:
 class ToEstimate:
     first_peak: int            # threshold peak set, earliest offset
     max_peak: int              # argmax variant
-    peak_set: np.ndarray       # metric indices above the threshold
 
 
 def timing_correlate(separated: np.ndarray, template: np.ndarray,
@@ -101,8 +99,7 @@ def timing_correlate(separated: np.ndarray, template: np.ndarray,
     p2d = np.abs(corr.T) / m                 # (M, N), lag d peaks at the offset
     shift = (cp_len - placement.anchor - 1) % m
     p2d = p2d[(np.arange(m) + shift) % m, :]
-    return TimingMetric(corr2d=p2d, curve=p2d.mean(axis=1), cp_len=cp_len,
-                        anchor=placement.anchor)
+    return TimingMetric(curve=p2d.mean(axis=1), cp_len=cp_len, anchor=placement.anchor)
 
 
 def estimate_to(metric: TimingMetric, threshold: float) -> ToEstimate:
@@ -122,8 +119,7 @@ def estimate_to(metric: TimingMetric, threshold: float) -> ToEstimate:
     peak_set = np.flatnonzero(curve >= threshold * curve.max())
     offsets = (peak_set + metric.cp_len - metric.anchor - 1) % m
     max_peak = (int(np.argmax(curve)) + metric.cp_len - metric.anchor - 1) % m
-    return ToEstimate(first_peak=int(offsets.min()), max_peak=int(max_peak),
-                      peak_set=peak_set)
+    return ToEstimate(first_peak=int(offsets.min()), max_peak=int(max_peak))
 
 
 # ---------------------------------------------------------------------------
@@ -159,73 +155,61 @@ def extract_pilot_region(filtered: np.ndarray, theta_hat: int,
 # Chebyshev basis expansion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BemBasis:
-    """First-kind Chebyshev values on the pilot-region time grid.
-
-    values[n, j, g] = T_g(kprime) at the normalized instant
-    kprime = (2*kappa - N_s + 1)/(N_s - 1) of sample (n, j).
-    """
-
-    values: np.ndarray   # (N, L_p, beta) float
-    kprime: np.ndarray   # (N, L_p)
-    beta: int
-
-
-def build_bem_basis(beta: int, kappa: np.ndarray, n_s: int) -> BemBasis:
+def build_bem_basis(beta: int, kappa: np.ndarray, n_s: int) -> np.ndarray:
+    """(*kappa.shape, beta) first-kind Chebyshev values T_g(kprime) at the
+    normalized instants kprime = (2*kappa - N_s + 1)/(N_s - 1)."""
     if beta < 1:
         raise ConfigError(f"bem order {beta} must be >= 1")
     kprime = (2.0 * np.asarray(kappa, dtype=float) - n_s + 1.0) / (n_s - 1.0)
-    return BemBasis(values=chebvander(kprime, beta - 1), kprime=kprime, beta=beta)
+    return chebvander(kprime, beta - 1)
+
+
+def regressor_matrix(sbar: np.ndarray, bem: np.ndarray) -> np.ndarray:
+    """The (N*L_p, L_p*beta) LS regressor G of the pilot region.
+
+    ``sbar[n, j]`` is the transmitted pilot sample at region position (n, j).
+    Column (l, g) carries the l-shifted pilot (the circular shift of each
+    slot's template realizes the tap convolution) times basis order g, so
+    ``G @ c`` reproduces the convolved pilot for tap trajectories
+    h[l, .] = sum_g c[l*beta+g] T_g(.).
+    """
+    n_slots, lp = sbar.shape
+    if bem.shape[:2] != (n_slots, lp):
+        raise ConfigError("basis grid does not match the pilot template shape")
+    j = np.arange(lp)
+    shifted = sbar[:, (j[:, None] - j[None, :]) % lp]          # (N, j, l)
+    g4 = shifted[:, :, :, None] * bem[:, :, None, :]           # (N, j, l, g)
+    return g4.reshape(n_slots * lp, lp * bem.shape[-1])
 
 
 @dataclass
 class BemRegressor:
-    """LS regressor mapping stacked basis coefficients to pilot-region samples.
+    """Pivoted QR factors of the regressor G (``regressor_matrix``), computed
+    once per geometry.  The CFO cost (projection norm) and the LS solve both
+    read only the conjugated orthonormal factor, R and the pivots."""
 
-    Column (l, g) of ``g_mat`` carries the l-shifted pilot times basis order g,
-    so ``g_mat @ c`` reproduces the convolved pilot for tap trajectories
-    h[l, .] = sum_g c[l*beta+g] T_g(.).  Factorized once per trial; the
-    projection norm used by the CFO cost reuses the orthonormal factor.
-    """
-
-    g_mat: np.ndarray
-    _q: np.ndarray = field(repr=False)
     _qconj: np.ndarray = field(repr=False)
     _r: np.ndarray = field(repr=False)
     _piv: np.ndarray = field(repr=False)
 
-    def cost(self, z: np.ndarray) -> float:
-        """Squared norm of the projection of z onto the regressor range."""
-        return float(self.cost_many(z[np.newaxis, :])[0])
-
     def cost_many(self, z_batch: np.ndarray) -> np.ndarray:
+        """Squared norm of the projection of each row of z_batch onto the range of G."""
         w = z_batch @ self._qconj
         return np.sum(np.abs(w) ** 2, axis=1)
 
     def coeffs(self, z: np.ndarray) -> np.ndarray:
         """LS coefficient solve (G^H G)^-1 G^H z."""
-        y = np.conj(self._q.T) @ z
+        y = self._qconj.T @ z
         sol = scipy.linalg.solve_triangular(self._r, y)
         c = np.empty_like(sol)
         c[self._piv] = sol
         return c
 
 
-def build_bem_regressor(sbar: np.ndarray, bem: BemBasis,
+def build_bem_regressor(sbar: np.ndarray, bem: np.ndarray,
                         pivot_tol: float = 1e-10) -> BemRegressor:
-    """Assemble and QR-factorize the regressor from the pilot template.
-
-    ``sbar[n, j]`` is the transmitted pilot sample at region position (n, j);
-    the circular shifts of each slot's template realize the tap convolution.
-    """
-    n_slots, lp = sbar.shape
-    if bem.values.shape[:2] != (n_slots, lp):
-        raise ConfigError("basis grid does not match the pilot template shape")
-    j = np.arange(lp)
-    shifted = sbar[:, (j[:, None] - j[None, :]) % lp]          # (N, j, l)
-    g4 = shifted[:, :, :, None] * bem.values[:, :, None, :]    # (N, j, l, g)
-    g_mat = g4.reshape(n_slots * lp, lp * bem.beta)
+    """Assemble and QR-factorize the regressor from the pilot template."""
+    g_mat = regressor_matrix(sbar, bem)
     n_rows, n_cols = g_mat.shape
     if n_cols > n_rows:
         raise EstimationError(
@@ -240,7 +224,7 @@ def build_bem_regressor(sbar: np.ndarray, bem: BemBasis,
             f"BEM regressor rank-deficient: rank {rank} < beta*L_p = {n_cols} "
             f"(N*L_p = {n_rows}); the pilot does not excite every coefficient"
         )
-    return BemRegressor(g_mat=g_mat, _q=q, _qconj=np.conj(q), _r=r, _piv=piv)
+    return BemRegressor(_qconj=np.conj(q), _r=r, _piv=piv)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +240,7 @@ def cfo_cost(rbar: np.ndarray, regressor: BemRegressor, kappa: np.ndarray,
              eps: float, n_s: int) -> float:
     """Projection cost g(eps) = || proj_G( Phi^H(eps) rbar ) ||^2 (real, >= 0)."""
     z = np.conj(cfo_phase(kappa.ravel(), eps, n_s)) * np.asarray(rbar).ravel()
-    return regressor.cost(z)
+    return float(regressor.cost_many(z[np.newaxis, :])[0])
 
 
 def golden_section_max(fun, lo: float, hi: float, tol: float):
@@ -303,48 +287,38 @@ def cfo_grid(cfo_range: float, cfo_step: float) -> np.ndarray:
     return grid
 
 
-def estimate_cfo(region: PilotRegion, regressor: BemRegressor, bem: BemBasis,
-                 cfo_range: float, cfo_step: float, cfo_tol: float,
-                 n_s: int, grid_phases: np.ndarray | None = None) -> CfoEstimate:
-    """Coarse grid scan of the projection cost plus golden-section refinement,
-    then the LS coefficient solve at the winning offset.
-
-    ``grid_phases`` may carry the precomputed conj-rotations exp(-j 2 pi
-    grid x kappa / N_s) for the coarse grid (they only depend on the region
-    geometry, not the received samples).
-    """
-    if cfo_tol <= 0:
+def estimate_cfo(region: PilotRegion, bundle: EstimatorBundle,
+                 cfg: SystemConfig) -> CfoEstimate:
+    """Coarse scan of the projection cost over the bundle's grid plus
+    golden-section refinement, then the LS coefficient solve at the winning
+    offset."""
+    if cfg.cfo_tol <= 0:
         raise ConfigError("cfo_tol must be > 0")
-    grid = cfo_grid(cfo_range, cfo_step)
-    if grid.size == 0:
-        raise ConfigError("empty CFO search grid")
+    grid, regressor = bundle.grid, bundle.regressor
     rflat = region.samples.ravel()
     kflat = region.kappa.ravel().astype(float)
-    if grid_phases is None:
-        grid_phases = np.exp(-2j * np.pi * np.outer(grid, kflat) / n_s)
-    z_batch = grid_phases * rflat[np.newaxis, :]
-    costs = regressor.cost_many(z_batch)
+    costs = regressor.cost_many(bundle.grid_phases * rflat[np.newaxis, :])
     best = int(np.argmax(costs))
-    lo = max(grid[best] - cfo_step, -cfo_range)
-    hi = min(grid[best] + cfo_step, cfo_range)
+    lo = max(grid[best] - cfg.cfo_step, -cfg.cfo_range)
+    hi = min(grid[best] + cfg.cfo_step, cfg.cfo_range)
     x_ref, f_ref = golden_section_max(
-        lambda e: cfo_cost(rflat, regressor, kflat, e, n_s), lo, hi, cfo_tol)
+        lambda e: cfo_cost(rflat, regressor, kflat, e, cfg.n_s), lo, hi, cfg.cfo_tol)
     # keep the exact grid point when refinement cannot improve on it
     eps_hat = float(grid[best]) if costs[best] >= f_ref else float(x_ref)
-    c_hat = regressor.coeffs(np.conj(cfo_phase(kflat, eps_hat, n_s)) * rflat)
+    c_hat = regressor.coeffs(np.conj(cfo_phase(kflat, eps_hat, cfg.n_s)) * rflat)
     return CfoEstimate(epsilon_hat=eps_hat, grid=grid, cost_curve=costs,
-                       c_hat=c_hat, h_hat=reconstruct_channel(c_hat, bem))
+                       c_hat=c_hat, h_hat=reconstruct_channel(c_hat, bundle.bem))
 
 
-def reconstruct_channel(c_hat: np.ndarray, bem: BemBasis) -> np.ndarray:
+def reconstruct_channel(c_hat: np.ndarray, bem: np.ndarray) -> np.ndarray:
     """Tap trajectories over the pilot region from basis coefficients.
 
     Returns h[n, l, j] = sum_g T_g(kprime[n, j]) c[l*beta + g] for taps
     l = 0..L_p-1 and every time slot n.
     """
-    n_slots, lp = bem.kprime.shape
-    coeffs = np.asarray(c_hat).reshape(lp, bem.beta)
-    return np.einsum("njg,lg->nlj", bem.values, coeffs)
+    _, lp, beta = bem.shape
+    coeffs = np.asarray(c_hat).reshape(lp, beta)
+    return np.einsum("njg,lg->nlj", bem, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +327,15 @@ def reconstruct_channel(c_hat: np.ndarray, bem: BemBasis) -> np.ndarray:
 
 @dataclass
 class EstimatorBundle:
-    """Receive-side quantities fixed by (config, user, theta): the basis,
-    factorized regressor, and coarse-grid rotations.  Cached across trials
-    because the expensive QR only depends on the geometry."""
+    """Receive-side quantities fixed by (config, user, theta, beta): the
+    basis, the factorized regressor, the coarse CFO grid and its
+    conj-rotations exp(-j 2 pi grid x kappa / N_s).  Cached across trials
+    because none of them depends on the received samples."""
 
-    bem: BemBasis
+    bem: np.ndarray            # (N, L_p, beta) basis values
     regressor: BemRegressor
-    grid_phases: np.ndarray
+    grid: np.ndarray           # (G,) coarse CFO search points
+    grid_phases: np.ndarray    # (G, N*L_p)
 
 
 _BUNDLE_CACHE: dict = {}
@@ -367,7 +343,7 @@ _BUNDLE_CACHE_MAX = 256
 
 
 def estimator_bundle(cfg: SystemConfig, placement: pilot.PilotPlacement,
-                     pcp: pilot.PcpSequence, user: int, theta: int,
+                     pcp: np.ndarray, user: int, theta: int,
                      beta: int | None = None) -> EstimatorBundle:
     beta = cfg.beta if beta is None else beta
     key = (cfg.m, cfg.n, cfg.num_users, cfg.cp_len, cfg.zc_len, cfg.zc_root,
@@ -383,24 +359,23 @@ def estimator_bundle(cfg: SystemConfig, placement: pilot.PilotPlacement,
     regressor = build_bem_regressor(pilot.pilot_region_ref(placement, pcp, user), bem)
     grid = cfo_grid(cfg.cfo_range, cfg.cfo_step)
     grid_phases = np.exp(-2j * np.pi * np.outer(grid, kappa.ravel()) / cfg.n_s)
-    bundle = EstimatorBundle(bem=bem, regressor=regressor, grid_phases=grid_phases)
+    bundle = EstimatorBundle(bem=bem, regressor=regressor, grid=grid,
+                             grid_phases=grid_phases)
     _BUNDLE_CACHE[key] = bundle
     return bundle
 
 
 @dataclass
 class UserSyncResult:
-    user: int
     to_estimate: ToEstimate
     theta_used: int
     metric: TimingMetric
     region: PilotRegion
     cfo: CfoEstimate
-    bem: BemBasis
 
 
 def synchronize_user(y: np.ndarray, user: int, cfg: SystemConfig,
-                     placement: pilot.PilotPlacement, pcp: pilot.PcpSequence,
+                     placement: pilot.PilotPlacement, pcp: np.ndarray,
                      theta_override: int | None = None) -> UserSyncResult:
     """Full per-user receive pipeline on the CP-removed stream ``y``."""
     separated = separate_user(y, user, cfg.num_users, cfg.m, cfg.n)
@@ -410,8 +385,6 @@ def synchronize_user(y: np.ndarray, user: int, cfg: SystemConfig,
     theta = int(theta_override) if theta_override is not None else to_est.first_peak
     region = extract_pilot_region(separated, theta, placement, cfg.cp_len)
     bundle = estimator_bundle(cfg, placement, pcp, user, theta)
-    cfo = estimate_cfo(region, bundle.regressor, bundle.bem, cfg.cfo_range,
-                       cfg.cfo_step, cfg.cfo_tol, cfg.n_s,
-                       grid_phases=bundle.grid_phases)
-    return UserSyncResult(user=user, to_estimate=to_est, theta_used=theta,
-                          metric=metric, region=region, cfo=cfo, bem=bundle.bem)
+    cfo = estimate_cfo(region, bundle, cfg)
+    return UserSyncResult(to_estimate=to_est, theta_used=theta, metric=metric,
+                          region=region, cfo=cfo)

@@ -243,7 +243,7 @@ def test_time_invariant_channel_block_structure():
     # the delay-shift convolution whose wrapped entries carry the per-block
     # phase exp(-j 2 pi k / N) (the frame-level CP makes the stream circular
     # over M*N samples, not per slot), so blocks agree in magnitude.
-    cfg = small_config(m=8, n=4, num_users=1, zc_len=3)
+    cfg = small_config(m=8, n=4, num_users=1, zc_len=3, nu_max_t=0.0, bem_order=1)
     gains = {0: 0.8, 2: 0.5 - 0.2j}
     paths = chan.PathSet(gains=np.array([gains[0], gains[2]]),
                          delays=np.array([0, 2]),

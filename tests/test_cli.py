@@ -47,6 +47,18 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, spec, argv, config,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("trial",), ("dump-metric",), ("figure", "fig3"),
+], ids=["validate", "trial", "dump-metric", "figure-fig3"])
+def test_trials_override_rejected_without_an_experiment(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--override", "trials=5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "runs no experiment" in err
+    assert " ".join(argv) in err
+    assert not out.exists()
+
+
 def test_trials_override_reaches_the_spec(tmp_path, capsys):
     assert run_cli(tmp_path, "--override", "trials=1", "--seed", "3") == 0
     lines = (tmp_path / "out" / "tiny" / "results.csv").read_text().splitlines()

@@ -31,6 +31,7 @@ def test_cp_rule_violation_message():
     ("zc_root", "5", "coprime"),
     ("allocation", "diagonal", "not one of"),
     ("num_users", "200", "exceeds"),
+    ("n", "4", "bem_order=7 exceeds the Doppler axis n=4"),
 ])
 def test_invariant_messages(field, value, fragment):
     with pytest.raises(ConfigError, match=fragment):

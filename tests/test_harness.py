@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from otfsync import harness
 from otfsync.config import (ALLOCATION_SCHEMES, CHANNEL_MODELS, SystemConfig,
-                            apply_overrides, bem_order_bound)
+                            apply_overrides, bem_order_bound, default_bem_order)
 from otfsync.errors import ConfigError, OtfsyncError
 
 
@@ -219,7 +219,9 @@ def small_configs(draw):
     zc_len = draw(st.integers(1, min(6, (m + 1) // 2)))
     theta_max = draw(st.integers(0, 3))
     channel_len_cap = draw(st.integers(1, 10))
-    nu_max_t = draw(st.sampled_from((0.0, 0.5, 1.3, 2.91)))
+    # the BEM order, drawn or default, must not exceed the Doppler axis
+    nu_max_t = draw(st.sampled_from(
+        [nu for nu in (0.0, 0.5, 1.3, 2.91) if default_bem_order(nu) <= n]))
     half_band = (n // num_users) / 2
     return SystemConfig(
         m=m, n=n, num_users=num_users, zc_len=zc_len,
@@ -231,7 +233,7 @@ def small_configs(draw):
         snr_db=draw(st.sampled_from((math.inf, 20.0, 0.0))),
         pilot_power_db=draw(st.sampled_from((40.0, 0.0))),
         nu_max_t=nu_max_t,
-        bem_order=draw(st.just(0) | st.integers(bem_order_bound(nu_max_t), 12)),
+        bem_order=draw(st.just(0) | st.integers(bem_order_bound(nu_max_t), min(12, n))),
         threshold=draw(st.sampled_from((0.25, 1.0))),
         cfo_range=draw(st.sampled_from([r for r in (0.25, 0.5, 2.0) if r <= half_band])),
         cfo_step=draw(st.sampled_from((0.02, 0.1, 0.3))),

@@ -33,15 +33,15 @@ def test_non_coprime_root_rejected():
 
 def test_pcp_prefix_copy_property():
     pcp = pilot.make_pcp(10, 1, pilot_power_db=40.0)
-    assert pcp.seq.size == 19
-    assert np.array_equal(pcp.seq[:9], pcp.seq[10:])
-    assert np.allclose(np.abs(pcp.seq), 10 ** (40.0 / 20.0))
+    assert pcp.size == 19
+    assert np.array_equal(pcp[:9], pcp[10:])
+    assert np.allclose(np.abs(pcp), 10 ** (40.0 / 20.0))
 
 
 def test_pcp_length_one():
     pcp = pilot.make_pcp(1, 1, pilot_power_db=0.0)
-    assert pcp.seq.size == 1
-    assert pcp.seq[0] == pytest.approx(1.0)
+    assert pcp.size == 1
+    assert pcp[0] == pytest.approx(1.0)
 
 
 def test_placement_doppler_bins():
@@ -118,7 +118,7 @@ def test_pilot_delay_time_structure():
     dt = pilot.timing_template(p, pcp, user=1)
     k_p = p.doppler_bins[1]
     for n in range(cfg.n):
-        expected = pcp.seq * np.exp(2j * np.pi * k_p * n / cfg.n) / np.sqrt(cfg.n)
+        expected = pcp * np.exp(2j * np.pi * k_p * n / cfg.n) / np.sqrt(cfg.n)
         assert np.max(np.abs(dt[p.delay_lo:p.delay_hi + 1, n] - expected)) < 1e-9
     outside = np.delete(dt, range(p.delay_lo, p.delay_hi + 1), axis=0)
     assert np.max(np.abs(outside)) < 1e-12

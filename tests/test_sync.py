@@ -177,15 +177,13 @@ def test_threshold_one_reduces_to_max_peak():
 
 
 def test_estimate_to_rejects_empty_metric():
-    metric = sync.TimingMetric(corr2d=np.zeros((0, 0)), curve=np.zeros(0),
-                               cp_len=13, anchor=118)
+    metric = sync.TimingMetric(curve=np.zeros(0), cp_len=13, anchor=118)
     with pytest.raises(EstimationError):
         sync.estimate_to(metric, 0.25)
 
 
 def test_estimate_to_rejects_bad_threshold():
-    metric = sync.TimingMetric(corr2d=np.ones((4, 2)), curve=np.ones(4),
-                               cp_len=13, anchor=118)
+    metric = sync.TimingMetric(curve=np.ones(4), cp_len=13, anchor=118)
     with pytest.raises(ConfigError):
         sync.estimate_to(metric, 0.0)
 
@@ -258,16 +256,17 @@ def test_wrong_offset_decorrelates_region():
 def test_bem_recursion_matches_closed_form():
     cfg = paper_config(num_users=1)
     kappa = np.arange(cfg.n_s).reshape(1, -1)
+    kprime = (2.0 * kappa - cfg.n_s + 1.0) / (cfg.n_s - 1.0)
     bem = sync.build_bem_basis(8, kappa, cfg.n_s)
-    assert np.all(np.abs(bem.kprime) <= 1.0 + 1e-12)
+    assert np.all(np.abs(kprime) <= 1.0 + 1e-12)
     closed = np.cos(np.arange(8)[np.newaxis, np.newaxis, :]
-                    * np.arccos(np.clip(bem.kprime, -1, 1))[..., np.newaxis])
-    assert np.max(np.abs(bem.values - closed)) < 1e-10
+                    * np.arccos(np.clip(kprime, -1, 1))[..., np.newaxis])
+    assert np.max(np.abs(bem - closed)) < 1e-10
     # beta = 1: only T_0 exists
     static = sync.build_bem_basis(1, kappa, cfg.n_s)
-    assert static.values.shape == kappa.shape + (1,)
-    assert np.array_equal(static.values, chebvander(static.kprime, 0))
-    assert np.all(static.values == 1.0)
+    assert static.shape == kappa.shape + (1,)
+    assert np.array_equal(static, chebvander(kprime, 0))
+    assert np.all(static == 1.0)
 
 
 def test_bem_requires_positive_order():
@@ -293,17 +292,17 @@ def test_regressor_reproduces_convolution_oracle():
     cfg = paper_config(num_users=1, nu_max_t=1.3, bem_order=4)
     _, _, sbar, kappa = region_fixture(cfg)
     bem = sync.build_bem_basis(cfg.beta, kappa, cfg.n_s)
-    reg = sync.build_bem_regressor(sbar, bem)
+    g = sync.regressor_matrix(sbar, bem)
     rng = np.random.default_rng(20)
     lp, beta = cfg.zc_len, cfg.beta
     c = rng.standard_normal(lp * beta) + 1j * rng.standard_normal(lp * beta)
-    got = (reg.g_mat @ c).reshape(cfg.n, lp)
+    got = (g @ c).reshape(cfg.n, lp)
     taps = c.reshape(lp, beta)
     oracle = np.zeros((cfg.n, lp), dtype=complex)
     for n in range(cfg.n):
         for j in range(lp):
             for ell in range(lp):
-                h = np.sum(bem.values[n, j, :] * taps[ell])
+                h = np.sum(bem[n, j, :] * taps[ell])
                 oracle[n, j] += h * sbar[n, (j - ell) % lp]
     assert np.max(np.abs(got - oracle)) < 1e-9
 
@@ -344,37 +343,38 @@ def test_underdetermined_regressor_raises():
 # ---------------------------------------------------------------------------
 
 def bem_exact_observation(cfg, rng, eps0, theta=0, beta=None):
-    """Region samples synthesized from the estimator's own model."""
+    """Region samples synthesized from the estimator's own model, with the
+    estimator bundle of user 0 and the regressor matrix G."""
     beta = cfg.beta if beta is None else beta
-    _, _, sbar, kappa = region_fixture(cfg, theta)
-    bem = sync.build_bem_basis(beta, kappa, cfg.n_s)
-    reg = sync.build_bem_regressor(sbar, bem)
+    placement, pcp, sbar, kappa = region_fixture(cfg, theta)
+    bundle = sync.estimator_bundle(cfg, placement, pcp, 0, theta, beta)
+    g = sync.regressor_matrix(sbar, bundle.bem)
     c = rng.standard_normal(cfg.zc_len * beta) + 1j * rng.standard_normal(cfg.zc_len * beta)
-    rbar = sync.cfo_phase(kappa.ravel(), eps0, cfg.n_s) * (reg.g_mat @ c)
+    rbar = sync.cfo_phase(kappa.ravel(), eps0, cfg.n_s) * (g @ c)
     region = sync.PilotRegion(samples=rbar.reshape(cfg.n, cfg.zc_len),
                               kappa=kappa)
-    return region, reg, bem, c
+    return region, bundle, g, c
 
 
 def test_cost_matches_projection_matrix_oracle():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(22)
-    region, reg, bem, _ = bem_exact_observation(cfg, rng, 0.2)
-    g = reg.g_mat
+    region, bundle, g, _ = bem_exact_observation(cfg, rng, 0.2)
     proj = g @ np.linalg.inv(g.conj().T @ g) @ g.conj().T
     for eps in (-0.3, 0.0, 0.21):
         phase = sync.cfo_phase(region.kappa.ravel(), eps, cfg.n_s)
         z = np.conj(phase) * region.samples.ravel()
         oracle = np.real(np.vdot(z, proj @ z))
-        got = sync.cfo_cost(region.samples.ravel(), reg, region.kappa.ravel(),
-                            eps, cfg.n_s)
+        got = sync.cfo_cost(region.samples.ravel(), bundle.regressor,
+                            region.kappa.ravel(), eps, cfg.n_s)
         assert abs(got - oracle) < 1e-10 * max(1.0, oracle)
 
 
 def test_cost_nonnegative_and_phase_invariant():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(23)
-    region, reg, _, _ = bem_exact_observation(cfg, rng, 0.1)
+    region, bundle, _, _ = bem_exact_observation(cfg, rng, 0.1)
+    reg = bundle.regressor
     rflat = region.samples.ravel()
     kflat = region.kappa.ravel()
     base = sync.cfo_cost(rflat, reg, kflat, 0.07, cfg.n_s)
@@ -386,10 +386,10 @@ def test_cost_nonnegative_and_phase_invariant():
 def test_cost_peak_captures_full_energy_at_truth():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(24)
-    region, reg, _, c = bem_exact_observation(cfg, rng, 0.14)
-    peak = sync.cfo_cost(region.samples.ravel(), reg, region.kappa.ravel(),
-                         0.14, cfg.n_s)
-    assert peak == pytest.approx(np.linalg.norm(reg.g_mat @ c) ** 2, rel=1e-10)
+    region, bundle, g, c = bem_exact_observation(cfg, rng, 0.14)
+    peak = sync.cfo_cost(region.samples.ravel(), bundle.regressor,
+                         region.kappa.ravel(), 0.14, cfg.n_s)
+    assert peak == pytest.approx(np.linalg.norm(g @ c) ** 2, rel=1e-10)
 
 
 def test_golden_section_on_parabola():
@@ -403,9 +403,8 @@ def test_estimate_cfo_on_grid_exact():
     rng = np.random.default_rng(25)
     grid = sync.cfo_grid(cfg.cfo_range, cfg.cfo_step)
     eps0 = float(grid[np.argmin(np.abs(grid - 0.2))])  # exactly on the grid
-    region, reg, bem, _ = bem_exact_observation(cfg, rng, eps0)
-    est = sync.estimate_cfo(region, reg, bem, cfg.cfo_range, cfg.cfo_step,
-                            cfg.cfo_tol, cfg.n_s)
+    region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0)
+    est = sync.estimate_cfo(region, bundle, cfg)
     assert est.epsilon_hat == eps0
 
 
@@ -413,20 +412,18 @@ def test_estimate_cfo_off_grid_within_tolerance():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(26)
     for eps0 in rng.uniform(-0.45, 0.45, 6):
-        region, reg, bem, _ = bem_exact_observation(cfg, rng, eps0)
-        est = sync.estimate_cfo(region, reg, bem, cfg.cfo_range, cfg.cfo_step,
-                                cfg.cfo_tol, cfg.n_s)
+        region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0)
+        est = sync.estimate_cfo(region, bundle, cfg)
         assert abs(est.epsilon_hat - eps0) <= cfg.cfo_tol
 
 
 def test_estimate_cfo_cost_curve_maximum_at_estimate():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(27)
-    region, reg, bem, _ = bem_exact_observation(cfg, rng, 0.33)
-    est = sync.estimate_cfo(region, reg, bem, cfg.cfo_range, cfg.cfo_step,
-                            cfg.cfo_tol, cfg.n_s)
-    final = sync.cfo_cost(region.samples.ravel(), reg, region.kappa.ravel(),
-                          est.epsilon_hat, cfg.n_s)
+    region, bundle, _, _ = bem_exact_observation(cfg, rng, 0.33)
+    est = sync.estimate_cfo(region, bundle, cfg)
+    final = sync.cfo_cost(region.samples.ravel(), bundle.regressor,
+                          region.kappa.ravel(), est.epsilon_hat, cfg.n_s)
     assert final >= est.cost_curve.max() - 1e-9 * final
     assert abs(est.epsilon_hat) <= cfg.cfo_range
 
@@ -448,11 +445,12 @@ def test_cfo_grid_symmetric_multiples_within_range(cfo_range, cfo_step, size, wh
 
 def test_estimate_cfo_stays_within_range_off_step_multiple():
     # cfo_range = 1.0 is not a whole number of 0.3 steps
-    cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
+    cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3, cfo_range=1.0,
+                       cfo_step=0.3)
     for eps0 in (0.98, -0.97, 1.05):
         rng = np.random.default_rng(31)
-        region, reg, bem, _ = bem_exact_observation(cfg, rng, eps0)
-        est = sync.estimate_cfo(region, reg, bem, 1.0, 0.3, cfg.cfo_tol, cfg.n_s)
+        region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0)
+        est = sync.estimate_cfo(region, bundle, cfg)
         assert abs(est.epsilon_hat) <= 1.0
         if abs(eps0) <= 1.0:
             assert abs(est.epsilon_hat - eps0) <= cfg.cfo_tol
@@ -474,12 +472,30 @@ def test_ls_residual_orthogonality():
     y = modem.remove_cp(r[cfg.theta_max:], cfg.cp_rem)
     result = sync.synchronize_user(y, 0, cfg, placement, pcp)
     bundle = sync.estimator_bundle(cfg, placement, pcp, 0, result.theta_used)
-    g = bundle.regressor.g_mat
+    g = sync.regressor_matrix(pilot.pilot_region_ref(placement, pcp, 0), bundle.bem)
     phase = sync.cfo_phase(result.region.kappa.ravel(), result.cfo.epsilon_hat,
                            cfg.n_s)
     z = np.conj(phase) * result.region.samples.ravel()
     residual = g.conj().T @ (z - g @ result.cfo.c_hat)
     assert np.linalg.norm(residual) < 1e-9 * np.linalg.norm(g.conj().T @ z)
+
+
+def test_estimator_bundle_cache_key_holds_the_grid():
+    # configs that differ only in cfo_step must not share a bundle, or the
+    # search would scan the grid of whichever config came first
+    cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
+    coarse_cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3, cfo_step=0.1)
+    placement, pcp, _, kappa = region_fixture(cfg, theta=2)
+    fine = sync.estimator_bundle(cfg, placement, pcp, 0, 2)
+    assert sync.estimator_bundle(cfg, placement, pcp, 0, 2) is fine
+    coarse = sync.estimator_bundle(coarse_cfg, placement, pcp, 0, 2)
+    assert coarse is not fine
+    assert sync.estimator_bundle(coarse_cfg, placement, pcp, 0, 2) is coarse
+    for bundle, c in ((fine, cfg), (coarse, coarse_cfg)):
+        assert np.array_equal(bundle.grid, sync.cfo_grid(c.cfo_range, c.cfo_step))
+        phases = np.exp(-2j * np.pi * np.outer(bundle.grid, kappa.ravel()) / c.n_s)
+        assert np.array_equal(bundle.grid_phases, phases)
+    assert (fine.grid.size, coarse.grid.size) == (201, 41)
 
 
 def test_reconstruct_channel_shapes_and_zero():
@@ -494,8 +510,8 @@ def test_reconstruct_channel_shapes_and_zero():
 def test_reconstruct_bem_exact_channel():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(29)
-    region, reg, bem, c = bem_exact_observation(cfg, rng, 0.0)
-    c_hat = reg.coeffs(region.samples.ravel())
-    h_hat = sync.reconstruct_channel(c_hat, bem)
-    h_true = sync.reconstruct_channel(c, bem)
+    region, bundle, _, c = bem_exact_observation(cfg, rng, 0.0)
+    c_hat = bundle.regressor.coeffs(region.samples.ravel())
+    h_hat = sync.reconstruct_channel(c_hat, bundle.bem)
+    h_true = sync.reconstruct_channel(c, bundle.bem)
     assert np.max(np.abs(h_hat - h_true)) < 1e-8
