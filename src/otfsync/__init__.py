@@ -12,6 +12,16 @@ Library layout:
 - ``cli``         command-line front end (``otfsync``)
 """
 
+import os
+
+# One BLAS thread per process, set before any submodule imports numpy: every
+# operand is at most 320 x 201, where threading costs more than it saves, and
+# trial parallelism comes from the process pool, whose forked or spawned
+# workers inherit this setting.  A value the user has already set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .config import SystemConfig, load_config, apply_overrides
 from .errors import (OtfsyncError, ConfigError, AllocationError, PlacementError,
                      RealizationError, EstimationError, NumericError)

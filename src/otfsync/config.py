@@ -58,7 +58,7 @@ class SystemConfig:
     threshold: float = 0.25     # timing peak threshold, in (0, 1]
     cfo_range: float = 2.0      # one-sided CFO search range (Doppler spacings)
     cfo_step: float = 0.02      # coarse grid step
-    cfo_tol: float = 1e-4       # golden-section refinement tolerance
+    cfo_tol: float = 1e-4       # CFO refinement tolerance
     cfo_max: float = 0.5        # CFO draw half-width per trial
     allocation: str = "contiguous-doppler"
     channel_model: str = "eva"

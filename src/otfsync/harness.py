@@ -76,8 +76,9 @@ def _nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
 
 def absorbed_beta(cfg: SystemConfig, eps_true: float) -> int:
     """Basis order for the CFO-absorbed baseline: the channel-only order,
-    inflated to cover the compound Doppler spread nu_max_t + |eps| (cap 12)."""
-    return max(cfg.beta, min(12, bem_order_bound(cfg.nu_max_t + abs(eps_true))))
+    inflated to cover the compound Doppler spread nu_max_t + |eps|, capped at
+    12 and at the Doppler axis n (a larger order leaves the fit underdetermined)."""
+    return max(cfg.beta, min(12, cfg.n, bem_order_bound(cfg.nu_max_t + abs(eps_true))))
 
 
 def absorbed_channel_fit(region: sync.PilotRegion, cfg: SystemConfig,

@@ -20,6 +20,11 @@ from .config import SystemConfig
 from .errors import ConfigError, EstimationError
 
 GOLDEN_RATIO_CONJ = (np.sqrt(5.0) - 1.0) / 2.0
+#: iteration cap of the Newton CFO refinement (bisection alone needs
+#: log2(2 * cfo_step / (NEWTON_STEP_FRAC * cfo_tol)), 16 at the defaults)
+NEWTON_MAX_ITER = 40
+#: the refinement stops at a step below this share of cfo_tol
+NEWTON_STEP_FRAC = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +248,19 @@ def cfo_cost(rbar: np.ndarray, regressor: BemRegressor, kappa: np.ndarray,
     return float(regressor.cost_many(z[np.newaxis, :])[0])
 
 
+def cfo_cost_derivatives(rbar: np.ndarray, regressor: BemRegressor, kappa: np.ndarray,
+                         eps: float, n_s: int) -> tuple[float, float, float]:
+    """g(eps) of ``cfo_cost`` and its first two derivatives from one
+    (3, N*L_p) product: with z = Phi^H(eps) rbar, d = -j 2 pi kappa / N_s and
+    w_i = Q^H (d^i z), g = ||w0||^2, g' = 2 Re(w0^H w1) and
+    g'' = 2 (||w1||^2 + Re(w0^H w2))."""
+    d = -2j * np.pi * np.asarray(kappa, dtype=float).ravel() / n_s
+    z = np.exp(d * eps) * np.asarray(rbar).ravel()
+    w0, w1, w2 = np.stack([z, d * z, d * d * z]) @ regressor._qconj
+    return (float(np.vdot(w0, w0).real), 2.0 * float(np.vdot(w0, w1).real),
+            2.0 * float(np.vdot(w1, w1).real + np.vdot(w0, w2).real))
+
+
 def golden_section_max(fun, lo: float, hi: float, tol: float):
     """Golden-section maximization on [lo, hi] to an interval of width tol."""
     a, b = float(lo), float(hi)
@@ -260,6 +278,39 @@ def golden_section_max(fun, lo: float, hi: float, tol: float):
             fd = fun(d)
     x = 0.5 * (a + b)
     return x, fun(x)
+
+
+def newton_max(fun, x: float, lo: float, hi: float, tol: float):
+    """Safeguarded Newton ascent on [lo, hi] from x, where fun(x) returns
+    (f, f', f''); returns the best evaluated (x, f).
+
+    The sign of f' shrinks the bracket [a, b].  A step that is not an ascent
+    step (f'' >= 0), or that leaves the bracket through an end already
+    evaluated, becomes a bisection, i.e. a half-bracket step along f'; any
+    other step is clamped to the bracket.  Stops at a step below
+    NEWTON_STEP_FRAC * tol, at f' = 0 or after NEWTON_MAX_ITER evaluations.
+    """
+    a, b = float(lo), float(hi)
+    a_seen = b_seen = False
+    x_best, f_best = x, -math.inf
+    for _ in range(NEWTON_MAX_ITER):
+        f, f1, f2 = fun(x)
+        if f > f_best:
+            x_best, f_best = x, f
+        if f1 > 0:
+            a, a_seen = x, True
+        elif f1 < 0:
+            b, b_seen = x, True
+        else:
+            break
+        target = x - f1 / f2 if f2 < 0 else None
+        if target is None or (target >= b and b_seen) or (target <= a and a_seen):
+            target = 0.5 * (a + b)
+        x_next = min(max(target, a), b)
+        if abs(x_next - x) < NEWTON_STEP_FRAC * tol:
+            break
+        x = x_next
+    return x_best, f_best
 
 
 @dataclass
@@ -289,9 +340,10 @@ def cfo_grid(cfo_range: float, cfo_step: float) -> np.ndarray:
 
 def estimate_cfo(region: PilotRegion, bundle: EstimatorBundle,
                  cfg: SystemConfig) -> CfoEstimate:
-    """Coarse scan of the projection cost over the bundle's grid plus
-    golden-section refinement, then the LS coefficient solve at the winning
-    offset."""
+    """Coarse scan of the projection cost over the bundle's grid, Newton
+    refinement on [best grid point +- cfo_step] within +-cfo_range (stopping
+    at steps below NEWTON_STEP_FRAC * cfo_tol), then the LS coefficient solve
+    at the winning offset."""
     if cfg.cfo_tol <= 0:
         raise ConfigError("cfo_tol must be > 0")
     grid, regressor = bundle.grid, bundle.regressor
@@ -301,8 +353,9 @@ def estimate_cfo(region: PilotRegion, bundle: EstimatorBundle,
     best = int(np.argmax(costs))
     lo = max(grid[best] - cfg.cfo_step, -cfg.cfo_range)
     hi = min(grid[best] + cfg.cfo_step, cfg.cfo_range)
-    x_ref, f_ref = golden_section_max(
-        lambda e: cfo_cost(rflat, regressor, kflat, e, cfg.n_s), lo, hi, cfg.cfo_tol)
+    x_ref, f_ref = newton_max(
+        lambda e: cfo_cost_derivatives(rflat, regressor, kflat, e, cfg.n_s),
+        float(grid[best]), lo, hi, cfg.cfo_tol)
     # keep the exact grid point when refinement cannot improve on it
     eps_hat = float(grid[best]) if costs[best] >= f_ref else float(x_ref)
     c_hat = regressor.coeffs(np.conj(cfo_phase(kflat, eps_hat, cfg.n_s)) * rflat)

@@ -70,6 +70,23 @@ def test_absorbed_baseline_equals_compensated_at_zero_cfo():
     assert rec.nmse_absorbed == pytest.approx(rec.nmse, rel=1e-9)
 
 
+def test_absorbed_order_capped_at_doppler_axis():
+    # nu_max_t + |eps| = 1.8 asks for order 5 on an n = 4 Doppler axis, which
+    # left the absorbed fit underdetermined and failed the whole record
+    spec = harness.ExperimentSpec(
+        name="absorbed-small", sweep_var="cfo_value", sweep_points=(0.0, 0.5),
+        trials=2, absorbed_baseline=True,
+        config_overrides=(("m", "16"), ("n", "4"), ("num_users", "1"),
+                          ("zc_len", "5"), ("nu_max_t", "1.3"), ("bem_order", "4")))
+    cfg = apply_overrides(SystemConfig(), dict(spec.config_overrides))
+    assert bem_order_bound(cfg.nu_max_t + 0.5) > cfg.n
+    assert harness.absorbed_beta(cfg, 0.5) == cfg.n
+    report = harness.run_experiment(spec)
+    assert (report.n_trials, report.n_failed) == (4, 0)
+    for point in spec.sweep_points:
+        assert math.isfinite(report.value(point, 0, "absorbed", "ch_nmse"))
+
+
 def test_running_stats_match_batch():
     rng = np.random.default_rng(1)
     values = rng.standard_normal(100)

@@ -428,6 +428,76 @@ def test_estimate_cfo_cost_curve_maximum_at_estimate():
     assert abs(est.epsilon_hat) <= cfg.cfo_range
 
 
+def fine_argmax(region, regressor, lo, hi, n_s, step=1e-6, chunk=4000):
+    """Argmax of the projection cost over a step-spaced grid of [lo, hi]."""
+    eps = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+    rflat, kflat = region.samples.ravel(), region.kappa.ravel().astype(float)
+    costs = np.concatenate([
+        regressor.cost_many(np.exp(-2j * np.pi * np.outer(part, kflat) / n_s) * rflat)
+        for part in np.array_split(eps, -(-eps.size // chunk))])
+    return eps[int(np.argmax(costs))]
+
+
+@pytest.mark.parametrize("eps0, cfo_range", [(0.137, 2.0), (1.013, 1.0)])
+def test_estimate_cfo_matches_fine_argmax_of_bracket(eps0, cfo_range):
+    # noise moves the maximum off eps0; eps0 = 1.013 puts it past +cfo_range,
+    # so the bracket is clipped and the maximum sits on its edge
+    cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3, cfo_range=cfo_range)
+    rng = np.random.default_rng(32)
+    region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0)
+    scale = np.sqrt(np.mean(np.abs(region.samples) ** 2))
+    noise = rng.standard_normal(region.samples.shape) + 1j * rng.standard_normal(region.samples.shape)
+    region = sync.PilotRegion(samples=region.samples + 0.3 * scale * noise,
+                              kappa=region.kappa)
+    est = sync.estimate_cfo(region, bundle, cfg)
+    centre = est.grid[int(np.argmax(est.cost_curve))]
+    lo = max(centre - cfg.cfo_step, -cfg.cfo_range)
+    hi = min(centre + cfg.cfo_step, cfg.cfo_range)
+    target = fine_argmax(region, bundle.regressor, lo, hi, cfg.n_s)
+    if eps0 > cfo_range:
+        assert target == hi == cfg.cfo_range
+    else:
+        assert lo + cfg.cfo_tol < target < hi - cfg.cfo_tol
+    assert abs(est.epsilon_hat - target) <= cfg.cfo_tol / 2
+
+
+def test_cost_derivatives_match_central_differences():
+    cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
+    rng = np.random.default_rng(33)
+    region, bundle, _, _ = bem_exact_observation(cfg, rng, 0.1)
+    rflat, kflat = region.samples.ravel(), region.kappa.ravel()
+    cost = lambda e: sync.cfo_cost(rflat, bundle.regressor, kflat, e, cfg.n_s)
+    h = 1e-4
+    for eps in (-0.31, 0.02, 0.45):
+        g, g1, g2 = sync.cfo_cost_derivatives(rflat, bundle.regressor, kflat, eps, cfg.n_s)
+        assert g == pytest.approx(cost(eps), rel=1e-12)
+        assert g1 == pytest.approx((cost(eps + h) - cost(eps - h)) / (2 * h), rel=1e-6)
+        assert g2 == pytest.approx(
+            (cost(eps + h) - 2 * cost(eps) + cost(eps - h)) / h ** 2, rel=1e-6)
+
+
+def test_estimate_cfo_all_zero_region_returns_grid_point():
+    cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
+    region, bundle, _, _ = bem_exact_observation(cfg, np.random.default_rng(34), 0.0)
+    zero = sync.PilotRegion(samples=np.zeros_like(region.samples), kappa=region.kappa)
+    est = sync.estimate_cfo(zero, bundle, cfg)
+    assert est.epsilon_hat == est.grid[int(np.argmax(est.cost_curve))]
+    assert np.all(est.c_hat == 0) and np.all(np.isfinite(est.h_hat))
+
+
+def test_newton_max_on_quartic_and_at_bracket_edge():
+    # f = -(t - 0.3)^4 has f'' = 0 at its maximum: Newton slows, the bracket holds
+    quartic = lambda t: (-(t - 0.3) ** 4, -4 * (t - 0.3) ** 3, -12 * (t - 0.3) ** 2)
+    x, _ = sync.newton_max(quartic, 0.25, 0.2, 0.4, 1e-4)
+    assert abs(x - 0.3) < 1e-4
+    # increasing f on the whole bracket: a concave f steps onto the upper edge
+    # and stops there, a linear one (f'' = 0) bisects towards it
+    parabola = lambda t: (-(t - 0.5) ** 2, -2 * (t - 0.5), -2.0)
+    assert sync.newton_max(parabola, 0.1, 0.0, 0.2, 1e-4)[0] == 0.2
+    x, fx = sync.newton_max(lambda t: (t, 1.0, 0.0), 0.1, 0.0, 0.2, 1e-4)
+    assert 0.2 - 2e-6 <= x <= 0.2 and fx == x  # bisection stops at a step below 1e-6
+
+
 @pytest.mark.parametrize("cfo_range, cfo_step, size, whole", [
     (2.0, 0.02, 201, True), (0.6, 0.02, 61, True),
     (1.0, 0.3, 7, False), (0.5, 0.3, 3, False),
