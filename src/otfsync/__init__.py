@@ -13,11 +13,49 @@ Library layout:
 """
 
 import os
+import sys
+
+
+def _one_thread_in_loaded_openblas() -> None:
+    """Set one thread in each OpenBLAS that numpy or scipy has already loaded.
+
+    OpenBLAS reads OPENBLAS_NUM_THREADS once, when it loads, so the variable
+    alone misses a library loaded before this package was imported.  A
+    library not loaded yet is left alone: it reads the variable when it loads.
+    """
+    import ctypes
+    import glob
+
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:
+        return
+    for package in ("numpy", "scipy"):
+        module = sys.modules.get(package)
+        if module is None:
+            continue
+        libs = os.path.join(os.path.dirname(os.path.dirname(module.__file__)),
+                            package + ".libs")
+        for path in glob.glob(os.path.join(libs, "*openblas*")):
+            try:
+                lib = ctypes.CDLL(path, mode=noload | os.RTLD_LAZY)
+            except OSError:
+                continue
+            for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                         "openblas_set_num_threads64_", "openblas_set_num_threads"):
+                setter = getattr(lib, name, None)
+                if setter is not None:
+                    setter.argtypes = [ctypes.c_int]
+                    setter.restype = None
+                    setter(1)
+                    break
+
 
 # One BLAS thread per process, set before any submodule imports numpy: every
 # operand is at most 320 x 201, where threading costs more than it saves, and
 # trial parallelism comes from the process pool, whose forked or spawned
 # workers inherit this setting.  A value the user has already set wins.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    _one_thread_in_loaded_openblas()
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var

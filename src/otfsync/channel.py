@@ -8,8 +8,10 @@ by its CFO, and summed over users.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SystemConfig, SAMPLE_RATE_HZ
 from .errors import RealizationError
@@ -19,20 +21,57 @@ from .sync import build_bem_basis
 EVA_DELAYS_NS = np.array([0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0])
 EVA_POWERS_DB = np.array([0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9])
 
+#: block length B of the separable phase ramp kappa = B*a + b
+RAMP_BLOCK = 64
 
+
+@lru_cache(maxsize=None)
 def eva_profile(sample_rate: float = SAMPLE_RATE_HZ, len_cap: int = 10):
     """EVA taps quantized to the sample grid.
 
     Delays are rounded to the nearest sample, co-located taps merged by
     power addition, positions clamped into [0, len_cap-1], and the total
-    power normalized to one.  Returns (delays, powers).
+    power normalized to one.  Returns (delays, powers), read-only because
+    every caller shares the cached pair.
     """
     positions = np.round(EVA_DELAYS_NS * 1e-9 * sample_rate).astype(int)
     positions = np.minimum(positions, len_cap - 1)
     powers_lin = 10.0 ** (EVA_POWERS_DB / 10.0)
     delays = np.unique(positions)
     powers = np.array([powers_lin[positions == d].sum() for d in delays])
-    return delays, powers / powers.sum()
+    powers /= powers.sum()
+    delays.flags.writeable = False
+    powers.flags.writeable = False
+    return delays, powers
+
+
+def phase_ramp(freqs, n: int) -> np.ndarray:
+    """(F, n) array of exp(j 2 pi f kappa), kappa = 0..n-1, for the F
+    frequencies ``freqs`` (cycles per sample; a scalar gives F = 1).
+
+    kappa = B*a + b with B = RAMP_BLOCK, a < ceil(n/B), b < B is separable,
+    so each row is the outer product of exp(j 2 pi f B a) and exp(j 2 pi f b),
+    reshaped and cut to n: ceil(n/B) + B exponentials per frequency instead
+    of n.  Rounding: each exponential is good to a few ulps, and its phase
+    argument rounds with relative error 2**-53, as in a direct exp; so the
+    product differs from exp(j 2 pi f kappa) by at most a few ulps times
+    (1 + 2 pi |f| kappa), about 2e-14 at |f| n = 4.
+    """
+    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))[:, np.newaxis]
+    blocks = -(-n // RAMP_BLOCK)
+    coarse = np.exp(2j * np.pi * freqs * (RAMP_BLOCK * np.arange(blocks)))
+    fine = np.exp(2j * np.pi * freqs * np.arange(RAMP_BLOCK))
+    ramp = coarse[:, :, np.newaxis] * fine[:, np.newaxis, :]
+    return ramp.reshape(len(freqs), blocks * RAMP_BLOCK)[:, :n]
+
+
+def delayed_copies(stream: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """(len(shifts), n) rows stream[kappa - shift] for kappa = 0..n-1, zero
+    before the stream starts: rows of the strided window view of one
+    zero-padded copy of the stream."""
+    pad = int(np.max(shifts))
+    padded = np.concatenate((np.zeros(pad, dtype=complex), stream))
+    return sliding_window_view(padded, stream.size)[pad - np.asarray(shifts)]
 
 
 @dataclass
@@ -54,11 +93,27 @@ class PathSet:
         exp(j 2 pi nu_i (kappa - l)) over the paths at delay l; paths at
         delays >= n_taps are left out."""
         kappa = np.asarray(kappa, dtype=float)
-        out = np.zeros((n_taps,) + kappa.shape, dtype=complex)
-        for gain, delay, nu in zip(self.gains, self.delays, self.dopplers):
-            if delay < n_taps:
-                out[delay] += gain * np.exp(2j * np.pi * nu * (kappa - delay))
-        return out
+        column = (-1,) + (1,) * kappa.ndim
+        terms = self.gains.reshape(column) * np.exp(
+            2j * np.pi * self.dopplers.reshape(column) * (kappa - self.delays.reshape(column)))
+        # row l of the 0/1 selector sums the paths at delay l
+        select = np.arange(n_taps)[:, np.newaxis] == self.delays
+        return (select @ terms.reshape(self.delays.size, -1)).reshape((n_taps,) + kappa.shape)
+
+    def apply(self, stream: np.ndarray, theta: int, cfo_freq: float) -> np.ndarray:
+        """This user's received samples for kappa = 0..N_s-1: the stream
+        delayed by ``theta``, passed through the taps and rotated by the CFO
+        ``cfo_freq`` (cycles per sample, eps/N_s).
+
+        Folding the CFO into each path's frequency f_i = nu_i + cfo_freq gives
+        r[kappa] = sum_i (h_i exp(-j 2 pi nu_i d_i)) exp(j 2 pi f_i kappa)
+        s[kappa - d_i - theta], one (paths, N_s) product on the ramps of
+        ``phase_ramp`` (see there for the rounding, a few ulps times
+        1 + 2 pi |f_i| kappa) and the delayed copies of ``delayed_copies``.
+        """
+        gains = self.gains * np.exp(-2j * np.pi * self.dopplers * self.delays)
+        ramps = phase_ramp(self.dopplers + cfo_freq, stream.size)
+        return gains @ (ramps * delayed_copies(stream, self.delays + theta))
 
 
 @dataclass
@@ -84,6 +139,20 @@ class BemPathSet:
             if delay < n_taps:
                 out[delay] += np.sum(basis * c, axis=-1)
         return out
+
+    def apply(self, stream: np.ndarray, theta: int, cfo_freq: float) -> np.ndarray:
+        """This user's received samples for kappa = 0..N_s-1 (see
+        ``PathSet.apply``).
+
+        The basis is shared by the taps, so r[kappa] = exp(j 2 pi cfo_freq
+        kappa) sum_g T_g(kprime) sum_d coeffs[d, g] s[kappa - d - theta]:
+        one (order, D) @ (D, N_s) product, its rows weighted by the basis,
+        then one ramp of ``phase_ramp``.
+        """
+        kappa = np.arange(stream.size)
+        basis = build_bem_basis(self.coeffs.shape[1], kappa, self.n_s)
+        mixed = self.coeffs.T @ delayed_copies(stream, self.delays + theta)
+        return phase_ramp(cfo_freq, stream.size)[0] * np.einsum("kg,gk->k", basis, mixed)
 
 
 @dataclass
@@ -168,8 +237,13 @@ def apply_channel(streams, realization: ChannelRealization, n_s: int,
 
     r[k] = sum_q exp(j 2 pi eps_q k / N_s) * sum_l s_q[k - l - theta_q] h_q[l, k]
     for k = 0..N_s-1; samples before a user's frame start are zero.
+
+    Each user's term is one vectorized pass of its path model's ``apply``:
+    the delays are rows of one zero-padded stream, and every phase factor is
+    the separable ramp exp(j 2 pi f B a) exp(j 2 pi f b), k = B*a + b, of
+    ``phase_ramp``.  The result differs from the formula evaluated directly
+    by rounding only, a few ulps times 1 + 2 pi |f| k per phase.
     """
-    kappa = np.arange(n_s, dtype=float)
     r = np.zeros(n_s, dtype=complex)
     for q, paths in enumerate(realization.paths):
         theta = int(realization.to[q])
@@ -180,14 +254,7 @@ def apply_channel(streams, realization: ChannelRealization, n_s: int,
         s = np.asarray(streams[q])
         if s.size != n_s:
             raise RealizationError(f"user {q}: stream length {s.size} != N_s={n_s}")
-        acc = np.zeros(n_s, dtype=complex)
-        taps = paths.taps(kappa, paths.length)
-        for delay in np.unique(paths.delays):
-            shift = int(delay) + theta
-            shifted = np.zeros(n_s, dtype=complex)
-            shifted[shift:] = s[:n_s - shift] if shift > 0 else s
-            acc += taps[delay] * shifted
-        r += np.exp(2j * np.pi * realization.cfo[q] * kappa / n_s) * acc
+        r += paths.apply(s, theta, realization.cfo[q] / n_s)
     return r
 
 

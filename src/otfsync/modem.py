@@ -76,7 +76,8 @@ def build_data_frame(rng, m, n, alloc, guard_rows=()) -> np.ndarray:
     user; the pilot is written separately.
     """
     frame = np.zeros((m, n), dtype=complex)
-    rows = np.asarray([l for l in alloc.delay_bins if l not in set(guard_rows)], dtype=int)
+    guard = set(guard_rows)
+    rows = np.asarray([l for l in alloc.delay_bins if l not in guard], dtype=int)
     cols = np.asarray(alloc.doppler_bins, dtype=int)
     if rows.size and cols.size:
         frame[np.ix_(rows, cols)] = qam4_symbols(rng, (rows.size, cols.size))

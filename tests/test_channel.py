@@ -1,6 +1,8 @@
 """Channel generation and sample-level application, checked against the
 dense delay-Doppler matrix oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,9 @@ def test_eva_quantization_oracle():
     for d, p in zip(delays, powers):
         assert p == pytest.approx(merged[d] / total)
     assert powers.sum() == pytest.approx(1.0)
+    # the profile is cached, so every caller shares these arrays
+    assert not delays.flags.writeable and not powers.flags.writeable
+    assert chan.eva_profile()[0] is delays
 
 
 def test_eva_zero_doppler_when_static():
@@ -74,18 +79,81 @@ def test_bem_pathset_power_and_length():
 
 def test_taps_rows_match_per_path_sum():
     rng = np.random.default_rng(10)
-    paths = random_pathset(rng, n_paths=4)
-    kappa = np.arange(50.0)
-    taps = paths.taps(kappa, paths.length)
-    for ell in range(paths.length):
-        expected = sum((g * np.exp(2j * np.pi * nu * (kappa - d))
-                        for g, d, nu in zip(paths.gains, paths.delays, paths.dopplers)
-                        if d == ell), np.zeros(kappa.shape, complex))
-        assert np.max(np.abs(taps[ell] - expected)) < 1e-14
-    assert np.array_equal(paths.taps(kappa, 3), taps[:3])
+    shared = chan.PathSet(gains=np.array([0.6, 0.3j, -0.5]), delays=np.array([2, 5, 2]),
+                          dopplers=np.array([1e-4, -2e-4, 3e-4]))
+    for paths in (random_pathset(rng, n_paths=4), shared):
+        kappa = np.arange(50.0)
+        taps = paths.taps(kappa, paths.length)
+        for ell in range(paths.length):
+            expected = sum((g * np.exp(2j * np.pi * nu * (kappa - d))
+                            for g, d, nu in zip(paths.gains, paths.delays, paths.dopplers)
+                            if d == ell), np.zeros(kappa.shape, complex))
+            assert np.max(np.abs(taps[ell] - expected)) < 1e-14
+        assert np.array_equal(paths.taps(kappa, 3), taps[:3])
+
+
+def test_phase_ramp_matches_exp():
+    # lengths below, at and past one block of kappa = B*a + b, and a full frame
+    eps = np.finfo(float).eps
+    block = chan.RAMP_BLOCK
+    freqs = np.array([0.0, 1e-7, 0.5 / 4109, -4.91 / 4109, 0.37, -1.0 / 3])
+    for n in (1, block - 1, block, block + 1, 4109):
+        kappa = np.arange(n)
+        ramp = chan.phase_ramp(freqs, n)
+        assert ramp.shape == (freqs.size, n)
+        exact = np.exp(2j * np.pi * freqs[:, None] * kappa)
+        bound = 4 * eps * (1 + 2 * np.pi * np.abs(freqs[:, None]) * kappa)
+        assert np.all(np.abs(ramp - exact) <= bound)
+    assert chan.phase_ramp(0.25, 3).shape == (1, 3)
 
 
 # -- sample-level application -------------------------------------------------
+
+def direct_tap(paths, ell, k, n_s):
+    """h[ell, k] from the path parameters: sum_i h_i exp(j 2 pi nu_i (k - ell))
+    over the paths at delay ell, or the Chebyshev series in closed form
+    T_g(x) = cos(g arccos x)."""
+    if isinstance(paths, chan.BemPathSet):
+        kprime = (2.0 * k - n_s + 1.0) / (n_s - 1.0)
+        h = np.zeros(k.shape, complex)
+        for delay, c in zip(paths.delays, paths.coeffs):
+            if delay == ell:
+                h += sum(cg * np.cos(g * np.arccos(kprime)) for g, cg in enumerate(c))
+        return h
+    return sum((g * np.exp(2j * np.pi * nu * (k - ell))
+                for g, d, nu in zip(paths.gains, paths.delays, paths.dopplers)
+                if d == ell), np.zeros(k.shape, complex))
+
+
+def direct_receive(stream, paths, theta, eps, n_s):
+    """exp(j 2 pi eps k / N_s) sum_l s[k - l - theta] h[l, k], the formula of
+    the ``apply_channel`` docstring, delay by delay with one exp per sample."""
+    k = np.arange(n_s)
+    acc = np.zeros(n_s, complex)
+    for ell in range(paths.length):
+        src = k - ell - theta
+        shifted = np.where(src >= 0, stream[np.maximum(src, 0)], 0)
+        acc += shifted * direct_tap(paths, ell, k, n_s)
+    return np.exp(2j * np.pi * eps * k / n_s) * acc
+
+
+@pytest.mark.parametrize("model", ["eva", "eva-bem", "single-tap"])
+def test_apply_channel_matches_definition_at_full_geometry(model):
+    # N_s = 4109 is not a multiple of the ramp block, and the EVA taps span
+    # the whole delay cap, so every ramp block and padded row is exercised
+    cfg = dataclasses.replace(SystemConfig(), num_users=1, channel_model=model).validate()
+    assert cfg.n_s % chan.RAMP_BLOCK != 0
+    rng = np.random.default_rng(11)
+    paths = chan.draw_realization(rng, cfg).paths[0]
+    s = rng.standard_normal(cfg.n_s) + 1j * rng.standard_normal(cfg.n_s)
+    for theta in (0, cfg.theta_max):
+        for eps in (0.0, 0.5, -0.5, cfg.cfo_range, -cfg.cfo_range):
+            real = chan.ChannelRealization(paths=[paths], to=np.array([theta]),
+                                           cfo=np.array([eps]))
+            r = chan.apply_channel([s], real, cfg.n_s, cfg.theta_max)
+            expected = direct_receive(s, paths, theta, eps, cfg.n_s)
+            assert np.max(np.abs(r - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 def test_identity_channel_passthrough():
     cfg = small_config(num_users=1)
