@@ -45,33 +45,56 @@ def eva_profile(sample_rate: float = SAMPLE_RATE_HZ, len_cap: int = 10):
     return delays, powers
 
 
+@lru_cache(maxsize=32)
+def frame_basis(order: int, n_s: int) -> np.ndarray:
+    """(N_s, order) Chebyshev basis of ``build_bem_basis`` over the whole
+    frame, kappa = 0..N_s-1.  Read-only, because every caller shares the
+    cached array."""
+    basis = build_bem_basis(order, np.arange(n_s), n_s)
+    basis.flags.writeable = False
+    return basis
+
+
+def ramp_factors(freqs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (coarse, fine) of the separable ramp exp(j 2 pi f kappa),
+    kappa = B*a + b with B = RAMP_BLOCK, a < ceil(n/B), b < B: the (F,
+    ceil(n/B)) array exp(j 2 pi f B a) and the (F, B) array exp(j 2 pi f b)
+    for the F frequencies ``freqs`` (cycles per sample; a scalar gives
+    F = 1)."""
+    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))[:, np.newaxis]
+    blocks = -(-n // RAMP_BLOCK)
+    coarse = np.exp(2j * np.pi * freqs * (RAMP_BLOCK * np.arange(blocks)))
+    fine = np.exp(2j * np.pi * freqs * np.arange(RAMP_BLOCK))
+    return coarse, fine
+
+
 def phase_ramp(freqs, n: int) -> np.ndarray:
     """(F, n) array of exp(j 2 pi f kappa), kappa = 0..n-1, for the F
     frequencies ``freqs`` (cycles per sample; a scalar gives F = 1).
 
-    kappa = B*a + b with B = RAMP_BLOCK, a < ceil(n/B), b < B is separable,
-    so each row is the outer product of exp(j 2 pi f B a) and exp(j 2 pi f b),
+    Each row is the outer product of the factors of ``ramp_factors``,
     reshaped and cut to n: ceil(n/B) + B exponentials per frequency instead
     of n.  Rounding: each exponential is good to a few ulps, and its phase
     argument rounds with relative error 2**-53, as in a direct exp; so the
     product differs from exp(j 2 pi f kappa) by at most a few ulps times
     (1 + 2 pi |f| kappa), about 2e-14 at |f| n = 4.
     """
-    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))[:, np.newaxis]
-    blocks = -(-n // RAMP_BLOCK)
-    coarse = np.exp(2j * np.pi * freqs * (RAMP_BLOCK * np.arange(blocks)))
-    fine = np.exp(2j * np.pi * freqs * np.arange(RAMP_BLOCK))
+    coarse, fine = ramp_factors(freqs, n)
     ramp = coarse[:, :, np.newaxis] * fine[:, np.newaxis, :]
-    return ramp.reshape(len(freqs), blocks * RAMP_BLOCK)[:, :n]
+    return ramp.reshape(len(fine), -1)[:, :n]
 
 
-def delayed_copies(stream: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """(len(shifts), n) rows stream[kappa - shift] for kappa = 0..n-1, zero
-    before the stream starts: rows of the strided window view of one
+def delayed_copies(stream: np.ndarray, shifts: np.ndarray,
+                   length: int | None = None) -> np.ndarray:
+    """(len(shifts), length) rows stream[kappa - shift] for
+    kappa = 0..length-1 (length >= the stream's, which is the default),
+    zero outside the stream: rows of the strided window view of one
     zero-padded copy of the stream."""
+    length = stream.size if length is None else length
     pad = int(np.max(shifts))
-    padded = np.concatenate((np.zeros(pad, dtype=complex), stream))
-    return sliding_window_view(padded, stream.size)[pad - np.asarray(shifts)]
+    padded = np.zeros(pad + length, dtype=complex)
+    padded[pad:pad + stream.size] = stream
+    return sliding_window_view(padded, length)[pad - np.asarray(shifts)]
 
 
 @dataclass
@@ -107,13 +130,20 @@ class PathSet:
 
         Folding the CFO into each path's frequency f_i = nu_i + cfo_freq gives
         r[kappa] = sum_i (h_i exp(-j 2 pi nu_i d_i)) exp(j 2 pi f_i kappa)
-        s[kappa - d_i - theta], one (paths, N_s) product on the ramps of
-        ``phase_ramp`` (see there for the rounding, a few ulps times
-        1 + 2 pi |f_i| kappa) and the delayed copies of ``delayed_copies``.
+        s[kappa - d_i - theta].  With kappa = B*a + b, the delayed copies of
+        ``delayed_copies`` reshape to (paths, a, b) blocks, and one einsum
+        contracts them with the coarse factors (times the gains) and the
+        fine factors of ``ramp_factors``, with no (paths, N_s) ramp or
+        product allocated; only the copies are.  Rounding is that of
+        ``phase_ramp``, a few ulps times 1 + 2 pi |f_i| kappa.
         """
         gains = self.gains * np.exp(-2j * np.pi * self.dopplers * self.delays)
-        ramps = phase_ramp(self.dopplers + cfo_freq, stream.size)
-        return gains @ (ramps * delayed_copies(stream, self.delays + theta))
+        coarse, fine = ramp_factors(self.dopplers + cfo_freq, stream.size)
+        blocks = coarse.shape[1]
+        copies = delayed_copies(stream, self.delays + theta, blocks * RAMP_BLOCK)
+        out = np.einsum("pa,pb,pab->ab", gains[:, np.newaxis] * coarse, fine,
+                        copies.reshape(len(gains), blocks, RAMP_BLOCK))
+        return out.reshape(-1)[:stream.size]
 
 
 @dataclass
@@ -146,11 +176,10 @@ class BemPathSet:
 
         The basis is shared by the taps, so r[kappa] = exp(j 2 pi cfo_freq
         kappa) sum_g T_g(kprime) sum_d coeffs[d, g] s[kappa - d - theta]:
-        one (order, D) @ (D, N_s) product, its rows weighted by the basis,
-        then one ramp of ``phase_ramp``.
+        one (order, D) @ (D, N_s) product, its rows weighted by the cached
+        ``frame_basis``, then one ramp of ``phase_ramp``.
         """
-        kappa = np.arange(stream.size)
-        basis = build_bem_basis(self.coeffs.shape[1], kappa, self.n_s)
+        basis = frame_basis(self.coeffs.shape[1], self.n_s)
         mixed = self.coeffs.T @ delayed_copies(stream, self.delays + theta)
         return phase_ramp(cfo_freq, stream.size)[0] * np.einsum("kg,gk->k", basis, mixed)
 

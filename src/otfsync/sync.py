@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from . import pilot
 from .config import SystemConfig
@@ -197,9 +197,13 @@ class BemRegressor:
     _r: np.ndarray = field(repr=False)
     _piv: np.ndarray = field(repr=False)
 
-    def cost_many(self, z_batch: np.ndarray) -> np.ndarray:
-        """Squared norm of the projection of each row of z_batch onto the range of G."""
+    def cost_many(self, z_batch: np.ndarray, interp: np.ndarray | None = None) -> np.ndarray:
+        """Squared norm of the projection of each row of z_batch onto the
+        range of G; with ``interp``, of each row of interp @ (z_batch @ Q-bar),
+        i.e. of the projections interpolated from the rows of z_batch."""
         w = z_batch @ self._qconj
+        if interp is not None:
+            w = interp @ w
         return np.sum(np.abs(w) ** 2, axis=1)
 
     def coeffs(self, z: np.ndarray) -> np.ndarray:
@@ -338,18 +342,72 @@ def cfo_grid(cfo_range: float, cfo_step: float) -> np.ndarray:
     return grid
 
 
+def scan_node_count(cfo_range: float, kappa: np.ndarray, n_s: int) -> int:
+    """Chebyshev nodes r of the coarse CFO scan over +-cfo_range.
+
+    About the centre of the region, the rotation of sample kappa is
+    exp(-j a x) with x = eps / cfo_range in [-1, 1] and
+    a = 2 pi cfo_range (kappa_max - kappa_min) / (2 N_s).  Interpolating it
+    at r first-kind nodes leaves a truncation error of at most
+    2 (a/2)**r / r!; r is the smallest count with (a/2)**r / r! < 2**-52,
+    plus one, which puts that error below 2**-52 (29 or 30 at the default
+    geometry, a of about 6).
+    """
+    a = math.pi * cfo_range * (np.max(kappa) - np.min(kappa)) / n_s
+    r, term = 0, 1.0
+    while term >= 2.0 ** -52:
+        r += 1
+        term *= a / (2 * r)
+    return r + 1
+
+
+def cfo_scan(grid: np.ndarray, cfo_range: float, kappa: np.ndarray,
+             n_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(node_phases, interp) of the coarse CFO scan over ``grid``.
+
+    ``node_phases`` (r, N*L_p) holds the conj-rotations
+    exp(-j 2 pi nu (kappa - kappa_c) / N_s) at r = ``scan_node_count``
+    first-kind Chebyshev nodes nu of +-cfo_range, taken about the centre
+    kappa_c of the region: a phase common to every kappa leaves the cost
+    unchanged, and centring halves the bandwidth.  ``interp`` (G, r) maps
+    values at the nodes to the Chebyshev interpolant at the grid points.
+    When r >= G the nodes are the grid itself, uncentred, and ``interp`` is
+    the identity, so the scan is the dense one.
+    """
+    kflat = np.asarray(kappa, dtype=float).ravel()
+    r = scan_node_count(cfo_range, kflat, n_s)
+    if r >= grid.size:
+        nodes, centre, interp = grid, 0.0, np.eye(grid.size)
+    else:
+        nodes = cfo_range * chebpts1(r)
+        centre = 0.5 * (kflat.max() + kflat.min())
+        interp = chebvander(grid / cfo_range, r - 1) @ np.linalg.inv(
+            chebvander(nodes / cfo_range, r - 1))
+    node_phases = np.exp(-2j * np.pi * np.outer(nodes, kflat - centre) / n_s)
+    return node_phases, interp
+
+
 def estimate_cfo(region: PilotRegion, bundle: EstimatorBundle,
                  cfg: SystemConfig) -> CfoEstimate:
     """Coarse scan of the projection cost over the bundle's grid, Newton
     refinement on [best grid point +- cfo_step] within +-cfo_range (stopping
     at steps below NEWTON_STEP_FRAC * cfo_tol), then the LS coefficient solve
-    at the winning offset."""
+    at the winning offset.
+
+    The scan projects the region rotated to the bundle's r Chebyshev nodes,
+    one (r, N*L_p) @ (N*L_p, L_p*beta) product, and interpolates the
+    projections to the G grid points, one (G, r) @ (r, L_p*beta) product
+    (``cfo_scan``).  Each interpolated rotation is within 2**-52 of the exact
+    one (``scan_node_count``), so the cost curve differs from the dense scan
+    by rounding only, amplified by the Lebesgue constant of the nodes,
+    1 + (2/pi) ln r, about 3.
+    """
     if cfg.cfo_tol <= 0:
         raise ConfigError("cfo_tol must be > 0")
     grid, regressor = bundle.grid, bundle.regressor
     rflat = region.samples.ravel()
     kflat = region.kappa.ravel().astype(float)
-    costs = regressor.cost_many(bundle.grid_phases * rflat[np.newaxis, :])
+    costs = regressor.cost_many(bundle.node_phases * rflat[np.newaxis, :], bundle.interp)
     best = int(np.argmax(costs))
     lo = max(grid[best] - cfg.cfo_step, -cfg.cfo_range)
     hi = min(grid[best] + cfg.cfo_step, cfg.cfo_range)
@@ -381,14 +439,21 @@ def reconstruct_channel(c_hat: np.ndarray, bem: np.ndarray) -> np.ndarray:
 @dataclass
 class EstimatorBundle:
     """Receive-side quantities fixed by (config, user, theta, beta): the
-    basis, the factorized regressor, the coarse CFO grid and its
-    conj-rotations exp(-j 2 pi grid x kappa / N_s).  Cached across trials
-    because none of them depends on the received samples."""
+    basis, the factorized regressor, the coarse CFO grid, and the scan of
+    that grid through r Chebyshev nodes (``cfo_scan``): the conj-rotations
+    at the nodes about the region centre and the (G, r) interpolation
+    matrix.  r is derived from the geometry (``scan_node_count``: the
+    smallest r with (a/2)**r / r! < 2**-52, plus one, for the bandwidth
+    a = 2 pi cfo_range (kappa_max - kappa_min) / (2 N_s)), so the
+    interpolated rotations are exact to 2**-52; when r >= G the nodes are
+    the grid and the matrix is the identity.  Cached across trials because
+    none of them depends on the received samples."""
 
     bem: np.ndarray            # (N, L_p, beta) basis values
     regressor: BemRegressor
     grid: np.ndarray           # (G,) coarse CFO search points
-    grid_phases: np.ndarray    # (G, N*L_p)
+    node_phases: np.ndarray    # (r, N*L_p)
+    interp: np.ndarray         # (G, r)
 
 
 _BUNDLE_CACHE: dict = {}
@@ -411,9 +476,9 @@ def estimator_bundle(cfg: SystemConfig, placement: pilot.PilotPlacement,
     bem = build_bem_basis(beta, kappa, cfg.n_s)
     regressor = build_bem_regressor(pilot.pilot_region_ref(placement, pcp, user), bem)
     grid = cfo_grid(cfg.cfo_range, cfg.cfo_step)
-    grid_phases = np.exp(-2j * np.pi * np.outer(grid, kappa.ravel()) / cfg.n_s)
+    node_phases, interp = cfo_scan(grid, cfg.cfo_range, kappa, cfg.n_s)
     bundle = EstimatorBundle(bem=bem, regressor=regressor, grid=grid,
-                             grid_phases=grid_phases)
+                             node_phases=node_phases, interp=interp)
     _BUNDLE_CACHE[key] = bundle
     return bundle
 

@@ -2,13 +2,14 @@
 dense delay-Doppler matrix oracle."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dd_oracle import build_compound_channel
 from otfsync import channel as chan
-from otfsync import modem
+from otfsync import modem, sync
 from otfsync.allocation import build_allocation, bin_mask
 from otfsync.config import SystemConfig
 from otfsync.errors import RealizationError
@@ -153,6 +154,40 @@ def test_apply_channel_matches_definition_at_full_geometry(model):
             r = chan.apply_channel([s], real, cfg.n_s, cfg.theta_max)
             expected = direct_receive(s, paths, theta, eps, cfg.n_s)
             assert np.max(np.abs(r - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_frame_basis_cached_read_only_and_bem_apply_unchanged():
+    cfg = dataclasses.replace(SystemConfig(), num_users=1, channel_model="eva-bem").validate()
+    basis = chan.frame_basis(cfg.beta, cfg.n_s)
+    assert chan.frame_basis(cfg.beta, cfg.n_s) is basis
+    assert not basis.flags.writeable
+    rng = np.random.default_rng(12)
+    paths = chan.draw_realization(rng, cfg).paths[0]
+    s = rng.standard_normal(cfg.n_s) + 1j * rng.standard_normal(cfg.n_s)
+    fresh = sync.build_bem_basis(cfg.beta, np.arange(cfg.n_s), cfg.n_s)
+    assert np.array_equal(basis, fresh)
+    for theta, eps in ((0, 0.0), (cfg.theta_max, -0.37)):
+        # the same formula on a basis built for this call
+        mixed = paths.coeffs.T @ chan.delayed_copies(s, paths.delays + theta)
+        expected = chan.phase_ramp(eps / cfg.n_s, cfg.n_s)[0] * np.einsum("kg,gk->k", fresh, mixed)
+        assert np.array_equal(paths.apply(s, theta, eps / cfg.n_s), expected)
+
+
+def test_path_set_apply_allocates_no_ramp_per_path():
+    cfg = dataclasses.replace(SystemConfig(), num_users=1).validate()
+    rng = np.random.default_rng(13)
+    paths = chan.draw_realization(rng, cfg).paths[0]
+    s = rng.standard_normal(cfg.n_s) + 1j * rng.standard_normal(cfg.n_s)
+    paths.apply(s, cfg.theta_max, 0.3 / cfg.n_s)    # warm
+    tracemalloc.start()
+    try:
+        paths.apply(s, cfg.theta_max, 0.3 / cfg.n_s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the delayed copies take one (paths, N_s) array; a ramp and its product
+    # with the copies would take two more
+    assert peak <= 2 * paths.gains.size * cfg.n_s * 16
 
 
 def test_identity_channel_passthrough():

@@ -1,10 +1,11 @@
 """Filter bank, timing metric, BEM regressor, and ML CFO estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from otfsync import channel as chan
 from otfsync import modem, pilot, sync
@@ -561,11 +562,63 @@ def test_estimator_bundle_cache_key_holds_the_grid():
     coarse = sync.estimator_bundle(coarse_cfg, placement, pcp, 0, 2)
     assert coarse is not fine
     assert sync.estimator_bundle(coarse_cfg, placement, pcp, 0, 2) is coarse
+    kflat = kappa.ravel().astype(float)
     for bundle, c in ((fine, cfg), (coarse, coarse_cfg)):
         assert np.array_equal(bundle.grid, sync.cfo_grid(c.cfo_range, c.cfo_step))
-        phases = np.exp(-2j * np.pi * np.outer(bundle.grid, kappa.ravel()) / c.n_s)
-        assert np.array_equal(bundle.grid_phases, phases)
+        r = sync.scan_node_count(c.cfo_range, kflat, c.n_s)
+        assert r < bundle.grid.size
+        nodes = c.cfo_range * chebpts1(r)
+        centre = 0.5 * (kflat.max() + kflat.min())
+        phases = np.exp(-2j * np.pi * np.outer(nodes, kflat - centre) / c.n_s)
+        interp = chebvander(bundle.grid / c.cfo_range, r - 1) @ np.linalg.inv(
+            chebvander(nodes / c.cfo_range, r - 1))
+        assert np.array_equal(bundle.node_phases, phases)
+        assert np.array_equal(bundle.interp, interp)
     assert (fine.grid.size, coarse.grid.size) == (201, 41)
+
+
+@pytest.mark.parametrize("theta, overrides, nodes", [
+    (0, {}, 29),                                    # wrapped region, kappa 131..4108
+    (3, {}, 30),
+    (0, {"cfo_range": 0.5}, 18),
+    (0, {"cfo_range": 4.0, "cfo_step": 0.05}, 40),
+    (0, {"cfo_range": 1.0, "cfo_step": 0.3}, 7),     # G = 7 <= r: the grid itself
+])
+def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
+    cfg = paper_config(num_users=1, **overrides)
+    placement, pcp, _, kappa = region_fixture(cfg, theta)
+    bundle = sync.estimator_bundle(cfg, placement, pcp, 0, theta)
+    assert bundle.node_phases.shape[0] == nodes
+    kflat = kappa.ravel()
+    dense_phases = np.exp(-2j * np.pi * np.outer(bundle.grid, kflat) / cfg.n_s)
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        rflat = rng.standard_normal(kflat.size) + 1j * rng.standard_normal(kflat.size)
+        region = sync.PilotRegion(samples=rflat.reshape(kappa.shape), kappa=kappa)
+        got = sync.estimate_cfo(region, bundle, cfg).cost_curve
+        dense = bundle.regressor.cost_many(dense_phases * rflat)
+        if bundle.grid.size <= nodes:
+            assert np.array_equal(got, dense)
+        else:
+            assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(dense)
+
+
+def test_estimate_cfo_allocates_less_than_the_dense_scan():
+    cfg = paper_config(num_users=1)
+    placement, pcp, _, kappa = region_fixture(cfg, 2)
+    bundle = sync.estimator_bundle(cfg, placement, pcp, 0, 2)
+    rng = np.random.default_rng(42)
+    samples = rng.standard_normal(kappa.shape) + 1j * rng.standard_normal(kappa.shape)
+    region = sync.PilotRegion(samples=samples, kappa=kappa)
+    sync.estimate_cfo(region, bundle, cfg)    # warm: lazy imports, BLAS buffers
+    tracemalloc.start()
+    try:
+        sync.estimate_cfo(region, bundle, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the dense (G, N*L_p) rotated region alone would take this much
+    assert peak < bundle.grid.size * kappa.size * 16
 
 
 def test_reconstruct_channel_shapes_and_zero():
