@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from numpy.polynomial.chebyshev import chebpts1, chebvander
+from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
 
 from . import pilot
 from .config import SystemConfig
@@ -80,31 +80,33 @@ class ToEstimate:
     max_peak: int              # argmax variant
 
 
-def timing_correlate(separated: np.ndarray, template: np.ndarray,
+def timing_correlate(separated: np.ndarray, pcp: np.ndarray,
                      placement: pilot.PilotPlacement, cp_len: int) -> TimingMetric:
-    """Slide each slot's pilot block over the serialized filtered stream.
+    """Correlate every slot of the filtered stream with the PCP.
 
-    The delayed pilot of slot n spills past the slot boundary into the next
-    slot's head (it keeps the slot-n Doppler phase there), so the correlation
-    window follows the serialized sample order instead of wrapping inside one
-    column; that keeps the full pilot coherent at every candidate lag.
+    Assumes that the user's pilot occupies a single Doppler column k_q (as
+    ``pilot.pilot_frame`` places it): the pilot block of time slot n in the
+    delay-time grid is then pcp * exp(j 2 pi k_q n / N) / sqrt(N), one PCP
+    times a phase common to the slot, and the phase drops out of the
+    magnitude.  The correlation of slot n at lag d is therefore
+    |sum_z s[n*M + delay_lo + d + z] conj(pcp[z])| / sqrt(N), and the
+    M*N lags are one circular correlation of the serialized stream with the
+    2*zc_len - 1 PCP taps.  The window follows the serialized sample order
+    instead of wrapping inside one slot: the delayed pilot of slot n spills
+    past the slot boundary into the next slot's head (it keeps the slot-n
+    Doppler phase there), which keeps the full pilot coherent at every
+    candidate lag; the frame CP makes the last slot wrap to the first.
     """
-    m, n = template.shape
+    m, n = placement.m, placement.n
     separated = np.asarray(separated)
     if separated.size != m * n:
         raise ConfigError(f"expected {m * n} samples, got {separated.size}")
     lo = placement.delay_lo
-    span = 2 * placement.zc_len - 1
-    block = template[lo:lo + span, :]        # (span, N) pilot samples per slot
-    seg_len = m + span - 1
-    extended = np.concatenate([separated, separated[:m]])  # frame CP wrap
-    segments = extended[(np.arange(n) * m + lo)[:, None] + np.arange(seg_len)]
-    windows = np.lib.stride_tricks.sliding_window_view(segments, span, axis=1)
-    corr = np.einsum("ndz,zn->nd", windows, np.conj(block))
-    p2d = np.abs(corr.T) / m                 # (M, N), lag d peaks at the offset
-    shift = (cp_len - placement.anchor - 1) % m
-    p2d = p2d[(np.arange(m) + shift) % m, :]
-    return TimingMetric(curve=p2d.mean(axis=1), cp_len=cp_len, anchor=placement.anchor)
+    stream = np.concatenate([separated[lo:], separated[:lo + pcp.size - 1]])
+    corr = np.correlate(stream, pcp, "valid")             # lag n*M + d
+    curve = np.abs(corr).reshape(n, m).mean(axis=0) / (m * math.sqrt(n))
+    shift = (cp_len - placement.anchor - 1) % m           # lag d peaks at the offset
+    return TimingMetric(curve=np.roll(curve, -shift), cp_len=cp_len, anchor=placement.anchor)
 
 
 def estimate_to(metric: TimingMetric, threshold: float) -> ToEstimate:
@@ -197,22 +199,32 @@ class BemRegressor:
     _r: np.ndarray = field(repr=False)
     _piv: np.ndarray = field(repr=False)
 
+    def project(self, z_batch: np.ndarray) -> np.ndarray:
+        """The projections w = Q^H z of the rows z of z_batch, as rows."""
+        return z_batch @ self._qconj
+
     def cost_many(self, z_batch: np.ndarray, interp: np.ndarray | None = None) -> np.ndarray:
         """Squared norm of the projection of each row of z_batch onto the
-        range of G; with ``interp``, of each row of interp @ (z_batch @ Q-bar),
-        i.e. of the projections interpolated from the rows of z_batch."""
-        w = z_batch @ self._qconj
-        if interp is not None:
-            w = interp @ w
-        return np.sum(np.abs(w) ** 2, axis=1)
+        range of G.  With ``interp``, the squared norms of the rows of
+        interp @ W instead, W being those projections: as interp is real,
+        row i is the quadratic form interp_i Re(W W^H) interp_i^T of the
+        small (r, r) Gram matrix."""
+        w = self.project(z_batch)
+        if interp is None:
+            return np.sum(np.abs(w) ** 2, axis=1)
+        parts = w.view(np.float64)            # [Re, Im] interleaved: Re(W W^H) = parts parts^T
+        return np.sum((interp @ (parts @ parts.T)) * interp, axis=1)
 
-    def coeffs(self, z: np.ndarray) -> np.ndarray:
-        """LS coefficient solve (G^H G)^-1 G^H z."""
-        y = self._qconj.T @ z
-        sol = scipy.linalg.solve_triangular(self._r, y)
+    def solve(self, w: np.ndarray) -> np.ndarray:
+        """LS coefficients R^-1 w, un-pivoted, from a projection w = Q^H z."""
+        sol = scipy.linalg.solve_triangular(self._r, w, check_finite=False)
         c = np.empty_like(sol)
         c[self._piv] = sol
         return c
+
+    def coeffs(self, z: np.ndarray) -> np.ndarray:
+        """LS coefficient solve (G^H G)^-1 G^H z."""
+        return self.solve(self._qconj.T @ z)
 
 
 def build_bem_regressor(sbar: np.ndarray, bem: np.ndarray,
@@ -250,19 +262,6 @@ def cfo_cost(rbar: np.ndarray, regressor: BemRegressor, kappa: np.ndarray,
     """Projection cost g(eps) = || proj_G( Phi^H(eps) rbar ) ||^2 (real, >= 0)."""
     z = np.conj(cfo_phase(kappa.ravel(), eps, n_s)) * np.asarray(rbar).ravel()
     return float(regressor.cost_many(z[np.newaxis, :])[0])
-
-
-def cfo_cost_derivatives(rbar: np.ndarray, regressor: BemRegressor, kappa: np.ndarray,
-                         eps: float, n_s: int) -> tuple[float, float, float]:
-    """g(eps) of ``cfo_cost`` and its first two derivatives from one
-    (3, N*L_p) product: with z = Phi^H(eps) rbar, d = -j 2 pi kappa / N_s and
-    w_i = Q^H (d^i z), g = ||w0||^2, g' = 2 Re(w0^H w1) and
-    g'' = 2 (||w1||^2 + Re(w0^H w2))."""
-    d = -2j * np.pi * np.asarray(kappa, dtype=float).ravel() / n_s
-    z = np.exp(d * eps) * np.asarray(rbar).ravel()
-    w0, w1, w2 = np.stack([z, d * z, d * d * z]) @ regressor._qconj
-    return (float(np.vdot(w0, w0).real), 2.0 * float(np.vdot(w0, w1).real),
-            2.0 * float(np.vdot(w1, w1).real + np.vdot(w0, w2).real))
 
 
 def golden_section_max(fun, lo: float, hi: float, tol: float):
@@ -361,30 +360,55 @@ def scan_node_count(cfo_range: float, kappa: np.ndarray, n_s: int) -> int:
     return r + 1
 
 
-def cfo_scan(grid: np.ndarray, cfo_range: float, kappa: np.ndarray,
-             n_s: int) -> tuple[np.ndarray, np.ndarray]:
+def cfo_scan(grid: np.ndarray, cfo_range: float, kappa: np.ndarray, centre: float,
+             n_s: int) -> tuple[np.ndarray, np.ndarray | None]:
     """(node_phases, interp) of the coarse CFO scan over ``grid``.
 
     ``node_phases`` (r, N*L_p) holds the conj-rotations
-    exp(-j 2 pi nu (kappa - kappa_c) / N_s) at r = ``scan_node_count``
+    exp(-j 2 pi nu (kappa - centre) / N_s) at r = ``scan_node_count``
     first-kind Chebyshev nodes nu of +-cfo_range, taken about the centre
-    kappa_c of the region: a phase common to every kappa leaves the cost
+    of the region: a phase common to every kappa leaves the cost
     unchanged, and centring halves the bandwidth.  ``interp`` (G, r) maps
     values at the nodes to the Chebyshev interpolant at the grid points.
     When r >= G the nodes are the grid itself, uncentred, and ``interp`` is
-    the identity, so the scan is the dense one.
+    None, so the scan is the dense one.
     """
     kflat = np.asarray(kappa, dtype=float).ravel()
     r = scan_node_count(cfo_range, kflat, n_s)
     if r >= grid.size:
-        nodes, centre, interp = grid, 0.0, np.eye(grid.size)
+        nodes, centre, interp = grid, 0.0, None
     else:
         nodes = cfo_range * chebpts1(r)
-        centre = 0.5 * (kflat.max() + kflat.min())
         interp = chebvander(grid / cfo_range, r - 1) @ np.linalg.inv(
             chebvander(nodes / cfo_range, r - 1))
     node_phases = np.exp(-2j * np.pi * np.outer(nodes, kflat - centre) / n_s)
     return node_phases, interp
+
+
+def cfo_local(cfo_step: float, kappa: np.ndarray, centre: float,
+              n_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(local_phases, local_ops) of the CFO refinement about a grid point.
+
+    ``local_phases`` (r_loc, N*L_p) holds the conj-rotations
+    exp(-j 2 pi cfo_step x (kappa - centre) / N_s) at the
+    r_loc = scan_node_count(cfo_step, kappa, N_s) first-kind Chebyshev
+    nodes x of [-1, 1] (9 at the default geometry).  Applied to the region
+    rotated to a grid point eps_c, they give the projections at the offsets
+    eps_c + cfo_step x, exact to 2**-52 like the coarse scan's.
+    ``local_ops`` (3, r_loc, r_loc) maps such values at the nodes to the
+    Chebyshev coefficients, in x, of the interpolant of the projection and
+    of its first and second derivatives in eps.
+    """
+    kflat = np.asarray(kappa, dtype=float).ravel()
+    r = scan_node_count(cfo_step, kflat, n_s)
+    nodes = chebpts1(r)
+    to_coeffs = np.linalg.inv(chebvander(nodes, r - 1))
+    ops = [to_coeffs]
+    for order in (1, 2):
+        deriv = chebder(np.eye(r), m=order) / cfo_step ** order
+        ops.append(np.vstack([deriv, np.zeros((r - deriv.shape[0], r))]) @ to_coeffs)
+    local_phases = np.exp(-2j * np.pi * cfo_step * np.outer(nodes, kflat - centre) / n_s)
+    return local_phases, np.stack(ops)
 
 
 def estimate_cfo(region: PilotRegion, bundle: EstimatorBundle,
@@ -395,28 +419,55 @@ def estimate_cfo(region: PilotRegion, bundle: EstimatorBundle,
     at the winning offset.
 
     The scan projects the region rotated to the bundle's r Chebyshev nodes,
-    one (r, N*L_p) @ (N*L_p, L_p*beta) product, and interpolates the
-    projections to the G grid points, one (G, r) @ (r, L_p*beta) product
-    (``cfo_scan``).  Each interpolated rotation is within 2**-52 of the exact
-    one (``scan_node_count``), so the cost curve differs from the dense scan
-    by rounding only, amplified by the Lebesgue constant of the nodes,
-    1 + (2/pi) ln r, about 3.
+    one (r, N*L_p) @ (N*L_p, L_p*beta) product W, and interpolates the
+    costs to the G grid points as the real quadratic form
+    interp Re(W W^H) interp^T (``cfo_scan``).  Each interpolated rotation is
+    within 2**-52 of the exact one (``scan_node_count``), so the cost curve
+    differs from the dense scan by rounding only, amplified by the Lebesgue
+    constant of the nodes, 1 + (2/pi) ln r, about 3.
+
+    The refinement runs on a local Chebyshev interpolant of the projection
+    w(eps) = Q^H Phi^H(eps) rbar over [eps_c +- cfo_step], eps_c the best
+    grid point: the region rotated to eps_c and to the bundle's r_loc local
+    nodes (``cfo_local``; r_loc = scan_node_count(cfo_step, kappa, N_s), 9 at
+    the default geometry) is projected in one (r_loc, N*L_p) product, and
+    each Newton iterate reads g = ||w||^2, g' = 2 Re(w^H w') and
+    g'' = 2 (||w'||^2 + Re(w^H w'')) from the (r_loc, L_p*beta)
+    Chebyshev coefficients of w, w' and w''.  The LS solve reuses w at the
+    estimate (``BemRegressor.solve``).
     """
     if cfg.cfo_tol <= 0:
         raise ConfigError("cfo_tol must be > 0")
     grid, regressor = bundle.grid, bundle.regressor
     rflat = region.samples.ravel()
-    kflat = region.kappa.ravel().astype(float)
     costs = regressor.cost_many(bundle.node_phases * rflat[np.newaxis, :], bundle.interp)
     best = int(np.argmax(costs))
-    lo = max(grid[best] - cfg.cfo_step, -cfg.cfo_range)
-    hi = min(grid[best] + cfg.cfo_step, cfg.cfo_range)
-    x_ref, f_ref = newton_max(
-        lambda e: cfo_cost_derivatives(rflat, regressor, kflat, e, cfg.n_s),
-        float(grid[best]), lo, hi, cfg.cfo_tol)
+    eps_c = float(grid[best])
+    offset = region.kappa.ravel() - bundle.centre
+    z = np.exp(-2j * np.pi * eps_c * offset / cfg.n_s) * rflat
+    # [Re, Im] interleaved, so that the real operators act in real arithmetic
+    values = regressor.project(bundle.local_phases * z).view(np.float64)
+    coeffs = bundle.local_ops @ values          # (3, r_loc, 2 L_p beta)
+    orders = np.arange(coeffs.shape[1])
+
+    def local_w(eps):
+        """w, w' and w'' at eps, each times exp(j 2 pi eps centre / N_s)."""
+        x = min(max((eps - eps_c) / cfg.cfo_step, -1.0), 1.0)
+        # T_k(x) = cos(k acos x): one call, where chebvander loops per order
+        return (np.cos(orders * math.acos(x)) @ coeffs).view(np.complex128)
+
+    def cost_derivatives(eps):
+        w0, w1, w2 = local_w(eps)
+        return (float(np.vdot(w0, w0).real), 2.0 * float(np.vdot(w0, w1).real),
+                2.0 * float(np.vdot(w1, w1).real + np.vdot(w0, w2).real))
+
+    lo = max(eps_c - cfg.cfo_step, -cfg.cfo_range)
+    hi = min(eps_c + cfg.cfo_step, cfg.cfo_range)
+    x_ref, f_ref = newton_max(cost_derivatives, eps_c, lo, hi, cfg.cfo_tol)
     # keep the exact grid point when refinement cannot improve on it
-    eps_hat = float(grid[best]) if costs[best] >= f_ref else float(x_ref)
-    c_hat = regressor.coeffs(np.conj(cfo_phase(kflat, eps_hat, cfg.n_s)) * rflat)
+    eps_hat = eps_c if costs[best] >= f_ref else float(x_ref)
+    w = local_w(eps_hat)[0] * np.exp(-2j * np.pi * eps_hat * bundle.centre / cfg.n_s)
+    c_hat = regressor.solve(w)
     return CfoEstimate(epsilon_hat=eps_hat, grid=grid, cost_curve=costs,
                        c_hat=c_hat, h_hat=reconstruct_channel(c_hat, bundle.bem))
 
@@ -425,11 +476,11 @@ def reconstruct_channel(c_hat: np.ndarray, bem: np.ndarray) -> np.ndarray:
     """Tap trajectories over the pilot region from basis coefficients.
 
     Returns h[n, l, j] = sum_g T_g(kprime[n, j]) c[l*beta + g] for taps
-    l = 0..L_p-1 and every time slot n.
+    l = 0..L_p-1 and every time slot n, as one (L_p, beta) @ (N, beta, L_p)
+    matmul.
     """
     _, lp, beta = bem.shape
-    coeffs = np.asarray(c_hat).reshape(lp, beta)
-    return np.einsum("njg,lg->nlj", bem, coeffs)
+    return np.asarray(c_hat).reshape(lp, beta) @ bem.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -439,21 +490,27 @@ def reconstruct_channel(c_hat: np.ndarray, bem: np.ndarray) -> np.ndarray:
 @dataclass
 class EstimatorBundle:
     """Receive-side quantities fixed by (config, user, theta, beta): the
-    basis, the factorized regressor, the coarse CFO grid, and the scan of
-    that grid through r Chebyshev nodes (``cfo_scan``): the conj-rotations
-    at the nodes about the region centre and the (G, r) interpolation
-    matrix.  r is derived from the geometry (``scan_node_count``: the
-    smallest r with (a/2)**r / r! < 2**-52, plus one, for the bandwidth
-    a = 2 pi cfo_range (kappa_max - kappa_min) / (2 N_s)), so the
-    interpolated rotations are exact to 2**-52; when r >= G the nodes are
-    the grid and the matrix is the identity.  Cached across trials because
-    none of them depends on the received samples."""
+    basis, the factorized regressor, the coarse CFO grid, the scan of that
+    grid through r Chebyshev nodes (``cfo_scan``) and the local interpolant
+    of the refinement through r_loc nodes (``cfo_local``).  Both node counts
+    come from the geometry by one rule, ``scan_node_count``: the smallest
+    count with (a/2)**r / r! < 2**-52, plus one, for the bandwidth
+    a = 2 pi h (kappa_max - kappa_min) / (2 N_s) of the rotations over an
+    interval of half-width h, so every interpolated rotation is exact to
+    2**-52.  The scan takes h = cfo_range (r = 29 or 30 at the default
+    geometry; when r >= G the nodes are the grid and there is no
+    interpolation matrix), the refinement h = cfo_step (r_loc = 9).
+    Rotations are taken about the region centre.  Cached across trials
+    because none of them depends on the received samples."""
 
     bem: np.ndarray            # (N, L_p, beta) basis values
     regressor: BemRegressor
     grid: np.ndarray           # (G,) coarse CFO search points
     node_phases: np.ndarray    # (r, N*L_p)
-    interp: np.ndarray         # (G, r)
+    interp: np.ndarray | None  # (G, r), None when the nodes are the grid
+    centre: float              # kappa of the region centre
+    local_phases: np.ndarray   # (r_loc, N*L_p)
+    local_ops: np.ndarray      # (3, r_loc, r_loc)
 
 
 _BUNDLE_CACHE: dict = {}
@@ -476,9 +533,12 @@ def estimator_bundle(cfg: SystemConfig, placement: pilot.PilotPlacement,
     bem = build_bem_basis(beta, kappa, cfg.n_s)
     regressor = build_bem_regressor(pilot.pilot_region_ref(placement, pcp, user), bem)
     grid = cfo_grid(cfg.cfo_range, cfg.cfo_step)
-    node_phases, interp = cfo_scan(grid, cfg.cfo_range, kappa, cfg.n_s)
+    centre = 0.5 * float(kappa.max() + kappa.min())
+    node_phases, interp = cfo_scan(grid, cfg.cfo_range, kappa, centre, cfg.n_s)
+    local_phases, local_ops = cfo_local(cfg.cfo_step, kappa, centre, cfg.n_s)
     bundle = EstimatorBundle(bem=bem, regressor=regressor, grid=grid,
-                             node_phases=node_phases, interp=interp)
+                             node_phases=node_phases, interp=interp, centre=centre,
+                             local_phases=local_phases, local_ops=local_ops)
     _BUNDLE_CACHE[key] = bundle
     return bundle
 
@@ -497,8 +557,7 @@ def synchronize_user(y: np.ndarray, user: int, cfg: SystemConfig,
                      theta_override: int | None = None) -> UserSyncResult:
     """Full per-user receive pipeline on the CP-removed stream ``y``."""
     separated = separate_user(y, user, cfg.num_users, cfg.m, cfg.n)
-    template = pilot.timing_template(placement, pcp, user)
-    metric = timing_correlate(separated, template, placement, cfg.cp_len)
+    metric = timing_correlate(separated, pcp, placement, cfg.cp_len)
     to_est = estimate_to(metric, cfg.threshold)
     theta = int(theta_override) if theta_override is not None else to_est.first_peak
     region = extract_pilot_region(separated, theta, placement, cfg.cp_len)

@@ -9,8 +9,10 @@ from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from otfsync import channel as chan
 from otfsync import modem, pilot, sync
+from otfsync.allocation import build_allocation
 from otfsync.config import SystemConfig
 from otfsync.errors import ConfigError, EstimationError
+from sync_oracle import cfo_cost_derivatives, estimate_cfo_exact, timing_correlate_template
 
 
 def paper_config(**kw):
@@ -104,8 +106,7 @@ def single_tap_realization(cfg, thetas, cfos=None, gain=1.0):
 
 def timing_pipeline(cfg, y, user, placement, pcp):
     separated = sync.separate_user(y, user, cfg.num_users, cfg.m, cfg.n)
-    template = pilot.timing_template(placement, pcp, user)
-    return sync.timing_correlate(separated, template, placement, cfg.cp_len)
+    return sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
 
 
 def test_matched_filter_peak_at_zero_offset():
@@ -175,6 +176,34 @@ def test_threshold_one_reduces_to_max_peak():
     metric = timing_pipeline(cfg, y, 0, placement, pcp)
     est = sync.estimate_to(metric, 1.0)
     assert est.first_peak == est.max_peak
+
+
+@pytest.mark.parametrize("num_users", [1, 2, 4])
+def test_pcp_correlation_matches_template_correlation(num_users):
+    # a full EVA trial stream with data and noise; every user's curve against
+    # the per-slot correlation with the delay-time pilot template
+    cfg = SystemConfig(num_users=num_users, snr_db=10.0).validate()
+    placement = pilot.PilotPlacement.from_config(cfg)
+    pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
+    allocs = build_allocation(cfg.m, cfg.n, cfg.num_users, cfg.allocation)
+    for theta in (0, cfg.theta_max):
+        rng = np.random.default_rng([43, num_users, theta])
+        real = chan.draw_realization(rng, cfg)
+        real.to[:] = theta
+        frames = pilot.embed_pilots(
+            [modem.build_data_frame(rng, cfg.m, cfg.n, a, placement.guard_rows)
+             for a in allocs], placement, pcp)
+        rx = chan.apply_channel([modem.transmit(f, cfg.cp_len) for f in frames],
+                                real, cfg.n_s, cfg.theta_max)
+        y = modem.remove_cp(chan.add_awgn(rx, cfg.snr_db, rng)[cfg.theta_max:], cfg.cp_rem)
+        for user in range(num_users):
+            separated = sync.separate_user(y, user, cfg.num_users, cfg.m, cfg.n)
+            got = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
+            oracle = timing_correlate_template(
+                separated, pilot.timing_template(placement, pcp, user), placement,
+                cfg.cp_len)
+            assert (got.cp_len, got.anchor) == (oracle.cp_len, oracle.anchor)
+            assert np.max(np.abs(got.curve - oracle.curve)) <= 1e-13 * oracle.curve.max()
 
 
 def test_estimate_to_rejects_empty_metric():
@@ -470,7 +499,7 @@ def test_cost_derivatives_match_central_differences():
     cost = lambda e: sync.cfo_cost(rflat, bundle.regressor, kflat, e, cfg.n_s)
     h = 1e-4
     for eps in (-0.31, 0.02, 0.45):
-        g, g1, g2 = sync.cfo_cost_derivatives(rflat, bundle.regressor, kflat, eps, cfg.n_s)
+        g, g1, g2 = cfo_cost_derivatives(rflat, bundle.regressor, kflat, eps, cfg.n_s)
         assert g == pytest.approx(cost(eps), rel=1e-12)
         assert g1 == pytest.approx((cost(eps + h) - cost(eps - h)) / (2 * h), rel=1e-6)
         assert g2 == pytest.approx(
@@ -601,6 +630,39 @@ def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
             assert np.array_equal(got, dense)
         else:
             assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(dense)
+
+
+@pytest.mark.parametrize("theta, overrides, eps0s, local_nodes", [
+    (0, {}, (0.137, -0.341, 0.02), 9),                  # wrapped region
+    (3, {}, (0.137, -0.341, 0.02), 9),
+    (0, {"cfo_range": 0.5}, (0.137, -0.452, 0.499), 9),
+    (0, {"cfo_range": 1.0, "cfo_step": 0.3}, (0.137, -0.83, 0.98), 15),   # G <= r
+    (0, {"cfo_range": 1.0}, (1.013,), 9),               # bracket clipped at +cfo_range
+])
+def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_nodes):
+    # the oracle: Newton on the exact cost derivatives, then the coeffs solve
+    cfg = paper_config(num_users=1, **overrides)
+    rng = np.random.default_rng(44)
+    for eps0 in eps0s:
+        region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0, theta)
+        scale = np.sqrt(np.mean(np.abs(region.samples) ** 2))
+        shape = region.samples.shape
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        region = sync.PilotRegion(samples=region.samples + 0.3 * scale * noise,
+                                  kappa=region.kappa)
+        est = sync.estimate_cfo(region, bundle, cfg)
+        eps_hat, c_hat = estimate_cfo_exact(region, bundle, cfg, est.cost_curve)
+        assert abs(est.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
+        assert np.linalg.norm(est.c_hat - c_hat) <= 1e-9 * np.linalg.norm(c_hat)
+        taps = np.einsum("njg,lg->nlj", bundle.bem, c_hat.reshape(cfg.zc_len, -1))
+        assert np.max(np.abs(est.h_hat - taps)) <= 1e-9 * np.max(np.abs(taps))
+    assert (bundle.interp is None) == (bundle.grid.size <= bundle.node_phases.shape[0])
+    assert local_nodes == sync.scan_node_count(cfg.cfo_step, region.kappa, cfg.n_s)
+    assert bundle.local_phases.shape == (local_nodes, region.kappa.size)
+    assert bundle.local_ops.shape == (3, local_nodes, local_nodes)
+    if eps0 > cfg.cfo_range:
+        assert est.grid[int(np.argmax(est.cost_curve))] + cfg.cfo_step > cfg.cfo_range
+        assert est.epsilon_hat == cfg.cfo_range
 
 
 def test_estimate_cfo_allocates_less_than_the_dense_scan():
