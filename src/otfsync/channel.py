@@ -84,17 +84,17 @@ def phase_ramp(freqs, n: int) -> np.ndarray:
     return ramp.reshape(len(fine), -1)[:, :n]
 
 
-def delayed_copies(stream: np.ndarray, shifts: np.ndarray,
+def delayed_copies(streams: np.ndarray, users: np.ndarray, shifts: np.ndarray,
                    length: int | None = None) -> np.ndarray:
-    """(len(shifts), length) rows stream[kappa - shift] for
-    kappa = 0..length-1 (length >= the stream's, which is the default),
+    """(len(shifts), length) rows streams[users[i], kappa - shifts[i]] for
+    kappa = 0..length-1 (length >= the streams', which is the default),
     zero outside the stream: rows of the strided window view of one
-    zero-padded copy of the stream."""
-    length = stream.size if length is None else length
+    zero-padded (Q, pad + length) copy of the (Q, N_s) streams."""
+    length = streams.shape[-1] if length is None else length
     pad = int(np.max(shifts))
-    padded = np.zeros(pad + length, dtype=complex)
-    padded[pad:pad + stream.size] = stream
-    return sliding_window_view(padded, length)[pad - np.asarray(shifts)]
+    padded = np.zeros((streams.shape[0], pad + length), dtype=complex)
+    padded[:, pad:pad + streams.shape[-1]] = streams
+    return sliding_window_view(padded, length, axis=-1)[users, pad - np.asarray(shifts)]
 
 
 @dataclass
@@ -123,27 +123,37 @@ class PathSet:
         select = np.arange(n_taps)[:, np.newaxis] == self.delays
         return (select @ terms.reshape(self.delays.size, -1)).reshape((n_taps,) + kappa.shape)
 
-    def apply(self, stream: np.ndarray, theta: int, cfo_freq: float) -> np.ndarray:
-        """This user's received samples for kappa = 0..N_s-1: the stream
-        delayed by ``theta``, passed through the taps and rotated by the CFO
-        ``cfo_freq`` (cycles per sample, eps/N_s).
+    @staticmethod
+    def apply(users: list[PathSet], streams: np.ndarray, thetas: np.ndarray,
+              cfo_freqs: np.ndarray) -> np.ndarray:
+        """The users' summed received samples for kappa = 0..N_s-1: each
+        user's stream of the (Q, N_s) ``streams`` delayed by its ``thetas``
+        entry, passed through its taps and rotated by its CFO ``cfo_freqs``
+        (cycles per sample, eps/N_s).
 
-        Folding the CFO into each path's frequency f_i = nu_i + cfo_freq gives
-        r[kappa] = sum_i (h_i exp(-j 2 pi nu_i d_i)) exp(j 2 pi f_i kappa)
-        s[kappa - d_i - theta].  With kappa = B*a + b, the delayed copies of
-        ``delayed_copies`` reshape to (paths, a, b) blocks, and one einsum
-        contracts them with the coarse factors (times the gains) and the
-        fine factors of ``ramp_factors``, with no (paths, N_s) ramp or
-        product allocated; only the copies are.  Rounding is that of
-        ``phase_ramp``, a few ulps times 1 + 2 pi |f_i| kappa.
+        Folding the user's CFO into each path's frequency f_i = nu_i +
+        cfo_freq gives r[kappa] = sum_i (h_i exp(-j 2 pi nu_i d_i))
+        exp(j 2 pi f_i kappa) s[kappa - d_i - theta], summed over the paths
+        of all Q users.  With kappa = B*a + b, the delayed copies of
+        ``delayed_copies`` reshape to (paths, a, b) blocks; the fine factors
+        of ``ramp_factors`` scale them in place, and one batched
+        (a, 1, paths) @ (a, paths, b) product contracts them with the coarse
+        factors (times the gains), so the copies are the only (paths, N_s)
+        array allocated.  Rounding is that of ``phase_ramp``, a few ulps
+        times 1 + 2 pi |f_i| kappa.
         """
-        gains = self.gains * np.exp(-2j * np.pi * self.dopplers * self.delays)
-        coarse, fine = ramp_factors(self.dopplers + cfo_freq, stream.size)
+        owner = np.repeat(np.arange(len(users)), [p.gains.size for p in users])
+        delays = np.concatenate([p.delays for p in users])
+        dopplers = np.concatenate([p.dopplers for p in users])
+        gains = np.concatenate([p.gains for p in users]) * np.exp(-2j * np.pi * dopplers * delays)
+        n_s = streams.shape[-1]
+        coarse, fine = ramp_factors(dopplers + cfo_freqs[owner], n_s)
         blocks = coarse.shape[1]
-        copies = delayed_copies(stream, self.delays + theta, blocks * RAMP_BLOCK)
-        out = np.einsum("pa,pb,pab->ab", gains[:, np.newaxis] * coarse, fine,
-                        copies.reshape(len(gains), blocks, RAMP_BLOCK))
-        return out.reshape(-1)[:stream.size]
+        copies = delayed_copies(streams, owner, delays + thetas[owner], blocks * RAMP_BLOCK)
+        copies = copies.reshape(len(gains), blocks, RAMP_BLOCK)
+        copies *= fine[:, np.newaxis, :]
+        out = (gains[:, np.newaxis] * coarse).T[:, np.newaxis, :] @ copies.transpose(1, 0, 2)
+        return out.reshape(-1)[:n_s]
 
 
 @dataclass
@@ -170,18 +180,30 @@ class BemPathSet:
                 out[delay] += np.sum(basis * c, axis=-1)
         return out
 
-    def apply(self, stream: np.ndarray, theta: int, cfo_freq: float) -> np.ndarray:
-        """This user's received samples for kappa = 0..N_s-1 (see
-        ``PathSet.apply``).
+    @staticmethod
+    def apply(users: list[BemPathSet], streams: np.ndarray, thetas: np.ndarray,
+              cfo_freqs: np.ndarray) -> np.ndarray:
+        """The users' summed received samples for kappa = 0..N_s-1 (see
+        ``PathSet.apply``); the users share the basis order.
 
-        The basis is shared by the taps, so r[kappa] = exp(j 2 pi cfo_freq
-        kappa) sum_g T_g(kprime) sum_d coeffs[d, g] s[kappa - d - theta]:
-        one (order, D) @ (D, N_s) product, its rows weighted by the cached
-        ``frame_basis``, then one ramp of ``phase_ramp``.
+        The basis is shared by the taps, so r[kappa] = sum_g T_g(kprime)
+        sum_q sum_d coeffs_q[d, g] exp(j 2 pi cfo_freq_q kappa)
+        s_q[kappa - d - theta_q]: the ramps of ``phase_ramp`` scale every
+        user's delayed copies in place, one (order, Q*D) @ (Q*D, N_s)
+        product mixes all of them, and the cached ``frame_basis`` weights
+        the rows of the mix.
         """
-        basis = frame_basis(self.coeffs.shape[1], self.n_s)
-        mixed = self.coeffs.T @ delayed_copies(stream, self.delays + theta)
-        return phase_ramp(cfo_freq, stream.size)[0] * np.einsum("kg,gk->k", basis, mixed)
+        sizes = [p.delays.size for p in users]
+        owner = np.repeat(np.arange(len(users)), sizes)
+        shifts = np.concatenate([p.delays for p in users]) + thetas[owner]
+        coeffs = np.concatenate([p.coeffs for p in users])     # (Q*D, order)
+        n_s = streams.shape[-1]
+        copies = delayed_copies(streams, owner, shifts)
+        for rows, ramp in zip(np.split(copies, np.cumsum(sizes)[:-1]),
+                              phase_ramp(cfo_freqs, n_s)):
+            rows *= ramp
+        mixed = coeffs.T @ copies
+        return np.einsum("kg,gk->k", frame_basis(coeffs.shape[1], n_s), mixed)
 
 
 @dataclass
@@ -267,24 +289,29 @@ def apply_channel(streams, realization: ChannelRealization, n_s: int,
     r[k] = sum_q exp(j 2 pi eps_q k / N_s) * sum_l s_q[k - l - theta_q] h_q[l, k]
     for k = 0..N_s-1; samples before a user's frame start are zero.
 
-    Each user's term is one vectorized pass of its path model's ``apply``:
-    the delays are rows of one zero-padded stream, and every phase factor is
-    the separable ramp exp(j 2 pi f B a) exp(j 2 pi f b), k = B*a + b, of
-    ``phase_ramp``.  The result differs from the formula evaluated directly
-    by rounding only, a few ulps times 1 + 2 pi |f| k per phase.
+    ``streams`` holds one N_s-sample stream per user, as the (Q, N_s) array
+    of ``modem.transmit``.  All users go through one batched pass of their
+    path model's ``apply``, so they must share one model: the delays of
+    every user are rows of one zero-padded (Q, .) window view, and every
+    phase factor is the separable ramp exp(j 2 pi f B a) exp(j 2 pi f b),
+    k = B*a + b, of ``phase_ramp``.  The result differs from the formula
+    evaluated directly by rounding only, a few ulps times 1 + 2 pi |f| k
+    per phase.
     """
-    r = np.zeros(n_s, dtype=complex)
-    for q, paths in enumerate(realization.paths):
-        theta = int(realization.to[q])
+    if len(streams) != realization.num_users:
+        raise RealizationError(f"{len(streams)} streams for {realization.num_users} users")
+    for q, (s, theta) in enumerate(zip(streams, realization.to)):
         if theta > theta_max:
             raise RealizationError(
                 f"user {q}: timing offset {theta} exceeds theta_max={theta_max}"
             )
-        s = np.asarray(streams[q])
-        if s.size != n_s:
-            raise RealizationError(f"user {q}: stream length {s.size} != N_s={n_s}")
-        r += paths.apply(s, theta, realization.cfo[q] / n_s)
-    return r
+        if np.size(s) != n_s:
+            raise RealizationError(f"user {q}: stream length {np.size(s)} != N_s={n_s}")
+    model = type(realization.paths[0])
+    if any(type(paths) is not model for paths in realization.paths):
+        raise RealizationError("the users of one realization must share a path model")
+    return model.apply(realization.paths, np.asarray(streams), np.asarray(realization.to),
+                       np.asarray(realization.cfo) / n_s)
 
 
 def add_awgn(stream: np.ndarray, snr_db: float, rng) -> np.ndarray:

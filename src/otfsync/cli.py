@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``validate`` a config file, ``trial`` for a single debug trial,
-``run`` for an experiment spec file, ``figure`` for the built-in experiment
-presets, and ``dump-metric`` for estimator diagnostics.
+``run`` for an experiment spec file, ``figure`` for one or more of the
+built-in experiment presets, and ``dump-metric`` for estimator diagnostics.
 
 Exit codes: 0 success, 2 configuration error, 3 estimation failure (or a
 run whose failure fraction exceeds MAX_FAILURE_FRACTION), 4 I/O error.
@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
 
 from . import harness
@@ -79,7 +80,7 @@ def _base_config(args, runs_experiment: bool = False) -> tuple[SystemConfig, int
             raise ConfigError(f"override {item!r} is not of the form key=value")
         if key.strip() == "trials":
             if not runs_experiment:
-                command = " ".join([args.command, getattr(args, "name", "")]).strip()
+                command = " ".join([args.command, *getattr(args, "names", [])])
                 raise ConfigError(f"--override trials= does not apply to {command!r}, "
                                   "which runs no experiment")
             trials = coerce("int", val, "trials")
@@ -153,31 +154,46 @@ def cmd_run(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    out_root = os.path.join(_out_root(args), args.name)
-    cfg, trials = _base_config(args, runs_experiment=args.name != "fig3")
-    if args.name == "fig3":
-        # timing-metric snapshot for every user of a single trial
-        cfg = apply_overrides(cfg, {"num_users": "2"})
-        records, debug = harness.run_trial(cfg, args.trial_index, collect_debug=True)
-        _dump_debug(out_root, debug)
-        _write(os.path.join(out_root, "spec-echo"), echo_config(cfg))
-        print(f"fig3: timing metric snapshot -> {out_root}")
-        return 3 if any(rec.failed for rec in records) else 0
-    specs = _preset_specs(args.name)
+    """Run the named presets; a sweep that several presets share (``fig5a``
+    repeats ``fig4a``, ``fig4b`` is the Q=4 row of ``fig5b``) runs once and
+    its output directory is copied to the other paths."""
+    names = list(dict.fromkeys(args.names))
+    presets = {name: _preset_specs(name) for name in names if name != "fig3"}
+    cfg, trials = _base_config(args, runs_experiment=bool(presets))
+    failed = False
     worst_fraction = 0.0
-    for spec in specs:
-        if trials is not None:
-            spec = dataclasses.replace(spec, trials=trials)
-        if args.debug_dump:
-            spec = dataclasses.replace(spec, per_trial_dump=True)
-        report = harness.run_experiment(spec, base_cfg=cfg, out_dir=out_root,
-                                        workers=args.workers)
-        if report.n_trials:
-            worst_fraction = max(worst_fraction, report.n_failed / report.n_trials)
-        print(f"{args.name}/{spec.name}: {report.n_trials} per-user records, "
-              f"{report.n_failed} failed")
-    print(f"results under {out_root}")
-    return 3 if worst_fraction > MAX_FAILURE_FRACTION else 0
+    done: dict[harness.ExperimentSpec, str] = {}   # spec -> directory of its run
+    for name in names:
+        out_root = os.path.join(_out_root(args), name)
+        if name == "fig3":
+            # timing-metric snapshot for every user of a single trial
+            snapshot_cfg = apply_overrides(cfg, {"num_users": "2"})
+            records, debug = harness.run_trial(snapshot_cfg, args.trial_index,
+                                               collect_debug=True)
+            _dump_debug(out_root, debug)
+            _write(os.path.join(out_root, "spec-echo"), echo_config(snapshot_cfg))
+            print(f"fig3: timing metric snapshot -> {out_root}")
+            failed = failed or any(rec.failed for rec in records)
+            continue
+        for spec in presets[name]:
+            if trials is not None:
+                spec = dataclasses.replace(spec, trials=trials)
+            if args.debug_dump:
+                spec = dataclasses.replace(spec, per_trial_dump=True)
+            target = os.path.join(out_root, spec.name)
+            if spec in done:
+                shutil.copytree(done[spec], target, dirs_exist_ok=True)
+                print(f"{name}/{spec.name}: same sweep as {done[spec]}, copied")
+                continue
+            report = harness.run_experiment(spec, base_cfg=cfg, out_dir=out_root,
+                                            workers=args.workers)
+            done[spec] = target
+            if report.n_trials:
+                worst_fraction = max(worst_fraction, report.n_failed / report.n_trials)
+            print(f"{name}/{spec.name}: {report.n_trials} per-user records, "
+                  f"{report.n_failed} failed")
+        print(f"results under {out_root}")
+    return 3 if failed or worst_fraction > MAX_FAILURE_FRACTION else 0
 
 
 def cmd_dump_metric(args) -> int:
@@ -228,9 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--spec", required=True, help="experiment spec file")
     sub.set_defaults(func=cmd_run)
 
-    sub = commands.add_parser("figure", help="run a built-in experiment preset")
+    sub = commands.add_parser("figure", help="run built-in experiment presets")
     _add_common(sub)
-    sub.add_argument("name", help="fig3, fig4a, fig4b, fig5a, fig5b, or fig6")
+    sub.add_argument("names", nargs="+", metavar="name",
+                     help="one or more of fig3, fig4a, fig4b, fig5a, fig5b and fig6")
     sub.add_argument("--trial-index", type=int, default=0,
                      help="trial used for the fig3 snapshot")
     sub.set_defaults(func=cmd_figure)

@@ -109,14 +109,17 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
     if cfo_value is not None:
         realization.cfo[:] = cfo_value
 
+    # the front end runs once on (Q, ...) arrays; the users split after timing
     frames = [modem.build_data_frame(rng, cfg.m, cfg.n, alloc, placement.guard_rows)
               for alloc in allocs]
     frames = pilot.embed_pilots(frames, placement, pcp)
-    streams = [modem.transmit(frame, cfg.cp_len) for frame in frames]
+    streams = modem.transmit(frames, cfg.cp_len)
 
     rx = chan.apply_channel(streams, realization, cfg.n_s, cfg.theta_max)
     rx = chan.add_awgn(rx, cfg.snr_db, rng)
     y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
+    separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
+    metric = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
 
     records, debug = [], []
     for q in range(cfg.num_users):
@@ -125,7 +128,7 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
         record = UserTrialRecord(user=q, theta_true=theta_true, eps_true=eps_true)
         try:
             override = theta_true if cfg.genie_to else None
-            result = sync.synchronize_user(y, q, cfg, placement, pcp,
+            result = sync.synchronize_user(separated, metric, q, cfg, placement, pcp,
                                            theta_override=override)
             record.theta_first = result.to_estimate.first_peak
             record.theta_max = result.to_estimate.max_peak

@@ -1,9 +1,10 @@
-"""Per-user transmit chain and the inverse receive transforms.
+"""Transmit chain and the inverse receive transforms.
 
 Grids are M x N complex arrays with the delay index along rows and the
 Doppler (or time-slot) index along columns.  Serialization is always
 column-major (delay index fastest), so sample ``n*M + l`` of a serialized
-frame is delay row ``l`` of time slot ``n``.
+frame is delay row ``l`` of time slot ``n``.  The transmit functions take
+a leading user axis: a (Q, M, N) stack of frames gives (Q, ...) streams.
 """
 
 from __future__ import annotations
@@ -17,27 +18,31 @@ QAM4 = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
 def modulate(dd: np.ndarray) -> np.ndarray:
-    """Delay-Doppler -> delay-time: unitary IDFT along the Doppler axis.
+    """Delay-Doppler -> delay-time: unitary IDFT along the Doppler (last)
+    axis of an (M, N) grid or a (..., M, N) stack of them.
 
     X[l, n] = (1/sqrt(N)) * sum_k D[l, k] * exp(j 2 pi k n / N)
     """
-    n = dd.shape[1]
-    return np.fft.ifft(dd, axis=1) * np.sqrt(n)
+    n = dd.shape[-1]
+    return np.fft.ifft(dd, axis=-1) * np.sqrt(n)
 
 
 def serialize(dt: np.ndarray) -> np.ndarray:
-    """vec of a delay-time frame, delay index fastest."""
-    return dt.flatten(order="F")
+    """vec of each delay-time frame, delay index fastest: (M, N) -> (M*N,),
+    (..., M, N) -> (..., M*N)."""
+    dt = np.asarray(dt)
+    return np.swapaxes(dt, -1, -2).reshape(dt.shape[:-2] + (-1,))
 
 
-def add_cp(frame, cp_len: int) -> np.ndarray:
-    """Prefix the last ``cp_len`` samples of the serialized frame."""
-    x = serialize(frame) if np.ndim(frame) == 2 else np.asarray(frame)
-    if cp_len >= x.size:
-        raise ConfigError(f"cp_len={cp_len} must be < frame length {x.size}")
+def add_cp(streams, cp_len: int) -> np.ndarray:
+    """Prefix the last ``cp_len`` samples of each serialized frame (the last
+    axis of ``streams``)."""
+    x = np.asarray(streams)
+    if cp_len >= x.shape[-1]:
+        raise ConfigError(f"cp_len={cp_len} must be < frame length {x.shape[-1]}")
     if cp_len == 0:
         return x.copy()
-    return np.concatenate([x[-cp_len:], x])
+    return np.concatenate([x[..., -cp_len:], x], axis=-1)
 
 
 def remove_cp(stream: np.ndarray, n_drop: int, out_len: int | None = None) -> np.ndarray:
@@ -61,8 +66,10 @@ def demodulate(stream: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def transmit(dd: np.ndarray, cp_len: int) -> np.ndarray:
-    """Full transmit chain: modulate, serialize, prefix the CP."""
-    return add_cp(modulate(dd), cp_len)
+    """Full transmit chain: modulate, serialize, prefix the CP.  An (M, N)
+    frame gives one N_s-sample stream; the (Q, M, N) stack of every user's
+    frame gives the (Q, N_s) streams from one IFFT."""
+    return add_cp(serialize(modulate(dd)), cp_len)
 
 
 def qam4_symbols(rng: np.random.Generator, size) -> np.ndarray:

@@ -100,19 +100,18 @@ def pilot_frame(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.nda
     return frame
 
 
-def embed_pilots(frames, placement: PilotPlacement, pcp: np.ndarray):
-    """Write each user's pilot into its frame; the span must be data-free."""
+def embed_pilots(frames, placement: PilotPlacement, pcp: np.ndarray) -> np.ndarray:
+    """The (Q, M, N) stack of the users' frames with each user's pilot
+    written in; the shared span must be data-free."""
     rows = slice(placement.delay_lo, placement.delay_hi + 1)
-    out = []
-    for user, frame in enumerate(frames):
+    out = np.array(frames, dtype=complex)
+    for user, frame in enumerate(out):
         if np.any(frame[rows, :] != 0):
             raise PlacementError(
                 f"user {user}: data occupies the shared pilot delay span "
                 f"[{placement.delay_lo}, {placement.delay_hi}]"
             )
-        frame = frame.copy()
         frame[rows, placement.doppler_bins[user]] = pcp
-        out.append(frame)
     return out
 
 

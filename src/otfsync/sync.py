@@ -2,8 +2,12 @@
 timing-offset estimation, and ML carrier-frequency-offset plus channel
 estimation on a Chebyshev basis expansion.
 
-All per-user operations are pure functions of their inputs; the Q user
-pipelines are independent after ``separate_user`` and can run in parallel.
+The users share the receiver's front end: ``separate_user`` runs the whole
+filter bank once per received stream and returns every user's separated
+stream, and ``timing_correlate`` correlates all of them with the PCP in one
+product.  The users split after that: ``synchronize_user`` is the per-user
+back end (TO decision, pilot region, estimator bundle, CFO and channel),
+a pure function of the user's rows, so the Q back ends are independent.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
 
 from . import pilot
@@ -25,35 +30,41 @@ GOLDEN_RATIO_CONJ = (np.sqrt(5.0) - 1.0) / 2.0
 NEWTON_MAX_ITER = 40
 #: the refinement stops at a step below this share of cfo_tol
 NEWTON_STEP_FRAC = 0.01
+#: lags per block of the timing correlation's Toeplitz product
+TIMING_BLOCK = 16
 
 
 # ---------------------------------------------------------------------------
 # filter-bank user separation
 # ---------------------------------------------------------------------------
 
-def doppler_mask(n: int, num_users: int, user: int) -> np.ndarray:
-    """Brickwall mask selecting user's band of floor(N/Q) Doppler bins."""
-    band = n // num_users
-    mask = np.zeros(n, dtype=bool)
-    mask[(user * band + np.arange(band)) % n] = True
-    return mask
+def doppler_mask(n: int, num_users: int, user) -> np.ndarray:
+    """Brickwall mask selecting user's band of floor(N/Q) Doppler bins, the
+    bins k with k // floor(N/Q) == user; an array of users broadcasts
+    (users of shape (Q, 1) give the (Q, N) masks of the whole bank)."""
+    return np.arange(n) // (n // num_users) == np.asarray(user)
 
 
-def separate_user(stream: np.ndarray, user: int, num_users: int, m: int, n: int) -> np.ndarray:
-    """Unit-gain brickwall filter isolating one user's Doppler band.
+def separate_user(stream: np.ndarray, num_users: int, m: int, n: int) -> np.ndarray:
+    """The filter bank: unit-gain brickwall filters isolating every user's
+    Doppler band, returned as the (Q, M*N) separated streams in serialized
+    order, row q for user q.
 
-    Implemented as per-delay-row DFT -> mask -> IDFT over the M x N reshape
-    of the stream; equivalent to a circulant filter along the time axis.
+    Implemented as one DFT over the time slots of the (N, M) slot-major
+    view of the stream, Q masks, and one batched IDFT; each filter is
+    equivalent to a circulant filter along the time axis.  The name stays
+    singular because the benchmark's tracer wraps ``separate_user`` by name,
+    until stage timing moves into the library (ROADMAP Direction 2).
     """
     if num_users > n:
         raise ConfigError(f"num_users={num_users} exceeds the Doppler axis n={n}")
     stream = np.asarray(stream)
     if stream.size != m * n:
         raise ConfigError(f"expected {m * n} samples, got {stream.size}")
-    grid = stream.reshape(m, n, order="F")
-    spectrum = np.fft.fft(grid, axis=1)
-    spectrum[:, ~doppler_mask(n, num_users, user)] = 0.0
-    return np.fft.ifft(spectrum, axis=1).flatten(order="F")
+    spectrum = np.fft.fft(stream.reshape(n, m), axis=0)
+    masks = doppler_mask(n, num_users, np.arange(num_users)[:, np.newaxis])
+    bank = np.where(masks[:, :, np.newaxis], spectrum, 0.0)
+    return np.fft.ifft(bank, axis=1).reshape(num_users, m * n)
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +73,21 @@ def separate_user(stream: np.ndarray, user: int, num_users: int, m: int, n: int)
 
 @dataclass
 class TimingMetric:
-    """Per-delay-bin correlation statistics for one user.
+    """Per-delay-bin correlation statistics of one user, or of every user
+    with a leading user axis.
 
     ``curve`` is the time average of the per-slot correlation magnitudes, in
     the reporting index convention in which the estimate is recovered as
     (l + cp_len - anchor - 1) mod M.
     """
 
-    curve: np.ndarray   # (M,)
+    curve: np.ndarray   # (M,), or (Q, M) for the bank
     cp_len: int
     anchor: int
+
+    def user(self, q: int) -> "TimingMetric":
+        """User q's metric out of the bank's."""
+        return TimingMetric(curve=self.curve[q], cp_len=self.cp_len, anchor=self.anchor)
 
 
 @dataclass
@@ -80,9 +96,21 @@ class ToEstimate:
     max_peak: int              # argmax variant
 
 
+def pcp_toeplitz(pcp: np.ndarray, block: int) -> np.ndarray:
+    """(block + span - 1, block) banded Toeplitz matrix T[j, i] =
+    conj(pcp[j - i]) for 0 <= j - i < span (span = pcp.size), else 0: a row
+    of window samples w[j] = s[t + j] times T gives the ``block``
+    correlation lags t + i, i < block."""
+    taps = np.concatenate([np.zeros(block - 1), np.conj(pcp), np.zeros(block - 1)])
+    return sliding_window_view(taps, block)[:, ::-1]
+
+
 def timing_correlate(separated: np.ndarray, pcp: np.ndarray,
                      placement: pilot.PilotPlacement, cp_len: int) -> TimingMetric:
-    """Correlate every slot of the filtered stream with the PCP.
+    """Correlate every slot of the filtered streams with the PCP.
+
+    ``separated`` is one M*N-sample stream or the (Q, M*N) bank of
+    ``separate_user``; the metric's curve is (M,) or (Q, M) to match.
 
     Assumes that the user's pilot occupies a single Doppler column k_q (as
     ``pilot.pilot_frame`` places it): the pilot block of time slot n in the
@@ -96,17 +124,30 @@ def timing_correlate(separated: np.ndarray, pcp: np.ndarray,
     past the slot boundary into the next slot's head (it keeps the slot-n
     Doppler phase there), which keeps the full pilot coherent at every
     candidate lag; the frame CP makes the last slot wrap to the first.
+
+    The correlation is a blocked Toeplitz product: each block of
+    TIMING_BLOCK lags reads one window of TIMING_BLOCK + span - 1 samples,
+    and the windows of every user make one (Q * ceil(M*N / TIMING_BLOCK),
+    TIMING_BLOCK + span - 1) @ ``pcp_toeplitz`` product.  The stream is
+    zero-padded to whole blocks and the surplus lags are dropped.
     """
     m, n = placement.m, placement.n
     separated = np.asarray(separated)
-    if separated.size != m * n:
-        raise ConfigError(f"expected {m * n} samples, got {separated.size}")
-    lo = placement.delay_lo
-    stream = np.concatenate([separated[lo:], separated[:lo + pcp.size - 1]])
-    corr = np.correlate(stream, pcp, "valid")             # lag n*M + d
-    curve = np.abs(corr).reshape(n, m).mean(axis=0) / (m * math.sqrt(n))
+    if separated.shape[-1] != m * n:
+        raise ConfigError(f"expected {m * n} samples, got {separated.shape[-1]}")
+    lo, span, block = placement.delay_lo, pcp.size, TIMING_BLOCK
+    blocks = -(-m * n // block)
+    lead = separated.shape[:-1]
+    stream = np.zeros(lead + (blocks * block + span - 1,), dtype=complex)
+    stream[..., :m * n - lo] = separated[..., lo:]
+    stream[..., m * n - lo:m * n + span - 1] = separated[..., :lo + span - 1]
+    windows = sliding_window_view(stream, block + span - 1, axis=-1)[..., ::block, :]
+    rows = np.ascontiguousarray(windows).reshape(-1, block + span - 1)
+    corr = (rows @ pcp_toeplitz(pcp, block)).reshape(lead + (-1,))[..., :m * n]  # lag n*M + d
+    curve = np.abs(corr).reshape(lead + (n, m)).mean(axis=-2) / (m * math.sqrt(n))
     shift = (cp_len - placement.anchor - 1) % m           # lag d peaks at the offset
-    return TimingMetric(curve=np.roll(curve, -shift), cp_len=cp_len, anchor=placement.anchor)
+    return TimingMetric(curve=np.roll(curve, -shift, axis=-1), cp_len=cp_len,
+                        anchor=placement.anchor)
 
 
 def estimate_to(metric: TimingMetric, threshold: float) -> ToEstimate:
@@ -552,15 +593,17 @@ class UserSyncResult:
     cfo: CfoEstimate
 
 
-def synchronize_user(y: np.ndarray, user: int, cfg: SystemConfig,
-                     placement: pilot.PilotPlacement, pcp: np.ndarray,
+def synchronize_user(separated: np.ndarray, metric: TimingMetric, user: int,
+                     cfg: SystemConfig, placement: pilot.PilotPlacement, pcp: np.ndarray,
                      theta_override: int | None = None) -> UserSyncResult:
-    """Full per-user receive pipeline on the CP-removed stream ``y``."""
-    separated = separate_user(y, user, cfg.num_users, cfg.m, cfg.n)
-    metric = timing_correlate(separated, pcp, placement, cfg.cp_len)
+    """Per-user back end of the receiver: user ``user``'s TO decision, pilot
+    region, estimator bundle and CFO, read from its row of the separated
+    streams (``separate_user``) and of the timing metric
+    (``timing_correlate``)."""
+    metric = metric.user(user)
     to_est = estimate_to(metric, cfg.threshold)
     theta = int(theta_override) if theta_override is not None else to_est.first_peak
-    region = extract_pilot_region(separated, theta, placement, cfg.cp_len)
+    region = extract_pilot_region(separated[user], theta, placement, cfg.cp_len)
     bundle = estimator_bundle(cfg, placement, pcp, user, theta)
     cfo = estimate_cfo(region, bundle, cfg)
     return UserSyncResult(to_estimate=to_est, theta_used=theta, metric=metric,

@@ -1,5 +1,10 @@
 """Direct forms of the receive-side estimators: the oracles for ``sync``.
 
+``separate_user_one`` filters one user's band with its own DFT and IDFT of
+the (M, N) grid; ``sync.separate_user`` runs the whole bank on one DFT.
+``timing_correlate_one`` correlates one separated stream with the PCP by
+``np.correlate``; ``sync.timing_correlate`` correlates every user at once
+as a blocked Toeplitz product.
 ``timing_correlate_template`` slides every slot's pilot block of the full
 delay-time template over the serialized stream, one (N, M, span) window
 einsum; ``sync.timing_correlate`` correlates with the PCP alone.
@@ -9,9 +14,33 @@ derivatives, each one (3, N*L_p) product, and solves the LS fit through
 Chebyshev interpolant.
 """
 
+import math
+
 import numpy as np
 
 from otfsync import sync
+
+
+def separate_user_one(stream, user, num_users, m, n):
+    """One user's brickwall Doppler filter: per-delay-row DFT -> mask -> IDFT
+    over the M x N reshape of the stream."""
+    grid = np.asarray(stream).reshape(m, n, order="F")
+    spectrum = np.fft.fft(grid, axis=1)
+    spectrum[:, ~sync.doppler_mask(n, num_users, user)] = 0.0
+    return np.fft.ifft(spectrum, axis=1).flatten(order="F")
+
+
+def timing_correlate_one(separated, pcp, placement, cp_len):
+    """One user's timing curve: one circular ``np.correlate`` of the
+    serialized stream with the PCP taps, starting at delay_lo."""
+    m, n = placement.m, placement.n
+    lo = placement.delay_lo
+    stream = np.concatenate([separated[lo:], separated[:lo + pcp.size - 1]])
+    corr = np.correlate(stream, pcp, "valid")             # lag n*M + d
+    curve = np.abs(corr).reshape(n, m).mean(axis=0) / (m * math.sqrt(n))
+    shift = (cp_len - placement.anchor - 1) % m
+    return sync.TimingMetric(curve=np.roll(curve, -shift), cp_len=cp_len,
+                             anchor=placement.anchor)
 
 
 def timing_correlate_template(separated, template, placement, cp_len):

@@ -156,38 +156,59 @@ def test_apply_channel_matches_definition_at_full_geometry(model):
             assert np.max(np.abs(r - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("model", ["eva", "eva-bem", "single-tap"])
+def test_apply_channel_sums_users_with_distinct_offsets(model):
+    # Q = 4 users through one batched pass, each with its own TO and CFO
+    cfg = dataclasses.replace(SystemConfig(), num_users=4, channel_model=model).validate()
+    rng = np.random.default_rng(14)
+    real = chan.draw_realization(rng, cfg)
+    real.to[:] = [cfg.theta_max, 0, 2, 1]
+    real.cfo[:] = [0.5, -cfg.cfo_range, cfg.cfo_range, -0.37]
+    streams = rng.standard_normal((4, cfg.n_s)) + 1j * rng.standard_normal((4, cfg.n_s))
+    r = chan.apply_channel(streams, real, cfg.n_s, cfg.theta_max)
+    expected = sum(direct_receive(s, paths, theta, eps, cfg.n_s)
+                   for s, paths, theta, eps in zip(streams, real.paths, real.to, real.cfo))
+    assert np.max(np.abs(r - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_frame_basis_cached_read_only_and_bem_apply_unchanged():
-    cfg = dataclasses.replace(SystemConfig(), num_users=1, channel_model="eva-bem").validate()
+    cfg = dataclasses.replace(SystemConfig(), num_users=2, channel_model="eva-bem").validate()
     basis = chan.frame_basis(cfg.beta, cfg.n_s)
     assert chan.frame_basis(cfg.beta, cfg.n_s) is basis
     assert not basis.flags.writeable
     rng = np.random.default_rng(12)
-    paths = chan.draw_realization(rng, cfg).paths[0]
-    s = rng.standard_normal(cfg.n_s) + 1j * rng.standard_normal(cfg.n_s)
+    paths = chan.draw_realization(rng, cfg).paths
+    streams = rng.standard_normal((2, cfg.n_s)) + 1j * rng.standard_normal((2, cfg.n_s))
     fresh = sync.build_bem_basis(cfg.beta, np.arange(cfg.n_s), cfg.n_s)
     assert np.array_equal(basis, fresh)
-    for theta, eps in ((0, 0.0), (cfg.theta_max, -0.37)):
+    coeffs = np.concatenate([p.coeffs for p in paths])
+    for thetas, eps in (([0, 0], [0.0, 0.0]), ([cfg.theta_max, 1], [-0.37, 0.21])):
+        thetas, freqs = np.array(thetas), np.array(eps) / cfg.n_s
         # the same formula on a basis built for this call
-        mixed = paths.coeffs.T @ chan.delayed_copies(s, paths.delays + theta)
-        expected = chan.phase_ramp(eps / cfg.n_s, cfg.n_s)[0] * np.einsum("kg,gk->k", fresh, mixed)
-        assert np.array_equal(paths.apply(s, theta, eps / cfg.n_s), expected)
+        copies = np.concatenate([
+            chan.delayed_copies(streams, np.full(p.delays.size, q), p.delays + thetas[q])
+            * chan.phase_ramp(freqs[q], cfg.n_s)
+            for q, p in enumerate(paths)])
+        expected = np.einsum("kg,gk->k", fresh, coeffs.T @ copies)
+        assert np.array_equal(chan.BemPathSet.apply(paths, streams, thetas, freqs), expected)
 
 
 def test_path_set_apply_allocates_no_ramp_per_path():
-    cfg = dataclasses.replace(SystemConfig(), num_users=1).validate()
+    cfg = dataclasses.replace(SystemConfig(), num_users=4).validate()
     rng = np.random.default_rng(13)
-    paths = chan.draw_realization(rng, cfg).paths[0]
-    s = rng.standard_normal(cfg.n_s) + 1j * rng.standard_normal(cfg.n_s)
-    paths.apply(s, cfg.theta_max, 0.3 / cfg.n_s)    # warm
+    real = chan.draw_realization(rng, cfg)
+    streams = rng.standard_normal((4, cfg.n_s)) + 1j * rng.standard_normal((4, cfg.n_s))
+    freqs = real.cfo / cfg.n_s
+    chan.PathSet.apply(real.paths, streams, real.to, freqs)    # warm
     tracemalloc.start()
     try:
-        paths.apply(s, cfg.theta_max, 0.3 / cfg.n_s)
+        chan.PathSet.apply(real.paths, streams, real.to, freqs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the delayed copies take one (paths, N_s) array; a ramp and its product
-    # with the copies would take two more
-    assert peak <= 2 * paths.gains.size * cfg.n_s * 16
+    # the delayed copies of every user's paths take one (paths, N_s) array; a
+    # ramp and its product with the copies would take two more
+    assert peak <= 2 * sum(p.gains.size for p in real.paths) * cfg.n_s * 16
 
 
 def test_identity_channel_passthrough():
@@ -247,6 +268,22 @@ def test_to_bound_enforced():
                                    cfo=np.array([0.0]))
     with pytest.raises(RealizationError, match="exceeds theta_max"):
         chan.apply_channel([s], real, cfg.n_s, cfg.theta_max)
+
+
+def test_apply_channel_rejects_inconsistent_users():
+    cfg = small_config()
+    rng = np.random.default_rng(15)
+    streams = np.zeros((2, cfg.n_s), complex)
+    mixed = chan.ChannelRealization(
+        paths=[chan.identity_pathset(),
+               chan.generate_eva_bem_channel(rng, cfg.nu_max_t, cfg.n_s, 3)],
+        to=np.array([0, 0]), cfo=np.array([0.0, 0.0]))
+    with pytest.raises(RealizationError, match="share a path model"):
+        chan.apply_channel(streams, mixed, cfg.n_s, cfg.theta_max)
+    single = chan.ChannelRealization(paths=[chan.identity_pathset()],
+                                     to=np.array([0]), cfo=np.array([0.0]))
+    with pytest.raises(RealizationError, match="2 streams for 1 users"):
+        chan.apply_channel(streams, single, cfg.n_s, cfg.theta_max)
 
 
 # -- AWGN ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Command-line front end: malformed input, overrides, and the figure presets."""
 
+import os
+
 import pytest
 
 from otfsync import cli, harness
@@ -109,3 +111,37 @@ def test_fig4a_and_fig5a_share_specs():
 def test_unknown_preset_lists_all_figures():
     with pytest.raises(ConfigError, match="fig3, fig4a, fig4b, fig5a, fig5b, fig6"):
         cli._preset_specs("fig7")
+
+
+def _tree(root):
+    """{relative path: bytes} of every file under root."""
+    found = {}
+    for dirpath, _, filenames in os.walk(root):
+        for filename in filenames:
+            path = os.path.join(dirpath, filename)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, root)] = fh.read()
+    return found
+
+
+def test_figure_runs_each_distinct_sweep_once(tmp_path, monkeypatch):
+    calls = []
+    run_experiment = harness.run_experiment
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec)
+        return run_experiment(spec, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_experiment", counting)
+    names = ["fig4a", "fig4b", "fig5a", "fig5b", "fig6"]
+    together = tmp_path / "together"
+    assert cli.main(["figure", *names, "--override", "trials=1", "--out", str(together)]) == 0
+    # fig5a repeats fig4a's two sweeps and fig4b is fig5b's Q=4 sweep: 8 -> 5
+    assert len(calls) == len(set(calls)) == 5
+    apart = tmp_path / "apart"
+    for name in names:
+        assert cli.main(["figure", name, "--override", "trials=1", "--out", str(apart)]) == 0
+    assert len(calls) == 5 + 8
+    tree = _tree(together)
+    assert len(tree) == 2 * 8
+    assert tree == _tree(apart)

@@ -56,7 +56,17 @@ def test_add_cp_matches_matrix_oracle():
     x = modem.serialize(frame)
     # A_cp = [J_cp; I], J_cp = last cp rows of the identity
     a_cp = np.vstack([np.eye(m * n)[-cp:, :], np.eye(m * n)])
-    assert np.array_equal(modem.add_cp(frame, cp), a_cp @ x)
+    assert np.array_equal(modem.add_cp(x, cp), a_cp @ x)
+
+
+def test_transmit_of_a_frame_stack_is_the_stack_of_transmits():
+    rng = np.random.default_rng(8)
+    frames = rng.standard_normal((3, 6, 4)) + 1j * rng.standard_normal((3, 6, 4))
+    streams = modem.transmit(frames, 5)
+    assert streams.shape == (3, 6 * 4 + 5)
+    for frame, stream in zip(frames, streams):
+        assert np.array_equal(stream, modem.transmit(frame, 5))
+        assert np.array_equal(stream[5:], modem.serialize(modem.modulate(frame)))
 
 
 def test_remove_cp():

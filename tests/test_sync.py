@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from otfsync import channel as chan
@@ -12,7 +13,8 @@ from otfsync import modem, pilot, sync
 from otfsync.allocation import build_allocation
 from otfsync.config import SystemConfig
 from otfsync.errors import ConfigError, EstimationError
-from sync_oracle import cfo_cost_derivatives, estimate_cfo_exact, timing_correlate_template
+from sync_oracle import (cfo_cost_derivatives, estimate_cfo_exact, separate_user_one,
+                         timing_correlate_one, timing_correlate_template)
 
 
 def paper_config(**kw):
@@ -43,7 +45,7 @@ def transmit_pilot_only(cfg, placement, pcp, realization, users=None):
 def test_separate_single_user_all_pass():
     rng = np.random.default_rng(0)
     stream = rng.standard_normal(16 * 8) + 1j * rng.standard_normal(16 * 8)
-    out = sync.separate_user(stream, 0, 1, 16, 8)
+    out = sync.separate_user(stream, 1, 16, 8)[0]
     assert np.max(np.abs(out - stream)) < 1e-12
 
 
@@ -55,9 +57,9 @@ def test_separate_passes_own_bins_blocks_others():
     other = np.zeros((m, n), complex)
     other[:, [0, 9, 13]] = rng.standard_normal((m, 3))
     to_stream = lambda grid: modem.serialize(modem.modulate(grid))
-    kept = sync.separate_user(to_stream(own), 1, q, m, n)
+    kept = sync.separate_user(to_stream(own), q, m, n)[1]
     assert np.max(np.abs(kept - to_stream(own))) < 1e-10
-    removed = sync.separate_user(to_stream(other), 1, q, m, n)
+    removed = sync.separate_user(to_stream(other), q, m, n)[1]
     assert np.max(np.abs(removed)) < 1e-10
 
 
@@ -65,6 +67,7 @@ def test_separate_matches_circulant_kronecker_oracle():
     m, n, q = 4, 8, 2
     rng = np.random.default_rng(2)
     stream = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
+    bank = sync.separate_user(stream, q, m, n)
     for user in range(q):
         mask = sync.doppler_mask(n, q, user).astype(float)
         f = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
@@ -74,21 +77,43 @@ def test_separate_matches_circulant_kronecker_oracle():
         for c in range(n):
             circ[:, c] = np.roll(e, c)
         oracle = np.kron(circ.conj().T, np.eye(m)) @ stream
-        got = sync.separate_user(stream, user, q, m, n)
-        assert np.max(np.abs(got - oracle)) < 1e-10
+        assert np.max(np.abs(bank[user] - oracle)) < 1e-10
 
 
 def test_filter_bank_completeness():
     m, n, q = 8, 12, 3
     rng = np.random.default_rng(3)
     stream = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-    total = sum(sync.separate_user(stream, u, q, m, n) for u in range(q))
+    total = sync.separate_user(stream, q, m, n).sum(axis=0)
     assert np.max(np.abs(total - stream)) < 1e-10
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(1, 12), data=st.data())
+def test_filter_bank_rows_equal_per_user_filters(m, n, data):
+    # odd geometries included: each row of the one-DFT bank is bit for bit
+    # the user's own DFT -> mask -> IDFT
+    q = data.draw(st.integers(1, n))
+    rng = np.random.default_rng([5, m, n, q])
+    stream = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
+    bank = sync.separate_user(stream, q, m, n)
+    assert bank.shape == (q, m * n)
+    for user in range(q):
+        assert np.array_equal(bank[user], separate_user_one(stream, user, q, m, n))
+
+
+def test_filter_bank_rows_at_full_geometry():
+    cfg = SystemConfig(num_users=4).validate()
+    rng = np.random.default_rng(6)
+    stream = rng.standard_normal(cfg.m * cfg.n) + 1j * rng.standard_normal(cfg.m * cfg.n)
+    bank = sync.separate_user(stream, 4, cfg.m, cfg.n)
+    for user in range(4):
+        assert np.array_equal(bank[user], separate_user_one(stream, user, 4, cfg.m, cfg.n))
 
 
 def test_separate_rejects_too_many_users():
     with pytest.raises(ConfigError):
-        sync.separate_user(np.zeros(32), 0, 9, 4, 8)
+        sync.separate_user(np.zeros(32), 9, 4, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +130,8 @@ def single_tap_realization(cfg, thetas, cfos=None, gain=1.0):
 
 
 def timing_pipeline(cfg, y, user, placement, pcp):
-    separated = sync.separate_user(y, user, cfg.num_users, cfg.m, cfg.n)
-    return sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
+    separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
+    return sync.timing_correlate(separated, pcp, placement, cfg.cp_len).user(user)
 
 
 def test_matched_filter_peak_at_zero_offset():
@@ -196,14 +221,53 @@ def test_pcp_correlation_matches_template_correlation(num_users):
         rx = chan.apply_channel([modem.transmit(f, cfg.cp_len) for f in frames],
                                 real, cfg.n_s, cfg.theta_max)
         y = modem.remove_cp(chan.add_awgn(rx, cfg.snr_db, rng)[cfg.theta_max:], cfg.cp_rem)
+        separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
+        bank = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
         for user in range(num_users):
-            separated = sync.separate_user(y, user, cfg.num_users, cfg.m, cfg.n)
-            got = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
+            got = bank.user(user)
             oracle = timing_correlate_template(
-                separated, pilot.timing_template(placement, pcp, user), placement,
+                separated[user], pilot.timing_template(placement, pcp, user), placement,
                 cfg.cp_len)
             assert (got.cp_len, got.anchor) == (oracle.cp_len, oracle.anchor)
             assert np.max(np.abs(got.curve - oracle.curve)) <= 1e-13 * oracle.curve.max()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(zc_len=st.integers(1, 6), extra_rows=st.integers(0, 9), n=st.integers(1, 9),
+       data=st.data())
+def test_blocked_correlation_matches_np_correlate(zc_len, extra_rows, n, data):
+    # M*N is rarely a multiple of the 16-lag block here, so the padded tail
+    # of the Toeplitz product is exercised; every user against np.correlate
+    m = 2 * zc_len - 1 + extra_rows
+    q = data.draw(st.integers(1, n))
+    anchor = data.draw(st.integers(zc_len - 1, m - zc_len))
+    cp_len = data.draw(st.integers(0, 2 * m))
+    placement = pilot.PilotPlacement.build(m, n, q, zc_len, anchor, 0)
+    pcp = pilot.make_pcp(zc_len, 1, 40.0)
+    rng = np.random.default_rng([7, m, n, q, zc_len])
+    separated = rng.standard_normal((q, m * n)) + 1j * rng.standard_normal((q, m * n))
+    bank = sync.timing_correlate(separated, pcp, placement, cp_len)
+    assert bank.curve.shape == (q, m)
+    for user in range(q):
+        oracle = timing_correlate_one(separated[user], pcp, placement, cp_len)
+        got = bank.user(user)
+        assert (got.cp_len, got.anchor) == (oracle.cp_len, oracle.anchor)
+        assert np.max(np.abs(got.curve - oracle.curve)) <= 1e-13 * oracle.curve.max()
+        single = sync.timing_correlate(separated[user], pcp, placement, cp_len)
+        assert np.max(np.abs(single.curve - oracle.curve)) <= 1e-13 * oracle.curve.max()
+
+
+def test_blocked_correlation_at_full_geometry():
+    cfg = SystemConfig(num_users=4).validate()
+    assert cfg.m * cfg.n % sync.TIMING_BLOCK == 0
+    placement = pilot.PilotPlacement.from_config(cfg)
+    pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
+    rng = np.random.default_rng(8)
+    separated = rng.standard_normal((4, cfg.m * cfg.n)) + 1j * rng.standard_normal((4, cfg.m * cfg.n))
+    bank = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
+    for user in range(4):
+        oracle = timing_correlate_one(separated[user], pcp, placement, cfg.cp_len)
+        assert np.max(np.abs(bank.curve[user] - oracle.curve)) <= 1e-13 * oracle.curve.max()
 
 
 def test_estimate_to_rejects_empty_metric():
@@ -570,7 +634,9 @@ def test_ls_residual_orthogonality():
     r = chan.add_awgn(chan.apply_channel(streams, real, cfg.n_s, cfg.theta_max),
                       cfg.snr_db, rng)
     y = modem.remove_cp(r[cfg.theta_max:], cfg.cp_rem)
-    result = sync.synchronize_user(y, 0, cfg, placement, pcp)
+    separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
+    metric = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
+    result = sync.synchronize_user(separated, metric, 0, cfg, placement, pcp)
     bundle = sync.estimator_bundle(cfg, placement, pcp, 0, result.theta_used)
     g = sync.regressor_matrix(pilot.pilot_region_ref(placement, pcp, 0), bundle.bem)
     phase = sync.cfo_phase(result.region.kappa.ravel(), result.cfo.epsilon_hat,
