@@ -60,18 +60,18 @@ def true_pilot_taps(paths: chan.PathSet, cfg: SystemConfig,
     h[l, kappa] * exp(j 2 pi eps kappa / N_s) instead.
     """
     kappa = cfg.cp_len + placement.region_index(theta)
-    # C order: the NMSE sums then add in the same order as for a fresh (N, L, L) array
-    taps = np.ascontiguousarray(paths.taps(kappa, cfg.zc_len).transpose(1, 0, 2))
+    taps = paths.taps(kappa, cfg.zc_len).transpose(1, 0, 2)
     if eps is not None:
         taps *= sync.cfo_phase(kappa, eps, cfg.n_s)[:, np.newaxis, :]
     return taps
 
 
 def _nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
-    denom = np.sum(np.abs(truth) ** 2)
+    denom = np.vdot(truth, truth).real
     if denom == 0:
         return math.nan
-    return float(np.sum(np.abs(estimate - truth) ** 2) / denom)
+    error = estimate - truth
+    return float(np.vdot(error, error).real / denom)
 
 
 def absorbed_beta(cfg: SystemConfig, eps_true: float) -> int:
@@ -85,10 +85,11 @@ def absorbed_channel_fit(region: sync.PilotRegion, cfg: SystemConfig,
                          placement, pcp, user: int, theta: int,
                          eps_true: float) -> np.ndarray:
     """Baseline fit with the CFO left inside the channel (search disabled):
-    the LS solve runs at zero offset against the same pilot template."""
-    bundle = sync.estimator_bundle(cfg, placement, pcp, user, theta,
+    the LS solve runs at zero offset against the same shared pilot template,
+    on the user's region de-rotated to it (``sync.derotate``)."""
+    bundle = sync.estimator_bundle(cfg, placement, pcp, theta,
                                    beta=absorbed_beta(cfg, eps_true))
-    c_hat = bundle.regressor.coeffs(region.samples.ravel())
+    c_hat = bundle.regressor.coeffs(sync.derotate(region, placement, user).samples.ravel())
     return sync.reconstruct_channel(c_hat, bundle.bem)
 
 

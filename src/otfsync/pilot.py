@@ -9,6 +9,7 @@ receive filter band.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,9 +68,9 @@ class PilotPlacement:
         """(N, zc_len) CP-removed stream index of the pilot region at timing
         offset ``theta``: delay rows anchor + theta + j of every time slot,
         wrapped modulo M*N (the frame CP makes the wrapped position carry the
-        continuation of the pilot)."""
-        rows = self.anchor + int(theta) + np.arange(self.zc_len)
-        return (np.arange(self.n)[:, None] * self.m + rows[None, :]) % (self.m * self.n)
+        continuation of the pilot).  Cached per (placement, theta) and
+        read-only."""
+        return _region_index(self, int(theta))
 
     @classmethod
     def build(cls, m: int, n: int, num_users: int, zc_len: int, anchor: int,
@@ -91,6 +92,15 @@ class PilotPlacement:
     def from_config(cls, cfg: SystemConfig) -> "PilotPlacement":
         return cls.build(cfg.m, cfg.n, cfg.num_users, cfg.zc_len,
                          cfg.anchor, cfg.offset)
+
+
+@functools.lru_cache(maxsize=256)
+def _region_index(placement: PilotPlacement, theta: int) -> np.ndarray:
+    rows = placement.anchor + theta + np.arange(placement.zc_len)
+    idx = (np.arange(placement.n)[:, None] * placement.m + rows[None, :]) % (
+        placement.m * placement.n)
+    idx.flags.writeable = False
+    return idx
 
 
 def pilot_frame(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
@@ -128,3 +138,12 @@ def pilot_region_ref(placement: PilotPlacement, pcp: np.ndarray, user: int) -> n
     """
     dt = timing_template(placement, pcp, user)
     return dt[placement.anchor:placement.anchor + placement.zc_len, :].T.copy()
+
+
+def slot_phase(placement: PilotPlacement, user: int) -> np.ndarray:
+    """(N,) phase of user q's pilot relative to user 0's in each time slot n,
+    exp(j 2 pi (k_q - k_0) n / N).  The pilots differ only in their Doppler
+    column k_q, so pilot_region_ref(q) = slot_phase(q)[:, None] *
+    pilot_region_ref(0): user 0's template is every user's template."""
+    shift = placement.doppler_bins[user] - placement.doppler_bins[0]
+    return np.exp(2j * np.pi * shift * np.arange(placement.n) / placement.n)

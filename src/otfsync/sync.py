@@ -8,6 +8,15 @@ stream, and ``timing_correlate`` correlates all of them with the PCP in one
 product.  The users split after that: ``synchronize_user`` is the per-user
 back end (TO decision, pilot region, estimator bundle, CFO and channel),
 a pure function of the user's rows, so the Q back ends are independent.
+
+The back ends share their estimator bundles.  The users' pilots differ
+only by a phase per time slot (``pilot.slot_phase``), so every user's
+region, de-rotated by that phase (``derotate``), fits user 0's template,
+and one bundle per (geometry, theta_hat, beta) serves all users.  Each
+user's CFO search is one projection: the coarse scan projects the region
+rotated to r Chebyshev nodes of +-cfo_range, and that projection is the
+Chebyshev interpolant of w(eps) on which the Newton refinement and the LS
+solve run as well.
 """
 
 from __future__ import annotations
@@ -199,6 +208,15 @@ def extract_pilot_region(filtered: np.ndarray, theta_hat: int,
     return PilotRegion(samples=filtered[idx], kappa=cp_len + idx)
 
 
+def derotate(region: PilotRegion, placement: pilot.PilotPlacement, user: int) -> PilotRegion:
+    """User ``user``'s region in the frame of user 0's pilot template: slot
+    n times conj(``pilot.slot_phase``[n]).  The phase is common to the slot
+    and commutes with the CFO rotation and the BEM taps, so the de-rotated
+    region has the same CFO and channel as the received one."""
+    phase = np.conj(pilot.slot_phase(placement, user))
+    return PilotRegion(samples=region.samples * phase[:, np.newaxis], kappa=region.kappa)
+
+
 # ---------------------------------------------------------------------------
 # Chebyshev basis expansion
 # ---------------------------------------------------------------------------
@@ -244,17 +262,19 @@ class BemRegressor:
         """The projections w = Q^H z of the rows z of z_batch, as rows."""
         return z_batch @ self._qconj
 
-    def cost_many(self, z_batch: np.ndarray, interp: np.ndarray | None = None) -> np.ndarray:
-        """Squared norm of the projection of each row of z_batch onto the
-        range of G.  With ``interp``, the squared norms of the rows of
-        interp @ W instead, W being those projections: as interp is real,
-        row i is the quadratic form interp_i Re(W W^H) interp_i^T of the
-        small (r, r) Gram matrix."""
+    def cost_many(self, z_batch: np.ndarray,
+                  interp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(costs, W): W holds the projections w = Q^H z of the rows z of
+        z_batch, as rows, and costs their squared norms, the squared norms of
+        the projections onto the range of G.  With ``interp``, the costs are
+        the squared norms of the rows of interp @ W instead: as interp is
+        real, row i is the quadratic form interp_i Re(W W^H) interp_i^T of
+        the small (r, r) Gram matrix."""
         w = self.project(z_batch)
         if interp is None:
-            return np.sum(np.abs(w) ** 2, axis=1)
+            return np.sum(np.abs(w) ** 2, axis=1), w
         parts = w.view(np.float64)            # [Re, Im] interleaved: Re(W W^H) = parts parts^T
-        return np.sum((interp @ (parts @ parts.T)) * interp, axis=1)
+        return np.sum((interp @ (parts @ parts.T)) * interp, axis=1), w
 
     def solve(self, w: np.ndarray) -> np.ndarray:
         """LS coefficients R^-1 w, un-pivoted, from a projection w = Q^H z."""
@@ -302,7 +322,7 @@ def cfo_cost(rbar: np.ndarray, regressor: BemRegressor, kappa: np.ndarray,
              eps: float, n_s: int) -> float:
     """Projection cost g(eps) = || proj_G( Phi^H(eps) rbar ) ||^2 (real, >= 0)."""
     z = np.conj(cfo_phase(kappa.ravel(), eps, n_s)) * np.asarray(rbar).ravel()
-    return float(regressor.cost_many(z[np.newaxis, :])[0])
+    return float(regressor.cost_many(z[np.newaxis, :])[0][0])
 
 
 def golden_section_max(fun, lo: float, hi: float, tol: float):
@@ -402,54 +422,33 @@ def scan_node_count(cfo_range: float, kappa: np.ndarray, n_s: int) -> int:
 
 
 def cfo_scan(grid: np.ndarray, cfo_range: float, kappa: np.ndarray, centre: float,
-             n_s: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """(node_phases, interp) of the coarse CFO scan over ``grid``.
+             n_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(node_phases, interp, ops) of the CFO search over ``grid``.
 
     ``node_phases`` (r, N*L_p) holds the conj-rotations
     exp(-j 2 pi nu (kappa - centre) / N_s) at r = ``scan_node_count``
     first-kind Chebyshev nodes nu of +-cfo_range, taken about the centre
     of the region: a phase common to every kappa leaves the cost
-    unchanged, and centring halves the bandwidth.  ``interp`` (G, r) maps
-    values at the nodes to the Chebyshev interpolant at the grid points.
-    When r >= G the nodes are the grid itself, uncentred, and ``interp`` is
-    None, so the scan is the dense one.
+    unchanged, and centring halves the bandwidth.  The projections W of the
+    region rotated to the nodes are the values at the nodes of the
+    Chebyshev interpolant of w(eps) over +-cfo_range.  ``interp`` (G, r)
+    maps them to the interpolant at the grid points; ``ops`` (3, r, r) maps
+    them to the Chebyshev coefficients, in x = eps / cfo_range, of the
+    interpolant and of its first and second derivatives in eps: V^-1,
+    D_1 V^-1 / cfo_range and D_2 V^-1 / cfo_range**2, with V the
+    Chebyshev-Vandermonde matrix of the nodes and D_k that of ``chebder``.
     """
     kflat = np.asarray(kappa, dtype=float).ravel()
     r = scan_node_count(cfo_range, kflat, n_s)
-    if r >= grid.size:
-        nodes, centre, interp = grid, 0.0, None
-    else:
-        nodes = cfo_range * chebpts1(r)
-        interp = chebvander(grid / cfo_range, r - 1) @ np.linalg.inv(
-            chebvander(nodes / cfo_range, r - 1))
-    node_phases = np.exp(-2j * np.pi * np.outer(nodes, kflat - centre) / n_s)
-    return node_phases, interp
-
-
-def cfo_local(cfo_step: float, kappa: np.ndarray, centre: float,
-              n_s: int) -> tuple[np.ndarray, np.ndarray]:
-    """(local_phases, local_ops) of the CFO refinement about a grid point.
-
-    ``local_phases`` (r_loc, N*L_p) holds the conj-rotations
-    exp(-j 2 pi cfo_step x (kappa - centre) / N_s) at the
-    r_loc = scan_node_count(cfo_step, kappa, N_s) first-kind Chebyshev
-    nodes x of [-1, 1] (9 at the default geometry).  Applied to the region
-    rotated to a grid point eps_c, they give the projections at the offsets
-    eps_c + cfo_step x, exact to 2**-52 like the coarse scan's.
-    ``local_ops`` (3, r_loc, r_loc) maps such values at the nodes to the
-    Chebyshev coefficients, in x, of the interpolant of the projection and
-    of its first and second derivatives in eps.
-    """
-    kflat = np.asarray(kappa, dtype=float).ravel()
-    r = scan_node_count(cfo_step, kflat, n_s)
-    nodes = chebpts1(r)
-    to_coeffs = np.linalg.inv(chebvander(nodes, r - 1))
+    nodes = cfo_range * chebpts1(r)
+    to_coeffs = np.linalg.inv(chebvander(nodes / cfo_range, r - 1))
+    interp = chebvander(grid / cfo_range, r - 1) @ to_coeffs
     ops = [to_coeffs]
     for order in (1, 2):
-        deriv = chebder(np.eye(r), m=order) / cfo_step ** order
+        deriv = chebder(np.eye(r), m=order) / cfo_range ** order
         ops.append(np.vstack([deriv, np.zeros((r - deriv.shape[0], r))]) @ to_coeffs)
-    local_phases = np.exp(-2j * np.pi * cfo_step * np.outer(nodes, kflat - centre) / n_s)
-    return local_phases, np.stack(ops)
+    node_phases = np.exp(-2j * np.pi * np.outer(nodes, kflat - centre) / n_s)
+    return node_phases, interp, np.stack(ops)
 
 
 def estimate_cfo(region: PilotRegion, bundle: EstimatorBundle,
@@ -457,48 +456,44 @@ def estimate_cfo(region: PilotRegion, bundle: EstimatorBundle,
     """Coarse scan of the projection cost over the bundle's grid, Newton
     refinement on [best grid point +- cfo_step] within +-cfo_range (stopping
     at steps below NEWTON_STEP_FRAC * cfo_tol), then the LS coefficient solve
-    at the winning offset.
+    at the winning offset.  ``region`` is in the frame of the bundle's
+    template (``derotate``).
 
-    The scan projects the region rotated to the bundle's r Chebyshev nodes,
-    one (r, N*L_p) @ (N*L_p, L_p*beta) product W, and interpolates the
-    costs to the G grid points as the real quadratic form
-    interp Re(W W^H) interp^T (``cfo_scan``).  Each interpolated rotation is
-    within 2**-52 of the exact one (``scan_node_count``), so the cost curve
-    differs from the dense scan by rounding only, amplified by the Lebesgue
-    constant of the nodes, 1 + (2/pi) ln r, about 3.
-
-    The refinement runs on a local Chebyshev interpolant of the projection
-    w(eps) = Q^H Phi^H(eps) rbar over [eps_c +- cfo_step], eps_c the best
-    grid point: the region rotated to eps_c and to the bundle's r_loc local
-    nodes (``cfo_local``; r_loc = scan_node_count(cfo_step, kappa, N_s), 9 at
-    the default geometry) is projected in one (r_loc, N*L_p) product, and
-    each Newton iterate reads g = ||w||^2, g' = 2 Re(w^H w') and
-    g'' = 2 (||w'||^2 + Re(w^H w'')) from the (r_loc, L_p*beta)
-    Chebyshev coefficients of w, w' and w''.  The LS solve reuses w at the
-    estimate (``BemRegressor.solve``).
+    All three read one projection: the region rotated to the bundle's r
+    Chebyshev nodes of +-cfo_range, one (r, N*L_p) @ (N*L_p, L_p*beta)
+    product W (``cfo_scan``), which holds the values at the nodes of the
+    Chebyshev interpolant of w(eps) = Q^H Phi^H(eps) rbar.  Each
+    interpolated rotation is within 2**-52 of the exact one
+    (``scan_node_count``).  The scan interpolates the costs to the G grid
+    points as the real quadratic form interp Re(W W^H) interp^T, so the
+    cost curve differs from the dense scan by rounding only, amplified by
+    the Lebesgue constant of the nodes, 1 + (2/pi) ln r, about 3.  The
+    refinement turns W into the (r, L_p*beta) Chebyshev coefficients of w,
+    w' and w'' (the bundle's ``ops``), and each Newton iterate reads
+    g = ||w||^2, g' = 2 Re(w^H w') and g'' = 2 (||w'||^2 + Re(w^H w''))
+    from them.  The LS solve reuses w at the estimate
+    (``BemRegressor.solve``).
     """
     if cfg.cfo_tol <= 0:
         raise ConfigError("cfo_tol must be > 0")
     grid, regressor = bundle.grid, bundle.regressor
     rflat = region.samples.ravel()
-    costs = regressor.cost_many(bundle.node_phases * rflat[np.newaxis, :], bundle.interp)
+    costs, w_nodes = regressor.cost_many(bundle.node_phases * rflat[np.newaxis, :],
+                                         bundle.interp)
     best = int(np.argmax(costs))
     eps_c = float(grid[best])
-    offset = region.kappa.ravel() - bundle.centre
-    z = np.exp(-2j * np.pi * eps_c * offset / cfg.n_s) * rflat
     # [Re, Im] interleaved, so that the real operators act in real arithmetic
-    values = regressor.project(bundle.local_phases * z).view(np.float64)
-    coeffs = bundle.local_ops @ values          # (3, r_loc, 2 L_p beta)
+    coeffs = bundle.ops @ w_nodes.view(np.float64)      # (3, r, 2 L_p beta)
     orders = np.arange(coeffs.shape[1])
 
-    def local_w(eps):
+    def interpolant(eps):
         """w, w' and w'' at eps, each times exp(j 2 pi eps centre / N_s)."""
-        x = min(max((eps - eps_c) / cfg.cfo_step, -1.0), 1.0)
+        x = min(max(eps / cfg.cfo_range, -1.0), 1.0)
         # T_k(x) = cos(k acos x): one call, where chebvander loops per order
         return (np.cos(orders * math.acos(x)) @ coeffs).view(np.complex128)
 
     def cost_derivatives(eps):
-        w0, w1, w2 = local_w(eps)
+        w0, w1, w2 = interpolant(eps)
         return (float(np.vdot(w0, w0).real), 2.0 * float(np.vdot(w0, w1).real),
                 2.0 * float(np.vdot(w1, w1).real + np.vdot(w0, w2).real))
 
@@ -507,7 +502,7 @@ def estimate_cfo(region: PilotRegion, bundle: EstimatorBundle,
     x_ref, f_ref = newton_max(cost_derivatives, eps_c, lo, hi, cfg.cfo_tol)
     # keep the exact grid point when refinement cannot improve on it
     eps_hat = eps_c if costs[best] >= f_ref else float(x_ref)
-    w = local_w(eps_hat)[0] * np.exp(-2j * np.pi * eps_hat * bundle.centre / cfg.n_s)
+    w = interpolant(eps_hat)[0] * np.exp(-2j * np.pi * eps_hat * bundle.centre / cfg.n_s)
     c_hat = regressor.solve(w)
     return CfoEstimate(epsilon_hat=eps_hat, grid=grid, cost_curve=costs,
                        c_hat=c_hat, h_hat=reconstruct_channel(c_hat, bundle.bem))
@@ -530,28 +525,26 @@ def reconstruct_channel(c_hat: np.ndarray, bem: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EstimatorBundle:
-    """Receive-side quantities fixed by (config, user, theta, beta): the
-    basis, the factorized regressor, the coarse CFO grid, the scan of that
-    grid through r Chebyshev nodes (``cfo_scan``) and the local interpolant
-    of the refinement through r_loc nodes (``cfo_local``).  Both node counts
-    come from the geometry by one rule, ``scan_node_count``: the smallest
-    count with (a/2)**r / r! < 2**-52, plus one, for the bandwidth
-    a = 2 pi h (kappa_max - kappa_min) / (2 N_s) of the rotations over an
-    interval of half-width h, so every interpolated rotation is exact to
-    2**-52.  The scan takes h = cfo_range (r = 29 or 30 at the default
-    geometry; when r >= G the nodes are the grid and there is no
-    interpolation matrix), the refinement h = cfo_step (r_loc = 9).
-    Rotations are taken about the region centre.  Cached across trials
-    because none of them depends on the received samples."""
+    """Receive-side quantities fixed by (config, theta, beta) and shared by
+    all users: the basis, the regressor factorized on user 0's pilot
+    template (every user's region fits it after ``derotate``), the coarse
+    CFO grid and the Chebyshev interpolant of the CFO search (``cfo_scan``).
+    Its r nodes of +-cfo_range come from the geometry by one rule,
+    ``scan_node_count``: the smallest count with (a/2)**r / r! < 2**-52,
+    plus one, for the bandwidth a = 2 pi cfo_range (kappa_max - kappa_min)
+    / (2 N_s) of the rotations, so every interpolated rotation is exact to
+    2**-52 (r = 29 or 30 at the default geometry).  The scan, the Newton
+    refinement and the LS solve all read that one interpolant.  Rotations
+    are taken about the region centre.  Cached across trials because none
+    of them depends on the received samples."""
 
     bem: np.ndarray            # (N, L_p, beta) basis values
     regressor: BemRegressor
     grid: np.ndarray           # (G,) coarse CFO search points
     node_phases: np.ndarray    # (r, N*L_p)
-    interp: np.ndarray | None  # (G, r), None when the nodes are the grid
+    interp: np.ndarray         # (G, r) node values -> grid values
+    ops: np.ndarray            # (3, r, r) node values -> coefficients of w, w', w''
     centre: float              # kappa of the region centre
-    local_phases: np.ndarray   # (r_loc, N*L_p)
-    local_ops: np.ndarray      # (3, r_loc, r_loc)
 
 
 _BUNDLE_CACHE: dict = {}
@@ -559,12 +552,12 @@ _BUNDLE_CACHE_MAX = 256
 
 
 def estimator_bundle(cfg: SystemConfig, placement: pilot.PilotPlacement,
-                     pcp: np.ndarray, user: int, theta: int,
+                     pcp: np.ndarray, theta: int,
                      beta: int | None = None) -> EstimatorBundle:
     beta = cfg.beta if beta is None else beta
     key = (cfg.m, cfg.n, cfg.num_users, cfg.cp_len, cfg.zc_len, cfg.zc_root,
            cfg.pilot_power_db, cfg.anchor, cfg.offset,
-           cfg.cfo_range, cfg.cfo_step, beta, user, int(theta))
+           cfg.cfo_range, cfg.cfo_step, beta, int(theta))
     bundle = _BUNDLE_CACHE.get(key)
     if bundle is not None:
         return bundle
@@ -572,14 +565,13 @@ def estimator_bundle(cfg: SystemConfig, placement: pilot.PilotPlacement,
         _BUNDLE_CACHE.clear()
     kappa = cfg.cp_len + placement.region_index(theta)
     bem = build_bem_basis(beta, kappa, cfg.n_s)
-    regressor = build_bem_regressor(pilot.pilot_region_ref(placement, pcp, user), bem)
+    regressor = build_bem_regressor(pilot.pilot_region_ref(placement, pcp, 0), bem)
     grid = cfo_grid(cfg.cfo_range, cfg.cfo_step)
     centre = 0.5 * float(kappa.max() + kappa.min())
-    node_phases, interp = cfo_scan(grid, cfg.cfo_range, kappa, centre, cfg.n_s)
-    local_phases, local_ops = cfo_local(cfg.cfo_step, kappa, centre, cfg.n_s)
+    node_phases, interp, ops = cfo_scan(grid, cfg.cfo_range, kappa, centre, cfg.n_s)
     bundle = EstimatorBundle(bem=bem, regressor=regressor, grid=grid,
-                             node_phases=node_phases, interp=interp, centre=centre,
-                             local_phases=local_phases, local_ops=local_ops)
+                             node_phases=node_phases, interp=interp, ops=ops,
+                             centre=centre)
     _BUNDLE_CACHE[key] = bundle
     return bundle
 
@@ -599,12 +591,14 @@ def synchronize_user(separated: np.ndarray, metric: TimingMetric, user: int,
     """Per-user back end of the receiver: user ``user``'s TO decision, pilot
     region, estimator bundle and CFO, read from its row of the separated
     streams (``separate_user``) and of the timing metric
-    (``timing_correlate``)."""
+    (``timing_correlate``).  The bundle is shared by all users; the CFO
+    search runs on the region de-rotated to its template (``derotate``),
+    and the result keeps the received region."""
     metric = metric.user(user)
     to_est = estimate_to(metric, cfg.threshold)
     theta = int(theta_override) if theta_override is not None else to_est.first_peak
     region = extract_pilot_region(separated[user], theta, placement, cfg.cp_len)
-    bundle = estimator_bundle(cfg, placement, pcp, user, theta)
-    cfo = estimate_cfo(region, bundle, cfg)
+    bundle = estimator_bundle(cfg, placement, pcp, theta)
+    cfo = estimate_cfo(derotate(region, placement, user), bundle, cfg)
     return UserSyncResult(to_estimate=to_est, theta_used=theta, metric=metric,
                           region=region, cfo=cfo)

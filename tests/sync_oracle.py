@@ -10,15 +10,20 @@ delay-time template over the serialized stream, one (N, M, span) window
 einsum; ``sync.timing_correlate`` correlates with the PCP alone.
 ``estimate_cfo_exact`` refines the CFO by Newton steps on the exact cost
 derivatives, each one (3, N*L_p) product, and solves the LS fit through
-``BemRegressor.coeffs``; ``sync.estimate_cfo`` reads both from a local
-Chebyshev interpolant.
+``BemRegressor.coeffs``; ``sync.estimate_cfo`` reads both from the Chebyshev
+interpolant of its coarse scan.
+``own_bundle_back_end`` fits one user's received region on a regressor
+factorized on that user's own pilot template, with a dense scan, exact
+Newton and the ``coeffs`` solve; ``sync.synchronize_user`` and
+``harness.absorbed_channel_fit`` share user 0's bundle across users and
+de-rotate the region to it.
 """
 
 import math
 
 import numpy as np
 
-from otfsync import sync
+from otfsync import pilot, sync
 
 
 def separate_user_one(stream, user, num_users, m, n):
@@ -72,10 +77,11 @@ def cfo_cost_derivatives(rbar, regressor, kappa, eps, n_s):
             2.0 * float(np.vdot(w1, w1).real + np.vdot(w0, w2).real))
 
 
-def estimate_cfo_exact(region, bundle, cfg, cost_curve):
+def estimate_cfo_exact(region, regressor, cfg, cost_curve):
     """(eps_hat, c_hat) by exact Newton from the best point of ``cost_curve``
-    on [best +- cfo_step] within +-cfo_range, then the ``coeffs`` solve."""
-    grid, regressor = bundle.grid, bundle.regressor
+    over the CFO grid on [best +- cfo_step] within +-cfo_range, then the
+    ``coeffs`` solve."""
+    grid = sync.cfo_grid(cfg.cfo_range, cfg.cfo_step)
     rflat = region.samples.ravel()
     kflat = region.kappa.ravel().astype(float)
     best = int(np.argmax(cost_curve))
@@ -87,3 +93,24 @@ def estimate_cfo_exact(region, bundle, cfg, cost_curve):
     eps_hat = float(grid[best]) if cost_curve[best] >= f_ref else float(x_ref)
     c_hat = regressor.coeffs(np.conj(sync.cfo_phase(kflat, eps_hat, cfg.n_s)) * rflat)
     return eps_hat, c_hat
+
+
+def own_bundle_back_end(separated, user, theta, cfg, placement, pcp, absorbed_beta):
+    """(eps_hat, c_hat, h_hat, h_absorbed) of user ``user`` at timing offset
+    ``theta`` from a regressor on the user's own pilot template
+    (``pilot.pilot_region_ref(user)``) applied to the received region as it
+    is: the cost of every grid point from its own rotation, exact Newton
+    (``estimate_cfo_exact``), and the absorbed baseline as the ``coeffs``
+    solve at zero offset on a basis of order ``absorbed_beta``."""
+    region = sync.extract_pilot_region(separated[user], theta, placement, cfg.cp_len)
+    sbar = pilot.pilot_region_ref(placement, pcp, user)
+    rflat, kflat = region.samples.ravel(), region.kappa.ravel().astype(float)
+    bem = sync.build_bem_basis(cfg.beta, region.kappa, cfg.n_s)
+    regressor = sync.build_bem_regressor(sbar, bem)
+    grid = sync.cfo_grid(cfg.cfo_range, cfg.cfo_step)
+    dense = np.exp(-2j * np.pi * np.outer(grid, kflat) / cfg.n_s) * rflat
+    eps_hat, c_hat = estimate_cfo_exact(region, regressor, cfg, regressor.cost_many(dense)[0])
+    bem_abs = sync.build_bem_basis(absorbed_beta, region.kappa, cfg.n_s)
+    c_abs = sync.build_bem_regressor(sbar, bem_abs).coeffs(rflat)
+    return (eps_hat, c_hat, sync.reconstruct_channel(c_hat, bem),
+            sync.reconstruct_channel(c_abs, bem_abs))

@@ -132,3 +132,40 @@ def test_pilot_region_ref_matches_modulated_frame():
     dt = modem.modulate(pilot.pilot_frame(p, pcp, 0))
     assert sbar.shape == (cfg.n, cfg.zc_len)
     assert np.array_equal(sbar, dt[p.anchor:p.anchor + cfg.zc_len, :].T)
+
+
+@pytest.mark.parametrize("num_users", [1, 2, 4, 7])
+def test_pilot_region_ref_is_slot_phase_times_shared_template(num_users):
+    # the users' pilots differ only by a phase per time slot, which is what
+    # lets every user share user 0's estimator bundle
+    cfg = SystemConfig(num_users=num_users).validate()
+    p = pilot.PilotPlacement.from_config(cfg)
+    pcp = pilot.make_pcp(cfg.zc_len, 1, cfg.pilot_power_db)
+    template = pilot.pilot_region_ref(p, pcp, 0)
+    for user in range(num_users):
+        phase = pilot.slot_phase(p, user)
+        assert phase.shape == (cfg.n,)
+        expected = phase[:, np.newaxis] * template
+        got = pilot.pilot_region_ref(p, pcp, user)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(got))
+
+
+def test_region_index_is_cached_read_only_and_wraps_the_last_slot():
+    # tests/test_sync.py::test_extraction_wrap_indices checks every slot
+    # against the vectorized formula
+    cfg = SystemConfig(num_users=2).validate()
+    p = pilot.PilotPlacement.from_config(cfg)
+    size = cfg.m * cfg.n
+    for theta in range(cfg.theta_max + 1):
+        idx = p.region_index(theta)
+        assert idx.shape == (cfg.n, cfg.zc_len)
+        # delay rows past M - 1 of the last slot wrap to the head of the stream
+        last = (cfg.n - 1) * cfg.m + p.anchor + theta + np.arange(cfg.zc_len)
+        assert np.array_equal(idx[-1], np.where(last < size, last, last - size))
+        assert (idx[-1] < cfg.m).sum() == theta
+        assert p.region_index(theta) is idx
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0, 0] = 0
+    # an equal placement shares the cached array
+    assert pilot.PilotPlacement.from_config(cfg).region_index(2) is p.region_index(2)

@@ -13,8 +13,9 @@ from otfsync import modem, pilot, sync
 from otfsync.allocation import build_allocation
 from otfsync.config import SystemConfig
 from otfsync.errors import ConfigError, EstimationError
-from sync_oracle import (cfo_cost_derivatives, estimate_cfo_exact, separate_user_one,
-                         timing_correlate_one, timing_correlate_template)
+from sync_oracle import (cfo_cost_derivatives, estimate_cfo_exact, own_bundle_back_end,
+                         separate_user_one, timing_correlate_one,
+                         timing_correlate_template)
 
 
 def paper_config(**kw):
@@ -441,7 +442,7 @@ def bem_exact_observation(cfg, rng, eps0, theta=0, beta=None):
     estimator bundle of user 0 and the regressor matrix G."""
     beta = cfg.beta if beta is None else beta
     placement, pcp, sbar, kappa = region_fixture(cfg, theta)
-    bundle = sync.estimator_bundle(cfg, placement, pcp, 0, theta, beta)
+    bundle = sync.estimator_bundle(cfg, placement, pcp, theta, beta)
     g = sync.regressor_matrix(sbar, bundle.bem)
     c = rng.standard_normal(cfg.zc_len * beta) + 1j * rng.standard_normal(cfg.zc_len * beta)
     rbar = sync.cfo_phase(kappa.ravel(), eps0, cfg.n_s) * (g @ c)
@@ -527,7 +528,7 @@ def fine_argmax(region, regressor, lo, hi, n_s, step=1e-6, chunk=4000):
     eps = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
     rflat, kflat = region.samples.ravel(), region.kappa.ravel().astype(float)
     costs = np.concatenate([
-        regressor.cost_many(np.exp(-2j * np.pi * np.outer(part, kflat) / n_s) * rflat)
+        regressor.cost_many(np.exp(-2j * np.pi * np.outer(part, kflat) / n_s) * rflat)[0]
         for part in np.array_split(eps, -(-eps.size // chunk))])
     return eps[int(np.argmax(costs))]
 
@@ -637,7 +638,7 @@ def test_ls_residual_orthogonality():
     separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
     metric = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
     result = sync.synchronize_user(separated, metric, 0, cfg, placement, pcp)
-    bundle = sync.estimator_bundle(cfg, placement, pcp, 0, result.theta_used)
+    bundle = sync.estimator_bundle(cfg, placement, pcp, result.theta_used)
     g = sync.regressor_matrix(pilot.pilot_region_ref(placement, pcp, 0), bundle.bem)
     phase = sync.cfo_phase(result.region.kappa.ravel(), result.cfo.epsilon_hat,
                            cfg.n_s)
@@ -652,11 +653,11 @@ def test_estimator_bundle_cache_key_holds_the_grid():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     coarse_cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3, cfo_step=0.1)
     placement, pcp, _, kappa = region_fixture(cfg, theta=2)
-    fine = sync.estimator_bundle(cfg, placement, pcp, 0, 2)
-    assert sync.estimator_bundle(cfg, placement, pcp, 0, 2) is fine
-    coarse = sync.estimator_bundle(coarse_cfg, placement, pcp, 0, 2)
+    fine = sync.estimator_bundle(cfg, placement, pcp, 2)
+    assert sync.estimator_bundle(cfg, placement, pcp, 2) is fine
+    coarse = sync.estimator_bundle(coarse_cfg, placement, pcp, 2)
     assert coarse is not fine
-    assert sync.estimator_bundle(coarse_cfg, placement, pcp, 0, 2) is coarse
+    assert sync.estimator_bundle(coarse_cfg, placement, pcp, 2) is coarse
     kflat = kappa.ravel().astype(float)
     for bundle, c in ((fine, cfg), (coarse, coarse_cfg)):
         assert np.array_equal(bundle.grid, sync.cfo_grid(c.cfo_range, c.cfo_step))
@@ -677,12 +678,12 @@ def test_estimator_bundle_cache_key_holds_the_grid():
     (3, {}, 30),
     (0, {"cfo_range": 0.5}, 18),
     (0, {"cfo_range": 4.0, "cfo_step": 0.05}, 40),
-    (0, {"cfo_range": 1.0, "cfo_step": 0.3}, 7),     # G = 7 <= r: the grid itself
+    (0, {"cfo_range": 1.0, "cfo_step": 0.3}, 22),    # G = 7 < r: interpolated all the same
 ])
 def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
     cfg = paper_config(num_users=1, **overrides)
     placement, pcp, _, kappa = region_fixture(cfg, theta)
-    bundle = sync.estimator_bundle(cfg, placement, pcp, 0, theta)
+    bundle = sync.estimator_bundle(cfg, placement, pcp, theta)
     assert bundle.node_phases.shape[0] == nodes
     kflat = kappa.ravel()
     dense_phases = np.exp(-2j * np.pi * np.outer(bundle.grid, kflat) / cfg.n_s)
@@ -691,18 +692,15 @@ def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
         rflat = rng.standard_normal(kflat.size) + 1j * rng.standard_normal(kflat.size)
         region = sync.PilotRegion(samples=rflat.reshape(kappa.shape), kappa=kappa)
         got = sync.estimate_cfo(region, bundle, cfg).cost_curve
-        dense = bundle.regressor.cost_many(dense_phases * rflat)
-        if bundle.grid.size <= nodes:
-            assert np.array_equal(got, dense)
-        else:
-            assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(dense)
+        dense = bundle.regressor.cost_many(dense_phases * rflat)[0]
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(dense)
 
 
 @pytest.mark.parametrize("theta, overrides, eps0s, local_nodes", [
     (0, {}, (0.137, -0.341, 0.02), 9),                  # wrapped region
     (3, {}, (0.137, -0.341, 0.02), 9),
     (0, {"cfo_range": 0.5}, (0.137, -0.452, 0.499), 9),
-    (0, {"cfo_range": 1.0, "cfo_step": 0.3}, (0.137, -0.83, 0.98), 15),   # G <= r
+    (0, {"cfo_range": 1.0, "cfo_step": 0.3}, (0.137, -0.83, 0.98), 15),   # G < r
     (0, {"cfo_range": 1.0}, (1.013,), 9),               # bracket clipped at +cfo_range
 ])
 def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_nodes):
@@ -717,24 +715,65 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_no
         region = sync.PilotRegion(samples=region.samples + 0.3 * scale * noise,
                                   kappa=region.kappa)
         est = sync.estimate_cfo(region, bundle, cfg)
-        eps_hat, c_hat = estimate_cfo_exact(region, bundle, cfg, est.cost_curve)
+        eps_hat, c_hat = estimate_cfo_exact(region, bundle.regressor, cfg, est.cost_curve)
         assert abs(est.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
         assert np.linalg.norm(est.c_hat - c_hat) <= 1e-9 * np.linalg.norm(c_hat)
         taps = np.einsum("njg,lg->nlj", bundle.bem, c_hat.reshape(cfg.zc_len, -1))
         assert np.max(np.abs(est.h_hat - taps)) <= 1e-9 * np.max(np.abs(taps))
-    assert (bundle.interp is None) == (bundle.grid.size <= bundle.node_phases.shape[0])
+    r = bundle.node_phases.shape[0]
+    assert bundle.interp.shape == (bundle.grid.size, r)
+    assert bundle.ops.shape == (3, r, r)
+    # the bracket alone would take local_nodes; the refinement reads the scan's r
     assert local_nodes == sync.scan_node_count(cfg.cfo_step, region.kappa, cfg.n_s)
-    assert bundle.local_phases.shape == (local_nodes, region.kappa.size)
-    assert bundle.local_ops.shape == (3, local_nodes, local_nodes)
     if eps0 > cfg.cfo_range:
         assert est.grid[int(np.argmax(est.cost_curve))] + cfg.cfo_step > cfg.cfo_range
         assert est.epsilon_hat == cfg.cfo_range
 
 
+def test_shared_bundle_matches_per_user_bundles():
+    # Q = 4 users at distinct timing offsets and CFOs, with data and noise:
+    # user 0's bundle, shared through the de-rotation, against a regressor
+    # on each user's own template
+    from otfsync import harness
+    cfg = paper_config(num_users=4, nu_max_t=1.0, snr_db=20.0)
+    rng = np.random.default_rng([cfg.rng_seed, 5])
+    placement = pilot.PilotPlacement.from_config(cfg)
+    pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
+    real = chan.draw_realization(rng, cfg)
+    real.to[:] = [3, 0, 4, 1]
+    real.cfo[:] = [0.137, -0.341, 0.402, -0.06]
+    allocs = build_allocation(cfg.m, cfg.n, cfg.num_users, cfg.allocation)
+    frames = pilot.embed_pilots(
+        [modem.build_data_frame(rng, cfg.m, cfg.n, a, placement.guard_rows) for a in allocs],
+        placement, pcp)
+    rx = chan.add_awgn(chan.apply_channel(modem.transmit(frames, cfg.cp_len), real,
+                                          cfg.n_s, cfg.theta_max), cfg.snr_db, rng)
+    y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
+    separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
+    metric = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    for q in range(cfg.num_users):
+        theta, eps = int(real.to[q]), float(real.cfo[q])
+        result = sync.synchronize_user(separated, metric, q, cfg, placement, pcp,
+                                       theta_override=theta)
+        beta_abs = harness.absorbed_beta(cfg, eps)
+        h_abs = harness.absorbed_channel_fit(result.region, cfg, placement, pcp, q,
+                                             theta, eps)
+        eps_hat, c_hat, h_hat, h_abs_own = own_bundle_back_end(
+            separated, q, theta, cfg, placement, pcp, beta_abs)
+        assert abs(result.cfo.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
+        assert close(result.cfo.c_hat, c_hat)
+        assert close(result.cfo.h_hat, h_hat)
+        assert close(h_abs, h_abs_own)
+
+
 def test_estimate_cfo_allocates_less_than_the_dense_scan():
     cfg = paper_config(num_users=1)
     placement, pcp, _, kappa = region_fixture(cfg, 2)
-    bundle = sync.estimator_bundle(cfg, placement, pcp, 0, 2)
+    bundle = sync.estimator_bundle(cfg, placement, pcp, 2)
     rng = np.random.default_rng(42)
     samples = rng.standard_normal(kappa.shape) + 1j * rng.standard_normal(kappa.shape)
     region = sync.PilotRegion(samples=samples, kappa=kappa)
