@@ -24,7 +24,7 @@ from .config import (SystemConfig, apply_overrides, bem_order_bound, coerce,
                      echo_config, parse_lines)
 from .errors import ConfigError, OtfsyncError
 
-SWEEP_VARS = ("snr_db", "nu_max_t", "cfo_value")
+SWEEP_VARS = ("snr_db", "nu_max_t", "cfo_value", "pilot_power_db")
 TO_VARIANTS = ("first-peak", "max-peak")
 
 
@@ -52,18 +52,10 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 
 def true_pilot_taps(paths: chan.PathSet, cfg: SystemConfig,
-                    placement: pilot.PilotPlacement, theta: int,
-                    eps: float | None = None) -> np.ndarray:
-    """Ground-truth taps h[n, l, j] over the pilot region at true alignment.
-
-    With ``eps`` given, returns the CFO-absorbed compound taps
-    h[l, kappa] * exp(j 2 pi eps kappa / N_s) instead.
-    """
+                    placement: pilot.PilotPlacement, theta: int) -> np.ndarray:
+    """Ground-truth taps h[n, l, j] over the pilot region at true alignment."""
     kappa = cfg.cp_len + placement.region_index(theta)
-    taps = paths.taps(kappa, cfg.zc_len).transpose(1, 0, 2)
-    if eps is not None:
-        taps *= sync.cfo_phase(kappa, eps, cfg.n_s)[:, np.newaxis, :]
-    return taps
+    return paths.taps(kappa, cfg.zc_len).transpose(1, 0, 2)
 
 
 def _nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -86,7 +78,9 @@ def absorbed_channel_fit(region: sync.PilotRegion, cfg: SystemConfig,
                          eps_true: float) -> np.ndarray:
     """Baseline fit with the CFO left inside the channel (search disabled):
     the LS solve runs at zero offset against the same shared pilot template,
-    on the user's region de-rotated to it (``sync.derotate``)."""
+    on the user's region de-rotated to it (``sync.derotate``).  At zero
+    offset no rotation is needed, so the fit is the region's slot sums and
+    two (L_p*beta)-square matrix products (``BemRegressor.coeffs``)."""
     bundle = sync.estimator_bundle(cfg, placement, pcp, theta,
                                    beta=absorbed_beta(cfg, eps_true))
     c_hat = bundle.regressor.coeffs(sync.derotate(region, placement, user).samples.ravel())
@@ -139,9 +133,10 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
             if absorbed:
                 h_abs = absorbed_channel_fit(result.region, cfg, placement, pcp,
                                              q, result.theta_used, eps_true)
-                truth_abs = true_pilot_taps(realization.paths[q], cfg, placement,
-                                            theta_true, eps=eps_true)
-                record.nmse_absorbed = _nmse(h_abs, truth_abs)
+                # the CFO-absorbed compound taps h[l, kappa] exp(j 2 pi eps kappa / N_s)
+                kappa = cfg.cp_len + placement.region_index(theta_true)
+                phase = sync.cfo_phase(kappa, eps_true, cfg.n_s)
+                record.nmse_absorbed = _nmse(h_abs, truth * phase[:, np.newaxis, :])
             if collect_debug:
                 debug.append({
                     "user": q,
@@ -398,12 +393,15 @@ def run_experiment(spec: ExperimentSpec, base_cfg: SystemConfig | None = None,
     cfg0 = apply_overrides(cfg0, dict(spec.config_overrides))
     all_rows: list[AggregateRow] = []
     per_trial_lines = []
+    pilot_snr_lines = []
     n_trials = n_failed = 0
     for point in spec.sweep_points:
         if spec.sweep_var == "cfo_value":
             cfg, cfo_value = cfg0, float(point)
         else:
             cfg, cfo_value = apply_overrides(cfg0, {spec.sweep_var: point}), None
+        pilot_snr_lines.append(f"# {spec.sweep_var} = {point:g}: pilot SNR per bin "
+                               f"{cfg.snr_db + cfg.pilot_power_db:g} dB")
         records_by_trial = run_point(cfg, spec.trials, cfo_value=cfo_value,
                                      absorbed=spec.absorbed_baseline, workers=workers)
         all_rows.extend(aggregate_point(spec.sweep_var, point, records_by_trial,
@@ -425,6 +423,8 @@ def run_experiment(spec: ExperimentSpec, base_cfg: SystemConfig | None = None,
             fh.write(report.to_csv_text())
         with open(os.path.join(target, "spec-echo"), "w", encoding="utf-8") as fh:
             fh.write(experiment_text(spec))
+            fh.write("\n# pilot SNR per bin (snr_db + pilot_power_db) at each sweep point\n")
+            fh.write("\n".join(pilot_snr_lines) + "\n")
             fh.write("\n# resolved base config\n")
             fh.write(echo_config(cfg0))
         if spec.per_trial_dump:

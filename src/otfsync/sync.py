@@ -12,15 +12,26 @@ a pure function of the user's rows, so the Q back ends are independent.
 The back ends share their estimator bundles.  The users' pilots differ
 only by a phase per time slot (``pilot.slot_phase``), so every user's
 region, de-rotated by that phase (``derotate``), fits user 0's template,
-and one bundle per (geometry, theta_hat, beta) serves all users.  Each
-user's CFO search is one projection: the coarse scan projects the region
-rotated to r Chebyshev nodes of +-cfo_range, and that projection is the
-Chebyshev interpolant of w(eps) on which the Newton refinement and the LS
-solve run as well.
+and one bundle per (geometry, theta_hat, beta) serves all users.
+
+The same fact gives the regressor its structure.  A pilot in one Doppler
+column k makes the template a product sbar[n, j] = phi_n p_j of a slot
+phase and the PCP row, so the regressor column (l, g) is
+phi_n p[(j - l) mod L_p] T_g(kprime[n, j]).  A projection onto its range
+therefore needs only the L_p*beta slot sums
+S[j, g] = sum_n conj(phi_n) T_g(kprime[n, j]) z[n, j] and two small
+matrices (``BemRegressor``), and the CFO rotation of sample (n, j) factors
+into a slot part and a row part (``cfo_scan``), which the slot sums carry.
+Each user's CFO search is one projection: the coarse scan projects the
+region rotated to r Chebyshev nodes of +-cfo_range, that projection is the
+Chebyshev interpolant of w(eps), and ||w||^2 is a scalar Chebyshev
+polynomial of degree 2r - 2 (``cost_polynomial``) on which the grid costs
+and the Newton refinement run; the LS solve reads w at the estimate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +52,9 @@ NEWTON_MAX_ITER = 40
 NEWTON_STEP_FRAC = 0.01
 #: lags per block of the timing correlation's Toeplitz product
 TIMING_BLOCK = 16
+#: largest deviation of a pilot template from a product phi_n p_j, as a share
+#: of its largest sample (``slot_factors``)
+SEPARABLE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -250,47 +264,86 @@ def regressor_matrix(sbar: np.ndarray, bem: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BemRegressor:
-    """Pivoted QR factors of the regressor G (``regressor_matrix``), computed
-    once per geometry.  The CFO cost (projection norm) and the LS solve both
-    read only the conjugated orthonormal factor, R and the pivots."""
+    """The LS fit of a pilot region on the regressor G (``regressor_matrix``)
+    of a slot-separable template, kept as two (L_p*beta, L_p*beta) matrices
+    instead of a Q factor.
 
-    _qconj: np.ndarray = field(repr=False)
-    _r: np.ndarray = field(repr=False)
-    _piv: np.ndarray = field(repr=False)
+    The template of a pilot in one Doppler column factors as
+    sbar[n, j] = phi_n p_j (``slot_factors``), so
+    G[(n, j), (l, g)] = phi_n p[(j - l) mod L_p] T_g(kprime[n, j]) and
 
-    def project(self, z_batch: np.ndarray) -> np.ndarray:
-        """The projections w = Q^H z of the rows z of z_batch, as rows."""
-        return z_batch @ self._qconj
+        G^H z = A vec(S),   S[j, g] = sum_n conj(phi_n) T_g(kprime[n, j]) z[n, j],
 
-    def cost_many(self, z_batch: np.ndarray,
-                  interp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(costs, W): W holds the projections w = Q^H z of the rows z of
-        z_batch, as rows, and costs their squared norms, the squared norms of
-        the projections onto the range of G.  With ``interp``, the costs are
-        the squared norms of the rows of interp @ W instead: as interp is
-        real, row i is the quadratic form interp_i Re(W W^H) interp_i^T of
-        the small (r, r) Gram matrix."""
-        w = self.project(z_batch)
-        if interp is None:
-            return np.sum(np.abs(w) ** 2, axis=1), w
-        parts = w.view(np.float64)            # [Re, Im] interleaved: Re(W W^H) = parts parts^T
-        return np.sum((interp @ (parts @ parts.T)) * interp, axis=1), w
+    with A = conj-circulant(p) (x) I_beta, A[(l, g), (j, g)] =
+    conj(p[(j - l) mod L_p]).  The slot sums S (``slot_sums``) carry every
+    sample; A only mixes the L_p*beta sums.  With the pivoted QR
+    G[:, piv] = Q R, the projection is Q^H z = R^-H (G^H z)[piv] = M vec(S)
+    for M = R^-H A[piv], and the LS coefficients are c[piv] = R^-1 Q^H z,
+    i.e. c = E Q^H z for E = P R^-1 with the pivot permutation P.  Both M and
+    E are stored (cond(R) <= 22 for beta <= 12 at the default geometry);
+    the cost of a rotation is ||M vec(S)||^2 and no (N*L_p, L_p*beta) factor
+    is kept."""
+
+    slot_basis: np.ndarray = field(repr=False)   # (N, L_p, beta) conj(phi_n) T_g(kprime)
+    _m: np.ndarray = field(repr=False)           # slot sums -> Q^H z
+    _solve: np.ndarray = field(repr=False)       # Q^H z -> coefficients, P R^-1
+
+    def slot_sums(self, z_batch: np.ndarray) -> np.ndarray:
+        """The slot sums vec(S) of the rows z of z_batch (each N*L_p samples in
+        region order), as (rows, L_p*beta)."""
+        n, lp, beta = self.slot_basis.shape
+        z = np.asarray(z_batch).reshape(-1, n, lp)
+        return np.einsum("bnj,njg->bjg", z, self.slot_basis).reshape(z.shape[0], lp * beta)
+
+    def project(self, s_batch: np.ndarray) -> np.ndarray:
+        """The projections w = Q^H z = M vec(S), as rows, of slot sums as rows."""
+        return s_batch @ self._m.T
+
+    def cost_many(self, node_sums: np.ndarray,
+                  to_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma, C) of a CFO scan from the (r, L_p*beta) slot sums of the
+        region rotated to r Chebyshev nodes: the projections W at the nodes
+        are the values there of the interpolant w(x), C = to_coeffs @ W its
+        Chebyshev coefficients (``to_coeffs`` the inverse Chebyshev-Vandermonde
+        matrix of the nodes), and gamma the 2r - 1 Chebyshev coefficients of
+        the cost ||w(x)||^2 (``cost_polynomial``)."""
+        w = self.project(node_sums)
+        # [Re, Im] interleaved, so that the real operator acts in real arithmetic
+        coeffs = (to_coeffs @ w.view(np.float64)).view(np.complex128)
+        return cost_polynomial(coeffs), coeffs
 
     def solve(self, w: np.ndarray) -> np.ndarray:
-        """LS coefficients R^-1 w, un-pivoted, from a projection w = Q^H z."""
-        sol = scipy.linalg.solve_triangular(self._r, w, check_finite=False)
-        c = np.empty_like(sol)
-        c[self._piv] = sol
-        return c
+        """LS coefficients P R^-1 w from a projection w = Q^H z."""
+        return self._solve @ w
 
     def coeffs(self, z: np.ndarray) -> np.ndarray:
-        """LS coefficient solve (G^H G)^-1 G^H z."""
-        return self.solve(self._qconj.T @ z)
+        """LS coefficient solve (G^H G)^-1 G^H z = E M vec(S)."""
+        return self.solve(self.project(self.slot_sums(z))[0])
+
+
+def slot_factors(sbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, p) with sbar[n, j] = phi[n] p[j], normalised so that phi is 1 in
+    the slot of largest energy; raises EstimationError when the template is
+    zero or deviates from the product by more than SEPARABLE_TOL of its
+    largest sample."""
+    sbar = np.asarray(sbar)
+    p = sbar[int(np.argmax(np.sum(np.abs(sbar) ** 2, axis=1)))]
+    j0 = int(np.argmax(np.abs(p)))
+    if p[j0] == 0:
+        raise EstimationError("pilot template is zero")
+    phi = sbar[:, j0] / p[j0]
+    if np.max(np.abs(sbar - np.outer(phi, p))) > SEPARABLE_TOL * np.max(np.abs(sbar)):
+        raise EstimationError(
+            "pilot template is not slot-separable: sbar[n, j] != phi_n p_j, so the "
+            "regressor has no slot structure to project through"
+        )
+    return phi, p
 
 
 def build_bem_regressor(sbar: np.ndarray, bem: np.ndarray,
                         pivot_tol: float = 1e-10) -> BemRegressor:
-    """Assemble and QR-factorize the regressor from the pilot template."""
+    """Factorize the regressor of the pilot template with pivoted QR, check its
+    rank, and fold R and the template's circulant into M and E."""
     g_mat = regressor_matrix(sbar, bem)
     n_rows, n_cols = g_mat.shape
     if n_cols > n_rows:
@@ -298,7 +351,8 @@ def build_bem_regressor(sbar: np.ndarray, bem: np.ndarray,
             f"BEM regressor is underdetermined: beta*L_p = {n_cols} columns "
             f"exceed N*L_p = {n_rows} rows"
         )
-    q, r, piv = scipy.linalg.qr(g_mat, mode="economic", pivoting=True)
+    r, piv = scipy.linalg.qr(g_mat, mode="r", pivoting=True)
+    r = r[:n_cols]
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag >= pivot_tol * diag[0])) if diag[0] > 0 else 0
     if rank < n_cols:
@@ -306,7 +360,34 @@ def build_bem_regressor(sbar: np.ndarray, bem: np.ndarray,
             f"BEM regressor rank-deficient: rank {rank} < beta*L_p = {n_cols} "
             f"(N*L_p = {n_rows}); the pilot does not excite every coefficient"
         )
-    return BemRegressor(_qconj=np.conj(q), _r=r, _piv=piv)
+    phi, p = slot_factors(sbar)
+    lp, beta = sbar.shape[1], bem.shape[-1]
+    j = np.arange(lp)
+    circulant = np.conj(p[(j[None, :] - j[:, None]) % lp])       # [l, j]
+    a_mat = np.kron(circulant, np.eye(beta))
+    m_mat = scipy.linalg.solve_triangular(r, a_mat[piv], trans="C", check_finite=False)
+    solve = np.empty_like(r)
+    solve[piv] = scipy.linalg.solve_triangular(r, np.eye(n_cols), check_finite=False)
+    return BemRegressor(slot_basis=np.conj(phi)[:, np.newaxis, np.newaxis] * bem,
+                        _m=m_mat, _solve=solve)
+
+
+def cost_polynomial(coeffs: np.ndarray) -> np.ndarray:
+    """The 2r - 1 Chebyshev coefficients of g(x) = ||w(x)||^2 for
+    w(x) = sum_a coeffs[a] T_a(x): with H = Re(C C^H),
+    g = sum_ab H[a, b] T_a T_b, and T_a T_b = (T_{a+b} + T_{|a-b|}) / 2."""
+    parts = coeffs.view(np.float64)
+    gram = (parts @ parts.T).ravel()
+    size = 2 * coeffs.shape[0] - 1
+    sums, diffs = _product_orders(coeffs.shape[0])
+    return 0.5 * (np.bincount(sums, gram, size) + np.bincount(diffs, gram, size))
+
+
+@functools.lru_cache(maxsize=32)
+def _product_orders(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened a + b and |a - b| over the (r, r) orders of a Gram matrix."""
+    a = np.arange(r)
+    return (a[:, None] + a).ravel(), np.abs(a[:, None] - a).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +403,8 @@ def cfo_cost(rbar: np.ndarray, regressor: BemRegressor, kappa: np.ndarray,
              eps: float, n_s: int) -> float:
     """Projection cost g(eps) = || proj_G( Phi^H(eps) rbar ) ||^2 (real, >= 0)."""
     z = np.conj(cfo_phase(kappa.ravel(), eps, n_s)) * np.asarray(rbar).ravel()
-    return float(regressor.cost_many(z[np.newaxis, :])[0][0])
+    w = regressor.project(regressor.slot_sums(z))
+    return float(np.vdot(w, w).real)
 
 
 def golden_section_max(fun, lo: float, hi: float, tol: float):
@@ -421,34 +503,76 @@ def scan_node_count(cfo_range: float, kappa: np.ndarray, n_s: int) -> int:
     return r + 1
 
 
-def cfo_scan(grid: np.ndarray, cfo_range: float, kappa: np.ndarray, centre: float,
-             n_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(node_phases, interp, ops) of the CFO search over ``grid``.
+@dataclass(frozen=True)
+class ScanOperators:
+    """The real operators of a CFO search over ``grid`` with r Chebyshev nodes
+    of +-cfo_range, in x = eps / cfo_range; they depend on (r, cfo_range,
+    cfo_step) only, so every bundle with that triple shares one copy
+    (``scan_operators``)."""
 
-    ``node_phases`` (r, N*L_p) holds the conj-rotations
-    exp(-j 2 pi nu (kappa - centre) / N_s) at r = ``scan_node_count``
-    first-kind Chebyshev nodes nu of +-cfo_range, taken about the centre
-    of the region: a phase common to every kappa leaves the cost
-    unchanged, and centring halves the bandwidth.  The projections W of the
-    region rotated to the nodes are the values at the nodes of the
-    Chebyshev interpolant of w(eps) over +-cfo_range.  ``interp`` (G, r)
-    maps them to the interpolant at the grid points; ``ops`` (3, r, r) maps
-    them to the Chebyshev coefficients, in x = eps / cfo_range, of the
-    interpolant and of its first and second derivatives in eps: V^-1,
-    D_1 V^-1 / cfo_range and D_2 V^-1 / cfo_range**2, with V the
-    Chebyshev-Vandermonde matrix of the nodes and D_k that of ``chebder``.
-    """
-    kflat = np.asarray(kappa, dtype=float).ravel()
-    r = scan_node_count(cfo_range, kflat, n_s)
+    to_coeffs: np.ndarray     # (r, r) V^-1: node values -> Chebyshev coefficients
+    grid_vander: np.ndarray   # (G, 2r - 1) T_s(grid / cfo_range)
+    derivs: np.ndarray        # (3, 2r - 1, 2r - 1) coefficients of g -> of g, g', g'' in eps
+
+
+@functools.lru_cache(maxsize=32)
+def scan_operators(r: int, cfo_range: float, cfo_step: float) -> ScanOperators:
+    """The inverse Chebyshev-Vandermonde matrix V^-1 of r first-kind nodes,
+    the Chebyshev-Vandermonde matrix of degree 2r - 2 at the grid points, and
+    the identity, D_1 / cfo_range and D_2 / cfo_range**2, with D_k the
+    degree-2r - 2 matrix of ``chebder``; read-only."""
     nodes = cfo_range * chebpts1(r)
-    to_coeffs = np.linalg.inv(chebvander(nodes / cfo_range, r - 1))
-    interp = chebvander(grid / cfo_range, r - 1) @ to_coeffs
-    ops = [to_coeffs]
+    size = 2 * r - 1
+    derivs = [np.eye(size)]
     for order in (1, 2):
-        deriv = chebder(np.eye(r), m=order) / cfo_range ** order
-        ops.append(np.vstack([deriv, np.zeros((r - deriv.shape[0], r))]) @ to_coeffs)
-    node_phases = np.exp(-2j * np.pi * np.outer(nodes, kflat - centre) / n_s)
-    return node_phases, interp, np.stack(ops)
+        deriv = chebder(np.eye(size), m=order) / cfo_range ** order
+        derivs.append(np.vstack([deriv, np.zeros((order, size))]))
+    ops = ScanOperators(
+        to_coeffs=np.linalg.inv(chebvander(nodes / cfo_range, r - 1)),
+        grid_vander=chebvander(cfo_grid(cfo_range, cfo_step) / cfo_range, size - 1),
+        derivs=np.stack(derivs))
+    for array in (ops.to_coeffs, ops.grid_vander, ops.derivs):
+        array.flags.writeable = False
+    return ops
+
+
+def cfo_scan(kappa: np.ndarray, slot_basis: np.ndarray, cfo_range: float, m: int,
+             n_s: int) -> dict:
+    """The per-region fields of the CFO search (``EstimatorBundle``):
+    ``slot_rot`` U (r, V), ``row_rot`` v (r, L_p), ``scan_basis`` (V, L_p,
+    beta), ``scan_index`` and ``centre``.
+
+    Slot n of the region lies M samples after slot 0, except where the frame
+    CP wraps it: kappa[n, j] = kappa[0, j] + s[n, j] M with the virtual slot
+    s = n, or n - N for a sample that wrapped to the frame head (the tail of
+    slot N - 1 at theta_hat >= 1 at the default geometry).  The rotation to
+    node nu_i about the centre kappa_c then factors as
+    exp(-j 2 pi nu_i (kappa[n, j] - kappa_c) / N_s) = U[i, s] v[i, j], with
+    U[i, s] = exp(-j 2 pi nu_i s M / N_s) and
+    v[i, j] = exp(-j 2 pi nu_i (kappa[0, j] - kappa_c) / N_s), over the V
+    distinct virtual slots.  Row v of ``scan_basis`` holds the slot basis
+    of the samples in the v-th virtual slot, zero where that slot has no
+    sample, and ``scan_index`` the flat region index of each (that of a hole
+    is 0, its basis being 0).  Without a wrap the virtual slots are the
+    slots and ``scan_index`` is the identity.
+    """
+    kappa = np.asarray(kappa)
+    n_slots, lp = kappa.shape
+    slot = (kappa - kappa[0]) // m
+    slots = np.unique(slot)
+    r = scan_node_count(cfo_range, kappa, n_s)
+    nodes = cfo_range * chebpts1(r)
+    centre = 0.5 * float(kappa.max() + kappa.min())
+    row = np.searchsorted(slots, slot)
+    col = np.broadcast_to(np.arange(lp), slot.shape)
+    scan_basis = np.zeros((slots.size,) + slot_basis.shape[1:], dtype=slot_basis.dtype)
+    scan_basis[row, col] = slot_basis
+    scan_index = np.zeros((slots.size, lp), dtype=np.intp)
+    scan_index[row, col] = np.arange(n_slots * lp).reshape(n_slots, lp)
+    return dict(
+        slot_rot=np.exp(-2j * np.pi * np.outer(nodes, slots * m) / n_s),
+        row_rot=np.exp(-2j * np.pi * np.outer(nodes, kappa[0] - centre) / n_s),
+        scan_basis=scan_basis, scan_index=scan_index, centre=centre)
 
 
 def estimate_cfo(region: PilotRegion, bundle: EstimatorBundle,
@@ -459,51 +583,51 @@ def estimate_cfo(region: PilotRegion, bundle: EstimatorBundle,
     at the winning offset.  ``region`` is in the frame of the bundle's
     template (``derotate``).
 
-    All three read one projection: the region rotated to the bundle's r
-    Chebyshev nodes of +-cfo_range, one (r, N*L_p) @ (N*L_p, L_p*beta)
-    product W (``cfo_scan``), which holds the values at the nodes of the
-    Chebyshev interpolant of w(eps) = Q^H Phi^H(eps) rbar.  Each
-    interpolated rotation is within 2**-52 of the exact one
-    (``scan_node_count``).  The scan interpolates the costs to the G grid
-    points as the real quadratic form interp Re(W W^H) interp^T, so the
-    cost curve differs from the dense scan by rounding only, amplified by
-    the Lebesgue constant of the nodes, 1 + (2/pi) ln r, about 3.  The
-    refinement turns W into the (r, L_p*beta) Chebyshev coefficients of w,
-    w' and w'' (the bundle's ``ops``), and each Newton iterate reads
-    g = ||w||^2, g' = 2 Re(w^H w') and g'' = 2 (||w'||^2 + Re(w^H w''))
-    from them.  The LS solve reuses w at the estimate
-    (``BemRegressor.solve``).
+    All three read one projection of the region rotated to the bundle's r
+    Chebyshev nodes nu_i of +-cfo_range.  The rotation factors into a slot
+    part and a row part (``cfo_scan``), and the slot sums of ``BemRegressor``
+    carry it through: with Y[s, j, g] = conj(phi) T_g(kprime) rbar at virtual
+    slot s (``EstimatorBundle.node_sums``), the slot sums at the nodes are
+    S_i[j, g] = v[i, j] sum_s U[i, s] Y[s, j, g], one (r, V) @ (V, L_p*beta)
+    product, and the node projections are W = S M^T (``cost_many``), about
+    216k complex MACs at the default geometry.  W holds the values at the
+    nodes of the Chebyshev interpolant of w(eps) = Q^H Phi^H(eps) rbar, each
+    interpolated rotation within 2**-52 of the exact one
+    (``scan_node_count``).  Its coefficients C = V^-1 W give the scalar cost
+    polynomial g(x) = ||w(x)||^2, of degree 2r - 2, through
+    T_a T_b = (T_{a+b} + T_{|a-b|}) / 2 (``cost_polynomial``): the cost
+    curve is one (G, 2r - 1) product with it, and differs from the dense
+    scan by rounding only.  Each Newton iterate reads g, g' and g'' as one
+    (3, 2r - 1) array (the bundle's derivative operators applied to g) times
+    T_s(x) = cos(s acos x).  The LS solve evaluates w at the estimate from C
+    and applies E = P R^-1 (``BemRegressor.solve``).
     """
     if cfg.cfo_tol <= 0:
         raise ConfigError("cfo_tol must be > 0")
-    grid, regressor = bundle.grid, bundle.regressor
-    rflat = region.samples.ravel()
-    costs, w_nodes = regressor.cost_many(bundle.node_phases * rflat[np.newaxis, :],
-                                         bundle.interp)
+    grid, regressor, ops = bundle.grid, bundle.regressor, bundle.scan_ops
+    gamma, coeffs = regressor.cost_many(bundle.node_sums(region.samples), ops.to_coeffs)
+    costs = ops.grid_vander @ gamma
     best = int(np.argmax(costs))
     eps_c = float(grid[best])
-    # [Re, Im] interleaved, so that the real operators act in real arithmetic
-    coeffs = bundle.ops @ w_nodes.view(np.float64)      # (3, r, 2 L_p beta)
-    orders = np.arange(coeffs.shape[1])
+    derivs = ops.derivs @ gamma                         # (3, 2r - 1)
+    orders = np.arange(gamma.size)
 
-    def interpolant(eps):
-        """w, w' and w'' at eps, each times exp(j 2 pi eps centre / N_s)."""
-        x = min(max(eps / cfg.cfo_range, -1.0), 1.0)
-        # T_k(x) = cos(k acos x): one call, where chebvander loops per order
-        return (np.cos(orders * math.acos(x)) @ coeffs).view(np.complex128)
+    def chebyshev_at(eps):
+        # T_s(x) = cos(s acos x): one call, where chebvander loops per order
+        return np.cos(orders * math.acos(min(max(eps / cfg.cfo_range, -1.0), 1.0)))
 
     def cost_derivatives(eps):
-        w0, w1, w2 = interpolant(eps)
-        return (float(np.vdot(w0, w0).real), 2.0 * float(np.vdot(w0, w1).real),
-                2.0 * float(np.vdot(w1, w1).real + np.vdot(w0, w2).real))
+        g, g1, g2 = (derivs @ chebyshev_at(eps)).tolist()
+        return g, g1, g2
 
     lo = max(eps_c - cfg.cfo_step, -cfg.cfo_range)
     hi = min(eps_c + cfg.cfo_step, cfg.cfo_range)
     x_ref, f_ref = newton_max(cost_derivatives, eps_c, lo, hi, cfg.cfo_tol)
     # keep the exact grid point when refinement cannot improve on it
     eps_hat = eps_c if costs[best] >= f_ref else float(x_ref)
-    w = interpolant(eps_hat)[0] * np.exp(-2j * np.pi * eps_hat * bundle.centre / cfg.n_s)
-    c_hat = regressor.solve(w)
+    basis = chebyshev_at(eps_hat)[:coeffs.shape[0]]
+    w = (basis @ coeffs.view(np.float64)).view(np.complex128)
+    c_hat = regressor.solve(w * np.exp(-2j * np.pi * eps_hat * bundle.centre / cfg.n_s))
     return CfoEstimate(epsilon_hat=eps_hat, grid=grid, cost_curve=costs,
                        c_hat=c_hat, h_hat=reconstruct_channel(c_hat, bundle.bem))
 
@@ -512,11 +636,13 @@ def reconstruct_channel(c_hat: np.ndarray, bem: np.ndarray) -> np.ndarray:
     """Tap trajectories over the pilot region from basis coefficients.
 
     Returns h[n, l, j] = sum_g T_g(kprime[n, j]) c[l*beta + g] for taps
-    l = 0..L_p-1 and every time slot n, as one (L_p, beta) @ (N, beta, L_p)
-    matmul.
+    l = 0..L_p-1 and every time slot n, from one real (N*L_p, beta) @
+    (beta, 2 L_p) product on the [Re, Im] interleaved coefficients.
     """
-    _, lp, beta = bem.shape
-    return np.asarray(c_hat).reshape(lp, beta) @ bem.transpose(0, 2, 1)
+    n, lp, beta = bem.shape
+    taps = np.ascontiguousarray(np.asarray(c_hat, dtype=np.complex128).reshape(lp, beta).T)
+    h = (bem.reshape(n * lp, beta) @ taps.view(np.float64)).view(np.complex128)
+    return h.reshape(n, lp, lp).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -528,23 +654,41 @@ class EstimatorBundle:
     """Receive-side quantities fixed by (config, theta, beta) and shared by
     all users: the basis, the regressor factorized on user 0's pilot
     template (every user's region fits it after ``derotate``), the coarse
-    CFO grid and the Chebyshev interpolant of the CFO search (``cfo_scan``).
-    Its r nodes of +-cfo_range come from the geometry by one rule,
-    ``scan_node_count``: the smallest count with (a/2)**r / r! < 2**-52,
-    plus one, for the bandwidth a = 2 pi cfo_range (kappa_max - kappa_min)
-    / (2 N_s) of the rotations, so every interpolated rotation is exact to
-    2**-52 (r = 29 or 30 at the default geometry).  The scan, the Newton
-    refinement and the LS solve all read that one interpolant.  Rotations
-    are taken about the region centre.  Cached across trials because none
-    of them depends on the received samples."""
+    CFO grid, and the CFO search in the regressor's slot structure.
 
-    bem: np.ndarray            # (N, L_p, beta) basis values
+    The search rotates the region to r Chebyshev nodes of +-cfo_range about
+    the region centre (a phase common to every kappa leaves the cost
+    unchanged, and centring halves the bandwidth).  r comes from the
+    geometry by one rule, ``scan_node_count``: the smallest count with
+    (a/2)**r / r! < 2**-52, plus one, for the bandwidth
+    a = 2 pi cfo_range (kappa_max - kappa_min) / (2 N_s) of the rotations,
+    so every interpolated rotation is exact to 2**-52 (r = 29 or 30 at the
+    default geometry).  The rotations are kept as their factors U (r, V)
+    over the virtual slots and v (r, L_p) over the rows (``cfo_scan``),
+    about 20 KB instead of an (r, N*L_p) table; the real operators of the
+    cost polynomial are shared through ``scan_operators``.  The scan, the
+    Newton refinement and the LS solve all read the one node projection
+    (``estimate_cfo``).  Cached across trials because none of them depends
+    on the received samples."""
+
+    bem: np.ndarray                 # (N, L_p, beta) basis values
     regressor: BemRegressor
-    grid: np.ndarray           # (G,) coarse CFO search points
-    node_phases: np.ndarray    # (r, N*L_p)
-    interp: np.ndarray         # (G, r) node values -> grid values
-    ops: np.ndarray            # (3, r, r) node values -> coefficients of w, w', w''
-    centre: float              # kappa of the region centre
+    grid: np.ndarray                # (G,) coarse CFO search points
+    scan_ops: ScanOperators         # shared per (r, cfo_range, cfo_step)
+    slot_rot: np.ndarray            # (r, V) U: node rotation per virtual slot
+    row_rot: np.ndarray             # (r, L_p) v: node rotation per row
+    scan_basis: np.ndarray          # (V, L_p, beta) slot basis per virtual slot
+    scan_index: np.ndarray          # (V, L_p) region index per virtual slot
+    centre: float                   # kappa of the region centre
+
+    def node_sums(self, samples: np.ndarray) -> np.ndarray:
+        """(r, L_p*beta) slot sums of the region ``samples`` (N, L_p) rotated
+        to the r nodes: v[i, j] sum_s U[i, s] Y[s, j, g]."""
+        y = samples.ravel()[self.scan_index][:, :, np.newaxis] * self.scan_basis
+        r, lp = self.row_rot.shape
+        sums = (self.slot_rot @ y.reshape(y.shape[0], -1)).reshape(r, lp, -1)
+        sums *= self.row_rot[:, :, np.newaxis]
+        return sums.reshape(r, -1)
 
 
 _BUNDLE_CACHE: dict = {}
@@ -566,12 +710,11 @@ def estimator_bundle(cfg: SystemConfig, placement: pilot.PilotPlacement,
     kappa = cfg.cp_len + placement.region_index(theta)
     bem = build_bem_basis(beta, kappa, cfg.n_s)
     regressor = build_bem_regressor(pilot.pilot_region_ref(placement, pcp, 0), bem)
-    grid = cfo_grid(cfg.cfo_range, cfg.cfo_step)
-    centre = 0.5 * float(kappa.max() + kappa.min())
-    node_phases, interp, ops = cfo_scan(grid, cfg.cfo_range, kappa, centre, cfg.n_s)
-    bundle = EstimatorBundle(bem=bem, regressor=regressor, grid=grid,
-                             node_phases=node_phases, interp=interp, ops=ops,
-                             centre=centre)
+    scan = cfo_scan(kappa, regressor.slot_basis, cfg.cfo_range, cfg.m, cfg.n_s)
+    ops = scan_operators(scan["slot_rot"].shape[0], cfg.cfo_range, cfg.cfo_step)
+    bundle = EstimatorBundle(bem=bem, regressor=regressor,
+                             grid=cfo_grid(cfg.cfo_range, cfg.cfo_step), scan_ops=ops,
+                             **scan)
     _BUNDLE_CACHE[key] = bundle
     return bundle
 

@@ -8,13 +8,16 @@ as a blocked Toeplitz product.
 ``timing_correlate_template`` slides every slot's pilot block of the full
 delay-time template over the serialized stream, one (N, M, span) window
 einsum; ``sync.timing_correlate`` correlates with the PCP alone.
+``DenseRegressor`` projects through the dense orthonormal factor Q of the
+pivoted QR of G; ``sync.BemRegressor`` projects through the slot sums of
+the template's slot structure and never forms Q.
 ``estimate_cfo_exact`` refines the CFO by Newton steps on the exact cost
-derivatives, each one (3, N*L_p) product, and solves the LS fit through
-``BemRegressor.coeffs``; ``sync.estimate_cfo`` reads both from the Chebyshev
-interpolant of its coarse scan.
-``own_bundle_back_end`` fits one user's received region on a regressor
-factorized on that user's own pilot template, with a dense scan, exact
-Newton and the ``coeffs`` solve; ``sync.synchronize_user`` and
+derivatives, each one (3, N*L_p) product with Q, and solves the LS fit
+through ``DenseRegressor.coeffs``; ``sync.estimate_cfo`` reads both from the
+Chebyshev interpolant of its coarse scan.
+``own_bundle_back_end`` fits one user's received region on a dense
+regressor factorized on that user's own pilot template, with a dense scan,
+exact Newton and the ``coeffs`` solve; ``sync.synchronize_user`` and
 ``harness.absorbed_channel_fit`` share user 0's bundle across users and
 de-rotate the region to it.
 """
@@ -22,6 +25,7 @@ de-rotate the region to it.
 import math
 
 import numpy as np
+import scipy.linalg
 
 from otfsync import pilot, sync
 
@@ -65,6 +69,35 @@ def timing_correlate_template(separated, template, placement, cp_len):
     return sync.TimingMetric(curve=p2d.mean(axis=1), cp_len=cp_len, anchor=placement.anchor)
 
 
+class DenseRegressor:
+    """The regressor G of ``sync.regressor_matrix`` as its dense pivoted QR
+    factors: projections w = Q^H z of rows z, their squared norms, and the LS
+    coefficients P R^-1 w."""
+
+    def __init__(self, sbar, bem):
+        q, self.r, self.piv = scipy.linalg.qr(sync.regressor_matrix(sbar, bem),
+                                              mode="economic", pivoting=True)
+        self.qconj = np.conj(q)
+
+    def project(self, z_batch):
+        return z_batch @ self.qconj
+
+    def cost_many(self, z_batch):
+        w = self.project(z_batch)
+        return np.sum(np.abs(w) ** 2, axis=1), w
+
+    def coeffs(self, z):
+        sol = scipy.linalg.solve_triangular(self.r, self.qconj.T @ z)
+        c = np.empty_like(sol)
+        c[self.piv] = sol
+        return c
+
+
+def dense_regressor(bundle, placement, pcp):
+    """The dense regressor of a bundle: user 0's template on its basis."""
+    return DenseRegressor(pilot.pilot_region_ref(placement, pcp, 0), bundle.bem)
+
+
 def cfo_cost_derivatives(rbar, regressor, kappa, eps, n_s):
     """g(eps) of ``sync.cfo_cost`` and its first two derivatives from one
     (3, N*L_p) product: with z = Phi^H(eps) rbar, d = -j 2 pi kappa / N_s and
@@ -78,9 +111,9 @@ def cfo_cost_derivatives(rbar, regressor, kappa, eps, n_s):
 
 
 def estimate_cfo_exact(region, regressor, cfg, cost_curve):
-    """(eps_hat, c_hat) by exact Newton from the best point of ``cost_curve``
-    over the CFO grid on [best +- cfo_step] within +-cfo_range, then the
-    ``coeffs`` solve."""
+    """(eps_hat, c_hat) by exact Newton on the ``DenseRegressor`` from the
+    best point of ``cost_curve`` over the CFO grid on [best +- cfo_step]
+    within +-cfo_range, then the ``coeffs`` solve."""
     grid = sync.cfo_grid(cfg.cfo_range, cfg.cfo_step)
     rflat = region.samples.ravel()
     kflat = region.kappa.ravel().astype(float)
@@ -97,7 +130,7 @@ def estimate_cfo_exact(region, regressor, cfg, cost_curve):
 
 def own_bundle_back_end(separated, user, theta, cfg, placement, pcp, absorbed_beta):
     """(eps_hat, c_hat, h_hat, h_absorbed) of user ``user`` at timing offset
-    ``theta`` from a regressor on the user's own pilot template
+    ``theta`` from a dense regressor on the user's own pilot template
     (``pilot.pilot_region_ref(user)``) applied to the received region as it
     is: the cost of every grid point from its own rotation, exact Newton
     (``estimate_cfo_exact``), and the absorbed baseline as the ``coeffs``
@@ -106,11 +139,11 @@ def own_bundle_back_end(separated, user, theta, cfg, placement, pcp, absorbed_be
     sbar = pilot.pilot_region_ref(placement, pcp, user)
     rflat, kflat = region.samples.ravel(), region.kappa.ravel().astype(float)
     bem = sync.build_bem_basis(cfg.beta, region.kappa, cfg.n_s)
-    regressor = sync.build_bem_regressor(sbar, bem)
+    regressor = DenseRegressor(sbar, bem)
     grid = sync.cfo_grid(cfg.cfo_range, cfg.cfo_step)
     dense = np.exp(-2j * np.pi * np.outer(grid, kflat) / cfg.n_s) * rflat
     eps_hat, c_hat = estimate_cfo_exact(region, regressor, cfg, regressor.cost_many(dense)[0])
     bem_abs = sync.build_bem_basis(absorbed_beta, region.kappa, cfg.n_s)
-    c_abs = sync.build_bem_regressor(sbar, bem_abs).coeffs(rflat)
+    c_abs = DenseRegressor(sbar, bem_abs).coeffs(rflat)
     return (eps_hat, c_hat, sync.reconstruct_channel(c_hat, bem),
             sync.reconstruct_channel(c_abs, bem_abs))

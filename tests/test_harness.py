@@ -270,3 +270,65 @@ def test_valid_configs_run_or_fail_with_a_record(cfg, absorbed):
         return
     assert len(records) == cfg.num_users
     assert all(rec.error for rec in records if rec.failed)
+
+
+def test_pilot_power_sweep_writes_each_points_pilot_snr(tmp_path):
+    spec = harness.ExperimentSpec(
+        name="pilot-sweep", sweep_var="pilot_power_db", sweep_points=(0.0, 10.0), trials=1,
+        config_overrides=(("num_users", "1"), ("channel_model", "single-tap"),
+                          ("nu_max_t", "0.0"), ("snr_db", "15")))
+    report = harness.run_experiment(spec, out_dir=tmp_path)
+    assert {row.sweep_value for row in report.rows} == {0.0, 10.0}
+    assert report.n_trials == 2 and report.n_failed == 0
+    echo = (tmp_path / "pilot-sweep" / "spec-echo").read_text()
+    assert "# pilot_power_db = 0: pilot SNR per bin 15 dB" in echo
+    assert "# pilot_power_db = 10: pilot SNR per bin 25 dB" in echo
+    assert harness.parse_experiment_text(harness.experiment_text(spec)) == spec
+
+
+def test_absorbed_trial_evaluates_the_true_taps_once_per_user(monkeypatch):
+    calls = []
+    original = harness.true_pilot_taps
+    monkeypatch.setattr(harness, "true_pilot_taps",
+                        lambda *args: calls.append(args) or original(*args))
+    cfg = SystemConfig(num_users=2, channel_model="eva-bem", snr_db=20.0).validate()
+    records, _ = harness.run_trial(cfg, 0, cfo_value=0.3, absorbed=True)
+    assert len(calls) == 2 and not any(rec.failed for rec in records)
+
+
+# (user, theta_first, theta_max, eps_hat, nmse, nmse_absorbed) per trial, as the
+# dense-Q estimator computed them at rng_seed 20250809; the slot-structured one
+# must reproduce them to rounding
+GOLDEN = {
+    ("eva", 4, None): [
+        [(0, 2, 2, 0.4463389884660604, 1.2704973358235674, None),
+         (1, 4, 4, -1.2247450614067583, 1.6807886936714012, None),
+         (2, 2, 2, 0.21822942704616358, 2.1248160897265076, None),
+         (3, 2, 4, -0.3404322507036246, 2.14573871167601, None)],
+        [(0, 3, 4, 1.6102351682580245, 1.8529653567016702, None),
+         (1, 0, 1, 1.8671685236411695, 2.045338834503791, None),
+         (2, 1, 2, 1.635275843288096, 1.789131909869538, None),
+         (3, 0, 1, 0.08251787198748502, 0.7999599839253141, None)]],
+    ("eva-bem", 2, 0.3): [
+        [(0, 0, 0, 0.3978405256451353, 0.20598157837532782, 0.07202599343179382),
+         (1, 0, 0, 0.37417778401329704, 0.17056550654256655, 0.10291260575473045)],
+        [(0, 4, 4, 0.22531820216759857, 0.14969821055683297, 0.08229798102845438),
+         (1, 2, 3, 0.32020815546474585, 0.05247712636219273, 0.07912950709528659)]],
+}
+
+
+@pytest.mark.parametrize("model, num_users, cfo_value", list(GOLDEN))
+def test_golden_records(model, num_users, cfo_value):
+    cfg = SystemConfig(num_users=num_users, channel_model=model, rng_seed=20250809,
+                       **({"snr_db": 20.0} if cfo_value is not None else {})).validate()
+    for k, want in enumerate(GOLDEN[(model, num_users, cfo_value)]):
+        records, _ = harness.run_trial(cfg, k, cfo_value=cfo_value,
+                                       absorbed=cfo_value is not None)
+        for rec, (user, first, peak, eps_hat, nmse, nmse_abs) in zip(records, want):
+            assert (rec.user, rec.theta_first, rec.theta_max) == (user, first, peak)
+            assert rec.eps_hat == pytest.approx(eps_hat, rel=1e-9)
+            assert rec.nmse == pytest.approx(nmse, rel=1e-9)
+            if nmse_abs is None:
+                assert math.isnan(rec.nmse_absorbed)
+            else:
+                assert rec.nmse_absorbed == pytest.approx(nmse_abs, rel=1e-9)

@@ -13,9 +13,9 @@ from otfsync import modem, pilot, sync
 from otfsync.allocation import build_allocation
 from otfsync.config import SystemConfig
 from otfsync.errors import ConfigError, EstimationError
-from sync_oracle import (cfo_cost_derivatives, estimate_cfo_exact, own_bundle_back_end,
-                         separate_user_one, timing_correlate_one,
-                         timing_correlate_template)
+from sync_oracle import (DenseRegressor, cfo_cost_derivatives, dense_regressor,
+                         estimate_cfo_exact, own_bundle_back_end, separate_user_one,
+                         timing_correlate_one, timing_correlate_template)
 
 
 def paper_config(**kw):
@@ -548,7 +548,8 @@ def test_estimate_cfo_matches_fine_argmax_of_bracket(eps0, cfo_range):
     centre = est.grid[int(np.argmax(est.cost_curve))]
     lo = max(centre - cfg.cfo_step, -cfg.cfo_range)
     hi = min(centre + cfg.cfo_step, cfg.cfo_range)
-    target = fine_argmax(region, bundle.regressor, lo, hi, cfg.n_s)
+    placement, pcp, _, _ = region_fixture(cfg)
+    target = fine_argmax(region, dense_regressor(bundle, placement, pcp), lo, hi, cfg.n_s)
     if eps0 > cfo_range:
         assert target == hi == cfg.cfo_range
     else:
@@ -560,11 +561,13 @@ def test_cost_derivatives_match_central_differences():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(33)
     region, bundle, _, _ = bem_exact_observation(cfg, rng, 0.1)
+    _, _, sbar, _ = region_fixture(cfg)
     rflat, kflat = region.samples.ravel(), region.kappa.ravel()
     cost = lambda e: sync.cfo_cost(rflat, bundle.regressor, kflat, e, cfg.n_s)
+    dense = DenseRegressor(sbar, bundle.bem)
     h = 1e-4
     for eps in (-0.31, 0.02, 0.45):
-        g, g1, g2 = cfo_cost_derivatives(rflat, bundle.regressor, kflat, eps, cfg.n_s)
+        g, g1, g2 = cfo_cost_derivatives(rflat, dense, kflat, eps, cfg.n_s)
         assert g == pytest.approx(cost(eps), rel=1e-12)
         assert g1 == pytest.approx((cost(eps + h) - cost(eps - h)) / (2 * h), rel=1e-6)
         assert g2 == pytest.approx(
@@ -663,19 +666,30 @@ def test_estimator_bundle_cache_key_holds_the_grid():
         assert np.array_equal(bundle.grid, sync.cfo_grid(c.cfo_range, c.cfo_step))
         r = sync.scan_node_count(c.cfo_range, kflat, c.n_s)
         assert r < bundle.grid.size
+        assert bundle.scan_ops is sync.scan_operators(r, c.cfo_range, c.cfo_step)
         nodes = c.cfo_range * chebpts1(r)
+        assert np.array_equal(bundle.scan_ops.to_coeffs,
+                              np.linalg.inv(chebvander(nodes / c.cfo_range, r - 1)))
+        assert np.array_equal(bundle.scan_ops.grid_vander,
+                              chebvander(bundle.grid / c.cfo_range, 2 * r - 2))
+        # theta = 2 wraps the tail of the last slot to the frame head, virtual slot -1
         centre = 0.5 * (kflat.max() + kflat.min())
+        slots = np.arange(-1, c.n)
+        assert np.array_equal(bundle.slot_rot,
+                              np.exp(-2j * np.pi * np.outer(nodes, slots * c.m) / c.n_s))
+        assert np.array_equal(bundle.row_rot,
+                              np.exp(-2j * np.pi * np.outer(nodes, kappa[0] - centre) / c.n_s))
+        # their products are the node rotations of every sample
         phases = np.exp(-2j * np.pi * np.outer(nodes, kflat - centre) / c.n_s)
-        interp = chebvander(bundle.grid / c.cfo_range, r - 1) @ np.linalg.inv(
-            chebvander(nodes / c.cfo_range, r - 1))
-        assert np.array_equal(bundle.node_phases, phases)
-        assert np.array_equal(bundle.interp, interp)
+        column = ((kappa - kappa[0]) // c.m + 1).ravel()
+        factored = bundle.slot_rot[:, column] * np.tile(bundle.row_rot, c.n)
+        assert np.max(np.abs(factored - phases)) <= 1e-13
     assert (fine.grid.size, coarse.grid.size) == (201, 41)
 
 
 @pytest.mark.parametrize("theta, overrides, nodes", [
-    (0, {}, 29),                                    # wrapped region, kappa 131..4108
-    (3, {}, 30),
+    (0, {}, 29),                                    # kappa 131..4108
+    (3, {}, 30),                                    # wrapped region, kappa 13..4108
     (0, {"cfo_range": 0.5}, 18),
     (0, {"cfo_range": 4.0, "cfo_step": 0.05}, 40),
     (0, {"cfo_range": 1.0, "cfo_step": 0.3}, 22),    # G = 7 < r: interpolated all the same
@@ -684,7 +698,7 @@ def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
     cfg = paper_config(num_users=1, **overrides)
     placement, pcp, _, kappa = region_fixture(cfg, theta)
     bundle = sync.estimator_bundle(cfg, placement, pcp, theta)
-    assert bundle.node_phases.shape[0] == nodes
+    assert bundle.slot_rot.shape[0] == nodes
     kflat = kappa.ravel()
     dense_phases = np.exp(-2j * np.pi * np.outer(bundle.grid, kflat) / cfg.n_s)
     rng = np.random.default_rng(41)
@@ -692,20 +706,27 @@ def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
         rflat = rng.standard_normal(kflat.size) + 1j * rng.standard_normal(kflat.size)
         region = sync.PilotRegion(samples=rflat.reshape(kappa.shape), kappa=kappa)
         got = sync.estimate_cfo(region, bundle, cfg).cost_curve
-        dense = bundle.regressor.cost_many(dense_phases * rflat)[0]
+        dense = dense_regressor(bundle, placement, pcp).cost_many(dense_phases * rflat)[0]
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(dense)
 
 
 @pytest.mark.parametrize("theta, overrides, eps0s, local_nodes", [
-    (0, {}, (0.137, -0.341, 0.02), 9),                  # wrapped region
-    (3, {}, (0.137, -0.341, 0.02), 9),
+    (0, {}, (0.137, -0.341, 0.02), 9),
+    (3, {}, (0.137, -0.341, 0.02), 9),                  # wrapped region
     (0, {"cfo_range": 0.5}, (0.137, -0.452, 0.499), 9),
     (0, {"cfo_range": 1.0, "cfo_step": 0.3}, (0.137, -0.83, 0.98), 15),   # G < r
     (0, {"cfo_range": 1.0}, (1.013,), 9),               # bracket clipped at +cfo_range
+    (1, {"bem_order": 1, "nu_max_t": 0.0}, (0.137, -0.341), 9),   # one wrapped row
+    (9, {"num_users": 2}, (0.137, -0.341), 9),
+    (10, {"num_users": 4, "bem_order": 12}, (0.137, -0.341), 9),   # every row wrapped
+    (127, {"num_users": 7}, (0.137, -0.341), 9),
+    (0, {"num_users": 4, "bem_order": 12}, (0.137, -0.341), 9),
 ])
 def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_nodes):
-    # the oracle: Newton on the exact cost derivatives, then the coeffs solve
-    cfg = paper_config(num_users=1, **overrides)
+    # the oracle: Newton on the exact cost derivatives with the dense Q, then
+    # the coeffs solve
+    cfg = paper_config(**{"num_users": 1, **overrides})
+    placement, pcp, _, _ = region_fixture(cfg, theta)
     rng = np.random.default_rng(44)
     for eps0 in eps0s:
         region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0, theta)
@@ -715,14 +736,16 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_no
         region = sync.PilotRegion(samples=region.samples + 0.3 * scale * noise,
                                   kappa=region.kappa)
         est = sync.estimate_cfo(region, bundle, cfg)
-        eps_hat, c_hat = estimate_cfo_exact(region, bundle.regressor, cfg, est.cost_curve)
+        eps_hat, c_hat = estimate_cfo_exact(region, dense_regressor(bundle, placement, pcp),
+                                            cfg, est.cost_curve)
         assert abs(est.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
         assert np.linalg.norm(est.c_hat - c_hat) <= 1e-9 * np.linalg.norm(c_hat)
         taps = np.einsum("njg,lg->nlj", bundle.bem, c_hat.reshape(cfg.zc_len, -1))
         assert np.max(np.abs(est.h_hat - taps)) <= 1e-9 * np.max(np.abs(taps))
-    r = bundle.node_phases.shape[0]
-    assert bundle.interp.shape == (bundle.grid.size, r)
-    assert bundle.ops.shape == (3, r, r)
+    r = bundle.slot_rot.shape[0]
+    assert bundle.row_rot.shape == (r, cfg.zc_len)
+    assert bundle.scan_ops.grid_vander.shape == (bundle.grid.size, 2 * r - 1)
+    assert bundle.scan_ops.derivs.shape == (3, 2 * r - 1, 2 * r - 1)
     # the bracket alone would take local_nodes; the refinement reads the scan's r
     assert local_nodes == sync.scan_node_count(cfg.cfo_step, region.kappa, cfg.n_s)
     if eps0 > cfg.cfo_range:
@@ -805,3 +828,52 @@ def test_reconstruct_bem_exact_channel():
     h_hat = sync.reconstruct_channel(c_hat, bundle.bem)
     h_true = sync.reconstruct_channel(c, bundle.bem)
     assert np.max(np.abs(h_hat - h_true)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# slot-structured projection against the dense-Q oracle
+# ---------------------------------------------------------------------------
+
+# theta = 1 and 9 wrap the tail of the last slot to the frame head, 10 and 127
+# every row of it (at anchor 118 of M = 128)
+@pytest.mark.parametrize("num_users", [1, 2, 4, 7])
+@pytest.mark.parametrize("theta", [0, 1, 9, 10, 127])
+@pytest.mark.parametrize("beta", [1, 7, 12])
+def test_slot_projection_and_cost_curve_match_dense_q(num_users, theta, beta):
+    cfg = paper_config(num_users=num_users)
+    placement, pcp, sbar, kappa = region_fixture(cfg, theta)
+    bundle = sync.estimator_bundle(cfg, placement, pcp, theta, beta)
+    dense = DenseRegressor(sbar, bundle.bem)
+    rng = np.random.default_rng([theta, beta, num_users])
+    z = rng.standard_normal((3, kappa.size)) + 1j * rng.standard_normal((3, kappa.size))
+    reg = bundle.regressor
+    want = dense.project(z)
+    assert np.max(np.abs(reg.project(reg.slot_sums(z)) - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.allclose(reg.coeffs(z[0]), dense.coeffs(z[0]), rtol=0, atol=1e-12 * np.max(
+        np.abs(dense.coeffs(z[0]))))
+    rotations = np.exp(-2j * np.pi * np.outer(bundle.grid, kappa.ravel()) / cfg.n_s)
+    region = sync.PilotRegion(samples=z[1].reshape(kappa.shape), kappa=kappa)
+    got = sync.estimate_cfo(region, bundle, cfg).cost_curve
+    dense_curve = dense.cost_many(rotations * z[1])[0]
+    assert np.max(np.abs(got - dense_curve)) <= 1e-13 * np.max(dense_curve)
+
+
+def test_cost_polynomial_is_the_squared_norm_of_the_interpolant():
+    rng = np.random.default_rng(45)
+    coeffs = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    x = np.linspace(-1.0, 1.0, 11)
+    w = chebvander(x, 5) @ coeffs
+    got = chebvander(x, 10) @ sync.cost_polynomial(coeffs)
+    assert np.allclose(got, np.sum(np.abs(w) ** 2, axis=1), rtol=1e-13, atol=0.0)
+
+
+def test_slot_factors_rejects_a_template_without_slot_structure():
+    cfg = paper_config(num_users=1)
+    _, _, sbar, kappa = region_fixture(cfg)
+    phi, p = sync.slot_factors(sbar)
+    assert np.max(np.abs(np.outer(phi, p) - sbar)) <= 1e-15 * np.max(np.abs(sbar))
+    rng = np.random.default_rng(46)
+    mixed = sbar + 0.1 * (rng.standard_normal(sbar.shape) + 1j * rng.standard_normal(sbar.shape))
+    bem = sync.build_bem_basis(cfg.beta, kappa, cfg.n_s)
+    with pytest.raises(EstimationError, match="slot-separable"):
+        sync.build_bem_regressor(mixed, bem)
