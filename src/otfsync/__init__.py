@@ -4,7 +4,7 @@ Library layout:
 
 - ``config``      system dimensioning and experiment parameters
 - ``allocation``  per-user delay-Doppler resource allocation
-- ``modem``       OTFS transmit chain and inverse receive transforms
+- ``modem``       OTFS transmit chain and cyclic-prefix removal
 - ``pilot``       cyclic-prefixed Zadoff-Chu pilots in a shared delay region
 - ``channel``     doubly-selective channels, sample-level application
 - ``sync``        filter bank, timing metric, ML CFO + BEM channel estimation

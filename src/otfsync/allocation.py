@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AllocationError
 
 
@@ -60,10 +58,3 @@ def build_allocation(m: int, n: int, num_users: int, scheme: str) -> list[UserAl
             for q in range(num_users)
         ]
     raise AllocationError(f"unknown allocation scheme {scheme!r}")
-
-
-def bin_mask(alloc: UserAllocation, m: int, n: int) -> np.ndarray:
-    """Boolean M x N mask of the bins owned by this user."""
-    mask = np.zeros((m, n), dtype=bool)
-    mask[np.ix_(alloc.delay_bins, alloc.doppler_bins)] = True
-    return mask

@@ -1,10 +1,13 @@
 """Monte Carlo experiment engine.
 
 Draws trials, runs the full transmit -> channel -> receive -> estimate
-pipeline, aggregates error metrics per sweep point, and writes CSV result
-tables.  Every random draw in trial ``k`` comes from the stream seeded with
-(rng_seed, k), so trials are order-independent, parallel-safe, and exactly
-reproducible.
+pipeline, and writes CSV result tables.  A trial gives one
+``UserTrialRecord`` per user.  A sweep point is a table of (trials, Q) numpy
+columns, one per record field: each aggregate row is one reduction of one
+user's column, and the failure counts and the ``per-trial.jsonl`` dump read
+the same table.  Every random draw in trial ``k`` comes from the stream
+seeded with (rng_seed, k), so trials are order-independent, parallel-safe,
+and exactly reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import concurrent.futures
 import json
 import math
 import os
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -152,47 +155,40 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
 
 
 # ---------------------------------------------------------------------------
-# streaming aggregation
+# sweep-point table and aggregation
 # ---------------------------------------------------------------------------
 
-class RunningStats:
-    """Streamed mean/variance (Welford); matches batch recomputation."""
+#: the columns of a sweep point's table, one per UserTrialRecord field
+RECORD_FIELDS = tuple(f.name for f in fields(UserTrialRecord))
 
-    def __init__(self):
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
 
-    def push(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
+def record_table(records_by_trial) -> dict[str, np.ndarray]:
+    """One sweep point as a table: each UserTrialRecord field becomes a
+    (trials, Q) column whose row k holds trial k's records in user order."""
+    return {name: np.array([[getattr(rec, name) for rec in records]
+                            for records in records_by_trial])
+            for name in RECORD_FIELDS}
 
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else math.nan
 
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance."""
-        if self.count < 2:
-            return 0.0 if self.count else math.nan
-        return self._m2 / (self.count - 1)
+def _mean(x: np.ndarray) -> tuple[float, float]:
+    """Mean of the non-NaN entries of a 1-D sample and the 95% normal-
+    approximation half-width of its CI: NaN and NaN without such entries, a
+    NaN half-width with one."""
+    x = x[~np.isnan(x)]
+    n = x.size
+    if n < 2:
+        return float(x[0]) if n else math.nan, math.nan
+    return float(x.mean()), 1.96 * math.sqrt(x.var(ddof=1) / n)
 
-    @property
-    def mean_ci(self) -> float:
-        """95% normal-approximation half-width for the mean."""
-        if self.count < 2:
-            return math.nan
-        return 1.96 * math.sqrt(self.variance / self.count)
 
-    @property
-    def variance_ci(self) -> float:
-        """95% normal-approximation half-width for the variance."""
-        if self.count < 2:
-            return math.nan
-        return 1.96 * self.variance * math.sqrt(2.0 / (self.count - 1))
+def _var(x: np.ndarray) -> tuple[float, float]:
+    """Unbiased variance of a 1-D sample and the 95% normal-approximation
+    half-width of its CI: NaN and NaN without samples, 0.0 and NaN with one."""
+    n = x.size
+    if n < 2:
+        return 0.0 if n else math.nan, math.nan
+    var = float(x.var(ddof=1))
+    return var, 1.96 * var * math.sqrt(2.0 / (n - 1))
 
 
 @dataclass
@@ -208,55 +204,41 @@ class AggregateRow:
     n_failed: int
 
 
-def aggregate_point(sweep_var: str, sweep_value: float, records_by_trial,
-                    num_users: int, absorbed: bool) -> list[AggregateRow]:
-    """Reduce one sweep point's trial records to aggregate rows.
+def aggregate_point(sweep_var: str, sweep_value: float, table: dict[str, np.ndarray],
+                    absorbed: bool) -> list[AggregateRow]:
+    """Reduce one sweep point's (trials, Q) table to aggregate rows.
 
     Failed trials are counted in n_failed and excluded from the statistics,
-    never silently dropped from the totals.
+    never silently dropped from the totals.  A surviving trial's NaN CFO or
+    NMSE estimate is left out of that metric alone.
     """
+    n_trials, num_users = table["failed"].shape
+    nmse_columns = [("compensated", "nmse")]
+    if absorbed:
+        nmse_columns.append(("absorbed", "nmse_absorbed"))
     rows = []
     for q in range(num_users):
-        n_total = len(records_by_trial)
-        ok = [records[q] for records in records_by_trial if not records[q].failed]
-        n_failed = n_total - len(ok)
+        ok = ~table["failed"][:, q]
+        user = {name: column[:, q][ok] for name, column in table.items()}
+        n_failed = n_trials - int(ok.sum())
 
         def make(variant, metric, value, ci):
             rows.append(AggregateRow(sweep_var, float(sweep_value), q, variant,
-                                     metric, value, ci, n_total, n_failed))
+                                     metric, value, ci, n_trials, n_failed))
 
-        for variant in TO_VARIANTS:
-            attr = "theta_first" if variant == "first-peak" else "theta_max"
-            err_stat, abs_stat = RunningStats(), RunningStats()
-            for rec in ok:
-                err = float(getattr(rec, attr) - rec.theta_true)
-                err_stat.push(err)
-                abs_stat.push(abs(err))
-            make(variant, "to_mean_abs_err", abs_stat.mean, abs_stat.mean_ci)
-            make(variant, "to_err_var", err_stat.variance, err_stat.variance_ci)
-
-        cfo_stat = RunningStats()
-        for rec in ok:
-            if not math.isnan(rec.eps_hat):
-                cfo_stat.push((rec.eps_hat - rec.eps_true) ** 2)
-        make("compensated", "cfo_mse", cfo_stat.mean, cfo_stat.mean_ci)
-
-        nmse_sources = [("compensated", "nmse")]
-        if absorbed:
-            nmse_sources.append(("absorbed", "nmse_absorbed"))
-        for variant, attr in nmse_sources:
-            st = RunningStats()
-            for rec in ok:
-                value = getattr(rec, attr)
-                if not math.isnan(value):
-                    st.push(value)
-            make(variant, "ch_nmse", st.mean, st.mean_ci)
-            if st.count and st.mean > 0:
-                db = 10.0 * math.log10(st.mean)
-                db_ci = 10.0 / math.log(10.0) * st.mean_ci / st.mean
+        for variant, column in zip(TO_VARIANTS, ("theta_first", "theta_max")):
+            err = (user[column] - user["theta_true"]).astype(float)
+            make(variant, "to_mean_abs_err", *_mean(np.abs(err)))
+            make(variant, "to_err_var", *_var(err))
+        make("compensated", "cfo_mse", *_mean((user["eps_hat"] - user["eps_true"]) ** 2))
+        for variant, column in nmse_columns:
+            mean, ci = _mean(user[column])
+            make(variant, "ch_nmse", mean, ci)
+            if mean > 0:
+                make(variant, "ch_nmse_db", 10.0 * math.log10(mean),
+                     10.0 / math.log(10.0) * ci / mean)
             else:
-                db, db_ci = math.nan, math.nan
-            make(variant, "ch_nmse_db", db, db_ci)
+                make(variant, "ch_nmse_db", math.nan, math.nan)
     return rows
 
 
@@ -337,21 +319,19 @@ def experiment_text(spec: ExperimentSpec) -> str:
 
 def _trial_worker(args):
     cfg, trial_index, cfo_value, absorbed = args
-    records, _ = run_trial(cfg, trial_index, cfo_value=cfo_value, absorbed=absorbed)
-    return trial_index, records
+    return run_trial(cfg, trial_index, cfo_value=cfo_value, absorbed=absorbed)[0]
 
 
 def run_point(cfg: SystemConfig, trials: int, *, cfo_value=None, absorbed=False,
-              workers: int = 1):
-    """All trial records for one sweep point, ordered by trial index."""
+              workers: int = 1) -> dict[str, np.ndarray]:
+    """One sweep point's (trials, Q) table (``record_table``), rows in trial order."""
     jobs = [(cfg, k, cfo_value, absorbed) for k in range(trials)]
     if workers <= 1:
-        results = [_trial_worker(job) for job in jobs]
+        records_by_trial = [_trial_worker(job) for job in jobs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_worker, jobs, chunksize=8))
-    results.sort(key=lambda item: item[0])
-    return [records for _, records in results]
+            records_by_trial = list(pool.map(_trial_worker, jobs, chunksize=8))
+    return record_table(records_by_trial)
 
 
 @dataclass
@@ -402,18 +382,18 @@ def run_experiment(spec: ExperimentSpec, base_cfg: SystemConfig | None = None,
             cfg, cfo_value = apply_overrides(cfg0, {spec.sweep_var: point}), None
         pilot_snr_lines.append(f"# {spec.sweep_var} = {point:g}: pilot SNR per bin "
                                f"{cfg.snr_db + cfg.pilot_power_db:g} dB")
-        records_by_trial = run_point(cfg, spec.trials, cfo_value=cfo_value,
-                                     absorbed=spec.absorbed_baseline, workers=workers)
-        all_rows.extend(aggregate_point(spec.sweep_var, point, records_by_trial,
-                                        cfg.num_users, spec.absorbed_baseline))
-        for k, records in enumerate(records_by_trial):
-            for rec in records:
-                n_trials += 1
-                n_failed += int(rec.failed)
-                if spec.per_trial_dump:
-                    entry = {"sweep_value": float(point), "trial": k}
-                    entry.update(asdict(rec))
-                    per_trial_lines.append(json.dumps(entry, sort_keys=True))
+        table = run_point(cfg, spec.trials, cfo_value=cfo_value,
+                          absorbed=spec.absorbed_baseline, workers=workers)
+        all_rows.extend(aggregate_point(spec.sweep_var, point, table, spec.absorbed_baseline))
+        n_trials += table["failed"].size
+        n_failed += int(table["failed"].sum())
+        if spec.per_trial_dump:
+            columns = {name: column.tolist() for name, column in table.items()}
+            per_trial_lines += [
+                json.dumps({"sweep_value": float(point), "trial": k,
+                            **{name: rows[k][q] for name, rows in columns.items()}},
+                           sort_keys=True)
+                for k, q in np.ndindex(table["failed"].shape)]
     report = EstimationReport(spec=spec, rows=all_rows, n_trials=n_trials,
                               n_failed=n_failed)
     if out_dir is not None:

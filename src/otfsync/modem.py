@@ -1,4 +1,4 @@
-"""Transmit chain and the inverse receive transforms.
+"""Transmit chain and the receiver's cyclic-prefix removal.
 
 Grids are M x N complex arrays with the delay index along rows and the
 Doppler (or time-slot) index along columns.  Serialization is always
@@ -54,15 +54,6 @@ def remove_cp(stream: np.ndarray, n_drop: int, out_len: int | None = None) -> np
     if out_len is not None and out.size != out_len:
         raise ConfigError(f"expected {out_len} samples after CP removal, got {out.size}")
     return out
-
-
-def demodulate(stream: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Length-M*N stream -> delay-Doppler grid (unitary DFT along time)."""
-    stream = np.asarray(stream)
-    if stream.size != m * n:
-        raise ConfigError(f"expected {m * n} samples, got {stream.size}")
-    grid = stream.reshape(m, n, order="F")
-    return np.fft.fft(grid, axis=1) / np.sqrt(n)
 
 
 def transmit(dd: np.ndarray, cp_len: int) -> np.ndarray:

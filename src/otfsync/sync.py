@@ -55,6 +55,9 @@ TIMING_BLOCK = 16
 #: largest deviation of a pilot template from a product phi_n p_j, as a share
 #: of its largest sample (``slot_factors``)
 SEPARABLE_TOL = 1e-10
+#: smallest |R[i, i]| of the regressor's pivoted QR, as a share of |R[0, 0]|,
+#: that counts toward its rank (``build_bem_regressor``)
+PIVOT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +343,7 @@ def slot_factors(sbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi, p
 
 
-def build_bem_regressor(sbar: np.ndarray, bem: np.ndarray,
-                        pivot_tol: float = 1e-10) -> BemRegressor:
+def build_bem_regressor(sbar: np.ndarray, bem: np.ndarray) -> BemRegressor:
     """Factorize the regressor of the pilot template with pivoted QR, check its
     rank, and fold R and the template's circulant into M and E."""
     g_mat = regressor_matrix(sbar, bem)
@@ -354,7 +356,7 @@ def build_bem_regressor(sbar: np.ndarray, bem: np.ndarray,
     r, piv = scipy.linalg.qr(g_mat, mode="r", pivoting=True)
     r = r[:n_cols]
     diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag >= pivot_tol * diag[0])) if diag[0] > 0 else 0
+    rank = int(np.sum(diag >= PIVOT_TOL * diag[0])) if diag[0] > 0 else 0
     if rank < n_cols:
         raise EstimationError(
             f"BEM regressor rank-deficient: rank {rank} < beta*L_p = {n_cols} "

@@ -4,16 +4,31 @@
 an MN x MN matrix that maps the combined delay-Doppler symbol vector of all
 users to the demodulated receive grid.  It is dense (268 MB at the default
 128 x 32 grid), so it lives here and is only built at test sizes, where the
-keystone tests check it against the sample-level path to 1e-9.
+keystone tests check it against the sample-level path to 1e-9.  The
+receive transform (``demodulate``) and the bin selector (``bin_mask``) that
+it rests on live here too, as no experiment reads a delay-Doppler grid back.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from otfsync.allocation import UserAllocation, bin_mask
+from otfsync.allocation import UserAllocation
 from otfsync.channel import ChannelRealization
 from otfsync.config import SystemConfig
+
+
+def demodulate(stream: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Length-M*N stream -> delay-Doppler grid (unitary DFT along time)."""
+    grid = np.asarray(stream).reshape(m, n, order="F")
+    return np.fft.fft(grid, axis=1) / np.sqrt(n)
+
+
+def bin_mask(alloc: UserAllocation, m: int, n: int) -> np.ndarray:
+    """Boolean M x N mask of the bins owned by this user."""
+    mask = np.zeros((m, n), dtype=bool)
+    mask[np.ix_(alloc.delay_bins, alloc.doppler_bins)] = True
+    return mask
 
 
 def dd_transform(mat: np.ndarray, m: int, n: int) -> np.ndarray:

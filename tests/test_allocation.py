@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from otfsync.allocation import build_allocation, bin_mask, UserAllocation
+from dd_oracle import bin_mask
+from otfsync.allocation import build_allocation, UserAllocation
 from otfsync.errors import AllocationError
 
 

@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dd_oracle import build_compound_channel
+from dd_oracle import bin_mask, build_compound_channel, demodulate
 from otfsync import channel as chan
 from otfsync import modem, sync
-from otfsync.allocation import build_allocation, bin_mask
+from otfsync.allocation import build_allocation
 from otfsync.config import SystemConfig
 from otfsync.errors import RealizationError
 
@@ -328,7 +328,7 @@ def keystone_error(cfg, rng, realization, allocs):
     streams = [modem.transmit(f, cfg.cp_len) for f in frames]
     r = chan.apply_channel(streams, realization, cfg.n_s, cfg.theta_max)
     y = modem.remove_cp(r[cfg.theta_max:], cfg.cp_rem)
-    d_tilde = modem.demodulate(y, cfg.m, cfg.n).flatten(order="F")
+    d_tilde = demodulate(y, cfg.m, cfg.n).flatten(order="F")
     compound = build_compound_channel(realization, cfg, allocs)
     d = sum(f.flatten(order="F") for f in frames)
     return np.max(np.abs(compound.psi_dd @ d - d_tilde))

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -87,14 +89,93 @@ def test_absorbed_order_capped_at_doppler_axis():
         assert math.isfinite(report.value(point, 0, "absorbed", "ch_nmse"))
 
 
-def test_running_stats_match_batch():
-    rng = np.random.default_rng(1)
-    values = rng.standard_normal(100)
-    stats = harness.RunningStats()
-    for v in values:
-        stats.push(float(v))
-    assert stats.mean == pytest.approx(np.mean(values), rel=1e-12)
-    assert stats.variance == pytest.approx(np.var(values, ddof=1), rel=1e-12)
+def random_records(rng, trials, num_users):
+    """Per-trial record lists with random failures and NaN CFO and NMSE
+    estimates.  Failed records keep random estimates, as a record that fails
+    after timing does.  With Q > 1 the next-to-last user fails in every
+    trial and the last user survives in exactly one."""
+    records = []
+    for k in range(trials):
+        row = []
+        for q in range(num_users):
+            rec = harness.UserTrialRecord(
+                user=q, theta_true=int(rng.integers(0, 5)),
+                theta_first=int(rng.integers(0, 5)), theta_max=int(rng.integers(0, 5)),
+                eps_true=rng.uniform(-0.5, 0.5), eps_hat=rng.uniform(-1.0, 1.0),
+                nmse=rng.exponential(), nmse_absorbed=rng.exponential(),
+                failed=bool(rng.random() < 0.3))
+            for name in ("eps_hat", "nmse", "nmse_absorbed"):
+                if rng.random() < 0.2:
+                    setattr(rec, name, math.nan)
+            if num_users > 1 and q >= num_users - 2:
+                rec.failed = q == num_users - 2 or k != trials // 2
+            rec.error = "drawn" if rec.failed else ""
+            row.append(rec)
+        records.append(row)
+    return records
+
+
+def direct_rows(records, num_users):
+    """{(user, variant, metric): (value, ci, n_failed)} straight from the
+    records, with np.mean and np.var(ddof=1) over the survivors."""
+    def mean(x):
+        n = len(x)
+        return (np.mean(x) if n else math.nan,
+                1.96 * np.sqrt(np.var(x, ddof=1) / n) if n > 1 else math.nan)
+
+    def var(x):
+        n = len(x)
+        v = np.var(x, ddof=1) if n > 1 else (0.0 if n else math.nan)
+        return v, (1.96 * v * np.sqrt(2.0 / (n - 1)) if n > 1 else math.nan)
+
+    want = {}
+    for q in range(num_users):
+        ok = [row[q] for row in records if not row[q].failed]
+        n_failed = len(records) - len(ok)
+        for variant, attr in (("first-peak", "theta_first"), ("max-peak", "theta_max")):
+            err = [getattr(r, attr) - r.theta_true for r in ok]
+            want[q, variant, "to_mean_abs_err"] = (*mean(np.abs(err)), n_failed)
+            want[q, variant, "to_err_var"] = (*var(err), n_failed)
+        want[q, "compensated", "cfo_mse"] = (
+            *mean([(r.eps_hat - r.eps_true) ** 2 for r in ok if not math.isnan(r.eps_hat)]),
+            n_failed)
+        for variant, attr in (("compensated", "nmse"), ("absorbed", "nmse_absorbed")):
+            m, ci = mean([getattr(r, attr) for r in ok if not math.isnan(getattr(r, attr))])
+            want[q, variant, "ch_nmse"] = (m, ci, n_failed)
+            want[q, variant, "ch_nmse_db"] = (
+                (10 * np.log10(m), 10 / np.log(10) * ci / m, n_failed) if m > 0
+                else (math.nan, math.nan, n_failed))
+    return want
+
+
+@pytest.mark.parametrize("num_users", [1, 3])
+@pytest.mark.parametrize("trials", [1, 2, 17])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_aggregation_matches_direct_formulas(num_users, trials, seed):
+    records = random_records(np.random.default_rng([seed, num_users, trials]),
+                             trials, num_users)
+    table = harness.record_table(records)
+    assert table["failed"].shape == (trials, num_users)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = harness.aggregate_point("cfo_value", 0.25, table, absorbed=True)
+        want = direct_rows(records, num_users)
+    assert {(r.user, r.variant, r.metric) for r in rows} == set(want)
+    assert len(rows) == len(want)
+    for row in rows:
+        value, ci, n_failed = want[row.user, row.variant, row.metric]
+        assert (row.sweep_var, row.sweep_value, row.n_trials) == ("cfo_value", 0.25, trials)
+        assert row.n_failed == n_failed
+        assert row.value == pytest.approx(value, rel=1e-12, abs=0, nan_ok=True)
+        assert row.ci_halfwidth == pytest.approx(ci, rel=1e-12, abs=0, nan_ok=True)
+    if num_users > 1:     # the user that never survives, and the one that survives once
+        never = [r for r in rows if r.user == num_users - 2]
+        assert all(math.isnan(r.value) and math.isnan(r.ci_halfwidth) for r in never)
+        once = [r for r in rows if r.user == num_users - 1 and r.metric == "to_err_var"]
+        assert all(r.value == 0.0 and math.isnan(r.ci_halfwidth) for r in once)
+    plain = harness.aggregate_point("cfo_value", 0.25, table, absorbed=False)
+    assert ([(r.user, r.variant, r.metric) for r in plain]
+            == [(r.user, r.variant, r.metric) for r in rows if r.variant != "absorbed"])
 
 
 def test_aggregate_counts_failures():
@@ -102,8 +183,8 @@ def test_aggregate_counts_failures():
                                  theta_max=1, eps_true=0.0, eps_hat=0.1,
                                  nmse=0.5)
     bad = harness.UserTrialRecord(user=0, failed=True, error="x")
-    rows = harness.aggregate_point("snr_db", 10.0, [[ok], [bad], [ok]], 1,
-                                   absorbed=False)
+    table = harness.record_table([[ok], [bad], [ok]])
+    rows = harness.aggregate_point("snr_db", 10.0, table, absorbed=False)
     for row in rows:
         assert row.n_trials == 3
         assert row.n_failed == 1
@@ -332,3 +413,41 @@ def test_golden_records(model, num_users, cfo_value):
                 assert math.isnan(rec.nmse_absorbed)
             else:
                 assert rec.nmse_absorbed == pytest.approx(nmse_abs, rel=1e-9)
+
+
+# two small sweeps at rng_seed 20250809; golden_sweeps.json holds their rows,
+# totals and per-trial integer fields as the record-by-record (Welford)
+# aggregation wrote them, which the (trials, Q) table reductions replaced
+GOLDEN_SWEEPS = {
+    "eva-snr": harness.ExperimentSpec(
+        name="eva-snr", sweep_var="snr_db", sweep_points=(0.0, 20.0), trials=3,
+        per_trial_dump=True,
+        config_overrides=(("num_users", "2"), ("channel_model", "eva"))),
+    "eva-bem-cfo": harness.ExperimentSpec(
+        name="eva-bem-cfo", sweep_var="cfo_value", sweep_points=(0.0, 0.3), trials=3,
+        absorbed_baseline=True,
+        config_overrides=(("num_users", "2"), ("channel_model", "eva-bem"))),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SWEEPS))
+def test_golden_sweeps(name, tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), "golden_sweeps.json"),
+              encoding="utf-8") as fh:
+        want = json.load(fh)[name]
+    spec = GOLDEN_SWEEPS[name]
+    report = harness.run_experiment(spec, SystemConfig(rng_seed=20250809), out_dir=tmp_path)
+    assert (report.n_trials, report.n_failed) == (want["n_trials"], want["n_failed"])
+    got = {(r.sweep_value, r.user, r.variant, r.metric): r for r in report.rows}
+    assert len(got) == len(report.rows)
+    assert set(got) == {tuple(row[:4]) for row in want["rows"]}
+    for *key, value, ci in want["rows"]:
+        row = got[tuple(key)]
+        assert row.value == pytest.approx(value, rel=1e-9, abs=0, nan_ok=True)
+        assert row.ci_halfwidth == pytest.approx(ci, rel=1e-9, abs=0, nan_ok=True)
+    if spec.per_trial_dump:
+        with open(tmp_path / name / "per-trial.jsonl", encoding="utf-8") as fh:
+            entries = [json.loads(line) for line in fh]
+        assert all(sorted(entry) == want["per_trial_keys"] for entry in entries)
+        assert [[entry[k] for k in want["per_trial_fields"]] for entry in entries] \
+            == want["per_trial"]
