@@ -60,6 +60,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
+# numpy >= 2 loads these submodules on first use.  Every trial needs them
+# (numpy.ma through np.unique), so they load with the package, about 25 ms,
+# instead of inside the first trial of each process.
+import numpy.fft  # noqa: E402,F401
+import numpy.ma  # noqa: E402,F401
+import numpy.random  # noqa: E402,F401
+
 from .config import SystemConfig, load_config, apply_overrides
 from .errors import (OtfsyncError, ConfigError, AllocationError, PlacementError,
                      RealizationError, EstimationError, NumericError)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import shutil
 import sys
@@ -126,7 +125,7 @@ def cmd_trial(args) -> int:
     records, debug = harness.run_trial(cfg, args.trial_index,
                                        collect_debug=args.debug_dump)
     for rec in records:
-        print(json.dumps(dataclasses.asdict(rec), sort_keys=True))
+        print(harness.json_line(dataclasses.asdict(rec)))
     if args.debug_dump:
         target = os.path.join(_out_root(args), "trial")
         _dump_debug(target, debug)

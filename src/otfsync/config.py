@@ -107,6 +107,20 @@ class SystemConfig:
         if self.num_users > self.m or self.num_users > self.n:
             bad.append(f"num_users={self.num_users} exceeds m={self.m} or n={self.n}")
             return bad
+        # the checks below derive beta, the band and the grid from these floats
+        bad += [f"{f.name} is NaN" for f in fields(self)
+                if f.type == "float" and math.isnan(getattr(self, f.name))]
+        if self.snr_db == -math.inf:
+            bad.append("snr_db=-inf: the data SNR must be finite, or inf for no noise")
+        if self.pilot_power_db == math.inf:
+            bad.append("pilot_power_db=inf: the pilot power must be finite, "
+                       "or -inf for no pilot")
+        if self.nu_max_t < 0 or self.nu_max_t == math.inf:
+            bad.append(f"nu_max_t={self.nu_max_t} must be finite and >= 0")
+        if any(map(math.isinf, (self.cfo_range, self.cfo_step, self.cfo_tol, self.cfo_max))):
+            bad.append("cfo_range, cfo_step, cfo_tol, cfo_max must all be finite")
+        if bad:
+            return bad
         if self.cp_len < 0 or self.theta_max < 0:
             bad.append("cp_len and theta_max must be >= 0")
         if self.cp_len < self.channel_len_cap + self.theta_max - 1:

@@ -49,6 +49,16 @@ class UserTrialRecord:
     error: str = ""
 
 
+def json_line(fields: dict) -> str:
+    """``fields`` as one line of strict JSON with sorted keys.  A non-finite
+    float is written as null, as JSON has no NaN or Infinity (RFC 8259):
+    a NaN is an estimate that a failed or skipped stage never made, an
+    infinity a sweep point such as snr_db = inf."""
+    return json.dumps({key: None if isinstance(value, float) and not math.isfinite(value)
+                       else value for key, value in fields.items()},
+                      sort_keys=True, allow_nan=False)
+
+
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Counter-based stream: (seed, trial_index) determines every draw."""
     return np.random.default_rng([seed, trial_index])
@@ -80,10 +90,11 @@ def absorbed_channel_fit(region: sync.PilotRegion, cfg: SystemConfig,
                          placement, pcp, user: int, theta: int,
                          eps_true: float) -> np.ndarray:
     """Baseline fit with the CFO left inside the channel (search disabled):
-    the LS solve runs at zero offset against the same shared pilot template,
-    on the user's region de-rotated to it (``sync.derotate``).  At zero
-    offset no rotation is needed, so the fit is the region's slot sums and
-    two (L_p*beta)-square matrix products (``BemRegressor.coeffs``)."""
+    the LS solve runs at zero offset against the Doppler-free template
+    1 (x) p, on the user's region de-rotated by its own slot phase
+    (``sync.derotate``).  At zero offset no rotation is needed, so the fit is
+    the region's row sums and one (L_p*beta)-square matrix product
+    (``BemRegressor.coeffs``)."""
     bundle = sync.estimator_bundle(cfg, placement, pcp, theta,
                                    beta=absorbed_beta(cfg, eps_true))
     c_hat = bundle.regressor.coeffs(sync.derotate(region, placement, user).samples.ravel())
@@ -263,6 +274,11 @@ class ExperimentSpec:
             raise ConfigError(f"sweep_var={self.sweep_var!r} not one of {SWEEP_VARS}")
         if not self.sweep_points:
             raise ConfigError("sweep_points must be nonempty")
+        if any(map(math.isnan, self.sweep_points)):
+            raise ConfigError("sweep_points must not be NaN")
+        if self.sweep_var == "cfo_value" and not all(map(math.isfinite, self.sweep_points)):
+            # pinned as every user's CFO directly, past the config's checks
+            raise ConfigError("cfo_value sweep points must be finite")
         if list(self.sweep_points) != sorted(self.sweep_points):
             raise ConfigError("sweep_points must be sorted ascending")
         if self.trials < 1:
@@ -390,9 +406,8 @@ def run_experiment(spec: ExperimentSpec, base_cfg: SystemConfig | None = None,
         if spec.per_trial_dump:
             columns = {name: column.tolist() for name, column in table.items()}
             per_trial_lines += [
-                json.dumps({"sweep_value": float(point), "trial": k,
-                            **{name: rows[k][q] for name, rows in columns.items()}},
-                           sort_keys=True)
+                json_line({"sweep_value": float(point), "trial": k,
+                           **{name: rows[k][q] for name, rows in columns.items()}})
                 for k, q in np.ndindex(table["failed"].shape)]
     report = EstimationReport(spec=spec, rows=all_rows, n_trials=n_trials,
                               n_failed=n_failed)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import modem
 from .config import SystemConfig
 from .errors import ConfigError, PlacementError
 
@@ -103,13 +102,6 @@ def _region_index(placement: PilotPlacement, theta: int) -> np.ndarray:
     return idx
 
 
-def pilot_frame(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
-    """Delay-Doppler grid holding only this user's pilot column."""
-    frame = np.zeros((placement.m, placement.n), dtype=complex)
-    frame[placement.delay_lo:placement.delay_hi + 1, placement.doppler_bins[user]] = pcp
-    return frame
-
-
 def embed_pilots(frames, placement: PilotPlacement, pcp: np.ndarray) -> np.ndarray:
     """The (Q, M, N) stack of the users' frames with each user's pilot
     written in; the shared span must be data-free."""
@@ -125,25 +117,18 @@ def embed_pilots(frames, placement: PilotPlacement, pcp: np.ndarray) -> np.ndarr
     return out
 
 
-def timing_template(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
-    """Transmitted delay-time pilot grid used by the timing correlator."""
-    return modem.modulate(pilot_frame(placement, pcp, user))
-
-
-def pilot_region_ref(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
-    """Transmitted pilot samples in delay rows anchor..anchor+zc_len-1.
-
-    Returns an (N, zc_len) array indexed [time slot, sample-in-region]; this
-    is the clean template the pilot-region estimators fit against.
-    """
-    dt = timing_template(placement, pcp, user)
-    return dt[placement.anchor:placement.anchor + placement.zc_len, :].T.copy()
+def region_pilot(placement: PilotPlacement, pcp: np.ndarray) -> np.ndarray:
+    """(L_p,) pilot row p of the region, p[j] = pcp[zc_len - 1 + j] / sqrt(N):
+    user q transmits slot_phase(q)[n] * p[j] at region position (n, j)."""
+    return pcp[placement.zc_len - 1:] / math.sqrt(placement.n)
 
 
 def slot_phase(placement: PilotPlacement, user: int) -> np.ndarray:
-    """(N,) phase of user q's pilot relative to user 0's in each time slot n,
-    exp(j 2 pi (k_q - k_0) n / N).  The pilots differ only in their Doppler
-    column k_q, so pilot_region_ref(q) = slot_phase(q)[:, None] *
-    pilot_region_ref(0): user 0's template is every user's template."""
-    shift = placement.doppler_bins[user] - placement.doppler_bins[0]
-    return np.exp(2j * np.pi * shift * np.arange(placement.n) / placement.n)
+    """(N,) phase exp(j 2 pi k_q n / N) of user q's pilot in time slot n.
+    The pilot column at Doppler bin k_q modulates to this phase times the
+    PCP / sqrt(N) in every slot, so user q's region template is
+    outer(slot_phase(q), region_pilot), and the region de-rotated by the
+    phase fits the Doppler-free template 1 (x) p that all users share.
+    k_q n is reduced modulo N first, which keeps the phase exact to rounding."""
+    k = placement.doppler_bins[user]
+    return np.exp(2j * np.pi * (k * np.arange(placement.n) % placement.n) / placement.n)

@@ -9,24 +9,38 @@ product.  The users split after that: ``synchronize_user`` is the per-user
 back end (TO decision, pilot region, estimator bundle, CFO and channel),
 a pure function of the user's rows, so the Q back ends are independent.
 
-The back ends share their estimator bundles.  The users' pilots differ
-only by a phase per time slot (``pilot.slot_phase``), so every user's
-region, de-rotated by that phase (``derotate``), fits user 0's template,
-and one bundle per (geometry, theta_hat, beta) serves all users.
+The pilot region is fitted one delay row at a time.  User q's pilot sits in
+Doppler column k_q, so its transmitted region sample (n, j) is
+phi_q[n] p[j] with the slot phase phi_q[n] = exp(j 2 pi k_q n / N)
+(``pilot.slot_phase``) and the pilot row p (``pilot.region_pilot``).  The
+phase is common to the slot and commutes with the CFO rotation and the
+taps, so every user's region, de-rotated by its own phase (``derotate``),
+fits the Doppler-free template 1 (x) p, and one bundle per (geometry,
+theta_hat, beta) serves all users.  The PCP makes each slot's tap
+convolution circular over the L_p region rows, so with the row-j Chebyshev
+matrix B_j[n, g] = T_g(kprime[n, j]) the model of row j is
 
-The same fact gives the regressor its structure.  A pilot in one Doppler
-column k makes the template a product sbar[n, j] = phi_n p_j of a slot
-phase and the PCP row, so the regressor column (l, g) is
-phi_n p[(j - l) mod L_p] T_g(kprime[n, j]).  A projection onto its range
-therefore needs only the L_p*beta slot sums
-S[j, g] = sum_n conj(phi_n) T_g(kprime[n, j]) z[n, j] and two small
-matrices (``BemRegressor``), and the CFO rotation of sample (n, j) factors
-into a slot part and a row part (``cfo_scan``), which the slot sums carry.
+    z[:, j] = B_j d_j,   d_j[g] = sum_l C[j, l] c[l, g],   C[j, l] = p[(j - l) mod L_p],
+
+for the tap coefficients c[l, g] of h[l, .] = sum_g c[l, g] T_g(.).  A
+Zadoff-Chu row has a flat spectrum: the eigenvalues FFT(p) of the circulant
+C all have modulus |p[0]| sqrt(L_p), so C is invertible with condition
+number 1, and the regressor's range is the direct sum of the row ranges of
+B_j.  With the QR factors B_j = Q_j R_j (``build_bem_regressor``, real
+because B_j is) the projection of a region z is the L_p*beta row sums
+
+    w[j, k] = sum_n Q_j[n, k] z[n, j],
+
+its cost is ||w||^2 = sum_j ||Q_j^T z[:, j]||^2, and the LS coefficients
+are c = (C^-1 (x) I_beta) [R_j^-1 w[j]] = E w (``BemRegressor``).
+
 Each user's CFO search is one projection: the coarse scan projects the
-region rotated to r Chebyshev nodes of +-cfo_range, that projection is the
-Chebyshev interpolant of w(eps), and ||w||^2 is a scalar Chebyshev
-polynomial of degree 2r - 2 (``cost_polynomial``) on which the grid costs
-and the Newton refinement run; the LS solve reads w at the estimate.
+region rotated to r Chebyshev nodes of +-cfo_range, whose rotation factors
+into a slot part and a row part (``cfo_scan``) that the row sums carry.
+That projection is the Chebyshev interpolant of w(eps), and ||w||^2 is a
+scalar Chebyshev polynomial of degree 2r - 2 (``cost_polynomial``) on
+which the grid costs and the Newton refinement run; the LS solve reads w
+at the estimate (``estimate_cfo``).
 """
 
 from __future__ import annotations
@@ -36,7 +50,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
 
@@ -52,11 +65,9 @@ NEWTON_MAX_ITER = 40
 NEWTON_STEP_FRAC = 0.01
 #: lags per block of the timing correlation's Toeplitz product
 TIMING_BLOCK = 16
-#: largest deviation of a pilot template from a product phi_n p_j, as a share
-#: of its largest sample (``slot_factors``)
-SEPARABLE_TOL = 1e-10
-#: smallest |R[i, i]| of the regressor's pivoted QR, as a share of |R[0, 0]|,
-#: that counts toward its rank (``build_bem_regressor``)
+#: smallest eigenvalue modulus of the pilot circulant, and smallest |R_j[g, g]|
+#: of the row bases, as a share of the largest, that counts toward the
+#: regressor's rank (``build_bem_regressor``)
 PIVOT_TOL = 1e-10
 
 
@@ -139,7 +150,7 @@ def timing_correlate(separated: np.ndarray, pcp: np.ndarray,
     ``separate_user``; the metric's curve is (M,) or (Q, M) to match.
 
     Assumes that the user's pilot occupies a single Doppler column k_q (as
-    ``pilot.pilot_frame`` places it): the pilot block of time slot n in the
+    ``pilot.embed_pilots`` places it): the pilot block of time slot n in the
     delay-time grid is then pcp * exp(j 2 pi k_q n / N) / sqrt(N), one PCP
     times a phase common to the slot, and the phase drops out of the
     magnitude.  The correlation of slot n at lag d is therefore
@@ -226,10 +237,11 @@ def extract_pilot_region(filtered: np.ndarray, theta_hat: int,
 
 
 def derotate(region: PilotRegion, placement: pilot.PilotPlacement, user: int) -> PilotRegion:
-    """User ``user``'s region in the frame of user 0's pilot template: slot
-    n times conj(``pilot.slot_phase``[n]).  The phase is common to the slot
-    and commutes with the CFO rotation and the BEM taps, so the de-rotated
-    region has the same CFO and channel as the received one."""
+    """User ``user``'s region in the frame of the Doppler-free template
+    1 (x) p: slot n times conj(``pilot.slot_phase``[n]).  The phase is
+    common to the slot and commutes with the CFO rotation and the BEM taps,
+    so the de-rotated region has the same CFO and channel as the received
+    one."""
     phase = np.conj(pilot.slot_phase(placement, user))
     return PilotRegion(samples=region.samples * phase[:, np.newaxis], kappa=region.kappa)
 
@@ -247,131 +259,76 @@ def build_bem_basis(beta: int, kappa: np.ndarray, n_s: int) -> np.ndarray:
     return chebvander(kprime, beta - 1)
 
 
-def regressor_matrix(sbar: np.ndarray, bem: np.ndarray) -> np.ndarray:
-    """The (N*L_p, L_p*beta) LS regressor G of the pilot region.
-
-    ``sbar[n, j]`` is the transmitted pilot sample at region position (n, j).
-    Column (l, g) carries the l-shifted pilot (the circular shift of each
-    slot's template realizes the tap convolution) times basis order g, so
-    ``G @ c`` reproduces the convolved pilot for tap trajectories
-    h[l, .] = sum_g c[l*beta+g] T_g(.).
-    """
-    n_slots, lp = sbar.shape
-    if bem.shape[:2] != (n_slots, lp):
-        raise ConfigError("basis grid does not match the pilot template shape")
-    j = np.arange(lp)
-    shifted = sbar[:, (j[:, None] - j[None, :]) % lp]          # (N, j, l)
-    g4 = shifted[:, :, :, None] * bem[:, :, None, :]           # (N, j, l, g)
-    return g4.reshape(n_slots * lp, lp * bem.shape[-1])
-
-
 @dataclass
 class BemRegressor:
-    """The LS fit of a pilot region on the regressor G (``regressor_matrix``)
-    of a slot-separable template, kept as two (L_p*beta, L_p*beta) matrices
-    instead of a Q factor.
+    """The LS fit of a pilot region on the Doppler-free template 1 (x) p,
+    one delay row at a time (module docstring): the real orthonormal row
+    bases Q_j, whose row sums are the projections w, and the solve matrix
+    E = (C^-1 (x) I_beta) blockdiag(R_j^-1) from w to the coefficients."""
 
-    The template of a pilot in one Doppler column factors as
-    sbar[n, j] = phi_n p_j (``slot_factors``), so
-    G[(n, j), (l, g)] = phi_n p[(j - l) mod L_p] T_g(kprime[n, j]) and
-
-        G^H z = A vec(S),   S[j, g] = sum_n conj(phi_n) T_g(kprime[n, j]) z[n, j],
-
-    with A = conj-circulant(p) (x) I_beta, A[(l, g), (j, g)] =
-    conj(p[(j - l) mod L_p]).  The slot sums S (``slot_sums``) carry every
-    sample; A only mixes the L_p*beta sums.  With the pivoted QR
-    G[:, piv] = Q R, the projection is Q^H z = R^-H (G^H z)[piv] = M vec(S)
-    for M = R^-H A[piv], and the LS coefficients are c[piv] = R^-1 Q^H z,
-    i.e. c = E Q^H z for E = P R^-1 with the pivot permutation P.  Both M and
-    E are stored (cond(R) <= 22 for beta <= 12 at the default geometry);
-    the cost of a rotation is ||M vec(S)||^2 and no (N*L_p, L_p*beta) factor
-    is kept."""
-
-    slot_basis: np.ndarray = field(repr=False)   # (N, L_p, beta) conj(phi_n) T_g(kprime)
-    _m: np.ndarray = field(repr=False)           # slot sums -> Q^H z
-    _solve: np.ndarray = field(repr=False)       # Q^H z -> coefficients, P R^-1
+    row_basis: np.ndarray = field(repr=False)   # (N, L_p, beta) Q_j[n, k] at [n, j, k]
+    _solve: np.ndarray = field(repr=False)      # (L_p*beta, L_p*beta) E
 
     def slot_sums(self, z_batch: np.ndarray) -> np.ndarray:
-        """The slot sums vec(S) of the rows z of z_batch (each N*L_p samples in
-        region order), as (rows, L_p*beta)."""
-        n, lp, beta = self.slot_basis.shape
+        """The projections w[j, k] = sum_n Q_j[n, k] z[n, j] of the rows z of
+        z_batch (each N*L_p samples in region order), as (rows, L_p*beta)."""
+        n, lp, beta = self.row_basis.shape
         z = np.asarray(z_batch).reshape(-1, n, lp)
-        return np.einsum("bnj,njg->bjg", z, self.slot_basis).reshape(z.shape[0], lp * beta)
-
-    def project(self, s_batch: np.ndarray) -> np.ndarray:
-        """The projections w = Q^H z = M vec(S), as rows, of slot sums as rows."""
-        return s_batch @ self._m.T
+        return np.einsum("bnj,njg->bjg", z, self.row_basis).reshape(z.shape[0], lp * beta)
 
     def cost_many(self, node_sums: np.ndarray,
                   to_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma, C) of a CFO scan from the (r, L_p*beta) slot sums of the
-        region rotated to r Chebyshev nodes: the projections W at the nodes
-        are the values there of the interpolant w(x), C = to_coeffs @ W its
-        Chebyshev coefficients (``to_coeffs`` the inverse Chebyshev-Vandermonde
-        matrix of the nodes), and gamma the 2r - 1 Chebyshev coefficients of
-        the cost ||w(x)||^2 (``cost_polynomial``)."""
-        w = self.project(node_sums)
+        """(gamma, C) of a CFO scan from the (r, L_p*beta) projections W of the
+        region rotated to r Chebyshev nodes: W holds the values there of the
+        interpolant w(x), C = to_coeffs @ W its Chebyshev coefficients
+        (``to_coeffs`` the inverse Chebyshev-Vandermonde matrix of the nodes),
+        and gamma the 2r - 1 Chebyshev coefficients of the cost ||w(x)||^2
+        (``cost_polynomial``)."""
         # [Re, Im] interleaved, so that the real operator acts in real arithmetic
-        coeffs = (to_coeffs @ w.view(np.float64)).view(np.complex128)
+        coeffs = (to_coeffs @ node_sums.view(np.float64)).view(np.complex128)
         return cost_polynomial(coeffs), coeffs
 
     def solve(self, w: np.ndarray) -> np.ndarray:
-        """LS coefficients P R^-1 w from a projection w = Q^H z."""
+        """LS coefficients E w from a projection w."""
         return self._solve @ w
 
     def coeffs(self, z: np.ndarray) -> np.ndarray:
-        """LS coefficient solve (G^H G)^-1 G^H z = E M vec(S)."""
-        return self.solve(self.project(self.slot_sums(z))[0])
+        """LS coefficient solve of one region z (N*L_p samples in region order)."""
+        return self.solve(self.slot_sums(z)[0])
 
 
-def slot_factors(sbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, p) with sbar[n, j] = phi[n] p[j], normalised so that phi is 1 in
-    the slot of largest energy; raises EstimationError when the template is
-    zero or deviates from the product by more than SEPARABLE_TOL of its
-    largest sample."""
-    sbar = np.asarray(sbar)
-    p = sbar[int(np.argmax(np.sum(np.abs(sbar) ** 2, axis=1)))]
-    j0 = int(np.argmax(np.abs(p)))
-    if p[j0] == 0:
-        raise EstimationError("pilot template is zero")
-    phi = sbar[:, j0] / p[j0]
-    if np.max(np.abs(sbar - np.outer(phi, p))) > SEPARABLE_TOL * np.max(np.abs(sbar)):
-        raise EstimationError(
-            "pilot template is not slot-separable: sbar[n, j] != phi_n p_j, so the "
-            "regressor has no slot structure to project through"
-        )
-    return phi, p
-
-
-def build_bem_regressor(sbar: np.ndarray, bem: np.ndarray) -> BemRegressor:
-    """Factorize the regressor of the pilot template with pivoted QR, check its
-    rank, and fold R and the template's circulant into M and E."""
-    g_mat = regressor_matrix(sbar, bem)
-    n_rows, n_cols = g_mat.shape
+def build_bem_regressor(p: np.ndarray, bem: np.ndarray) -> BemRegressor:
+    """Factorize the regressor of the template 1 (x) p on the basis ``bem``
+    (N, L_p, beta) row by row: one stacked QR of the L_p row matrices B_j,
+    the rank checks of R_j and of the pilot circulant C through its
+    eigenvalues FFT(p), and E[(l, g), (j, k)] = C^-1[l, j] R_j^-1[g, k]."""
+    p = np.asarray(p)
+    n_slots, lp, beta = bem.shape
+    if p.shape != (lp,):
+        raise ConfigError("basis grid does not match the pilot row")
+    n_rows, n_cols = n_slots * lp, lp * beta
     if n_cols > n_rows:
         raise EstimationError(
             f"BEM regressor is underdetermined: beta*L_p = {n_cols} columns "
             f"exceed N*L_p = {n_rows} rows"
         )
-    r, piv = scipy.linalg.qr(g_mat, mode="r", pivoting=True)
-    r = r[:n_cols]
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag >= PIVOT_TOL * diag[0])) if diag[0] > 0 else 0
-    if rank < n_cols:
+    # (L_p, N, beta) Q_j and (L_p, beta, beta) R_j
+    q_rows, r_rows = np.linalg.qr(bem.transpose(1, 0, 2))
+    eig = np.fft.fft(p)
+    mod, diag = np.abs(eig), np.abs(np.diagonal(r_rows, axis1=1, axis2=2))
+    rank_c = int(np.sum((mod > 0) & (mod >= PIVOT_TOL * mod.max())))
+    rank_b = int(np.sum(diag >= PIVOT_TOL * diag.max()))
+    if rank_c < lp or rank_b < n_cols:
         raise EstimationError(
-            f"BEM regressor rank-deficient: rank {rank} < beta*L_p = {n_cols} "
+            f"BEM regressor rank-deficient: the pilot circulant has rank {rank_c} < "
+            f"L_p = {lp} or the row bases rank {rank_b} < beta*L_p = {n_cols} "
             f"(N*L_p = {n_rows}); the pilot does not excite every coefficient"
         )
-    phi, p = slot_factors(sbar)
-    lp, beta = sbar.shape[1], bem.shape[-1]
     j = np.arange(lp)
-    circulant = np.conj(p[(j[None, :] - j[:, None]) % lp])       # [l, j]
-    a_mat = np.kron(circulant, np.eye(beta))
-    m_mat = scipy.linalg.solve_triangular(r, a_mat[piv], trans="C", check_finite=False)
-    solve = np.empty_like(r)
-    solve[piv] = scipy.linalg.solve_triangular(r, np.eye(n_cols), check_finite=False)
-    return BemRegressor(slot_basis=np.conj(phi)[:, np.newaxis, np.newaxis] * bem,
-                        _m=m_mat, _solve=solve)
+    c_inv = np.fft.ifft(1.0 / eig)[(j[:, np.newaxis] - j) % lp]   # [l, j]
+    solve = np.einsum("lj,jgk->lgjk", c_inv, np.linalg.inv(r_rows))
+    return BemRegressor(row_basis=np.ascontiguousarray(q_rows.transpose(1, 0, 2)),
+                        _solve=solve.reshape(n_cols, n_cols))
 
 
 def cost_polynomial(coeffs: np.ndarray) -> np.ndarray:
@@ -405,7 +362,7 @@ def cfo_cost(rbar: np.ndarray, regressor: BemRegressor, kappa: np.ndarray,
              eps: float, n_s: int) -> float:
     """Projection cost g(eps) = || proj_G( Phi^H(eps) rbar ) ||^2 (real, >= 0)."""
     z = np.conj(cfo_phase(kappa.ravel(), eps, n_s)) * np.asarray(rbar).ravel()
-    w = regressor.project(regressor.slot_sums(z))
+    w = regressor.slot_sums(z)
     return float(np.vdot(w, w).real)
 
 
@@ -538,7 +495,7 @@ def scan_operators(r: int, cfo_range: float, cfo_step: float) -> ScanOperators:
     return ops
 
 
-def cfo_scan(kappa: np.ndarray, slot_basis: np.ndarray, cfo_range: float, m: int,
+def cfo_scan(kappa: np.ndarray, row_basis: np.ndarray, cfo_range: float, m: int,
              n_s: int) -> dict:
     """The per-region fields of the CFO search (``EstimatorBundle``):
     ``slot_rot`` U (r, V), ``row_rot`` v (r, L_p), ``scan_basis`` (V, L_p,
@@ -552,10 +509,10 @@ def cfo_scan(kappa: np.ndarray, slot_basis: np.ndarray, cfo_range: float, m: int
     exp(-j 2 pi nu_i (kappa[n, j] - kappa_c) / N_s) = U[i, s] v[i, j], with
     U[i, s] = exp(-j 2 pi nu_i s M / N_s) and
     v[i, j] = exp(-j 2 pi nu_i (kappa[0, j] - kappa_c) / N_s), over the V
-    distinct virtual slots.  Row v of ``scan_basis`` holds the slot basis
-    of the samples in the v-th virtual slot, zero where that slot has no
-    sample, and ``scan_index`` the flat region index of each (that of a hole
-    is 0, its basis being 0).  Without a wrap the virtual slots are the
+    distinct virtual slots.  Row v of ``scan_basis`` holds the row bases
+    Q_j[n, :] of the samples in the v-th virtual slot, zero where that slot
+    has no sample, and ``scan_index`` the flat region index of each (that of
+    a hole is 0, its basis being 0).  Without a wrap the virtual slots are the
     slots and ``scan_index`` is the identity.
     """
     kappa = np.asarray(kappa)
@@ -567,8 +524,8 @@ def cfo_scan(kappa: np.ndarray, slot_basis: np.ndarray, cfo_range: float, m: int
     centre = 0.5 * float(kappa.max() + kappa.min())
     row = np.searchsorted(slots, slot)
     col = np.broadcast_to(np.arange(lp), slot.shape)
-    scan_basis = np.zeros((slots.size,) + slot_basis.shape[1:], dtype=slot_basis.dtype)
-    scan_basis[row, col] = slot_basis
+    scan_basis = np.zeros((slots.size,) + row_basis.shape[1:])
+    scan_basis[row, col] = row_basis
     scan_index = np.zeros((slots.size, lp), dtype=np.intp)
     scan_index[row, col] = np.arange(n_slots * lp).reshape(n_slots, lp)
     return dict(
@@ -585,24 +542,23 @@ def estimate_cfo(region: PilotRegion, bundle: EstimatorBundle,
     at the winning offset.  ``region`` is in the frame of the bundle's
     template (``derotate``).
 
-    All three read one projection of the region rotated to the bundle's r
-    Chebyshev nodes nu_i of +-cfo_range.  The rotation factors into a slot
-    part and a row part (``cfo_scan``), and the slot sums of ``BemRegressor``
-    carry it through: with Y[s, j, g] = conj(phi) T_g(kprime) rbar at virtual
-    slot s (``EstimatorBundle.node_sums``), the slot sums at the nodes are
-    S_i[j, g] = v[i, j] sum_s U[i, s] Y[s, j, g], one (r, V) @ (V, L_p*beta)
-    product, and the node projections are W = S M^T (``cost_many``), about
-    216k complex MACs at the default geometry.  W holds the values at the
-    nodes of the Chebyshev interpolant of w(eps) = Q^H Phi^H(eps) rbar, each
-    interpolated rotation within 2**-52 of the exact one
-    (``scan_node_count``).  Its coefficients C = V^-1 W give the scalar cost
-    polynomial g(x) = ||w(x)||^2, of degree 2r - 2, through
+    All three read one projection (module docstring) of the region rotated
+    to the bundle's r Chebyshev nodes nu_i of +-cfo_range.  The rotation
+    factors into a slot part and a row part (``cfo_scan``), and the row sums
+    carry it through: with Y[s, j, k] = Q_j[n, k] rbar[n, j] at virtual slot
+    s (``EstimatorBundle.node_sums``), the projections at the nodes are
+    W_i[j, k] = v[i, j] sum_s U[i, s] Y[s, j, k], one (r, V) @ (V, L_p*beta)
+    product.  W holds the values at the nodes of the Chebyshev interpolant
+    of w(eps), the projection of Phi^H(eps) rbar, each interpolated rotation
+    within 2**-52 of the exact one (``scan_node_count``).  Its coefficients
+    C = V^-1 W (``cost_many``) give the scalar cost polynomial
+    g(x) = ||w(x)||^2, of degree 2r - 2, through
     T_a T_b = (T_{a+b} + T_{|a-b|}) / 2 (``cost_polynomial``): the cost
     curve is one (G, 2r - 1) product with it, and differs from the dense
     scan by rounding only.  Each Newton iterate reads g, g' and g'' as one
     (3, 2r - 1) array (the bundle's derivative operators applied to g) times
     T_s(x) = cos(s acos x).  The LS solve evaluates w at the estimate from C
-    and applies E = P R^-1 (``BemRegressor.solve``).
+    and applies E (``BemRegressor.solve``).
     """
     if cfg.cfo_tol <= 0:
         raise ConfigError("cfo_tol must be > 0")
@@ -654,9 +610,10 @@ def reconstruct_channel(c_hat: np.ndarray, bem: np.ndarray) -> np.ndarray:
 @dataclass
 class EstimatorBundle:
     """Receive-side quantities fixed by (config, theta, beta) and shared by
-    all users: the basis, the regressor factorized on user 0's pilot
-    template (every user's region fits it after ``derotate``), the coarse
-    CFO grid, and the CFO search in the regressor's slot structure.
+    all users: the basis, the row-wise regressor of the Doppler-free
+    template 1 (x) p (module docstring; every user's region fits it after
+    ``derotate``), the coarse CFO grid, and the CFO search through the row
+    sums.
 
     The search rotates the region to r Chebyshev nodes of +-cfo_range about
     the region centre (a phase common to every kappa leaves the cost
@@ -679,13 +636,13 @@ class EstimatorBundle:
     scan_ops: ScanOperators         # shared per (r, cfo_range, cfo_step)
     slot_rot: np.ndarray            # (r, V) U: node rotation per virtual slot
     row_rot: np.ndarray             # (r, L_p) v: node rotation per row
-    scan_basis: np.ndarray          # (V, L_p, beta) slot basis per virtual slot
+    scan_basis: np.ndarray          # (V, L_p, beta) row basis per virtual slot
     scan_index: np.ndarray          # (V, L_p) region index per virtual slot
     centre: float                   # kappa of the region centre
 
     def node_sums(self, samples: np.ndarray) -> np.ndarray:
-        """(r, L_p*beta) slot sums of the region ``samples`` (N, L_p) rotated
-        to the r nodes: v[i, j] sum_s U[i, s] Y[s, j, g]."""
+        """(r, L_p*beta) projections of the region ``samples`` (N, L_p)
+        rotated to the r nodes: v[i, j] sum_s U[i, s] Y[s, j, k]."""
         y = samples.ravel()[self.scan_index][:, :, np.newaxis] * self.scan_basis
         r, lp = self.row_rot.shape
         sums = (self.slot_rot @ y.reshape(y.shape[0], -1)).reshape(r, lp, -1)
@@ -711,8 +668,8 @@ def estimator_bundle(cfg: SystemConfig, placement: pilot.PilotPlacement,
         _BUNDLE_CACHE.clear()
     kappa = cfg.cp_len + placement.region_index(theta)
     bem = build_bem_basis(beta, kappa, cfg.n_s)
-    regressor = build_bem_regressor(pilot.pilot_region_ref(placement, pcp, 0), bem)
-    scan = cfo_scan(kappa, regressor.slot_basis, cfg.cfo_range, cfg.m, cfg.n_s)
+    regressor = build_bem_regressor(pilot.region_pilot(placement, pcp), bem)
+    scan = cfo_scan(kappa, regressor.row_basis, cfg.cfo_range, cfg.m, cfg.n_s)
     ops = scan_operators(scan["slot_rot"].shape[0], cfg.cfo_range, cfg.cfo_step)
     bundle = EstimatorBundle(bem=bem, regressor=regressor,
                              grid=cfo_grid(cfg.cfo_range, cfg.cfo_step), scan_ops=ops,

@@ -7,15 +7,22 @@ users to the demodulated receive grid.  It is dense (268 MB at the default
 keystone tests check it against the sample-level path to 1e-9.  The
 receive transform (``demodulate``) and the bin selector (``bin_mask``) that
 it rests on live here too, as no experiment reads a delay-Doppler grid back.
+
+``pilot_frame``, ``timing_template`` and ``pilot_region_ref`` build a
+user's pilot template by modulating its delay-Doppler pilot frame: the
+oracle for the slot-phase form ``outer(pilot.slot_phase, pilot.region_pilot)``
+that ``sync`` fits against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from otfsync import modem
 from otfsync.allocation import UserAllocation
 from otfsync.channel import ChannelRealization
 from otfsync.config import SystemConfig
+from otfsync.pilot import PilotPlacement
 
 
 def demodulate(stream: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -29,6 +36,25 @@ def bin_mask(alloc: UserAllocation, m: int, n: int) -> np.ndarray:
     mask = np.zeros((m, n), dtype=bool)
     mask[np.ix_(alloc.delay_bins, alloc.doppler_bins)] = True
     return mask
+
+
+def pilot_frame(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
+    """Delay-Doppler grid holding only this user's pilot column."""
+    frame = np.zeros((placement.m, placement.n), dtype=complex)
+    frame[placement.delay_lo:placement.delay_hi + 1, placement.doppler_bins[user]] = pcp
+    return frame
+
+
+def timing_template(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
+    """Transmitted delay-time pilot grid of this user."""
+    return modem.modulate(pilot_frame(placement, pcp, user))
+
+
+def pilot_region_ref(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
+    """(N, zc_len) transmitted pilot samples of this user in delay rows
+    anchor..anchor+zc_len-1, indexed [time slot, sample-in-region]."""
+    dt = timing_template(placement, pcp, user)
+    return dt[placement.anchor:placement.anchor + placement.zc_len, :].T.copy()
 
 
 def dd_transform(mat: np.ndarray, m: int, n: int) -> np.ndarray:

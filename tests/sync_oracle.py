@@ -8,9 +8,12 @@ as a blocked Toeplitz product.
 ``timing_correlate_template`` slides every slot's pilot block of the full
 delay-time template over the serialized stream, one (N, M, span) window
 einsum; ``sync.timing_correlate`` correlates with the PCP alone.
-``DenseRegressor`` projects through the dense orthonormal factor Q of the
-pivoted QR of G; ``sync.BemRegressor`` projects through the slot sums of
-the template's slot structure and never forms Q.
+``regressor_matrix`` builds the dense (N*L_p, L_p*beta) LS regressor G of a
+pilot template, and ``DenseRegressor`` projects through the orthonormal
+factor Q of its pivoted QR; ``sync.BemRegressor`` fits the Doppler-free
+template one delay row at a time and never forms G.  ``bundle_template``
+is that template, user 0's modulated-frame template de-rotated by its slot
+phase.
 ``estimate_cfo_exact`` refines the CFO by Newton steps on the exact cost
 derivatives, each one (3, N*L_p) product with Q, and solves the LS fit
 through ``DenseRegressor.coeffs``; ``sync.estimate_cfo`` reads both from the
@@ -18,8 +21,8 @@ Chebyshev interpolant of its coarse scan.
 ``own_bundle_back_end`` fits one user's received region on a dense
 regressor factorized on that user's own pilot template, with a dense scan,
 exact Newton and the ``coeffs`` solve; ``sync.synchronize_user`` and
-``harness.absorbed_channel_fit`` share user 0's bundle across users and
-de-rotate the region to it.
+``harness.absorbed_channel_fit`` share one bundle across users and
+de-rotate each user's region to its Doppler-free template.
 """
 
 import math
@@ -27,6 +30,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from dd_oracle import pilot_region_ref
 from otfsync import pilot, sync
 
 
@@ -69,13 +73,36 @@ def timing_correlate_template(separated, template, placement, cp_len):
     return sync.TimingMetric(curve=p2d.mean(axis=1), cp_len=cp_len, anchor=placement.anchor)
 
 
+def regressor_matrix(sbar, bem):
+    """The (N*L_p, L_p*beta) LS regressor G of the pilot region.
+
+    ``sbar[n, j]`` is the transmitted pilot sample at region position (n, j).
+    Column (l, g) carries the l-shifted pilot (the circular shift of each
+    slot's template realizes the tap convolution) times basis order g, so
+    ``G @ c`` reproduces the convolved pilot for tap trajectories
+    h[l, .] = sum_g c[l*beta+g] T_g(.).
+    """
+    n_slots, lp = sbar.shape
+    assert bem.shape[:2] == (n_slots, lp)
+    j = np.arange(lp)
+    shifted = sbar[:, (j[:, None] - j[None, :]) % lp]          # (N, j, l)
+    g4 = shifted[:, :, :, None] * bem[:, :, None, :]           # (N, j, l, g)
+    return g4.reshape(n_slots * lp, lp * bem.shape[-1])
+
+
+def bundle_template(placement, pcp):
+    """(N, L_p) Doppler-free template 1 (x) p that every bundle fits: user 0's
+    modulated-frame template de-rotated by its slot phase."""
+    return np.conj(pilot.slot_phase(placement, 0))[:, None] * pilot_region_ref(placement, pcp, 0)
+
+
 class DenseRegressor:
-    """The regressor G of ``sync.regressor_matrix`` as its dense pivoted QR
+    """The regressor G of ``regressor_matrix`` as its dense pivoted QR
     factors: projections w = Q^H z of rows z, their squared norms, and the LS
     coefficients P R^-1 w."""
 
     def __init__(self, sbar, bem):
-        q, self.r, self.piv = scipy.linalg.qr(sync.regressor_matrix(sbar, bem),
+        q, self.r, self.piv = scipy.linalg.qr(regressor_matrix(sbar, bem),
                                               mode="economic", pivoting=True)
         self.qconj = np.conj(q)
 
@@ -94,8 +121,8 @@ class DenseRegressor:
 
 
 def dense_regressor(bundle, placement, pcp):
-    """The dense regressor of a bundle: user 0's template on its basis."""
-    return DenseRegressor(pilot.pilot_region_ref(placement, pcp, 0), bundle.bem)
+    """The dense regressor of a bundle: its template on its basis."""
+    return DenseRegressor(bundle_template(placement, pcp), bundle.bem)
 
 
 def cfo_cost_derivatives(rbar, regressor, kappa, eps, n_s):
@@ -131,12 +158,12 @@ def estimate_cfo_exact(region, regressor, cfg, cost_curve):
 def own_bundle_back_end(separated, user, theta, cfg, placement, pcp, absorbed_beta):
     """(eps_hat, c_hat, h_hat, h_absorbed) of user ``user`` at timing offset
     ``theta`` from a dense regressor on the user's own pilot template
-    (``pilot.pilot_region_ref(user)``) applied to the received region as it
+    (``pilot_region_ref(user)``) applied to the received region as it
     is: the cost of every grid point from its own rotation, exact Newton
     (``estimate_cfo_exact``), and the absorbed baseline as the ``coeffs``
     solve at zero offset on a basis of order ``absorbed_beta``."""
     region = sync.extract_pilot_region(separated[user], theta, placement, cfg.cp_len)
-    sbar = pilot.pilot_region_ref(placement, pcp, user)
+    sbar = pilot_region_ref(placement, pcp, user)
     rflat, kflat = region.samples.ravel(), region.kappa.ravel().astype(float)
     bem = sync.build_bem_basis(cfg.beta, region.kappa, cfg.n_s)
     regressor = DenseRegressor(sbar, bem)

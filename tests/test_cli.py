@@ -1,5 +1,6 @@
 """Command-line front end: malformed input, overrides, and the figure presets."""
 
+import json
 import os
 
 import pytest
@@ -38,8 +39,11 @@ def run_cli(tmp_path, *argv, spec=SPEC, config=None):
     (SPEC, ("--workers", "0"), None, "--workers must be >= 1"),
     (SPEC, (), "pilot_region_mode = wrap\n", "unknown key 'pilot_region_mode'"),
     (SPEC, (), "gram_loading = 0.0\n", "unknown key 'gram_loading'"),
+    (SPEC.replace("sweep_points = 20", "sweep_points = nan"), (), None, "must not be NaN"),
+    (SPEC.replace("sweep_var = snr_db", "sweep_var = cfo_value").replace(
+        "sweep_points = 20", "sweep_points = 0.1, inf"), (), None, "must be finite"),
 ], ids=["sweep-points", "bool", "trials-abc", "trials-x=1", "workers-0",
-        "pilot-region-mode", "gram-loading"])
+        "pilot-region-mode", "gram-loading", "sweep-point-nan", "cfo-value-inf"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, spec, argv, config,
                                            fragment):
     assert run_cli(tmp_path, *argv, spec=spec, config=config) == 2
@@ -47,6 +51,24 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, spec, argv, config,
     assert err.startswith("error: ") and fragment in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_nan_override_is_a_config_error(capsys):
+    assert cli.main(["validate", "--override", "snr_db=nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "snr_db is NaN" in captured.err
+    assert "Traceback" not in captured.err and "configuration ok" not in captured.out
+
+
+def test_trial_records_print_as_strict_json(capsys):
+    # every record fails without a pilot: exit 3, NaN estimates printed as null
+    assert cli.main(["trial", "--override", "pilot_power_db=-inf"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    records = [json.loads(line, parse_constant=lambda token: pytest.fail(token))
+               for line in lines]
+    assert len(records) == 2
+    assert all(rec["failed"] and rec["eps_hat"] is None and rec["nmse"] is None
+               for rec in records)
 
 
 @pytest.mark.parametrize("argv", [

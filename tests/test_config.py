@@ -38,6 +38,36 @@ def test_invariant_messages(field, value, fragment):
         apply_overrides(SystemConfig(), {field: value})
 
 
+FLOAT_FIELDS = ("snr_db", "pilot_power_db", "nu_max_t", "threshold", "cfo_range",
+                "cfo_step", "cfo_tol", "cfo_max")
+
+
+@pytest.mark.parametrize("field,value,fragment", [
+    *[(name, "nan", f"{name} is NaN") for name in FLOAT_FIELDS],
+    ("snr_db", "-inf", "snr_db=-inf"),
+    ("pilot_power_db", "inf", "pilot_power_db=inf"),
+    ("nu_max_t", "inf", "nu_max_t=inf must be finite and >= 0"),
+    ("nu_max_t", "-inf", "nu_max_t=-inf must be finite and >= 0"),
+    ("nu_max_t", "-1", "nu_max_t=-1.0 must be finite and >= 0"),
+    ("cfo_range", "inf", "must all be finite"),
+    ("cfo_step", "inf", "must all be finite"),
+    ("cfo_tol", "inf", "must all be finite"),
+    ("cfo_max", "inf", "must all be finite"),
+    ("cfo_max", "-inf", "must all be finite"),
+])
+def test_malformed_floats_rejected(field, value, fragment):
+    # a NaN or an infinity that no experiment means must not reach the
+    # pipeline, where it ends in a traceback or a silent default
+    with pytest.raises(ConfigError, match=fragment):
+        apply_overrides(SystemConfig(), {field: value})
+
+
+def test_meaningful_infinities_accepted():
+    # snr_db=inf is the noiseless channel, pilot_power_db=-inf a zero pilot
+    cfg = apply_overrides(SystemConfig(), {"snr_db": "inf", "pilot_power_db": "-inf"})
+    assert cfg.snr_db == math.inf and cfg.pilot_power_db == -math.inf
+
+
 def test_bem_order_bound_enforced():
     with pytest.raises(ConfigError, match="below the bound"):
         apply_overrides(SystemConfig(), {"bem_order": "3", "nu_max_t": "2.91"})

@@ -257,6 +257,35 @@ def test_run_experiment_per_trial_dump(tmp_path):
     assert {e["trial"] for e in entries} == {0, 1}
 
 
+def strict_json(line):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(line, parse_constant=reject)
+
+
+def test_per_trial_dump_is_strict_json(tmp_path):
+    # no pilot fails every record of the first point and leaves its estimates
+    # NaN, the skipped absorbed baseline leaves nmse_absorbed NaN, and the
+    # first sweep value is -inf: each is written as null
+    spec = harness.ExperimentSpec(
+        name="strict", sweep_var="pilot_power_db", sweep_points=(-math.inf, 40.0),
+        trials=2, per_trial_dump=True,
+        config_overrides=(("num_users", "1"), ("channel_model", "single-tap"),
+                          ("nu_max_t", "0.0")))
+    harness.run_experiment(spec, out_dir=tmp_path)
+    with open(tmp_path / "strict" / "per-trial.jsonl", encoding="utf-8") as fh:
+        entries = [strict_json(line) for line in fh]
+    assert len(entries) == 4
+    for entry in entries:
+        assert entry["nmse_absorbed"] is None
+        if entry["sweep_value"] is None:
+            assert entry["failed"] and "rank" in entry["error"]
+            assert entry["eps_hat"] is None and entry["nmse"] is None
+        else:
+            assert not entry["failed"] and isinstance(entry["eps_hat"], float)
+
+
 def test_run_experiment_deterministic_csv(tmp_path):
     spec = harness.ExperimentSpec(
         name="det", sweep_var="snr_db", sweep_points=(0.0, 20.0), trials=2,

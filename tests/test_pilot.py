@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from otfsync import modem, pilot
+from dd_oracle import pilot_region_ref, timing_template
+from otfsync import pilot
 from otfsync.config import SystemConfig
 from otfsync.errors import ConfigError, PlacementError
 
@@ -115,7 +116,7 @@ def test_pilot_delay_time_structure():
     cfg = SystemConfig(num_users=2).validate()
     p = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, 1, cfg.pilot_power_db)
-    dt = pilot.timing_template(p, pcp, user=1)
+    dt = timing_template(p, pcp, user=1)
     k_p = p.doppler_bins[1]
     for n in range(cfg.n):
         expected = pcp * np.exp(2j * np.pi * k_p * n / cfg.n) / np.sqrt(cfg.n)
@@ -124,30 +125,24 @@ def test_pilot_delay_time_structure():
     assert np.max(np.abs(outside)) < 1e-12
 
 
-def test_pilot_region_ref_matches_modulated_frame():
-    cfg = SystemConfig(num_users=2).validate()
-    p = pilot.PilotPlacement.from_config(cfg)
-    pcp = pilot.make_pcp(cfg.zc_len, 1, cfg.pilot_power_db)
-    sbar = pilot.pilot_region_ref(p, pcp, user=0)
-    dt = modem.modulate(pilot.pilot_frame(p, pcp, 0))
-    assert sbar.shape == (cfg.n, cfg.zc_len)
-    assert np.array_equal(sbar, dt[p.anchor:p.anchor + cfg.zc_len, :].T)
-
-
 @pytest.mark.parametrize("num_users", [1, 2, 4, 7])
 def test_pilot_region_ref_is_slot_phase_times_shared_template(num_users):
     # the users' pilots differ only by a phase per time slot, which is what
-    # lets every user share user 0's estimator bundle
-    cfg = SystemConfig(num_users=num_users).validate()
-    p = pilot.PilotPlacement.from_config(cfg)
-    pcp = pilot.make_pcp(cfg.zc_len, 1, cfg.pilot_power_db)
-    template = pilot.pilot_region_ref(p, pcp, 0)
-    for user in range(num_users):
-        phase = pilot.slot_phase(p, user)
-        assert phase.shape == (cfg.n,)
-        expected = phase[:, np.newaxis] * template
-        got = pilot.pilot_region_ref(p, pcp, user)
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(got))
+    # lets every user's de-rotated region share one Doppler-free template
+    for zc_len in (1, 2, 7, 10):
+        for root in (1, 3):
+            cfg = SystemConfig(num_users=num_users, zc_len=zc_len, zc_root=root).validate()
+            p = pilot.PilotPlacement.from_config(cfg)
+            pcp = pilot.make_pcp(cfg.zc_len, root, cfg.pilot_power_db)
+            row = pilot.region_pilot(p, pcp)
+            assert row.shape == (zc_len,)
+            for user in range(num_users):
+                phase = pilot.slot_phase(p, user)
+                assert phase.shape == (cfg.n,)
+                want = pilot_region_ref(p, pcp, user)
+                got = np.outer(phase, row)
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), \
+                    (zc_len, root, user)
 
 
 def test_region_index_is_cached_read_only_and_wraps_the_last_slot():

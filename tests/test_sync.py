@@ -13,9 +13,11 @@ from otfsync import modem, pilot, sync
 from otfsync.allocation import build_allocation
 from otfsync.config import SystemConfig
 from otfsync.errors import ConfigError, EstimationError
-from sync_oracle import (DenseRegressor, cfo_cost_derivatives, dense_regressor,
-                         estimate_cfo_exact, own_bundle_back_end, separate_user_one,
-                         timing_correlate_one, timing_correlate_template)
+from dd_oracle import pilot_region_ref, timing_template
+from sync_oracle import (DenseRegressor, bundle_template, cfo_cost_derivatives,
+                         dense_regressor, estimate_cfo_exact, own_bundle_back_end,
+                         regressor_matrix, separate_user_one, timing_correlate_one,
+                         timing_correlate_template)
 
 
 def paper_config(**kw):
@@ -227,7 +229,7 @@ def test_pcp_correlation_matches_template_correlation(num_users):
         for user in range(num_users):
             got = bank.user(user)
             oracle = timing_correlate_template(
-                separated[user], pilot.timing_template(placement, pcp, user), placement,
+                separated[user], timing_template(placement, pcp, user), placement,
                 cfg.cp_len)
             assert (got.cp_len, got.anchor) == (oracle.cp_len, oracle.anchor)
             assert np.max(np.abs(got.curve - oracle.curve)) <= 1e-13 * oracle.curve.max()
@@ -294,7 +296,7 @@ def test_extraction_recovers_transmitted_pilot():
     real = single_tap_realization(cfg, [0])
     y = transmit_pilot_only(cfg, placement, pcp, real)
     region = sync.extract_pilot_region(y, 0, placement, cfg.cp_len)
-    sbar = pilot.pilot_region_ref(placement, pcp, 0)
+    sbar = pilot_region_ref(placement, pcp, 0)
     assert np.max(np.abs(region.samples - sbar)) < 1e-9
 
 
@@ -306,7 +308,7 @@ def test_extraction_pure_cfo_phase_ramp():
     real = single_tap_realization(cfg, [0], cfos=[eps])
     y = transmit_pilot_only(cfg, placement, pcp, real)
     region = sync.extract_pilot_region(y, 0, placement, cfg.cp_len)
-    sbar = pilot.pilot_region_ref(placement, pcp, 0)
+    sbar = pilot_region_ref(placement, pcp, 0)
     model = sync.cfo_phase(region.kappa, eps, cfg.n_s) * sbar
     assert np.max(np.abs(region.samples - model)) < 1e-9
 
@@ -333,7 +335,7 @@ def test_wrong_offset_decorrelates_region():
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     real = single_tap_realization(cfg, [2])
     y = transmit_pilot_only(cfg, placement, pcp, real)
-    sbar = pilot.pilot_region_ref(placement, pcp, 0)
+    sbar = pilot_region_ref(placement, pcp, 0)
 
     def correlation(theta_hat):
         region = sync.extract_pilot_region(y, theta_hat, placement, cfg.cp_len)
@@ -377,8 +379,7 @@ def region_fixture(cfg, theta=0):
     placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     kappa = cfg.cp_len + placement.region_index(theta)
-    sbar = pilot.pilot_region_ref(placement, pcp, 0)
-    return placement, pcp, sbar, kappa
+    return placement, pcp, bundle_template(placement, pcp), kappa
 
 
 def test_regressor_reproduces_convolution_oracle():
@@ -387,7 +388,7 @@ def test_regressor_reproduces_convolution_oracle():
     cfg = paper_config(num_users=1, nu_max_t=1.3, bem_order=4)
     _, _, sbar, kappa = region_fixture(cfg)
     bem = sync.build_bem_basis(cfg.beta, kappa, cfg.n_s)
-    g = sync.regressor_matrix(sbar, bem)
+    g = regressor_matrix(sbar, bem)
     rng = np.random.default_rng(20)
     lp, beta = cfg.zc_len, cfg.beta
     c = rng.standard_normal(lp * beta) + 1j * rng.standard_normal(lp * beta)
@@ -405,9 +406,9 @@ def test_regressor_reproduces_convolution_oracle():
 def test_static_channel_ls_recovery():
     # beta = 1: LS recovery of static taps through the shifted-pilot dictionary
     cfg = paper_config(num_users=1, nu_max_t=0.0, bem_order=1)
-    _, _, sbar, kappa = region_fixture(cfg)
+    placement, pcp, sbar, kappa = region_fixture(cfg)
     bem = sync.build_bem_basis(1, kappa, cfg.n_s)
-    reg = sync.build_bem_regressor(sbar, bem)
+    reg = sync.build_bem_regressor(pilot.region_pilot(placement, pcp), bem)
     rng = np.random.default_rng(21)
     taps = rng.standard_normal(cfg.zc_len) + 1j * rng.standard_normal(cfg.zc_len)
     rx = np.zeros((cfg.n, cfg.zc_len), dtype=complex)
@@ -419,36 +420,68 @@ def test_static_channel_ls_recovery():
 
 def test_zero_pilot_raises_rank_error():
     cfg = paper_config(num_users=1)
-    _, _, sbar, kappa = region_fixture(cfg)
+    _, _, _, kappa = region_fixture(cfg)
     bem = sync.build_bem_basis(cfg.beta, kappa, cfg.n_s)
     with pytest.raises(EstimationError, match="rank"):
-        sync.build_bem_regressor(np.zeros_like(sbar), bem)
+        sync.build_bem_regressor(np.zeros(cfg.zc_len, complex), bem)
 
 
 def test_underdetermined_regressor_raises():
     cfg = paper_config(num_users=1)
-    _, _, sbar, kappa = region_fixture(cfg)
+    placement, pcp, _, kappa = region_fixture(cfg)
     bem = sync.build_bem_basis(cfg.n + 1, kappa, cfg.n_s)
     with pytest.raises(EstimationError, match="underdetermined"):
-        sync.build_bem_regressor(sbar, bem)
+        sync.build_bem_regressor(pilot.region_pilot(placement, pcp), bem)
+
+
+def test_pilot_circulant_and_row_bases_are_well_conditioned():
+    # the premise of the row-wise fit: C[j, l] = p[(j - l) mod L_p] has
+    # condition number 1 for every Zadoff-Chu row, and the Chebyshev matrices
+    # B_j of the rows stay well conditioned up to the largest default order
+    for zc_len in range(1, 17):
+        for root in range(1, zc_len + 1):
+            if math.gcd(root, zc_len) != 1:
+                continue
+            p = pilot.region_pilot(pilot.PilotPlacement.build(2 * zc_len, 4, 1, zc_len,
+                                                              zc_len, 0),
+                                   pilot.make_pcp(zc_len, root, 40.0))
+            j = np.arange(zc_len)
+            circulant = p[(j[:, None] - j[None, :]) % zc_len]
+            assert np.linalg.cond(circulant) <= 1.0 + 1e-12, (zc_len, root)
+    # every timing offset of the default geometry at beta = 12: cond(B_j) peaks
+    # at 21.7 (4.8 at the default beta = 7)
+    cfg = paper_config(num_users=1)
+    worst = 0.0
+    for theta in range(cfg.m):
+        _, _, _, kappa = region_fixture(cfg, theta)
+        bem = sync.build_bem_basis(12, kappa, cfg.n_s)
+        worst = max(worst, np.linalg.cond(bem.transpose(1, 0, 2)).max())
+    assert worst < 25.0
 
 
 # ---------------------------------------------------------------------------
 # CFO cost and search
 # ---------------------------------------------------------------------------
 
-def bem_exact_observation(cfg, rng, eps0, theta=0, beta=None):
-    """Region samples synthesized from the estimator's own model, with the
-    estimator bundle of user 0 and the regressor matrix G."""
+def bem_exact_observation(cfg, rng, eps0, theta=0, beta=None, noise=0.0):
+    """Region samples synthesized from the estimator's own model on user 0's
+    modulated-frame template, plus complex Gaussian noise of ``noise`` times
+    their RMS per part, then de-rotated by user 0's slot phase; with the
+    estimator bundle, the regressor matrix G of the de-rotated template and
+    the coefficients."""
     beta = cfg.beta if beta is None else beta
     placement, pcp, sbar, kappa = region_fixture(cfg, theta)
     bundle = sync.estimator_bundle(cfg, placement, pcp, theta, beta)
-    g = sync.regressor_matrix(sbar, bundle.bem)
+    g_user0 = regressor_matrix(pilot_region_ref(placement, pcp, 0), bundle.bem)
     c = rng.standard_normal(cfg.zc_len * beta) + 1j * rng.standard_normal(cfg.zc_len * beta)
-    rbar = sync.cfo_phase(kappa.ravel(), eps0, cfg.n_s) * (g @ c)
-    region = sync.PilotRegion(samples=rbar.reshape(cfg.n, cfg.zc_len),
-                              kappa=kappa)
-    return region, bundle, g, c
+    rbar = sync.cfo_phase(kappa.ravel(), eps0, cfg.n_s) * (g_user0 @ c)
+    samples = rbar.reshape(cfg.n, cfg.zc_len)
+    if noise:
+        scale = np.sqrt(np.mean(np.abs(samples) ** 2))
+        draw = rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
+        samples = samples + noise * scale * draw
+    region = sync.derotate(sync.PilotRegion(samples=samples, kappa=kappa), placement, 0)
+    return region, bundle, regressor_matrix(sbar, bundle.bem), c
 
 
 def test_cost_matches_projection_matrix_oracle():
@@ -539,11 +572,7 @@ def test_estimate_cfo_matches_fine_argmax_of_bracket(eps0, cfo_range):
     # so the bracket is clipped and the maximum sits on its edge
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3, cfo_range=cfo_range)
     rng = np.random.default_rng(32)
-    region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0)
-    scale = np.sqrt(np.mean(np.abs(region.samples) ** 2))
-    noise = rng.standard_normal(region.samples.shape) + 1j * rng.standard_normal(region.samples.shape)
-    region = sync.PilotRegion(samples=region.samples + 0.3 * scale * noise,
-                              kappa=region.kappa)
+    region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0, noise=0.3)
     est = sync.estimate_cfo(region, bundle, cfg)
     centre = est.grid[int(np.argmax(est.cost_curve))]
     lo = max(centre - cfg.cfo_step, -cfg.cfo_range)
@@ -642,7 +671,7 @@ def test_ls_residual_orthogonality():
     metric = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
     result = sync.synchronize_user(separated, metric, 0, cfg, placement, pcp)
     bundle = sync.estimator_bundle(cfg, placement, pcp, result.theta_used)
-    g = sync.regressor_matrix(pilot.pilot_region_ref(placement, pcp, 0), bundle.bem)
+    g = regressor_matrix(pilot_region_ref(placement, pcp, 0), bundle.bem)
     phase = sync.cfo_phase(result.region.kappa.ravel(), result.cfo.epsilon_hat,
                            cfg.n_s)
     z = np.conj(phase) * result.region.samples.ravel()
@@ -729,12 +758,7 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_no
     placement, pcp, _, _ = region_fixture(cfg, theta)
     rng = np.random.default_rng(44)
     for eps0 in eps0s:
-        region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0, theta)
-        scale = np.sqrt(np.mean(np.abs(region.samples) ** 2))
-        shape = region.samples.shape
-        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        region = sync.PilotRegion(samples=region.samples + 0.3 * scale * noise,
-                                  kappa=region.kappa)
+        region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0, theta, noise=0.3)
         est = sync.estimate_cfo(region, bundle, cfg)
         eps_hat, c_hat = estimate_cfo_exact(region, dense_regressor(bundle, placement, pcp),
                                             cfg, est.cost_curve)
@@ -755,7 +779,7 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_no
 
 def test_shared_bundle_matches_per_user_bundles():
     # Q = 4 users at distinct timing offsets and CFOs, with data and noise:
-    # user 0's bundle, shared through the de-rotation, against a regressor
+    # one bundle, shared through each user's de-rotation, against a regressor
     # on each user's own template
     from otfsync import harness
     cfg = paper_config(num_users=4, nu_max_t=1.0, snr_db=20.0)
@@ -847,8 +871,10 @@ def test_slot_projection_and_cost_curve_match_dense_q(num_users, theta, beta):
     rng = np.random.default_rng([theta, beta, num_users])
     z = rng.standard_normal((3, kappa.size)) + 1j * rng.standard_normal((3, kappa.size))
     reg = bundle.regressor
-    want = dense.project(z)
-    assert np.max(np.abs(reg.project(reg.slot_sums(z)) - want)) <= 1e-13 * np.max(np.abs(want))
+    # the two bases differ, the squared norm of each projection does not
+    want = np.sum(np.abs(dense.project(z)) ** 2, axis=1)
+    got = np.sum(np.abs(reg.slot_sums(z)) ** 2, axis=1)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
     assert np.allclose(reg.coeffs(z[0]), dense.coeffs(z[0]), rtol=0, atol=1e-12 * np.max(
         np.abs(dense.coeffs(z[0]))))
     rotations = np.exp(-2j * np.pi * np.outer(bundle.grid, kappa.ravel()) / cfg.n_s)
@@ -865,15 +891,3 @@ def test_cost_polynomial_is_the_squared_norm_of_the_interpolant():
     w = chebvander(x, 5) @ coeffs
     got = chebvander(x, 10) @ sync.cost_polynomial(coeffs)
     assert np.allclose(got, np.sum(np.abs(w) ** 2, axis=1), rtol=1e-13, atol=0.0)
-
-
-def test_slot_factors_rejects_a_template_without_slot_structure():
-    cfg = paper_config(num_users=1)
-    _, _, sbar, kappa = region_fixture(cfg)
-    phi, p = sync.slot_factors(sbar)
-    assert np.max(np.abs(np.outer(phi, p) - sbar)) <= 1e-15 * np.max(np.abs(sbar))
-    rng = np.random.default_rng(46)
-    mixed = sbar + 0.1 * (rng.standard_normal(sbar.shape) + 1j * rng.standard_normal(sbar.shape))
-    bem = sync.build_bem_basis(cfg.beta, kappa, cfg.n_s)
-    with pytest.raises(EstimationError, match="slot-separable"):
-        sync.build_bem_regressor(mixed, bem)
