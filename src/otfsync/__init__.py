@@ -50,6 +50,32 @@ def _one_thread_in_loaded_openblas() -> None:
                     break
 
 
+def _fixed_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds at the cap of its dynamic rule.
+
+    glibc raises its mmap threshold to the size of each freed mmap'd block,
+    up to 32 MB, and sets the trim threshold to twice that.  With the
+    arrays of a trial (up to a few MB), the threshold it settles at can sit
+    just below the free space at the heap top, so the heap is trimmed and
+    faulted back in on every trial: about 340 minor page faults per warm
+    Q=2 eva-bem trial with the absorbed baseline, against none with fixed
+    thresholds.  Blocks up to 32 MB then come from the heap, which keeps
+    up to 64 MB free at its top.  A no-op outside glibc.
+    """
+    import ctypes
+
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
 # One BLAS thread per process, set before any submodule imports numpy: every
 # operand is at most 320 x 201, where threading costs more than it saves, and
 # trial parallelism comes from the process pool, whose forked or spawned
@@ -59,6 +85,11 @@ if "OPENBLAS_NUM_THREADS" not in os.environ:
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
+
+# Fixed thresholds are set at import, so that pool workers inherit them.
+# glibc's own settings from the environment win.
+if not any(var.startswith("MALLOC_") or var == "GLIBC_TUNABLES" for var in os.environ):
+    _fixed_malloc_thresholds()
 
 # numpy >= 2 loads these submodules on first use.  Every trial needs them
 # (numpy.ma through np.unique), so they load with the package, about 25 ms,

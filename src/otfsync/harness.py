@@ -8,6 +8,12 @@ user's column, and the failure counts and the ``per-trial.jsonl`` dump read
 the same table.  Every random draw in trial ``k`` comes from the stream
 seeded with (rng_seed, k), so trials are order-independent, parallel-safe,
 and exactly reproducible.
+
+A sweep runs with the trial index outermost.  Each trial index has one
+``TrialDraw`` at a time: its channel, offsets, frames and noiseless receive
+stream, shared by consecutive points that leave it unchanged (an SNR sweep
+changes only the noise).  Each of them draws the same unit noise, from the
+trial's generator rewound to its state after the frame draws.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import concurrent.futures
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -66,9 +72,10 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 def true_pilot_taps(paths: chan.PathSet, cfg: SystemConfig,
                     placement: pilot.PilotPlacement, theta: int) -> np.ndarray:
-    """Ground-truth taps h[n, l, j] over the pilot region at true alignment."""
+    """Ground-truth taps h[n, l, j] over the pilot region at true alignment,
+    C-contiguous, so that ``_nmse`` reads them without a copy."""
     kappa = cfg.cp_len + placement.region_index(theta)
-    return paths.taps(kappa, cfg.zc_len).transpose(1, 0, 2)
+    return np.ascontiguousarray(paths.taps(kappa, cfg.zc_len).transpose(1, 0, 2))
 
 
 def _nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -101,14 +108,46 @@ def absorbed_channel_fit(region: sync.PilotRegion, cfg: SystemConfig,
     return sync.reconstruct_channel(c_hat, bundle.bem)
 
 
-def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = None,
-              absorbed: bool = False, collect_debug: bool = False):
-    """Run one end-to-end trial; returns (records, debug).
+@dataclass(frozen=True)
+class TrialDraw:
+    """What trial ``trial_index`` draws before its noise: the realization
+    (with the CFO pinned to ``cfo_value`` if given), the noiseless receive
+    stream of ``channel.apply_channel``, each user's ``true_pilot_taps`` at
+    its true timing offset, and the state of the trial's generator after the
+    frame draws.  None of it depends on ``cfg.snr_db``, so every config that
+    differs from ``cfg`` in that field alone can share the draw (``serves``).
+    Its arrays (``pcp``, the offsets, ``rx`` and ``truth``) are read-only."""
 
-    Per-user estimation failures become failed records, never exceptions.
-    ``cfo_value`` pins every user's CFO (the Doppler-sweep experiments draw
-    it instead); ``absorbed`` also evaluates the CFO-absorbed baseline.
-    """
+    cfg: SystemConfig
+    trial_index: int
+    cfo_value: float | None
+    placement: pilot.PilotPlacement
+    pcp: np.ndarray
+    realization: chan.ChannelRealization
+    rx: np.ndarray
+    truth: tuple[np.ndarray, ...]
+    rng: np.random.Generator
+    rng_state: dict
+
+    def serves(self, cfg: SystemConfig, trial_index: int, cfo_value: float | None) -> bool:
+        """Whether ``run_trial(cfg, trial_index, cfo_value=cfo_value)`` would
+        draw exactly this."""
+        return (trial_index == self.trial_index and cfo_value == self.cfo_value
+                and replace(cfg, snr_db=self.cfg.snr_db) == self.cfg)
+
+    def noise_rng(self) -> np.random.Generator:
+        """The trial's generator rewound to its state after the frame draws,
+        so that every point sharing the draw takes the noise its own trial
+        would have drawn."""
+        self.rng.bit_generator.state = self.rng_state
+        return self.rng
+
+
+def draw_trial(cfg: SystemConfig, trial_index: int,
+               cfo_value: float | None = None) -> TrialDraw:
+    """Trial ``trial_index``'s noiseless front end (``TrialDraw``): the
+    channel, offsets and frames from ``trial_rng``, transmitted and passed
+    through the channel once over all users."""
     rng = trial_rng(cfg.rng_seed, trial_index)
     allocs = build_allocation(cfg.m, cfg.n, cfg.num_users, cfg.allocation)
     placement = pilot.PilotPlacement.from_config(cfg)
@@ -123,9 +162,32 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
               for alloc in allocs]
     frames = pilot.embed_pilots(frames, placement, pcp)
     streams = modem.transmit(frames, cfg.cp_len)
-
     rx = chan.apply_channel(streams, realization, cfg.n_s, cfg.theta_max)
-    rx = chan.add_awgn(rx, cfg.snr_db, rng)
+    truth = tuple(true_pilot_taps(paths, cfg, placement, int(theta))
+                  for paths, theta in zip(realization.paths, realization.to))
+    for array in (pcp, realization.to, realization.cfo, rx, *truth):
+        array.flags.writeable = False
+    return TrialDraw(cfg=cfg, trial_index=trial_index, cfo_value=cfo_value,
+                     placement=placement, pcp=pcp, realization=realization, rx=rx,
+                     truth=truth, rng=rng, rng_state=rng.bit_generator.state)
+
+
+def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = None,
+              absorbed: bool = False, collect_debug: bool = False,
+              draw: TrialDraw | None = None):
+    """Run one end-to-end trial; returns (records, debug).
+
+    Per-user estimation failures become failed records, never exceptions.
+    ``cfo_value`` pins every user's CFO (the Doppler-sweep experiments draw
+    it instead); ``absorbed`` also evaluates the CFO-absorbed baseline.
+    ``draw``, if given, must ``serve`` (cfg, trial_index, cfo_value) and
+    replaces the trial's own ``draw_trial``: the records are the same.
+    """
+    if draw is None:
+        draw = draw_trial(cfg, trial_index, cfo_value)
+    placement, pcp, realization = draw.placement, draw.pcp, draw.realization
+
+    rx = chan.add_awgn(draw.rx, cfg.snr_db, draw.noise_rng())
     y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
     separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
     metric = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
@@ -142,7 +204,7 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
             record.theta_first = result.to_estimate.first_peak
             record.theta_max = result.to_estimate.max_peak
             record.eps_hat = result.cfo.epsilon_hat
-            truth = true_pilot_taps(realization.paths[q], cfg, placement, theta_true)
+            truth = draw.truth[q]
             record.nmse = _nmse(result.cfo.h_hat, truth)
             if absorbed:
                 h_abs = absorbed_channel_fit(result.region, cfg, placement, pcp,
@@ -334,20 +396,36 @@ def experiment_text(spec: ExperimentSpec) -> str:
 
 
 def _trial_worker(args):
-    cfg, trial_index, cfo_value, absorbed = args
-    return run_trial(cfg, trial_index, cfo_value=cfo_value, absorbed=absorbed)[0]
+    """Trial k's records at every point of a sweep, one list per point."""
+    points, trial_index, absorbed = args
+    records, draw = [], None
+    for cfg, cfo_value in points:
+        if draw is None or not draw.serves(cfg, trial_index, cfo_value):
+            draw = None                 # one draw live at a time
+            draw = draw_trial(cfg, trial_index, cfo_value)
+        records.append(run_trial(cfg, trial_index, cfo_value=cfo_value,
+                                 absorbed=absorbed, draw=draw)[0])
+    return records
 
 
-def run_point(cfg: SystemConfig, trials: int, *, cfo_value=None, absorbed=False,
-              workers: int = 1) -> dict[str, np.ndarray]:
-    """One sweep point's (trials, Q) table (``record_table``), rows in trial order."""
-    jobs = [(cfg, k, cfo_value, absorbed) for k in range(trials)]
+def run_point(points: list[tuple[SystemConfig, float | None]], trials: int, *,
+              absorbed=False, workers: int = 1) -> list[dict[str, np.ndarray]]:
+    """Every point of one sweep: ``points`` is a list of (cfg, cfo_value),
+    and the result holds each point's (trials, Q) table (``record_table``),
+    rows in trial order.
+
+    One job per trial index runs that trial at every point, sharing its
+    ``TrialDraw`` across consecutive points that it serves; a pool, if any,
+    lives for the whole sweep.  The name stays ``run_point`` because the
+    benchmark's tracer (``perfbench/tracing.py``) wraps it by name.
+    """
+    jobs = [(points, k, absorbed) for k in range(trials)]
     if workers <= 1:
-        records_by_trial = [_trial_worker(job) for job in jobs]
+        by_trial = [_trial_worker(job) for job in jobs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records_by_trial = list(pool.map(_trial_worker, jobs, chunksize=8))
-    return record_table(records_by_trial)
+            by_trial = list(pool.map(_trial_worker, jobs))
+    return [record_table(by_point) for by_point in zip(*by_trial)]
 
 
 @dataclass
@@ -391,6 +469,7 @@ def run_experiment(spec: ExperimentSpec, base_cfg: SystemConfig | None = None,
     per_trial_lines = []
     pilot_snr_lines = []
     n_trials = n_failed = 0
+    points = []
     for point in spec.sweep_points:
         if spec.sweep_var == "cfo_value":
             cfg, cfo_value = cfg0, float(point)
@@ -398,8 +477,10 @@ def run_experiment(spec: ExperimentSpec, base_cfg: SystemConfig | None = None,
             cfg, cfo_value = apply_overrides(cfg0, {spec.sweep_var: point}), None
         pilot_snr_lines.append(f"# {spec.sweep_var} = {point:g}: pilot SNR per bin "
                                f"{cfg.snr_db + cfg.pilot_power_db:g} dB")
-        table = run_point(cfg, spec.trials, cfo_value=cfo_value,
-                          absorbed=spec.absorbed_baseline, workers=workers)
+        points.append((cfg, cfo_value))
+    tables = run_point(points, spec.trials, absorbed=spec.absorbed_baseline,
+                       workers=workers)
+    for point, table in zip(spec.sweep_points, tables):
         all_rows.extend(aggregate_point(spec.sweep_var, point, table, spec.absorbed_baseline))
         n_trials += table["failed"].size
         n_failed += int(table["failed"].sum())

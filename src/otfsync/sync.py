@@ -658,9 +658,10 @@ def estimator_bundle(cfg: SystemConfig, placement: pilot.PilotPlacement,
                      pcp: np.ndarray, theta: int,
                      beta: int | None = None) -> EstimatorBundle:
     beta = cfg.beta if beta is None else beta
-    key = (cfg.m, cfg.n, cfg.num_users, cfg.cp_len, cfg.zc_len, cfg.zc_root,
-           cfg.pilot_power_db, cfg.anchor, cfg.offset,
-           cfg.cfo_range, cfg.cfo_step, beta, int(theta))
+    # every field the bundle reads: the user count and the pilot Doppler
+    # offset are left out, as every user fits the Doppler-free template
+    key = (cfg.m, cfg.n, cfg.cp_len, cfg.zc_len, cfg.zc_root, cfg.pilot_power_db,
+           cfg.anchor, cfg.cfo_range, cfg.cfo_step, beta, int(theta))
     bundle = _BUNDLE_CACHE.get(key)
     if bundle is not None:
         return bundle

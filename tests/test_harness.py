@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from otfsync import channel as chan
 from otfsync import harness
 from otfsync.config import (ALLOCATION_SCHEMES, CHANNEL_MODELS, SystemConfig,
                             apply_overrides, bem_order_bound, default_bem_order)
@@ -307,6 +308,67 @@ def test_workers_do_not_change_results():
     serial = harness.run_experiment(spec).to_csv_text()
     parallel = harness.run_experiment(spec, workers=2).to_csv_text()
     assert serial == parallel
+
+
+# an SNR sweep shares each trial's draw across its points; a cfo_value sweep
+# pins another CFO at every point, so each point draws its own
+SHARED_DRAW_SWEEPS = {
+    "snr_db": ([apply_overrides(SystemConfig(num_users=2, nu_max_t=1.0, rng_seed=5),
+                                {"snr_db": snr}) for snr in ("0", "20", "inf")],
+               [None] * 3, False),
+    "cfo_value": ([SystemConfig(num_users=2, channel_model="eva-bem", rng_seed=5)] * 2,
+                  [0.0, 0.3], True),
+}
+
+
+def equal_tables(a, b):
+    return a.keys() == b.keys() and all(
+        np.array_equal(a[name], b[name], equal_nan=a[name].dtype.kind == "f") for name in a)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sweep_var", list(SHARED_DRAW_SWEEPS))
+def test_shared_draw_gives_each_points_own_records(sweep_var, workers):
+    cfgs, cfo_values, absorbed = SHARED_DRAW_SWEEPS[sweep_var]
+    trials = 3
+    tables = harness.run_point(list(zip(cfgs, cfo_values)), trials, absorbed=absorbed,
+                               workers=workers)
+    assert len(tables) == len(cfgs)
+    for table, cfg, cfo_value in zip(tables, cfgs, cfo_values):
+        fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value, absorbed=absorbed)[0]
+                 for k in range(trials)]
+        assert equal_tables(table, harness.record_table(fresh))
+
+
+@pytest.mark.parametrize("sweep_var, channel_calls", [("snr_db", 2), ("cfo_value", 4)])
+def test_channel_runs_once_per_draw(monkeypatch, sweep_var, channel_calls):
+    calls = []
+    original = chan.apply_channel
+    monkeypatch.setattr(chan, "apply_channel",
+                        lambda *args: calls.append(args) or original(*args))
+    cfgs, cfo_values, absorbed = SHARED_DRAW_SWEEPS[sweep_var]
+    harness.run_point(list(zip(cfgs, cfo_values)), 2, absorbed=absorbed)
+    assert len(calls) == channel_calls
+
+
+def test_draw_serves_configs_that_differ_only_in_snr():
+    cfg = SystemConfig(num_users=2, snr_db=10.0)
+    draw = harness.draw_trial(cfg, 3)
+    assert draw.serves(apply_overrides(cfg, {"snr_db": "inf"}), 3, None)
+    assert not draw.serves(cfg, 4, None)
+    assert not draw.serves(cfg, 3, 0.0)
+    for field, value in (("nu_max_t", "1.0"), ("pilot_power_db", "30"), ("rng_seed", "1")):
+        assert not draw.serves(apply_overrides(cfg, {field: value}), 3, None)
+
+
+def test_draw_arrays_are_read_only():
+    draw = harness.draw_trial(SystemConfig(num_users=2), 0, cfo_value=0.2)
+    arrays = (draw.rx, draw.pcp, draw.realization.to, draw.realization.cfo, *draw.truth)
+    assert len(arrays) == 6
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
 
 
 def test_cfo_value_sweep_pins_cfo():

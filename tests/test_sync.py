@@ -739,6 +739,17 @@ def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(dense)
 
 
+def test_estimator_bundle_is_shared_across_user_counts():
+    # the bundle fits the Doppler-free template 1 (x) p, which neither the
+    # user count nor the pilot Doppler offset changes
+    bundles = []
+    for num_users, offset in ((2, -1), (4, -1), (4, 1)):
+        cfg = paper_config(num_users=num_users, pilot_offset=offset)
+        placement, pcp, _, _ = region_fixture(cfg, theta=2)
+        bundles.append(sync.estimator_bundle(cfg, placement, pcp, 2))
+    assert bundles[1] is bundles[0] and bundles[2] is bundles[0]
+
+
 @pytest.mark.parametrize("theta, overrides, eps0s, local_nodes", [
     (0, {}, (0.137, -0.341, 0.02), 9),
     (3, {}, (0.137, -0.341, 0.02), 9),                  # wrapped region
@@ -750,6 +761,7 @@ def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
     (10, {"num_users": 4, "bem_order": 12}, (0.137, -0.341), 9),   # every row wrapped
     (127, {"num_users": 7}, (0.137, -0.341), 9),
     (0, {"num_users": 4, "bem_order": 12}, (0.137, -0.341), 9),
+    (3, {"cfo_range": 0.5}, (0.62, -0.57), 9),          # clipped at either end
 ])
 def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_nodes):
     # the oracle: Newton on the exact cost derivatives with the dense Q, then
@@ -758,7 +770,11 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_no
     placement, pcp, _, _ = region_fixture(cfg, theta)
     rng = np.random.default_rng(44)
     for eps0 in eps0s:
-        region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0, theta, noise=0.3)
+        # past the range the region is noise-free: the cost peaks at eps0
+        # itself, so the search clips at the nearer end of the range under
+        # any draw of the coefficients
+        noise = 0.0 if abs(eps0) > cfg.cfo_range else 0.3
+        region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0, theta, noise=noise)
         est = sync.estimate_cfo(region, bundle, cfg)
         eps_hat, c_hat = estimate_cfo_exact(region, dense_regressor(bundle, placement, pcp),
                                             cfg, est.cost_curve)
@@ -766,15 +782,16 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_no
         assert np.linalg.norm(est.c_hat - c_hat) <= 1e-9 * np.linalg.norm(c_hat)
         taps = np.einsum("njg,lg->nlj", bundle.bem, c_hat.reshape(cfg.zc_len, -1))
         assert np.max(np.abs(est.h_hat - taps)) <= 1e-9 * np.max(np.abs(taps))
+        if abs(eps0) > cfg.cfo_range:
+            edge = math.copysign(cfg.cfo_range, eps0)
+            assert abs(est.grid[int(np.argmax(est.cost_curve))] - edge) < cfg.cfo_step
+            assert est.epsilon_hat == edge
     r = bundle.slot_rot.shape[0]
     assert bundle.row_rot.shape == (r, cfg.zc_len)
     assert bundle.scan_ops.grid_vander.shape == (bundle.grid.size, 2 * r - 1)
     assert bundle.scan_ops.derivs.shape == (3, 2 * r - 1, 2 * r - 1)
     # the bracket alone would take local_nodes; the refinement reads the scan's r
     assert local_nodes == sync.scan_node_count(cfg.cfo_step, region.kappa, cfg.n_s)
-    if eps0 > cfg.cfo_range:
-        assert est.grid[int(np.argmax(est.cost_curve))] + cfg.cfo_step > cfg.cfo_range
-        assert est.epsilon_hat == cfg.cfo_range
 
 
 def test_shared_bundle_matches_per_user_bundles():
