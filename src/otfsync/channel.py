@@ -314,14 +314,21 @@ def apply_channel(streams, realization: ChannelRealization, n_s: int,
                        np.asarray(realization.cfo) / n_s)
 
 
-def add_awgn(stream: np.ndarray, snr_db: float, rng) -> np.ndarray:
-    """Circular complex AWGN at the data-symbol SNR (unit data power)."""
+def unit_noise(rng, shape) -> np.ndarray:
+    """Complex Gaussian noise of variance 2 per sample, standard_normal +
+    1j*standard_normal with the real parts drawn first: the draw that
+    ``add_awgn`` scales to the SNR."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def add_awgn(stream: np.ndarray, snr_db: float, noise: np.ndarray) -> np.ndarray:
+    """Circular complex AWGN at the data-symbol SNR (unit data power): the
+    ``unit_noise`` array ``noise``, of the stream's shape, scaled by
+    sqrt(sigma^2 / 2).  At infinite SNR the stream is returned as a copy."""
     stream = np.asarray(stream)
     if stream.size == 0:
         raise RealizationError("empty stream")
     if np.isinf(snr_db):
         return stream.copy()
     sigma2 = 10.0 ** (-snr_db / 10.0)
-    noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(stream.shape)
-                                     + 1j * rng.standard_normal(stream.shape))
-    return stream + noise
+    return stream + np.sqrt(sigma2 / 2.0) * noise

@@ -10,10 +10,14 @@ seeded with (rng_seed, k), so trials are order-independent, parallel-safe,
 and exactly reproducible.
 
 A sweep runs with the trial index outermost.  Each trial index has one
-``TrialDraw`` at a time: its channel, offsets, frames and noiseless receive
-stream, shared by consecutive points that leave it unchanged (an SNR sweep
-changes only the noise).  Each of them draws the same unit noise, from the
-trial's generator rewound to its state after the frame draws.
+``TrialDraw`` at a time: its channel, offsets, frames, noiseless receive
+stream and unit noise, shared by consecutive points that leave it unchanged.
+An SNR sweep changes only the scale of the noise.  A ``cfo_value`` sweep
+changes only the CFO, pinned to the same value for every user, so it
+factors out of the channel's user sum: the stream at CFO eps is the draw's
+zero-CFO stream times exp(j 2 pi eps kappa / N_s).  The ``nu_max_t`` and
+``pilot_power_db`` sweeps change the channel or the pilots, so each of their
+points draws its own.
 """
 
 from __future__ import annotations
@@ -110,52 +114,49 @@ def absorbed_channel_fit(region: sync.PilotRegion, cfg: SystemConfig,
 
 @dataclass(frozen=True)
 class TrialDraw:
-    """What trial ``trial_index`` draws before its noise: the realization
-    (with the CFO pinned to ``cfo_value`` if given), the noiseless receive
-    stream of ``channel.apply_channel``, each user's ``true_pilot_taps`` at
-    its true timing offset, and the state of the trial's generator after the
-    frame draws.  None of it depends on ``cfg.snr_db``, so every config that
-    differs from ``cfg`` in that field alone can share the draw (``serves``).
-    Its arrays (``pcp``, the offsets, ``rx`` and ``truth``) are read-only."""
+    """Everything trial ``trial_index`` draws: the realization, the
+    noiseless receive stream of ``channel.apply_channel``, each user's
+    ``true_pilot_taps`` at its true timing offset, and the unit noise
+    (``channel.unit_noise``) that ``channel.add_awgn`` scales to the SNR.
+
+    With ``pinned_cfo`` the realization's CFOs are zero and ``rx`` is the
+    zero-CFO stream: a pinned CFO eps, the same for every user, is the
+    rotation exp(j 2 pi eps kappa / N_s) of that stream, which ``run_trial``
+    applies.  So the draw depends neither on ``cfg.snr_db`` nor on the
+    pinned value, and every (config, CFO) that differs from its own in those
+    alone can share it (``serves``).  Its arrays (``pcp``, the offsets,
+    ``rx``, ``noise`` and ``truth``) are read-only."""
 
     cfg: SystemConfig
     trial_index: int
-    cfo_value: float | None
+    pinned_cfo: bool
     placement: pilot.PilotPlacement
     pcp: np.ndarray
     realization: chan.ChannelRealization
     rx: np.ndarray
+    noise: np.ndarray
     truth: tuple[np.ndarray, ...]
-    rng: np.random.Generator
-    rng_state: dict
 
     def serves(self, cfg: SystemConfig, trial_index: int, cfo_value: float | None) -> bool:
         """Whether ``run_trial(cfg, trial_index, cfo_value=cfo_value)`` would
         draw exactly this."""
-        return (trial_index == self.trial_index and cfo_value == self.cfo_value
+        return (trial_index == self.trial_index and (cfo_value is not None) == self.pinned_cfo
                 and replace(cfg, snr_db=self.cfg.snr_db) == self.cfg)
 
-    def noise_rng(self) -> np.random.Generator:
-        """The trial's generator rewound to its state after the frame draws,
-        so that every point sharing the draw takes the noise its own trial
-        would have drawn."""
-        self.rng.bit_generator.state = self.rng_state
-        return self.rng
 
-
-def draw_trial(cfg: SystemConfig, trial_index: int,
-               cfo_value: float | None = None) -> TrialDraw:
-    """Trial ``trial_index``'s noiseless front end (``TrialDraw``): the
-    channel, offsets and frames from ``trial_rng``, transmitted and passed
-    through the channel once over all users."""
+def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False) -> TrialDraw:
+    """Trial ``trial_index``'s draw (``TrialDraw``): the channel, offsets,
+    frames and unit noise from ``trial_rng``, the frames transmitted and
+    passed through the channel once over all users.  With ``pinned_cfo``
+    the CFO draw is discarded and the channel runs at zero CFO."""
     rng = trial_rng(cfg.rng_seed, trial_index)
     allocs = build_allocation(cfg.m, cfg.n, cfg.num_users, cfg.allocation)
     placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
 
     realization = chan.draw_realization(rng, cfg)
-    if cfo_value is not None:
-        realization.cfo[:] = cfo_value
+    if pinned_cfo:
+        realization.cfo[:] = 0.0
 
     # the front end runs once on (Q, ...) arrays; the users split after timing
     frames = [modem.build_data_frame(rng, cfg.m, cfg.n, alloc, placement.guard_rows)
@@ -163,13 +164,14 @@ def draw_trial(cfg: SystemConfig, trial_index: int,
     frames = pilot.embed_pilots(frames, placement, pcp)
     streams = modem.transmit(frames, cfg.cp_len)
     rx = chan.apply_channel(streams, realization, cfg.n_s, cfg.theta_max)
+    noise = chan.unit_noise(rng, rx.shape)
     truth = tuple(true_pilot_taps(paths, cfg, placement, int(theta))
                   for paths, theta in zip(realization.paths, realization.to))
-    for array in (pcp, realization.to, realization.cfo, rx, *truth):
+    for array in (pcp, realization.to, realization.cfo, rx, noise, *truth):
         array.flags.writeable = False
-    return TrialDraw(cfg=cfg, trial_index=trial_index, cfo_value=cfo_value,
+    return TrialDraw(cfg=cfg, trial_index=trial_index, pinned_cfo=pinned_cfo,
                      placement=placement, pcp=pcp, realization=realization, rx=rx,
-                     truth=truth, rng=rng, rng_state=rng.bit_generator.state)
+                     noise=noise, truth=truth)
 
 
 def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = None,
@@ -184,10 +186,15 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
     replaces the trial's own ``draw_trial``: the records are the same.
     """
     if draw is None:
-        draw = draw_trial(cfg, trial_index, cfo_value)
+        draw = draw_trial(cfg, trial_index, pinned_cfo=cfo_value is not None)
     placement, pcp, realization = draw.placement, draw.pcp, draw.realization
 
-    rx = chan.add_awgn(draw.rx, cfg.snr_db, draw.noise_rng())
+    rx, eps = draw.rx, realization.cfo
+    if cfo_value is not None:
+        # the draw's stream is at zero CFO; one CFO for all users rotates the sum
+        rx = rx * chan.phase_ramp(cfo_value / cfg.n_s, cfg.n_s)[0]
+        eps = np.full(cfg.num_users, float(cfo_value))
+    rx = chan.add_awgn(rx, cfg.snr_db, draw.noise)
     y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
     separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
     metric = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
@@ -195,7 +202,7 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
     records, debug = [], []
     for q in range(cfg.num_users):
         theta_true = int(realization.to[q])
-        eps_true = float(realization.cfo[q])
+        eps_true = float(eps[q])
         record = UserTrialRecord(user=q, theta_true=theta_true, eps_true=eps_true)
         try:
             override = theta_true if cfg.genie_to else None
@@ -402,7 +409,7 @@ def _trial_worker(args):
     for cfg, cfo_value in points:
         if draw is None or not draw.serves(cfg, trial_index, cfo_value):
             draw = None                 # one draw live at a time
-            draw = draw_trial(cfg, trial_index, cfo_value)
+            draw = draw_trial(cfg, trial_index, pinned_cfo=cfo_value is not None)
         records.append(run_trial(cfg, trial_index, cfo_value=cfo_value,
                                  absorbed=absorbed, draw=draw)[0])
     return records

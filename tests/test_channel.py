@@ -171,6 +171,24 @@ def test_apply_channel_sums_users_with_distinct_offsets(model):
     assert np.max(np.abs(r - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("model", ["eva", "eva-bem", "single-tap", "identity"])
+def test_shared_cfo_is_a_rotation_of_the_zero_cfo_stream(model):
+    # one CFO for every user factors out of the user sum, which is what lets a
+    # cfo_value sweep rotate one zero-CFO stream per trial
+    cfg = dataclasses.replace(SystemConfig(), num_users=2, channel_model=model).validate()
+    rng = np.random.default_rng(15)
+    real = chan.draw_realization(rng, cfg)
+    real.to[:] = [cfg.theta_max, 1]
+    streams = rng.standard_normal((2, cfg.n_s)) + 1j * rng.standard_normal((2, cfg.n_s))
+    real.cfo[:] = 0.0
+    at_zero = chan.apply_channel(streams, real, cfg.n_s, cfg.theta_max)
+    for eps in (-cfg.cfo_range, -0.4, 0.3, cfg.cfo_range):
+        real.cfo[:] = eps
+        r = chan.apply_channel(streams, real, cfg.n_s, cfg.theta_max)
+        rotated = chan.phase_ramp(eps / cfg.n_s, cfg.n_s)[0] * at_zero
+        assert np.max(np.abs(r - rotated)) <= 1e-12 * np.max(np.abs(r))
+
+
 def test_frame_basis_cached_read_only_and_bem_apply_unchanged():
     cfg = dataclasses.replace(SystemConfig(), num_users=2, channel_model="eva-bem").validate()
     basis = chan.frame_basis(cfg.beta, cfg.n_s)
@@ -291,21 +309,22 @@ def test_apply_channel_rejects_inconsistent_users():
 def test_awgn_infinite_snr_passthrough():
     rng = np.random.default_rng(6)
     s = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    out = chan.add_awgn(s, np.inf, rng)
+    out = chan.add_awgn(s, np.inf, chan.unit_noise(rng, s.shape))
     assert np.array_equal(out, s)
 
 
 def test_awgn_variance_moment():
     rng = np.random.default_rng(7)
-    out = chan.add_awgn(np.zeros(1_000_000, complex), 0.0, rng)  # sigma^2 = 1
+    out = chan.add_awgn(np.zeros(1_000_000, complex), 0.0,
+                        chan.unit_noise(rng, 1_000_000))  # sigma^2 = 1
     var = np.mean(np.abs(out) ** 2)
     assert abs(var - 1.0) < 0.01
 
 
 def test_awgn_deterministic_given_seed():
     s = np.ones(128, complex)
-    a = chan.add_awgn(s, 10.0, np.random.default_rng(42))
-    b = chan.add_awgn(s, 10.0, np.random.default_rng(42))
+    a = chan.add_awgn(s, 10.0, chan.unit_noise(np.random.default_rng(42), s.shape))
+    b = chan.add_awgn(s, 10.0, chan.unit_noise(np.random.default_rng(42), s.shape))
     assert np.array_equal(a, b)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from otfsync import channel as chan
-from otfsync import harness
+from otfsync import harness, modem
 from otfsync.config import (ALLOCATION_SCHEMES, CHANNEL_MODELS, SystemConfig,
                             apply_overrides, bem_order_bound, default_bem_order)
 from otfsync.errors import ConfigError, OtfsyncError
@@ -310,14 +310,14 @@ def test_workers_do_not_change_results():
     assert serial == parallel
 
 
-# an SNR sweep shares each trial's draw across its points; a cfo_value sweep
-# pins another CFO at every point, so each point draws its own
+# both sweeps share each trial's draw across all of their points: an SNR sweep
+# rescales its unit noise, a cfo_value sweep rotates its zero-CFO stream
 SHARED_DRAW_SWEEPS = {
     "snr_db": ([apply_overrides(SystemConfig(num_users=2, nu_max_t=1.0, rng_seed=5),
                                 {"snr_db": snr}) for snr in ("0", "20", "inf")],
                [None] * 3, False),
-    "cfo_value": ([SystemConfig(num_users=2, channel_model="eva-bem", rng_seed=5)] * 2,
-                  [0.0, 0.3], True),
+    "cfo_value": ([SystemConfig(num_users=2, channel_model="eva-bem", rng_seed=5)] * 3,
+                  [-0.4, 0.0, 0.3], True),
 }
 
 
@@ -340,15 +340,20 @@ def test_shared_draw_gives_each_points_own_records(sweep_var, workers):
         assert equal_tables(table, harness.record_table(fresh))
 
 
-@pytest.mark.parametrize("sweep_var, channel_calls", [("snr_db", 2), ("cfo_value", 4)])
+@pytest.mark.parametrize("sweep_var, channel_calls", [("snr_db", 2), ("cfo_value", 2)])
 def test_channel_runs_once_per_draw(monkeypatch, sweep_var, channel_calls):
-    calls = []
-    original = chan.apply_channel
-    monkeypatch.setattr(chan, "apply_channel",
-                        lambda *args: calls.append(args) or original(*args))
+    # 2 trials: one draw per trial index, whatever the number of points
+    calls = {}
+    for owner, name in ((chan, "apply_channel"), (chan, "draw_realization"),
+                        (modem, "transmit"), (harness, "true_pilot_taps")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, original=original:
+                            calls.setdefault(name, []).append(args) or original(*args))
     cfgs, cfo_values, absorbed = SHARED_DRAW_SWEEPS[sweep_var]
     harness.run_point(list(zip(cfgs, cfo_values)), 2, absorbed=absorbed)
-    assert len(calls) == channel_calls
+    counts = {name: len(args) for name, args in calls.items()}
+    assert counts == {"apply_channel": channel_calls, "draw_realization": channel_calls,
+                      "transmit": channel_calls, "true_pilot_taps": 2 * channel_calls}
 
 
 def test_draw_serves_configs_that_differ_only_in_snr():
@@ -356,15 +361,29 @@ def test_draw_serves_configs_that_differ_only_in_snr():
     draw = harness.draw_trial(cfg, 3)
     assert draw.serves(apply_overrides(cfg, {"snr_db": "inf"}), 3, None)
     assert not draw.serves(cfg, 4, None)
-    assert not draw.serves(cfg, 3, 0.0)
+    for cfo_value in (-0.4, 0.0, 0.3):     # a random-CFO draw serves no pinned one
+        assert not draw.serves(cfg, 3, cfo_value)
     for field, value in (("nu_max_t", "1.0"), ("pilot_power_db", "30"), ("rng_seed", "1")):
         assert not draw.serves(apply_overrides(cfg, {field: value}), 3, None)
 
 
+def test_pinned_draw_serves_every_pinned_cfo():
+    cfg = SystemConfig(num_users=2, snr_db=10.0)
+    draw = harness.draw_trial(cfg, 3, pinned_cfo=True)
+    assert np.array_equal(draw.realization.cfo, [0.0, 0.0])
+    for cfo_value in (-0.4, 0.0, 0.3):
+        assert draw.serves(cfg, 3, cfo_value)
+        assert draw.serves(apply_overrides(cfg, {"snr_db": "inf"}), 3, cfo_value)
+    assert not draw.serves(cfg, 3, None)
+    assert not draw.serves(cfg, 4, 0.3)
+    assert not draw.serves(apply_overrides(cfg, {"nu_max_t": "1.0"}), 3, 0.3)
+
+
 def test_draw_arrays_are_read_only():
-    draw = harness.draw_trial(SystemConfig(num_users=2), 0, cfo_value=0.2)
-    arrays = (draw.rx, draw.pcp, draw.realization.to, draw.realization.cfo, *draw.truth)
-    assert len(arrays) == 6
+    draw = harness.draw_trial(SystemConfig(num_users=2), 0, pinned_cfo=True)
+    arrays = (draw.rx, draw.noise, draw.pcp, draw.realization.to, draw.realization.cfo,
+              *draw.truth)
+    assert len(arrays) == 7
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):

@@ -223,7 +223,8 @@ def test_pcp_correlation_matches_template_correlation(num_users):
              for a in allocs], placement, pcp)
         rx = chan.apply_channel([modem.transmit(f, cfg.cp_len) for f in frames],
                                 real, cfg.n_s, cfg.theta_max)
-        y = modem.remove_cp(chan.add_awgn(rx, cfg.snr_db, rng)[cfg.theta_max:], cfg.cp_rem)
+        rx = chan.add_awgn(rx, cfg.snr_db, chan.unit_noise(rng, rx.shape))
+        y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem)
         separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
         bank = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
         for user in range(num_users):
@@ -664,8 +665,8 @@ def test_ls_residual_orthogonality():
     frames = pilot.embed_pilots(
         [np.zeros((cfg.m, cfg.n), complex) for _ in range(2)], placement, pcp)
     streams = [modem.transmit(f, cfg.cp_len) for f in frames]
-    r = chan.add_awgn(chan.apply_channel(streams, real, cfg.n_s, cfg.theta_max),
-                      cfg.snr_db, rng)
+    r = chan.apply_channel(streams, real, cfg.n_s, cfg.theta_max)
+    r = chan.add_awgn(r, cfg.snr_db, chan.unit_noise(rng, r.shape))
     y = modem.remove_cp(r[cfg.theta_max:], cfg.cp_rem)
     separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
     metric = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
@@ -810,8 +811,8 @@ def test_shared_bundle_matches_per_user_bundles():
     frames = pilot.embed_pilots(
         [modem.build_data_frame(rng, cfg.m, cfg.n, a, placement.guard_rows) for a in allocs],
         placement, pcp)
-    rx = chan.add_awgn(chan.apply_channel(modem.transmit(frames, cfg.cp_len), real,
-                                          cfg.n_s, cfg.theta_max), cfg.snr_db, rng)
+    rx = chan.apply_channel(modem.transmit(frames, cfg.cp_len), real, cfg.n_s, cfg.theta_max)
+    rx = chan.add_awgn(rx, cfg.snr_db, chan.unit_noise(rng, rx.shape))
     y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
     separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
     metric = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
