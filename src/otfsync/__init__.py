@@ -3,7 +3,6 @@
 Library layout:
 
 - ``config``      system dimensioning and experiment parameters
-- ``allocation``  per-user delay-Doppler resource allocation
 - ``modem``       OTFS transmit chain and cyclic-prefix removal
 - ``pilot``       cyclic-prefixed Zadoff-Chu pilots in a shared delay region
 - ``channel``     doubly-selective channels, sample-level application
@@ -99,13 +98,13 @@ import numpy.ma  # noqa: E402,F401
 import numpy.random  # noqa: E402,F401
 
 from .config import SystemConfig, load_config, apply_overrides
-from .errors import (OtfsyncError, ConfigError, AllocationError, PlacementError,
-                     RealizationError, EstimationError, NumericError)
+from .errors import (OtfsyncError, ConfigError, PlacementError, RealizationError,
+                     EstimationError, NumericError)
 
 __all__ = [
     "SystemConfig", "load_config", "apply_overrides",
-    "OtfsyncError", "ConfigError", "AllocationError", "PlacementError",
-    "RealizationError", "EstimationError", "NumericError",
+    "OtfsyncError", "ConfigError", "PlacementError", "RealizationError",
+    "EstimationError", "NumericError",
 ]
 
 __version__ = "0.1.0"

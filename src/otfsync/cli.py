@@ -18,8 +18,8 @@ import sys
 
 from . import harness
 from .config import SystemConfig, apply_overrides, coerce, echo_config, load_config
-from .errors import (AllocationError, ConfigError, EstimationError, NumericError,
-                     OtfsyncError, PlacementError, RealizationError)
+from .errors import (ConfigError, EstimationError, NumericError, OtfsyncError,
+                     PlacementError, RealizationError)
 
 OUT_ENV_VAR = "OTFSYNC_OUT"
 MAX_FAILURE_FRACTION = 0.5
@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, AllocationError, PlacementError) as exc:
+    except (ConfigError, PlacementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EstimationError, NumericError, RealizationError) as exc:

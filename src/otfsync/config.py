@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
-ALLOCATION_SCHEMES = ("contiguous-delay", "contiguous-doppler", "interleaved")
 CHANNEL_MODELS = ("eva", "eva-bem", "single-tap", "identity")
 
 #: sample rate the delay axis is quantized to (Hz)
@@ -60,7 +59,6 @@ class SystemConfig:
     cfo_step: float = 0.02      # coarse grid step
     cfo_tol: float = 1e-4       # CFO refinement tolerance
     cfo_max: float = 0.5        # CFO draw half-width per trial
-    allocation: str = "contiguous-doppler"
     channel_model: str = "eva"
     channel_len_cap: int = 10   # largest channel length L_ch
     genie_to: bool = False      # use the true TO instead of the estimate
@@ -170,8 +168,6 @@ class SystemConfig:
             bad.append(
                 f"pilot_offset={self.offset} outside the user band [0, {self.band})"
             )
-        if self.allocation not in ALLOCATION_SCHEMES:
-            bad.append(f"allocation={self.allocation!r} not one of {ALLOCATION_SCHEMES}")
         if self.channel_model not in CHANNEL_MODELS:
             bad.append(f"channel_model={self.channel_model!r} not one of {CHANNEL_MODELS}")
         if not 0 <= self.rng_seed < 2 ** 64:

@@ -9,10 +9,6 @@ class ConfigError(OtfsyncError):
     """Invalid system configuration or config file."""
 
 
-class AllocationError(OtfsyncError):
-    """Invalid delay-Doppler resource allocation."""
-
-
 class PlacementError(OtfsyncError):
     """Pilot placement collides with data or leaves the grid."""
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from . import channel as chan
 from . import modem, pilot, sync
-from .allocation import build_allocation
 from .config import (SystemConfig, apply_overrides, bem_order_bound, coerce,
                      echo_config, parse_lines)
 from .errors import ConfigError, OtfsyncError
@@ -150,7 +149,6 @@ def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False) ->
     passed through the channel once over all users.  With ``pinned_cfo``
     the CFO draw is discarded and the channel runs at zero CFO."""
     rng = trial_rng(cfg.rng_seed, trial_index)
-    allocs = build_allocation(cfg.m, cfg.n, cfg.num_users, cfg.allocation)
     placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
 
@@ -158,9 +156,11 @@ def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False) ->
     if pinned_cfo:
         realization.cfo[:] = 0.0
 
-    # the front end runs once on (Q, ...) arrays; the users split after timing
-    frames = [modem.build_data_frame(rng, cfg.m, cfg.n, alloc, placement.guard_rows)
-              for alloc in allocs]
+    # the front end runs once on (Q, ...) arrays; the users split after timing.
+    # Each user's data fills the Doppler band that its receive filter passes.
+    bands = sync.doppler_mask(cfg.n, cfg.num_users, np.arange(cfg.num_users)[:, np.newaxis])
+    frames = [modem.build_data_frame(rng, cfg.m, cfg.n, band, placement.guard_rows)
+              for band in bands]
     frames = pilot.embed_pilots(frames, placement, pcp)
     streams = modem.transmit(frames, cfg.cp_len)
     rx = chan.apply_channel(streams, realization, cfg.n_s, cfg.theta_max)

@@ -67,16 +67,17 @@ def qam4_symbols(rng: np.random.Generator, size) -> np.ndarray:
     return QAM4[rng.integers(0, 4, size=size)]
 
 
-def build_data_frame(rng, m, n, alloc, guard_rows=()) -> np.ndarray:
-    """Random unit-power 4-QAM on the user's bins, zeros elsewhere.
+def build_data_frame(rng, m, n, band, guard_rows=()) -> np.ndarray:
+    """Random unit-power 4-QAM on the user's Doppler bins, zeros elsewhere.
 
-    ``guard_rows`` (the shared pilot delay span) are kept at zero for every
-    user; the pilot is written separately.
+    ``band`` is the (N,) mask of the Doppler bins that the user's receive
+    filter passes (``sync.doppler_mask``); the user's data and pilot both
+    lie in that band.  ``guard_rows`` (the shared pilot delay span) are kept
+    at zero for every user; the pilot is written separately.
     """
     frame = np.zeros((m, n), dtype=complex)
-    guard = set(guard_rows)
-    rows = np.asarray([l for l in alloc.delay_bins if l not in guard], dtype=int)
-    cols = np.asarray(alloc.doppler_bins, dtype=int)
-    if rows.size and cols.size:
-        frame[np.ix_(rows, cols)] = qam4_symbols(rng, (rows.size, cols.size))
+    rows = np.ones(m, dtype=bool)
+    rows[list(guard_rows)] = False
+    block = np.ix_(rows, band)
+    frame[block] = qam4_symbols(rng, (block[0].size, block[1].size))
     return frame

@@ -3,8 +3,9 @@
 Every user's pilot lives in one shared delay region of the grid: rows
 ``anchor - zc_len + 1 .. anchor + zc_len - 1`` across all Doppler bins are
 reserved (data-free for all users).  User q writes its pilot column at
-Doppler bin ``offset + q * band`` so each pilot sits inside that user's
-receive filter band.
+Doppler bin ``offset + q * band``.  A user's data and its pilot both lie in
+its filter band, the ``band`` Doppler bins from ``q * band`` that
+``sync.doppler_mask`` gives it and its receive filter passes.
 """
 
 from __future__ import annotations

@@ -91,7 +91,7 @@ def separate_user(stream: np.ndarray, num_users: int, m: int, n: int) -> np.ndar
     view of the stream, Q masks, and one batched IDFT; each filter is
     equivalent to a circulant filter along the time axis.  The name stays
     singular because the benchmark's tracer wraps ``separate_user`` by name,
-    until stage timing moves into the library (ROADMAP Direction 2).
+    until stage timing moves into the library (ROADMAP Direction 4).
     """
     if num_users > n:
         raise ConfigError(f"num_users={num_users} exceeds the Doppler axis n={n}")

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from otfsync import modem
-from otfsync.allocation import UserAllocation
+from otfsync import modem, sync
 from otfsync.channel import ChannelRealization
 from otfsync.config import SystemConfig
 from otfsync.pilot import PilotPlacement
@@ -31,11 +30,10 @@ def demodulate(stream: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.fft.fft(grid, axis=1) / np.sqrt(n)
 
 
-def bin_mask(alloc: UserAllocation, m: int, n: int) -> np.ndarray:
-    """Boolean M x N mask of the bins owned by this user."""
-    mask = np.zeros((m, n), dtype=bool)
-    mask[np.ix_(alloc.delay_bins, alloc.doppler_bins)] = True
-    return mask
+def bin_mask(m: int, n: int, num_users: int, user: int) -> np.ndarray:
+    """Boolean M x N mask of the bins owned by this user: every delay row
+    of the Doppler band its receive filter passes (``sync.doppler_mask``)."""
+    return np.broadcast_to(sync.doppler_mask(n, num_users, user), (m, n))
 
 
 def pilot_frame(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
@@ -91,11 +89,11 @@ def _user_lambda(paths, theta: int, cp_len: int, mn: int) -> np.ndarray:
     return lam
 
 
-def build_compound_channel(realization: ChannelRealization, cfg: SystemConfig,
-                           allocations: list[UserAllocation]) -> CompoundChannel:
+def build_compound_channel(realization: ChannelRealization,
+                           cfg: SystemConfig) -> CompoundChannel:
     """Assemble Psi_DD; P_q is the diagonal selector of user q's bins."""
     m, n, mn = cfg.m, cfg.n, cfg.m * cfg.n
-    assert realization.num_users == len(allocations)
+    assert realization.num_users == cfg.num_users
     psi = np.zeros((mn, mn), dtype=complex)
     lambda_dd_all, phi_dd_all = [], []
     kappa = cfg.cp_len + np.arange(mn)
@@ -104,7 +102,7 @@ def build_compound_channel(realization: ChannelRealization, cfg: SystemConfig,
         phi = np.exp(2j * np.pi * realization.cfo[q] * kappa / cfg.n_s)
         lam_dd = dd_transform(lam, m, n)
         phi_dd = dd_transform(np.diag(phi), m, n)
-        mask = bin_mask(allocations[q], m, n).flatten(order="F")
+        mask = bin_mask(m, n, cfg.num_users, q).flatten(order="F")
         psi += (phi_dd @ lam_dd) * mask[np.newaxis, :]
         lambda_dd_all.append(lam_dd)
         phi_dd_all.append(phi_dd)

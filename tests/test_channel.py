@@ -10,7 +10,6 @@ import pytest
 from dd_oracle import bin_mask, build_compound_channel, demodulate
 from otfsync import channel as chan
 from otfsync import modem, sync
-from otfsync.allocation import build_allocation
 from otfsync.config import SystemConfig
 from otfsync.errors import RealizationError
 
@@ -332,23 +331,22 @@ def test_awgn_deterministic_given_seed():
 
 def test_compound_identity_channel_is_identity():
     cfg = small_config(num_users=1)
-    allocs = build_allocation(cfg.m, cfg.n, 1, "contiguous-doppler")
     real = chan.ChannelRealization(paths=[chan.identity_pathset()],
                                    to=np.array([0]), cfo=np.array([0.0]))
-    compound = build_compound_channel(real, cfg, allocs)
+    compound = build_compound_channel(real, cfg)
     assert np.max(np.abs(compound.psi_dd - np.eye(cfg.m * cfg.n))) < 1e-10
 
 
-def keystone_error(cfg, rng, realization, allocs):
+def keystone_error(cfg, rng, realization):
     """Max-abs difference between the matrix path and the sample path."""
-    frames = [np.where(bin_mask(a, cfg.m, cfg.n),
+    frames = [np.where(bin_mask(cfg.m, cfg.n, cfg.num_users, q),
                        modem.qam4_symbols(rng, (cfg.m, cfg.n)), 0)
-              for a in allocs]
+              for q in range(cfg.num_users)]
     streams = [modem.transmit(f, cfg.cp_len) for f in frames]
     r = chan.apply_channel(streams, realization, cfg.n_s, cfg.theta_max)
     y = modem.remove_cp(r[cfg.theta_max:], cfg.cp_rem)
     d_tilde = demodulate(y, cfg.m, cfg.n).flatten(order="F")
-    compound = build_compound_channel(realization, cfg, allocs)
+    compound = build_compound_channel(realization, cfg)
     d = sum(f.flatten(order="F") for f in frames)
     return np.max(np.abs(compound.psi_dd @ d - d_tilde))
 
@@ -356,25 +354,23 @@ def keystone_error(cfg, rng, realization, allocs):
 def test_keystone_matrix_equals_samples():
     cfg = small_config()
     rng = np.random.default_rng(8)
-    allocs = build_allocation(cfg.m, cfg.n, cfg.num_users, cfg.allocation)
     for _ in range(20):
         real = chan.ChannelRealization(
             paths=[random_pathset(rng, n_s=cfg.n_s) for _ in range(2)],
             to=rng.integers(0, cfg.theta_max + 1, 2),
             cfo=rng.uniform(-0.5, 0.5, 2))
-        assert keystone_error(cfg, rng, real, allocs) < 1e-9
+        assert keystone_error(cfg, rng, real) < 1e-9
 
 
 def test_keystone_with_bem_paths():
     cfg = small_config()
     rng = np.random.default_rng(9)
-    allocs = build_allocation(cfg.m, cfg.n, cfg.num_users, cfg.allocation)
     real = chan.ChannelRealization(
         paths=[chan.generate_eva_bem_channel(rng, cfg.nu_max_t, cfg.n_s, 4)
                for _ in range(2)],
         to=rng.integers(0, cfg.theta_max + 1, 2),
         cfo=rng.uniform(-0.5, 0.5, 2))
-    assert keystone_error(cfg, rng, real, allocs) < 1e-9
+    assert keystone_error(cfg, rng, real) < 1e-9
 
 
 def test_pure_cfo_block_is_block_circulant():
@@ -383,8 +379,7 @@ def test_pure_cfo_block_is_block_circulant():
     cfg = small_config(num_users=1)
     real = chan.ChannelRealization(paths=[chan.identity_pathset()],
                                    to=np.array([0]), cfo=np.array([0.4]))
-    allocs = build_allocation(cfg.m, cfg.n, 1, "contiguous-doppler")
-    compound = build_compound_channel(real, cfg, allocs)
+    compound = build_compound_channel(real, cfg)
     phi = compound.phi_dd[0]
     m, n = cfg.m, cfg.n
     blocks = phi.reshape(m, n, m, n, order="F")
@@ -409,8 +404,7 @@ def test_time_invariant_channel_block_structure():
                          dopplers=np.array([0.0, 0.0]))
     real = chan.ChannelRealization(paths=[paths], to=np.array([0]),
                                    cfo=np.array([0.0]))
-    allocs = build_allocation(cfg.m, cfg.n, 1, "contiguous-doppler")
-    compound = build_compound_channel(real, cfg, allocs)
+    compound = build_compound_channel(real, cfg)
     lam = compound.lambda_dd[0].reshape(cfg.m, cfg.n, cfg.m, cfg.n, order="F")
     mag0 = np.abs(lam[:, 0, :, 0])
     for k1 in range(cfg.n):

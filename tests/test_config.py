@@ -29,7 +29,7 @@ def test_cp_rule_violation_message():
     ("threshold", "1.5", "outside"),
     ("zc_len", "70", "exceeds m"),
     ("zc_root", "5", "coprime"),
-    ("allocation", "diagonal", "not one of"),
+    ("allocation", "interleaved", "unknown config key 'allocation'"),
     ("num_users", "200", "exceeds"),
     ("n", "4", "bem_order=7 exceeds the Doppler axis n=4"),
 ])

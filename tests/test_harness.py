@@ -10,9 +10,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from otfsync import channel as chan
-from otfsync import harness, modem
-from otfsync.config import (ALLOCATION_SCHEMES, CHANNEL_MODELS, SystemConfig,
-                            apply_overrides, bem_order_bound, default_bem_order)
+from otfsync import harness, modem, sync
+from otfsync.config import (CHANNEL_MODELS, SystemConfig, apply_overrides, bem_order_bound,
+                            default_bem_order)
 from otfsync.errors import ConfigError, OtfsyncError
 
 
@@ -390,6 +390,30 @@ def test_draw_arrays_are_read_only():
             array[...] = 0
 
 
+@pytest.mark.parametrize("n, num_users", [(32, 1), (32, 2), (32, 3), (32, 4), (8, 3), (4, 4)])
+def test_filter_bank_passes_all_of_the_data(monkeypatch, n, num_users):
+    # each user's data fills the Doppler band its receive filter passes, so the
+    # bank loses none of a noiseless identity-channel stream, also when Q does
+    # not divide N (the N % Q remainder bins then carry no data)
+    cfg = SystemConfig(n=n, num_users=num_users, channel_model="identity", snr_db=math.inf,
+                       pilot_power_db=-math.inf, cfo_max=0.0, theta_max=0, nu_max_t=0.5,
+                       cfo_range=0.5).validate()
+    frames, build = [], modem.build_data_frame
+    monkeypatch.setattr(modem, "build_data_frame",
+                        lambda *args: frames.append(build(*args)) or frames[-1])
+    draw = harness.draw_trial(cfg, 0)
+    y = modem.remove_cp(draw.rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
+    separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
+    ratio = np.sum(np.abs(separated) ** 2) / np.sum(np.abs(y) ** 2)
+    assert abs(ratio - 1.0) < 1e-12
+    data_rows = np.ones(cfg.m, dtype=bool)
+    data_rows[list(draw.placement.guard_rows)] = False
+    assert len(frames) == num_users
+    for q, frame in enumerate(frames):
+        band = sync.doppler_mask(cfg.n, cfg.num_users, q)
+        assert np.array_equal(frame != 0, data_rows[:, np.newaxis] & band)
+
+
 def test_cfo_value_sweep_pins_cfo():
     cfg = quick_config(num_users=1, channel_model="eva-bem", nu_max_t=0.5)
     records, _ = harness.run_trial(cfg, 0, cfo_value=0.3)
@@ -420,7 +444,7 @@ def test_report_value_lookup():
 
 @st.composite
 def small_configs(draw):
-    """Small configs across every channel model and allocation, drawn
+    """Small configs across every channel model, drawn
     relative to the validation rules so that most draws are valid."""
     m, n = draw(st.integers(1, 24)), draw(st.integers(1, 12))
     num_users = draw(st.integers(1, min(4, m, n)))
@@ -446,7 +470,6 @@ def small_configs(draw):
         cfo_range=draw(st.sampled_from([r for r in (0.25, 0.5, 2.0) if r <= half_band])),
         cfo_step=draw(st.sampled_from((0.02, 0.1, 0.3))),
         cfo_max=draw(st.sampled_from((0.0, 0.5))),
-        allocation=draw(st.sampled_from(ALLOCATION_SCHEMES)),
         channel_model=draw(st.sampled_from(CHANNEL_MODELS)),
         genie_to=draw(st.booleans()))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dd_oracle import demodulate
-from otfsync import modem
+from otfsync import modem, sync
 from otfsync.errors import ConfigError
 
 
@@ -128,10 +128,9 @@ def test_qam_unit_power_exact():
 
 
 def test_data_frame_respects_guard_rows():
-    from otfsync.allocation import build_allocation
     rng = np.random.default_rng(7)
-    alloc = build_allocation(16, 8, 2, "contiguous-doppler")[0]
-    frame = modem.build_data_frame(rng, 16, 8, alloc, guard_rows=range(12, 16))
+    band = sync.doppler_mask(8, 2, 0)
+    frame = modem.build_data_frame(rng, 16, 8, band, guard_rows=range(12, 16))
     assert np.all(frame[12:, :] == 0)
     assert np.all(frame[:12, 4:] == 0)  # other user's bins stay empty
     assert np.all(np.abs(frame[:12, :4]) > 0)

@@ -10,7 +10,6 @@ from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from otfsync import channel as chan
 from otfsync import modem, pilot, sync
-from otfsync.allocation import build_allocation
 from otfsync.config import SystemConfig
 from otfsync.errors import ConfigError, EstimationError
 from dd_oracle import pilot_region_ref, timing_template
@@ -213,14 +212,14 @@ def test_pcp_correlation_matches_template_correlation(num_users):
     cfg = SystemConfig(num_users=num_users, snr_db=10.0).validate()
     placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
-    allocs = build_allocation(cfg.m, cfg.n, cfg.num_users, cfg.allocation)
     for theta in (0, cfg.theta_max):
         rng = np.random.default_rng([43, num_users, theta])
         real = chan.draw_realization(rng, cfg)
         real.to[:] = theta
         frames = pilot.embed_pilots(
-            [modem.build_data_frame(rng, cfg.m, cfg.n, a, placement.guard_rows)
-             for a in allocs], placement, pcp)
+            [modem.build_data_frame(rng, cfg.m, cfg.n, sync.doppler_mask(cfg.n, num_users, q),
+                                    placement.guard_rows)
+             for q in range(num_users)], placement, pcp)
         rx = chan.apply_channel([modem.transmit(f, cfg.cp_len) for f in frames],
                                 real, cfg.n_s, cfg.theta_max)
         rx = chan.add_awgn(rx, cfg.snr_db, chan.unit_noise(rng, rx.shape))
@@ -807,9 +806,9 @@ def test_shared_bundle_matches_per_user_bundles():
     real = chan.draw_realization(rng, cfg)
     real.to[:] = [3, 0, 4, 1]
     real.cfo[:] = [0.137, -0.341, 0.402, -0.06]
-    allocs = build_allocation(cfg.m, cfg.n, cfg.num_users, cfg.allocation)
     frames = pilot.embed_pilots(
-        [modem.build_data_frame(rng, cfg.m, cfg.n, a, placement.guard_rows) for a in allocs],
+        [modem.build_data_frame(rng, cfg.m, cfg.n, sync.doppler_mask(cfg.n, cfg.num_users, q),
+                                placement.guard_rows) for q in range(cfg.num_users)],
         placement, pcp)
     rx = chan.apply_channel(modem.transmit(frames, cfg.cp_len), real, cfg.n_s, cfg.theta_max)
     rx = chan.add_awgn(rx, cfg.snr_db, chan.unit_noise(rng, rx.shape))
