@@ -91,6 +91,20 @@ class SystemConfig:
         return self.pilot_offset if self.pilot_offset >= 0 else self.band // 2
 
     @property
+    def delay_lo(self) -> int:
+        """First delay row of the shared pilot span, anchor - zc_len + 1."""
+        return self.anchor - self.zc_len + 1
+
+    @property
+    def delay_hi(self) -> int:
+        """Last delay row of the shared pilot span, anchor + zc_len - 1."""
+        return self.anchor + self.zc_len - 1
+
+    def pilot_bin(self, user: int) -> int:
+        """Doppler bin of user ``user``'s pilot column, offset + user * band."""
+        return self.offset + user * self.band
+
+    @property
     def beta(self) -> int:
         """BEM order per user (resolved)."""
         return self.bem_order if self.bem_order > 0 else default_bem_order(self.nu_max_t)
@@ -137,10 +151,10 @@ class SystemConfig:
             bad.append(f"n_s = m*n + cp_len = {self.n_s} must be >= 2")
         if 2 * self.zc_len - 1 > self.m:
             bad.append(f"pilot span 2*zc_len-1={2 * self.zc_len - 1} exceeds m={self.m}")
-        elif self.anchor - self.zc_len + 1 < 0 or self.anchor + self.zc_len - 1 > self.m - 1:
+        elif self.delay_lo < 0 or self.delay_hi > self.m - 1:
             bad.append(
-                f"pilot delay span [{self.anchor - self.zc_len + 1}, "
-                f"{self.anchor + self.zc_len - 1}] leaves the delay axis [0, {self.m - 1}]"
+                f"pilot delay span [{self.delay_lo}, {self.delay_hi}] "
+                f"leaves the delay axis [0, {self.m - 1}]"
             )
         if math.gcd(self.zc_root, self.zc_len) != 1:
             bad.append(f"zc_root={self.zc_root} is not coprime with zc_len={self.zc_len}")

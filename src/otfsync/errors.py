@@ -10,7 +10,7 @@ class ConfigError(OtfsyncError):
 
 
 class PlacementError(OtfsyncError):
-    """Pilot placement collides with data or leaves the grid."""
+    """A user's data occupies the shared pilot delay span (``pilot.embed_pilots``)."""
 
 
 class RealizationError(OtfsyncError):

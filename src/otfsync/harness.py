@@ -73,11 +73,10 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial_index])
 
 
-def true_pilot_taps(paths: chan.PathSet, cfg: SystemConfig,
-                    placement: pilot.PilotPlacement, theta: int) -> np.ndarray:
+def true_pilot_taps(paths: chan.PathSet, cfg: SystemConfig, theta: int) -> np.ndarray:
     """Ground-truth taps h[n, l, j] over the pilot region at true alignment,
     C-contiguous, so that ``_nmse`` reads them without a copy."""
-    kappa = cfg.cp_len + placement.region_index(theta)
+    kappa = cfg.cp_len + pilot.region_index(cfg, theta)
     return np.ascontiguousarray(paths.taps(kappa, cfg.zc_len).transpose(1, 0, 2))
 
 
@@ -96,18 +95,16 @@ def absorbed_beta(cfg: SystemConfig, eps_true: float) -> int:
     return max(cfg.beta, min(12, cfg.n, bem_order_bound(cfg.nu_max_t + abs(eps_true))))
 
 
-def absorbed_channel_fit(region: sync.PilotRegion, cfg: SystemConfig,
-                         placement, pcp, user: int, theta: int,
-                         eps_true: float) -> np.ndarray:
+def absorbed_channel_fit(region: sync.PilotRegion, cfg: SystemConfig, user: int,
+                         theta: int, eps_true: float) -> np.ndarray:
     """Baseline fit with the CFO left inside the channel (search disabled):
     the LS solve runs at zero offset against the Doppler-free template
     1 (x) p, on the user's region de-rotated by its own slot phase
     (``sync.derotate``).  At zero offset no rotation is needed, so the fit is
     the region's row sums and one (L_p*beta)-square matrix product
     (``BemRegressor.coeffs``)."""
-    bundle = sync.estimator_bundle(cfg, placement, pcp, theta,
-                                   beta=absorbed_beta(cfg, eps_true))
-    c_hat = bundle.regressor.coeffs(sync.derotate(region, placement, user).samples.ravel())
+    bundle = sync.estimator_bundle(cfg, theta, beta=absorbed_beta(cfg, eps_true))
+    c_hat = bundle.regressor.coeffs(sync.derotate(region, cfg, user).samples.ravel())
     return sync.reconstruct_channel(c_hat, bundle.bem)
 
 
@@ -129,7 +126,6 @@ class TrialDraw:
     cfg: SystemConfig
     trial_index: int
     pinned_cfo: bool
-    placement: pilot.PilotPlacement
     pcp: np.ndarray
     realization: chan.ChannelRealization
     rx: np.ndarray
@@ -149,7 +145,6 @@ def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False) ->
     passed through the channel once over all users.  With ``pinned_cfo``
     the CFO draw is discarded and the channel runs at zero CFO."""
     rng = trial_rng(cfg.rng_seed, trial_index)
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
 
     realization = chan.draw_realization(rng, cfg)
@@ -158,20 +153,19 @@ def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False) ->
 
     # the front end runs once on (Q, ...) arrays; the users split after timing.
     # Each user's data fills the Doppler band that its receive filter passes.
-    bands = sync.doppler_mask(cfg.n, cfg.num_users, np.arange(cfg.num_users)[:, np.newaxis])
-    frames = [modem.build_data_frame(rng, cfg.m, cfg.n, band, placement.guard_rows)
+    bands = sync.doppler_mask(cfg, np.arange(cfg.num_users)[:, np.newaxis])
+    frames = [modem.build_data_frame(rng, cfg.m, cfg.n, band, pilot.guard_rows(cfg))
               for band in bands]
-    frames = pilot.embed_pilots(frames, placement, pcp)
+    frames = pilot.embed_pilots(frames, cfg, pcp)
     streams = modem.transmit(frames, cfg.cp_len)
     rx = chan.apply_channel(streams, realization, cfg.n_s, cfg.theta_max)
     noise = chan.unit_noise(rng, rx.shape)
-    truth = tuple(true_pilot_taps(paths, cfg, placement, int(theta))
+    truth = tuple(true_pilot_taps(paths, cfg, int(theta))
                   for paths, theta in zip(realization.paths, realization.to))
     for array in (pcp, realization.to, realization.cfo, rx, noise, *truth):
         array.flags.writeable = False
-    return TrialDraw(cfg=cfg, trial_index=trial_index, pinned_cfo=pinned_cfo,
-                     placement=placement, pcp=pcp, realization=realization, rx=rx,
-                     noise=noise, truth=truth)
+    return TrialDraw(cfg=cfg, trial_index=trial_index, pinned_cfo=pinned_cfo, pcp=pcp,
+                     realization=realization, rx=rx, noise=noise, truth=truth)
 
 
 def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = None,
@@ -187,7 +181,7 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
     """
     if draw is None:
         draw = draw_trial(cfg, trial_index, pinned_cfo=cfo_value is not None)
-    placement, pcp, realization = draw.placement, draw.pcp, draw.realization
+    realization = draw.realization
 
     rx, eps = draw.rx, realization.cfo
     if cfo_value is not None:
@@ -196,8 +190,8 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
         eps = np.full(cfg.num_users, float(cfo_value))
     rx = chan.add_awgn(rx, cfg.snr_db, draw.noise)
     y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
-    separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
-    metric = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
+    separated = sync.separate_user(y, cfg)
+    curves = sync.timing_correlate(separated, draw.pcp, cfg)
 
     records, debug = [], []
     for q in range(cfg.num_users):
@@ -206,24 +200,22 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
         record = UserTrialRecord(user=q, theta_true=theta_true, eps_true=eps_true)
         try:
             override = theta_true if cfg.genie_to else None
-            result = sync.synchronize_user(separated, metric, q, cfg, placement, pcp,
-                                           theta_override=override)
+            result = sync.synchronize_user(separated, curves, q, cfg, theta_override=override)
             record.theta_first = result.to_estimate.first_peak
             record.theta_max = result.to_estimate.max_peak
             record.eps_hat = result.cfo.epsilon_hat
             truth = draw.truth[q]
             record.nmse = _nmse(result.cfo.h_hat, truth)
             if absorbed:
-                h_abs = absorbed_channel_fit(result.region, cfg, placement, pcp,
-                                             q, result.theta_used, eps_true)
+                h_abs = absorbed_channel_fit(result.region, cfg, q, result.theta_used, eps_true)
                 # the CFO-absorbed compound taps h[l, kappa] exp(j 2 pi eps kappa / N_s)
-                kappa = cfg.cp_len + placement.region_index(theta_true)
+                kappa = cfg.cp_len + pilot.region_index(cfg, theta_true)
                 phase = sync.cfo_phase(kappa, eps_true, cfg.n_s)
                 record.nmse_absorbed = _nmse(h_abs, truth * phase[:, np.newaxis, :])
             if collect_debug:
                 debug.append({
                     "user": q,
-                    "timing_metric": result.metric.curve.tolist(),
+                    "timing_metric": result.metric.tolist(),
                     "cfo_grid": result.cfo.grid.tolist(),
                     "cfo_cost": result.cfo.cost_curve.tolist(),
                 })

@@ -1,18 +1,20 @@
 """Cyclic-prefixed Zadoff-Chu pilot construction and grid embedding.
 
-Every user's pilot lives in one shared delay region of the grid: rows
-``anchor - zc_len + 1 .. anchor + zc_len - 1`` across all Doppler bins are
-reserved (data-free for all users).  User q writes its pilot column at
-Doppler bin ``offset + q * band``.  A user's data and its pilot both lie in
-its filter band, the ``band`` Doppler bins from ``q * band`` that
-``sync.doppler_mask`` gives it and its receive filter passes.
+The pilot geometry is read from the config, which validates it.  Every
+user's pilot lives in one shared delay region of the grid: rows
+``delay_lo .. delay_hi`` (``anchor - zc_len + 1 .. anchor + zc_len - 1``)
+across all Doppler bins are reserved, data-free for all users
+(``guard_rows``).  User q writes its pilot column at Doppler bin
+``SystemConfig.pilot_bin(q)``, ``offset + q * band``.  A user's data and its
+pilot both lie in its filter band, the ``band`` Doppler bins from
+``q * band`` that ``sync.doppler_mask`` gives it and its receive filter
+passes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,95 +43,55 @@ def make_pcp(zc_len: int, root: int = 1, pilot_power_db: float = 0.0) -> np.ndar
     return amp * np.concatenate([zc[-(zc_len - 1):], zc]) if zc_len > 1 else amp * zc
 
 
-@dataclass(frozen=True)
-class PilotPlacement:
-    """Shared delay span plus one Doppler column per user."""
+def guard_rows(cfg: SystemConfig) -> range:
+    """The delay rows of the shared pilot span, data-free for every user."""
+    return range(cfg.delay_lo, cfg.delay_hi + 1)
 
-    m: int
-    n: int
-    num_users: int
-    zc_len: int
-    anchor: int                 # l_p
-    doppler_bins: tuple[int, ...]
 
-    @property
-    def delay_lo(self) -> int:
-        return self.anchor - self.zc_len + 1
-
-    @property
-    def delay_hi(self) -> int:
-        return self.anchor + self.zc_len - 1
-
-    @property
-    def guard_rows(self) -> range:
-        return range(self.delay_lo, self.delay_hi + 1)
-
-    def region_index(self, theta: int) -> np.ndarray:
-        """(N, zc_len) CP-removed stream index of the pilot region at timing
-        offset ``theta``: delay rows anchor + theta + j of every time slot,
-        wrapped modulo M*N (the frame CP makes the wrapped position carry the
-        continuation of the pilot).  Cached per (placement, theta) and
-        read-only."""
-        return _region_index(self, int(theta))
-
-    @classmethod
-    def build(cls, m: int, n: int, num_users: int, zc_len: int, anchor: int,
-              offset: int) -> "PilotPlacement":
-        band = n // num_users
-        if not 0 <= offset < band:
-            raise PlacementError(f"pilot offset {offset} outside the user band [0, {band})")
-        bins = tuple(offset + q * band for q in range(num_users))
-        placement = cls(m=m, n=n, num_users=num_users, zc_len=zc_len,
-                        anchor=anchor, doppler_bins=bins)
-        if placement.delay_lo < 0 or placement.delay_hi > m - 1:
-            raise PlacementError(
-                f"pilot delay span [{placement.delay_lo}, {placement.delay_hi}] "
-                f"leaves the delay axis [0, {m - 1}]"
-            )
-        return placement
-
-    @classmethod
-    def from_config(cls, cfg: SystemConfig) -> "PilotPlacement":
-        return cls.build(cfg.m, cfg.n, cfg.num_users, cfg.zc_len,
-                         cfg.anchor, cfg.offset)
+def region_index(cfg: SystemConfig, theta: int) -> np.ndarray:
+    """(N, zc_len) CP-removed stream index of the pilot region at timing
+    offset ``theta``: delay rows anchor + theta + j of every time slot,
+    wrapped modulo M*N (the frame CP makes the wrapped position carry the
+    continuation of the pilot).  Cached per (m, n, zc_len, anchor, theta),
+    so that configs that differ in other fields share it, and read-only."""
+    return _region_index(cfg.m, cfg.n, cfg.zc_len, cfg.anchor, int(theta))
 
 
 @functools.lru_cache(maxsize=256)
-def _region_index(placement: PilotPlacement, theta: int) -> np.ndarray:
-    rows = placement.anchor + theta + np.arange(placement.zc_len)
-    idx = (np.arange(placement.n)[:, None] * placement.m + rows[None, :]) % (
-        placement.m * placement.n)
+def _region_index(m: int, n: int, zc_len: int, anchor: int, theta: int) -> np.ndarray:
+    rows = anchor + theta + np.arange(zc_len)
+    idx = (np.arange(n)[:, None] * m + rows[None, :]) % (m * n)
     idx.flags.writeable = False
     return idx
 
 
-def embed_pilots(frames, placement: PilotPlacement, pcp: np.ndarray) -> np.ndarray:
+def embed_pilots(frames, cfg: SystemConfig, pcp: np.ndarray) -> np.ndarray:
     """The (Q, M, N) stack of the users' frames with each user's pilot
     written in; the shared span must be data-free."""
-    rows = slice(placement.delay_lo, placement.delay_hi + 1)
+    rows = slice(cfg.delay_lo, cfg.delay_hi + 1)
     out = np.array(frames, dtype=complex)
     for user, frame in enumerate(out):
         if np.any(frame[rows, :] != 0):
             raise PlacementError(
                 f"user {user}: data occupies the shared pilot delay span "
-                f"[{placement.delay_lo}, {placement.delay_hi}]"
+                f"[{cfg.delay_lo}, {cfg.delay_hi}]"
             )
-        frame[rows, placement.doppler_bins[user]] = pcp
+        frame[rows, cfg.pilot_bin(user)] = pcp
     return out
 
 
-def region_pilot(placement: PilotPlacement, pcp: np.ndarray) -> np.ndarray:
+def region_pilot(cfg: SystemConfig, pcp: np.ndarray) -> np.ndarray:
     """(L_p,) pilot row p of the region, p[j] = pcp[zc_len - 1 + j] / sqrt(N):
     user q transmits slot_phase(q)[n] * p[j] at region position (n, j)."""
-    return pcp[placement.zc_len - 1:] / math.sqrt(placement.n)
+    return pcp[cfg.zc_len - 1:] / math.sqrt(cfg.n)
 
 
-def slot_phase(placement: PilotPlacement, user: int) -> np.ndarray:
+def slot_phase(cfg: SystemConfig, user: int) -> np.ndarray:
     """(N,) phase exp(j 2 pi k_q n / N) of user q's pilot in time slot n.
     The pilot column at Doppler bin k_q modulates to this phase times the
     PCP / sqrt(N) in every slot, so user q's region template is
     outer(slot_phase(q), region_pilot), and the region de-rotated by the
     phase fits the Doppler-free template 1 (x) p that all users share.
     k_q n is reduced modulo N first, which keeps the phase exact to rounding."""
-    k = placement.doppler_bins[user]
-    return np.exp(2j * np.pi * (k * np.arange(placement.n) % placement.n) / placement.n)
+    k = cfg.pilot_bin(user)
+    return np.exp(2j * np.pi * (k * np.arange(cfg.n) % cfg.n) / cfg.n)

@@ -75,14 +75,14 @@ PIVOT_TOL = 1e-10
 # filter-bank user separation
 # ---------------------------------------------------------------------------
 
-def doppler_mask(n: int, num_users: int, user) -> np.ndarray:
-    """Brickwall mask selecting user's band of floor(N/Q) Doppler bins, the
-    bins k with k // floor(N/Q) == user; an array of users broadcasts
-    (users of shape (Q, 1) give the (Q, N) masks of the whole bank)."""
-    return np.arange(n) // (n // num_users) == np.asarray(user)
+def doppler_mask(cfg: SystemConfig, user) -> np.ndarray:
+    """Brickwall mask selecting user's band of ``cfg.band`` Doppler bins, the
+    bins k with k // band == user; an array of users broadcasts (users of
+    shape (Q, 1) give the (Q, N) masks of the whole bank)."""
+    return np.arange(cfg.n) // cfg.band == np.asarray(user)
 
 
-def separate_user(stream: np.ndarray, num_users: int, m: int, n: int) -> np.ndarray:
+def separate_user(stream: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """The filter bank: unit-gain brickwall filters isolating every user's
     Doppler band, returned as the (Q, M*N) separated streams in serialized
     order, row q for user q.
@@ -93,13 +93,14 @@ def separate_user(stream: np.ndarray, num_users: int, m: int, n: int) -> np.ndar
     singular because the benchmark's tracer wraps ``separate_user`` by name,
     until stage timing moves into the library (ROADMAP Direction 4).
     """
+    m, n, num_users = cfg.m, cfg.n, cfg.num_users
     if num_users > n:
         raise ConfigError(f"num_users={num_users} exceeds the Doppler axis n={n}")
     stream = np.asarray(stream)
     if stream.size != m * n:
         raise ConfigError(f"expected {m * n} samples, got {stream.size}")
     spectrum = np.fft.fft(stream.reshape(n, m), axis=0)
-    masks = doppler_mask(n, num_users, np.arange(num_users)[:, np.newaxis])
+    masks = doppler_mask(cfg, np.arange(num_users)[:, np.newaxis])
     bank = np.where(masks[:, :, np.newaxis], spectrum, 0.0)
     return np.fft.ifft(bank, axis=1).reshape(num_users, m * n)
 
@@ -107,25 +108,6 @@ def separate_user(stream: np.ndarray, num_users: int, m: int, n: int) -> np.ndar
 # ---------------------------------------------------------------------------
 # timing-offset estimation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TimingMetric:
-    """Per-delay-bin correlation statistics of one user, or of every user
-    with a leading user axis.
-
-    ``curve`` is the time average of the per-slot correlation magnitudes, in
-    the reporting index convention in which the estimate is recovered as
-    (l + cp_len - anchor - 1) mod M.
-    """
-
-    curve: np.ndarray   # (M,), or (Q, M) for the bank
-    cp_len: int
-    anchor: int
-
-    def user(self, q: int) -> "TimingMetric":
-        """User q's metric out of the bank's."""
-        return TimingMetric(curve=self.curve[q], cp_len=self.cp_len, anchor=self.anchor)
-
 
 @dataclass
 class ToEstimate:
@@ -143,11 +125,13 @@ def pcp_toeplitz(pcp: np.ndarray, block: int) -> np.ndarray:
 
 
 def timing_correlate(separated: np.ndarray, pcp: np.ndarray,
-                     placement: pilot.PilotPlacement, cp_len: int) -> TimingMetric:
+                     cfg: SystemConfig) -> np.ndarray:
     """Correlate every slot of the filtered streams with the PCP.
 
     ``separated`` is one M*N-sample stream or the (Q, M*N) bank of
-    ``separate_user``; the metric's curve is (M,) or (Q, M) to match.
+    ``separate_user``; the timing curve is (M,) or (Q, M) to match.  Entry l
+    of a curve is the time average of the per-slot correlation magnitudes
+    at the offset candidate (l + cp_len - anchor - 1) mod M (``estimate_to``).
 
     Assumes that the user's pilot occupies a single Doppler column k_q (as
     ``pilot.embed_pilots`` places it): the pilot block of time slot n in the
@@ -168,11 +152,11 @@ def timing_correlate(separated: np.ndarray, pcp: np.ndarray,
     TIMING_BLOCK + span - 1) @ ``pcp_toeplitz`` product.  The stream is
     zero-padded to whole blocks and the surplus lags are dropped.
     """
-    m, n = placement.m, placement.n
+    m, n = cfg.m, cfg.n
     separated = np.asarray(separated)
     if separated.shape[-1] != m * n:
         raise ConfigError(f"expected {m * n} samples, got {separated.shape[-1]}")
-    lo, span, block = placement.delay_lo, pcp.size, TIMING_BLOCK
+    lo, span, block = cfg.delay_lo, pcp.size, TIMING_BLOCK
     blocks = -(-m * n // block)
     lead = separated.shape[:-1]
     stream = np.zeros(lead + (blocks * block + span - 1,), dtype=complex)
@@ -182,28 +166,29 @@ def timing_correlate(separated: np.ndarray, pcp: np.ndarray,
     rows = np.ascontiguousarray(windows).reshape(-1, block + span - 1)
     corr = (rows @ pcp_toeplitz(pcp, block)).reshape(lead + (-1,))[..., :m * n]  # lag n*M + d
     curve = np.abs(corr).reshape(lead + (n, m)).mean(axis=-2) / (m * math.sqrt(n))
-    shift = (cp_len - placement.anchor - 1) % m           # lag d peaks at the offset
-    return TimingMetric(curve=np.roll(curve, -shift, axis=-1), cp_len=cp_len,
-                        anchor=placement.anchor)
+    shift = (cfg.cp_len - cfg.anchor - 1) % m           # lag d peaks at the offset
+    return np.roll(curve, -shift, axis=-1)
 
 
-def estimate_to(metric: TimingMetric, threshold: float) -> ToEstimate:
-    """Threshold peak grouping and first-peak selection.
+def estimate_to(curve: np.ndarray, cfg: SystemConfig) -> ToEstimate:
+    """Threshold peak grouping and first-peak selection on one user's (M,)
+    timing curve (``timing_correlate``), at ``cfg.threshold``.
 
-    Metric indices map to offset candidates through
+    Curve indices map to offset candidates through
     (l + cp_len - anchor - 1) mod M; the first peak is the smallest candidate
     in the threshold set, which favors the earliest channel tap over the
     strongest one.
     """
+    threshold = cfg.threshold
     if not 0.0 < threshold <= 1.0:
         raise ConfigError(f"threshold={threshold} outside (0, 1]")
-    curve = metric.curve
     m = curve.size
     if m == 0:
         raise EstimationError("empty timing metric")
     peak_set = np.flatnonzero(curve >= threshold * curve.max())
-    offsets = (peak_set + metric.cp_len - metric.anchor - 1) % m
-    max_peak = (int(np.argmax(curve)) + metric.cp_len - metric.anchor - 1) % m
+    shift = cfg.cp_len - cfg.anchor - 1
+    offsets = (peak_set + shift) % m
+    max_peak = (int(np.argmax(curve)) + shift) % m
     return ToEstimate(first_peak=int(offsets.min()), max_peak=int(max_peak))
 
 
@@ -216,7 +201,7 @@ class PilotRegion:
     """Received pilot-region samples and their absolute sample indices.
 
     ``samples[n, j]`` is the filtered receive sample at delay row
-    anchor + theta_hat + j of time slot n (``PilotPlacement.region_index``).
+    anchor + theta_hat + j of time slot n (``pilot.region_index``).
     ``kappa`` holds the matching absolute post-CP-removal sample indices used
     for every phase and basis evaluation.
     """
@@ -226,23 +211,22 @@ class PilotRegion:
 
 
 def extract_pilot_region(filtered: np.ndarray, theta_hat: int,
-                         placement: pilot.PilotPlacement, cp_len: int) -> PilotRegion:
+                         cfg: SystemConfig) -> PilotRegion:
     """Stack the L_p pilot samples of every time slot after the PCP prefix."""
-    m, n = placement.m, placement.n
     filtered = np.asarray(filtered)
-    if filtered.size != m * n:
-        raise ConfigError(f"expected {m * n} samples, got {filtered.size}")
-    idx = placement.region_index(theta_hat)
-    return PilotRegion(samples=filtered[idx], kappa=cp_len + idx)
+    if filtered.size != cfg.m * cfg.n:
+        raise ConfigError(f"expected {cfg.m * cfg.n} samples, got {filtered.size}")
+    idx = pilot.region_index(cfg, theta_hat)
+    return PilotRegion(samples=filtered[idx], kappa=cfg.cp_len + idx)
 
 
-def derotate(region: PilotRegion, placement: pilot.PilotPlacement, user: int) -> PilotRegion:
+def derotate(region: PilotRegion, cfg: SystemConfig, user: int) -> PilotRegion:
     """User ``user``'s region in the frame of the Doppler-free template
     1 (x) p: slot n times conj(``pilot.slot_phase``[n]).  The phase is
     common to the slot and commutes with the CFO rotation and the BEM taps,
     so the de-rotated region has the same CFO and channel as the received
     one."""
-    phase = np.conj(pilot.slot_phase(placement, user))
+    phase = np.conj(pilot.slot_phase(cfg, user))
     return PilotRegion(samples=region.samples * phase[:, np.newaxis], kappa=region.kappa)
 
 
@@ -474,7 +458,9 @@ class ScanOperators:
     derivs: np.ndarray        # (3, 2r - 1, 2r - 1) coefficients of g -> of g, g', g'' in eps
 
 
-@functools.lru_cache(maxsize=32)
+# as large as the bundle cache (``_cached_bundle``), so that the bundles it
+# holds keep sharing the copy that this cache returns
+@functools.lru_cache(maxsize=256)
 def scan_operators(r: int, cfo_range: float, cfo_step: float) -> ScanOperators:
     """The inverse Chebyshev-Vandermonde matrix V^-1 of r first-kind nodes,
     the Chebyshev-Vandermonde matrix of degree 2r - 2 at the grid points, and
@@ -650,58 +636,57 @@ class EstimatorBundle:
         return sums.reshape(r, -1)
 
 
-_BUNDLE_CACHE: dict = {}
-_BUNDLE_CACHE_MAX = 256
-
-
-def estimator_bundle(cfg: SystemConfig, placement: pilot.PilotPlacement,
-                     pcp: np.ndarray, theta: int,
+def estimator_bundle(cfg: SystemConfig, theta: int,
                      beta: int | None = None) -> EstimatorBundle:
-    beta = cfg.beta if beta is None else beta
-    # every field the bundle reads: the user count and the pilot Doppler
-    # offset are left out, as every user fits the Doppler-free template
-    key = (cfg.m, cfg.n, cfg.cp_len, cfg.zc_len, cfg.zc_root, cfg.pilot_power_db,
-           cfg.anchor, cfg.cfo_range, cfg.cfo_step, beta, int(theta))
-    bundle = _BUNDLE_CACHE.get(key)
-    if bundle is not None:
-        return bundle
-    if len(_BUNDLE_CACHE) >= _BUNDLE_CACHE_MAX:
-        _BUNDLE_CACHE.clear()
-    kappa = cfg.cp_len + placement.region_index(theta)
+    """The bundle of ``cfg`` at timing offset ``theta`` and basis order
+    ``beta`` (default ``cfg.beta``), fitted to the config's PCP
+    (``pilot.make_pcp(zc_len, zc_root, pilot_power_db)``)."""
+    # cached on every field the bundle reads: the user count, the pilot
+    # Doppler offset and the SNR are left out, as every user fits the
+    # Doppler-free template
+    return _cached_bundle(cfg.m, cfg.n, cfg.cp_len, cfg.zc_len, cfg.zc_root,
+                          cfg.pilot_power_db, cfg.anchor, cfg.cfo_range, cfg.cfo_step,
+                          cfg.beta if beta is None else beta, int(theta))
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_bundle(m, n, cp_len, zc_len, zc_root, pilot_power_db, anchor, cfo_range,
+                   cfo_step, beta, theta) -> EstimatorBundle:
+    cfg = SystemConfig(m=m, n=n, cp_len=cp_len, zc_len=zc_len, zc_root=zc_root,
+                       pilot_power_db=pilot_power_db, pilot_anchor=anchor,
+                       cfo_range=cfo_range, cfo_step=cfo_step)
+    kappa = cp_len + pilot.region_index(cfg, theta)
     bem = build_bem_basis(beta, kappa, cfg.n_s)
-    regressor = build_bem_regressor(pilot.region_pilot(placement, pcp), bem)
-    scan = cfo_scan(kappa, regressor.row_basis, cfg.cfo_range, cfg.m, cfg.n_s)
-    ops = scan_operators(scan["slot_rot"].shape[0], cfg.cfo_range, cfg.cfo_step)
-    bundle = EstimatorBundle(bem=bem, regressor=regressor,
-                             grid=cfo_grid(cfg.cfo_range, cfg.cfo_step), scan_ops=ops,
-                             **scan)
-    _BUNDLE_CACHE[key] = bundle
-    return bundle
+    pcp = pilot.make_pcp(zc_len, zc_root, pilot_power_db)
+    regressor = build_bem_regressor(pilot.region_pilot(cfg, pcp), bem)
+    scan = cfo_scan(kappa, regressor.row_basis, cfo_range, m, cfg.n_s)
+    ops = scan_operators(scan["slot_rot"].shape[0], cfo_range, cfo_step)
+    return EstimatorBundle(bem=bem, regressor=regressor, grid=cfo_grid(cfo_range, cfo_step),
+                           scan_ops=ops, **scan)
 
 
 @dataclass
 class UserSyncResult:
     to_estimate: ToEstimate
     theta_used: int
-    metric: TimingMetric
+    metric: np.ndarray              # (M,) the user's timing curve
     region: PilotRegion
     cfo: CfoEstimate
 
 
-def synchronize_user(separated: np.ndarray, metric: TimingMetric, user: int,
-                     cfg: SystemConfig, placement: pilot.PilotPlacement, pcp: np.ndarray,
-                     theta_override: int | None = None) -> UserSyncResult:
+def synchronize_user(separated: np.ndarray, curves: np.ndarray, user: int,
+                     cfg: SystemConfig, theta_override: int | None = None) -> UserSyncResult:
     """Per-user back end of the receiver: user ``user``'s TO decision, pilot
     region, estimator bundle and CFO, read from its row of the separated
-    streams (``separate_user``) and of the timing metric
+    streams (``separate_user``) and of the timing curves
     (``timing_correlate``).  The bundle is shared by all users; the CFO
     search runs on the region de-rotated to its template (``derotate``),
     and the result keeps the received region."""
-    metric = metric.user(user)
-    to_est = estimate_to(metric, cfg.threshold)
+    curve = curves[user]
+    to_est = estimate_to(curve, cfg)
     theta = int(theta_override) if theta_override is not None else to_est.first_peak
-    region = extract_pilot_region(separated[user], theta, placement, cfg.cp_len)
-    bundle = estimator_bundle(cfg, placement, pcp, theta)
-    cfo = estimate_cfo(derotate(region, placement, user), bundle, cfg)
-    return UserSyncResult(to_estimate=to_est, theta_used=theta, metric=metric,
+    region = extract_pilot_region(separated[user], theta, cfg)
+    bundle = estimator_bundle(cfg, theta)
+    cfo = estimate_cfo(derotate(region, cfg, user), bundle, cfg)
+    return UserSyncResult(to_estimate=to_est, theta_used=theta, metric=curve,
                           region=region, cfo=cfo)

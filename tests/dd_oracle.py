@@ -9,9 +9,9 @@ receive transform (``demodulate``) and the bin selector (``bin_mask``) that
 it rests on live here too, as no experiment reads a delay-Doppler grid back.
 
 ``pilot_frame``, ``timing_template`` and ``pilot_region_ref`` build a
-user's pilot template by modulating its delay-Doppler pilot frame: the
-oracle for the slot-phase form ``outer(pilot.slot_phase, pilot.region_pilot)``
-that ``sync`` fits against.
+user's pilot template from the config's pilot geometry by modulating its
+delay-Doppler pilot frame: the oracle for the slot-phase form
+``outer(pilot.slot_phase, pilot.region_pilot)`` that ``sync`` fits against.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,6 @@ import numpy as np
 from otfsync import modem, sync
 from otfsync.channel import ChannelRealization
 from otfsync.config import SystemConfig
-from otfsync.pilot import PilotPlacement
 
 
 def demodulate(stream: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -30,29 +29,30 @@ def demodulate(stream: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.fft.fft(grid, axis=1) / np.sqrt(n)
 
 
-def bin_mask(m: int, n: int, num_users: int, user: int) -> np.ndarray:
+def bin_mask(cfg: SystemConfig, user: int) -> np.ndarray:
     """Boolean M x N mask of the bins owned by this user: every delay row
     of the Doppler band its receive filter passes (``sync.doppler_mask``)."""
-    return np.broadcast_to(sync.doppler_mask(n, num_users, user), (m, n))
+    return np.broadcast_to(sync.doppler_mask(cfg, user), (cfg.m, cfg.n))
 
 
-def pilot_frame(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
-    """Delay-Doppler grid holding only this user's pilot column."""
-    frame = np.zeros((placement.m, placement.n), dtype=complex)
-    frame[placement.delay_lo:placement.delay_hi + 1, placement.doppler_bins[user]] = pcp
+def pilot_frame(cfg: SystemConfig, pcp: np.ndarray, user: int) -> np.ndarray:
+    """Delay-Doppler grid holding only this user's pilot column: the PCP in
+    delay rows delay_lo..delay_hi of Doppler bin ``cfg.pilot_bin(user)``."""
+    frame = np.zeros((cfg.m, cfg.n), dtype=complex)
+    frame[cfg.delay_lo:cfg.delay_hi + 1, cfg.pilot_bin(user)] = pcp
     return frame
 
 
-def timing_template(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
+def timing_template(cfg: SystemConfig, pcp: np.ndarray, user: int) -> np.ndarray:
     """Transmitted delay-time pilot grid of this user."""
-    return modem.modulate(pilot_frame(placement, pcp, user))
+    return modem.modulate(pilot_frame(cfg, pcp, user))
 
 
-def pilot_region_ref(placement: PilotPlacement, pcp: np.ndarray, user: int) -> np.ndarray:
+def pilot_region_ref(cfg: SystemConfig, pcp: np.ndarray, user: int) -> np.ndarray:
     """(N, zc_len) transmitted pilot samples of this user in delay rows
     anchor..anchor+zc_len-1, indexed [time slot, sample-in-region]."""
-    dt = timing_template(placement, pcp, user)
-    return dt[placement.anchor:placement.anchor + placement.zc_len, :].T.copy()
+    dt = timing_template(cfg, pcp, user)
+    return dt[cfg.anchor:cfg.anchor + cfg.zc_len, :].T.copy()
 
 
 def dd_transform(mat: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -102,7 +102,7 @@ def build_compound_channel(realization: ChannelRealization,
         phi = np.exp(2j * np.pi * realization.cfo[q] * kappa / cfg.n_s)
         lam_dd = dd_transform(lam, m, n)
         phi_dd = dd_transform(np.diag(phi), m, n)
-        mask = bin_mask(m, n, cfg.num_users, q).flatten(order="F")
+        mask = bin_mask(cfg, q).flatten(order="F")
         psi += (phi_dd @ lam_dd) * mask[np.newaxis, :]
         lambda_dd_all.append(lam_dd)
         phi_dd_all.append(phi_dd)

@@ -34,33 +34,33 @@ from dd_oracle import pilot_region_ref
 from otfsync import pilot, sync
 
 
-def separate_user_one(stream, user, num_users, m, n):
+def separate_user_one(stream, user, cfg):
     """One user's brickwall Doppler filter: per-delay-row DFT -> mask -> IDFT
     over the M x N reshape of the stream."""
-    grid = np.asarray(stream).reshape(m, n, order="F")
+    grid = np.asarray(stream).reshape(cfg.m, cfg.n, order="F")
     spectrum = np.fft.fft(grid, axis=1)
-    spectrum[:, ~sync.doppler_mask(n, num_users, user)] = 0.0
+    spectrum[:, ~sync.doppler_mask(cfg, user)] = 0.0
     return np.fft.ifft(spectrum, axis=1).flatten(order="F")
 
 
-def timing_correlate_one(separated, pcp, placement, cp_len):
-    """One user's timing curve: one circular ``np.correlate`` of the
-    serialized stream with the PCP taps, starting at delay_lo."""
-    m, n = placement.m, placement.n
-    lo = placement.delay_lo
+def timing_correlate_one(separated, pcp, cfg):
+    """One user's (M,) timing curve: one circular ``np.correlate`` of the
+    serialized stream with the PCP taps, starting at the config's delay_lo."""
+    m, n = cfg.m, cfg.n
+    lo = cfg.delay_lo
     stream = np.concatenate([separated[lo:], separated[:lo + pcp.size - 1]])
     corr = np.correlate(stream, pcp, "valid")             # lag n*M + d
     curve = np.abs(corr).reshape(n, m).mean(axis=0) / (m * math.sqrt(n))
-    shift = (cp_len - placement.anchor - 1) % m
-    return sync.TimingMetric(curve=np.roll(curve, -shift), cp_len=cp_len,
-                             anchor=placement.anchor)
+    shift = (cfg.cp_len - cfg.anchor - 1) % m
+    return np.roll(curve, -shift)
 
 
-def timing_correlate_template(separated, template, placement, cp_len):
-    """Per-delay-bin timing curve from the (M, N) delay-time pilot template."""
+def timing_correlate_template(separated, template, cfg):
+    """(M,) per-delay-bin timing curve from the (M, N) delay-time pilot
+    template, at the config's pilot span and CP."""
     m, n = template.shape
-    lo = placement.delay_lo
-    span = 2 * placement.zc_len - 1
+    lo = cfg.delay_lo
+    span = 2 * cfg.zc_len - 1
     block = template[lo:lo + span, :]        # (span, N) pilot samples per slot
     seg_len = m + span - 1
     extended = np.concatenate([separated, separated[:m]])  # frame CP wrap
@@ -68,9 +68,9 @@ def timing_correlate_template(separated, template, placement, cp_len):
     windows = np.lib.stride_tricks.sliding_window_view(segments, span, axis=1)
     corr = np.einsum("ndz,zn->nd", windows, np.conj(block))
     p2d = np.abs(corr.T) / m                 # (M, N), lag d peaks at the offset
-    shift = (cp_len - placement.anchor - 1) % m
+    shift = (cfg.cp_len - cfg.anchor - 1) % m
     p2d = p2d[(np.arange(m) + shift) % m, :]
-    return sync.TimingMetric(curve=p2d.mean(axis=1), cp_len=cp_len, anchor=placement.anchor)
+    return p2d.mean(axis=1)
 
 
 def regressor_matrix(sbar, bem):
@@ -90,10 +90,10 @@ def regressor_matrix(sbar, bem):
     return g4.reshape(n_slots * lp, lp * bem.shape[-1])
 
 
-def bundle_template(placement, pcp):
+def bundle_template(cfg, pcp):
     """(N, L_p) Doppler-free template 1 (x) p that every bundle fits: user 0's
     modulated-frame template de-rotated by its slot phase."""
-    return np.conj(pilot.slot_phase(placement, 0))[:, None] * pilot_region_ref(placement, pcp, 0)
+    return np.conj(pilot.slot_phase(cfg, 0))[:, None] * pilot_region_ref(cfg, pcp, 0)
 
 
 class DenseRegressor:
@@ -120,9 +120,9 @@ class DenseRegressor:
         return c
 
 
-def dense_regressor(bundle, placement, pcp):
-    """The dense regressor of a bundle: its template on its basis."""
-    return DenseRegressor(bundle_template(placement, pcp), bundle.bem)
+def dense_regressor(bundle, cfg, pcp):
+    """The dense regressor of a bundle of ``cfg``: its template on its basis."""
+    return DenseRegressor(bundle_template(cfg, pcp), bundle.bem)
 
 
 def cfo_cost_derivatives(rbar, regressor, kappa, eps, n_s):
@@ -155,15 +155,15 @@ def estimate_cfo_exact(region, regressor, cfg, cost_curve):
     return eps_hat, c_hat
 
 
-def own_bundle_back_end(separated, user, theta, cfg, placement, pcp, absorbed_beta):
+def own_bundle_back_end(separated, user, theta, cfg, pcp, absorbed_beta):
     """(eps_hat, c_hat, h_hat, h_absorbed) of user ``user`` at timing offset
     ``theta`` from a dense regressor on the user's own pilot template
     (``pilot_region_ref(user)``) applied to the received region as it
     is: the cost of every grid point from its own rotation, exact Newton
     (``estimate_cfo_exact``), and the absorbed baseline as the ``coeffs``
     solve at zero offset on a basis of order ``absorbed_beta``."""
-    region = sync.extract_pilot_region(separated[user], theta, placement, cfg.cp_len)
-    sbar = pilot_region_ref(placement, pcp, user)
+    region = sync.extract_pilot_region(separated[user], theta, cfg)
+    sbar = pilot_region_ref(cfg, pcp, user)
     rflat, kflat = region.samples.ravel(), region.kappa.ravel().astype(float)
     bem = sync.build_bem_basis(cfg.beta, region.kappa, cfg.n_s)
     regressor = DenseRegressor(sbar, bem)

@@ -339,7 +339,7 @@ def test_compound_identity_channel_is_identity():
 
 def keystone_error(cfg, rng, realization):
     """Max-abs difference between the matrix path and the sample path."""
-    frames = [np.where(bin_mask(cfg.m, cfg.n, cfg.num_users, q),
+    frames = [np.where(bin_mask(cfg, q),
                        modem.qam4_symbols(rng, (cfg.m, cfg.n)), 0)
               for q in range(cfg.num_users)]
     streams = [modem.transmit(f, cfg.cp_len) for f in frames]

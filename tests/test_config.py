@@ -32,6 +32,8 @@ def test_cp_rule_violation_message():
     ("allocation", "interleaved", "unknown config key 'allocation'"),
     ("num_users", "200", "exceeds"),
     ("n", "4", "bem_order=7 exceeds the Doppler axis n=4"),
+    ("pilot_offset", "16", "outside the user band"),
+    ("pilot_anchor", "0", "leaves the delay axis"),
 ])
 def test_invariant_messages(field, value, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -4,13 +4,14 @@ import json
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from otfsync import channel as chan
-from otfsync import harness, modem, sync
+from otfsync import harness, modem, pilot, sync
 from otfsync.config import (CHANNEL_MODELS, SystemConfig, apply_overrides, bem_order_bound,
                             default_bem_order)
 from otfsync.errors import ConfigError, OtfsyncError
@@ -392,26 +393,36 @@ def test_draw_arrays_are_read_only():
 
 @pytest.mark.parametrize("n, num_users", [(32, 1), (32, 2), (32, 3), (32, 4), (8, 3), (4, 4)])
 def test_filter_bank_passes_all_of_the_data(monkeypatch, n, num_users):
-    # each user's data fills the Doppler band its receive filter passes, so the
-    # bank loses none of a noiseless identity-channel stream, also when Q does
-    # not divide N (the N % Q remainder bins then carry no data)
-    cfg = SystemConfig(n=n, num_users=num_users, channel_model="identity", snr_db=math.inf,
-                       pilot_power_db=-math.inf, cfo_max=0.0, theta_max=0, nu_max_t=0.5,
-                       cfo_range=0.5).validate()
-    frames, build = [], modem.build_data_frame
+    # each user's data and pilot lie in the Doppler band its receive filter
+    # passes, so the bank loses none of a noiseless identity-channel stream,
+    # also when Q does not divide N (the N % Q remainder bins then carry
+    # neither); the pilot is off, then on at either end of the band
+    base = SystemConfig(n=n, num_users=num_users, channel_model="identity", snr_db=math.inf,
+                        cfo_max=0.0, theta_max=0, nu_max_t=0.5, cfo_range=0.5)
+    data, sent = [], []
+    build, embed = modem.build_data_frame, pilot.embed_pilots
     monkeypatch.setattr(modem, "build_data_frame",
-                        lambda *args: frames.append(build(*args)) or frames[-1])
-    draw = harness.draw_trial(cfg, 0)
-    y = modem.remove_cp(draw.rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
-    separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
-    ratio = np.sum(np.abs(separated) ** 2) / np.sum(np.abs(y) ** 2)
-    assert abs(ratio - 1.0) < 1e-12
-    data_rows = np.ones(cfg.m, dtype=bool)
-    data_rows[list(draw.placement.guard_rows)] = False
-    assert len(frames) == num_users
-    for q, frame in enumerate(frames):
-        band = sync.doppler_mask(cfg.n, cfg.num_users, q)
-        assert np.array_equal(frame != 0, data_rows[:, np.newaxis] & band)
+                        lambda *args: data.append(build(*args)) or data[-1])
+    monkeypatch.setattr(pilot, "embed_pilots",
+                        lambda *args: sent.append(embed(*args)) or sent[-1])
+    for pilot_power_db, offset in ((-math.inf, -1), (40.0, 0), (40.0, base.band - 1)):
+        cfg = replace(base, pilot_power_db=pilot_power_db, pilot_offset=offset).validate()
+        data.clear()
+        draw = harness.draw_trial(cfg, 0)
+        y = modem.remove_cp(draw.rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
+        separated = sync.separate_user(y, cfg)
+        ratio = np.sum(np.abs(separated) ** 2) / np.sum(np.abs(y) ** 2)
+        assert abs(ratio - 1.0) < 1e-12
+        data_rows = np.ones(cfg.m, dtype=bool)
+        data_rows[list(pilot.guard_rows(cfg))] = False
+        assert len(data) == num_users
+        for q, (frame, stacked) in enumerate(zip(data, sent[-1])):
+            band = sync.doppler_mask(cfg, q)
+            assert np.array_equal(frame != 0, data_rows[:, np.newaxis] & band)
+            # the whole frame, data and pilot, lies in the band
+            assert not np.any(stacked[:, ~band])
+            pilot_column = stacked[~data_rows, cfg.pilot_bin(q)]
+            assert np.all(pilot_column != 0) == (pilot_power_db > -math.inf)
 
 
 def test_cfo_value_sweep_pins_cfo():

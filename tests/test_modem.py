@@ -5,6 +5,7 @@ import pytest
 
 from dd_oracle import demodulate
 from otfsync import modem, sync
+from otfsync.config import SystemConfig
 from otfsync.errors import ConfigError
 
 
@@ -129,7 +130,7 @@ def test_qam_unit_power_exact():
 
 def test_data_frame_respects_guard_rows():
     rng = np.random.default_rng(7)
-    band = sync.doppler_mask(8, 2, 0)
+    band = sync.doppler_mask(SystemConfig(n=8, num_users=2), 0)
     frame = modem.build_data_frame(rng, 16, 8, band, guard_rows=range(12, 16))
     assert np.all(frame[12:, :] == 0)
     assert np.all(frame[:12, 4:] == 0)  # other user's bins stay empty

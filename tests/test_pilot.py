@@ -45,38 +45,36 @@ def test_pcp_length_one():
     assert pcp[0] == pytest.approx(1.0)
 
 
+def pilot_bins(cfg):
+    return [cfg.pilot_bin(q) for q in range(cfg.num_users)]
+
+
 def test_placement_doppler_bins():
     # base case: offset 0 reproduces bins spaced by floor(N/Q)
-    p = pilot.PilotPlacement.build(128, 32, 2, 10, anchor=118, offset=0)
-    assert p.doppler_bins == (0, 16)
+    assert pilot_bins(SystemConfig(num_users=2, pilot_offset=0).validate()) == [0, 16]
     # centered default from config
-    cfg = SystemConfig(num_users=2).validate()
-    pc = pilot.PilotPlacement.from_config(cfg)
-    assert pc.doppler_bins == (8, 24)
-    q4 = pilot.PilotPlacement.from_config(SystemConfig(num_users=4).validate())
-    assert q4.doppler_bins == (4, 12, 20, 28)
+    assert pilot_bins(SystemConfig(num_users=2).validate()) == [8, 24]
+    assert pilot_bins(SystemConfig(num_users=4).validate()) == [4, 12, 20, 28]
 
 
 def test_placement_shared_delay_span():
-    p = pilot.PilotPlacement.build(128, 32, 4, 10, anchor=118, offset=0)
-    assert p.delay_lo == 109 and p.delay_hi == 127
-    assert list(p.guard_rows) == list(range(109, 128))
+    cfg = SystemConfig(num_users=4, pilot_anchor=118, pilot_offset=0).validate()
+    assert cfg.delay_lo == 109 and cfg.delay_hi == 127
+    assert list(pilot.guard_rows(cfg)) == list(range(109, 128))
 
 
 def test_embed_single_user():
     cfg = SystemConfig(num_users=1).validate()
-    p = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, 1, cfg.pilot_power_db)
-    frames = pilot.embed_pilots([np.zeros((cfg.m, cfg.n), complex)], p, pcp)
+    frames = pilot.embed_pilots([np.zeros((cfg.m, cfg.n), complex)], cfg, pcp)
     nz_cols = np.flatnonzero(np.abs(frames[0]).sum(axis=0))
-    assert nz_cols.tolist() == [p.doppler_bins[0]]
+    assert nz_cols.tolist() == [cfg.pilot_bin(0)]
 
 
 def test_embed_total_pilot_energy():
     cfg = SystemConfig(num_users=2).validate()
-    p = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, 1, cfg.pilot_power_db)
-    frames = pilot.embed_pilots([np.zeros((cfg.m, cfg.n), complex)] * 2, p, pcp)
+    frames = pilot.embed_pilots([np.zeros((cfg.m, cfg.n), complex)] * 2, cfg, pcp)
     for frame in frames:
         energy = np.sum(np.abs(frame) ** 2)
         assert energy == pytest.approx((2 * cfg.zc_len - 1) * 10 ** 4.0)
@@ -84,44 +82,40 @@ def test_embed_total_pilot_energy():
 
 def test_embed_guard_region_kept_clear():
     cfg = SystemConfig(num_users=2).validate()
-    p = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, 1, cfg.pilot_power_db)
-    frames = pilot.embed_pilots([np.zeros((cfg.m, cfg.n), complex)] * 2, p, pcp)
-    rows = slice(p.delay_lo, p.delay_hi + 1)
+    frames = pilot.embed_pilots([np.zeros((cfg.m, cfg.n), complex)] * 2, cfg, pcp)
+    rows = slice(cfg.delay_lo, cfg.delay_hi + 1)
     for q, frame in enumerate(frames):
-        others = np.delete(np.abs(frame[rows, :]), p.doppler_bins[q], axis=1)
+        others = np.delete(np.abs(frame[rows, :]), cfg.pilot_bin(q), axis=1)
         assert np.all(others == 0)
 
 
 def test_embed_rejects_data_collision():
     cfg = SystemConfig(num_users=2).validate()
-    p = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, 1, cfg.pilot_power_db)
     dirty = np.zeros((cfg.m, cfg.n), complex)
-    dirty[p.delay_lo + 2, 3] = 1.0
+    dirty[cfg.delay_lo + 2, 3] = 1.0
     with pytest.raises(PlacementError, match="pilot delay span"):
-        pilot.embed_pilots([dirty, np.zeros_like(dirty)], p, pcp)
+        pilot.embed_pilots([dirty, np.zeros_like(dirty)], cfg, pcp)
 
 
 def test_spectral_accounting_independent_of_q():
     # the shared region occupies (2 L_p - 1) * N bins regardless of Q
     for q in (1, 2, 4):
         cfg = SystemConfig(num_users=q).validate()
-        p = pilot.PilotPlacement.from_config(cfg)
-        assert len(p.guard_rows) * cfg.n == (2 * cfg.zc_len - 1) * cfg.n
+        assert len(pilot.guard_rows(cfg)) * cfg.n == (2 * cfg.zc_len - 1) * cfg.n
 
 
 def test_pilot_delay_time_structure():
     # delay-time pilot column n = pcp values scaled by exp(j 2 pi k_p n / N)/sqrt(N)
     cfg = SystemConfig(num_users=2).validate()
-    p = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, 1, cfg.pilot_power_db)
-    dt = timing_template(p, pcp, user=1)
-    k_p = p.doppler_bins[1]
+    dt = timing_template(cfg, pcp, user=1)
+    k_p = cfg.pilot_bin(1)
     for n in range(cfg.n):
         expected = pcp * np.exp(2j * np.pi * k_p * n / cfg.n) / np.sqrt(cfg.n)
-        assert np.max(np.abs(dt[p.delay_lo:p.delay_hi + 1, n] - expected)) < 1e-9
-    outside = np.delete(dt, range(p.delay_lo, p.delay_hi + 1), axis=0)
+        assert np.max(np.abs(dt[cfg.delay_lo:cfg.delay_hi + 1, n] - expected)) < 1e-9
+    outside = np.delete(dt, pilot.guard_rows(cfg), axis=0)
     assert np.max(np.abs(outside)) < 1e-12
 
 
@@ -132,14 +126,13 @@ def test_pilot_region_ref_is_slot_phase_times_shared_template(num_users):
     for zc_len in (1, 2, 7, 10):
         for root in (1, 3):
             cfg = SystemConfig(num_users=num_users, zc_len=zc_len, zc_root=root).validate()
-            p = pilot.PilotPlacement.from_config(cfg)
             pcp = pilot.make_pcp(cfg.zc_len, root, cfg.pilot_power_db)
-            row = pilot.region_pilot(p, pcp)
+            row = pilot.region_pilot(cfg, pcp)
             assert row.shape == (zc_len,)
             for user in range(num_users):
-                phase = pilot.slot_phase(p, user)
+                phase = pilot.slot_phase(cfg, user)
                 assert phase.shape == (cfg.n,)
-                want = pilot_region_ref(p, pcp, user)
+                want = pilot_region_ref(cfg, pcp, user)
                 got = np.outer(phase, row)
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), \
                     (zc_len, root, user)
@@ -149,18 +142,19 @@ def test_region_index_is_cached_read_only_and_wraps_the_last_slot():
     # tests/test_sync.py::test_extraction_wrap_indices checks every slot
     # against the vectorized formula
     cfg = SystemConfig(num_users=2).validate()
-    p = pilot.PilotPlacement.from_config(cfg)
     size = cfg.m * cfg.n
     for theta in range(cfg.theta_max + 1):
-        idx = p.region_index(theta)
+        idx = pilot.region_index(cfg, theta)
         assert idx.shape == (cfg.n, cfg.zc_len)
         # delay rows past M - 1 of the last slot wrap to the head of the stream
-        last = (cfg.n - 1) * cfg.m + p.anchor + theta + np.arange(cfg.zc_len)
+        last = (cfg.n - 1) * cfg.m + cfg.anchor + theta + np.arange(cfg.zc_len)
         assert np.array_equal(idx[-1], np.where(last < size, last, last - size))
         assert (idx[-1] < cfg.m).sum() == theta
-        assert p.region_index(theta) is idx
+        assert pilot.region_index(cfg, theta) is idx
         assert not idx.flags.writeable
         with pytest.raises(ValueError):
             idx[0, 0] = 0
-    # an equal placement shares the cached array
-    assert pilot.PilotPlacement.from_config(cfg).region_index(2) is p.region_index(2)
+    # the cache key is the pilot geometry alone: configs that differ elsewhere
+    # (the SNR of every sweep point, the user count, the Doppler offset) share it
+    other = SystemConfig(num_users=4, pilot_offset=1, snr_db=0.0).validate()
+    assert pilot.region_index(other, 2) is pilot.region_index(cfg, 2)

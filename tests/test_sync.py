@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,11 +26,10 @@ def paper_config(**kw):
     return SystemConfig(**base).validate()
 
 
-def transmit_pilot_only(cfg, placement, pcp, realization, users=None):
+def transmit_pilot_only(cfg, pcp, realization, users=None):
     """Noiseless receive stream carrying only the pilots."""
     frames = pilot.embed_pilots(
-        [np.zeros((cfg.m, cfg.n), complex) for _ in range(cfg.num_users)],
-        placement, pcp)
+        [np.zeros((cfg.m, cfg.n), complex) for _ in range(cfg.num_users)], cfg, pcp)
     streams = []
     for q, frame in enumerate(frames):
         if users is not None and q not in users:
@@ -44,10 +44,15 @@ def transmit_pilot_only(cfg, placement, pcp, realization, users=None):
 # filter bank
 # ---------------------------------------------------------------------------
 
+def bank_config(m, n, num_users):
+    """The (unvalidated) config of a filter bank of Q users on an M x N grid."""
+    return SystemConfig(m=m, n=n, num_users=num_users)
+
+
 def test_separate_single_user_all_pass():
     rng = np.random.default_rng(0)
     stream = rng.standard_normal(16 * 8) + 1j * rng.standard_normal(16 * 8)
-    out = sync.separate_user(stream, 1, 16, 8)[0]
+    out = sync.separate_user(stream, bank_config(16, 8, 1))[0]
     assert np.max(np.abs(out - stream)) < 1e-12
 
 
@@ -59,9 +64,9 @@ def test_separate_passes_own_bins_blocks_others():
     other = np.zeros((m, n), complex)
     other[:, [0, 9, 13]] = rng.standard_normal((m, 3))
     to_stream = lambda grid: modem.serialize(modem.modulate(grid))
-    kept = sync.separate_user(to_stream(own), q, m, n)[1]
+    kept = sync.separate_user(to_stream(own), bank_config(m, n, q))[1]
     assert np.max(np.abs(kept - to_stream(own))) < 1e-10
-    removed = sync.separate_user(to_stream(other), q, m, n)[1]
+    removed = sync.separate_user(to_stream(other), bank_config(m, n, q))[1]
     assert np.max(np.abs(removed)) < 1e-10
 
 
@@ -69,9 +74,9 @@ def test_separate_matches_circulant_kronecker_oracle():
     m, n, q = 4, 8, 2
     rng = np.random.default_rng(2)
     stream = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-    bank = sync.separate_user(stream, q, m, n)
+    bank = sync.separate_user(stream, bank_config(m, n, q))
     for user in range(q):
-        mask = sync.doppler_mask(n, q, user).astype(float)
+        mask = sync.doppler_mask(bank_config(m, n, q), user).astype(float)
         f = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
         # unit-gain circulant: first column F^H a / sqrt(N)
         e = f.conj().T @ mask / np.sqrt(n)
@@ -86,7 +91,7 @@ def test_filter_bank_completeness():
     m, n, q = 8, 12, 3
     rng = np.random.default_rng(3)
     stream = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-    total = sync.separate_user(stream, q, m, n).sum(axis=0)
+    total = sync.separate_user(stream, bank_config(m, n, q)).sum(axis=0)
     assert np.max(np.abs(total - stream)) < 1e-10
 
 
@@ -98,24 +103,24 @@ def test_filter_bank_rows_equal_per_user_filters(m, n, data):
     q = data.draw(st.integers(1, n))
     rng = np.random.default_rng([5, m, n, q])
     stream = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-    bank = sync.separate_user(stream, q, m, n)
+    bank = sync.separate_user(stream, bank_config(m, n, q))
     assert bank.shape == (q, m * n)
     for user in range(q):
-        assert np.array_equal(bank[user], separate_user_one(stream, user, q, m, n))
+        assert np.array_equal(bank[user], separate_user_one(stream, user, bank_config(m, n, q)))
 
 
 def test_filter_bank_rows_at_full_geometry():
     cfg = SystemConfig(num_users=4).validate()
     rng = np.random.default_rng(6)
     stream = rng.standard_normal(cfg.m * cfg.n) + 1j * rng.standard_normal(cfg.m * cfg.n)
-    bank = sync.separate_user(stream, 4, cfg.m, cfg.n)
+    bank = sync.separate_user(stream, cfg)
     for user in range(4):
-        assert np.array_equal(bank[user], separate_user_one(stream, user, 4, cfg.m, cfg.n))
+        assert np.array_equal(bank[user], separate_user_one(stream, user, cfg))
 
 
 def test_separate_rejects_too_many_users():
     with pytest.raises(ConfigError):
-        sync.separate_user(np.zeros(32), 9, 4, 8)
+        sync.separate_user(np.zeros(32), bank_config(4, 8, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -131,31 +136,29 @@ def single_tap_realization(cfg, thetas, cfos=None, gain=1.0):
                                    cfo=cfos)
 
 
-def timing_pipeline(cfg, y, user, placement, pcp):
-    separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
-    return sync.timing_correlate(separated, pcp, placement, cfg.cp_len).user(user)
+def timing_pipeline(cfg, y, user, pcp):
+    """User ``user``'s timing curve of the receive stream ``y``."""
+    return sync.timing_correlate(sync.separate_user(y, cfg), pcp, cfg)[user]
 
 
 def test_matched_filter_peak_at_zero_offset():
     cfg = paper_config(num_users=1)
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     real = single_tap_realization(cfg, [0])
-    y = transmit_pilot_only(cfg, placement, pcp, real)
-    metric = timing_pipeline(cfg, y, 0, placement, pcp)
-    est = sync.estimate_to(metric, cfg.threshold)
+    y = transmit_pilot_only(cfg, pcp, real)
+    curve = timing_pipeline(cfg, y, 0, pcp)
+    est = sync.estimate_to(curve, cfg)
     assert est.first_peak == 0 and est.max_peak == 0
 
 
 def test_metric_shift_equivariance():
     cfg = paper_config(num_users=1, theta_max=4)
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     curves = {}
     for theta in (0, 3):
         real = single_tap_realization(cfg, [theta])
-        y = transmit_pilot_only(cfg, placement, pcp, real)
-        curves[theta] = timing_pipeline(cfg, y, 0, placement, pcp).curve
+        y = transmit_pilot_only(cfg, pcp, real)
+        curves[theta] = timing_pipeline(cfg, y, 0, pcp)
     rolled = np.roll(curves[0], 3)
     assert np.max(np.abs(curves[3] - rolled)) / curves[0].max() < 1e-9
 
@@ -164,7 +167,6 @@ def test_weak_first_tap_first_vs_max_peak():
     # two taps: weak first, strong second -> max peak sits on the strong tap,
     # first peak recovers the true offset
     cfg = paper_config(num_users=1)
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     paths = chan.PathSet(gains=np.array([0.35, 1.0]),
                          delays=np.array([0, 2]),
@@ -172,9 +174,9 @@ def test_weak_first_tap_first_vs_max_peak():
     theta = 1
     real = chan.ChannelRealization(paths=[paths], to=np.array([theta]),
                                    cfo=np.array([0.0]))
-    y = transmit_pilot_only(cfg, placement, pcp, real)
-    metric = timing_pipeline(cfg, y, 0, placement, pcp)
-    est = sync.estimate_to(metric, cfg.threshold)
+    y = transmit_pilot_only(cfg, pcp, real)
+    curve = timing_pipeline(cfg, y, 0, pcp)
+    est = sync.estimate_to(curve, cfg)
     assert est.max_peak == theta + 2
     assert est.first_peak == theta
 
@@ -183,25 +185,23 @@ def test_to_exact_exhaustive_sweep():
     # single-tap noiseless channel: exact for every theta in [0, theta_max],
     # theta_max stretched to 9 (no multipath sidelobes to alias)
     cfg = paper_config(num_users=2, theta_max=9, cp_len=18)
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     for theta in range(10):
         real = single_tap_realization(cfg, [theta, (theta + 5) % 10])
-        y = transmit_pilot_only(cfg, placement, pcp, real)
+        y = transmit_pilot_only(cfg, pcp, real)
         for user, expected in ((0, theta), (1, (theta + 5) % 10)):
-            metric = timing_pipeline(cfg, y, user, placement, pcp)
-            est = sync.estimate_to(metric, cfg.threshold)
+            curve = timing_pipeline(cfg, y, user, pcp)
+            est = sync.estimate_to(curve, cfg)
             assert est.first_peak == expected, (theta, user)
 
 
 def test_threshold_one_reduces_to_max_peak():
     cfg = paper_config(num_users=1)
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     real = single_tap_realization(cfg, [2])
-    y = transmit_pilot_only(cfg, placement, pcp, real)
-    metric = timing_pipeline(cfg, y, 0, placement, pcp)
-    est = sync.estimate_to(metric, 1.0)
+    y = transmit_pilot_only(cfg, pcp, real)
+    curve = timing_pipeline(cfg, y, 0, pcp)
+    est = sync.estimate_to(curve, replace(cfg, threshold=1.0))
     assert est.first_peak == est.max_peak
 
 
@@ -210,29 +210,25 @@ def test_pcp_correlation_matches_template_correlation(num_users):
     # a full EVA trial stream with data and noise; every user's curve against
     # the per-slot correlation with the delay-time pilot template
     cfg = SystemConfig(num_users=num_users, snr_db=10.0).validate()
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     for theta in (0, cfg.theta_max):
         rng = np.random.default_rng([43, num_users, theta])
         real = chan.draw_realization(rng, cfg)
         real.to[:] = theta
         frames = pilot.embed_pilots(
-            [modem.build_data_frame(rng, cfg.m, cfg.n, sync.doppler_mask(cfg.n, num_users, q),
-                                    placement.guard_rows)
-             for q in range(num_users)], placement, pcp)
+            [modem.build_data_frame(rng, cfg.m, cfg.n, sync.doppler_mask(cfg, q),
+                                    pilot.guard_rows(cfg))
+             for q in range(num_users)], cfg, pcp)
         rx = chan.apply_channel([modem.transmit(f, cfg.cp_len) for f in frames],
                                 real, cfg.n_s, cfg.theta_max)
         rx = chan.add_awgn(rx, cfg.snr_db, chan.unit_noise(rng, rx.shape))
         y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem)
-        separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
-        bank = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
+        separated = sync.separate_user(y, cfg)
+        bank = sync.timing_correlate(separated, pcp, cfg)
         for user in range(num_users):
-            got = bank.user(user)
             oracle = timing_correlate_template(
-                separated[user], timing_template(placement, pcp, user), placement,
-                cfg.cp_len)
-            assert (got.cp_len, got.anchor) == (oracle.cp_len, oracle.anchor)
-            assert np.max(np.abs(got.curve - oracle.curve)) <= 1e-13 * oracle.curve.max()
+                separated[user], timing_template(cfg, pcp, user), cfg)
+            assert np.max(np.abs(bank[user] - oracle)) <= 1e-13 * oracle.max()
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -245,44 +241,40 @@ def test_blocked_correlation_matches_np_correlate(zc_len, extra_rows, n, data):
     q = data.draw(st.integers(1, n))
     anchor = data.draw(st.integers(zc_len - 1, m - zc_len))
     cp_len = data.draw(st.integers(0, 2 * m))
-    placement = pilot.PilotPlacement.build(m, n, q, zc_len, anchor, 0)
+    cfg = SystemConfig(m=m, n=n, num_users=q, zc_len=zc_len, pilot_anchor=anchor,
+                       pilot_offset=0, cp_len=cp_len)
     pcp = pilot.make_pcp(zc_len, 1, 40.0)
     rng = np.random.default_rng([7, m, n, q, zc_len])
     separated = rng.standard_normal((q, m * n)) + 1j * rng.standard_normal((q, m * n))
-    bank = sync.timing_correlate(separated, pcp, placement, cp_len)
-    assert bank.curve.shape == (q, m)
+    bank = sync.timing_correlate(separated, pcp, cfg)
+    assert bank.shape == (q, m)
     for user in range(q):
-        oracle = timing_correlate_one(separated[user], pcp, placement, cp_len)
-        got = bank.user(user)
-        assert (got.cp_len, got.anchor) == (oracle.cp_len, oracle.anchor)
-        assert np.max(np.abs(got.curve - oracle.curve)) <= 1e-13 * oracle.curve.max()
-        single = sync.timing_correlate(separated[user], pcp, placement, cp_len)
-        assert np.max(np.abs(single.curve - oracle.curve)) <= 1e-13 * oracle.curve.max()
+        oracle = timing_correlate_one(separated[user], pcp, cfg)
+        assert np.max(np.abs(bank[user] - oracle)) <= 1e-13 * oracle.max()
+        single = sync.timing_correlate(separated[user], pcp, cfg)
+        assert np.max(np.abs(single - oracle)) <= 1e-13 * oracle.max()
 
 
 def test_blocked_correlation_at_full_geometry():
     cfg = SystemConfig(num_users=4).validate()
     assert cfg.m * cfg.n % sync.TIMING_BLOCK == 0
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     rng = np.random.default_rng(8)
     separated = rng.standard_normal((4, cfg.m * cfg.n)) + 1j * rng.standard_normal((4, cfg.m * cfg.n))
-    bank = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
+    bank = sync.timing_correlate(separated, pcp, cfg)
     for user in range(4):
-        oracle = timing_correlate_one(separated[user], pcp, placement, cfg.cp_len)
-        assert np.max(np.abs(bank.curve[user] - oracle.curve)) <= 1e-13 * oracle.curve.max()
+        oracle = timing_correlate_one(separated[user], pcp, cfg)
+        assert np.max(np.abs(bank[user] - oracle)) <= 1e-13 * oracle.max()
 
 
 def test_estimate_to_rejects_empty_metric():
-    metric = sync.TimingMetric(curve=np.zeros(0), cp_len=13, anchor=118)
     with pytest.raises(EstimationError):
-        sync.estimate_to(metric, 0.25)
+        sync.estimate_to(np.zeros(0), SystemConfig())
 
 
 def test_estimate_to_rejects_bad_threshold():
-    metric = sync.TimingMetric(curve=np.ones(4), cp_len=13, anchor=118)
     with pytest.raises(ConfigError):
-        sync.estimate_to(metric, 0.0)
+        sync.estimate_to(np.ones(4), SystemConfig(threshold=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -291,54 +283,50 @@ def test_estimate_to_rejects_bad_threshold():
 
 def test_extraction_recovers_transmitted_pilot():
     cfg = paper_config(num_users=1)
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     real = single_tap_realization(cfg, [0])
-    y = transmit_pilot_only(cfg, placement, pcp, real)
-    region = sync.extract_pilot_region(y, 0, placement, cfg.cp_len)
-    sbar = pilot_region_ref(placement, pcp, 0)
+    y = transmit_pilot_only(cfg, pcp, real)
+    region = sync.extract_pilot_region(y, 0, cfg)
+    sbar = pilot_region_ref(cfg, pcp, 0)
     assert np.max(np.abs(region.samples - sbar)) < 1e-9
 
 
 def test_extraction_pure_cfo_phase_ramp():
     cfg = paper_config(num_users=1)
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     eps = 0.31
     real = single_tap_realization(cfg, [0], cfos=[eps])
-    y = transmit_pilot_only(cfg, placement, pcp, real)
-    region = sync.extract_pilot_region(y, 0, placement, cfg.cp_len)
-    sbar = pilot_region_ref(placement, pcp, 0)
+    y = transmit_pilot_only(cfg, pcp, real)
+    region = sync.extract_pilot_region(y, 0, cfg)
+    sbar = pilot_region_ref(cfg, pcp, 0)
     model = sync.cfo_phase(region.kappa, eps, cfg.n_s) * sbar
     assert np.max(np.abs(region.samples - model)) < 1e-9
 
 
 def test_extraction_wrap_indices():
     cfg = paper_config(num_users=1)
-    placement = pilot.PilotPlacement.from_config(cfg)
     stream = np.arange(cfg.m * cfg.n, dtype=complex)
     for theta in range(cfg.theta_max + 1):
-        region = sync.extract_pilot_region(stream, theta, placement, cfg.cp_len)
+        region = sync.extract_pilot_region(stream, theta, cfg)
         # last slot's tail wraps to the head of the stream
-        idx = (np.arange(cfg.n)[:, None] * cfg.m + placement.anchor + theta
+        idx = (np.arange(cfg.n)[:, None] * cfg.m + cfg.anchor + theta
                + np.arange(cfg.zc_len)) % (cfg.m * cfg.n)
-        assert np.array_equal(placement.region_index(theta), idx)
+        assert np.array_equal(pilot.region_index(cfg, theta), idx)
         assert np.array_equal(region.samples.real.astype(int), idx)
         assert np.array_equal(region.kappa, cfg.cp_len + idx)
         assert idx.max() < cfg.m * cfg.n
-        assert (idx < placement.anchor).any() == (theta > 0)
+        assert (idx < cfg.anchor).any() == (theta > 0)
 
 
 def test_wrong_offset_decorrelates_region():
     cfg = paper_config(num_users=1)
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     real = single_tap_realization(cfg, [2])
-    y = transmit_pilot_only(cfg, placement, pcp, real)
-    sbar = pilot_region_ref(placement, pcp, 0)
+    y = transmit_pilot_only(cfg, pcp, real)
+    sbar = pilot_region_ref(cfg, pcp, 0)
 
     def correlation(theta_hat):
-        region = sync.extract_pilot_region(y, theta_hat, placement, cfg.cp_len)
+        region = sync.extract_pilot_region(y, theta_hat, cfg)
         num = abs(np.vdot(sbar, region.samples))
         return num / (np.linalg.norm(sbar) * np.linalg.norm(region.samples))
 
@@ -376,17 +364,16 @@ def test_bem_requires_positive_order():
 # ---------------------------------------------------------------------------
 
 def region_fixture(cfg, theta=0):
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
-    kappa = cfg.cp_len + placement.region_index(theta)
-    return placement, pcp, bundle_template(placement, pcp), kappa
+    kappa = cfg.cp_len + pilot.region_index(cfg, theta)
+    return pcp, bundle_template(cfg, pcp), kappa
 
 
 def test_regressor_reproduces_convolution_oracle():
     # G c must equal the per-slot circular convolution Omega sbar for taps
     # synthesized exactly from the basis
     cfg = paper_config(num_users=1, nu_max_t=1.3, bem_order=4)
-    _, _, sbar, kappa = region_fixture(cfg)
+    _, sbar, kappa = region_fixture(cfg)
     bem = sync.build_bem_basis(cfg.beta, kappa, cfg.n_s)
     g = regressor_matrix(sbar, bem)
     rng = np.random.default_rng(20)
@@ -406,9 +393,9 @@ def test_regressor_reproduces_convolution_oracle():
 def test_static_channel_ls_recovery():
     # beta = 1: LS recovery of static taps through the shifted-pilot dictionary
     cfg = paper_config(num_users=1, nu_max_t=0.0, bem_order=1)
-    placement, pcp, sbar, kappa = region_fixture(cfg)
+    pcp, sbar, kappa = region_fixture(cfg)
     bem = sync.build_bem_basis(1, kappa, cfg.n_s)
-    reg = sync.build_bem_regressor(pilot.region_pilot(placement, pcp), bem)
+    reg = sync.build_bem_regressor(pilot.region_pilot(cfg, pcp), bem)
     rng = np.random.default_rng(21)
     taps = rng.standard_normal(cfg.zc_len) + 1j * rng.standard_normal(cfg.zc_len)
     rx = np.zeros((cfg.n, cfg.zc_len), dtype=complex)
@@ -420,7 +407,7 @@ def test_static_channel_ls_recovery():
 
 def test_zero_pilot_raises_rank_error():
     cfg = paper_config(num_users=1)
-    _, _, _, kappa = region_fixture(cfg)
+    _, _, kappa = region_fixture(cfg)
     bem = sync.build_bem_basis(cfg.beta, kappa, cfg.n_s)
     with pytest.raises(EstimationError, match="rank"):
         sync.build_bem_regressor(np.zeros(cfg.zc_len, complex), bem)
@@ -428,10 +415,10 @@ def test_zero_pilot_raises_rank_error():
 
 def test_underdetermined_regressor_raises():
     cfg = paper_config(num_users=1)
-    placement, pcp, _, kappa = region_fixture(cfg)
+    pcp, _, kappa = region_fixture(cfg)
     bem = sync.build_bem_basis(cfg.n + 1, kappa, cfg.n_s)
     with pytest.raises(EstimationError, match="underdetermined"):
-        sync.build_bem_regressor(pilot.region_pilot(placement, pcp), bem)
+        sync.build_bem_regressor(pilot.region_pilot(cfg, pcp), bem)
 
 
 def test_pilot_circulant_and_row_bases_are_well_conditioned():
@@ -442,8 +429,8 @@ def test_pilot_circulant_and_row_bases_are_well_conditioned():
         for root in range(1, zc_len + 1):
             if math.gcd(root, zc_len) != 1:
                 continue
-            p = pilot.region_pilot(pilot.PilotPlacement.build(2 * zc_len, 4, 1, zc_len,
-                                                              zc_len, 0),
+            p = pilot.region_pilot(SystemConfig(m=2 * zc_len, n=4, num_users=1, zc_len=zc_len,
+                                                pilot_anchor=zc_len, pilot_offset=0),
                                    pilot.make_pcp(zc_len, root, 40.0))
             j = np.arange(zc_len)
             circulant = p[(j[:, None] - j[None, :]) % zc_len]
@@ -453,7 +440,7 @@ def test_pilot_circulant_and_row_bases_are_well_conditioned():
     cfg = paper_config(num_users=1)
     worst = 0.0
     for theta in range(cfg.m):
-        _, _, _, kappa = region_fixture(cfg, theta)
+        _, _, kappa = region_fixture(cfg, theta)
         bem = sync.build_bem_basis(12, kappa, cfg.n_s)
         worst = max(worst, np.linalg.cond(bem.transpose(1, 0, 2)).max())
     assert worst < 25.0
@@ -470,9 +457,9 @@ def bem_exact_observation(cfg, rng, eps0, theta=0, beta=None, noise=0.0):
     estimator bundle, the regressor matrix G of the de-rotated template and
     the coefficients."""
     beta = cfg.beta if beta is None else beta
-    placement, pcp, sbar, kappa = region_fixture(cfg, theta)
-    bundle = sync.estimator_bundle(cfg, placement, pcp, theta, beta)
-    g_user0 = regressor_matrix(pilot_region_ref(placement, pcp, 0), bundle.bem)
+    pcp, sbar, kappa = region_fixture(cfg, theta)
+    bundle = sync.estimator_bundle(cfg, theta, beta)
+    g_user0 = regressor_matrix(pilot_region_ref(cfg, pcp, 0), bundle.bem)
     c = rng.standard_normal(cfg.zc_len * beta) + 1j * rng.standard_normal(cfg.zc_len * beta)
     rbar = sync.cfo_phase(kappa.ravel(), eps0, cfg.n_s) * (g_user0 @ c)
     samples = rbar.reshape(cfg.n, cfg.zc_len)
@@ -480,7 +467,7 @@ def bem_exact_observation(cfg, rng, eps0, theta=0, beta=None, noise=0.0):
         scale = np.sqrt(np.mean(np.abs(samples) ** 2))
         draw = rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
         samples = samples + noise * scale * draw
-    region = sync.derotate(sync.PilotRegion(samples=samples, kappa=kappa), placement, 0)
+    region = sync.derotate(sync.PilotRegion(samples=samples, kappa=kappa), cfg, 0)
     return region, bundle, regressor_matrix(sbar, bundle.bem), c
 
 
@@ -577,8 +564,8 @@ def test_estimate_cfo_matches_fine_argmax_of_bracket(eps0, cfo_range):
     centre = est.grid[int(np.argmax(est.cost_curve))]
     lo = max(centre - cfg.cfo_step, -cfg.cfo_range)
     hi = min(centre + cfg.cfo_step, cfg.cfo_range)
-    placement, pcp, _, _ = region_fixture(cfg)
-    target = fine_argmax(region, dense_regressor(bundle, placement, pcp), lo, hi, cfg.n_s)
+    pcp, _, _ = region_fixture(cfg)
+    target = fine_argmax(region, dense_regressor(bundle, cfg, pcp), lo, hi, cfg.n_s)
     if eps0 > cfo_range:
         assert target == hi == cfg.cfo_range
     else:
@@ -590,7 +577,7 @@ def test_cost_derivatives_match_central_differences():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(33)
     region, bundle, _, _ = bem_exact_observation(cfg, rng, 0.1)
-    _, _, sbar, _ = region_fixture(cfg)
+    _, sbar, _ = region_fixture(cfg)
     rflat, kflat = region.samples.ravel(), region.kappa.ravel()
     cost = lambda e: sync.cfo_cost(rflat, bundle.regressor, kflat, e, cfg.n_s)
     dense = DenseRegressor(sbar, bundle.bem)
@@ -658,20 +645,19 @@ def test_ls_residual_orthogonality():
                        snr_db=20.0)
     from otfsync import harness
     rng = np.random.default_rng([cfg.rng_seed, 0])
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     real = chan.draw_realization(rng, cfg)
     frames = pilot.embed_pilots(
-        [np.zeros((cfg.m, cfg.n), complex) for _ in range(2)], placement, pcp)
+        [np.zeros((cfg.m, cfg.n), complex) for _ in range(2)], cfg, pcp)
     streams = [modem.transmit(f, cfg.cp_len) for f in frames]
     r = chan.apply_channel(streams, real, cfg.n_s, cfg.theta_max)
     r = chan.add_awgn(r, cfg.snr_db, chan.unit_noise(rng, r.shape))
     y = modem.remove_cp(r[cfg.theta_max:], cfg.cp_rem)
-    separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
-    metric = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
-    result = sync.synchronize_user(separated, metric, 0, cfg, placement, pcp)
-    bundle = sync.estimator_bundle(cfg, placement, pcp, result.theta_used)
-    g = regressor_matrix(pilot_region_ref(placement, pcp, 0), bundle.bem)
+    separated = sync.separate_user(y, cfg)
+    curves = sync.timing_correlate(separated, pcp, cfg)
+    result = sync.synchronize_user(separated, curves, 0, cfg)
+    bundle = sync.estimator_bundle(cfg, result.theta_used)
+    g = regressor_matrix(pilot_region_ref(cfg, pcp, 0), bundle.bem)
     phase = sync.cfo_phase(result.region.kappa.ravel(), result.cfo.epsilon_hat,
                            cfg.n_s)
     z = np.conj(phase) * result.region.samples.ravel()
@@ -684,12 +670,12 @@ def test_estimator_bundle_cache_key_holds_the_grid():
     # search would scan the grid of whichever config came first
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     coarse_cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3, cfo_step=0.1)
-    placement, pcp, _, kappa = region_fixture(cfg, theta=2)
-    fine = sync.estimator_bundle(cfg, placement, pcp, 2)
-    assert sync.estimator_bundle(cfg, placement, pcp, 2) is fine
-    coarse = sync.estimator_bundle(coarse_cfg, placement, pcp, 2)
+    _, _, kappa = region_fixture(cfg, theta=2)
+    fine = sync.estimator_bundle(cfg, 2)
+    assert sync.estimator_bundle(cfg, 2) is fine
+    coarse = sync.estimator_bundle(coarse_cfg, 2)
     assert coarse is not fine
-    assert sync.estimator_bundle(coarse_cfg, placement, pcp, 2) is coarse
+    assert sync.estimator_bundle(coarse_cfg, 2) is coarse
     kflat = kappa.ravel().astype(float)
     for bundle, c in ((fine, cfg), (coarse, coarse_cfg)):
         assert np.array_equal(bundle.grid, sync.cfo_grid(c.cfo_range, c.cfo_step))
@@ -725,8 +711,8 @@ def test_estimator_bundle_cache_key_holds_the_grid():
 ])
 def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
     cfg = paper_config(num_users=1, **overrides)
-    placement, pcp, _, kappa = region_fixture(cfg, theta)
-    bundle = sync.estimator_bundle(cfg, placement, pcp, theta)
+    pcp, _, kappa = region_fixture(cfg, theta)
+    bundle = sync.estimator_bundle(cfg, theta)
     assert bundle.slot_rot.shape[0] == nodes
     kflat = kappa.ravel()
     dense_phases = np.exp(-2j * np.pi * np.outer(bundle.grid, kflat) / cfg.n_s)
@@ -735,7 +721,7 @@ def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
         rflat = rng.standard_normal(kflat.size) + 1j * rng.standard_normal(kflat.size)
         region = sync.PilotRegion(samples=rflat.reshape(kappa.shape), kappa=kappa)
         got = sync.estimate_cfo(region, bundle, cfg).cost_curve
-        dense = dense_regressor(bundle, placement, pcp).cost_many(dense_phases * rflat)[0]
+        dense = dense_regressor(bundle, cfg, pcp).cost_many(dense_phases * rflat)[0]
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(dense)
 
 
@@ -745,8 +731,7 @@ def test_estimator_bundle_is_shared_across_user_counts():
     bundles = []
     for num_users, offset in ((2, -1), (4, -1), (4, 1)):
         cfg = paper_config(num_users=num_users, pilot_offset=offset)
-        placement, pcp, _, _ = region_fixture(cfg, theta=2)
-        bundles.append(sync.estimator_bundle(cfg, placement, pcp, 2))
+        bundles.append(sync.estimator_bundle(cfg, 2))
     assert bundles[1] is bundles[0] and bundles[2] is bundles[0]
 
 
@@ -767,7 +752,7 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_no
     # the oracle: Newton on the exact cost derivatives with the dense Q, then
     # the coeffs solve
     cfg = paper_config(**{"num_users": 1, **overrides})
-    placement, pcp, _, _ = region_fixture(cfg, theta)
+    pcp, _, _ = region_fixture(cfg, theta)
     rng = np.random.default_rng(44)
     for eps0 in eps0s:
         # past the range the region is noise-free: the cost peaks at eps0
@@ -776,7 +761,7 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_no
         noise = 0.0 if abs(eps0) > cfg.cfo_range else 0.3
         region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0, theta, noise=noise)
         est = sync.estimate_cfo(region, bundle, cfg)
-        eps_hat, c_hat = estimate_cfo_exact(region, dense_regressor(bundle, placement, pcp),
+        eps_hat, c_hat = estimate_cfo_exact(region, dense_regressor(bundle, cfg, pcp),
                                             cfg, est.cost_curve)
         assert abs(est.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
         assert np.linalg.norm(est.c_hat - c_hat) <= 1e-9 * np.linalg.norm(c_hat)
@@ -801,33 +786,30 @@ def test_shared_bundle_matches_per_user_bundles():
     from otfsync import harness
     cfg = paper_config(num_users=4, nu_max_t=1.0, snr_db=20.0)
     rng = np.random.default_rng([cfg.rng_seed, 5])
-    placement = pilot.PilotPlacement.from_config(cfg)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     real = chan.draw_realization(rng, cfg)
     real.to[:] = [3, 0, 4, 1]
     real.cfo[:] = [0.137, -0.341, 0.402, -0.06]
     frames = pilot.embed_pilots(
-        [modem.build_data_frame(rng, cfg.m, cfg.n, sync.doppler_mask(cfg.n, cfg.num_users, q),
-                                placement.guard_rows) for q in range(cfg.num_users)],
-        placement, pcp)
+        [modem.build_data_frame(rng, cfg.m, cfg.n, sync.doppler_mask(cfg, q),
+                                pilot.guard_rows(cfg)) for q in range(cfg.num_users)],
+        cfg, pcp)
     rx = chan.apply_channel(modem.transmit(frames, cfg.cp_len), real, cfg.n_s, cfg.theta_max)
     rx = chan.add_awgn(rx, cfg.snr_db, chan.unit_noise(rng, rx.shape))
     y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
-    separated = sync.separate_user(y, cfg.num_users, cfg.m, cfg.n)
-    metric = sync.timing_correlate(separated, pcp, placement, cfg.cp_len)
+    separated = sync.separate_user(y, cfg)
+    curves = sync.timing_correlate(separated, pcp, cfg)
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     for q in range(cfg.num_users):
         theta, eps = int(real.to[q]), float(real.cfo[q])
-        result = sync.synchronize_user(separated, metric, q, cfg, placement, pcp,
-                                       theta_override=theta)
+        result = sync.synchronize_user(separated, curves, q, cfg, theta_override=theta)
         beta_abs = harness.absorbed_beta(cfg, eps)
-        h_abs = harness.absorbed_channel_fit(result.region, cfg, placement, pcp, q,
-                                             theta, eps)
+        h_abs = harness.absorbed_channel_fit(result.region, cfg, q, theta, eps)
         eps_hat, c_hat, h_hat, h_abs_own = own_bundle_back_end(
-            separated, q, theta, cfg, placement, pcp, beta_abs)
+            separated, q, theta, cfg, pcp, beta_abs)
         assert abs(result.cfo.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
         assert close(result.cfo.c_hat, c_hat)
         assert close(result.cfo.h_hat, h_hat)
@@ -836,8 +818,8 @@ def test_shared_bundle_matches_per_user_bundles():
 
 def test_estimate_cfo_allocates_less_than_the_dense_scan():
     cfg = paper_config(num_users=1)
-    placement, pcp, _, kappa = region_fixture(cfg, 2)
-    bundle = sync.estimator_bundle(cfg, placement, pcp, 2)
+    _, _, kappa = region_fixture(cfg, 2)
+    bundle = sync.estimator_bundle(cfg, 2)
     rng = np.random.default_rng(42)
     samples = rng.standard_normal(kappa.shape) + 1j * rng.standard_normal(kappa.shape)
     region = sync.PilotRegion(samples=samples, kappa=kappa)
@@ -854,7 +836,7 @@ def test_estimate_cfo_allocates_less_than_the_dense_scan():
 
 def test_reconstruct_channel_shapes_and_zero():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
-    _, _, _, kappa = region_fixture(cfg)
+    _, _, kappa = region_fixture(cfg)
     bem = sync.build_bem_basis(3, kappa, cfg.n_s)
     h = sync.reconstruct_channel(np.zeros(cfg.zc_len * 3), bem)
     assert h.shape == (cfg.n, cfg.zc_len, cfg.zc_len)
@@ -882,8 +864,8 @@ def test_reconstruct_bem_exact_channel():
 @pytest.mark.parametrize("beta", [1, 7, 12])
 def test_slot_projection_and_cost_curve_match_dense_q(num_users, theta, beta):
     cfg = paper_config(num_users=num_users)
-    placement, pcp, sbar, kappa = region_fixture(cfg, theta)
-    bundle = sync.estimator_bundle(cfg, placement, pcp, theta, beta)
+    pcp, sbar, kappa = region_fixture(cfg, theta)
+    bundle = sync.estimator_bundle(cfg, theta, beta)
     dense = DenseRegressor(sbar, bundle.bem)
     rng = np.random.default_rng([theta, beta, num_users])
     z = rng.standard_normal((3, kappa.size)) + 1j * rng.standard_normal((3, kappa.size))

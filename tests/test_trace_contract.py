@@ -26,7 +26,7 @@ def test_q4_eva_sweep_is_covered_by_traced_stages(tmp_path):
                                   per_trial_dump=True)
     spans = tmp_path / "spans"
     spans.mkdir()
-    sync._BUNDLE_CACHE.clear()        # count every bundle this sweep needs
+    sync._cached_bundle.cache_clear()     # count every bundle this sweep needs
     tracer = tracing.Tracer(str(spans))
     tracer.install()
     try:
