@@ -7,6 +7,7 @@ by its CFO, and summed over users.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -321,14 +322,24 @@ def unit_noise(rng, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def noise_amplitude(snr_db: float) -> float:
+    """The scale a = sqrt(sigma^2 / 2) of the ``unit_noise`` at the
+    data-symbol SNR (unit data power): 0.0 at infinite SNR."""
+    if np.isinf(snr_db):
+        return 0.0
+    return math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+
+
 def add_awgn(stream: np.ndarray, snr_db: float, noise: np.ndarray) -> np.ndarray:
-    """Circular complex AWGN at the data-symbol SNR (unit data power): the
-    ``unit_noise`` array ``noise``, of the stream's shape, scaled by
-    sqrt(sigma^2 / 2).  At infinite SNR the stream is returned as a copy."""
+    """Circular complex AWGN at the data-symbol SNR: stream + a * noise for
+    the ``unit_noise`` array ``noise`` of the stream's shape and its
+    ``noise_amplitude`` a.  At infinite SNR the stream is returned as a copy.
+    Every step before the receiver's two nonlinear ones (``sync``) is linear,
+    so the noise may be added to any of their outputs, given that step's
+    output for the unit noise."""
     stream = np.asarray(stream)
     if stream.size == 0:
         raise RealizationError("empty stream")
     if np.isinf(snr_db):
         return stream.copy()
-    sigma2 = 10.0 ** (-snr_db / 10.0)
-    return stream + np.sqrt(sigma2 / 2.0) * noise
+    return stream + noise_amplitude(snr_db) * noise

@@ -12,17 +12,26 @@ and exactly reproducible.
 A sweep runs with the trial index outermost.  Each trial index has one
 ``TrialDraw`` at a time: its channel, offsets, frames, noiseless receive
 stream and unit noise, shared by consecutive points that leave it unchanged.
-An SNR sweep changes only the scale of the noise.  A ``cfo_value`` sweep
-changes only the CFO, pinned to the same value for every user, so it
-factors out of the channel's user sum: the stream at CFO eps is the draw's
-zero-CFO stream times exp(j 2 pi eps kappa / N_s).  The ``nu_max_t`` and
-``pilot_power_db`` sweeps change the channel or the pilots, so each of their
-points draws its own.
+An SNR sweep changes only the scale a of the noise, and the receiver is
+linear in the stream up to its two nonlinear steps (``sync``), so the draw
+also holds the receive front end of the signal and of the unit noise and,
+made on first use, each (user, theta_hat)'s pilot region and CFO
+projection (``sync.FrontEnd``).  A point adds its noise to the timing
+correlation (``channel.add_awgn``) and runs only the two nonlinear steps,
+the timing curve with its threshold and the CFO search, at its own a.  A
+``cfo_value`` sweep changes only the CFO, pinned to the same value for
+every user, so it factors out of the channel's user sum: the stream at CFO
+eps is the draw's zero-CFO stream times exp(j 2 pi eps kappa / N_s).  That
+rotation does not commute with the filter bank, so each of its points adds
+the noise to the rotated stream and runs the front end itself.  The
+``nu_max_t`` and ``pilot_power_db`` sweeps change the channel or the
+pilots, so each of their points draws its own.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -115,13 +124,18 @@ class TrialDraw:
     ``true_pilot_taps`` at its true timing offset, and the unit noise
     (``channel.unit_noise``) that ``channel.add_awgn`` scales to the SNR.
 
-    With ``pinned_cfo`` the realization's CFOs are zero and ``rx`` is the
-    zero-CFO stream: a pinned CFO eps, the same for every user, is the
-    rotation exp(j 2 pi eps kappa / N_s) of that stream, which ``run_trial``
-    applies.  So the draw depends neither on ``cfg.snr_db`` nor on the
-    pinned value, and every (config, CFO) that differs from its own in those
-    alone can share it (``serves``).  Its arrays (``pcp``, the offsets,
-    ``rx``, ``noise`` and ``truth``) are read-only."""
+    Without ``pinned_cfo``, ``front`` is the receive front end of the stream
+    and of the unit noise (``sync.FrontEnd``, K = 2), which every SNR point
+    reads at its own noise amplitude; it keeps each (user, theta_hat)'s
+    pilot region and CFO projection once a point has made them.  With
+    ``pinned_cfo`` the realization's CFOs are zero, ``rx`` is the zero-CFO
+    stream and ``front`` is None: a pinned CFO eps, the same for every user,
+    is the rotation exp(j 2 pi eps kappa / N_s) of that stream, which
+    ``run_trial`` applies before the noise and its own front end.  So the
+    draw depends neither on ``cfg.snr_db`` nor on the pinned value, and
+    every (config, CFO) that differs from its own in those alone can share
+    it (``serves``).  Its arrays (``pcp``, the offsets, ``rx``, ``noise``,
+    ``truth`` and the front end's) are read-only."""
 
     cfg: SystemConfig
     trial_index: int
@@ -131,6 +145,7 @@ class TrialDraw:
     rx: np.ndarray
     noise: np.ndarray
     truth: tuple[np.ndarray, ...]
+    front: sync.FrontEnd | None
 
     def serves(self, cfg: SystemConfig, trial_index: int, cfo_value: float | None) -> bool:
         """Whether ``run_trial(cfg, trial_index, cfo_value=cfo_value)`` would
@@ -139,11 +154,31 @@ class TrialDraw:
                 and replace(cfg, snr_db=self.cfg.snr_db) == self.cfg)
 
 
+@functools.lru_cache(maxsize=16)
+def pinned_rotation(cfo_value: float, n_s: int) -> np.ndarray:
+    """exp(j 2 pi cfo_value kappa / N_s) for kappa < N_s, read-only: the
+    rotation of a pinned CFO, made once per point of a ``cfo_value`` sweep
+    rather than once per trial."""
+    ramp = chan.phase_ramp(cfo_value / n_s, n_s)[0]
+    ramp.flags.writeable = False
+    return ramp
+
+
+def receive(streams: np.ndarray, pcp: np.ndarray, cfg: SystemConfig) -> sync.FrontEnd:
+    """The front end (``sync.front_end``) of (K, N_s) receive streams: the
+    timing-offset margin and the rest of the CP removed, then the filter
+    bank and the PCP correlation."""
+    y = modem.remove_cp(streams[..., cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
+    return sync.front_end(y, pcp, cfg)
+
+
 def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False) -> TrialDraw:
     """Trial ``trial_index``'s draw (``TrialDraw``): the channel, offsets,
     frames and unit noise from ``trial_rng``, the frames transmitted and
-    passed through the channel once over all users.  With ``pinned_cfo``
-    the CFO draw is discarded and the channel runs at zero CFO."""
+    passed through the channel once over all users, and the front end of
+    the stream and the noise.  With ``pinned_cfo`` the CFO draw is
+    discarded, the channel runs at zero CFO and the front end is left to
+    each point."""
     rng = trial_rng(cfg.rng_seed, trial_index)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
 
@@ -162,10 +197,12 @@ def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False) ->
     noise = chan.unit_noise(rng, rx.shape)
     truth = tuple(true_pilot_taps(paths, cfg, int(theta))
                   for paths, theta in zip(realization.paths, realization.to))
-    for array in (pcp, realization.to, realization.cfo, rx, noise, *truth):
+    front = None if pinned_cfo else receive(np.stack([rx, noise]), pcp, cfg)
+    shared = () if front is None else (front.separated, front.corr)
+    for array in (pcp, realization.to, realization.cfo, rx, noise, *truth, *shared):
         array.flags.writeable = False
     return TrialDraw(cfg=cfg, trial_index=trial_index, pinned_cfo=pinned_cfo, pcp=pcp,
-                     realization=realization, rx=rx, noise=noise, truth=truth)
+                     realization=realization, rx=rx, noise=noise, truth=truth, front=front)
 
 
 def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = None,
@@ -183,15 +220,17 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
         draw = draw_trial(cfg, trial_index, pinned_cfo=cfo_value is not None)
     realization = draw.realization
 
-    rx, eps = draw.rx, realization.cfo
-    if cfo_value is not None:
+    if cfo_value is None:
+        # the noise enters after the draw's linear front end, at this point's scale
+        front, eps = draw.front, realization.cfo
+        amplitude = chan.noise_amplitude(cfg.snr_db)
+        corr = chan.add_awgn(front.corr[0], cfg.snr_db, front.corr[1])
+    else:
         # the draw's stream is at zero CFO; one CFO for all users rotates the sum
-        rx = rx * chan.phase_ramp(cfo_value / cfg.n_s, cfg.n_s)[0]
+        rx = draw.rx * pinned_rotation(float(cfo_value), cfg.n_s)
         eps = np.full(cfg.num_users, float(cfo_value))
-    rx = chan.add_awgn(rx, cfg.snr_db, draw.noise)
-    y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
-    separated = sync.separate_user(y, cfg)
-    curves = sync.timing_correlate(separated, draw.pcp, cfg)
+        front = receive(chan.add_awgn(rx, cfg.snr_db, draw.noise)[np.newaxis], draw.pcp, cfg)
+        amplitude, corr = 0.0, front.corr[0]     # the one stream holds its noise
 
     records, debug = [], []
     for q in range(cfg.num_users):
@@ -200,7 +239,8 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
         record = UserTrialRecord(user=q, theta_true=theta_true, eps_true=eps_true)
         try:
             override = theta_true if cfg.genie_to else None
-            result = sync.synchronize_user(separated, curves, q, cfg, theta_override=override)
+            result = sync.synchronize_user(front, corr, q, cfg, amplitude,
+                                           theta_override=override)
             record.theta_first = result.to_estimate.first_peak
             record.theta_max = result.to_estimate.max_peak
             record.eps_hat = result.cfo.epsilon_hat

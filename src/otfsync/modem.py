@@ -46,13 +46,15 @@ def add_cp(streams, cp_len: int) -> np.ndarray:
 
 
 def remove_cp(stream: np.ndarray, n_drop: int, out_len: int | None = None) -> np.ndarray:
-    """Drop the first ``n_drop`` samples."""
+    """Drop the first ``n_drop`` samples of a stream, or of each row of a
+    (..., samples) stack of them."""
     stream = np.asarray(stream)
-    if not 0 <= n_drop <= stream.size:
-        raise ConfigError(f"cannot drop {n_drop} samples from a {stream.size}-sample stream")
-    out = stream[n_drop:]
-    if out_len is not None and out.size != out_len:
-        raise ConfigError(f"expected {out_len} samples after CP removal, got {out.size}")
+    size = stream.shape[-1]
+    if not 0 <= n_drop <= size:
+        raise ConfigError(f"cannot drop {n_drop} samples from a {size}-sample stream")
+    out = stream[..., n_drop:]
+    if out_len is not None and out.shape[-1] != out_len:
+        raise ConfigError(f"expected {out_len} samples after CP removal, got {out.shape[-1]}")
     return out
 
 

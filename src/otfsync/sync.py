@@ -2,12 +2,21 @@
 timing-offset estimation, and ML carrier-frequency-offset plus channel
 estimation on a Chebyshev basis expansion.
 
-The users share the receiver's front end: ``separate_user`` runs the whole
-filter bank once per received stream and returns every user's separated
-stream, and ``timing_correlate`` correlates all of them with the PCP in one
-product.  The users split after that: ``synchronize_user`` is the per-user
-back end (TO decision, pilot region, estimator bundle, CFO and channel),
+The receiver is linear in the received stream up to two steps: the
+magnitude of the timing correlation and the quadratic cost of the CFO
+search.  Its front end (``front_end``) runs once on a stack of K streams
+whose received stream at noise amplitude a is sum_k a^k stream_k: the
+signal and the unit noise, which every point of an SNR sweep shares, or a
+single stream that already holds its noise.  ``separate_user`` runs the
+whole filter bank on every stream at once and ``timing_correlate``
+correlates every separated stream with the PCP in one product.  A point
+forms its correlation at its own a (``channel.add_awgn``), and the users
+split after that: ``synchronize_user`` is the per-user back end (timing
+curve and TO decision, pilot region, estimator bundle, CFO and channel),
 a pure function of the user's rows, so the Q back ends are independent.
+Each user's pilot region and CFO projection are polynomials in a too, made
+once per (user, theta_hat) and read by every point that agrees on theta_hat
+(``FrontEnd.user_region``, ``CfoProjection``).
 
 The pilot region is fitted one delay row at a time.  User q's pilot sits in
 Doppler column k_q, so its transmitted region sample (n, j) is
@@ -34,13 +43,15 @@ because B_j is) the projection of a region z is the L_p*beta row sums
 its cost is ||w||^2 = sum_j ||Q_j^T z[:, j]||^2, and the LS coefficients
 are c = (C^-1 (x) I_beta) [R_j^-1 w[j]] = E w (``BemRegressor``).
 
-Each user's CFO search is one projection: the coarse scan projects the
+Each user's CFO search reads one projection: the coarse scan projects the
 region rotated to r Chebyshev nodes of +-cfo_range, whose rotation factors
 into a slot part and a row part (``cfo_scan``) that the row sums carry.
 That projection is the Chebyshev interpolant of w(eps), and ||w||^2 is a
 scalar Chebyshev polynomial of degree 2r - 2 (``cost_polynomial``) on
 which the grid costs and the Newton refinement run; the LS solve reads w
-at the estimate (``estimate_cfo``).
+at the estimate (``estimate_cfo``).  With the region signal + a noise, w is
+w_s + a w_n and the cost ||w_s||^2 + a 2 Re(w_n^H w_s) + a^2 ||w_n||^2, so
+the projection is made once for every a (``BemRegressor.cost_many``).
 """
 
 from __future__ import annotations
@@ -85,24 +96,24 @@ def doppler_mask(cfg: SystemConfig, user) -> np.ndarray:
 def separate_user(stream: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """The filter bank: unit-gain brickwall filters isolating every user's
     Doppler band, returned as the (Q, M*N) separated streams in serialized
-    order, row q for user q.
+    order, row q for user q; a (..., M*N) stack of streams gives
+    (..., Q, M*N).
 
     Implemented as one DFT over the time slots of the (N, M) slot-major
-    view of the stream, Q masks, and one batched IDFT; each filter is
+    view of each stream, Q masks, and one batched IDFT; each filter is
     equivalent to a circulant filter along the time axis.  The name stays
     singular because the benchmark's tracer wraps ``separate_user`` by name,
     until stage timing moves into the library (ROADMAP Direction 4).
     """
     m, n, num_users = cfg.m, cfg.n, cfg.num_users
-    if num_users > n:
-        raise ConfigError(f"num_users={num_users} exceeds the Doppler axis n={n}")
     stream = np.asarray(stream)
-    if stream.size != m * n:
-        raise ConfigError(f"expected {m * n} samples, got {stream.size}")
-    spectrum = np.fft.fft(stream.reshape(n, m), axis=0)
+    if stream.shape[-1] != m * n:
+        raise ConfigError(f"expected {m * n} samples, got {stream.shape[-1]}")
+    lead = stream.shape[:-1]
+    spectrum = np.fft.fft(stream.reshape(lead + (n, m)), axis=-2)
     masks = doppler_mask(cfg, np.arange(num_users)[:, np.newaxis])
-    bank = np.where(masks[:, :, np.newaxis], spectrum, 0.0)
-    return np.fft.ifft(bank, axis=1).reshape(num_users, m * n)
+    bank = np.where(masks[:, :, np.newaxis], spectrum[..., np.newaxis, :, :], 0.0)
+    return np.fft.ifft(bank, axis=-2).reshape(lead + (num_users, m * n))
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +139,10 @@ def timing_correlate(separated: np.ndarray, pcp: np.ndarray,
                      cfg: SystemConfig) -> np.ndarray:
     """Correlate every slot of the filtered streams with the PCP.
 
-    ``separated`` is one M*N-sample stream or the (Q, M*N) bank of
-    ``separate_user``; the timing curve is (M,) or (Q, M) to match.  Entry l
-    of a curve is the time average of the per-slot correlation magnitudes
-    at the offset candidate (l + cp_len - anchor - 1) mod M (``estimate_to``).
+    ``separated`` is one M*N-sample stream or a (..., M*N) stack of them,
+    such as the (..., Q, M*N) bank of ``separate_user``; the complex lag
+    correlation has the same shape, lag n*M + d at index n*M + d, and is
+    linear in the stream (``timing_curve`` takes its magnitude).
 
     Assumes that the user's pilot occupies a single Doppler column k_q (as
     ``pilot.embed_pilots`` places it): the pilot block of time slot n in the
@@ -164,28 +175,36 @@ def timing_correlate(separated: np.ndarray, pcp: np.ndarray,
     stream[..., m * n - lo:m * n + span - 1] = separated[..., :lo + span - 1]
     windows = sliding_window_view(stream, block + span - 1, axis=-1)[..., ::block, :]
     rows = np.ascontiguousarray(windows).reshape(-1, block + span - 1)
-    corr = (rows @ pcp_toeplitz(pcp, block)).reshape(lead + (-1,))[..., :m * n]  # lag n*M + d
-    curve = np.abs(corr).reshape(lead + (n, m)).mean(axis=-2) / (m * math.sqrt(n))
+    return (rows @ pcp_toeplitz(pcp, block)).reshape(lead + (-1,))[..., :m * n]
+
+
+def timing_curve(corr: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """The (..., M) timing curves of (..., M*N) lag correlations
+    (``timing_correlate``): entry l of a curve is the time average of the
+    per-slot correlation magnitudes at the offset candidate
+    (l + cp_len - anchor - 1) mod M (``estimate_to``)."""
+    m, n = cfg.m, cfg.n
+    # sum / n is the arithmetic of ``mean``, and the slice pair that of
+    # np.roll(curve, -shift), without their overhead, which every user of
+    # every point pays
+    curve = np.abs(corr).reshape(corr.shape[:-1] + (n, m)).sum(axis=-2) / n / (m * math.sqrt(n))
     shift = (cfg.cp_len - cfg.anchor - 1) % m           # lag d peaks at the offset
-    return np.roll(curve, -shift, axis=-1)
+    return np.concatenate((curve[..., shift:], curve[..., :shift]), axis=-1)
 
 
 def estimate_to(curve: np.ndarray, cfg: SystemConfig) -> ToEstimate:
     """Threshold peak grouping and first-peak selection on one user's (M,)
-    timing curve (``timing_correlate``), at ``cfg.threshold``.
+    timing curve (``timing_curve``), at ``cfg.threshold``.
 
     Curve indices map to offset candidates through
     (l + cp_len - anchor - 1) mod M; the first peak is the smallest candidate
     in the threshold set, which favors the earliest channel tap over the
     strongest one.
     """
-    threshold = cfg.threshold
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigError(f"threshold={threshold} outside (0, 1]")
     m = curve.size
     if m == 0:
         raise EstimationError("empty timing metric")
-    peak_set = np.flatnonzero(curve >= threshold * curve.max())
+    peak_set = np.flatnonzero(curve >= cfg.threshold * curve.max())
     shift = cfg.cp_len - cfg.anchor - 1
     offsets = (peak_set + shift) % m
     max_peak = (int(np.argmax(curve)) + shift) % m
@@ -206,18 +225,19 @@ class PilotRegion:
     for every phase and basis evaluation.
     """
 
-    samples: np.ndarray   # (N, L_p) complex
+    samples: np.ndarray   # (N, L_p) complex, or a (..., N, L_p) stack
     kappa: np.ndarray     # (N, L_p) int
 
 
 def extract_pilot_region(filtered: np.ndarray, theta_hat: int,
                          cfg: SystemConfig) -> PilotRegion:
-    """Stack the L_p pilot samples of every time slot after the PCP prefix."""
+    """Stack the L_p pilot samples of every time slot after the PCP prefix;
+    a (..., M*N) stack of streams gives (..., N, L_p) samples."""
     filtered = np.asarray(filtered)
-    if filtered.size != cfg.m * cfg.n:
-        raise ConfigError(f"expected {cfg.m * cfg.n} samples, got {filtered.size}")
+    if filtered.shape[-1] != cfg.m * cfg.n:
+        raise ConfigError(f"expected {cfg.m * cfg.n} samples, got {filtered.shape[-1]}")
     idx = pilot.region_index(cfg, theta_hat)
-    return PilotRegion(samples=filtered[idx], kappa=cfg.cp_len + idx)
+    return PilotRegion(samples=filtered[..., idx], kappa=cfg.cp_len + idx)
 
 
 def derotate(region: PilotRegion, cfg: SystemConfig, user: int) -> PilotRegion:
@@ -262,15 +282,23 @@ class BemRegressor:
 
     def cost_many(self, node_sums: np.ndarray,
                   to_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma, C) of a CFO scan from the (r, L_p*beta) projections W of the
-        region rotated to r Chebyshev nodes: W holds the values there of the
-        interpolant w(x), C = to_coeffs @ W its Chebyshev coefficients
-        (``to_coeffs`` the inverse Chebyshev-Vandermonde matrix of the nodes),
-        and gamma the 2r - 1 Chebyshev coefficients of the cost ||w(x)||^2
-        (``cost_polynomial``)."""
+        """(gamma, C) of a CFO scan from the (K, r, L_p*beta) projections W of
+        a region that is a polynomial sum_k a^k z_k in the noise amplitude a,
+        rotated to r Chebyshev nodes: W[k] holds the values there of the
+        interpolant w_k(x) of z_k, C[k] = to_coeffs @ W[k] its Chebyshev
+        coefficients (``to_coeffs`` the inverse Chebyshev-Vandermonde matrix
+        of the nodes), and gamma[i] (2K - 1, 2r - 1) the Chebyshev coefficients
+        of the a^i term of the cost ||sum_k a^k w_k(x)||^2: the sum over
+        k + l = i of Re(w_l^H w_k) (``cost_polynomial``)."""
         # [Re, Im] interleaved, so that the real operator acts in real arithmetic
         coeffs = (to_coeffs @ node_sums.view(np.float64)).view(np.complex128)
-        return cost_polynomial(coeffs), coeffs
+        k = coeffs.shape[0]
+        gamma = np.zeros((2 * k - 1, 2 * coeffs.shape[1] - 1))
+        for i in range(k):
+            gamma[2 * i] += cost_polynomial(coeffs[i])
+            for j in range(i + 1, k):
+                gamma[i + j] += 2.0 * cost_polynomial(coeffs[i], coeffs[j])
+        return gamma, coeffs
 
     def solve(self, w: np.ndarray) -> np.ndarray:
         """LS coefficients E w from a projection w."""
@@ -315,12 +343,14 @@ def build_bem_regressor(p: np.ndarray, bem: np.ndarray) -> BemRegressor:
                         _solve=solve.reshape(n_cols, n_cols))
 
 
-def cost_polynomial(coeffs: np.ndarray) -> np.ndarray:
-    """The 2r - 1 Chebyshev coefficients of g(x) = ||w(x)||^2 for
-    w(x) = sum_a coeffs[a] T_a(x): with H = Re(C C^H),
+def cost_polynomial(coeffs: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
+    """The 2r - 1 Chebyshev coefficients of g(x) = Re(v(x)^H w(x)) for
+    w(x) = sum_a coeffs[a] T_a(x) and v(x) likewise from ``other``, by
+    default ``coeffs`` itself, which gives g = ||w(x)||^2: with
+    H = Re(C conj(D)^T) for the rows C of coeffs and D of other,
     g = sum_ab H[a, b] T_a T_b, and T_a T_b = (T_{a+b} + T_{|a-b|}) / 2."""
     parts = coeffs.view(np.float64)
-    gram = (parts @ parts.T).ravel()
+    gram = (parts @ (parts if other is None else other.view(np.float64)).T).ravel()
     size = 2 * coeffs.shape[0] - 1
     sums, diffs = _product_orders(coeffs.shape[0])
     return 0.5 * (np.bincount(sums, gram, size) + np.bincount(diffs, gram, size))
@@ -520,36 +550,71 @@ def cfo_scan(kappa: np.ndarray, row_basis: np.ndarray, cfo_range: float, m: int,
         scan_basis=scan_basis, scan_index=scan_index, centre=centre)
 
 
-def estimate_cfo(region: PilotRegion, bundle: EstimatorBundle,
-                 cfg: SystemConfig) -> CfoEstimate:
-    """Coarse scan of the projection cost over the bundle's grid, Newton
+def at_amplitude(rows: np.ndarray, amplitude: float) -> np.ndarray:
+    """sum_k a^k rows[k] at noise amplitude a = ``amplitude``, by Horner's
+    rule: the value of a quantity kept as the coefficients of a polynomial in
+    a (``FrontEnd``, ``CfoProjection``).  One row is returned as it is, and
+    two give rows[0] + a rows[1], the sum ``channel.add_awgn`` forms."""
+    value = rows[-1]
+    for row in rows[-2::-1]:
+        value = row + amplitude * value
+    return value
+
+
+@dataclass
+class CfoProjection:
+    """A pilot region in the frame of the bundle's template (``derotate``),
+    kept as a polynomial in the noise amplitude a (row k of ``samples`` the
+    coefficient of a^k), and its projection for the CFO search,
+    ``polynomials``: the (gamma, C) of ``BemRegressor.cost_many`` from the
+    region's node projections (``EstimatorBundle.node_sums``), read by the
+    search at every a (``estimate_cfo``).  The first search to read them
+    makes them, so the benchmark's tracer times ``cost_many`` inside
+    ``estimate_cfo``, as its coarse-scan metric expects."""
+
+    samples: np.ndarray             # (K, N, L_p)
+    bundle: EstimatorBundle
+
+    @functools.cached_property
+    def polynomials(self) -> tuple[np.ndarray, np.ndarray]:
+        bundle = self.bundle
+        return bundle.regressor.cost_many(bundle.node_sums(self.samples),
+                                          bundle.scan_ops.to_coeffs)
+
+
+def estimate_cfo(projection: CfoProjection, cfg: SystemConfig,
+                 amplitude: float = 0.0) -> CfoEstimate:
+    """The CFO search of a region at noise amplitude a = ``amplitude``:
+    coarse scan of the projection cost over the bundle's grid, Newton
     refinement on [best grid point +- cfo_step] within +-cfo_range (stopping
     at steps below NEWTON_STEP_FRAC * cfo_tol), then the LS coefficient solve
-    at the winning offset.  ``region`` is in the frame of the bundle's
-    template (``derotate``).
+    at the winning offset.
 
     All three read one projection (module docstring) of the region rotated
-    to the bundle's r Chebyshev nodes nu_i of +-cfo_range.  The rotation
-    factors into a slot part and a row part (``cfo_scan``), and the row sums
-    carry it through: with Y[s, j, k] = Q_j[n, k] rbar[n, j] at virtual slot
-    s (``EstimatorBundle.node_sums``), the projections at the nodes are
+    to the bundle's r Chebyshev nodes nu_i of +-cfo_range
+    (``CfoProjection.polynomials``).  The rotation factors into a slot part
+    and a row part (``cfo_scan``), and the row sums carry it through: with
+    Y[s, j, k] = Q_j[n, k] rbar[n, j] at virtual slot s
+    (``EstimatorBundle.node_sums``), the projections at the nodes are
     W_i[j, k] = v[i, j] sum_s U[i, s] Y[s, j, k], one (r, V) @ (V, L_p*beta)
     product.  W holds the values at the nodes of the Chebyshev interpolant
     of w(eps), the projection of Phi^H(eps) rbar, each interpolated rotation
     within 2**-52 of the exact one (``scan_node_count``).  Its coefficients
-    C = V^-1 W (``cost_many``) give the scalar cost polynomial
-    g(x) = ||w(x)||^2, of degree 2r - 2, through
-    T_a T_b = (T_{a+b} + T_{|a-b|}) / 2 (``cost_polynomial``): the cost
-    curve is one (G, 2r - 1) product with it, and differs from the dense
-    scan by rounding only.  Each Newton iterate reads g, g' and g'' as one
-    (3, 2r - 1) array (the bundle's derivative operators applied to g) times
-    T_s(x) = cos(s acos x).  The LS solve evaluates w at the estimate from C
-    and applies E (``BemRegressor.solve``).
+    C = V^-1 W give the scalar cost polynomial g(x) = ||w(x)||^2, of degree
+    2r - 2, through T_a T_b = (T_{a+b} + T_{|a-b|}) / 2
+    (``cost_polynomial``); both are polynomials in a, evaluated here at the
+    point's a (``at_amplitude``).  The cost curve is one (G, 2r - 1) product
+    with g, and differs from the dense scan by rounding only.  Each Newton
+    iterate reads g, g' and g'' as one (3, 2r - 1) array (the bundle's
+    derivative operators applied to g) times T_s(x) = cos(s acos x).  The LS
+    solve evaluates w at the estimate from C and applies E
+    (``BemRegressor.solve``).
     """
     if cfg.cfo_tol <= 0:
         raise ConfigError("cfo_tol must be > 0")
+    bundle = projection.bundle
     grid, regressor, ops = bundle.grid, bundle.regressor, bundle.scan_ops
-    gamma, coeffs = regressor.cost_many(bundle.node_sums(region.samples), ops.to_coeffs)
+    gamma, coeffs = (at_amplitude(rows, amplitude) for rows in projection.polynomials)
     costs = ops.grid_vander @ gamma
     best = int(np.argmax(costs))
     eps_c = float(grid[best])
@@ -581,12 +646,13 @@ def reconstruct_channel(c_hat: np.ndarray, bem: np.ndarray) -> np.ndarray:
 
     Returns h[n, l, j] = sum_g T_g(kprime[n, j]) c[l*beta + g] for taps
     l = 0..L_p-1 and every time slot n, from one real (N*L_p, beta) @
-    (beta, 2 L_p) product on the [Re, Im] interleaved coefficients.
+    (beta, 2 L_p) product on the [Re, Im] interleaved coefficients, C-ordered
+    like the truth taps (``harness.true_pilot_taps``) that it is scored on.
     """
     n, lp, beta = bem.shape
     taps = np.ascontiguousarray(np.asarray(c_hat, dtype=np.complex128).reshape(lp, beta).T)
     h = (bem.reshape(n * lp, beta) @ taps.view(np.float64)).view(np.complex128)
-    return h.reshape(n, lp, lp).transpose(0, 2, 1)
+    return np.ascontiguousarray(h.reshape(n, lp, lp).transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +693,14 @@ class EstimatorBundle:
     centre: float                   # kappa of the region centre
 
     def node_sums(self, samples: np.ndarray) -> np.ndarray:
-        """(r, L_p*beta) projections of the region ``samples`` (N, L_p)
-        rotated to the r nodes: v[i, j] sum_s U[i, s] Y[s, j, k]."""
-        y = samples.ravel()[self.scan_index][:, :, np.newaxis] * self.scan_basis
+        """(..., r, L_p*beta) projections of the regions ``samples``
+        (..., N, L_p) rotated to the r nodes: v[i, j] sum_s U[i, s] Y[s, j, k]."""
+        lead = samples.shape[:-2]
+        y = samples.reshape(lead + (-1,))[..., self.scan_index, np.newaxis] * self.scan_basis
         r, lp = self.row_rot.shape
-        sums = (self.slot_rot @ y.reshape(y.shape[0], -1)).reshape(r, lp, -1)
+        sums = (self.slot_rot @ y.reshape(y.shape[:-2] + (-1,))).reshape(lead + (r, lp, -1))
         sums *= self.row_rot[:, :, np.newaxis]
-        return sums.reshape(r, -1)
+        return sums.reshape(lead + (r, -1))
 
 
 def estimator_bundle(cfg: SystemConfig, theta: int,
@@ -666,27 +733,69 @@ def _cached_bundle(m, n, cp_len, zc_len, zc_root, pilot_power_db, anchor, cfo_ra
 
 
 @dataclass
+class FrontEnd:
+    """The receiver's linear front end of K stacked streams (``front_end``):
+    row k of ``separated`` and ``corr`` is the coefficient of a^k in the
+    received quantity at noise amplitude a (``at_amplitude``).  K = 2 holds
+    the signal and the unit noise, which every point of an SNR sweep
+    shares; K = 1 a stream that already holds its noise.
+
+    ``user_region`` makes each (user, theta_hat)'s pilot region and CFO
+    projection on first use and keeps them, so every point that agrees on
+    theta_hat reads the same ones; ``cfg`` is the geometry they are made
+    in."""
+
+    cfg: SystemConfig
+    separated: np.ndarray           # (K, Q, M*N) separated streams
+    corr: np.ndarray                # (K, Q, M*N) complex PCP lag correlations
+    regions: dict = field(default_factory=dict, repr=False)
+
+    def user_region(self, user: int, theta: int) -> tuple[PilotRegion, CfoProjection]:
+        """User ``user``'s received pilot region at ``theta`` ((K, N, L_p)
+        samples) and the ``CfoProjection`` of its de-rotation on the shared
+        bundle."""
+        key = (user, theta)
+        if key not in self.regions:
+            region = extract_pilot_region(self.separated[:, user], theta, self.cfg)
+            projection = CfoProjection(derotate(region, self.cfg, user).samples,
+                                       estimator_bundle(self.cfg, theta))
+            self.regions[key] = region, projection
+        return self.regions[key]
+
+
+def front_end(streams: np.ndarray, pcp: np.ndarray, cfg: SystemConfig) -> FrontEnd:
+    """The ``FrontEnd`` of the (K, M*N) streams after CP removal: the filter
+    bank and the PCP correlation, each run once on the whole stack."""
+    separated = separate_user(streams, cfg)
+    return FrontEnd(cfg=cfg, separated=separated,
+                    corr=timing_correlate(separated, pcp, cfg))
+
+
+@dataclass
 class UserSyncResult:
     to_estimate: ToEstimate
     theta_used: int
     metric: np.ndarray              # (M,) the user's timing curve
-    region: PilotRegion
+    region: PilotRegion             # the received region at the point's a
     cfo: CfoEstimate
 
 
-def synchronize_user(separated: np.ndarray, curves: np.ndarray, user: int,
-                     cfg: SystemConfig, theta_override: int | None = None) -> UserSyncResult:
-    """Per-user back end of the receiver: user ``user``'s TO decision, pilot
-    region, estimator bundle and CFO, read from its row of the separated
-    streams (``separate_user``) and of the timing curves
-    (``timing_correlate``).  The bundle is shared by all users; the CFO
-    search runs on the region de-rotated to its template (``derotate``),
-    and the result keeps the received region."""
-    curve = curves[user]
+def synchronize_user(front: FrontEnd, corr: np.ndarray, user: int, cfg: SystemConfig,
+                     amplitude: float = 0.0,
+                     theta_override: int | None = None) -> UserSyncResult:
+    """Per-user back end of the receiver at one point, noise amplitude a =
+    ``amplitude``: user ``user``'s timing curve (``timing_curve``) from its
+    row of the point's (Q, M*N) lag correlations ``corr``, the TO decision,
+    and the CFO search at a (``estimate_cfo``) on the front end's projection
+    of its pilot region at theta_hat (``FrontEnd.user_region``).  The bundle
+    is shared by all users; the search runs on the region de-rotated to its
+    template (``derotate``), and the result keeps the received region at
+    a."""
+    curve = timing_curve(corr[user], cfg)
     to_est = estimate_to(curve, cfg)
     theta = int(theta_override) if theta_override is not None else to_est.first_peak
-    region = extract_pilot_region(separated[user], theta, cfg)
-    bundle = estimator_bundle(cfg, theta)
-    cfo = estimate_cfo(derotate(region, cfg, user), bundle, cfg)
+    region, projection = front.user_region(user, theta)
+    cfo = estimate_cfo(projection, cfg, amplitude)
+    region = PilotRegion(samples=at_amplitude(region.samples, amplitude), kappa=region.kappa)
     return UserSyncResult(to_estimate=to_est, theta_used=theta, metric=curve,
                           region=region, cfo=cfo)

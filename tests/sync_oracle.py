@@ -23,6 +23,11 @@ regressor factorized on that user's own pilot template, with a dense scan,
 exact Newton and the ``coeffs`` solve; ``sync.synchronize_user`` and
 ``harness.absorbed_channel_fit`` share one bundle across users and
 de-rotate each user's region to its Doppler-free template.
+``per_point_trial`` runs a trial of one SNR point by the per-point chain:
+the noise added to the received stream, then CP removal, the filter bank,
+the timing curve and ``sync.synchronize_user`` on that one stream;
+``harness.run_trial`` adds the noise after the draw's front end and reads
+each user's CFO projection as a polynomial in the noise amplitude.
 """
 
 import math
@@ -31,7 +36,8 @@ import numpy as np
 import scipy.linalg
 
 from dd_oracle import pilot_region_ref
-from otfsync import pilot, sync
+from otfsync import channel as chan
+from otfsync import harness, modem, pilot, sync
 
 
 def separate_user_one(stream, user, cfg):
@@ -174,3 +180,35 @@ def own_bundle_back_end(separated, user, theta, cfg, pcp, absorbed_beta):
     c_abs = DenseRegressor(sbar, bem_abs).coeffs(rflat)
     return (eps_hat, c_hat, sync.reconstruct_channel(c_hat, bem),
             sync.reconstruct_channel(c_abs, bem_abs))
+
+
+def per_point_trial(cfg, trial_index, absorbed=False):
+    """One dict per user of trial ``trial_index`` of ``cfg``'s SNR point,
+    with the fields of ``harness.UserTrialRecord`` that it estimates and the
+    ``timing_metric`` and ``cfo_cost`` of its debug entry, by the per-point
+    chain on ``harness.draw_trial``'s stream and unit noise."""
+    draw = harness.draw_trial(cfg, trial_index)
+    rx = chan.add_awgn(draw.rx, cfg.snr_db, draw.noise)
+    y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
+    separated = sync.separate_user(y, cfg)
+    corr = sync.timing_correlate(separated, draw.pcp, cfg)
+    front = sync.FrontEnd(cfg=cfg, separated=separated[np.newaxis], corr=corr[np.newaxis])
+    users = []
+    for q in range(cfg.num_users):
+        theta_true = int(draw.realization.to[q])
+        eps_true = float(draw.realization.cfo[q])
+        result = sync.synchronize_user(front, corr, q, cfg,
+                                       theta_override=theta_true if cfg.genie_to else None)
+        user = {"theta_first": result.to_estimate.first_peak,
+                "theta_max": result.to_estimate.max_peak,
+                "eps_hat": result.cfo.epsilon_hat,
+                "nmse": harness._nmse(result.cfo.h_hat, draw.truth[q]),
+                "timing_metric": result.metric, "cfo_cost": result.cfo.cost_curve}
+        if absorbed:
+            h_abs = harness.absorbed_channel_fit(result.region, cfg, q, result.theta_used,
+                                                 eps_true)
+            kappa = cfg.cp_len + pilot.region_index(cfg, theta_true)
+            phase = sync.cfo_phase(kappa, eps_true, cfg.n_s)
+            user["nmse_absorbed"] = harness._nmse(h_abs, draw.truth[q] * phase[:, None, :])
+        users.append(user)
+    return users

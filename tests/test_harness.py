@@ -15,6 +15,7 @@ from otfsync import harness, modem, pilot, sync
 from otfsync.config import (CHANNEL_MODELS, SystemConfig, apply_overrides, bem_order_bound,
                             default_bem_order)
 from otfsync.errors import ConfigError, OtfsyncError
+from sync_oracle import per_point_trial
 
 
 def quick_config(**kw):
@@ -62,6 +63,16 @@ def test_debug_collection():
     assert len(debug) == 1
     assert len(debug[0]["timing_metric"]) == cfg.m
     assert len(debug[0]["cfo_grid"]) == len(debug[0]["cfo_cost"])
+    # the dump reads the shared front end and projections: the per-point
+    # chain's curves, noiseless and at a noisy Q = 2 point
+    for cfg in (cfg, quick_config(num_users=2, channel_model="eva", nu_max_t=1.0, snr_db=5.0)):
+        _, debug = harness.run_trial(cfg, 0, collect_debug=True)
+        want = per_point_trial(cfg, 0)
+        assert len(debug) == len(want) == cfg.num_users
+        for entry, user in zip(debug, want):
+            for name in ("timing_metric", "cfo_cost"):
+                scale = np.max(np.abs(user[name]))
+                assert np.max(np.abs(np.array(entry[name]) - user[name])) <= 1e-12 * scale
 
 
 def test_absorbed_baseline_equals_compensated_at_zero_cfo():
@@ -357,6 +368,61 @@ def test_channel_runs_once_per_draw(monkeypatch, sweep_var, channel_calls):
                       "transmit": channel_calls, "true_pilot_taps": 2 * channel_calls}
 
 
+# (num_users, genie_to, absorbed): Q = 1 and both user counts of fig4a, a
+# genie timing offset, and the absorbed baseline on an SNR sweep
+PER_POINT_CASES = [(1, False, False), (2, False, False), (4, False, False),
+                   (2, True, False), (2, False, True)]
+# at -20 dB most users' theta_hat moves off the other points', so a draw's
+# projections serve some of its points and not others
+SWEEP_SNRS = ("-20", "0", "15", "inf")
+
+
+@pytest.mark.parametrize("num_users, genie_to, absorbed", PER_POINT_CASES)
+def test_snr_sweep_matches_the_per_point_chain(num_users, genie_to, absorbed):
+    base = SystemConfig(num_users=num_users, genie_to=genie_to, rng_seed=17)
+    cfgs = [apply_overrides(base, {"snr_db": snr}) for snr in SWEEP_SNRS]
+    trials = 3
+    tables = harness.run_point([(cfg, None) for cfg in cfgs], trials, absorbed=absorbed)
+    floats = ("eps_hat", "nmse") + (("nmse_absorbed",) if absorbed else ())
+    for cfg, table in zip(cfgs, tables):
+        for k in range(trials):
+            for q, want in enumerate(per_point_trial(cfg, k, absorbed)):
+                assert not table["failed"][k, q]
+                assert table["theta_first"][k, q] == want["theta_first"]
+                assert table["theta_max"][k, q] == want["theta_max"]
+                for name in floats:
+                    assert table[name][k, q] == pytest.approx(want[name], rel=1e-9, abs=0)
+
+
+def test_one_cfo_projection_per_user_and_theta_per_draw(monkeypatch):
+    shapes = []
+    node_sums = sync.EstimatorBundle.node_sums
+    monkeypatch.setattr(sync.EstimatorBundle, "node_sums",
+                        lambda self, samples: shapes.append(samples.shape)
+                        or node_sums(self, samples))
+    base = SystemConfig(num_users=4, rng_seed=17)
+    cfgs = [apply_overrides(base, {"snr_db": snr}) for snr in ("-20", "10", "inf")]
+    trials = 4
+    tables = harness.run_point([(cfg, None) for cfg in cfgs], trials)
+    thetas = np.stack([table["theta_first"] for table in tables])     # (point, trial, user)
+    distinct = sum(len(set(thetas[:, k, q])) for k, q in np.ndindex(trials, 4))
+    assert distinct > trials * 4       # some users' theta_hat moves between points
+    assert len(shapes) == distinct
+    assert all(shape[0] == 2 for shape in shapes)   # the signal and the unit noise
+
+
+def test_pinned_rotation_is_made_once_per_point():
+    cfgs, cfo_values, absorbed = SHARED_DRAW_SWEEPS["cfo_value"]
+    harness.pinned_rotation.cache_clear()
+    harness.run_point(list(zip(cfgs, cfo_values)), 3, absorbed=absorbed)
+    info = harness.pinned_rotation.cache_info()
+    assert (info.misses, info.hits) == (3, 3 * 3 - 3)
+    n_s = cfgs[0].n_s
+    ramp = harness.pinned_rotation(0.3, n_s)
+    assert np.array_equal(ramp, chan.phase_ramp(0.3 / n_s, n_s)[0])
+    assert not ramp.flags.writeable
+
+
 def test_draw_serves_configs_that_differ_only_in_snr():
     cfg = SystemConfig(num_users=2, snr_db=10.0)
     draw = harness.draw_trial(cfg, 3)
@@ -385,7 +451,9 @@ def test_draw_arrays_are_read_only():
     arrays = (draw.rx, draw.noise, draw.pcp, draw.realization.to, draw.realization.cfo,
               *draw.truth)
     assert len(arrays) == 7
-    for array in arrays:
+    shared = harness.draw_trial(SystemConfig(num_users=2), 0)
+    assert draw.front is None and shared.front.corr.shape == (2, 2, shared.cfg.m * shared.cfg.n)
+    for array in arrays + (shared.front.separated, shared.front.corr):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[...] = 0

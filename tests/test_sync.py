@@ -118,9 +118,18 @@ def test_filter_bank_rows_at_full_geometry():
         assert np.array_equal(bank[user], separate_user_one(stream, user, cfg))
 
 
-def test_separate_rejects_too_many_users():
-    with pytest.raises(ConfigError):
-        sync.separate_user(np.zeros(32), bank_config(4, 8, 9))
+def test_stacked_front_end_equals_the_row_wise_one():
+    cfg = SystemConfig(num_users=4).validate()
+    pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
+    rng = np.random.default_rng(10)
+    shape = (3, cfg.m * cfg.n)
+    streams = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    front = sync.front_end(streams, pcp, cfg)
+    assert front.separated.shape == front.corr.shape == (3, 4, cfg.m * cfg.n)
+    for stream, separated, corr in zip(streams, front.separated, front.corr):
+        row = sync.separate_user(stream, cfg)
+        assert np.array_equal(separated, row)
+        assert np.array_equal(corr, sync.timing_correlate(row, pcp, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +147,8 @@ def single_tap_realization(cfg, thetas, cfos=None, gain=1.0):
 
 def timing_pipeline(cfg, y, user, pcp):
     """User ``user``'s timing curve of the receive stream ``y``."""
-    return sync.timing_correlate(sync.separate_user(y, cfg), pcp, cfg)[user]
+    return sync.timing_curve(sync.timing_correlate(sync.separate_user(y, cfg), pcp, cfg),
+                             cfg)[user]
 
 
 def test_matched_filter_peak_at_zero_offset():
@@ -224,7 +234,7 @@ def test_pcp_correlation_matches_template_correlation(num_users):
         rx = chan.add_awgn(rx, cfg.snr_db, chan.unit_noise(rng, rx.shape))
         y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem)
         separated = sync.separate_user(y, cfg)
-        bank = sync.timing_correlate(separated, pcp, cfg)
+        bank = sync.timing_curve(sync.timing_correlate(separated, pcp, cfg), cfg)
         for user in range(num_users):
             oracle = timing_correlate_template(
                 separated[user], timing_template(cfg, pcp, user), cfg)
@@ -246,12 +256,12 @@ def test_blocked_correlation_matches_np_correlate(zc_len, extra_rows, n, data):
     pcp = pilot.make_pcp(zc_len, 1, 40.0)
     rng = np.random.default_rng([7, m, n, q, zc_len])
     separated = rng.standard_normal((q, m * n)) + 1j * rng.standard_normal((q, m * n))
-    bank = sync.timing_correlate(separated, pcp, cfg)
+    bank = sync.timing_curve(sync.timing_correlate(separated, pcp, cfg), cfg)
     assert bank.shape == (q, m)
     for user in range(q):
         oracle = timing_correlate_one(separated[user], pcp, cfg)
         assert np.max(np.abs(bank[user] - oracle)) <= 1e-13 * oracle.max()
-        single = sync.timing_correlate(separated[user], pcp, cfg)
+        single = sync.timing_curve(sync.timing_correlate(separated[user], pcp, cfg), cfg)
         assert np.max(np.abs(single - oracle)) <= 1e-13 * oracle.max()
 
 
@@ -261,7 +271,7 @@ def test_blocked_correlation_at_full_geometry():
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     rng = np.random.default_rng(8)
     separated = rng.standard_normal((4, cfg.m * cfg.n)) + 1j * rng.standard_normal((4, cfg.m * cfg.n))
-    bank = sync.timing_correlate(separated, pcp, cfg)
+    bank = sync.timing_curve(sync.timing_correlate(separated, pcp, cfg), cfg)
     for user in range(4):
         oracle = timing_correlate_one(separated[user], pcp, cfg)
         assert np.max(np.abs(bank[user] - oracle)) <= 1e-13 * oracle.max()
@@ -270,11 +280,6 @@ def test_blocked_correlation_at_full_geometry():
 def test_estimate_to_rejects_empty_metric():
     with pytest.raises(EstimationError):
         sync.estimate_to(np.zeros(0), SystemConfig())
-
-
-def test_estimate_to_rejects_bad_threshold():
-    with pytest.raises(ConfigError):
-        sync.estimate_to(np.ones(4), SystemConfig(threshold=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +476,12 @@ def bem_exact_observation(cfg, rng, eps0, theta=0, beta=None, noise=0.0):
     return region, bundle, regressor_matrix(sbar, bundle.bem), c
 
 
+def search(region, bundle, cfg):
+    """``sync.estimate_cfo`` of one region, in the frame of the bundle's
+    template, on a fresh projection."""
+    return sync.estimate_cfo(sync.CfoProjection(region.samples[np.newaxis], bundle), cfg)
+
+
 def test_cost_matches_projection_matrix_oracle():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(22)
@@ -519,7 +530,7 @@ def test_estimate_cfo_on_grid_exact():
     grid = sync.cfo_grid(cfg.cfo_range, cfg.cfo_step)
     eps0 = float(grid[np.argmin(np.abs(grid - 0.2))])  # exactly on the grid
     region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0)
-    est = sync.estimate_cfo(region, bundle, cfg)
+    est = search(region, bundle, cfg)
     assert est.epsilon_hat == eps0
 
 
@@ -528,7 +539,7 @@ def test_estimate_cfo_off_grid_within_tolerance():
     rng = np.random.default_rng(26)
     for eps0 in rng.uniform(-0.45, 0.45, 6):
         region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0)
-        est = sync.estimate_cfo(region, bundle, cfg)
+        est = search(region, bundle, cfg)
         assert abs(est.epsilon_hat - eps0) <= cfg.cfo_tol
 
 
@@ -536,7 +547,7 @@ def test_estimate_cfo_cost_curve_maximum_at_estimate():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(27)
     region, bundle, _, _ = bem_exact_observation(cfg, rng, 0.33)
-    est = sync.estimate_cfo(region, bundle, cfg)
+    est = search(region, bundle, cfg)
     final = sync.cfo_cost(region.samples.ravel(), bundle.regressor,
                           region.kappa.ravel(), est.epsilon_hat, cfg.n_s)
     assert final >= est.cost_curve.max() - 1e-9 * final
@@ -560,7 +571,7 @@ def test_estimate_cfo_matches_fine_argmax_of_bracket(eps0, cfo_range):
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3, cfo_range=cfo_range)
     rng = np.random.default_rng(32)
     region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0, noise=0.3)
-    est = sync.estimate_cfo(region, bundle, cfg)
+    est = search(region, bundle, cfg)
     centre = est.grid[int(np.argmax(est.cost_curve))]
     lo = max(centre - cfg.cfo_step, -cfg.cfo_range)
     hi = min(centre + cfg.cfo_step, cfg.cfo_range)
@@ -594,7 +605,7 @@ def test_estimate_cfo_all_zero_region_returns_grid_point():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     region, bundle, _, _ = bem_exact_observation(cfg, np.random.default_rng(34), 0.0)
     zero = sync.PilotRegion(samples=np.zeros_like(region.samples), kappa=region.kappa)
-    est = sync.estimate_cfo(zero, bundle, cfg)
+    est = search(zero, bundle, cfg)
     assert est.epsilon_hat == est.grid[int(np.argmax(est.cost_curve))]
     assert np.all(est.c_hat == 0) and np.all(np.isfinite(est.h_hat))
 
@@ -634,7 +645,7 @@ def test_estimate_cfo_stays_within_range_off_step_multiple():
     for eps0 in (0.98, -0.97, 1.05):
         rng = np.random.default_rng(31)
         region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0)
-        est = sync.estimate_cfo(region, bundle, cfg)
+        est = search(region, bundle, cfg)
         assert abs(est.epsilon_hat) <= 1.0
         if abs(eps0) <= 1.0:
             assert abs(est.epsilon_hat - eps0) <= cfg.cfo_tol
@@ -653,9 +664,8 @@ def test_ls_residual_orthogonality():
     r = chan.apply_channel(streams, real, cfg.n_s, cfg.theta_max)
     r = chan.add_awgn(r, cfg.snr_db, chan.unit_noise(rng, r.shape))
     y = modem.remove_cp(r[cfg.theta_max:], cfg.cp_rem)
-    separated = sync.separate_user(y, cfg)
-    curves = sync.timing_correlate(separated, pcp, cfg)
-    result = sync.synchronize_user(separated, curves, 0, cfg)
+    front = sync.front_end(y[np.newaxis], pcp, cfg)
+    result = sync.synchronize_user(front, front.corr[0], 0, cfg)
     bundle = sync.estimator_bundle(cfg, result.theta_used)
     g = regressor_matrix(pilot_region_ref(cfg, pcp, 0), bundle.bem)
     phase = sync.cfo_phase(result.region.kappa.ravel(), result.cfo.epsilon_hat,
@@ -720,7 +730,7 @@ def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
     for _ in range(5):
         rflat = rng.standard_normal(kflat.size) + 1j * rng.standard_normal(kflat.size)
         region = sync.PilotRegion(samples=rflat.reshape(kappa.shape), kappa=kappa)
-        got = sync.estimate_cfo(region, bundle, cfg).cost_curve
+        got = search(region, bundle, cfg).cost_curve
         dense = dense_regressor(bundle, cfg, pcp).cost_many(dense_phases * rflat)[0]
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(dense)
 
@@ -760,7 +770,7 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_no
         # any draw of the coefficients
         noise = 0.0 if abs(eps0) > cfg.cfo_range else 0.3
         region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0, theta, noise=noise)
-        est = sync.estimate_cfo(region, bundle, cfg)
+        est = search(region, bundle, cfg)
         eps_hat, c_hat = estimate_cfo_exact(region, dense_regressor(bundle, cfg, pcp),
                                             cfg, est.cost_curve)
         assert abs(est.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
@@ -797,19 +807,18 @@ def test_shared_bundle_matches_per_user_bundles():
     rx = chan.apply_channel(modem.transmit(frames, cfg.cp_len), real, cfg.n_s, cfg.theta_max)
     rx = chan.add_awgn(rx, cfg.snr_db, chan.unit_noise(rng, rx.shape))
     y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
-    separated = sync.separate_user(y, cfg)
-    curves = sync.timing_correlate(separated, pcp, cfg)
+    front = sync.front_end(y[np.newaxis], pcp, cfg)
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     for q in range(cfg.num_users):
         theta, eps = int(real.to[q]), float(real.cfo[q])
-        result = sync.synchronize_user(separated, curves, q, cfg, theta_override=theta)
+        result = sync.synchronize_user(front, front.corr[0], q, cfg, theta_override=theta)
         beta_abs = harness.absorbed_beta(cfg, eps)
         h_abs = harness.absorbed_channel_fit(result.region, cfg, q, theta, eps)
         eps_hat, c_hat, h_hat, h_abs_own = own_bundle_back_end(
-            separated, q, theta, cfg, pcp, beta_abs)
+            front.separated[0], q, theta, cfg, pcp, beta_abs)
         assert abs(result.cfo.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
         assert close(result.cfo.c_hat, c_hat)
         assert close(result.cfo.h_hat, h_hat)
@@ -823,10 +832,10 @@ def test_estimate_cfo_allocates_less_than_the_dense_scan():
     rng = np.random.default_rng(42)
     samples = rng.standard_normal(kappa.shape) + 1j * rng.standard_normal(kappa.shape)
     region = sync.PilotRegion(samples=samples, kappa=kappa)
-    sync.estimate_cfo(region, bundle, cfg)    # warm: lazy imports, BLAS buffers
+    search(region, bundle, cfg)    # warm: lazy imports, BLAS buffers
     tracemalloc.start()
     try:
-        sync.estimate_cfo(region, bundle, cfg)
+        search(region, bundle, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -878,9 +887,31 @@ def test_slot_projection_and_cost_curve_match_dense_q(num_users, theta, beta):
         np.abs(dense.coeffs(z[0]))))
     rotations = np.exp(-2j * np.pi * np.outer(bundle.grid, kappa.ravel()) / cfg.n_s)
     region = sync.PilotRegion(samples=z[1].reshape(kappa.shape), kappa=kappa)
-    got = sync.estimate_cfo(region, bundle, cfg).cost_curve
+    got = search(region, bundle, cfg).cost_curve
     dense_curve = dense.cost_many(rotations * z[1])[0]
     assert np.max(np.abs(got - dense_curve)) <= 1e-13 * np.max(dense_curve)
+
+
+def test_cost_polynomial_is_quadratic_in_the_noise_amplitude():
+    # a region signal + a * noise projects to C = C_s + a C_n, whose cost is
+    # gamma_ss + a gamma_sn + a^2 gamma_nn; each row projects as it would alone
+    cfg = paper_config(num_users=2)
+    bundle = sync.estimator_bundle(cfg, 2)
+    rng = np.random.default_rng(46)
+    shape = (2, cfg.n, cfg.zc_len)
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    samples[0] *= 30.0
+    gamma, coeffs = sync.CfoProjection(samples, bundle).polynomials
+    r = bundle.slot_rot.shape[0]
+    assert gamma.shape == (3, 2 * r - 1) and coeffs.shape == (2, r, cfg.zc_len * cfg.beta)
+    for amplitude in (0.0, 0.05, math.sqrt(0.5), 3.0):
+        want = sync.cost_polynomial(coeffs[0] + amplitude * coeffs[1])
+        got = gamma[0] + amplitude * gamma[1] + amplitude ** 2 * gamma[2]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for k in range(2):
+        alone_gamma, alone = sync.CfoProjection(samples[k:k + 1], bundle).polynomials
+        assert np.max(np.abs(alone[0] - coeffs[k])) <= 1e-13 * np.max(np.abs(coeffs[k]))
+        assert np.max(np.abs(alone_gamma[0] - gamma[2 * k])) <= 1e-12 * np.max(gamma[2 * k])
 
 
 def test_cost_polynomial_is_the_squared_norm_of_the_interpolant():

@@ -1,8 +1,9 @@
 """The program's contract with the benchmark's span tracer
 (``perfbench/tracing.py``), which wraps functions by name: the batched front
-end runs inside traced stages, the per-user back end runs once per user, each
-user's CFO search is one traced projection, and the users share their
-estimator bundles."""
+end runs inside traced stages once per draw, each point adds its noise in a
+traced stage and runs the per-user back end once per user, each user's CFO
+projection is one traced call inside its search, made once per theta_hat
+and draw, and the users share their estimator bundles."""
 
 import json
 import os
@@ -17,11 +18,11 @@ if PERFBENCH not in sys.path:
     sys.path.insert(0, PERFBENCH)
 import tracing  # noqa: E402
 
-USERS, TRIALS = 4, 2
+USERS, TRIALS, POINTS = 4, 2, (10.0, 20.0)
 
 
 def test_q4_eva_sweep_is_covered_by_traced_stages(tmp_path):
-    spec = harness.ExperimentSpec("trace", "snr_db", (20.0,), TRIALS,
+    spec = harness.ExperimentSpec("trace", "snr_db", POINTS, TRIALS,
                                   config_overrides=(("num_users", str(USERS)),),
                                   per_trial_dump=True)
     spans = tmp_path / "spans"
@@ -34,19 +35,26 @@ def test_q4_eva_sweep_is_covered_by_traced_stages(tmp_path):
     finally:
         tracer.uninstall()
     assert report.n_failed == 0
-    stages = tracing.summarize(str(spans))["stages"]
+    summary = tracing.summarize(str(spans))
+    stages = summary["stages"]
     calls, inclusive, own = stages[tracing.TRIAL_SPAN]
-    assert calls == TRIALS
+    assert calls == TRIALS * len(POINTS)
     # trace.coverage of perfbench/run.py: the share of run_trial in traced children
     assert 1.0 - own / inclusive >= 0.9
     # per_layer_metrics divides by the per-user call counts
-    assert stages["sync.synchronize_user"][0] == USERS * TRIALS
+    assert stages["sync.synchronize_user"][0] == USERS * TRIALS * len(POINTS)
+    # the front end runs once per draw, and each point adds its noise once
     assert stages["sync.separate_user"][0] == TRIALS
     assert stages["sync.timing_correlate"][0] == TRIALS
-    # sync.cfo_coarse.ms reads the one projection of each user's CFO search
-    assert stages["sync.BemRegressor.cost_many"][0] == USERS * TRIALS
-    # one bundle per distinct theta_hat, whichever users it came from
+    assert stages["channel.add_awgn"][0] == TRIALS * len(POINTS)
+    # one projection, and one bundle fetch, per user, theta_hat and draw;
+    # sync.cfo_coarse.ms reads the projections inside the CFO searches
     with open(tmp_path / "trace" / "per-trial.jsonl", encoding="utf-8") as fh:
-        thetas = {json.loads(line)["theta_first"] for line in fh}
+        records = [json.loads(line) for line in fh]
+    projections = {(rec["trial"], rec["user"], rec["theta_first"]) for rec in records}
+    assert stages["sync.BemRegressor.cost_many"][0] == len(projections)
+    assert summary["in_cfo"]["sync.BemRegressor.cost_many"] > 0
+    assert stages["sync.estimator_bundle"][0] == len(projections)
+    # one bundle per distinct theta_hat, whichever users it came from
+    thetas = {rec["theta_first"] for rec in records}
     assert 1 <= stages["sync.build_bem_regressor"][0] <= len(thetas)
-    assert stages["sync.estimator_bundle"][0] == USERS * TRIALS
