@@ -325,7 +325,7 @@ def unit_noise(rng, shape) -> np.ndarray:
 def noise_amplitude(snr_db: float) -> float:
     """The scale a = sqrt(sigma^2 / 2) of the ``unit_noise`` at the
     data-symbol SNR (unit data power): 0.0 at infinite SNR."""
-    if np.isinf(snr_db):
+    if math.isinf(snr_db):
         return 0.0
     return math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
 

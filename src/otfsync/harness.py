@@ -13,25 +13,25 @@ A sweep runs with the trial index outermost.  Each trial index has one
 ``TrialDraw`` at a time: its channel, offsets, frames, noiseless receive
 stream and unit noise, shared by consecutive points that leave it unchanged.
 An SNR sweep changes only the scale a of the noise, and the receiver is
-linear in the stream up to its two nonlinear steps (``sync``), so the draw
-also holds the receive front end of the signal and of the unit noise and,
-made on first use, each (user, theta_hat)'s pilot region and CFO
-projection (``sync.FrontEnd``).  A point adds its noise to the timing
-correlation (``channel.add_awgn``) and runs only the two nonlinear steps,
-the timing curve with its threshold and the CFO search, at its own a.  A
-``cfo_value`` sweep changes only the CFO, pinned to the same value for
-every user, so it factors out of the channel's user sum: the stream at CFO
-eps is the draw's zero-CFO stream times exp(j 2 pi eps kappa / N_s).  That
-rotation does not commute with the filter bank, so each of its points adds
-the noise to the rotated stream and runs the front end itself.  The
-``nu_max_t`` and ``pilot_power_db`` sweeps change the channel or the
-pilots, so each of their points draws its own.
+linear in the stream up to its two nonlinear steps (``sync``), so a draw
+that the next point shares also holds the receive front end of the signal
+and of the unit noise and, made on first use, each (user, theta_hat)'s
+pilot region and CFO projection (``sync.FrontEnd``).  A point adds its
+noise to the timing correlation (``channel.add_awgn``) and runs only the
+two nonlinear steps, the timing curve with its threshold and the CFO
+search, at its own a.  A ``cfo_value`` sweep changes only the CFO, pinned
+to the same value for every user, so it factors out of the channel's user
+sum: the stream at CFO eps is the draw's zero-CFO stream times
+exp(j 2 pi eps kappa / N_s).  That rotation does not commute with the
+filter bank, so each of its points adds the noise to the rotated stream
+and runs the front end itself, as does a single trial and every point of
+the ``nu_max_t`` and ``pilot_power_db`` sweeps, which change the channel or
+the pilots and so draw their own.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import json
 import math
 import os
@@ -89,8 +89,11 @@ def true_pilot_taps(paths: chan.PathSet, cfg: SystemConfig, theta: int) -> np.nd
     return np.ascontiguousarray(paths.taps(kappa, cfg.zc_len).transpose(1, 0, 2))
 
 
-def _nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
-    denom = np.vdot(truth, truth).real
+def _nmse(estimate: np.ndarray, truth: np.ndarray, energy: float | None = None) -> float:
+    """||estimate - truth||^2 / ||truth||^2, NaN for an all-zero truth.
+    ``energy``, if given, is ||truth||^2 as ``np.vdot(truth, truth).real``
+    makes it (``TrialDraw.truth_energy``)."""
+    denom = np.vdot(truth, truth).real if energy is None else energy
     if denom == 0:
         return math.nan
     error = estimate - truth
@@ -121,21 +124,24 @@ def absorbed_channel_fit(region: sync.PilotRegion, cfg: SystemConfig, user: int,
 class TrialDraw:
     """Everything trial ``trial_index`` draws: the realization, the
     noiseless receive stream of ``channel.apply_channel``, each user's
-    ``true_pilot_taps`` at its true timing offset, and the unit noise
+    ``true_pilot_taps`` at its true timing offset and their energy, which
+    every point scores its estimate against (``_nmse``), and the unit noise
     (``channel.unit_noise``) that ``channel.add_awgn`` scales to the SNR.
 
-    Without ``pinned_cfo``, ``front`` is the receive front end of the stream
-    and of the unit noise (``sync.FrontEnd``, K = 2), which every SNR point
-    reads at its own noise amplitude; it keeps each (user, theta_hat)'s
-    pilot region and CFO projection once a point has made them.  With
-    ``pinned_cfo`` the realization's CFOs are zero, ``rx`` is the zero-CFO
-    stream and ``front`` is None: a pinned CFO eps, the same for every user,
-    is the rotation exp(j 2 pi eps kappa / N_s) of that stream, which
-    ``run_trial`` applies before the noise and its own front end.  So the
-    draw depends neither on ``cfg.snr_db`` nor on the pinned value, and
-    every (config, CFO) that differs from its own in those alone can share
-    it (``serves``).  Its arrays (``pcp``, the offsets, ``rx``, ``noise``,
-    ``truth`` and the front end's) are read-only."""
+    A draw that several SNR points read (``shared_front``) also holds
+    ``front``, the receive front end of the stream and of the unit noise
+    (``sync.FrontEnd``, K = 2), which each point reads at its own noise
+    amplitude; it keeps each (user, theta_hat)'s pilot region and CFO
+    projection once a point has made them.  Otherwise ``front`` is None and
+    ``run_trial`` adds the noise to the stream and runs the front end
+    itself.  With ``pinned_cfo`` the realization's CFOs are zero and ``rx``
+    is the zero-CFO stream: a pinned CFO eps, the same for every user, is
+    the rotation exp(j 2 pi eps kappa / N_s) of that stream, which
+    ``run_trial`` applies before the noise.  So the draw depends neither on
+    ``cfg.snr_db`` nor on the pinned value, and every (config, CFO) that
+    differs from its own in those alone can share it (``serves``).  Its
+    arrays (``pcp``, the offsets, ``rx``, ``noise``, ``truth`` and the
+    front end's) are read-only."""
 
     cfg: SystemConfig
     trial_index: int
@@ -145,6 +151,7 @@ class TrialDraw:
     rx: np.ndarray
     noise: np.ndarray
     truth: tuple[np.ndarray, ...]
+    truth_energy: tuple[float, ...]
     front: sync.FrontEnd | None
 
     def serves(self, cfg: SystemConfig, trial_index: int, cfo_value: float | None) -> bool:
@@ -152,16 +159,6 @@ class TrialDraw:
         draw exactly this."""
         return (trial_index == self.trial_index and (cfo_value is not None) == self.pinned_cfo
                 and replace(cfg, snr_db=self.cfg.snr_db) == self.cfg)
-
-
-@functools.lru_cache(maxsize=16)
-def pinned_rotation(cfo_value: float, n_s: int) -> np.ndarray:
-    """exp(j 2 pi cfo_value kappa / N_s) for kappa < N_s, read-only: the
-    rotation of a pinned CFO, made once per point of a ``cfo_value`` sweep
-    rather than once per trial."""
-    ramp = chan.phase_ramp(cfo_value / n_s, n_s)[0]
-    ramp.flags.writeable = False
-    return ramp
 
 
 def receive(streams: np.ndarray, pcp: np.ndarray, cfg: SystemConfig) -> sync.FrontEnd:
@@ -172,13 +169,17 @@ def receive(streams: np.ndarray, pcp: np.ndarray, cfg: SystemConfig) -> sync.Fro
     return sync.front_end(y, pcp, cfg)
 
 
-def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False) -> TrialDraw:
+def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False,
+               shared_front: bool = False) -> TrialDraw:
     """Trial ``trial_index``'s draw (``TrialDraw``): the channel, offsets,
     frames and unit noise from ``trial_rng``, the frames transmitted and
-    passed through the channel once over all users, and the front end of
-    the stream and the noise.  With ``pinned_cfo`` the CFO draw is
-    discarded, the channel runs at zero CFO and the front end is left to
-    each point."""
+    passed through the channel once over all users.  With ``pinned_cfo``
+    the CFO draw is discarded and the channel runs at zero CFO.  With
+    ``shared_front``, for a draw that several SNR points read, the draw
+    also runs the front end of the stream and of the noise once; a pinned
+    draw cannot share it."""
+    if pinned_cfo and shared_front:
+        raise ValueError("a pinned-CFO draw cannot share its front end")
     rng = trial_rng(cfg.rng_seed, trial_index)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
 
@@ -197,12 +198,14 @@ def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False) ->
     noise = chan.unit_noise(rng, rx.shape)
     truth = tuple(true_pilot_taps(paths, cfg, int(theta))
                   for paths, theta in zip(realization.paths, realization.to))
-    front = None if pinned_cfo else receive(np.stack([rx, noise]), pcp, cfg)
+    truth_energy = tuple(float(np.vdot(taps, taps).real) for taps in truth)
+    front = receive(np.stack([rx, noise]), pcp, cfg) if shared_front else None
     shared = () if front is None else (front.separated, front.corr)
     for array in (pcp, realization.to, realization.cfo, rx, noise, *truth, *shared):
         array.flags.writeable = False
     return TrialDraw(cfg=cfg, trial_index=trial_index, pinned_cfo=pinned_cfo, pcp=pcp,
-                     realization=realization, rx=rx, noise=noise, truth=truth, front=front)
+                     realization=realization, rx=rx, noise=noise, truth=truth,
+                     truth_energy=truth_energy, front=front)
 
 
 def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = None,
@@ -214,21 +217,23 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
     ``cfo_value`` pins every user's CFO (the Doppler-sweep experiments draw
     it instead); ``absorbed`` also evaluates the CFO-absorbed baseline.
     ``draw``, if given, must ``serve`` (cfg, trial_index, cfo_value) and
-    replaces the trial's own ``draw_trial``: the records are the same.
+    replaces the trial's own ``draw_trial``: the records are the same, to
+    rounding if the draw holds a shared front end.
     """
     if draw is None:
         draw = draw_trial(cfg, trial_index, pinned_cfo=cfo_value is not None)
     realization = draw.realization
 
-    if cfo_value is None:
+    rx, eps = draw.rx, realization.cfo
+    if cfo_value is not None:
+        # the draw's stream is at zero CFO; one CFO for all users rotates the sum
+        rx = rx * chan.phase_ramp(cfo_value / cfg.n_s, cfg.n_s)[0]
+        eps = np.full(cfg.num_users, float(cfo_value))
+    if draw.front is not None:
         # the noise enters after the draw's linear front end, at this point's scale
-        front, eps = draw.front, realization.cfo
-        amplitude = chan.noise_amplitude(cfg.snr_db)
+        front, amplitude = draw.front, chan.noise_amplitude(cfg.snr_db)
         corr = chan.add_awgn(front.corr[0], cfg.snr_db, front.corr[1])
     else:
-        # the draw's stream is at zero CFO; one CFO for all users rotates the sum
-        rx = draw.rx * pinned_rotation(float(cfo_value), cfg.n_s)
-        eps = np.full(cfg.num_users, float(cfo_value))
         front = receive(chan.add_awgn(rx, cfg.snr_db, draw.noise)[np.newaxis], draw.pcp, cfg)
         amplitude, corr = 0.0, front.corr[0]     # the one stream holds its noise
 
@@ -245,7 +250,7 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
             record.theta_max = result.to_estimate.max_peak
             record.eps_hat = result.cfo.epsilon_hat
             truth = draw.truth[q]
-            record.nmse = _nmse(result.cfo.h_hat, truth)
+            record.nmse = _nmse(result.cfo.h_hat, truth, draw.truth_energy[q])
             if absorbed:
                 h_abs = absorbed_channel_fit(result.region, cfg, q, result.theta_used, eps_true)
                 # the CFO-absorbed compound taps h[l, kappa] exp(j 2 pi eps kappa / N_s)
@@ -438,10 +443,17 @@ def _trial_worker(args):
     """Trial k's records at every point of a sweep, one list per point."""
     points, trial_index, absorbed = args
     records, draw = [], None
-    for cfg, cfo_value in points:
+    for i, (cfg, cfo_value) in enumerate(points):
         if draw is None or not draw.serves(cfg, trial_index, cfo_value):
             draw = None                 # one draw live at a time
-            draw = draw_trial(cfg, trial_index, pinned_cfo=cfo_value is not None)
+            # the front end of the stream and the noise pays off only if the
+            # next point is an SNR point of the same draw
+            following = points[i + 1:i + 2]
+            shared = cfo_value is None and any(
+                next_cfo is None and replace(next_cfg, snr_db=cfg.snr_db) == cfg
+                for next_cfg, next_cfo in following)
+            draw = draw_trial(cfg, trial_index, pinned_cfo=cfo_value is not None,
+                              shared_front=shared)
         records.append(run_trial(cfg, trial_index, cfo_value=cfo_value,
                                  absorbed=absorbed, draw=draw)[0])
     return records

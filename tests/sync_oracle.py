@@ -26,8 +26,9 @@ de-rotate each user's region to its Doppler-free template.
 ``per_point_trial`` runs a trial of one SNR point by the per-point chain:
 the noise added to the received stream, then CP removal, the filter bank,
 the timing curve and ``sync.synchronize_user`` on that one stream;
-``harness.run_trial`` adds the noise after the draw's front end and reads
-each user's CFO projection as a polynomial in the noise amplitude.
+on a draw that holds a shared front end (an SNR sweep's),
+``harness.run_trial`` adds the noise after that front end and reads each
+user's CFO projection as a polynomial in the noise amplitude.
 """
 
 import math

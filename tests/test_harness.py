@@ -63,16 +63,18 @@ def test_debug_collection():
     assert len(debug) == 1
     assert len(debug[0]["timing_metric"]) == cfg.m
     assert len(debug[0]["cfo_grid"]) == len(debug[0]["cfo_cost"])
-    # the dump reads the shared front end and projections: the per-point
-    # chain's curves, noiseless and at a noisy Q = 2 point
+    # the dump reads the one back end, on a one-stream front end and on a
+    # shared one: the per-point chain's curves, noiseless and at a noisy Q = 2 point
     for cfg in (cfg, quick_config(num_users=2, channel_model="eva", nu_max_t=1.0, snr_db=5.0)):
-        _, debug = harness.run_trial(cfg, 0, collect_debug=True)
         want = per_point_trial(cfg, 0)
-        assert len(debug) == len(want) == cfg.num_users
-        for entry, user in zip(debug, want):
-            for name in ("timing_metric", "cfo_cost"):
-                scale = np.max(np.abs(user[name]))
-                assert np.max(np.abs(np.array(entry[name]) - user[name])) <= 1e-12 * scale
+        for shared_front in (False, True):
+            draw = harness.draw_trial(cfg, 0, shared_front=shared_front)
+            _, debug = harness.run_trial(cfg, 0, collect_debug=True, draw=draw)
+            assert len(debug) == len(want) == cfg.num_users
+            for entry, user in zip(debug, want):
+                for name in ("timing_metric", "cfo_cost"):
+                    scale = np.max(np.abs(user[name]))
+                    assert np.max(np.abs(np.array(entry[name]) - user[name])) <= 1e-12 * scale
 
 
 def test_absorbed_baseline_equals_compensated_at_zero_cfo():
@@ -347,7 +349,11 @@ def test_shared_draw_gives_each_points_own_records(sweep_var, workers):
                                workers=workers)
     assert len(tables) == len(cfgs)
     for table, cfg, cfo_value in zip(tables, cfgs, cfo_values):
-        fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value, absorbed=absorbed)[0]
+        # a fresh draw of the same kind: an SNR sweep's draw holds the front end
+        fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value, absorbed=absorbed,
+                                   draw=harness.draw_trial(cfg, k,
+                                                           pinned_cfo=cfo_value is not None,
+                                                           shared_front=cfo_value is None))[0]
                  for k in range(trials)]
         assert equal_tables(table, harness.record_table(fresh))
 
@@ -411,16 +417,32 @@ def test_one_cfo_projection_per_user_and_theta_per_draw(monkeypatch):
     assert all(shape[0] == 2 for shape in shapes)   # the signal and the unit noise
 
 
-def test_pinned_rotation_is_made_once_per_point():
-    cfgs, cfo_values, absorbed = SHARED_DRAW_SWEEPS["cfo_value"]
-    harness.pinned_rotation.cache_clear()
-    harness.run_point(list(zip(cfgs, cfo_values)), 3, absorbed=absorbed)
-    info = harness.pinned_rotation.cache_info()
-    assert (info.misses, info.hits) == (3, 3 * 3 - 3)
-    n_s = cfgs[0].n_s
-    ramp = harness.pinned_rotation(0.3, n_s)
-    assert np.array_equal(ramp, chan.phase_ramp(0.3 / n_s, n_s)[0])
-    assert not ramp.flags.writeable
+def test_front_end_is_shared_only_by_a_draw_that_serves_several_points(monkeypatch):
+    # only an SNR point whose draw the next point reads runs the stacked front
+    # end; a lone SNR point, a Doppler sweep and a cfo_value sweep add the
+    # noise to the stream, and their records equal a fresh run_trial's
+    draws = []
+    draw_trial = harness.draw_trial
+    monkeypatch.setattr(harness, "draw_trial",
+                        lambda cfg, k, **kw: draws.append(kw) or draw_trial(cfg, k, **kw))
+    base = SystemConfig(num_users=2, nu_max_t=1.0, rng_seed=5)
+    doppler = [apply_overrides(base, {"nu_max_t": nu}) for nu in ("0.5", "1.5")]
+    cases = [(SHARED_DRAW_SWEEPS["snr_db"][:2], [(False, True)]),
+             (([base], [None]), [(False, False)]),
+             ((doppler, [None] * 2), [(False, False)] * 2),
+             (SHARED_DRAW_SWEEPS["cfo_value"][:2], [(True, False)])]
+    trials = 2
+    for (cfgs, cfo_values), want in cases:
+        draws.clear()
+        tables = harness.run_point(list(zip(cfgs, cfo_values)), trials)
+        assert [(kw["pinned_cfo"], kw["shared_front"]) for kw in draws] == want * trials
+        if not any(shared for _, shared in want):
+            for table, cfg, cfo_value in zip(tables, cfgs, cfo_values):
+                fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value)[0]
+                         for k in range(trials)]
+                assert equal_tables(table, harness.record_table(fresh))
+    with pytest.raises(ValueError):
+        draw_trial(base, 0, pinned_cfo=True, shared_front=True)
 
 
 def test_draw_serves_configs_that_differ_only_in_snr():
@@ -451,8 +473,9 @@ def test_draw_arrays_are_read_only():
     arrays = (draw.rx, draw.noise, draw.pcp, draw.realization.to, draw.realization.cfo,
               *draw.truth)
     assert len(arrays) == 7
-    shared = harness.draw_trial(SystemConfig(num_users=2), 0)
-    assert draw.front is None and shared.front.corr.shape == (2, 2, shared.cfg.m * shared.cfg.n)
+    shared = harness.draw_trial(SystemConfig(num_users=2), 0, shared_front=True)
+    assert draw.front is None and harness.draw_trial(SystemConfig(num_users=2), 0).front is None
+    assert shared.front.corr.shape == (2, 2, shared.cfg.m * shared.cfg.n)
     for array in arrays + (shared.front.separated, shared.front.corr):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
