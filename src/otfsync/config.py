@@ -22,6 +22,14 @@ CHANNEL_MODELS = ("eva", "eva-bem", "single-tap", "identity")
 
 #: sample rate the delay axis is quantized to (Hz)
 SAMPLE_RATE_HZ = 3.84e6
+#: lowest accepted snr_db.  The noise amplitude a = sqrt(10**(-snr_db / 10) / 2)
+#: is 7e49 there.  The receiver's quantities grow with a^2 (the CFO cost and
+#: its derivatives, and a channel NMSE of about 1e96 at the floor), and the
+#: variance behind an NMSE confidence interval with a^4 (about 1e193), so
+#: every one stays inside the float range.  Below it they do not: that
+#: variance overflows near -1550 dB, the CFO search's products at -3070 dB,
+#: and the amplitude itself below -3082 dB.
+SNR_DB_FLOOR = -1000.0
 
 
 def bem_order_bound(nu_max_t: float) -> int:
@@ -124,6 +132,9 @@ class SystemConfig:
                 if f.type == "float" and math.isnan(getattr(self, f.name))]
         if self.snr_db == -math.inf:
             bad.append("snr_db=-inf: the data SNR must be finite, or inf for no noise")
+        elif self.snr_db < SNR_DB_FLOOR:
+            bad.append(f"snr_db={self.snr_db:g} is below the floor of {SNR_DB_FLOOR:g} dB, "
+                       "past which the receiver's noise terms overflow")
         if self.pilot_power_db == math.inf:
             bad.append("pilot_power_db=inf: the pilot power must be finite, "
                        "or -inf for no pilot")

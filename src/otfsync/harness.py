@@ -11,27 +11,32 @@ and exactly reproducible.
 
 A sweep runs with the trial index outermost.  Each trial index has one
 ``TrialDraw`` at a time: its channel, offsets, frames, noiseless receive
-stream and unit noise, shared by consecutive points that leave it unchanged.
-An SNR sweep changes only the scale a of the noise, and the receiver is
-linear in the stream up to its two nonlinear steps (``sync``), so a draw
-that the next point shares also holds the receive front end of the signal
-and of the unit noise and, made on first use, each (user, theta_hat)'s
-pilot region and CFO projection (``sync.FrontEnd``).  A point adds its
-noise to the timing correlation (``channel.add_awgn``) and runs only the
-two nonlinear steps, the timing curve with its threshold and the CFO
-search, at its own a.  A ``cfo_value`` sweep changes only the CFO, pinned
-to the same value for every user, so it factors out of the channel's user
-sum: the stream at CFO eps is the draw's zero-CFO stream times
+stream and unit noise, shared by the run of consecutive points that leave
+it unchanged.  An SNR sweep changes only the scale a of the noise, and the
+receiver is linear in the stream up to its two nonlinear steps (``sync``),
+so the draw of a run of SNR points holds one receive front end of the
+signal and of the unit noise, with one lane per point (``sync.FrontEnd``).
+On first use it adds each lane's noise to the timing correlation
+(``channel.add_awgn``) and takes every (point, user)'s timing curve and TO
+decision in one pass; each user's CFO search then runs once per theta_hat,
+for every point that reaches that theta_hat at once, one lane per point.
+``run_trial`` still runs once per point and reads its own lane, and a draw
+that serves one point runs the same code with one lane, whose stream holds
+its noise.  A ``cfo_value`` sweep changes only the CFO, pinned to the same
+value for every user, so it factors out of the channel's user sum: the
+stream at CFO eps is the draw's zero-CFO stream times
 exp(j 2 pi eps kappa / N_s).  That rotation does not commute with the
 filter bank, so each of its points adds the noise to the rotated stream
-and runs the front end itself, as does a single trial and every point of
-the ``nu_max_t`` and ``pilot_power_db`` sweeps, which change the channel or
-the pilots and so draw their own.
+and runs a one-lane front end itself.  The ``nu_max_t`` and
+``pilot_power_db`` sweeps change the channel or the pilots, so each of
+their points has a draw of its own.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import itertools
 import json
 import math
 import os
@@ -128,16 +133,17 @@ class TrialDraw:
     every point scores its estimate against (``_nmse``), and the unit noise
     (``channel.unit_noise``) that ``channel.add_awgn`` scales to the SNR.
 
-    A draw that several SNR points read (``shared_front``) also holds
-    ``front``, the receive front end of the stream and of the unit noise
-    (``sync.FrontEnd``, K = 2), which each point reads at its own noise
-    amplitude; it keeps each (user, theta_hat)'s pilot region and CFO
-    projection once a point has made them.  Otherwise ``front`` is None and
-    ``run_trial`` adds the noise to the stream and runs the front end
-    itself.  With ``pinned_cfo`` the realization's CFOs are zero and ``rx``
-    is the zero-CFO stream: a pinned CFO eps, the same for every user, is
-    the rotation exp(j 2 pi eps kappa / N_s) of that stream, which
-    ``run_trial`` applies before the noise.  So the draw depends neither on
+    Unless the CFO is pinned, the draw also holds ``front``, the receive
+    front end (``sync.FrontEnd``) with one lane per SNR of the points it
+    serves: of the stream and of the unit noise (K = 2) for several lanes,
+    each point reading its own; of the stream with its noise added for one.
+    The front end makes each point's TO decisions and each (user,
+    theta_hat)'s CFO search once, for every lane, when a point first needs
+    them.  With ``pinned_cfo`` the realization's CFOs are zero, ``rx`` is
+    the zero-CFO stream and ``front`` is None: a pinned CFO eps, the same
+    for every user, is the rotation exp(j 2 pi eps kappa / N_s) of that
+    stream, which ``run_trial`` applies before the noise and a one-lane
+    front end of its own.  So a pinned draw depends neither on
     ``cfg.snr_db`` nor on the pinned value, and every (config, CFO) that
     differs from its own in those alone can share it (``serves``).  Its
     arrays (``pcp``, the offsets, ``rx``, ``noise``, ``truth`` and the
@@ -155,31 +161,44 @@ class TrialDraw:
     front: sync.FrontEnd | None
 
     def serves(self, cfg: SystemConfig, trial_index: int, cfo_value: float | None) -> bool:
-        """Whether ``run_trial(cfg, trial_index, cfo_value=cfo_value)`` would
-        draw exactly this."""
-        return (trial_index == self.trial_index and (cfo_value is not None) == self.pinned_cfo
-                and replace(cfg, snr_db=self.cfg.snr_db) == self.cfg)
+        """Whether ``run_trial(cfg, trial_index, cfo_value=cfo_value)`` can
+        read this draw: it would draw exactly this, and an unpinned draw has
+        a lane at ``cfg.snr_db``."""
+        return (trial_index == self.trial_index
+                and draw_key(cfg, cfo_value is not None) == draw_key(self.cfg, self.pinned_cfo)
+                and (self.pinned_cfo or cfg.snr_db in self.front.snr_db))
 
 
-def receive(streams: np.ndarray, pcp: np.ndarray, cfg: SystemConfig) -> sync.FrontEnd:
-    """The front end (``sync.front_end``) of (K, N_s) receive streams: the
-    timing-offset margin and the rest of the CP removed, then the filter
-    bank and the PCP correlation."""
+def draw_key(cfg: SystemConfig, pinned_cfo: bool) -> tuple[SystemConfig, bool]:
+    """What a trial's draw depends on besides its index: the config up to
+    ``snr_db``, and whether the CFO is pinned."""
+    return replace(cfg, snr_db=0.0), pinned_cfo
+
+
+def receive(rx: np.ndarray, noise: np.ndarray, pcp: np.ndarray, cfg: SystemConfig,
+            snr_db: tuple[float, ...]) -> sync.FrontEnd:
+    """The front end (``sync.front_end``) of the receive stream ``rx`` with
+    the unit noise ``noise``, for lanes at the SNRs ``snr_db``: one lane adds
+    its noise to the stream (K = 1), several keep the stream and the noise
+    apart (K = 2).  The timing-offset margin and the rest of the CP are
+    removed, then the filter bank and the PCP correlation run."""
+    if len(snr_db) == 1:
+        streams = chan.add_awgn(rx, snr_db[0], noise)[np.newaxis]
+    else:
+        streams = np.stack([rx, noise])
     y = modem.remove_cp(streams[..., cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
-    return sync.front_end(y, pcp, cfg)
+    return sync.front_end(y, pcp, cfg, snr_db)
 
 
 def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False,
-               shared_front: bool = False) -> TrialDraw:
+               snr_db=None) -> TrialDraw:
     """Trial ``trial_index``'s draw (``TrialDraw``): the channel, offsets,
     frames and unit noise from ``trial_rng``, the frames transmitted and
     passed through the channel once over all users.  With ``pinned_cfo``
-    the CFO draw is discarded and the channel runs at zero CFO.  With
-    ``shared_front``, for a draw that several SNR points read, the draw
-    also runs the front end of the stream and of the noise once; a pinned
-    draw cannot share it."""
-    if pinned_cfo and shared_front:
-        raise ValueError("a pinned-CFO draw cannot share its front end")
+    the CFO draw is discarded, the channel runs at zero CFO, and there is no
+    front end.  Otherwise the draw runs the front end once, with one lane per
+    distinct value of ``snr_db``, the SNRs of the points it serves (default:
+    ``cfg.snr_db`` alone)."""
     rng = trial_rng(cfg.rng_seed, trial_index)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
 
@@ -199,13 +218,27 @@ def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False,
     truth = tuple(true_pilot_taps(paths, cfg, int(theta))
                   for paths, theta in zip(realization.paths, realization.to))
     truth_energy = tuple(float(np.vdot(taps, taps).real) for taps in truth)
-    front = receive(np.stack([rx, noise]), pcp, cfg) if shared_front else None
+    front = None
+    if not pinned_cfo:
+        lanes = tuple(dict.fromkeys((cfg.snr_db,) if snr_db is None else snr_db))
+        front = receive(rx, noise, pcp, cfg, lanes)
     shared = () if front is None else (front.separated, front.corr)
     for array in (pcp, realization.to, realization.cfo, rx, noise, *truth, *shared):
         array.flags.writeable = False
     return TrialDraw(cfg=cfg, trial_index=trial_index, pinned_cfo=pinned_cfo, pcp=pcp,
                      realization=realization, rx=rx, noise=noise, truth=truth,
                      truth_energy=truth_energy, front=front)
+
+
+@functools.lru_cache(maxsize=16)
+def cfo_rotation(cfo_value: float, n_s: int) -> np.ndarray:
+    """exp(j 2 pi eps kappa / N_s) over kappa = 0..N_s - 1 for the pinned CFO
+    eps = ``cfo_value`` (``channel.phase_ramp``): every trial of a
+    ``cfo_value`` point rotates its draw's stream by it, so it is made once
+    per point; read-only."""
+    ramp = chan.phase_ramp(cfo_value / n_s, n_s)[0]
+    ramp.flags.writeable = False
+    return ramp
 
 
 def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = None,
@@ -218,24 +251,19 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
     it instead); ``absorbed`` also evaluates the CFO-absorbed baseline.
     ``draw``, if given, must ``serve`` (cfg, trial_index, cfo_value) and
     replaces the trial's own ``draw_trial``: the records are the same, to
-    rounding if the draw holds a shared front end.
+    rounding if the draw's front end has several lanes.
     """
     if draw is None:
         draw = draw_trial(cfg, trial_index, pinned_cfo=cfo_value is not None)
     realization = draw.realization
 
-    rx, eps = draw.rx, realization.cfo
+    eps, front = realization.cfo, draw.front
     if cfo_value is not None:
         # the draw's stream is at zero CFO; one CFO for all users rotates the sum
-        rx = rx * chan.phase_ramp(cfo_value / cfg.n_s, cfg.n_s)[0]
+        rx = draw.rx * cfo_rotation(cfo_value, cfg.n_s)
+        front = receive(rx, draw.noise, draw.pcp, cfg, (cfg.snr_db,))
         eps = np.full(cfg.num_users, float(cfo_value))
-    if draw.front is not None:
-        # the noise enters after the draw's linear front end, at this point's scale
-        front, amplitude = draw.front, chan.noise_amplitude(cfg.snr_db)
-        corr = chan.add_awgn(front.corr[0], cfg.snr_db, front.corr[1])
-    else:
-        front = receive(chan.add_awgn(rx, cfg.snr_db, draw.noise)[np.newaxis], draw.pcp, cfg)
-        amplitude, corr = 0.0, front.corr[0]     # the one stream holds its noise
+    lane = front.snr_db.index(cfg.snr_db)
 
     records, debug = [], []
     for q in range(cfg.num_users):
@@ -244,8 +272,7 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
         record = UserTrialRecord(user=q, theta_true=theta_true, eps_true=eps_true)
         try:
             override = theta_true if cfg.genie_to else None
-            result = sync.synchronize_user(front, corr, q, cfg, amplitude,
-                                           theta_override=override)
+            result = sync.synchronize_user(front, lane, q, theta_override=override)
             record.theta_first = result.to_estimate.first_peak
             record.theta_max = result.to_estimate.max_peak
             record.eps_hat = result.cfo.epsilon_hat
@@ -256,7 +283,8 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
                 # the CFO-absorbed compound taps h[l, kappa] exp(j 2 pi eps kappa / N_s)
                 kappa = cfg.cp_len + pilot.region_index(cfg, theta_true)
                 phase = sync.cfo_phase(kappa, eps_true, cfg.n_s)
-                record.nmse_absorbed = _nmse(h_abs, truth * phase[:, np.newaxis, :])
+                record.nmse_absorbed = _nmse(h_abs, truth * phase[:, np.newaxis, :],
+                                             draw.truth_energy[q])     # |phase| = 1
             if collect_debug:
                 debug.append({
                     "user": q,
@@ -439,23 +467,26 @@ def experiment_text(spec: ExperimentSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def draw_runs(points: list[tuple[SystemConfig, float | None]]) -> list[list]:
+    """``points`` split into runs of consecutive points that share one draw
+    (``TrialDraw.serves``): the same kind of CFO, and configs that differ in
+    ``snr_db`` alone."""
+    runs = itertools.groupby(points, lambda point: draw_key(point[0], point[1] is not None))
+    return [list(run) for _, run in runs]
+
+
 def _trial_worker(args):
-    """Trial k's records at every point of a sweep, one list per point."""
-    points, trial_index, absorbed = args
-    records, draw = [], None
-    for i, (cfg, cfo_value) in enumerate(points):
-        if draw is None or not draw.serves(cfg, trial_index, cfo_value):
-            draw = None                 # one draw live at a time
-            # the front end of the stream and the noise pays off only if the
-            # next point is an SNR point of the same draw
-            following = points[i + 1:i + 2]
-            shared = cfo_value is None and any(
-                next_cfo is None and replace(next_cfg, snr_db=cfg.snr_db) == cfg
-                for next_cfg, next_cfo in following)
-            draw = draw_trial(cfg, trial_index, pinned_cfo=cfo_value is not None,
-                              shared_front=shared)
-        records.append(run_trial(cfg, trial_index, cfo_value=cfo_value,
-                                 absorbed=absorbed, draw=draw)[0])
+    """Trial k's records at every point of a sweep, one list per point: one
+    draw per run of points (``draw_runs``), with a lane per point."""
+    runs, trial_index, absorbed = args
+    records = []
+    for run in runs:
+        cfg, cfo_value = run[0]
+        draw = draw_trial(cfg, trial_index, pinned_cfo=cfo_value is not None,
+                          snr_db=[point_cfg.snr_db for point_cfg, _ in run])
+        records += [run_trial(point_cfg, trial_index, cfo_value=point_cfo, absorbed=absorbed,
+                              draw=draw)[0] for point_cfg, point_cfo in run]
+        del draw                        # one draw live at a time
     return records
 
 
@@ -465,12 +496,13 @@ def run_point(points: list[tuple[SystemConfig, float | None]], trials: int, *,
     and the result holds each point's (trials, Q) table (``record_table``),
     rows in trial order.
 
-    One job per trial index runs that trial at every point, sharing its
-    ``TrialDraw`` across consecutive points that it serves; a pool, if any,
-    lives for the whole sweep.  The name stays ``run_point`` because the
-    benchmark's tracer (``perfbench/tracing.py``) wraps it by name.
+    One job per trial index runs that trial at every point, with one
+    ``TrialDraw`` per run of consecutive points that it serves; a pool, if
+    any, lives for the whole sweep.  The name stays ``run_point`` because
+    the benchmark's tracer (``perfbench/tracing.py``) wraps it by name.
     """
-    jobs = [(points, k, absorbed) for k in range(trials)]
+    runs = draw_runs(points)
+    jobs = [(runs, k, absorbed) for k in range(trials)]
     if workers <= 1:
         by_trial = [_trial_worker(job) for job in jobs]
     else:

@@ -9,14 +9,17 @@ whose received stream at noise amplitude a is sum_k a^k stream_k: the
 signal and the unit noise, which every point of an SNR sweep shares, or a
 single stream that already holds its noise.  ``separate_user`` runs the
 whole filter bank on every stream at once and ``timing_correlate``
-correlates every separated stream with the PCP in one product.  A point
-forms its correlation at its own a (``channel.add_awgn``), and the users
-split after that: ``synchronize_user`` is the per-user back end (timing
-curve and TO decision, pilot region, estimator bundle, CFO and channel),
-a pure function of the user's rows, so the Q back ends are independent.
-Each user's pilot region and CFO projection are polynomials in a too, made
-once per (user, theta_hat) and read by every point that agrees on theta_hat
-(``FrontEnd.user_region``, ``CfoProjection``).
+correlates every separated stream with the PCP in one product.  The points
+that a front end serves are its lanes, one noise amplitude each
+(``FrontEnd``).  On first use it forms each lane's correlation at that
+lane's a (``channel.add_awgn``), takes the timing curves, and makes the TO
+decisions of every (lane, user) in one ``estimate_to`` call.  The users
+split after that: ``synchronize_user`` is the per-user back end of one lane
+(TO decision, pilot region, estimator bundle, CFO and channel), and the Q
+back ends are independent.  Each user's pilot region and CFO projection
+are polynomials in a too, so one CFO search per (user, theta_hat) serves
+every lane that reaches that theta_hat, one estimate per lane
+(``FrontEnd.search``, ``estimate_cfo``).
 
 The pilot region is fitted one delay row at a time.  User q's pilot sits in
 Doppler column k_q, so its transmitted region sample (n, j) is
@@ -51,11 +54,14 @@ scalar Chebyshev polynomial of degree 2r - 2 (``cost_polynomial``) on
 which the grid costs and the Newton refinement run; the LS solve reads w
 at the estimate (``estimate_cfo``).  With the region signal + a noise, w is
 w_s + a w_n and the cost ||w_s||^2 + a 2 Re(w_n^H w_s) + a^2 ||w_n||^2, so
-the projection is made once for every a (``BemRegressor.cost_many``).
+the projection is made once for every a (``BemRegressor.cost_many``), and
+the scan, the derivative operators and the LS solve of all the lanes are
+one product each; only the Newton refinement runs lane by lane.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -122,17 +128,26 @@ def separate_user(stream: np.ndarray, cfg: SystemConfig) -> np.ndarray:
 
 @dataclass
 class ToEstimate:
-    first_peak: int            # threshold peak set, earliest offset
-    max_peak: int              # argmax variant
+    first_peak: int | np.ndarray   # threshold peak set, earliest offset
+    max_peak: int | np.ndarray     # argmax variant
 
 
 def pcp_toeplitz(pcp: np.ndarray, block: int) -> np.ndarray:
     """(block + span - 1, block) banded Toeplitz matrix T[j, i] =
     conj(pcp[j - i]) for 0 <= j - i < span (span = pcp.size), else 0: a row
     of window samples w[j] = s[t + j] times T gives the ``block``
-    correlation lags t + i, i < block."""
-    taps = np.concatenate([np.zeros(block - 1), np.conj(pcp), np.zeros(block - 1)])
-    return sliding_window_view(taps, block)[:, ::-1]
+    correlation lags t + i, i < block.  Built once per (PCP, block),
+    C-contiguous and read-only."""
+    return _pcp_toeplitz(np.asarray(pcp, dtype=np.complex128).tobytes(), block)
+
+
+@functools.lru_cache(maxsize=32)
+def _pcp_toeplitz(pcp: bytes, block: int) -> np.ndarray:
+    taps = np.concatenate([np.zeros(block - 1), np.conj(np.frombuffer(pcp, np.complex128)),
+                           np.zeros(block - 1)])
+    toeplitz = np.ascontiguousarray(sliding_window_view(taps, block)[:, ::-1])
+    toeplitz.flags.writeable = False
+    return toeplitz
 
 
 def timing_correlate(separated: np.ndarray, pcp: np.ndarray,
@@ -192,23 +207,23 @@ def timing_curve(corr: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     return np.concatenate((curve[..., shift:], curve[..., :shift]), axis=-1)
 
 
-def estimate_to(curve: np.ndarray, cfg: SystemConfig) -> ToEstimate:
-    """Threshold peak grouping and first-peak selection on one user's (M,)
-    timing curve (``timing_curve``), at ``cfg.threshold``.
+def estimate_to(curves: np.ndarray, cfg: SystemConfig) -> ToEstimate:
+    """Threshold peak grouping and first-peak selection on a (..., M) stack
+    of timing curves (``timing_curve``), at ``cfg.threshold``; the fields of
+    the result are (...) integer arrays, one decision per curve.
 
     Curve indices map to offset candidates through
     (l + cp_len - anchor - 1) mod M; the first peak is the smallest candidate
     in the threshold set, which favors the earliest channel tap over the
     strongest one.
     """
-    m = curve.size
+    m = curves.shape[-1]
     if m == 0:
         raise EstimationError("empty timing metric")
-    peak_set = np.flatnonzero(curve >= cfg.threshold * curve.max())
-    shift = cfg.cp_len - cfg.anchor - 1
-    offsets = (peak_set + shift) % m
-    max_peak = (int(np.argmax(curve)) + shift) % m
-    return ToEstimate(first_peak=int(offsets.min()), max_peak=int(max_peak))
+    offsets = (np.arange(m) + cfg.cp_len - cfg.anchor - 1) % m
+    peak_set = curves >= cfg.threshold * curves.max(axis=-1, keepdims=True)
+    return ToEstimate(first_peak=np.where(peak_set, offsets, m).min(axis=-1),
+                      max_peak=offsets[np.argmax(curves, axis=-1)])
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +316,9 @@ class BemRegressor:
         return gamma, coeffs
 
     def solve(self, w: np.ndarray) -> np.ndarray:
-        """LS coefficients E w from a projection w."""
-        return self._solve @ w
+        """LS coefficients E w from a projection w, or from each row of a
+        (lanes, L_p*beta) stack of them."""
+        return w @ self._solve.T
 
     def coeffs(self, z: np.ndarray) -> np.ndarray:
         """LS coefficient solve of one region z (N*L_p samples in region order)."""
@@ -485,7 +501,7 @@ class ScanOperators:
 
     to_coeffs: np.ndarray     # (r, r) V^-1: node values -> Chebyshev coefficients
     grid_vander: np.ndarray   # (G, 2r - 1) T_s(grid / cfo_range)
-    derivs: np.ndarray        # (3, 2r - 1, 2r - 1) coefficients of g -> of g, g', g'' in eps
+    derivs: np.ndarray        # (2r - 1, 3 (2r - 1)) g -> [g, g', g''] in eps, rows times it
 
 
 # as large as the bundle cache (``_cached_bundle``), so that the bundles it
@@ -494,8 +510,9 @@ class ScanOperators:
 def scan_operators(r: int, cfo_range: float, cfo_step: float) -> ScanOperators:
     """The inverse Chebyshev-Vandermonde matrix V^-1 of r first-kind nodes,
     the Chebyshev-Vandermonde matrix of degree 2r - 2 at the grid points, and
-    the identity, D_1 / cfo_range and D_2 / cfo_range**2, with D_k the
-    degree-2r - 2 matrix of ``chebder``; read-only."""
+    [I, D_1 / cfo_range, D_2 / cfo_range**2]^T side by side, with D_k the
+    degree-2r - 2 matrix of ``chebder``, so that a row of cost coefficients
+    times ``derivs`` holds those of g, g' and g''; read-only."""
     nodes = cfo_range * chebpts1(r)
     size = 2 * r - 1
     derivs = [np.eye(size)]
@@ -505,17 +522,41 @@ def scan_operators(r: int, cfo_range: float, cfo_step: float) -> ScanOperators:
     ops = ScanOperators(
         to_coeffs=np.linalg.inv(chebvander(nodes / cfo_range, r - 1)),
         grid_vander=chebvander(cfo_grid(cfo_range, cfo_step) / cfo_range, size - 1),
-        derivs=np.stack(derivs))
+        derivs=np.hstack([deriv.T for deriv in derivs]))
     for array in (ops.to_coeffs, ops.grid_vander, ops.derivs):
         array.flags.writeable = False
     return ops
 
 
-def cfo_scan(kappa: np.ndarray, row_basis: np.ndarray, cfo_range: float, m: int,
-             n_s: int) -> dict:
-    """The per-region fields of the CFO search (``EstimatorBundle``):
-    ``slot_rot`` U (r, V), ``row_rot`` v (r, L_p), ``scan_basis`` (V, L_p,
-    beta), ``scan_index`` and ``centre``.
+@dataclass(frozen=True)
+class CfoScan:
+    """The per-region fields of the CFO search (``cfo_scan``): the node
+    rotations U (r, V) over the virtual slots and v (r, L_p) over the rows,
+    the row bases per virtual slot, the flat region index of each, the
+    region centre and the shared ``ScanOperators``."""
+
+    ops: ScanOperators
+    slot_rot: np.ndarray            # (r, V) U: node rotation per virtual slot
+    row_rot: np.ndarray             # (r, L_p) v: node rotation per row
+    scan_basis: np.ndarray          # (V, L_p, beta) row basis per virtual slot
+    scan_index: np.ndarray          # (V, L_p) region index per virtual slot
+    centre: float                   # kappa of the region centre
+
+    def node_sums(self, samples: np.ndarray) -> np.ndarray:
+        """(..., r, L_p*beta) projections of the regions ``samples``
+        (..., N, L_p) rotated to the r nodes: v[i, j] sum_s U[i, s] Y[s, j, k]."""
+        lead = samples.shape[:-2]
+        y = samples.reshape(lead + (-1,))[..., self.scan_index, np.newaxis] * self.scan_basis
+        r, lp = self.row_rot.shape
+        sums = (self.slot_rot @ y.reshape(y.shape[:-2] + (-1,))).reshape(lead + (r, lp, -1))
+        sums *= self.row_rot[:, :, np.newaxis]
+        return sums.reshape(lead + (r, -1))
+
+
+def cfo_scan(kappa: np.ndarray, row_basis: np.ndarray, cfo_range: float, cfo_step: float,
+             m: int, n_s: int) -> CfoScan:
+    """The ``CfoScan`` of a region at ``kappa`` with the row bases
+    ``row_basis``.
 
     Slot n of the region lies M samples after slot 0, except where the frame
     CP wraps it: kappa[n, j] = kappa[0, j] + s[n, j] M with the virtual slot
@@ -544,7 +585,8 @@ def cfo_scan(kappa: np.ndarray, row_basis: np.ndarray, cfo_range: float, m: int,
     scan_basis[row, col] = row_basis
     scan_index = np.zeros((slots.size, lp), dtype=np.intp)
     scan_index[row, col] = np.arange(n_slots * lp).reshape(n_slots, lp)
-    return dict(
+    return CfoScan(
+        ops=scan_operators(r, cfo_range, cfo_step),
         slot_rot=np.exp(-2j * np.pi * np.outer(nodes, slots * m) / n_s),
         row_rot=np.exp(-2j * np.pi * np.outer(nodes, kappa[0] - centre) / n_s),
         scan_basis=scan_basis, scan_index=scan_index, centre=centre)
@@ -553,8 +595,8 @@ def cfo_scan(kappa: np.ndarray, row_basis: np.ndarray, cfo_range: float, m: int,
 def at_amplitude(rows: np.ndarray, amplitude: float) -> np.ndarray:
     """sum_k a^k rows[k] at noise amplitude a = ``amplitude``, by Horner's
     rule: the value of a quantity kept as the coefficients of a polynomial in
-    a (``FrontEnd``, ``CfoProjection``).  One row is returned as it is, and
-    two give rows[0] + a rows[1], the sum ``channel.add_awgn`` forms."""
+    a (``FrontEnd``).  One row is returned as it is, and two give
+    rows[0] + a rows[1], the sum ``channel.add_awgn`` forms."""
     value = rows[-1]
     for row in rows[-2::-1]:
         value = row + amplitude * value
@@ -567,92 +609,113 @@ class CfoProjection:
     kept as a polynomial in the noise amplitude a (row k of ``samples`` the
     coefficient of a^k), and its projection for the CFO search,
     ``polynomials``: the (gamma, C) of ``BemRegressor.cost_many`` from the
-    region's node projections (``EstimatorBundle.node_sums``), read by the
-    search at every a (``estimate_cfo``).  The first search to read them
-    makes them, so the benchmark's tracer times ``cost_many`` inside
+    region's node projections (``CfoScan.node_sums``), which the search
+    (``estimate_cfo``) reads at every a it is asked for.  The search makes
+    them, so the benchmark's tracer times ``cost_many`` inside
     ``estimate_cfo``, as its coarse-scan metric expects."""
 
     samples: np.ndarray             # (K, N, L_p)
     bundle: EstimatorBundle
 
-    @functools.cached_property
+    @property
     def polynomials(self) -> tuple[np.ndarray, np.ndarray]:
-        bundle = self.bundle
-        return bundle.regressor.cost_many(bundle.node_sums(self.samples),
-                                          bundle.scan_ops.to_coeffs)
+        scan = self.bundle.scan
+        return self.bundle.regressor.cost_many(scan.node_sums(self.samples),
+                                               scan.ops.to_coeffs)
 
 
 def estimate_cfo(projection: CfoProjection, cfg: SystemConfig,
-                 amplitude: float = 0.0) -> CfoEstimate:
-    """The CFO search of a region at noise amplitude a = ``amplitude``:
-    coarse scan of the projection cost over the bundle's grid, Newton
-    refinement on [best grid point +- cfo_step] within +-cfo_range (stopping
-    at steps below NEWTON_STEP_FRAC * cfo_tol), then the LS coefficient solve
-    at the winning offset.
+                 amplitudes=(0.0,)) -> list[CfoEstimate]:
+    """The CFO search of a region at each noise amplitude a in
+    ``amplitudes`` (a lane), one ``CfoEstimate`` per lane: coarse scan of the
+    projection cost over the bundle's grid, Newton refinement on [best grid
+    point +- cfo_step] within +-cfo_range (stopping at steps below
+    NEWTON_STEP_FRAC * cfo_tol), then the LS coefficient solve at the
+    winning offset.
 
     All three read one projection (module docstring) of the region rotated
     to the bundle's r Chebyshev nodes nu_i of +-cfo_range
     (``CfoProjection.polynomials``).  The rotation factors into a slot part
     and a row part (``cfo_scan``), and the row sums carry it through: with
     Y[s, j, k] = Q_j[n, k] rbar[n, j] at virtual slot s
-    (``EstimatorBundle.node_sums``), the projections at the nodes are
+    (``CfoScan.node_sums``), the projections at the nodes are
     W_i[j, k] = v[i, j] sum_s U[i, s] Y[s, j, k], one (r, V) @ (V, L_p*beta)
     product.  W holds the values at the nodes of the Chebyshev interpolant
     of w(eps), the projection of Phi^H(eps) rbar, each interpolated rotation
     within 2**-52 of the exact one (``scan_node_count``).  Its coefficients
     C = V^-1 W give the scalar cost polynomial g(x) = ||w(x)||^2, of degree
     2r - 2, through T_a T_b = (T_{a+b} + T_{|a-b|}) / 2
-    (``cost_polynomial``); both are polynomials in a, evaluated here at the
-    point's a (``at_amplitude``).  The cost curve is one (G, 2r - 1) product
-    with g, and differs from the dense scan by rounding only.  Each Newton
-    iterate reads g, g' and g'' as one (3, 2r - 1) array (the bundle's
-    derivative operators applied to g) times T_s(x) = cos(s acos x).  The LS
-    solve evaluates w at the estimate from C and applies E
-    (``BemRegressor.solve``).
+    (``cost_polynomial``).  Both are polynomials in a, made once for every
+    lane; each lane's g is one row of a (lanes, 2K - 1) @ (2K - 1, 2r - 1)
+    product with the powers a^i.  The cost curves are one (lanes, 2r - 1)
+    @ (2r - 1, G) product, and differ from the dense scan by rounding only.
+    Each Newton iterate of a lane reads g, g' and g'' as one (3, 2r - 1)
+    array (that lane's row of the product with the bundle's derivative
+    operators) times T_s(x) = cos(s acos x).  The LS solve evaluates every
+    lane's w at its estimate from C, one (lanes, r) @ (K, r, L_p*beta)
+    product summed over k at the lane's a, and applies E
+    (``BemRegressor.solve``) and the reconstruction to all lanes at once.
     """
     if cfg.cfo_tol <= 0:
         raise ConfigError("cfo_tol must be > 0")
     bundle = projection.bundle
-    grid, regressor, ops = bundle.grid, bundle.regressor, bundle.scan_ops
-    gamma, coeffs = (at_amplitude(rows, amplitude) for rows in projection.polynomials)
-    costs = ops.grid_vander @ gamma
-    best = int(np.argmax(costs))
-    eps_c = float(grid[best])
-    derivs = ops.derivs @ gamma                         # (3, 2r - 1)
-    orders = np.arange(gamma.size)
+    grid, scan = bundle.grid, bundle.scan
+    ops = scan.ops
+    gamma_rows, coeff_rows = projection.polynomials   # (2K - 1, 2r - 1), (K, r, L_p*beta)
+    a = np.array([float(amplitude) for amplitude in amplitudes])[:, np.newaxis]
+    gamma = (a ** np.arange(len(gamma_rows))) @ gamma_rows    # (lanes, 2r - 1)
+    costs = gamma @ ops.grid_vander.T                   # (lanes, G)
+    best = np.argmax(costs, axis=1).tolist()
+    derivs = (gamma @ ops.derivs).reshape(len(a), 3, -1)
+    orders = np.arange(gamma.shape[1])
 
-    def chebyshev_at(eps):
+    def angle(eps):
         # T_s(x) = cos(s acos x): one call, where chebvander loops per order
-        return np.cos(orders * math.acos(min(max(eps / cfg.cfo_range, -1.0), 1.0)))
+        return math.acos(min(max(eps / cfg.cfo_range, -1.0), 1.0))
 
-    def cost_derivatives(eps):
-        g, g1, g2 = (derivs @ chebyshev_at(eps)).tolist()
-        return g, g1, g2
+    # each lane's w at its estimate, rotated back from the region centre, is
+    # sum_k a^k sum_s weights[s] C[k, s], weights[s] = T_s(x) exp(-j 2 pi eps centre / N_s)
+    turn = -2.0 * math.pi * scan.centre / cfg.n_s
+    weights = np.empty((len(a), coeff_rows.shape[1]), dtype=complex)
+    eps_hat = []
+    for lane_derivs, lane_costs, b, lane_weights in zip(derivs, costs, best, weights):
+        def cost_derivatives(eps, lane_derivs=lane_derivs):
+            g, g1, g2 = (lane_derivs @ np.cos(orders * angle(eps))).tolist()
+            return g, g1, g2
 
-    lo = max(eps_c - cfg.cfo_step, -cfg.cfo_range)
-    hi = min(eps_c + cfg.cfo_step, cfg.cfo_range)
-    x_ref, f_ref = newton_max(cost_derivatives, eps_c, lo, hi, cfg.cfo_tol)
-    # keep the exact grid point when refinement cannot improve on it
-    eps_hat = eps_c if costs[best] >= f_ref else float(x_ref)
-    basis = chebyshev_at(eps_hat)[:coeffs.shape[0]]
-    w = (basis @ coeffs.view(np.float64)).view(np.complex128)
-    c_hat = regressor.solve(w * np.exp(-2j * np.pi * eps_hat * bundle.centre / cfg.n_s))
-    return CfoEstimate(epsilon_hat=eps_hat, grid=grid, cost_curve=costs,
-                       c_hat=c_hat, h_hat=reconstruct_channel(c_hat, bundle.bem))
+        eps_c = float(grid[b])
+        lo = max(eps_c - cfg.cfo_step, -cfg.cfo_range)
+        hi = min(eps_c + cfg.cfo_step, cfg.cfo_range)
+        x_ref, f_ref = newton_max(cost_derivatives, eps_c, lo, hi, cfg.cfo_tol)
+        # keep the exact grid point when refinement cannot improve on it
+        eps = eps_c if lane_costs[b] >= f_ref else float(x_ref)
+        lane_weights[:] = np.cos(orders[:len(lane_weights)] * angle(eps)) * cmath.exp(1j * turn * eps)
+        eps_hat.append(eps)
+    w = at_amplitude(weights @ coeff_rows, a)
+    c_hat = bundle.regressor.solve(w)
+    h_hat = reconstruct_channel(c_hat, bundle.bem)
+    return [CfoEstimate(epsilon_hat=eps, grid=grid, cost_curve=lane_costs, c_hat=c, h_hat=h)
+            for eps, lane_costs, c, h in zip(eps_hat, costs, c_hat, h_hat)]
 
 
 def reconstruct_channel(c_hat: np.ndarray, bem: np.ndarray) -> np.ndarray:
     """Tap trajectories over the pilot region from basis coefficients.
 
     Returns h[n, l, j] = sum_g T_g(kprime[n, j]) c[l*beta + g] for taps
-    l = 0..L_p-1 and every time slot n, from one real (N*L_p, beta) @
-    (beta, 2 L_p) product on the [Re, Im] interleaved coefficients, C-ordered
-    like the truth taps (``harness.true_pilot_taps``) that it is scored on.
+    l = 0..L_p-1 and every time slot n, C-ordered like the truth taps
+    (``harness.true_pilot_taps``) that it is scored on; a (..., L_p*beta)
+    stack of coefficients gives (..., N, L_p, L_p).  One real
+    (N*L_p, beta) @ (beta, 2 L_p lanes) product on the [Re, Im] interleaved
+    coefficients of every lane, and one transposing copy.
     """
     n, lp, beta = bem.shape
-    taps = np.ascontiguousarray(np.asarray(c_hat, dtype=np.complex128).reshape(lp, beta).T)
+    c_hat = np.asarray(c_hat, dtype=np.complex128)
+    lead = c_hat.shape[:-1]
+    lanes = math.prod(lead)
+    taps = np.ascontiguousarray(c_hat.reshape(lanes * lp, beta).T)     # [g, (lane, l)]
     h = (bem.reshape(n * lp, beta) @ taps.view(np.float64)).view(np.complex128)
-    return np.ascontiguousarray(h.reshape(n, lp, lp).transpose(0, 2, 1))
+    h = np.ascontiguousarray(h.reshape(n, lp, lanes, lp).transpose(2, 0, 3, 1))
+    return h.reshape(lead + (n, lp, lp))
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +728,8 @@ class EstimatorBundle:
     all users: the basis, the row-wise regressor of the Doppler-free
     template 1 (x) p (module docstring; every user's region fits it after
     ``derotate``), the coarse CFO grid, and the CFO search through the row
-    sums.
+    sums (``scan``), which is built on first read, so a bundle that only
+    fits (the absorbed baseline's) never builds it.
 
     The search rotates the region to r Chebyshev nodes of +-cfo_range about
     the region centre (a phase common to every kappa leaves the cost
@@ -685,22 +749,14 @@ class EstimatorBundle:
     bem: np.ndarray                 # (N, L_p, beta) basis values
     regressor: BemRegressor
     grid: np.ndarray                # (G,) coarse CFO search points
-    scan_ops: ScanOperators         # shared per (r, cfo_range, cfo_step)
-    slot_rot: np.ndarray            # (r, V) U: node rotation per virtual slot
-    row_rot: np.ndarray             # (r, L_p) v: node rotation per row
-    scan_basis: np.ndarray          # (V, L_p, beta) row basis per virtual slot
-    scan_index: np.ndarray          # (V, L_p) region index per virtual slot
-    centre: float                   # kappa of the region centre
+    kappa: np.ndarray               # (N, L_p) sample indices of the region
+    cfg: SystemConfig               # the geometry and the CFO search range
 
-    def node_sums(self, samples: np.ndarray) -> np.ndarray:
-        """(..., r, L_p*beta) projections of the regions ``samples``
-        (..., N, L_p) rotated to the r nodes: v[i, j] sum_s U[i, s] Y[s, j, k]."""
-        lead = samples.shape[:-2]
-        y = samples.reshape(lead + (-1,))[..., self.scan_index, np.newaxis] * self.scan_basis
-        r, lp = self.row_rot.shape
-        sums = (self.slot_rot @ y.reshape(y.shape[:-2] + (-1,))).reshape(lead + (r, lp, -1))
-        sums *= self.row_rot[:, :, np.newaxis]
-        return sums.reshape(lead + (r, -1))
+    @functools.cached_property
+    def scan(self) -> CfoScan:
+        cfg = self.cfg
+        return cfo_scan(self.kappa, self.regressor.row_basis, cfg.cfo_range, cfg.cfo_step,
+                        cfg.m, cfg.n_s)
 
 
 def estimator_bundle(cfg: SystemConfig, theta: int,
@@ -726,49 +782,84 @@ def _cached_bundle(m, n, cp_len, zc_len, zc_root, pilot_power_db, anchor, cfo_ra
     bem = build_bem_basis(beta, kappa, cfg.n_s)
     pcp = pilot.make_pcp(zc_len, zc_root, pilot_power_db)
     regressor = build_bem_regressor(pilot.region_pilot(cfg, pcp), bem)
-    scan = cfo_scan(kappa, regressor.row_basis, cfo_range, m, cfg.n_s)
-    ops = scan_operators(scan["slot_rot"].shape[0], cfo_range, cfo_step)
     return EstimatorBundle(bem=bem, regressor=regressor, grid=cfo_grid(cfo_range, cfo_step),
-                           scan_ops=ops, **scan)
+                           kappa=kappa, cfg=cfg)
 
 
 @dataclass
 class FrontEnd:
-    """The receiver's linear front end of K stacked streams (``front_end``):
-    row k of ``separated`` and ``corr`` is the coefficient of a^k in the
+    """The receiver's linear front end of K stacked streams (``front_end``)
+    and the points it serves, its lanes.
+
+    Row k of ``separated`` and ``corr`` is the coefficient of a^k in the
     received quantity at noise amplitude a (``at_amplitude``).  K = 2 holds
     the signal and the unit noise, which every point of an SNR sweep
-    shares; K = 1 a stream that already holds its noise.
+    shares, and lane p is read at the noise amplitude of ``snr_db[p]``.
+    K = 1 is a stream that already holds its noise, read at a = 0 by its
+    one lane.  ``cfg`` is the geometry of every lane (the lanes differ in
+    the SNR alone).
 
-    ``user_region`` makes each (user, theta_hat)'s pilot region and CFO
-    projection on first use and keeps them, so every point that agrees on
-    theta_hat reads the same ones; ``cfg`` is the geometry they are made
-    in."""
+    ``timing`` makes every lane's timing curves and TO decisions on first
+    use, and ``search`` each user's CFO search at a theta_hat once, for
+    every lane whose theta_hat it is."""
 
     cfg: SystemConfig
     separated: np.ndarray           # (K, Q, M*N) separated streams
     corr: np.ndarray                # (K, Q, M*N) complex PCP lag correlations
-    regions: dict = field(default_factory=dict, repr=False)
+    snr_db: tuple[float, ...]       # the SNR of each lane
+    searches: dict = field(default_factory=dict, repr=False)
 
-    def user_region(self, user: int, theta: int) -> tuple[PilotRegion, CfoProjection]:
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        """(P,) noise amplitude a of each lane (``channel.noise_amplitude``),
+        0 for the one lane of a stream that holds its noise."""
+        from . import channel         # channel imports this module
+        if self.corr.shape[0] == 1:
+            return np.zeros(1)
+        return np.array([channel.noise_amplitude(snr) for snr in self.snr_db])
+
+    @functools.cached_property
+    def timing(self) -> tuple[np.ndarray, ToEstimate]:
+        """The (P, Q, M) timing curves of the lanes and their (P, Q) TO
+        decisions (``estimate_to``, one call).  Each lane's (Q, M*N) lag
+        correlation is made by one ``channel.add_awgn`` and dropped once its
+        curves are taken."""
+        from . import channel         # channel imports this module
+        cfg, corr = self.cfg, self.corr
+        if corr.shape[0] == 1:
+            curves = timing_curve(corr, cfg)
+        else:
+            curves = np.stack([timing_curve(channel.add_awgn(corr[0], snr, corr[1]), cfg)
+                               for snr in self.snr_db])
+        return curves, estimate_to(curves, cfg)
+
+    def search(self, user: int, theta: int,
+               lanes: np.ndarray) -> tuple[PilotRegion, dict[int, CfoEstimate]]:
         """User ``user``'s received pilot region at ``theta`` ((K, N, L_p)
-        samples) and the ``CfoProjection`` of its de-rotation on the shared
-        bundle."""
+        samples) and the CFO estimates of the lanes ``lanes`` (a (P,) mask,
+        the lanes whose theta_hat is ``theta``) by lane, from one
+        ``estimate_cfo`` on the ``CfoProjection`` of the region's
+        de-rotation on the shared bundle; made by the first call and kept."""
         key = (user, theta)
-        if key not in self.regions:
-            region = extract_pilot_region(self.separated[:, user], theta, self.cfg)
-            projection = CfoProjection(derotate(region, self.cfg, user).samples,
-                                       estimator_bundle(self.cfg, theta))
-            self.regions[key] = region, projection
-        return self.regions[key]
+        if key not in self.searches:
+            cfg = self.cfg
+            region = extract_pilot_region(self.separated[:, user], theta, cfg)
+            projection = CfoProjection(derotate(region, cfg, user).samples,
+                                       estimator_bundle(cfg, theta))
+            lanes = np.flatnonzero(lanes)
+            estimates = estimate_cfo(projection, cfg, self.amplitudes[lanes])
+            self.searches[key] = region, dict(zip(lanes.tolist(), estimates))
+        return self.searches[key]
 
 
-def front_end(streams: np.ndarray, pcp: np.ndarray, cfg: SystemConfig) -> FrontEnd:
-    """The ``FrontEnd`` of the (K, M*N) streams after CP removal: the filter
-    bank and the PCP correlation, each run once on the whole stack."""
+def front_end(streams: np.ndarray, pcp: np.ndarray, cfg: SystemConfig,
+              snr_db: tuple[float, ...] | None = None) -> FrontEnd:
+    """The ``FrontEnd`` of the (K, M*N) streams after CP removal for the
+    lanes ``snr_db`` (default: ``cfg.snr_db`` alone): the filter bank and
+    the PCP correlation, each run once on the whole stack."""
     separated = separate_user(streams, cfg)
-    return FrontEnd(cfg=cfg, separated=separated,
-                    corr=timing_correlate(separated, pcp, cfg))
+    return FrontEnd(cfg=cfg, separated=separated, corr=timing_correlate(separated, pcp, cfg),
+                    snr_db=(cfg.snr_db,) if snr_db is None else tuple(snr_db))
 
 
 @dataclass
@@ -776,26 +867,36 @@ class UserSyncResult:
     to_estimate: ToEstimate
     theta_used: int
     metric: np.ndarray              # (M,) the user's timing curve
-    region: PilotRegion             # the received region at the point's a
     cfo: CfoEstimate
+    received: PilotRegion           # the received region, (K, N, L_p) rows in a
+    amplitude: float                # the lane's noise amplitude a
+
+    @property
+    def region(self) -> PilotRegion:
+        """The received region at the lane's a (``at_amplitude``)."""
+        return PilotRegion(samples=at_amplitude(self.received.samples, self.amplitude),
+                           kappa=self.received.kappa)
 
 
-def synchronize_user(front: FrontEnd, corr: np.ndarray, user: int, cfg: SystemConfig,
-                     amplitude: float = 0.0,
+def synchronize_user(front: FrontEnd, lane: int, user: int,
                      theta_override: int | None = None) -> UserSyncResult:
-    """Per-user back end of the receiver at one point, noise amplitude a =
-    ``amplitude``: user ``user``'s timing curve (``timing_curve``) from its
-    row of the point's (Q, M*N) lag correlations ``corr``, the TO decision,
-    and the CFO search at a (``estimate_cfo``) on the front end's projection
-    of its pilot region at theta_hat (``FrontEnd.user_region``).  The bundle
-    is shared by all users; the search runs on the region de-rotated to its
-    template (``derotate``), and the result keeps the received region at
-    a."""
-    curve = timing_curve(corr[user], cfg)
-    to_est = estimate_to(curve, cfg)
-    theta = int(theta_override) if theta_override is not None else to_est.first_peak
-    region, projection = front.user_region(user, theta)
-    cfo = estimate_cfo(projection, cfg, amplitude)
-    region = PilotRegion(samples=at_amplitude(region.samples, amplitude), kappa=region.kappa)
-    return UserSyncResult(to_estimate=to_est, theta_used=theta, metric=curve,
-                          region=region, cfo=cfo)
+    """Per-user back end of the receiver at lane ``lane`` of the front end:
+    user ``user``'s timing curve and TO decision (``FrontEnd.timing``), and
+    the CFO estimate at the lane's noise amplitude from the search on its
+    pilot region at theta_hat (``FrontEnd.search``), which runs once for
+    every lane that reaches the same theta_hat.  The bundle is shared by all
+    users; the search runs on the region de-rotated to its template
+    (``derotate``), and the result gives the received region at the lane's
+    a when it is read.  ``theta_override`` (the genie TO) is the same at
+    every lane."""
+    curves, to_est = front.timing
+    first = int(to_est.first_peak[lane, user])
+    if theta_override is None:
+        theta, lanes = first, to_est.first_peak[:, user] == first
+    else:
+        theta, lanes = int(theta_override), np.ones(len(front.snr_db), dtype=bool)
+    region, estimates = front.search(user, theta, lanes)
+    return UserSyncResult(
+        to_estimate=ToEstimate(first_peak=first, max_peak=int(to_est.max_peak[lane, user])),
+        theta_used=theta, metric=curves[lane, user], cfo=estimates[lane],
+        received=region, amplitude=float(front.amplitudes[lane]))

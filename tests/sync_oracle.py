@@ -26,9 +26,9 @@ de-rotate each user's region to its Doppler-free template.
 ``per_point_trial`` runs a trial of one SNR point by the per-point chain:
 the noise added to the received stream, then CP removal, the filter bank,
 the timing curve and ``sync.synchronize_user`` on that one stream;
-on a draw that holds a shared front end (an SNR sweep's),
-``harness.run_trial`` adds the noise after that front end and reads each
-user's CFO projection as a polynomial in the noise amplitude.
+on a draw whose front end has a lane per point (an SNR sweep's),
+``harness.run_trial`` adds the noise after that front end, and each user's
+CFO search runs once for every lane that reaches the same theta_hat.
 """
 
 import math
@@ -193,12 +193,13 @@ def per_point_trial(cfg, trial_index, absorbed=False):
     y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
     separated = sync.separate_user(y, cfg)
     corr = sync.timing_correlate(separated, draw.pcp, cfg)
-    front = sync.FrontEnd(cfg=cfg, separated=separated[np.newaxis], corr=corr[np.newaxis])
+    front = sync.FrontEnd(cfg=cfg, separated=separated[np.newaxis], corr=corr[np.newaxis],
+                          snr_db=(cfg.snr_db,))
     users = []
     for q in range(cfg.num_users):
         theta_true = int(draw.realization.to[q])
         eps_true = float(draw.realization.cfo[q])
-        result = sync.synchronize_user(front, corr, q, cfg,
+        result = sync.synchronize_user(front, 0, q,
                                        theta_override=theta_true if cfg.genie_to else None)
         user = {"theta_first": result.to_estimate.first_peak,
                 "theta_max": result.to_estimate.max_peak,

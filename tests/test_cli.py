@@ -60,6 +60,15 @@ def test_nan_override_is_a_config_error(capsys):
     assert "Traceback" not in captured.err and "configuration ok" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["validate", "trial"])
+def test_snr_below_the_floor_is_a_config_error(capsys, command):
+    # 10 ** 400 overflowed in the noise amplitude after validate said ok
+    assert cli.main([command, "--override", "snr_db=-4000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "below the floor" in captured.err
+    assert "Traceback" not in captured.err and "configuration ok" not in captured.out
+
+
 def test_trial_records_print_as_strict_json(capsys):
     # every record fails without a pilot: exit 3, NaN estimates printed as null
     assert cli.main(["trial", "--override", "pilot_power_db=-inf"]) == 3

@@ -1,10 +1,12 @@
 """Config parsing, validation messages, and overrides."""
 
 import math
+import warnings
 
 import pytest
 
-from otfsync.config import (SystemConfig, apply_overrides, default_bem_order,
+from otfsync import harness
+from otfsync.config import (SNR_DB_FLOOR, SystemConfig, apply_overrides, default_bem_order,
                             echo_config, parse_config_text)
 from otfsync.errors import ConfigError
 
@@ -62,6 +64,31 @@ def test_malformed_floats_rejected(field, value, fragment):
     # pipeline, where it ends in a traceback or a silent default
     with pytest.raises(ConfigError, match=fragment):
         apply_overrides(SystemConfig(), {field: value})
+
+
+@pytest.mark.parametrize("value", ["-4000", "-3070", "-1000.5", "-1e308"])
+def test_snr_below_the_floor_rejected(value):
+    # the noise amplitude of -4000 dB overflows, and at -3070 dB the CFO
+    # search's a^2 terms do; the floor keeps every receiver quantity finite
+    with pytest.raises(ConfigError, match="below the floor of -1000 dB"):
+        apply_overrides(SystemConfig(), {"snr_db": value})
+    assert SNR_DB_FLOOR == -1000.0
+
+
+@pytest.mark.parametrize("points", [(SNR_DB_FLOOR,), (SNR_DB_FLOOR, 0.0)])
+def test_snr_at_the_floor_runs_with_finite_numbers(points):
+    # one lane adds the noise to the stream, two share a front end and run
+    # the lane search at a^2 = 5e99; no quantity overflows or turns NaN,
+    # the aggregate rows included
+    spec = harness.ExperimentSpec("floor", "snr_db", points, 2,
+                                  config_overrides=(("num_users", "2"),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = harness.run_experiment(spec)
+    assert report.n_failed == 0
+    for row in report.rows:
+        if row.metric != "to_err_var" or row.n_trials > 1:
+            assert math.isfinite(row.value), row
 
 
 def test_meaningful_infinities_accepted():

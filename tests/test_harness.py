@@ -63,12 +63,12 @@ def test_debug_collection():
     assert len(debug) == 1
     assert len(debug[0]["timing_metric"]) == cfg.m
     assert len(debug[0]["cfo_grid"]) == len(debug[0]["cfo_cost"])
-    # the dump reads the one back end, on a one-stream front end and on a
-    # shared one: the per-point chain's curves, noiseless and at a noisy Q = 2 point
+    # the dump reads the one back end, on a one-lane front end and on a
+    # two-lane one: the per-point chain's curves, noiseless and at a noisy Q = 2 point
     for cfg in (cfg, quick_config(num_users=2, channel_model="eva", nu_max_t=1.0, snr_db=5.0)):
         want = per_point_trial(cfg, 0)
-        for shared_front in (False, True):
-            draw = harness.draw_trial(cfg, 0, shared_front=shared_front)
+        for lanes in ((cfg.snr_db,), (cfg.snr_db, 30.0)):
+            draw = harness.draw_trial(cfg, 0, snr_db=lanes)
             _, debug = harness.run_trial(cfg, 0, collect_debug=True, draw=draw)
             assert len(debug) == len(want) == cfg.num_users
             for entry, user in zip(debug, want):
@@ -349,11 +349,11 @@ def test_shared_draw_gives_each_points_own_records(sweep_var, workers):
                                workers=workers)
     assert len(tables) == len(cfgs)
     for table, cfg, cfo_value in zip(tables, cfgs, cfo_values):
-        # a fresh draw of the same kind: an SNR sweep's draw holds the front end
+        # a fresh draw of the same kind: an SNR sweep's draw has a lane per point
         fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value, absorbed=absorbed,
                                    draw=harness.draw_trial(cfg, k,
                                                            pinned_cfo=cfo_value is not None,
-                                                           shared_front=cfo_value is None))[0]
+                                                           snr_db=[c.snr_db for c in cfgs]))[0]
                  for k in range(trials)]
         assert equal_tables(table, harness.record_table(fresh))
 
@@ -402,8 +402,8 @@ def test_snr_sweep_matches_the_per_point_chain(num_users, genie_to, absorbed):
 
 def test_one_cfo_projection_per_user_and_theta_per_draw(monkeypatch):
     shapes = []
-    node_sums = sync.EstimatorBundle.node_sums
-    monkeypatch.setattr(sync.EstimatorBundle, "node_sums",
+    node_sums = sync.CfoScan.node_sums
+    monkeypatch.setattr(sync.CfoScan, "node_sums",
                         lambda self, samples: shapes.append(samples.shape)
                         or node_sums(self, samples))
     base = SystemConfig(num_users=4, rng_seed=17)
@@ -417,39 +417,95 @@ def test_one_cfo_projection_per_user_and_theta_per_draw(monkeypatch):
     assert all(shape[0] == 2 for shape in shapes)   # the signal and the unit noise
 
 
+def test_one_cfo_search_per_user_and_theta_per_draw(monkeypatch):
+    # each user's search runs once per theta_hat and draw, with one lane per
+    # point that reaches that theta_hat, so every (point, user) gets one lane
+    lanes = []
+    estimate_cfo = sync.estimate_cfo
+    monkeypatch.setattr(sync, "estimate_cfo",
+                        lambda projection, cfg, amplitudes: lanes.append(len(amplitudes))
+                        or estimate_cfo(projection, cfg, amplitudes))
+    base = SystemConfig(num_users=4, rng_seed=17)
+    cfgs = [apply_overrides(base, {"snr_db": snr}) for snr in ("-20", "10", "inf")]
+    trials = 4
+    tables = harness.run_point([(cfg, None) for cfg in cfgs], trials)
+    thetas = np.stack([table["theta_first"] for table in tables])     # (point, trial, user)
+    distinct = sum(len(set(thetas[:, k, q])) for k, q in np.ndindex(trials, 4))
+    assert distinct > trials * 4       # some users' theta_hat moves between points
+    assert len(lanes) == distinct
+    assert sum(lanes) == len(cfgs) * trials * 4
+    assert max(lanes) == len(cfgs)     # and some search serves every point
+
+
+def test_a_repeated_snr_point_gives_equal_records():
+    # the copies share one lane, and their records equal those of the sweep
+    # without the copy
+    base = SystemConfig(num_users=2, nu_max_t=1.0, rng_seed=5)
+    cfgs = [apply_overrides(base, {"snr_db": snr}) for snr in ("0", "0", "20")]
+    tables = harness.run_point([(cfg, None) for cfg in cfgs], 3)
+    assert equal_tables(tables[0], tables[1])
+    alone = harness.run_point([(cfgs[0], None), (cfgs[2], None)], 3)
+    assert equal_tables(tables[0], alone[0]) and equal_tables(tables[2], alone[1])
+
+
+def test_absorbed_fit_builds_no_cfo_scan(monkeypatch):
+    # the absorbed baseline's bundles only fit: the CFO scan is built for the
+    # bundles that the searches read and for no other (test_golden_records
+    # pins the absorbed records themselves)
+    scans = []
+    cfo_scan = sync.cfo_scan
+    monkeypatch.setattr(sync, "cfo_scan", lambda *args: scans.append(args) or cfo_scan(*args))
+    sync._cached_bundle.cache_clear()
+    cfg = SystemConfig(num_users=2, channel_model="eva-bem", snr_db=20.0).validate()
+    records, _ = harness.run_trial(cfg, 0, cfo_value=0.3, absorbed=True)
+    assert not any(rec.failed for rec in records)
+    assert harness.absorbed_beta(cfg, 0.3) != cfg.beta
+    assert len(scans) == len({rec.theta_first for rec in records})
+    for rec in records:
+        fit = sync.estimator_bundle(cfg, rec.theta_first, beta=harness.absorbed_beta(cfg, 0.3))
+        assert "scan" not in vars(fit)
+
+
 def test_front_end_is_shared_only_by_a_draw_that_serves_several_points(monkeypatch):
-    # only an SNR point whose draw the next point reads runs the stacked front
-    # end; a lone SNR point, a Doppler sweep and a cfo_value sweep add the
-    # noise to the stream, and their records equal a fresh run_trial's
+    # each draw gets the SNRs of the run of points it serves; only a draw
+    # with several lanes keeps the stream and the noise apart (K = 2).  A
+    # lone SNR point and each Doppler point have one lane, whose stream holds
+    # its noise, and a cfo_value sweep's pinned draw has no front end: their
+    # records equal a fresh run_trial's
     draws = []
     draw_trial = harness.draw_trial
     monkeypatch.setattr(harness, "draw_trial",
-                        lambda cfg, k, **kw: draws.append(kw) or draw_trial(cfg, k, **kw))
+                        lambda cfg, k, **kw: draws.append(draw_trial(cfg, k, **kw))
+                        or draws[-1])
     base = SystemConfig(num_users=2, nu_max_t=1.0, rng_seed=5)
     doppler = [apply_overrides(base, {"nu_max_t": nu}) for nu in ("0.5", "1.5")]
-    cases = [(SHARED_DRAW_SWEEPS["snr_db"][:2], [(False, True)]),
-             (([base], [None]), [(False, False)]),
-             ((doppler, [None] * 2), [(False, False)] * 2),
-             (SHARED_DRAW_SWEEPS["cfo_value"][:2], [(True, False)])]
+    # per draw: the stack size K of its front end (0: none) and its lanes
+    cases = [(SHARED_DRAW_SWEEPS["snr_db"][:2], [(2, (0.0, 20.0, math.inf))]),
+             (([base], [None]), [(1, (20.0,))]),
+             ((doppler, [None] * 2), [(1, (20.0,))] * 2),
+             (SHARED_DRAW_SWEEPS["cfo_value"][:2], [(0, None)])]
     trials = 2
     for (cfgs, cfo_values), want in cases:
         draws.clear()
         tables = harness.run_point(list(zip(cfgs, cfo_values)), trials)
-        assert [(kw["pinned_cfo"], kw["shared_front"]) for kw in draws] == want * trials
-        if not any(shared for _, shared in want):
+        assert [(0, None) if d.front is None else (d.front.corr.shape[0], d.front.snr_db)
+                for d in draws] == want * trials
+        if all(stack < 2 for stack, _ in want):
             for table, cfg, cfo_value in zip(tables, cfgs, cfo_values):
                 fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value)[0]
                          for k in range(trials)]
                 assert equal_tables(table, harness.record_table(fresh))
-    with pytest.raises(ValueError):
-        draw_trial(base, 0, pinned_cfo=True, shared_front=True)
 
 
 def test_draw_serves_configs_that_differ_only_in_snr():
     cfg = SystemConfig(num_users=2, snr_db=10.0)
-    draw = harness.draw_trial(cfg, 3)
+    draw = harness.draw_trial(cfg, 3, snr_db=(10.0, math.inf))
     assert draw.serves(apply_overrides(cfg, {"snr_db": "inf"}), 3, None)
     assert not draw.serves(cfg, 4, None)
+    # a lane per SNR: a one-lane draw serves its own SNR alone
+    assert not draw.serves(apply_overrides(cfg, {"snr_db": "0"}), 3, None)
+    assert not harness.draw_trial(cfg, 3).serves(apply_overrides(cfg, {"snr_db": "inf"}),
+                                                 3, None)
     for cfo_value in (-0.4, 0.0, 0.3):     # a random-CFO draw serves no pinned one
         assert not draw.serves(cfg, 3, cfo_value)
     for field, value in (("nu_max_t", "1.0"), ("pilot_power_db", "30"), ("rng_seed", "1")):
@@ -473,10 +529,13 @@ def test_draw_arrays_are_read_only():
     arrays = (draw.rx, draw.noise, draw.pcp, draw.realization.to, draw.realization.cfo,
               *draw.truth)
     assert len(arrays) == 7
-    shared = harness.draw_trial(SystemConfig(num_users=2), 0, shared_front=True)
-    assert draw.front is None and harness.draw_trial(SystemConfig(num_users=2), 0).front is None
+    assert draw.front is None
+    one = harness.draw_trial(SystemConfig(num_users=2), 0)
+    shared = harness.draw_trial(SystemConfig(num_users=2), 0, snr_db=(20.0, 0.0))
+    assert one.front.corr.shape == (1, 2, one.cfg.m * one.cfg.n)
     assert shared.front.corr.shape == (2, 2, shared.cfg.m * shared.cfg.n)
-    for array in arrays + (shared.front.separated, shared.front.corr):
+    for array in arrays + (one.front.separated, one.front.corr,
+                           shared.front.separated, shared.front.corr):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[...] = 0

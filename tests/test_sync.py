@@ -478,8 +478,8 @@ def bem_exact_observation(cfg, rng, eps0, theta=0, beta=None, noise=0.0):
 
 def search(region, bundle, cfg):
     """``sync.estimate_cfo`` of one region, in the frame of the bundle's
-    template, on a fresh projection."""
-    return sync.estimate_cfo(sync.CfoProjection(region.samples[np.newaxis], bundle), cfg)
+    template, on a fresh projection, at one lane."""
+    return sync.estimate_cfo(sync.CfoProjection(region.samples[np.newaxis], bundle), cfg)[0]
 
 
 def test_cost_matches_projection_matrix_oracle():
@@ -665,7 +665,7 @@ def test_ls_residual_orthogonality():
     r = chan.add_awgn(r, cfg.snr_db, chan.unit_noise(rng, r.shape))
     y = modem.remove_cp(r[cfg.theta_max:], cfg.cp_rem)
     front = sync.front_end(y[np.newaxis], pcp, cfg)
-    result = sync.synchronize_user(front, front.corr[0], 0, cfg)
+    result = sync.synchronize_user(front, 0, 0)
     bundle = sync.estimator_bundle(cfg, result.theta_used)
     g = regressor_matrix(pilot_region_ref(cfg, pcp, 0), bundle.bem)
     phase = sync.cfo_phase(result.region.kappa.ravel(), result.cfo.epsilon_hat,
@@ -691,23 +691,23 @@ def test_estimator_bundle_cache_key_holds_the_grid():
         assert np.array_equal(bundle.grid, sync.cfo_grid(c.cfo_range, c.cfo_step))
         r = sync.scan_node_count(c.cfo_range, kflat, c.n_s)
         assert r < bundle.grid.size
-        assert bundle.scan_ops is sync.scan_operators(r, c.cfo_range, c.cfo_step)
+        assert bundle.scan.ops is sync.scan_operators(r, c.cfo_range, c.cfo_step)
         nodes = c.cfo_range * chebpts1(r)
-        assert np.array_equal(bundle.scan_ops.to_coeffs,
+        assert np.array_equal(bundle.scan.ops.to_coeffs,
                               np.linalg.inv(chebvander(nodes / c.cfo_range, r - 1)))
-        assert np.array_equal(bundle.scan_ops.grid_vander,
+        assert np.array_equal(bundle.scan.ops.grid_vander,
                               chebvander(bundle.grid / c.cfo_range, 2 * r - 2))
         # theta = 2 wraps the tail of the last slot to the frame head, virtual slot -1
         centre = 0.5 * (kflat.max() + kflat.min())
         slots = np.arange(-1, c.n)
-        assert np.array_equal(bundle.slot_rot,
+        assert np.array_equal(bundle.scan.slot_rot,
                               np.exp(-2j * np.pi * np.outer(nodes, slots * c.m) / c.n_s))
-        assert np.array_equal(bundle.row_rot,
+        assert np.array_equal(bundle.scan.row_rot,
                               np.exp(-2j * np.pi * np.outer(nodes, kappa[0] - centre) / c.n_s))
         # their products are the node rotations of every sample
         phases = np.exp(-2j * np.pi * np.outer(nodes, kflat - centre) / c.n_s)
         column = ((kappa - kappa[0]) // c.m + 1).ravel()
-        factored = bundle.slot_rot[:, column] * np.tile(bundle.row_rot, c.n)
+        factored = bundle.scan.slot_rot[:, column] * np.tile(bundle.scan.row_rot, c.n)
         assert np.max(np.abs(factored - phases)) <= 1e-13
     assert (fine.grid.size, coarse.grid.size) == (201, 41)
 
@@ -723,7 +723,7 @@ def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
     cfg = paper_config(num_users=1, **overrides)
     pcp, _, kappa = region_fixture(cfg, theta)
     bundle = sync.estimator_bundle(cfg, theta)
-    assert bundle.slot_rot.shape[0] == nodes
+    assert bundle.scan.slot_rot.shape[0] == nodes
     kflat = kappa.ravel()
     dense_phases = np.exp(-2j * np.pi * np.outer(bundle.grid, kflat) / cfg.n_s)
     rng = np.random.default_rng(41)
@@ -781,10 +781,10 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_no
             edge = math.copysign(cfg.cfo_range, eps0)
             assert abs(est.grid[int(np.argmax(est.cost_curve))] - edge) < cfg.cfo_step
             assert est.epsilon_hat == edge
-    r = bundle.slot_rot.shape[0]
-    assert bundle.row_rot.shape == (r, cfg.zc_len)
-    assert bundle.scan_ops.grid_vander.shape == (bundle.grid.size, 2 * r - 1)
-    assert bundle.scan_ops.derivs.shape == (3, 2 * r - 1, 2 * r - 1)
+    r = bundle.scan.slot_rot.shape[0]
+    assert bundle.scan.row_rot.shape == (r, cfg.zc_len)
+    assert bundle.scan.ops.grid_vander.shape == (bundle.grid.size, 2 * r - 1)
+    assert bundle.scan.ops.derivs.shape == (2 * r - 1, 3 * (2 * r - 1))
     # the bracket alone would take local_nodes; the refinement reads the scan's r
     assert local_nodes == sync.scan_node_count(cfg.cfo_step, region.kappa, cfg.n_s)
 
@@ -814,7 +814,7 @@ def test_shared_bundle_matches_per_user_bundles():
 
     for q in range(cfg.num_users):
         theta, eps = int(real.to[q]), float(real.cfo[q])
-        result = sync.synchronize_user(front, front.corr[0], q, cfg, theta_override=theta)
+        result = sync.synchronize_user(front, 0, q, theta_override=theta)
         beta_abs = harness.absorbed_beta(cfg, eps)
         h_abs = harness.absorbed_channel_fit(result.region, cfg, q, theta, eps)
         eps_hat, c_hat, h_hat, h_abs_own = own_bundle_back_end(
@@ -902,7 +902,7 @@ def test_cost_polynomial_is_quadratic_in_the_noise_amplitude():
     samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     samples[0] *= 30.0
     gamma, coeffs = sync.CfoProjection(samples, bundle).polynomials
-    r = bundle.slot_rot.shape[0]
+    r = bundle.scan.slot_rot.shape[0]
     assert gamma.shape == (3, 2 * r - 1) and coeffs.shape == (2, r, cfg.zc_len * cfg.beta)
     for amplitude in (0.0, 0.05, math.sqrt(0.5), 3.0):
         want = sync.cost_polynomial(coeffs[0] + amplitude * coeffs[1])
@@ -912,6 +912,39 @@ def test_cost_polynomial_is_quadratic_in_the_noise_amplitude():
         alone_gamma, alone = sync.CfoProjection(samples[k:k + 1], bundle).polynomials
         assert np.max(np.abs(alone[0] - coeffs[k])) <= 1e-13 * np.max(np.abs(coeffs[k]))
         assert np.max(np.abs(alone_gamma[0] - gamma[2 * k])) <= 1e-12 * np.max(gamma[2 * k])
+
+
+def test_lane_search_equals_one_search_per_amplitude():
+    # one search over several noise amplitudes gives, lane by lane, what a
+    # search at each amplitude alone gives
+    cfg = paper_config(num_users=2)
+    bundle = sync.estimator_bundle(cfg, 2)
+    rng = np.random.default_rng(47)
+    shape = (2, cfg.n, cfg.zc_len)
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    samples[0] *= 30.0
+    projection = sync.CfoProjection(samples, bundle)
+    amplitudes = (0.0, 0.05, math.sqrt(0.5), 3.0, 0.05)
+    lanes = sync.estimate_cfo(projection, cfg, amplitudes)
+    assert len(lanes) == len(amplitudes)
+    assert len({est.epsilon_hat for est in lanes}) == 4     # the lanes differ
+    for amplitude, lane in zip(amplitudes, lanes):
+        (alone,) = sync.estimate_cfo(projection, cfg, (amplitude,))
+        assert lane.epsilon_hat == pytest.approx(alone.epsilon_hat, rel=1e-12, abs=1e-15)
+        for name in ("cost_curve", "c_hat", "h_hat"):
+            got, want = getattr(lane, name), getattr(alone, name)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_pcp_toeplitz_is_built_once_contiguous_and_read_only():
+    pcp = pilot.make_pcp(10, 1, 40.0)
+    block, span = sync.TIMING_BLOCK, pcp.size
+    toeplitz = sync.pcp_toeplitz(pcp, block)
+    assert sync.pcp_toeplitz(pcp.copy(), block) is toeplitz
+    assert toeplitz.flags.c_contiguous and not toeplitz.flags.writeable
+    lag = np.subtract.outer(np.arange(block + span - 1), np.arange(block))
+    inside = (lag >= 0) & (lag < span)
+    assert np.array_equal(toeplitz, np.where(inside, np.conj(pcp[np.clip(lag, 0, span - 1)]), 0))
 
 
 def test_cost_polynomial_is_the_squared_norm_of_the_interpolant():
