@@ -99,12 +99,12 @@ import numpy.random  # noqa: E402,F401
 
 from .config import SystemConfig, load_config, apply_overrides
 from .errors import (OtfsyncError, ConfigError, PlacementError, RealizationError,
-                     EstimationError, NumericError)
+                     EstimationError)
 
 __all__ = [
     "SystemConfig", "load_config", "apply_overrides",
     "OtfsyncError", "ConfigError", "PlacementError", "RealizationError",
-    "EstimationError", "NumericError",
+    "EstimationError",
 ]
 
 __version__ = "0.1.0"

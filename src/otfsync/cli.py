@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: ``validate`` a config file, ``trial`` for a single debug trial,
-``run`` for an experiment spec file, ``figure`` for one or more of the
-built-in experiment presets, and ``dump-metric`` for estimator diagnostics.
+Subcommands: ``validate`` a config file, ``trial`` for a single debug trial
+(``--debug-dump`` writes its timing metric and CFO cost curves), ``run`` for
+an experiment spec file, and ``figure`` for one or more of the built-in
+experiment presets.
 
 Exit codes: 0 success, 2 configuration error, 3 estimation failure (or a
 run whose failure fraction exceeds MAX_FAILURE_FRACTION), 4 I/O error.
@@ -18,8 +19,8 @@ import sys
 
 from . import harness
 from .config import SystemConfig, apply_overrides, coerce, echo_config, load_config
-from .errors import (ConfigError, EstimationError, NumericError, OtfsyncError,
-                     PlacementError, RealizationError)
+from .errors import (ConfigError, EstimationError, OtfsyncError, PlacementError,
+                     RealizationError)
 
 OUT_ENV_VAR = "OTFSYNC_OUT"
 MAX_FAILURE_FRACTION = 0.5
@@ -69,6 +70,8 @@ def _base_config(args, runs_experiment: bool = False) -> tuple[SystemConfig, int
     ConfigError for a command that runs no experiment."""
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    if getattr(args, "trial_index", 0) < 0:
+        raise ConfigError(f"--trial-index must be >= 0, got {args.trial_index}")
     cfg = load_config(args.config) if args.config else SystemConfig()
     overrides, trials = {}, None
     if args.seed is not None:
@@ -195,16 +198,6 @@ def cmd_figure(args) -> int:
     return 3 if failed or worst_fraction > MAX_FAILURE_FRACTION else 0
 
 
-def cmd_dump_metric(args) -> int:
-    cfg, _ = _base_config(args)
-    records, debug = harness.run_trial(cfg, args.trial_index, collect_debug=True)
-    target = os.path.join(_out_root(args), "dump-metric")
-    _dump_debug(target, debug)
-    _write(os.path.join(target, "spec-echo"), echo_config(cfg))
-    print(f"diagnostics written to {target}")
-    return 3 if any(rec.failed for rec in records) else 0
-
-
 # ---------------------------------------------------------------------------
 # parser and dispatch
 # ---------------------------------------------------------------------------
@@ -250,11 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--trial-index", type=int, default=0,
                      help="trial used for the fig3 snapshot")
     sub.set_defaults(func=cmd_figure)
-
-    sub = commands.add_parser("dump-metric", help="dump estimator diagnostics")
-    _add_common(sub)
-    sub.add_argument("--trial-index", type=int, default=0)
-    sub.set_defaults(func=cmd_dump_metric)
     return parser
 
 
@@ -266,7 +254,7 @@ def main(argv=None) -> int:
     except (ConfigError, PlacementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EstimationError, NumericError, RealizationError) as exc:
+    except (EstimationError, RealizationError) as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return 3
     except OtfsyncError as exc:

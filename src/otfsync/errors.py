@@ -19,7 +19,3 @@ class RealizationError(OtfsyncError):
 
 class EstimationError(OtfsyncError):
     """An estimator could not produce a result (rank loss, empty input)."""
-
-
-class NumericError(OtfsyncError):
-    """A linear solve failed; usually fixable with diagonal loading."""

@@ -12,24 +12,23 @@ and exactly reproducible.
 A sweep runs with the trial index outermost.  Each trial index has one
 ``TrialDraw`` at a time: its channel, offsets, frames, noiseless receive
 stream and unit noise, shared by the run of consecutive points that leave
-it unchanged.  An SNR sweep changes only the scale a of the noise, and the
-receiver is linear in the stream up to its two nonlinear steps (``sync``),
-so the draw of a run of SNR points holds one receive front end of the
-signal and of the unit noise, with one lane per point (``sync.FrontEnd``).
-On first use it adds each lane's noise to the timing correlation
-(``channel.add_awgn``) and takes every (point, user)'s timing curve and TO
-decision in one pass; each user's CFO search then runs once per theta_hat,
-for every point that reaches that theta_hat at once, one lane per point.
-``run_trial`` still runs once per point and reads its own lane, and a draw
-that serves one point runs the same code with one lane, whose stream holds
-its noise.  A ``cfo_value`` sweep changes only the CFO, pinned to the same
+it unchanged (``draw_runs``).  An SNR sweep changes only the scale a of the
+noise, and the receiver is linear in the stream up to its two nonlinear
+steps (``sync``), so the draw of a run of SNR points holds one receive
+front end (``sync.front_end``) with one lane per point: of the signal and
+of the unit noise for several lanes, of the stream with its noise added
+for one.  On first use it takes every (point, user)'s timing curve and TO
+decision in one pass; each user's CFO search then runs once per
+theta_hat, for every point that reaches that theta_hat at once, one lane
+per point.  ``run_trial`` still runs once per point and reads its own
+lane.  A ``cfo_value`` sweep changes only the CFO, pinned to the same
 value for every user, so it factors out of the channel's user sum: the
 stream at CFO eps is the draw's zero-CFO stream times
 exp(j 2 pi eps kappa / N_s).  That rotation does not commute with the
-filter bank, so each of its points adds the noise to the rotated stream
-and runs a one-lane front end itself.  The ``nu_max_t`` and
-``pilot_power_db`` sweeps change the channel or the pilots, so each of
-their points has a draw of its own.
+filter bank, so each of its points runs a one-lane front end of the
+rotated stream itself.  The ``nu_max_t`` and ``pilot_power_db`` sweeps
+change the channel or the pilots, so each of their points has a draw of
+its own.
 """
 
 from __future__ import annotations
@@ -127,31 +126,24 @@ def absorbed_channel_fit(region: sync.PilotRegion, cfg: SystemConfig, user: int,
 
 @dataclass(frozen=True)
 class TrialDraw:
-    """Everything trial ``trial_index`` draws: the realization, the
-    noiseless receive stream of ``channel.apply_channel``, each user's
-    ``true_pilot_taps`` at its true timing offset and their energy, which
-    every point scores its estimate against (``_nmse``), and the unit noise
-    (``channel.unit_noise``) that ``channel.add_awgn`` scales to the SNR.
+    """Everything a trial draws: the realization, the noiseless receive
+    stream of ``channel.apply_channel``, each user's ``true_pilot_taps`` at
+    its true timing offset and their energy, which every point scores its
+    estimate against (``_nmse``), and the unit noise (``channel.unit_noise``)
+    that the front end scales to the SNR.
 
     Unless the CFO is pinned, the draw also holds ``front``, the receive
-    front end (``sync.FrontEnd``) with one lane per SNR of the points it
-    serves: of the stream and of the unit noise (K = 2) for several lanes,
-    each point reading its own; of the stream with its noise added for one.
-    The front end makes each point's TO decisions and each (user,
+    front end (``sync.front_end``) with one lane per SNR of the points it
+    serves, which makes each point's TO decisions and each (user,
     theta_hat)'s CFO search once, for every lane, when a point first needs
-    them.  With ``pinned_cfo`` the realization's CFOs are zero, ``rx`` is
-    the zero-CFO stream and ``front`` is None: a pinned CFO eps, the same
-    for every user, is the rotation exp(j 2 pi eps kappa / N_s) of that
-    stream, which ``run_trial`` applies before the noise and a one-lane
-    front end of its own.  So a pinned draw depends neither on
-    ``cfg.snr_db`` nor on the pinned value, and every (config, CFO) that
-    differs from its own in those alone can share it (``serves``).  Its
-    arrays (``pcp``, the offsets, ``rx``, ``noise``, ``truth`` and the
+    them.  A pinned draw's realization has zero CFOs, ``rx`` is the
+    zero-CFO stream and ``front`` is None: a pinned CFO eps, the same for
+    every user, is the rotation exp(j 2 pi eps kappa / N_s) of that stream,
+    which ``run_trial`` applies before a one-lane front end of its own.  So
+    a pinned draw depends neither on ``cfg.snr_db`` nor on the pinned value.
+    Its arrays (``pcp``, the offsets, ``rx``, ``noise``, ``truth`` and the
     front end's) are read-only."""
 
-    cfg: SystemConfig
-    trial_index: int
-    pinned_cfo: bool
     pcp: np.ndarray
     realization: chan.ChannelRealization
     rx: np.ndarray
@@ -159,35 +151,6 @@ class TrialDraw:
     truth: tuple[np.ndarray, ...]
     truth_energy: tuple[float, ...]
     front: sync.FrontEnd | None
-
-    def serves(self, cfg: SystemConfig, trial_index: int, cfo_value: float | None) -> bool:
-        """Whether ``run_trial(cfg, trial_index, cfo_value=cfo_value)`` can
-        read this draw: it would draw exactly this, and an unpinned draw has
-        a lane at ``cfg.snr_db``."""
-        return (trial_index == self.trial_index
-                and draw_key(cfg, cfo_value is not None) == draw_key(self.cfg, self.pinned_cfo)
-                and (self.pinned_cfo or cfg.snr_db in self.front.snr_db))
-
-
-def draw_key(cfg: SystemConfig, pinned_cfo: bool) -> tuple[SystemConfig, bool]:
-    """What a trial's draw depends on besides its index: the config up to
-    ``snr_db``, and whether the CFO is pinned."""
-    return replace(cfg, snr_db=0.0), pinned_cfo
-
-
-def receive(rx: np.ndarray, noise: np.ndarray, pcp: np.ndarray, cfg: SystemConfig,
-            snr_db: tuple[float, ...]) -> sync.FrontEnd:
-    """The front end (``sync.front_end``) of the receive stream ``rx`` with
-    the unit noise ``noise``, for lanes at the SNRs ``snr_db``: one lane adds
-    its noise to the stream (K = 1), several keep the stream and the noise
-    apart (K = 2).  The timing-offset margin and the rest of the CP are
-    removed, then the filter bank and the PCP correlation run."""
-    if len(snr_db) == 1:
-        streams = chan.add_awgn(rx, snr_db[0], noise)[np.newaxis]
-    else:
-        streams = np.stack([rx, noise])
-    y = modem.remove_cp(streams[..., cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
-    return sync.front_end(y, pcp, cfg, snr_db)
 
 
 def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False,
@@ -218,15 +181,11 @@ def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False,
     truth = tuple(true_pilot_taps(paths, cfg, int(theta))
                   for paths, theta in zip(realization.paths, realization.to))
     truth_energy = tuple(float(np.vdot(taps, taps).real) for taps in truth)
-    front = None
-    if not pinned_cfo:
-        lanes = tuple(dict.fromkeys((cfg.snr_db,) if snr_db is None else snr_db))
-        front = receive(rx, noise, pcp, cfg, lanes)
+    front = None if pinned_cfo else sync.front_end(rx, noise, pcp, cfg, snr_db)
     shared = () if front is None else (front.separated, front.corr)
     for array in (pcp, realization.to, realization.cfo, rx, noise, *truth, *shared):
         array.flags.writeable = False
-    return TrialDraw(cfg=cfg, trial_index=trial_index, pinned_cfo=pinned_cfo, pcp=pcp,
-                     realization=realization, rx=rx, noise=noise, truth=truth,
+    return TrialDraw(pcp=pcp, realization=realization, rx=rx, noise=noise, truth=truth,
                      truth_energy=truth_energy, front=front)
 
 
@@ -249,8 +208,10 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
     Per-user estimation failures become failed records, never exceptions.
     ``cfo_value`` pins every user's CFO (the Doppler-sweep experiments draw
     it instead); ``absorbed`` also evaluates the CFO-absorbed baseline.
-    ``draw``, if given, must ``serve`` (cfg, trial_index, cfo_value) and
-    replaces the trial's own ``draw_trial``: the records are the same, to
+    ``draw``, if given, replaces the trial's own ``draw_trial``: it must be
+    trial ``trial_index``'s draw, of the same kind of CFO, for a config that
+    differs from ``cfg`` in ``snr_db`` alone, with a lane at ``cfg.snr_db``
+    unless the CFO is pinned (``draw_runs``).  The records are the same, to
     rounding if the draw's front end has several lanes.
     """
     if draw is None:
@@ -261,7 +222,7 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
     if cfo_value is not None:
         # the draw's stream is at zero CFO; one CFO for all users rotates the sum
         rx = draw.rx * cfo_rotation(cfo_value, cfg.n_s)
-        front = receive(rx, draw.noise, draw.pcp, cfg, (cfg.snr_db,))
+        front = sync.front_end(rx, draw.noise, draw.pcp, cfg)
         eps = np.full(cfg.num_users, float(cfo_value))
     lane = front.snr_db.index(cfg.snr_db)
 
@@ -404,6 +365,10 @@ class ExperimentSpec:
     per_trial_dump: bool = False
 
     def validate(self) -> "ExperimentSpec":
+        # the name is one directory under the output root (``run_experiment``)
+        if self.name in ("", ".", "..") or os.path.basename(self.name) != self.name:
+            raise ConfigError(f"name={self.name!r} must be one directory name, "
+                              "without a path separator")
         if self.sweep_var not in SWEEP_VARS:
             raise ConfigError(f"sweep_var={self.sweep_var!r} not one of {SWEEP_VARS}")
         if not self.sweep_points:
@@ -469,9 +434,10 @@ def experiment_text(spec: ExperimentSpec) -> str:
 
 def draw_runs(points: list[tuple[SystemConfig, float | None]]) -> list[list]:
     """``points`` split into runs of consecutive points that share one draw
-    (``TrialDraw.serves``): the same kind of CFO, and configs that differ in
+    (``TrialDraw``): the same kind of CFO, and configs that differ in
     ``snr_db`` alone."""
-    runs = itertools.groupby(points, lambda point: draw_key(point[0], point[1] is not None))
+    runs = itertools.groupby(points, lambda point: (replace(point[0], snr_db=0.0),
+                                                    point[1] is not None))
     return [list(run) for _, run in runs]
 
 

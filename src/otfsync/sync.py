@@ -4,22 +4,23 @@ estimation on a Chebyshev basis expansion.
 
 The receiver is linear in the received stream up to two steps: the
 magnitude of the timing correlation and the quadratic cost of the CFO
-search.  Its front end (``front_end``) runs once on a stack of K streams
-whose received stream at noise amplitude a is sum_k a^k stream_k: the
-signal and the unit noise, which every point of an SNR sweep shares, or a
-single stream that already holds its noise.  ``separate_user`` runs the
-whole filter bank on every stream at once and ``timing_correlate``
-correlates every separated stream with the PCP in one product.  The points
-that a front end serves are its lanes, one noise amplitude each
-(``FrontEnd``).  On first use it forms each lane's correlation at that
-lane's a (``channel.add_awgn``), takes the timing curves, and makes the TO
-decisions of every (lane, user) in one ``estimate_to`` call.  The users
-split after that: ``synchronize_user`` is the per-user back end of one lane
-(TO decision, pilot region, estimator bundle, CFO and channel), and the Q
-back ends are independent.  Each user's pilot region and CFO projection
-are polynomials in a too, so one CFO search per (user, theta_hat) serves
-every lane that reaches that theta_hat, one estimate per lane
-(``FrontEnd.search``, ``estimate_cfo``).
+search.  Its front end (``front_end``) is the one place that turns a
+draw's receive stream and unit noise into the stack of K streams whose
+received stream at noise amplitude a is sum_k a^k stream_k, and the
+points it serves are its lanes, one SNR and one a each (``FrontEnd``).
+One lane adds its noise to the stream (K = 1, read at a = 0); several
+keep the signal and the unit noise apart (K = 2), which every point of an
+SNR sweep shares.  ``separate_user`` runs the whole filter bank on every
+stream at once and ``timing_correlate`` correlates every separated stream
+with the PCP in one product.  On first use the front end forms each
+lane's correlation at that lane's a (``channel.add_awgn``), takes the
+timing curves, and makes the TO decisions of every (lane, user) in one
+``estimate_to`` call.  The users split after that: ``synchronize_user`` is
+the per-user back end of one lane (TO decision, pilot region, estimator
+bundle, CFO and channel), and the Q back ends are independent.  Each
+user's pilot region and CFO projection are polynomials in a too, so one
+CFO search per (user, theta_hat) serves every lane that reaches that
+theta_hat, one estimate per lane (``FrontEnd.search``, ``estimate_cfo``).
 
 The pilot region is fitted one delay row at a time.  User q's pilot sits in
 Doppler column k_q, so its transmitted region sample (n, j) is
@@ -603,31 +604,12 @@ def at_amplitude(rows: np.ndarray, amplitude: float) -> np.ndarray:
     return value
 
 
-@dataclass
-class CfoProjection:
-    """A pilot region in the frame of the bundle's template (``derotate``),
-    kept as a polynomial in the noise amplitude a (row k of ``samples`` the
-    coefficient of a^k), and its projection for the CFO search,
-    ``polynomials``: the (gamma, C) of ``BemRegressor.cost_many`` from the
-    region's node projections (``CfoScan.node_sums``), which the search
-    (``estimate_cfo``) reads at every a it is asked for.  The search makes
-    them, so the benchmark's tracer times ``cost_many`` inside
-    ``estimate_cfo``, as its coarse-scan metric expects."""
-
-    samples: np.ndarray             # (K, N, L_p)
-    bundle: EstimatorBundle
-
-    @property
-    def polynomials(self) -> tuple[np.ndarray, np.ndarray]:
-        scan = self.bundle.scan
-        return self.bundle.regressor.cost_many(scan.node_sums(self.samples),
-                                               scan.ops.to_coeffs)
-
-
-def estimate_cfo(projection: CfoProjection, cfg: SystemConfig,
+def estimate_cfo(samples: np.ndarray, bundle: EstimatorBundle, cfg: SystemConfig,
                  amplitudes=(0.0,)) -> list[CfoEstimate]:
-    """The CFO search of a region at each noise amplitude a in
-    ``amplitudes`` (a lane), one ``CfoEstimate`` per lane: coarse scan of the
+    """The CFO search of a pilot region in the frame of the bundle's
+    template (``derotate``), kept as a polynomial in the noise amplitude a
+    (row k of the (K, N, L_p) ``samples`` the coefficient of a^k), at each a
+    in ``amplitudes`` (a lane), one ``CfoEstimate`` per lane: coarse scan of the
     projection cost over the bundle's grid, Newton refinement on [best grid
     point +- cfo_step] within +-cfo_range (stopping at steps below
     NEWTON_STEP_FRAC * cfo_tol), then the LS coefficient solve at the
@@ -635,7 +617,8 @@ def estimate_cfo(projection: CfoProjection, cfg: SystemConfig,
 
     All three read one projection (module docstring) of the region rotated
     to the bundle's r Chebyshev nodes nu_i of +-cfo_range
-    (``CfoProjection.polynomials``).  The rotation factors into a slot part
+    (``BemRegressor.cost_many``, made here so that the benchmark's tracer
+    times it inside the search).  The rotation factors into a slot part
     and a row part (``cfo_scan``), and the row sums carry it through: with
     Y[s, j, k] = Q_j[n, k] rbar[n, j] at virtual slot s
     (``CfoScan.node_sums``), the projections at the nodes are
@@ -658,10 +641,10 @@ def estimate_cfo(projection: CfoProjection, cfg: SystemConfig,
     """
     if cfg.cfo_tol <= 0:
         raise ConfigError("cfo_tol must be > 0")
-    bundle = projection.bundle
     grid, scan = bundle.grid, bundle.scan
     ops = scan.ops
-    gamma_rows, coeff_rows = projection.polynomials   # (2K - 1, 2r - 1), (K, r, L_p*beta)
+    # (2K - 1, 2r - 1), (K, r, L_p*beta)
+    gamma_rows, coeff_rows = bundle.regressor.cost_many(scan.node_sums(samples), ops.to_coeffs)
     a = np.array([float(amplitude) for amplitude in amplitudes])[:, np.newaxis]
     gamma = (a ** np.arange(len(gamma_rows))) @ gamma_rows    # (lanes, 2r - 1)
     costs = gamma @ ops.grid_vander.T                   # (lanes, G)
@@ -788,16 +771,16 @@ def _cached_bundle(m, n, cp_len, zc_len, zc_root, pilot_power_db, anchor, cfo_ra
 
 @dataclass
 class FrontEnd:
-    """The receiver's linear front end of K stacked streams (``front_end``)
-    and the points it serves, its lanes.
+    """The receiver's linear front end of K stacked streams and the points
+    it serves, its lanes; ``front_end`` makes it and chooses K.
 
     Row k of ``separated`` and ``corr`` is the coefficient of a^k in the
-    received quantity at noise amplitude a (``at_amplitude``).  K = 2 holds
-    the signal and the unit noise, which every point of an SNR sweep
-    shares, and lane p is read at the noise amplitude of ``snr_db[p]``.
-    K = 1 is a stream that already holds its noise, read at a = 0 by its
-    one lane.  ``cfg`` is the geometry of every lane (the lanes differ in
-    the SNR alone).
+    received quantity at noise amplitude a (``at_amplitude``), and lane p is
+    read at ``amplitudes[p]``.  K = 2 holds the signal and the unit noise,
+    which every point of an SNR sweep shares, each lane at the noise
+    amplitude of ``snr_db[p]``.  K = 1 is a stream that already holds its
+    noise, read at a = 0 by its one lane.  ``cfg`` is the geometry of every
+    lane (the lanes differ in the SNR alone).
 
     ``timing`` makes every lane's timing curves and TO decisions on first
     use, and ``search`` each user's CFO search at a theta_hat once, for
@@ -807,16 +790,8 @@ class FrontEnd:
     separated: np.ndarray           # (K, Q, M*N) separated streams
     corr: np.ndarray                # (K, Q, M*N) complex PCP lag correlations
     snr_db: tuple[float, ...]       # the SNR of each lane
+    amplitudes: np.ndarray          # (P,) the noise amplitude a of each lane
     searches: dict = field(default_factory=dict, repr=False)
-
-    @functools.cached_property
-    def amplitudes(self) -> np.ndarray:
-        """(P,) noise amplitude a of each lane (``channel.noise_amplitude``),
-        0 for the one lane of a stream that holds its noise."""
-        from . import channel         # channel imports this module
-        if self.corr.shape[0] == 1:
-            return np.zeros(1)
-        return np.array([channel.noise_amplitude(snr) for snr in self.snr_db])
 
     @functools.cached_property
     def timing(self) -> tuple[np.ndarray, ToEstimate]:
@@ -838,28 +813,40 @@ class FrontEnd:
         """User ``user``'s received pilot region at ``theta`` ((K, N, L_p)
         samples) and the CFO estimates of the lanes ``lanes`` (a (P,) mask,
         the lanes whose theta_hat is ``theta``) by lane, from one
-        ``estimate_cfo`` on the ``CfoProjection`` of the region's
-        de-rotation on the shared bundle; made by the first call and kept."""
+        ``estimate_cfo`` on the region's de-rotation and the shared bundle;
+        made by the first call and kept."""
         key = (user, theta)
         if key not in self.searches:
             cfg = self.cfg
             region = extract_pilot_region(self.separated[:, user], theta, cfg)
-            projection = CfoProjection(derotate(region, cfg, user).samples,
-                                       estimator_bundle(cfg, theta))
             lanes = np.flatnonzero(lanes)
-            estimates = estimate_cfo(projection, cfg, self.amplitudes[lanes])
+            estimates = estimate_cfo(derotate(region, cfg, user).samples,
+                                     estimator_bundle(cfg, theta), cfg, self.amplitudes[lanes])
             self.searches[key] = region, dict(zip(lanes.tolist(), estimates))
         return self.searches[key]
 
 
-def front_end(streams: np.ndarray, pcp: np.ndarray, cfg: SystemConfig,
-              snr_db: tuple[float, ...] | None = None) -> FrontEnd:
-    """The ``FrontEnd`` of the (K, M*N) streams after CP removal for the
-    lanes ``snr_db`` (default: ``cfg.snr_db`` alone): the filter bank and
-    the PCP correlation, each run once on the whole stack."""
-    separated = separate_user(streams, cfg)
+def front_end(rx: np.ndarray, noise: np.ndarray, pcp: np.ndarray, cfg: SystemConfig,
+              snr_db=None) -> FrontEnd:
+    """The ``FrontEnd`` of the receive stream ``rx`` with the unit noise
+    ``noise`` (``channel.unit_noise``), one lane per distinct SNR in
+    ``snr_db`` (default: ``cfg.snr_db`` alone).  One lane adds its noise to
+    the stream (K = 1); several keep the stream and the noise apart (K = 2),
+    each lane at its ``channel.noise_amplitude``.  The timing-offset margin
+    and the rest of the CP are removed, then the filter bank and the PCP
+    correlation run once on the whole stack."""
+    # channel imports this module; modem, loaded here too, keeps the import-time peak RSS lower
+    from . import channel, modem
+    lanes = tuple(dict.fromkeys((cfg.snr_db,) if snr_db is None else snr_db))
+    if len(lanes) == 1:
+        streams, amplitudes = channel.add_awgn(rx, lanes[0], noise)[np.newaxis], np.zeros(1)
+    else:
+        streams = np.stack([rx, noise])
+        amplitudes = np.array([channel.noise_amplitude(snr) for snr in lanes])
+    y = modem.remove_cp(streams[..., cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
+    separated = separate_user(y, cfg)
     return FrontEnd(cfg=cfg, separated=separated, corr=timing_correlate(separated, pcp, cfg),
-                    snr_db=(cfg.snr_db,) if snr_db is None else tuple(snr_db))
+                    snr_db=lanes, amplitudes=amplitudes)
 
 
 @dataclass

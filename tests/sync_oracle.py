@@ -194,7 +194,7 @@ def per_point_trial(cfg, trial_index, absorbed=False):
     separated = sync.separate_user(y, cfg)
     corr = sync.timing_correlate(separated, draw.pcp, cfg)
     front = sync.FrontEnd(cfg=cfg, separated=separated[np.newaxis], corr=corr[np.newaxis],
-                          snr_db=(cfg.snr_db,))
+                          snr_db=(cfg.snr_db,), amplitudes=np.zeros(1))
     users = []
     for q in range(cfg.num_users):
         theta_true = int(draw.realization.to[q])

@@ -42,15 +42,20 @@ def run_cli(tmp_path, *argv, spec=SPEC, config=None):
     (SPEC.replace("sweep_points = 20", "sweep_points = nan"), (), None, "must not be NaN"),
     (SPEC.replace("sweep_var = snr_db", "sweep_var = cfo_value").replace(
         "sweep_points = 20", "sweep_points = 0.1, inf"), (), None, "must be finite"),
+    # the spec name is one directory under --out: ../x would write beside it
+    (SPEC.replace("name = tiny", "name = ../x"), (), None, "one directory name"),
+    (SPEC.replace("name = tiny", "name ="), (), None, "one directory name"),
 ], ids=["sweep-points", "bool", "trials-abc", "trials-x=1", "workers-0",
-        "pilot-region-mode", "gram-loading", "sweep-point-nan", "cfo-value-inf"])
+        "pilot-region-mode", "gram-loading", "sweep-point-nan", "cfo-value-inf",
+        "name-parent", "name-empty"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, spec, argv, config,
                                            fragment):
     assert run_cli(tmp_path, *argv, spec=spec, config=config) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
     assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    # nothing written: no out/, and no ../x beside it
+    assert {path.name for path in tmp_path.iterdir()} <= {"spec.txt", "system.cfg"}
 
 
 def test_nan_override_is_a_config_error(capsys):
@@ -81,14 +86,26 @@ def test_trial_records_print_as_strict_json(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("validate",), ("trial",), ("dump-metric",), ("figure", "fig3"),
-], ids=["validate", "trial", "dump-metric", "figure-fig3"])
+    ("validate",), ("trial",), ("figure", "fig3"),
+], ids=["validate", "trial", "figure-fig3"])
 def test_trials_override_rejected_without_an_experiment(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert cli.main([*argv, "--override", "trials=5", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "runs no experiment" in err
     assert " ".join(argv) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("trial",), ("figure", "fig3")], ids=["trial", "figure-fig3"])
+def test_negative_trial_index_is_a_config_error(tmp_path, capsys, argv):
+    # the trial's stream is seeded with (rng_seed, trial_index), which numpy
+    # rejects for a negative index
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--trial-index", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--trial-index must be >= 0" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -237,6 +237,15 @@ def test_experiment_spec_text_round_trip():
     assert again == spec
 
 
+@pytest.mark.parametrize("name", ["../../escape", "a/b", "", ".", "..", "/abs"])
+def test_spec_name_must_be_one_directory(name):
+    # the name is the output directory under the root: a path would write
+    # outside it, and an empty name or "." into the root itself
+    text = f"name = {name}\nsweep_var = snr_db\nsweep_points = 0\ntrials = 1\n"
+    with pytest.raises(ConfigError, match="one directory name"):
+        harness.parse_experiment_text(text)
+
+
 def test_experiment_unknown_key():
     with pytest.raises(ConfigError, match="unknown experiment key"):
         harness.parse_experiment_text("name = x\nsweeps = 1\n")
@@ -423,8 +432,8 @@ def test_one_cfo_search_per_user_and_theta_per_draw(monkeypatch):
     lanes = []
     estimate_cfo = sync.estimate_cfo
     monkeypatch.setattr(sync, "estimate_cfo",
-                        lambda projection, cfg, amplitudes: lanes.append(len(amplitudes))
-                        or estimate_cfo(projection, cfg, amplitudes))
+                        lambda samples, bundle, cfg, amplitudes: lanes.append(len(amplitudes))
+                        or estimate_cfo(samples, bundle, cfg, amplitudes))
     base = SystemConfig(num_users=4, rng_seed=17)
     cfgs = [apply_overrides(base, {"snr_db": snr}) for snr in ("-20", "10", "inf")]
     trials = 4
@@ -497,43 +506,40 @@ def test_front_end_is_shared_only_by_a_draw_that_serves_several_points(monkeypat
                 assert equal_tables(table, harness.record_table(fresh))
 
 
-def test_draw_serves_configs_that_differ_only_in_snr():
+def test_draw_runs_share_a_draw_across_snr_and_pinned_cfo():
     cfg = SystemConfig(num_users=2, snr_db=10.0)
-    draw = harness.draw_trial(cfg, 3, snr_db=(10.0, math.inf))
-    assert draw.serves(apply_overrides(cfg, {"snr_db": "inf"}), 3, None)
-    assert not draw.serves(cfg, 4, None)
-    # a lane per SNR: a one-lane draw serves its own SNR alone
-    assert not draw.serves(apply_overrides(cfg, {"snr_db": "0"}), 3, None)
-    assert not harness.draw_trial(cfg, 3).serves(apply_overrides(cfg, {"snr_db": "inf"}),
-                                                 3, None)
-    for cfo_value in (-0.4, 0.0, 0.3):     # a random-CFO draw serves no pinned one
-        assert not draw.serves(cfg, 3, cfo_value)
+    inf, zero = (apply_overrides(cfg, {"snr_db": snr}) for snr in ("inf", "0"))
+    # points that differ only in snr_db share a run
+    assert harness.draw_runs([(cfg, None), (inf, None), (zero, None)]) == [
+        [(cfg, None), (inf, None), (zero, None)]]
+    # the channel, the pilot power and the seed split a run
     for field, value in (("nu_max_t", "1.0"), ("pilot_power_db", "30"), ("rng_seed", "1")):
-        assert not draw.serves(apply_overrides(cfg, {field: value}), 3, None)
-
-
-def test_pinned_draw_serves_every_pinned_cfo():
-    cfg = SystemConfig(num_users=2, snr_db=10.0)
-    draw = harness.draw_trial(cfg, 3, pinned_cfo=True)
-    assert np.array_equal(draw.realization.cfo, [0.0, 0.0])
-    for cfo_value in (-0.4, 0.0, 0.3):
-        assert draw.serves(cfg, 3, cfo_value)
-        assert draw.serves(apply_overrides(cfg, {"snr_db": "inf"}), 3, cfo_value)
-    assert not draw.serves(cfg, 3, None)
-    assert not draw.serves(cfg, 4, 0.3)
-    assert not draw.serves(apply_overrides(cfg, {"nu_max_t": "1.0"}), 3, 0.3)
+        other = apply_overrides(cfg, {field: value})
+        for cfo_value in (None, 0.3):
+            points = [(cfg, cfo_value), (other, cfo_value)]
+            assert harness.draw_runs(points) == [points[:1], points[1:]]
+    # so does a change of CFO kind, either way
+    assert harness.draw_runs([(cfg, None), (cfg, 0.0)]) == [[(cfg, None)], [(cfg, 0.0)]]
+    assert harness.draw_runs([(cfg, 0.3), (cfg, None)]) == [[(cfg, 0.3)], [(cfg, None)]]
+    # a pinned run spans several pinned CFOs and SNRs
+    pinned = [(cfg, -0.4), (cfg, 0.0), (inf, 0.3)]
+    assert harness.draw_runs(pinned) == [pinned]
+    # and its draw has zero CFOs
+    assert np.array_equal(harness.draw_trial(cfg, 3, pinned_cfo=True).realization.cfo,
+                          [0.0, 0.0])
 
 
 def test_draw_arrays_are_read_only():
-    draw = harness.draw_trial(SystemConfig(num_users=2), 0, pinned_cfo=True)
+    cfg = SystemConfig(num_users=2)
+    draw = harness.draw_trial(cfg, 0, pinned_cfo=True)
     arrays = (draw.rx, draw.noise, draw.pcp, draw.realization.to, draw.realization.cfo,
               *draw.truth)
     assert len(arrays) == 7
     assert draw.front is None
-    one = harness.draw_trial(SystemConfig(num_users=2), 0)
-    shared = harness.draw_trial(SystemConfig(num_users=2), 0, snr_db=(20.0, 0.0))
-    assert one.front.corr.shape == (1, 2, one.cfg.m * one.cfg.n)
-    assert shared.front.corr.shape == (2, 2, shared.cfg.m * shared.cfg.n)
+    one = harness.draw_trial(cfg, 0)
+    shared = harness.draw_trial(cfg, 0, snr_db=(20.0, 0.0))
+    assert one.front.corr.shape == (1, 2, cfg.m * cfg.n)
+    assert shared.front.corr.shape == (2, 2, cfg.m * cfg.n)
     for array in arrays + (one.front.separated, one.front.corr,
                            shared.front.separated, shared.front.corr):
         assert not array.flags.writeable

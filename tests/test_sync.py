@@ -118,18 +118,33 @@ def test_filter_bank_rows_at_full_geometry():
         assert np.array_equal(bank[user], separate_user_one(stream, user, cfg))
 
 
-def test_stacked_front_end_equals_the_row_wise_one():
-    cfg = SystemConfig(num_users=4).validate()
+def test_front_end_chooses_the_stream_stack_and_the_lane_amplitudes():
+    cfg = SystemConfig(num_users=4, snr_db=10.0).validate()
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     rng = np.random.default_rng(10)
-    shape = (3, cfg.m * cfg.n)
-    streams = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    front = sync.front_end(streams, pcp, cfg)
-    assert front.separated.shape == front.corr.shape == (3, 4, cfg.m * cfg.n)
-    for stream, separated, corr in zip(streams, front.separated, front.corr):
-        row = sync.separate_user(stream, cfg)
-        assert np.array_equal(separated, row)
-        assert np.array_equal(corr, sync.timing_correlate(row, pcp, cfg))
+    size = cfg.theta_max + cfg.cp_rem + cfg.m * cfg.n
+    rx, noise = (rng.standard_normal(size) + 1j * rng.standard_normal(size) for _ in range(2))
+
+    def chain(stream):
+        separated = sync.separate_user(modem.remove_cp(stream[cfg.theta_max:], cfg.cp_rem), cfg)
+        return separated, sync.timing_correlate(separated, pcp, cfg)
+
+    # one lane (K = 1): the stream with its noise, bit for bit the per-point chain
+    separated, corr = chain(chan.add_awgn(rx, cfg.snr_db, noise))
+    for snr_db in (None, (10.0,), (10.0, 10.0)):      # a repeated SNR is one lane
+        front = sync.front_end(rx, noise, pcp, cfg, snr_db)
+        assert front.snr_db == (10.0,) and front.amplitudes.tolist() == [0.0]
+        assert np.array_equal(front.separated, separated[np.newaxis])
+        assert np.array_equal(front.corr, corr[np.newaxis])
+    # several lanes (K = 2): the stream and the unit noise, each lane at its amplitude
+    front = sync.front_end(rx, noise, pcp, cfg, (0.0, 20.0, 0.0, math.inf))
+    assert front.snr_db == (0.0, 20.0, math.inf)
+    assert front.amplitudes.tolist() == [chan.noise_amplitude(snr) for snr in front.snr_db]
+    assert front.separated.shape == front.corr.shape == (2, 4, cfg.m * cfg.n)
+    for stream, separated, corr in zip((rx, noise), front.separated, front.corr):
+        want_separated, want_corr = chain(stream)
+        assert np.array_equal(separated, want_separated)
+        assert np.array_equal(corr, want_corr)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +494,7 @@ def bem_exact_observation(cfg, rng, eps0, theta=0, beta=None, noise=0.0):
 def search(region, bundle, cfg):
     """``sync.estimate_cfo`` of one region, in the frame of the bundle's
     template, on a fresh projection, at one lane."""
-    return sync.estimate_cfo(sync.CfoProjection(region.samples[np.newaxis], bundle), cfg)[0]
+    return sync.estimate_cfo(region.samples[np.newaxis], bundle, cfg)[0]
 
 
 def test_cost_matches_projection_matrix_oracle():
@@ -662,9 +677,7 @@ def test_ls_residual_orthogonality():
         [np.zeros((cfg.m, cfg.n), complex) for _ in range(2)], cfg, pcp)
     streams = [modem.transmit(f, cfg.cp_len) for f in frames]
     r = chan.apply_channel(streams, real, cfg.n_s, cfg.theta_max)
-    r = chan.add_awgn(r, cfg.snr_db, chan.unit_noise(rng, r.shape))
-    y = modem.remove_cp(r[cfg.theta_max:], cfg.cp_rem)
-    front = sync.front_end(y[np.newaxis], pcp, cfg)
+    front = sync.front_end(r, chan.unit_noise(rng, r.shape), pcp, cfg)
     result = sync.synchronize_user(front, 0, 0)
     bundle = sync.estimator_bundle(cfg, result.theta_used)
     g = regressor_matrix(pilot_region_ref(cfg, pcp, 0), bundle.bem)
@@ -805,9 +818,7 @@ def test_shared_bundle_matches_per_user_bundles():
                                 pilot.guard_rows(cfg)) for q in range(cfg.num_users)],
         cfg, pcp)
     rx = chan.apply_channel(modem.transmit(frames, cfg.cp_len), real, cfg.n_s, cfg.theta_max)
-    rx = chan.add_awgn(rx, cfg.snr_db, chan.unit_noise(rng, rx.shape))
-    y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
-    front = sync.front_end(y[np.newaxis], pcp, cfg)
+    front = sync.front_end(rx, chan.unit_noise(rng, rx.shape), pcp, cfg)
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
@@ -901,7 +912,12 @@ def test_cost_polynomial_is_quadratic_in_the_noise_amplitude():
     shape = (2, cfg.n, cfg.zc_len)
     samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     samples[0] *= 30.0
-    gamma, coeffs = sync.CfoProjection(samples, bundle).polynomials
+    scan = bundle.scan
+
+    def polynomials(samples):
+        return bundle.regressor.cost_many(scan.node_sums(samples), scan.ops.to_coeffs)
+
+    gamma, coeffs = polynomials(samples)
     r = bundle.scan.slot_rot.shape[0]
     assert gamma.shape == (3, 2 * r - 1) and coeffs.shape == (2, r, cfg.zc_len * cfg.beta)
     for amplitude in (0.0, 0.05, math.sqrt(0.5), 3.0):
@@ -909,7 +925,7 @@ def test_cost_polynomial_is_quadratic_in_the_noise_amplitude():
         got = gamma[0] + amplitude * gamma[1] + amplitude ** 2 * gamma[2]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     for k in range(2):
-        alone_gamma, alone = sync.CfoProjection(samples[k:k + 1], bundle).polynomials
+        alone_gamma, alone = polynomials(samples[k:k + 1])
         assert np.max(np.abs(alone[0] - coeffs[k])) <= 1e-13 * np.max(np.abs(coeffs[k]))
         assert np.max(np.abs(alone_gamma[0] - gamma[2 * k])) <= 1e-12 * np.max(gamma[2 * k])
 
@@ -923,13 +939,12 @@ def test_lane_search_equals_one_search_per_amplitude():
     shape = (2, cfg.n, cfg.zc_len)
     samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     samples[0] *= 30.0
-    projection = sync.CfoProjection(samples, bundle)
     amplitudes = (0.0, 0.05, math.sqrt(0.5), 3.0, 0.05)
-    lanes = sync.estimate_cfo(projection, cfg, amplitudes)
+    lanes = sync.estimate_cfo(samples, bundle, cfg, amplitudes)
     assert len(lanes) == len(amplitudes)
     assert len({est.epsilon_hat for est in lanes}) == 4     # the lanes differ
     for amplitude, lane in zip(amplitudes, lanes):
-        (alone,) = sync.estimate_cfo(projection, cfg, (amplitude,))
+        (alone,) = sync.estimate_cfo(samples, bundle, cfg, (amplitude,))
         assert lane.epsilon_hat == pytest.approx(alone.epsilon_hat, rel=1e-12, abs=1e-15)
         for name in ("cost_curve", "c_hat", "h_hat"):
             got, want = getattr(lane, name), getattr(alone, name)
