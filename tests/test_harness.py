@@ -506,7 +506,8 @@ def test_front_end_is_shared_only_by_a_draw_that_serves_several_points(monkeypat
                 assert equal_tables(table, harness.record_table(fresh))
 
 
-def test_draw_runs_share_a_draw_across_snr_and_pinned_cfo():
+def test_draw_serves_configs_that_differ_only_in_snr():
+    # a run of points (``draw_runs``) is the set one draw serves
     cfg = SystemConfig(num_users=2, snr_db=10.0)
     inf, zero = (apply_overrides(cfg, {"snr_db": snr}) for snr in ("inf", "0"))
     # points that differ only in snr_db share a run
@@ -518,15 +519,21 @@ def test_draw_runs_share_a_draw_across_snr_and_pinned_cfo():
         for cfo_value in (None, 0.3):
             points = [(cfg, cfo_value), (other, cfo_value)]
             assert harness.draw_runs(points) == [points[:1], points[1:]]
-    # so does a change of CFO kind, either way
+    # a random-CFO draw serves no pinned point
     assert harness.draw_runs([(cfg, None), (cfg, 0.0)]) == [[(cfg, None)], [(cfg, 0.0)]]
-    assert harness.draw_runs([(cfg, 0.3), (cfg, None)]) == [[(cfg, 0.3)], [(cfg, None)]]
+
+
+def test_pinned_draw_serves_every_pinned_cfo():
+    cfg = SystemConfig(num_users=2, snr_db=10.0)
+    inf = apply_overrides(cfg, {"snr_db": "inf"})
     # a pinned run spans several pinned CFOs and SNRs
     pinned = [(cfg, -0.4), (cfg, 0.0), (inf, 0.3)]
     assert harness.draw_runs(pinned) == [pinned]
     # and its draw has zero CFOs
     assert np.array_equal(harness.draw_trial(cfg, 3, pinned_cfo=True).realization.cfo,
                           [0.0, 0.0])
+    # it serves no random-CFO point
+    assert harness.draw_runs([(cfg, 0.3), (cfg, None)]) == [[(cfg, 0.3)], [(cfg, None)]]
 
 
 def test_draw_arrays_are_read_only():
