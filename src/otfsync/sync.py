@@ -71,7 +71,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
 
-from . import pilot
+from . import modem, pilot
 from .config import SystemConfig
 from .errors import ConfigError, EstimationError
 
@@ -835,8 +835,7 @@ def front_end(rx: np.ndarray, noise: np.ndarray, pcp: np.ndarray, cfg: SystemCon
     each lane at its ``channel.noise_amplitude``.  The timing-offset margin
     and the rest of the CP are removed, then the filter bank and the PCP
     correlation run once on the whole stack."""
-    # channel imports this module; modem, loaded here too, keeps the import-time peak RSS lower
-    from . import channel, modem
+    from . import channel         # channel imports this module
     lanes = tuple(dict.fromkeys((cfg.snr_db,) if snr_db is None else snr_db))
     if len(lanes) == 1:
         streams, amplitudes = channel.add_awgn(rx, lanes[0], noise)[np.newaxis], np.zeros(1)

@@ -19,50 +19,28 @@ if PERFBENCH not in sys.path:
 import tracing  # noqa: E402
 
 USERS, TRIALS, POINTS = 4, 2, (10.0, 20.0)
-#: the sweep is traced this many times: its untraced share, about 5 %, is a
-#: few tenths of a millisecond, so one descheduling of the process inside
-#: ``run_trial``'s own code can double it; scheduling only adds time, so the
-#: best sweep is the program's figure (as ``timeit`` takes the best repeat)
-REPEATS = 3
 
 
-def traced_sweep(out_dir):
-    """The traced sweep's report, its ``tracing.summarize`` and its
-    per-trial records."""
+def test_q4_eva_sweep_is_covered_by_traced_stages(tmp_path):
     spec = harness.ExperimentSpec("trace", "snr_db", POINTS, TRIALS,
                                   config_overrides=(("num_users", str(USERS)),),
                                   per_trial_dump=True)
-    spans = out_dir / "spans"
+    spans = tmp_path / "spans"
     spans.mkdir()
     sync._cached_bundle.cache_clear()     # count every bundle this sweep needs
     tracer = tracing.Tracer(str(spans))
     tracer.install()
     try:
-        report = harness.run_experiment(spec, SystemConfig(rng_seed=11), out_dir=out_dir)
+        report = harness.run_experiment(spec, SystemConfig(rng_seed=11), out_dir=tmp_path)
     finally:
         tracer.uninstall()
-    with open(out_dir / "trace" / "per-trial.jsonl", encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh]
-    return report, tracing.summarize(str(spans)), records
-
-
-def test_q4_eva_sweep_is_covered_by_traced_stages(tmp_path):
-    coverage = []
-    for repeat in range(REPEATS):
-        out_dir = tmp_path / str(repeat)
-        out_dir.mkdir()
-        report, summary, records = traced_sweep(out_dir)
-        coverage.append(check_sweep(report, summary, records))
-    # trace.coverage of perfbench/run.py: the share of run_trial in traced children
-    assert max(coverage) >= 0.9
-
-
-def check_sweep(report, summary, records) -> float:
-    """Assert the sweep's span counts; return its coverage."""
     assert report.n_failed == 0
+    summary = tracing.summarize(str(spans))
     stages = summary["stages"]
     calls, inclusive, own = stages[tracing.TRIAL_SPAN]
     assert calls == TRIALS * len(POINTS)
+    # trace.coverage of perfbench/run.py: the share of run_trial in traced children
+    assert 1.0 - own / inclusive >= 0.9
     # per_layer_metrics divides by the per-user call counts
     assert stages["sync.synchronize_user"][0] == USERS * TRIALS * len(POINTS)
     # the front end runs once per draw, and each point adds its noise once
@@ -71,6 +49,8 @@ def check_sweep(report, summary, records) -> float:
     assert stages["channel.add_awgn"][0] == TRIALS * len(POINTS)
     # one projection, and one bundle fetch, per user, theta_hat and draw;
     # sync.cfo_coarse.ms reads the projections inside the CFO searches
+    with open(tmp_path / "trace" / "per-trial.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
     projections = {(rec["trial"], rec["user"], rec["theta_first"]) for rec in records}
     assert stages["sync.BemRegressor.cost_many"][0] == len(projections)
     assert summary["in_cfo"]["sync.BemRegressor.cost_many"] > 0
@@ -78,4 +58,3 @@ def check_sweep(report, summary, records) -> float:
     # one bundle per distinct theta_hat, whichever users it came from
     thetas = {rec["theta_first"] for rec in records}
     assert 1 <= stages["sync.build_bem_regressor"][0] <= len(thetas)
-    return 1.0 - own / inclusive
