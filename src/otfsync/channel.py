@@ -27,15 +27,15 @@ RAMP_BLOCK = 64
 
 
 @lru_cache(maxsize=None)
-def eva_profile(sample_rate: float = SAMPLE_RATE_HZ, len_cap: int = 10):
-    """EVA taps quantized to the sample grid.
+def eva_profile(len_cap: int = 10):
+    """EVA taps quantized to the SAMPLE_RATE_HZ sample grid.
 
     Delays are rounded to the nearest sample, co-located taps merged by
     power addition, positions clamped into [0, len_cap-1], and the total
     power normalized to one.  Returns (delays, powers), read-only because
     every caller shares the cached pair.
     """
-    positions = np.round(EVA_DELAYS_NS * 1e-9 * sample_rate).astype(int)
+    positions = np.round(EVA_DELAYS_NS * 1e-9 * SAMPLE_RATE_HZ).astype(int)
     positions = np.minimum(positions, len_cap - 1)
     powers_lin = 10.0 ** (EVA_POWERS_DB / 10.0)
     delays = np.unique(positions)
@@ -107,11 +107,6 @@ class PathSet:
     delays: np.ndarray
     dopplers: np.ndarray
 
-    @property
-    def length(self) -> int:
-        """Channel length L_ch (largest delay + 1)."""
-        return int(np.max(self.delays)) + 1
-
     def taps(self, kappa: np.ndarray, n_taps: int) -> np.ndarray:
         """(n_taps, *kappa.shape) array of h[l, kappa] = sum_i h_i
         exp(j 2 pi nu_i (kappa - l)) over the paths at delay l; paths at
@@ -166,10 +161,6 @@ class BemPathSet:
     coeffs: np.ndarray          # (D, order) complex
     n_s: int
 
-    @property
-    def length(self) -> int:
-        return int(np.max(self.delays)) + 1
-
     def taps(self, kappa: np.ndarray, n_taps: int) -> np.ndarray:
         """(n_taps, *kappa.shape) array of h[l, kappa] = sum_g coeffs[d, g]
         T_g(kprime) for the row d at delay l, on the estimator's basis; rows
@@ -219,11 +210,10 @@ class ChannelRealization:
     def num_users(self) -> int:
         return len(self.paths)
 
-def generate_eva_channel(rng, nu_max_t: float, n_s: int, len_cap: int = 10,
-                         sample_rate: float = SAMPLE_RATE_HZ) -> PathSet:
+def generate_eva_channel(rng, nu_max_t: float, n_s: int, len_cap: int = 10) -> PathSet:
     """Random EVA realization: Rayleigh gains on the quantized profile and
     one Doppler shift nu_max*cos(psi) per tap, psi uniform on [0, 2pi)."""
-    delays, powers = eva_profile(sample_rate, len_cap)
+    delays, powers = eva_profile(len_cap)
     n_taps = len(delays)
     gains = np.sqrt(powers / 2.0) * (rng.standard_normal(n_taps)
                                      + 1j * rng.standard_normal(n_taps))
@@ -245,9 +235,7 @@ def identity_pathset() -> PathSet:
                    dopplers=np.array([0.0]))
 
 
-def generate_eva_bem_channel(rng, nu_max_t: float, n_s: int, order: int,
-                             len_cap: int = 10,
-                             sample_rate: float = SAMPLE_RATE_HZ) -> BemPathSet:
+def generate_eva_bem_channel(rng, n_s: int, order: int, len_cap: int = 10) -> BemPathSet:
     """EVA profile with tap trajectories drawn as random Chebyshev series.
 
     Tap powers follow the quantized EVA profile; each tap's time variation is
@@ -255,7 +243,7 @@ def generate_eva_bem_channel(rng, nu_max_t: float, n_s: int, order: int,
     frame-average tap power matches the profile (T_g has mean square 1/2 over
     the frame for g >= 1).
     """
-    delays, powers = eva_profile(sample_rate, len_cap)
+    delays, powers = eva_profile(len_cap)
     scale = powers / (1.0 + (order - 1) / 2.0)
     coeffs = (rng.standard_normal((len(delays), order))
               + 1j * rng.standard_normal((len(delays), order)))
@@ -272,8 +260,8 @@ def draw_realization(rng, cfg: SystemConfig) -> ChannelRealization:
             paths.append(generate_eva_channel(rng, cfg.nu_max_t, cfg.n_s,
                                               cfg.channel_len_cap))
         elif cfg.channel_model == "eva-bem":
-            paths.append(generate_eva_bem_channel(rng, cfg.nu_max_t, cfg.n_s,
-                                                  cfg.beta, cfg.channel_len_cap))
+            paths.append(generate_eva_bem_channel(rng, cfg.n_s, cfg.beta,
+                                                  cfg.channel_len_cap))
         elif cfg.channel_model == "single-tap":
             paths.append(generate_single_tap(rng, cfg.nu_max_t, cfg.n_s))
         else:

@@ -98,7 +98,14 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _dump_debug(target: str, debug: list[dict]) -> None:
+def _with_run_options(spec: harness.ExperimentSpec, trials: int | None, debug_dump: bool):
+    """``spec`` with the ``--override trials=`` count, if any, and ``--debug-dump``."""
+    return dataclasses.replace(spec, trials=spec.trials if trials is None else trials,
+                               per_trial_dump=spec.per_trial_dump or debug_dump)
+
+
+def _dump_debug(target: str, debug: list[dict], cfg: SystemConfig) -> None:
+    """A trial's timing_metric.csv, cfo_cost.csv and config spec-echo."""
     lines = ["user,delay_bin,value"]
     for entry in debug:
         for l, value in enumerate(entry["timing_metric"]):
@@ -109,6 +116,7 @@ def _dump_debug(target: str, debug: list[dict]) -> None:
         for eps, cost in zip(entry["cfo_grid"], entry["cfo_cost"]):
             lines.append(f"{entry['user']},{eps:.12g},{cost:.12g}")
     _write(os.path.join(target, "cfo_cost.csv"), "\n".join(lines) + "\n")
+    _write(os.path.join(target, "spec-echo"), echo_config(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +139,7 @@ def cmd_trial(args) -> int:
         print(harness.json_line(dataclasses.asdict(rec)))
     if args.debug_dump:
         target = os.path.join(_out_root(args), "trial")
-        _dump_debug(target, debug)
-        _write(os.path.join(target, "spec-echo"), echo_config(cfg))
+        _dump_debug(target, debug, cfg)
         print(f"debug dump written to {target}", file=sys.stderr)
     if any(rec.failed for rec in records):
         return 3
@@ -141,11 +148,8 @@ def cmd_trial(args) -> int:
 
 def cmd_run(args) -> int:
     cfg, trials = _base_config(args, runs_experiment=True)
-    spec = harness.load_experiment(args.spec)
-    if trials is not None:
-        spec = dataclasses.replace(spec, trials=trials)
-    if args.debug_dump:
-        spec = dataclasses.replace(spec, per_trial_dump=True)
+    spec = _with_run_options(harness.load_experiment(args.spec), trials,
+                             args.debug_dump)
     report = harness.run_experiment(spec, base_cfg=cfg, out_dir=_out_root(args),
                                     workers=args.workers)
     print(f"{spec.name}: {report.n_trials} per-user records, "
@@ -172,16 +176,12 @@ def cmd_figure(args) -> int:
             snapshot_cfg = apply_overrides(cfg, {"num_users": "2"})
             records, debug = harness.run_trial(snapshot_cfg, args.trial_index,
                                                collect_debug=True)
-            _dump_debug(out_root, debug)
-            _write(os.path.join(out_root, "spec-echo"), echo_config(snapshot_cfg))
+            _dump_debug(out_root, debug, snapshot_cfg)
             print(f"fig3: timing metric snapshot -> {out_root}")
             failed = failed or any(rec.failed for rec in records)
             continue
         for spec in presets[name]:
-            if trials is not None:
-                spec = dataclasses.replace(spec, trials=trials)
-            if args.debug_dump:
-                spec = dataclasses.replace(spec, per_trial_dump=True)
+            spec = _with_run_options(spec, trials, args.debug_dump)
             target = os.path.join(out_root, spec.name)
             if spec in done:
                 shutil.copytree(done[spec], target, dirs_exist_ok=True)

@@ -30,6 +30,9 @@ SAMPLE_RATE_HZ = 3.84e6
 #: variance overflows near -1550 dB, the CFO search's products at -3070 dB,
 #: and the amplitude itself below -3082 dB.
 SNR_DB_FLOOR = -1000.0
+#: largest default and absorbed-baseline BEM order; an order this large may
+#: fall below ``bem_order_bound``
+BEM_ORDER_CAP = 12
 
 
 def bem_order_bound(nu_max_t: float) -> int:
@@ -37,12 +40,12 @@ def bem_order_bound(nu_max_t: float) -> int:
     return math.ceil(2.0 * nu_max_t + 1.0)
 
 
-def default_bem_order(nu_max_t: float, cap: int = 12) -> int:
-    """Bound rounded up to the next odd integer, capped at ``cap``."""
+def default_bem_order(nu_max_t: float) -> int:
+    """Bound rounded up to the next odd integer, capped at BEM_ORDER_CAP."""
     beta = bem_order_bound(nu_max_t)
     if beta % 2 == 0:
         beta += 1
-    return min(beta, cap)
+    return min(beta, BEM_ORDER_CAP)
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,7 @@ class SystemConfig:
             )
         if math.gcd(self.zc_root, self.zc_len) != 1:
             bad.append(f"zc_root={self.zc_root} is not coprime with zc_len={self.zc_len}")
-        if self.beta < bem_order_bound(self.nu_max_t) and self.beta < 12:
+        if self.beta < bem_order_bound(self.nu_max_t) and self.beta < BEM_ORDER_CAP:
             bad.append(
                 f"bem_order={self.beta} below the bound "
                 f"ceil(2*nu_max_t + 1) = {bem_order_bound(self.nu_max_t)}"

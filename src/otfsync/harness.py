@@ -45,8 +45,8 @@ import numpy as np
 
 from . import channel as chan
 from . import modem, pilot, sync
-from .config import (SystemConfig, apply_overrides, bem_order_bound, coerce,
-                     echo_config, parse_lines)
+from .config import (BEM_ORDER_CAP, SystemConfig, apply_overrides, bem_order_bound,
+                     coerce, echo_config, parse_lines)
 from .errors import ConfigError, OtfsyncError
 
 SWEEP_VARS = ("snr_db", "nu_max_t", "cfo_value", "pilot_power_db")
@@ -82,14 +82,17 @@ def json_line(fields: dict) -> str:
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Counter-based stream: (seed, trial_index) determines every draw."""
+    """Counter-based stream: (seed, trial_index) determines every draw; a
+    negative trial index is a ConfigError."""
+    if trial_index < 0:
+        raise ConfigError(f"trial index must be >= 0, got {trial_index}")
     return np.random.default_rng([seed, trial_index])
 
 
 def true_pilot_taps(paths: chan.PathSet, cfg: SystemConfig, theta: int) -> np.ndarray:
     """Ground-truth taps h[n, l, j] over the pilot region at true alignment,
     C-contiguous, so that ``_nmse`` reads them without a copy."""
-    kappa = cfg.cp_len + pilot.region_index(cfg, theta)
+    kappa = pilot.region_kappa(cfg, theta)
     return np.ascontiguousarray(paths.taps(kappa, cfg.zc_len).transpose(1, 0, 2))
 
 
@@ -107,20 +110,21 @@ def _nmse(estimate: np.ndarray, truth: np.ndarray, energy: float | None = None) 
 def absorbed_beta(cfg: SystemConfig, eps_true: float) -> int:
     """Basis order for the CFO-absorbed baseline: the channel-only order,
     inflated to cover the compound Doppler spread nu_max_t + |eps|, capped at
-    12 and at the Doppler axis n (a larger order leaves the fit underdetermined)."""
-    return max(cfg.beta, min(12, cfg.n, bem_order_bound(cfg.nu_max_t + abs(eps_true))))
+    BEM_ORDER_CAP and at n (a larger order leaves the fit underdetermined)."""
+    bound = bem_order_bound(cfg.nu_max_t + abs(eps_true))
+    return max(cfg.beta, min(BEM_ORDER_CAP, cfg.n, bound))
 
 
-def absorbed_channel_fit(region: sync.PilotRegion, cfg: SystemConfig, user: int,
+def absorbed_channel_fit(region: np.ndarray, cfg: SystemConfig, user: int,
                          theta: int, eps_true: float) -> np.ndarray:
     """Baseline fit with the CFO left inside the channel (search disabled):
     the LS solve runs at zero offset against the Doppler-free template
-    1 (x) p, on the user's region de-rotated by its own slot phase
+    1 (x) p, on the user's (N, L_p) region de-rotated by its own slot phase
     (``sync.derotate``).  At zero offset no rotation is needed, so the fit is
     the region's row sums and one (L_p*beta)-square matrix product
     (``BemRegressor.coeffs``)."""
     bundle = sync.estimator_bundle(cfg, theta, beta=absorbed_beta(cfg, eps_true))
-    c_hat = bundle.regressor.coeffs(sync.derotate(region, cfg, user).samples.ravel())
+    c_hat = bundle.regressor.coeffs(sync.derotate(region, cfg, user).ravel())
     return sync.reconstruct_channel(c_hat, bundle.bem)
 
 
@@ -242,8 +246,8 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
             if absorbed:
                 h_abs = absorbed_channel_fit(result.region, cfg, q, result.theta_used, eps_true)
                 # the CFO-absorbed compound taps h[l, kappa] exp(j 2 pi eps kappa / N_s)
-                kappa = cfg.cp_len + pilot.region_index(cfg, theta_true)
-                phase = sync.cfo_phase(kappa, eps_true, cfg.n_s)
+                phase = sync.cfo_phase(pilot.region_kappa(cfg, theta_true), eps_true,
+                                       cfg.n_s)
                 record.nmse_absorbed = _nmse(h_abs, truth * phase[:, np.newaxis, :],
                                              draw.truth_energy[q])     # |phase| = 1
             if collect_debug:
@@ -483,14 +487,6 @@ class EstimationReport:
     rows: list[AggregateRow]
     n_trials: int = 0
     n_failed: int = 0
-
-    def value(self, sweep_value: float, user: int, variant: str, metric: str,
-              field_name: str = "value") -> float:
-        for row in self.rows:
-            if (math.isclose(row.sweep_value, sweep_value) and row.user == user
-                    and row.variant == variant and row.metric == metric):
-                return getattr(row, field_name)
-        raise KeyError(f"no row for ({sweep_value}, {user}, {variant}, {metric})")
 
     def to_csv_text(self) -> str:
         header = "sweep_var,sweep_value,user,variant,metric,value,ci_halfwidth,n_trials,n_failed"

@@ -57,6 +57,12 @@ def region_index(cfg: SystemConfig, theta: int) -> np.ndarray:
     return _region_index(cfg.m, cfg.n, cfg.zc_len, cfg.anchor, int(theta))
 
 
+def region_kappa(cfg: SystemConfig, theta: int) -> np.ndarray:
+    """(N, zc_len) sample index kappa of the pilot region at timing offset
+    ``theta``: the ``region_index`` past the CP, where phases and bases are read."""
+    return cfg.cp_len + region_index(cfg, theta)
+
+
 @functools.lru_cache(maxsize=256)
 def _region_index(m: int, n: int, zc_len: int, anchor: int, theta: int) -> np.ndarray:
     rows = anchor + theta + np.arange(zc_len)

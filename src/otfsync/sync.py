@@ -231,39 +231,25 @@ def estimate_to(curves: np.ndarray, cfg: SystemConfig) -> ToEstimate:
 # pilot-region extraction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PilotRegion:
-    """Received pilot-region samples and their absolute sample indices.
-
-    ``samples[n, j]`` is the filtered receive sample at delay row
-    anchor + theta_hat + j of time slot n (``pilot.region_index``).
-    ``kappa`` holds the matching absolute post-CP-removal sample indices used
-    for every phase and basis evaluation.
-    """
-
-    samples: np.ndarray   # (N, L_p) complex, or a (..., N, L_p) stack
-    kappa: np.ndarray     # (N, L_p) int
-
-
 def extract_pilot_region(filtered: np.ndarray, theta_hat: int,
-                         cfg: SystemConfig) -> PilotRegion:
-    """Stack the L_p pilot samples of every time slot after the PCP prefix;
-    a (..., M*N) stack of streams gives (..., N, L_p) samples."""
+                         cfg: SystemConfig) -> np.ndarray:
+    """The (N, L_p) pilot region of a filtered (M*N,) stream at timing offset
+    ``theta_hat``: the L_p samples of every time slot after the PCP prefix
+    (``pilot.region_index``); a (..., M*N) stack gives (..., N, L_p)."""
     filtered = np.asarray(filtered)
     if filtered.shape[-1] != cfg.m * cfg.n:
         raise ConfigError(f"expected {cfg.m * cfg.n} samples, got {filtered.shape[-1]}")
-    idx = pilot.region_index(cfg, theta_hat)
-    return PilotRegion(samples=filtered[..., idx], kappa=cfg.cp_len + idx)
+    return filtered[..., pilot.region_index(cfg, theta_hat)]
 
 
-def derotate(region: PilotRegion, cfg: SystemConfig, user: int) -> PilotRegion:
-    """User ``user``'s region in the frame of the Doppler-free template
-    1 (x) p: slot n times conj(``pilot.slot_phase``[n]).  The phase is
-    common to the slot and commutes with the CFO rotation and the BEM taps,
-    so the de-rotated region has the same CFO and channel as the received
-    one."""
+def derotate(samples: np.ndarray, cfg: SystemConfig, user: int) -> np.ndarray:
+    """User ``user``'s (..., N, L_p) region in the frame of the Doppler-free
+    template 1 (x) p, of the same shape: slot n times
+    conj(``pilot.slot_phase``[n]).  The phase is common to the slot and
+    commutes with the CFO rotation and the BEM taps, so the de-rotated
+    region has the same CFO and channel as the received one."""
     phase = np.conj(pilot.slot_phase(cfg, user))
-    return PilotRegion(samples=region.samples * phase[:, np.newaxis], kappa=region.kappa)
+    return samples * phase[:, np.newaxis]
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +610,10 @@ def estimate_cfo(samples: np.ndarray, bundle: EstimatorBundle, cfg: SystemConfig
     (``CfoScan.node_sums``), the projections at the nodes are
     W_i[j, k] = v[i, j] sum_s U[i, s] Y[s, j, k], one (r, V) @ (V, L_p*beta)
     product.  W holds the values at the nodes of the Chebyshev interpolant
-    of w(eps), the projection of Phi^H(eps) rbar, each interpolated rotation
-    within 2**-52 of the exact one (``scan_node_count``).  Its coefficients
-    C = V^-1 W give the scalar cost polynomial g(x) = ||w(x)||^2, of degree
-    2r - 2, through T_a T_b = (T_{a+b} + T_{|a-b|}) / 2
-    (``cost_polynomial``).  Both are polynomials in a, made once for every
+    of w(eps), the projection of Phi^H(eps) rbar, r by the rule of
+    ``scan_node_count``.  Its coefficients C = V^-1 W give the scalar cost
+    polynomial g(x) = ||w(x)||^2, of degree 2r - 2, through
+    T_a T_b = (T_{a+b} + T_{|a-b|}) / 2 (``cost_polynomial``).  Both are polynomials in a, made once for every
     lane; each lane's g is one row of a (lanes, 2K - 1) @ (2K - 1, 2r - 1)
     product with the powers a^i.  The cost curves are one (lanes, 2r - 1)
     @ (2r - 1, G) product, and differ from the dense scan by rounding only.
@@ -716,12 +701,8 @@ class EstimatorBundle:
 
     The search rotates the region to r Chebyshev nodes of +-cfo_range about
     the region centre (a phase common to every kappa leaves the cost
-    unchanged, and centring halves the bandwidth).  r comes from the
-    geometry by one rule, ``scan_node_count``: the smallest count with
-    (a/2)**r / r! < 2**-52, plus one, for the bandwidth
-    a = 2 pi cfo_range (kappa_max - kappa_min) / (2 N_s) of the rotations,
-    so every interpolated rotation is exact to 2**-52 (r = 29 or 30 at the
-    default geometry).  The rotations are kept as their factors U (r, V)
+    unchanged, and centring halves the bandwidth), r by the rule of
+    ``scan_node_count``.  The rotations are kept as their factors U (r, V)
     over the virtual slots and v (r, L_p) over the rows (``cfo_scan``),
     about 20 KB instead of an (r, N*L_p) table; the real operators of the
     cost polynomial are shared through ``scan_operators``.  The scan, the
@@ -761,7 +742,7 @@ def _cached_bundle(m, n, cp_len, zc_len, zc_root, pilot_power_db, anchor, cfo_ra
     cfg = SystemConfig(m=m, n=n, cp_len=cp_len, zc_len=zc_len, zc_root=zc_root,
                        pilot_power_db=pilot_power_db, pilot_anchor=anchor,
                        cfo_range=cfo_range, cfo_step=cfo_step)
-    kappa = cp_len + pilot.region_index(cfg, theta)
+    kappa = pilot.region_kappa(cfg, theta)
     bem = build_bem_basis(beta, kappa, cfg.n_s)
     pcp = pilot.make_pcp(zc_len, zc_root, pilot_power_db)
     regressor = build_bem_regressor(pilot.region_pilot(cfg, pcp), bem)
@@ -809,9 +790,9 @@ class FrontEnd:
         return curves, estimate_to(curves, cfg)
 
     def search(self, user: int, theta: int,
-               lanes: np.ndarray) -> tuple[PilotRegion, dict[int, CfoEstimate]]:
-        """User ``user``'s received pilot region at ``theta`` ((K, N, L_p)
-        samples) and the CFO estimates of the lanes ``lanes`` (a (P,) mask,
+               lanes: np.ndarray) -> tuple[np.ndarray, dict[int, CfoEstimate]]:
+        """User ``user``'s (K, N, L_p) received pilot region at ``theta``
+        and the CFO estimates of the lanes ``lanes`` (a (P,) mask,
         the lanes whose theta_hat is ``theta``) by lane, from one
         ``estimate_cfo`` on the region's de-rotation and the shared bundle;
         made by the first call and kept."""
@@ -820,8 +801,8 @@ class FrontEnd:
             cfg = self.cfg
             region = extract_pilot_region(self.separated[:, user], theta, cfg)
             lanes = np.flatnonzero(lanes)
-            estimates = estimate_cfo(derotate(region, cfg, user).samples,
-                                     estimator_bundle(cfg, theta), cfg, self.amplitudes[lanes])
+            estimates = estimate_cfo(derotate(region, cfg, user), estimator_bundle(cfg, theta),
+                                     cfg, self.amplitudes[lanes])
             self.searches[key] = region, dict(zip(lanes.tolist(), estimates))
         return self.searches[key]
 
@@ -854,14 +835,13 @@ class UserSyncResult:
     theta_used: int
     metric: np.ndarray              # (M,) the user's timing curve
     cfo: CfoEstimate
-    received: PilotRegion           # the received region, (K, N, L_p) rows in a
+    received: np.ndarray            # (K, N, L_p) the received region, rows in a
     amplitude: float                # the lane's noise amplitude a
 
     @property
-    def region(self) -> PilotRegion:
-        """The received region at the lane's a (``at_amplitude``)."""
-        return PilotRegion(samples=at_amplitude(self.received.samples, self.amplitude),
-                           kappa=self.received.kappa)
+    def region(self) -> np.ndarray:
+        """The (N, L_p) received region at the lane's a (``at_amplitude``)."""
+        return at_amplitude(self.received, self.amplitude)
 
 
 def synchronize_user(front: FrontEnd, lane: int, user: int,

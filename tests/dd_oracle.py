@@ -82,7 +82,7 @@ def _user_lambda(paths, theta: int, cp_len: int, mn: int) -> np.ndarray:
     """
     lam = np.zeros((mn, mn), dtype=complex)
     rows = np.arange(mn)
-    taps = paths.taps(cp_len + rows, paths.length)
+    taps = paths.taps(cp_len + rows, int(paths.delays.max()) + 1)
     for delay in np.unique(paths.delays):
         cols = (rows - theta - int(delay)) % mn
         lam[rows, cols] += taps[delay]

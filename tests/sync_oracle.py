@@ -144,13 +144,14 @@ def cfo_cost_derivatives(rbar, regressor, kappa, eps, n_s):
             2.0 * float(np.vdot(w1, w1).real + np.vdot(w0, w2).real))
 
 
-def estimate_cfo_exact(region, regressor, cfg, cost_curve):
-    """(eps_hat, c_hat) by exact Newton on the ``DenseRegressor`` from the
-    best point of ``cost_curve`` over the CFO grid on [best +- cfo_step]
-    within +-cfo_range, then the ``coeffs`` solve."""
+def estimate_cfo_exact(region, kappa, regressor, cfg, cost_curve):
+    """(eps_hat, c_hat) of the (N, L_p) region at the sample indices
+    ``kappa`` by exact Newton on the ``DenseRegressor`` from the best point
+    of ``cost_curve`` over the CFO grid on [best +- cfo_step] within
+    +-cfo_range, then the ``coeffs`` solve."""
     grid = sync.cfo_grid(cfg.cfo_range, cfg.cfo_step)
-    rflat = region.samples.ravel()
-    kflat = region.kappa.ravel().astype(float)
+    rflat = region.ravel()
+    kflat = kappa.ravel().astype(float)
     best = int(np.argmax(cost_curve))
     lo = max(grid[best] - cfg.cfo_step, -cfg.cfo_range)
     hi = min(grid[best] + cfg.cfo_step, cfg.cfo_range)
@@ -170,14 +171,16 @@ def own_bundle_back_end(separated, user, theta, cfg, pcp, absorbed_beta):
     (``estimate_cfo_exact``), and the absorbed baseline as the ``coeffs``
     solve at zero offset on a basis of order ``absorbed_beta``."""
     region = sync.extract_pilot_region(separated[user], theta, cfg)
+    kappa = pilot.region_kappa(cfg, theta)
     sbar = pilot_region_ref(cfg, pcp, user)
-    rflat, kflat = region.samples.ravel(), region.kappa.ravel().astype(float)
-    bem = sync.build_bem_basis(cfg.beta, region.kappa, cfg.n_s)
+    rflat, kflat = region.ravel(), kappa.ravel().astype(float)
+    bem = sync.build_bem_basis(cfg.beta, kappa, cfg.n_s)
     regressor = DenseRegressor(sbar, bem)
     grid = sync.cfo_grid(cfg.cfo_range, cfg.cfo_step)
     dense = np.exp(-2j * np.pi * np.outer(grid, kflat) / cfg.n_s) * rflat
-    eps_hat, c_hat = estimate_cfo_exact(region, regressor, cfg, regressor.cost_many(dense)[0])
-    bem_abs = sync.build_bem_basis(absorbed_beta, region.kappa, cfg.n_s)
+    eps_hat, c_hat = estimate_cfo_exact(region, kappa, regressor, cfg,
+                                        regressor.cost_many(dense)[0])
+    bem_abs = sync.build_bem_basis(absorbed_beta, kappa, cfg.n_s)
     c_abs = DenseRegressor(sbar, bem_abs).coeffs(rflat)
     return (eps_hat, c_hat, sync.reconstruct_channel(c_hat, bem),
             sync.reconstruct_channel(c_abs, bem_abs))
@@ -209,8 +212,7 @@ def per_point_trial(cfg, trial_index, absorbed=False):
         if absorbed:
             h_abs = harness.absorbed_channel_fit(result.region, cfg, q, result.theta_used,
                                                  eps_true)
-            kappa = cfg.cp_len + pilot.region_index(cfg, theta_true)
-            phase = sync.cfo_phase(kappa, eps_true, cfg.n_s)
+            phase = sync.cfo_phase(pilot.region_kappa(cfg, theta_true), eps_true, cfg.n_s)
             user["nmse_absorbed"] = harness._nmse(h_abs, draw.truth[q] * phase[:, None, :])
         users.append(user)
     return users

@@ -51,7 +51,7 @@ def test_eva_zero_doppler_when_static():
     rng = np.random.default_rng(0)
     paths = chan.generate_eva_channel(rng, nu_max_t=0.0, n_s=4114)
     assert np.all(paths.dopplers == 0.0)
-    assert paths.length <= 10
+    assert int(paths.delays.max()) + 1 <= 10
 
 
 def test_eva_unit_power_monte_carlo():
@@ -68,10 +68,11 @@ def test_eva_unit_power_monte_carlo():
 
 def test_bem_pathset_power_and_length():
     rng = np.random.default_rng(2)
-    paths = chan.generate_eva_bem_channel(rng, 2.91, 4109, order=7)
-    assert paths.length <= 10
-    taps = paths.taps(np.arange(4109), paths.length)
-    assert taps.shape == (paths.length, 4109)
+    paths = chan.generate_eva_bem_channel(rng, 4109, order=7)
+    length = int(paths.delays.max()) + 1
+    assert length <= 10
+    taps = paths.taps(np.arange(4109), length)
+    assert taps.shape == (length, 4109)
     power = np.mean(np.abs(taps[paths.delays]) ** 2)
     assert power > 0
     assert np.array_equal(paths.taps(np.arange(4109), 2), taps[:2])
@@ -83,8 +84,9 @@ def test_taps_rows_match_per_path_sum():
                           dopplers=np.array([1e-4, -2e-4, 3e-4]))
     for paths in (random_pathset(rng, n_paths=4), shared):
         kappa = np.arange(50.0)
-        taps = paths.taps(kappa, paths.length)
-        for ell in range(paths.length):
+        length = int(paths.delays.max()) + 1
+        taps = paths.taps(kappa, length)
+        for ell in range(length):
             expected = sum((g * np.exp(2j * np.pi * nu * (kappa - d))
                             for g, d, nu in zip(paths.gains, paths.delays, paths.dopplers)
                             if d == ell), np.zeros(kappa.shape, complex))
@@ -130,7 +132,7 @@ def direct_receive(stream, paths, theta, eps, n_s):
     the ``apply_channel`` docstring, delay by delay with one exp per sample."""
     k = np.arange(n_s)
     acc = np.zeros(n_s, complex)
-    for ell in range(paths.length):
+    for ell in range(int(paths.delays.max()) + 1):
         src = k - ell - theta
         shifted = np.where(src >= 0, stream[np.maximum(src, 0)], 0)
         acc += shifted * direct_tap(paths, ell, k, n_s)
@@ -293,7 +295,7 @@ def test_apply_channel_rejects_inconsistent_users():
     streams = np.zeros((2, cfg.n_s), complex)
     mixed = chan.ChannelRealization(
         paths=[chan.identity_pathset(),
-               chan.generate_eva_bem_channel(rng, cfg.nu_max_t, cfg.n_s, 3)],
+               chan.generate_eva_bem_channel(rng, cfg.n_s, 3)],
         to=np.array([0, 0]), cfo=np.array([0.0, 0.0]))
     with pytest.raises(RealizationError, match="share a path model"):
         chan.apply_channel(streams, mixed, cfg.n_s, cfg.theta_max)
@@ -366,7 +368,7 @@ def test_keystone_with_bem_paths():
     cfg = small_config()
     rng = np.random.default_rng(9)
     real = chan.ChannelRealization(
-        paths=[chan.generate_eva_bem_channel(rng, cfg.nu_max_t, cfg.n_s, 4)
+        paths=[chan.generate_eva_bem_channel(rng, cfg.n_s, 4)
                for _ in range(2)],
         to=rng.integers(0, cfg.theta_max + 1, 2),
         cfo=rng.uniform(-0.5, 0.5, 2))

@@ -308,7 +308,7 @@ def test_extraction_recovers_transmitted_pilot():
     y = transmit_pilot_only(cfg, pcp, real)
     region = sync.extract_pilot_region(y, 0, cfg)
     sbar = pilot_region_ref(cfg, pcp, 0)
-    assert np.max(np.abs(region.samples - sbar)) < 1e-9
+    assert np.max(np.abs(region - sbar)) < 1e-9
 
 
 def test_extraction_pure_cfo_phase_ramp():
@@ -319,8 +319,8 @@ def test_extraction_pure_cfo_phase_ramp():
     y = transmit_pilot_only(cfg, pcp, real)
     region = sync.extract_pilot_region(y, 0, cfg)
     sbar = pilot_region_ref(cfg, pcp, 0)
-    model = sync.cfo_phase(region.kappa, eps, cfg.n_s) * sbar
-    assert np.max(np.abs(region.samples - model)) < 1e-9
+    model = sync.cfo_phase(pilot.region_kappa(cfg, 0), eps, cfg.n_s) * sbar
+    assert np.max(np.abs(region - model)) < 1e-9
 
 
 def test_extraction_wrap_indices():
@@ -332,10 +332,18 @@ def test_extraction_wrap_indices():
         idx = (np.arange(cfg.n)[:, None] * cfg.m + cfg.anchor + theta
                + np.arange(cfg.zc_len)) % (cfg.m * cfg.n)
         assert np.array_equal(pilot.region_index(cfg, theta), idx)
-        assert np.array_equal(region.samples.real.astype(int), idx)
-        assert np.array_equal(region.kappa, cfg.cp_len + idx)
+        assert np.array_equal(region.real.astype(int), idx)
         assert idx.max() < cfg.m * cfg.n
         assert (idx < cfg.anchor).any() == (theta > 0)
+
+
+@pytest.mark.parametrize("theta", [0, 127])
+def test_region_kappa_is_the_bundle_kappa(theta):
+    # theta = 127 wraps every row of the last slot to the frame head
+    cfg = paper_config(num_users=1)
+    kappa = pilot.region_kappa(cfg, theta)
+    assert np.array_equal(kappa, cfg.cp_len + pilot.region_index(cfg, theta))
+    assert np.array_equal(kappa, sync.estimator_bundle(cfg, theta).kappa)
 
 
 def test_wrong_offset_decorrelates_region():
@@ -347,8 +355,8 @@ def test_wrong_offset_decorrelates_region():
 
     def correlation(theta_hat):
         region = sync.extract_pilot_region(y, theta_hat, cfg)
-        num = abs(np.vdot(sbar, region.samples))
-        return num / (np.linalg.norm(sbar) * np.linalg.norm(region.samples))
+        num = abs(np.vdot(sbar, region))
+        return num / (np.linalg.norm(sbar) * np.linalg.norm(region))
 
     assert correlation(2) > 0.99
     assert correlation(3) < 0.6 * correlation(2)
@@ -487,14 +495,13 @@ def bem_exact_observation(cfg, rng, eps0, theta=0, beta=None, noise=0.0):
         scale = np.sqrt(np.mean(np.abs(samples) ** 2))
         draw = rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
         samples = samples + noise * scale * draw
-    region = sync.derotate(sync.PilotRegion(samples=samples, kappa=kappa), cfg, 0)
-    return region, bundle, regressor_matrix(sbar, bundle.bem), c
+    return sync.derotate(samples, cfg, 0), bundle, regressor_matrix(sbar, bundle.bem), c
 
 
 def search(region, bundle, cfg):
     """``sync.estimate_cfo`` of one region, in the frame of the bundle's
     template, on a fresh projection, at one lane."""
-    return sync.estimate_cfo(region.samples[np.newaxis], bundle, cfg)[0]
+    return sync.estimate_cfo(region[np.newaxis], bundle, cfg)[0]
 
 
 def test_cost_matches_projection_matrix_oracle():
@@ -503,11 +510,11 @@ def test_cost_matches_projection_matrix_oracle():
     region, bundle, g, _ = bem_exact_observation(cfg, rng, 0.2)
     proj = g @ np.linalg.inv(g.conj().T @ g) @ g.conj().T
     for eps in (-0.3, 0.0, 0.21):
-        phase = sync.cfo_phase(region.kappa.ravel(), eps, cfg.n_s)
-        z = np.conj(phase) * region.samples.ravel()
+        phase = sync.cfo_phase(bundle.kappa.ravel(), eps, cfg.n_s)
+        z = np.conj(phase) * region.ravel()
         oracle = np.real(np.vdot(z, proj @ z))
-        got = sync.cfo_cost(region.samples.ravel(), bundle.regressor,
-                            region.kappa.ravel(), eps, cfg.n_s)
+        got = sync.cfo_cost(region.ravel(), bundle.regressor,
+                            bundle.kappa.ravel(), eps, cfg.n_s)
         assert abs(got - oracle) < 1e-10 * max(1.0, oracle)
 
 
@@ -516,8 +523,8 @@ def test_cost_nonnegative_and_phase_invariant():
     rng = np.random.default_rng(23)
     region, bundle, _, _ = bem_exact_observation(cfg, rng, 0.1)
     reg = bundle.regressor
-    rflat = region.samples.ravel()
-    kflat = region.kappa.ravel()
+    rflat = region.ravel()
+    kflat = bundle.kappa.ravel()
     base = sync.cfo_cost(rflat, reg, kflat, 0.07, cfg.n_s)
     assert base >= 0
     rotated = sync.cfo_cost(np.exp(1j * 0.8) * rflat, reg, kflat, 0.07, cfg.n_s)
@@ -528,8 +535,8 @@ def test_cost_peak_captures_full_energy_at_truth():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(24)
     region, bundle, g, c = bem_exact_observation(cfg, rng, 0.14)
-    peak = sync.cfo_cost(region.samples.ravel(), bundle.regressor,
-                         region.kappa.ravel(), 0.14, cfg.n_s)
+    peak = sync.cfo_cost(region.ravel(), bundle.regressor,
+                         bundle.kappa.ravel(), 0.14, cfg.n_s)
     assert peak == pytest.approx(np.linalg.norm(g @ c) ** 2, rel=1e-10)
 
 
@@ -563,16 +570,16 @@ def test_estimate_cfo_cost_curve_maximum_at_estimate():
     rng = np.random.default_rng(27)
     region, bundle, _, _ = bem_exact_observation(cfg, rng, 0.33)
     est = search(region, bundle, cfg)
-    final = sync.cfo_cost(region.samples.ravel(), bundle.regressor,
-                          region.kappa.ravel(), est.epsilon_hat, cfg.n_s)
+    final = sync.cfo_cost(region.ravel(), bundle.regressor,
+                          bundle.kappa.ravel(), est.epsilon_hat, cfg.n_s)
     assert final >= est.cost_curve.max() - 1e-9 * final
     assert abs(est.epsilon_hat) <= cfg.cfo_range
 
 
-def fine_argmax(region, regressor, lo, hi, n_s, step=1e-6, chunk=4000):
+def fine_argmax(region, kappa, regressor, lo, hi, n_s, step=1e-6, chunk=4000):
     """Argmax of the projection cost over a step-spaced grid of [lo, hi]."""
     eps = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
-    rflat, kflat = region.samples.ravel(), region.kappa.ravel().astype(float)
+    rflat, kflat = region.ravel(), kappa.ravel().astype(float)
     costs = np.concatenate([
         regressor.cost_many(np.exp(-2j * np.pi * np.outer(part, kflat) / n_s) * rflat)[0]
         for part in np.array_split(eps, -(-eps.size // chunk))])
@@ -591,7 +598,8 @@ def test_estimate_cfo_matches_fine_argmax_of_bracket(eps0, cfo_range):
     lo = max(centre - cfg.cfo_step, -cfg.cfo_range)
     hi = min(centre + cfg.cfo_step, cfg.cfo_range)
     pcp, _, _ = region_fixture(cfg)
-    target = fine_argmax(region, dense_regressor(bundle, cfg, pcp), lo, hi, cfg.n_s)
+    target = fine_argmax(region, bundle.kappa, dense_regressor(bundle, cfg, pcp), lo, hi,
+                         cfg.n_s)
     if eps0 > cfo_range:
         assert target == hi == cfg.cfo_range
     else:
@@ -604,7 +612,7 @@ def test_cost_derivatives_match_central_differences():
     rng = np.random.default_rng(33)
     region, bundle, _, _ = bem_exact_observation(cfg, rng, 0.1)
     _, sbar, _ = region_fixture(cfg)
-    rflat, kflat = region.samples.ravel(), region.kappa.ravel()
+    rflat, kflat = region.ravel(), bundle.kappa.ravel()
     cost = lambda e: sync.cfo_cost(rflat, bundle.regressor, kflat, e, cfg.n_s)
     dense = DenseRegressor(sbar, bundle.bem)
     h = 1e-4
@@ -619,7 +627,7 @@ def test_cost_derivatives_match_central_differences():
 def test_estimate_cfo_all_zero_region_returns_grid_point():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     region, bundle, _, _ = bem_exact_observation(cfg, np.random.default_rng(34), 0.0)
-    zero = sync.PilotRegion(samples=np.zeros_like(region.samples), kappa=region.kappa)
+    zero = np.zeros_like(region)
     est = search(zero, bundle, cfg)
     assert est.epsilon_hat == est.grid[int(np.argmax(est.cost_curve))]
     assert np.all(est.c_hat == 0) and np.all(np.isfinite(est.h_hat))
@@ -681,9 +689,8 @@ def test_ls_residual_orthogonality():
     result = sync.synchronize_user(front, 0, 0)
     bundle = sync.estimator_bundle(cfg, result.theta_used)
     g = regressor_matrix(pilot_region_ref(cfg, pcp, 0), bundle.bem)
-    phase = sync.cfo_phase(result.region.kappa.ravel(), result.cfo.epsilon_hat,
-                           cfg.n_s)
-    z = np.conj(phase) * result.region.samples.ravel()
+    phase = sync.cfo_phase(bundle.kappa.ravel(), result.cfo.epsilon_hat, cfg.n_s)
+    z = np.conj(phase) * result.region.ravel()
     residual = g.conj().T @ (z - g @ result.cfo.c_hat)
     assert np.linalg.norm(residual) < 1e-9 * np.linalg.norm(g.conj().T @ z)
 
@@ -742,8 +749,7 @@ def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
     rng = np.random.default_rng(41)
     for _ in range(5):
         rflat = rng.standard_normal(kflat.size) + 1j * rng.standard_normal(kflat.size)
-        region = sync.PilotRegion(samples=rflat.reshape(kappa.shape), kappa=kappa)
-        got = search(region, bundle, cfg).cost_curve
+        got = search(rflat.reshape(kappa.shape), bundle, cfg).cost_curve
         dense = dense_regressor(bundle, cfg, pcp).cost_many(dense_phases * rflat)[0]
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(dense)
 
@@ -784,7 +790,8 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_no
         noise = 0.0 if abs(eps0) > cfg.cfo_range else 0.3
         region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0, theta, noise=noise)
         est = search(region, bundle, cfg)
-        eps_hat, c_hat = estimate_cfo_exact(region, dense_regressor(bundle, cfg, pcp),
+        eps_hat, c_hat = estimate_cfo_exact(region, bundle.kappa,
+                                            dense_regressor(bundle, cfg, pcp),
                                             cfg, est.cost_curve)
         assert abs(est.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
         assert np.linalg.norm(est.c_hat - c_hat) <= 1e-9 * np.linalg.norm(c_hat)
@@ -799,7 +806,7 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_no
     assert bundle.scan.ops.grid_vander.shape == (bundle.grid.size, 2 * r - 1)
     assert bundle.scan.ops.derivs.shape == (2 * r - 1, 3 * (2 * r - 1))
     # the bracket alone would take local_nodes; the refinement reads the scan's r
-    assert local_nodes == sync.scan_node_count(cfg.cfo_step, region.kappa, cfg.n_s)
+    assert local_nodes == sync.scan_node_count(cfg.cfo_step, bundle.kappa, cfg.n_s)
 
 
 def test_shared_bundle_matches_per_user_bundles():
@@ -842,11 +849,10 @@ def test_estimate_cfo_allocates_less_than_the_dense_scan():
     bundle = sync.estimator_bundle(cfg, 2)
     rng = np.random.default_rng(42)
     samples = rng.standard_normal(kappa.shape) + 1j * rng.standard_normal(kappa.shape)
-    region = sync.PilotRegion(samples=samples, kappa=kappa)
-    search(region, bundle, cfg)    # warm: lazy imports, BLAS buffers
+    search(samples, bundle, cfg)    # warm: lazy imports, BLAS buffers
     tracemalloc.start()
     try:
-        search(region, bundle, cfg)
+        search(samples, bundle, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -867,7 +873,7 @@ def test_reconstruct_bem_exact_channel():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(29)
     region, bundle, _, c = bem_exact_observation(cfg, rng, 0.0)
-    c_hat = bundle.regressor.coeffs(region.samples.ravel())
+    c_hat = bundle.regressor.coeffs(region.ravel())
     h_hat = sync.reconstruct_channel(c_hat, bundle.bem)
     h_true = sync.reconstruct_channel(c, bundle.bem)
     assert np.max(np.abs(h_hat - h_true)) < 1e-8
@@ -897,8 +903,7 @@ def test_slot_projection_and_cost_curve_match_dense_q(num_users, theta, beta):
     assert np.allclose(reg.coeffs(z[0]), dense.coeffs(z[0]), rtol=0, atol=1e-12 * np.max(
         np.abs(dense.coeffs(z[0]))))
     rotations = np.exp(-2j * np.pi * np.outer(bundle.grid, kappa.ravel()) / cfg.n_s)
-    region = sync.PilotRegion(samples=z[1].reshape(kappa.shape), kappa=kappa)
-    got = search(region, bundle, cfg).cost_curve
+    got = search(z[1].reshape(kappa.shape), bundle, cfg).cost_curve
     dense_curve = dense.cost_many(rotations * z[1])[0]
     assert np.max(np.abs(got - dense_curve)) <= 1e-13 * np.max(dense_curve)
 
