@@ -85,6 +85,18 @@ def phase_ramp(freqs, n: int) -> np.ndarray:
     return ramp.reshape(len(fine), -1)[:, :n]
 
 
+@lru_cache(maxsize=16)
+def cfo_rotation(cfo_value: float, n_s: int) -> np.ndarray:
+    """exp(j 2 pi eps kappa / N_s) over kappa = 0..N_s - 1 for a CFO eps =
+    ``cfo_value`` pinned for every user (``phase_ramp``).  The CFO then
+    factors out of the user sum, so the stream at CFO eps is the zero-CFO
+    stream times this rotation (``sync.front_end``); every draw of a
+    ``cfo_value`` point reads it, so it is made once per point; read-only."""
+    ramp = phase_ramp(cfo_value / n_s, n_s)[0]
+    ramp.flags.writeable = False
+    return ramp
+
+
 def delayed_copies(streams: np.ndarray, users: np.ndarray, shifts: np.ndarray,
                    length: int | None = None) -> np.ndarray:
     """(len(shifts), length) rows streams[users[i], kappa - shifts[i]] for

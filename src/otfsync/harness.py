@@ -12,34 +12,34 @@ and exactly reproducible.
 A sweep runs with the trial index outermost.  Each trial index has one
 ``TrialDraw`` at a time: its channel, offsets, frames, noiseless receive
 stream and unit noise, shared by the run of consecutive points that leave
-it unchanged (``draw_runs``).  An SNR sweep changes only the scale a of the
-noise, and the receiver is linear in the stream up to its two nonlinear
-steps (``sync``), so the draw of a run of SNR points holds one receive
-front end (``sync.front_end``) with one lane per point: of the signal and
-of the unit noise for several lanes, of the stream with its noise added
-for one.  On first use it takes every (point, user)'s timing curve and TO
-decision in one pass; each user's CFO search then runs once per
+it unchanged (``draw_runs``), and a receive front end (``sync.front_end``)
+with one lane per point of the run.  An SNR sweep changes only the scale a
+of the noise, and the receiver is linear in the stream up to its two
+nonlinear steps (``sync``), so its points share one front end of the
+signal and of the unit noise, each lane at its a.  A ``cfo_value`` sweep
+changes only the CFO, pinned to the same value for every user, so it
+factors out of the channel's user sum: the stream at CFO eps is the draw's
+zero-CFO stream times exp(j 2 pi eps kappa / N_s).  That rotation does not
+commute with the filter bank, so each of its points is a lane with a
+stream of its own, the rotated stream with its noise added, which the
+front end filters and correlates lane by lane.  A lone point is such a
+lane, unrotated.  On first use the front end takes every (point, user)'s
+TO decision in one pass; each user's CFO search then runs once per
 theta_hat, for every point that reaches that theta_hat at once, one lane
-per point.  ``run_trial`` still runs once per point and reads its own
-lane.  A ``cfo_value`` sweep changes only the CFO, pinned to the same
-value for every user, so it factors out of the channel's user sum: the
-stream at CFO eps is the draw's zero-CFO stream times
-exp(j 2 pi eps kappa / N_s).  That rotation does not commute with the
-filter bank, so each of its points runs a one-lane front end of the
-rotated stream itself.  The ``nu_max_t`` and ``pilot_power_db`` sweeps
-change the channel or the pilots, so each of their points has a draw of
-its own.
+per point, and the absorbed baseline fits every such point that shares a
+basis order at once.  ``run_trial`` still runs once per point and reads
+its own lane.  The ``nu_max_t`` and ``pilot_power_db`` sweeps change the
+channel or the pilots, so each of their points has a draw of its own.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -115,16 +115,19 @@ def absorbed_beta(cfg: SystemConfig, eps_true: float) -> int:
     return max(cfg.beta, min(BEM_ORDER_CAP, cfg.n, bound))
 
 
-def absorbed_channel_fit(region: np.ndarray, cfg: SystemConfig, user: int,
-                         theta: int, eps_true: float) -> np.ndarray:
+def absorbed_channel_fit(regions: np.ndarray, cfg: SystemConfig, user: int,
+                         theta: int, beta: int) -> np.ndarray:
     """Baseline fit with the CFO left inside the channel (search disabled):
-    the LS solve runs at zero offset against the Doppler-free template
-    1 (x) p, on the user's (N, L_p) region de-rotated by its own slot phase
-    (``sync.derotate``).  At zero offset no rotation is needed, so the fit is
-    the region's row sums and one (L_p*beta)-square matrix product
-    (``BemRegressor.coeffs``)."""
-    bundle = sync.estimator_bundle(cfg, theta, beta=absorbed_beta(cfg, eps_true))
-    c_hat = bundle.regressor.coeffs(sync.derotate(region, cfg, user).ravel())
+    the LS solve of order ``beta`` (``absorbed_beta``) runs at zero offset
+    against the Doppler-free template 1 (x) p, on the user's (N, L_p) region
+    de-rotated by its own slot phase (``sync.derotate``), or on each region
+    of a (lanes, N, L_p) stack, which gives (lanes, N, L_p, L_p).  At zero
+    offset no rotation is needed, so the fit is the regions' row sums, one
+    (L_p*beta)-square matrix product per region (``BemRegressor.coeffs``)
+    and one reconstruction of them all."""
+    bundle = sync.estimator_bundle(cfg, theta, beta=beta)
+    samples = sync.derotate(regions, cfg, user)
+    c_hat = bundle.regressor.coeffs(samples.reshape(samples.shape[:-2] + (-1,)))
     return sync.reconstruct_channel(c_hat, bundle.bem)
 
 
@@ -136,17 +139,18 @@ class TrialDraw:
     estimate against (``_nmse``), and the unit noise (``channel.unit_noise``)
     that the front end scales to the SNR.
 
-    Unless the CFO is pinned, the draw also holds ``front``, the receive
-    front end (``sync.front_end``) with one lane per SNR of the points it
-    serves, which makes each point's TO decisions and each (user,
-    theta_hat)'s CFO search once, for every lane, when a point first needs
-    them.  A pinned draw's realization has zero CFOs, ``rx`` is the
-    zero-CFO stream and ``front`` is None: a pinned CFO eps, the same for
-    every user, is the rotation exp(j 2 pi eps kappa / N_s) of that stream,
-    which ``run_trial`` applies before a one-lane front end of its own.  So
-    a pinned draw depends neither on ``cfg.snr_db`` nor on the pinned value.
-    Its arrays (``pcp``, the offsets, ``rx``, ``noise``, ``truth`` and the
-    front end's) are read-only."""
+    ``front`` is the receive front end (``sync.front_end``) with one lane per
+    (SNR, pinned CFO) of the points the draw serves, which makes every
+    point's TO decisions and each (user, theta_hat)'s CFO search once, for
+    every lane, when a point first needs them; ``absorbed`` keeps the
+    absorbed baseline's fits of each (user, theta_hat) likewise
+    (``_absorbed_fits``).  A pinned draw's realization has zero CFOs and
+    ``rx`` is the zero-CFO stream: a pinned CFO eps, the same for every
+    user, is the rotation exp(j 2 pi eps kappa / N_s) of that stream, which
+    the front end applies lane by lane.  So a pinned draw's realization
+    depends neither on ``cfg.snr_db`` nor on the pinned values.  Its arrays
+    (``pcp``, the offsets, ``rx``, ``noise``, ``truth`` and the front end's)
+    are read-only."""
 
     pcp: np.ndarray
     realization: chan.ChannelRealization
@@ -154,23 +158,25 @@ class TrialDraw:
     noise: np.ndarray
     truth: tuple[np.ndarray, ...]
     truth_energy: tuple[float, ...]
-    front: sync.FrontEnd | None
+    front: sync.FrontEnd
+    absorbed: dict = field(default_factory=dict, repr=False)
 
 
-def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False,
-               snr_db=None) -> TrialDraw:
+def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
     """Trial ``trial_index``'s draw (``TrialDraw``): the channel, offsets,
     frames and unit noise from ``trial_rng``, the frames transmitted and
-    passed through the channel once over all users.  With ``pinned_cfo``
-    the CFO draw is discarded, the channel runs at zero CFO, and there is no
-    front end.  Otherwise the draw runs the front end once, with one lane per
-    distinct value of ``snr_db``, the SNRs of the points it serves (default:
-    ``cfg.snr_db`` alone)."""
+    passed through the channel once over all users, and the front end with
+    one lane per distinct (snr_db, cfo_value) in ``lanes``, those of the
+    points the draw serves (default: ``cfg.snr_db`` at the drawn CFO, a
+    cfo_value of None).  The cfo_values are all None or all pinned
+    (``draw_runs``); pinned, the CFO draw is discarded and the channel runs
+    at zero CFO."""
+    lanes = [(cfg.snr_db, None)] if lanes is None else lanes
     rng = trial_rng(cfg.rng_seed, trial_index)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
 
     realization = chan.draw_realization(rng, cfg)
-    if pinned_cfo:
+    if any(cfo is not None for _, cfo in lanes):
         realization.cfo[:] = 0.0
 
     # the front end runs once on (Q, ...) arrays; the users split after timing.
@@ -185,23 +191,35 @@ def draw_trial(cfg: SystemConfig, trial_index: int, pinned_cfo: bool = False,
     truth = tuple(true_pilot_taps(paths, cfg, int(theta))
                   for paths, theta in zip(realization.paths, realization.to))
     truth_energy = tuple(float(np.vdot(taps, taps).real) for taps in truth)
-    front = None if pinned_cfo else sync.front_end(rx, noise, pcp, cfg, snr_db)
-    shared = () if front is None else (front.separated, front.corr)
+    front = sync.front_end(rx, noise, pcp, cfg, lanes)
+    shared = [array for array in (front.separated, front.curves, front.corr)
+              if array is not None]
     for array in (pcp, realization.to, realization.cfo, rx, noise, *truth, *shared):
         array.flags.writeable = False
     return TrialDraw(pcp=pcp, realization=realization, rx=rx, noise=noise, truth=truth,
                      truth_energy=truth_energy, front=front)
 
 
-@functools.lru_cache(maxsize=16)
-def cfo_rotation(cfo_value: float, n_s: int) -> np.ndarray:
-    """exp(j 2 pi eps kappa / N_s) over kappa = 0..N_s - 1 for the pinned CFO
-    eps = ``cfo_value`` (``channel.phase_ramp``): every trial of a
-    ``cfo_value`` point rotates its draw's stream by it, so it is made once
-    per point; read-only."""
-    ramp = chan.phase_ramp(cfo_value / n_s, n_s)[0]
-    ramp.flags.writeable = False
-    return ramp
+def _absorbed_fits(draw: TrialDraw, cfg: SystemConfig, user: int,
+                   result: sync.UserSyncResult, beta: int) -> dict[int, np.ndarray]:
+    """The absorbed baseline's fits (``absorbed_channel_fit``) of order
+    ``beta`` of ``user``'s regions at ``result.theta_used``, by lane: one fit
+    of every lane of ``result``'s search whose true CFO gives that order
+    (``absorbed_beta``), each lane's region at its a.  Made on the first
+    call for (user, theta_used, beta) and kept in the draw."""
+    key = (user, result.theta_used, beta)
+    if key not in draw.absorbed:
+        front, lanes = draw.front, []
+        for lane in result.shared:
+            cfo = front.lanes[lane][1]
+            eps = draw.realization.cfo[user] if cfo is None else cfo
+            if absorbed_beta(cfg, float(eps)) == beta:
+                lanes.append(lane)
+        regions = np.stack([sync.at_amplitude(result.shared[lane][0], front.amplitudes.flat[lane])
+                            for lane in lanes])
+        draw.absorbed[key] = dict(zip(lanes, absorbed_channel_fit(regions, cfg, user,
+                                                                  result.theta_used, beta)))
+    return draw.absorbed[key]
 
 
 def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = None,
@@ -214,21 +232,18 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
     it instead); ``absorbed`` also evaluates the CFO-absorbed baseline.
     ``draw``, if given, replaces the trial's own ``draw_trial``: it must be
     trial ``trial_index``'s draw, of the same kind of CFO, for a config that
-    differs from ``cfg`` in ``snr_db`` alone, with a lane at ``cfg.snr_db``
-    unless the CFO is pinned (``draw_runs``).  The records are the same, to
-    rounding if the draw's front end has several lanes.
+    differs from ``cfg`` in ``snr_db`` alone, with a lane at
+    (``cfg.snr_db``, ``cfo_value``) (``draw_runs``).  The trial reads that
+    lane of the draw's front end and of the searches and fits that it shares
+    with the draw's other lanes.  The records are the same, to rounding if
+    the lanes share one stream (an SNR sweep's), and bit for bit if each
+    lane has its own (a ``cfo_value`` sweep's).
     """
     if draw is None:
-        draw = draw_trial(cfg, trial_index, pinned_cfo=cfo_value is not None)
+        draw = draw_trial(cfg, trial_index, [(cfg.snr_db, cfo_value)])
     realization = draw.realization
-
-    eps, front = realization.cfo, draw.front
-    if cfo_value is not None:
-        # the draw's stream is at zero CFO; one CFO for all users rotates the sum
-        rx = draw.rx * cfo_rotation(cfo_value, cfg.n_s)
-        front = sync.front_end(rx, draw.noise, draw.pcp, cfg)
-        eps = np.full(cfg.num_users, float(cfo_value))
-    lane = front.snr_db.index(cfg.snr_db)
+    lane = draw.front.lanes.index((cfg.snr_db, cfo_value))
+    eps = realization.cfo if cfo_value is None else np.full(cfg.num_users, float(cfo_value))
 
     records, debug = [], []
     for q in range(cfg.num_users):
@@ -237,14 +252,15 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
         record = UserTrialRecord(user=q, theta_true=theta_true, eps_true=eps_true)
         try:
             override = theta_true if cfg.genie_to else None
-            result = sync.synchronize_user(front, lane, q, theta_override=override)
+            result = sync.synchronize_user(draw.front, lane, q, theta_override=override)
             record.theta_first = result.to_estimate.first_peak
             record.theta_max = result.to_estimate.max_peak
             record.eps_hat = result.cfo.epsilon_hat
             truth = draw.truth[q]
             record.nmse = _nmse(result.cfo.h_hat, truth, draw.truth_energy[q])
             if absorbed:
-                h_abs = absorbed_channel_fit(result.region, cfg, q, result.theta_used, eps_true)
+                h_abs = _absorbed_fits(draw, cfg, q, result,
+                                       absorbed_beta(cfg, eps_true))[lane]
                 # the CFO-absorbed compound taps h[l, kappa] exp(j 2 pi eps kappa / N_s)
                 phase = sync.cfo_phase(pilot.region_kappa(cfg, theta_true), eps_true,
                                        cfg.n_s)
@@ -452,8 +468,8 @@ def _trial_worker(args):
     records = []
     for run in runs:
         cfg, cfo_value = run[0]
-        draw = draw_trial(cfg, trial_index, pinned_cfo=cfo_value is not None,
-                          snr_db=[point_cfg.snr_db for point_cfg, _ in run])
+        draw = draw_trial(cfg, trial_index, [(point_cfg.snr_db, point_cfo)
+                                             for point_cfg, point_cfo in run])
         records += [run_trial(point_cfg, trial_index, cfo_value=point_cfo, absorbed=absorbed,
                               draw=draw)[0] for point_cfg, point_cfo in run]
         del draw                        # one draw live at a time

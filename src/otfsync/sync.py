@@ -5,22 +5,27 @@ estimation on a Chebyshev basis expansion.
 The receiver is linear in the received stream up to two steps: the
 magnitude of the timing correlation and the quadratic cost of the CFO
 search.  Its front end (``front_end``) is the one place that turns a
-draw's receive stream and unit noise into the stack of K streams whose
-received stream at noise amplitude a is sum_k a^k stream_k, and the
-points it serves are its lanes, one SNR and one a each (``FrontEnd``).
-One lane adds its noise to the stream (K = 1, read at a = 0); several
-keep the signal and the unit noise apart (K = 2), which every point of an
-SNR sweep shares.  ``separate_user`` runs the whole filter bank on every
-stream at once and ``timing_correlate`` correlates every separated stream
-with the PCP in one product.  On first use the front end forms each
-lane's correlation at that lane's a (``channel.add_awgn``), takes the
-timing curves, and makes the TO decisions of every (lane, user) in one
-``estimate_to`` call.  The users split after that: ``synchronize_user`` is
-the per-user back end of one lane (TO decision, pilot region, estimator
-bundle, CFO and channel), and the Q back ends are independent.  Each
-user's pilot region and CFO projection are polynomials in a too, so one
-CFO search per (user, theta_hat) serves every lane that reaches that
-theta_hat, one estimate per lane (``FrontEnd.search``, ``estimate_cfo``).
+draw's receive stream and unit noise into the streams that the receiver
+reads, and the points it serves are its lanes (``FrontEnd``).  A lane is a
+(stream, amplitude) pair: a stream is a stack of K rows, and the lane reads
+sum_k a^k row_k at its noise amplitude a.  The points of an SNR sweep share
+one stream of K = 2 rows, the signal and the unit noise, and differ in a
+alone.  Every other lane has a K = 1 stream of its own that holds its noise,
+read at a = 0: a lone point, or a point of a ``cfo_value`` sweep, whose
+stream is the draw's zero-CFO stream rotated by the pinned CFO
+(``channel.cfo_rotation``).  ``separate_user`` runs the whole filter bank on
+every row of a stream at once and ``timing_correlate`` correlates every
+separated row with the PCP in one product.  The K = 1 lanes run the two
+lane by lane and keep only their timing curves; the K = 2 stream keeps its
+correlation and, on first use, forms each lane's at that lane's a
+(``channel.add_awgn``) and takes its curves.  The TO decisions of every
+(lane, user) are one ``estimate_to`` call.  The users split after that:
+``synchronize_user`` is the per-user back end of one lane (TO decision,
+pilot region, estimator bundle, CFO and channel), and the Q back ends are
+independent.  Each user's pilot region and CFO projection are polynomials
+in a too, so one CFO search per (user, theta_hat) serves every lane that
+reaches that theta_hat, one estimate per lane, whether the lanes share a
+stream or each have their own (``FrontEnd.search``, ``estimate_cfo``).
 
 The pilot region is fitted one delay row at a time.  User q's pilot sits in
 Doppler column k_q, so its transmitted region sample (n, j) is
@@ -57,13 +62,16 @@ at the estimate (``estimate_cfo``).  With the region signal + a noise, w is
 w_s + a w_n and the cost ||w_s||^2 + a 2 Re(w_n^H w_s) + a^2 ||w_n||^2, so
 the projection is made once for every a (``BemRegressor.cost_many``), and
 the scan, the derivative operators and the LS solve of all the lanes are
-one product each; only the Newton refinement runs lane by lane.
+one stacked product each, one slice per stream, so that each lane's
+arithmetic is that of its stream searched alone; only the Newton refinement
+runs lane by lane.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -284,32 +292,38 @@ class BemRegressor:
 
     def cost_many(self, node_sums: np.ndarray,
                   to_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma, C) of a CFO scan from the (K, r, L_p*beta) projections W of
-        a region that is a polynomial sum_k a^k z_k in the noise amplitude a,
-        rotated to r Chebyshev nodes: W[k] holds the values there of the
-        interpolant w_k(x) of z_k, C[k] = to_coeffs @ W[k] its Chebyshev
+        """(gamma, C) of a CFO scan from the (..., K, r, L_p*beta) projections
+        W of a region that is a polynomial sum_k a^k z_k in the noise
+        amplitude a, rotated to r Chebyshev nodes: W[k] holds the values there
+        of the interpolant w_k(x) of z_k, C[k] = to_coeffs @ W[k] its Chebyshev
         coefficients (``to_coeffs`` the inverse Chebyshev-Vandermonde matrix
-        of the nodes), and gamma[i] (2K - 1, 2r - 1) the Chebyshev coefficients
-        of the a^i term of the cost ||sum_k a^k w_k(x)||^2: the sum over
-        k + l = i of Re(w_l^H w_k) (``cost_polynomial``)."""
+        of the nodes), and gamma[i] (..., 2K - 1, 2r - 1) the Chebyshev
+        coefficients of the a^i term of the cost ||sum_k a^k w_k(x)||^2: the
+        sum over k + l = i of Re(w_l^H w_k) (``cost_polynomial``).  Leading
+        axes stack regions (streams), each made as it would be alone."""
         # [Re, Im] interleaved, so that the real operator acts in real arithmetic
         coeffs = (to_coeffs @ node_sums.view(np.float64)).view(np.complex128)
-        k = coeffs.shape[0]
-        gamma = np.zeros((2 * k - 1, 2 * coeffs.shape[1] - 1))
+        k = coeffs.shape[-3]
+        gamma = np.zeros(coeffs.shape[:-3] + (2 * k - 1, 2 * coeffs.shape[-2] - 1))
         for i in range(k):
-            gamma[2 * i] += cost_polynomial(coeffs[i])
+            gamma[..., 2 * i, :] += cost_polynomial(coeffs[..., i, :, :])
             for j in range(i + 1, k):
-                gamma[i + j] += 2.0 * cost_polynomial(coeffs[i], coeffs[j])
+                gamma[..., i + j, :] += 2.0 * cost_polynomial(coeffs[..., i, :, :],
+                                                              coeffs[..., j, :, :])
         return gamma, coeffs
 
     def solve(self, w: np.ndarray) -> np.ndarray:
         """LS coefficients E w from a projection w, or from each row of a
-        (lanes, L_p*beta) stack of them."""
+        (..., lanes, L_p*beta) stack of them."""
         return w @ self._solve.T
 
     def coeffs(self, z: np.ndarray) -> np.ndarray:
-        """LS coefficient solve of one region z (N*L_p samples in region order)."""
-        return self.solve(self.slot_sums(z)[0])
+        """LS coefficient solve of one region z (N*L_p samples in region
+        order), or of each row of a (lanes, N*L_p) stack, as one (L_p*beta,)
+        or (lanes, L_p*beta) array: one solve per region, each as it would
+        be alone."""
+        z = np.asarray(z)
+        return self.solve(self.slot_sums(z)[:, np.newaxis]).reshape(z.shape[:-1] + (-1,))
 
 
 def build_bem_regressor(p: np.ndarray, bem: np.ndarray) -> BemRegressor:
@@ -351,19 +365,28 @@ def cost_polynomial(coeffs: np.ndarray, other: np.ndarray | None = None) -> np.n
     w(x) = sum_a coeffs[a] T_a(x) and v(x) likewise from ``other``, by
     default ``coeffs`` itself, which gives g = ||w(x)||^2: with
     H = Re(C conj(D)^T) for the rows C of coeffs and D of other,
-    g = sum_ab H[a, b] T_a T_b, and T_a T_b = (T_{a+b} + T_{|a-b|}) / 2."""
+    g = sum_ab H[a, b] T_a T_b, and T_a T_b = (T_{a+b} + T_{|a-b|}) / 2.
+    A (..., r, n) stack gives (..., 2r - 1), each as it would be alone."""
     parts = coeffs.view(np.float64)
-    gram = (parts @ (parts if other is None else other.view(np.float64)).T).ravel()
-    size = 2 * coeffs.shape[0] - 1
-    sums, diffs = _product_orders(coeffs.shape[0])
-    return 0.5 * (np.bincount(sums, gram, size) + np.bincount(diffs, gram, size))
+    gram = parts @ (parts if other is None else other.view(np.float64)).swapaxes(-1, -2)
+    r = coeffs.shape[-2]
+    count = gram.size // (r * r)
+    sums, diffs = _product_orders(r, count)
+    gram = gram.ravel()
+    size = count * (2 * r - 1)
+    costs = 0.5 * (np.bincount(sums, gram, size) + np.bincount(diffs, gram, size))
+    return costs.reshape(coeffs.shape[:-2] + (2 * r - 1,))
 
 
 @functools.lru_cache(maxsize=32)
-def _product_orders(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened a + b and |a - b| over the (r, r) orders of a Gram matrix."""
+def _product_orders(r: int, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened a + b and |a - b| over the (r, r) orders of ``count``
+    stacked Gram matrices, matrix i offset by i (2r - 1), so that one
+    bincount reduces each matrix in its own run of bins."""
     a = np.arange(r)
-    return (a[:, None] + a).ravel(), np.abs(a[:, None] - a).ravel()
+    offsets = (2 * r - 1) * np.arange(count)[:, np.newaxis]
+    return ((a[:, None] + a).ravel() + offsets).ravel(), \
+        (np.abs(a[:, None] - a).ravel() + offsets).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +622,9 @@ def estimate_cfo(samples: np.ndarray, bundle: EstimatorBundle, cfg: SystemConfig
     projection cost over the bundle's grid, Newton refinement on [best grid
     point +- cfo_step] within +-cfo_range (stopping at steps below
     NEWTON_STEP_FRAC * cfo_tol), then the LS coefficient solve at the
-    winning offset.
+    winning offset.  An (S, K, N, L_p) ``samples`` stacks S such regions
+    (streams), and ``amplitudes`` then holds the same number of lanes for
+    each stream, stream by stream; the estimates come in that order.
 
     All three read one projection (module docstring) of the region rotated
     to the bundle's r Chebyshev nodes nu_i of +-cfo_range
@@ -613,29 +638,34 @@ def estimate_cfo(samples: np.ndarray, bundle: EstimatorBundle, cfg: SystemConfig
     of w(eps), the projection of Phi^H(eps) rbar, r by the rule of
     ``scan_node_count``.  Its coefficients C = V^-1 W give the scalar cost
     polynomial g(x) = ||w(x)||^2, of degree 2r - 2, through
-    T_a T_b = (T_{a+b} + T_{|a-b|}) / 2 (``cost_polynomial``).  Both are polynomials in a, made once for every
-    lane; each lane's g is one row of a (lanes, 2K - 1) @ (2K - 1, 2r - 1)
-    product with the powers a^i.  The cost curves are one (lanes, 2r - 1)
-    @ (2r - 1, G) product, and differ from the dense scan by rounding only.
-    Each Newton iterate of a lane reads g, g' and g'' as one (3, 2r - 1)
-    array (that lane's row of the product with the bundle's derivative
-    operators) times T_s(x) = cos(s acos x).  The LS solve evaluates every
-    lane's w at its estimate from C, one (lanes, r) @ (K, r, L_p*beta)
-    product summed over k at the lane's a, and applies E
-    (``BemRegressor.solve``) and the reconstruction to all lanes at once.
+    T_a T_b = (T_{a+b} + T_{|a-b|}) / 2 (``cost_polynomial``).  Both are
+    polynomials in a, made once for every lane of a stream; each lane's g
+    is one row of a (lanes, 2K - 1) @ (2K - 1, 2r - 1) product with the
+    powers a^i.  The cost curves are one (lanes, 2r - 1) @ (2r - 1, G)
+    product, and differ from the dense scan by rounding only.  Each Newton
+    iterate of a lane reads g, g' and g'' as one (3, 2r - 1) array (that
+    lane's row of the product with the bundle's derivative operators) times
+    T_s(x) = cos(s acos x).  The LS solve evaluates every lane's w at its
+    estimate from C, one (lanes, r) @ (K, r, L_p*beta) product summed over k
+    at the lane's a, and applies E (``BemRegressor.solve``) and the
+    reconstruction to all lanes at once.  Every product is one stacked call
+    with a slice per stream, which gives each lane the arithmetic of its
+    stream searched alone.
     """
     if cfg.cfo_tol <= 0:
         raise ConfigError("cfo_tol must be > 0")
     grid, scan = bundle.grid, bundle.scan
     ops = scan.ops
-    # (2K - 1, 2r - 1), (K, r, L_p*beta)
-    gamma_rows, coeff_rows = bundle.regressor.cost_many(scan.node_sums(samples), ops.to_coeffs)
-    a = np.array([float(amplitude) for amplitude in amplitudes])[:, np.newaxis]
-    gamma = (a ** np.arange(len(gamma_rows))) @ gamma_rows    # (lanes, 2r - 1)
-    costs = gamma @ ops.grid_vander.T                   # (lanes, G)
-    best = np.argmax(costs, axis=1).tolist()
-    derivs = (gamma @ ops.derivs).reshape(len(a), 3, -1)
-    orders = np.arange(gamma.shape[1])
+    regions = np.asarray(samples)
+    regions = regions.reshape((-1,) + regions.shape[-3:])
+    # (S, 2K - 1, 2r - 1), (S, K, r, L_p*beta)
+    gamma_rows, coeff_rows = bundle.regressor.cost_many(scan.node_sums(regions), ops.to_coeffs)
+    a = np.array([float(amplitude) for amplitude in amplitudes]).reshape(len(regions), -1, 1)
+    gamma = (a ** np.arange(gamma_rows.shape[1])) @ gamma_rows    # (S, lanes, 2r - 1)
+    costs = gamma @ ops.grid_vander.T                   # (S, lanes, G)
+    best = np.argmax(costs, axis=-1).ravel().tolist()
+    derivs = (gamma @ ops.derivs).reshape(len(best), 3, -1)
+    orders = np.arange(gamma.shape[-1])
 
     def angle(eps):
         # T_s(x) = cos(s acos x): one call, where chebvander loops per order
@@ -644,9 +674,11 @@ def estimate_cfo(samples: np.ndarray, bundle: EstimatorBundle, cfg: SystemConfig
     # each lane's w at its estimate, rotated back from the region centre, is
     # sum_k a^k sum_s weights[s] C[k, s], weights[s] = T_s(x) exp(-j 2 pi eps centre / N_s)
     turn = -2.0 * math.pi * scan.centre / cfg.n_s
-    weights = np.empty((len(a), coeff_rows.shape[1]), dtype=complex)
+    weights = np.empty(a.shape[:2] + coeff_rows.shape[-2:-1], dtype=complex)
+    costs = costs.reshape(len(best), -1)
     eps_hat = []
-    for lane_derivs, lane_costs, b, lane_weights in zip(derivs, costs, best, weights):
+    for lane_derivs, lane_costs, b, lane_weights in zip(derivs, costs, best,
+                                                         weights.reshape(len(best), -1)):
         def cost_derivatives(eps, lane_derivs=lane_derivs):
             g, g1, g2 = (lane_derivs @ np.cos(orders * angle(eps))).tolist()
             return g, g1, g2
@@ -659,8 +691,9 @@ def estimate_cfo(samples: np.ndarray, bundle: EstimatorBundle, cfg: SystemConfig
         eps = eps_c if lane_costs[b] >= f_ref else float(x_ref)
         lane_weights[:] = np.cos(orders[:len(lane_weights)] * angle(eps)) * cmath.exp(1j * turn * eps)
         eps_hat.append(eps)
-    w = at_amplitude(weights @ coeff_rows, a)
-    c_hat = bundle.regressor.solve(w)
+    # (K, S, lanes, L_p*beta) at each lane's a
+    w = at_amplitude((weights[:, np.newaxis] @ coeff_rows).swapaxes(0, 1), a)
+    c_hat = bundle.regressor.solve(w).reshape(len(best), -1)
     h_hat = reconstruct_channel(c_hat, bundle.bem)
     return [CfoEstimate(epsilon_hat=eps, grid=grid, cost_curve=lane_costs, c_hat=c, h_hat=h)
             for eps, lane_costs, c, h in zip(eps_hat, costs, c_hat, h_hat)]
@@ -752,81 +785,105 @@ def _cached_bundle(m, n, cp_len, zc_len, zc_root, pilot_power_db, anchor, cfo_ra
 
 @dataclass
 class FrontEnd:
-    """The receiver's linear front end of K stacked streams and the points
-    it serves, its lanes; ``front_end`` makes it and chooses K.
+    """The receiver's linear front end of a draw and the points it serves,
+    its lanes; ``front_end`` makes it and chooses its streams.
 
-    Row k of ``separated`` and ``corr`` is the coefficient of a^k in the
-    received quantity at noise amplitude a (``at_amplitude``), and lane p is
-    read at ``amplitudes[p]``.  K = 2 holds the signal and the unit noise,
-    which every point of an SNR sweep shares, each lane at the noise
-    amplitude of ``snr_db[p]``.  K = 1 is a stream that already holds its
-    noise, read at a = 0 by its one lane.  ``cfg`` is the geometry of every
-    lane (the lanes differ in the SNR alone).
+    Lane p serves the point ``lanes[p]``, an (SNR, pinned CFO) pair, and is
+    the pair (stream, amplitude) at ``divmod(p, L)`` of the (S, L)
+    ``amplitudes``: stream s is ``separated[s]``, K rows whose row k is the
+    coefficient of a^k in the received quantity at noise amplitude a
+    (``at_amplitude``), and the lane reads it at a = ``amplitudes[s, l]``.
+    The lanes of an SNR sweep share one stream (S = 1) of K = 2 rows, the
+    signal and the unit noise, each lane at the noise amplitude of its SNR.
+    Every other lane has a stream of its own (L = 1) of K = 1 row that
+    already holds its noise, read at a = 0.  ``cfg`` is the geometry of
+    every lane (the lanes differ in the SNR and the pinned CFO alone).
 
-    ``timing`` makes every lane's timing curves and TO decisions on first
-    use, and ``search`` each user's CFO search at a theta_hat once, for
-    every lane whose theta_hat it is."""
+    ``curves`` holds the (P, Q, M) timing curves of K = 1 streams, taken
+    when they were made; ``corr`` the (K, Q, M*N) complex PCP lag
+    correlations of a shared K = 2 stream, whose curves ``timing`` takes.
+    ``timing`` makes every lane's TO decisions on first use, and ``search``
+    each user's CFO search at a theta_hat once, for every lane whose
+    theta_hat it is."""
 
     cfg: SystemConfig
-    separated: np.ndarray           # (K, Q, M*N) separated streams
-    corr: np.ndarray                # (K, Q, M*N) complex PCP lag correlations
-    snr_db: tuple[float, ...]       # the SNR of each lane
-    amplitudes: np.ndarray          # (P,) the noise amplitude a of each lane
+    separated: np.ndarray           # (S, K, Q, M*N) separated streams
+    lanes: tuple                    # the (snr_db, cfo_value) of each lane
+    amplitudes: np.ndarray          # (S, L) the noise amplitude a of each lane
+    curves: np.ndarray | None = None    # (P, Q, M) timing curves, K = 1
+    corr: np.ndarray | None = None      # (K, Q, M*N) lag correlations, S = 1
     searches: dict = field(default_factory=dict, repr=False)
 
     @functools.cached_property
     def timing(self) -> tuple[np.ndarray, ToEstimate]:
         """The (P, Q, M) timing curves of the lanes and their (P, Q) TO
-        decisions (``estimate_to``, one call).  Each lane's (Q, M*N) lag
-        correlation is made by one ``channel.add_awgn`` and dropped once its
-        curves are taken."""
+        decisions (``estimate_to``, one call).  On a shared stream each
+        lane's (Q, M*N) lag correlation is made by one ``channel.add_awgn``
+        and dropped once its curves are taken."""
         from . import channel         # channel imports this module
-        cfg, corr = self.cfg, self.corr
-        if corr.shape[0] == 1:
-            curves = timing_curve(corr, cfg)
-        else:
+        cfg, curves = self.cfg, self.curves
+        if curves is None:
+            corr = self.corr
             curves = np.stack([timing_curve(channel.add_awgn(corr[0], snr, corr[1]), cfg)
-                               for snr in self.snr_db])
+                               for snr, _ in self.lanes])
         return curves, estimate_to(curves, cfg)
 
     def search(self, user: int, theta: int,
-               lanes: np.ndarray) -> tuple[np.ndarray, dict[int, CfoEstimate]]:
-        """User ``user``'s (K, N, L_p) received pilot region at ``theta``
-        and the CFO estimates of the lanes ``lanes`` (a (P,) mask,
-        the lanes whose theta_hat is ``theta``) by lane, from one
-        ``estimate_cfo`` on the region's de-rotation and the shared bundle;
-        made by the first call and kept."""
+               lanes: np.ndarray) -> dict[int, tuple[np.ndarray, CfoEstimate]]:
+        """User ``user``'s (K, N, L_p) received pilot region at ``theta`` and
+        CFO estimate for each of the lanes ``lanes`` (a (P,) mask, the lanes
+        whose theta_hat is ``theta``), by lane, from one ``estimate_cfo`` on
+        the de-rotated regions of their streams and the shared bundle; made
+        by the first call and kept."""
         key = (user, theta)
         if key not in self.searches:
-            cfg = self.cfg
-            region = extract_pilot_region(self.separated[:, user], theta, cfg)
-            lanes = np.flatnonzero(lanes)
+            cfg, width = self.cfg, self.amplitudes.shape[1]
+            # the streams and the amplitudes of the lanes, a grid that covers them
+            ids = np.flatnonzero(lanes).tolist()
+            rows, cols = sorted({i // width for i in ids}), sorted({i % width for i in ids})
+            region = extract_pilot_region(self.separated[:, :, user], theta, cfg)[rows]
             estimates = estimate_cfo(derotate(region, cfg, user), estimator_bundle(cfg, theta),
-                                     cfg, self.amplitudes[lanes])
-            self.searches[key] = region, dict(zip(lanes.tolist(), estimates))
+                                     cfg, [self.amplitudes[s, l] for s in rows for l in cols])
+            found = zip(itertools.product(enumerate(rows), cols), estimates)
+            self.searches[key] = {s * width + l: (region[i], estimate)
+                                  for ((i, s), l), estimate in found}
         return self.searches[key]
 
 
 def front_end(rx: np.ndarray, noise: np.ndarray, pcp: np.ndarray, cfg: SystemConfig,
-              snr_db=None) -> FrontEnd:
+              lanes=None) -> FrontEnd:
     """The ``FrontEnd`` of the receive stream ``rx`` with the unit noise
-    ``noise`` (``channel.unit_noise``), one lane per distinct SNR in
-    ``snr_db`` (default: ``cfg.snr_db`` alone).  One lane adds its noise to
-    the stream (K = 1); several keep the stream and the noise apart (K = 2),
-    each lane at its ``channel.noise_amplitude``.  The timing-offset margin
-    and the rest of the CP are removed, then the filter bank and the PCP
-    correlation run once on the whole stack."""
+    ``noise`` (``channel.unit_noise``), one lane per distinct (snr_db,
+    cfo_value) in ``lanes`` (default: ``cfg.snr_db`` alone, at the CFO of
+    ``rx``).  A cfo_value is a CFO pinned for every user, which rotates the
+    zero-CFO stream ``rx`` (``channel.cfo_rotation``); None leaves ``rx``
+    as it is.  Several SNRs of an unrotated stream share one stream of two
+    rows, ``rx`` and the noise (K = 2), each lane at its
+    ``channel.noise_amplitude``; the filter bank and the PCP correlation run
+    once on it.  Otherwise each lane has a stream of its own, ``rx`` rotated
+    and its noise added (K = 1), and the two run lane by lane, at the size
+    of one lane, keeping the lane's timing curves and not its correlation.
+    The timing-offset margin and the rest of the CP are removed first."""
     from . import channel         # channel imports this module
-    lanes = tuple(dict.fromkeys((cfg.snr_db,) if snr_db is None else snr_db))
-    if len(lanes) == 1:
-        streams, amplitudes = channel.add_awgn(rx, lanes[0], noise)[np.newaxis], np.zeros(1)
-    else:
-        streams = np.stack([rx, noise])
-        amplitudes = np.array([channel.noise_amplitude(snr) for snr in lanes])
-    y = modem.remove_cp(streams[..., cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
-    separated = separate_user(y, cfg)
-    return FrontEnd(cfg=cfg, separated=separated, corr=timing_correlate(separated, pcp, cfg),
-                    snr_db=lanes, amplitudes=amplitudes)
+    lanes = tuple(dict.fromkeys([(cfg.snr_db, None)] if lanes is None else lanes))
+
+    def separate(streams):
+        return separate_user(modem.remove_cp(streams[..., cfg.theta_max:], cfg.cp_rem,
+                                             out_len=cfg.m * cfg.n), cfg)
+
+    if len(lanes) > 1 and all(cfo is None for _, cfo in lanes):
+        separated = separate(np.stack([rx, noise]))
+        return FrontEnd(cfg=cfg, separated=separated[np.newaxis], lanes=lanes,
+                        amplitudes=np.array([[channel.noise_amplitude(snr) for snr, _ in lanes]]),
+                        corr=timing_correlate(separated, pcp, cfg))
+    separated = np.empty((len(lanes), 1, cfg.num_users, cfg.m * cfg.n), dtype=complex)
+    curves = np.empty((len(lanes), cfg.num_users, cfg.m))
+    for lane, (snr, cfo) in enumerate(lanes):
+        stream = rx if cfo is None else rx * channel.cfo_rotation(cfo, cfg.n_s)
+        separated[lane] = separate(channel.add_awgn(stream, snr, noise)[np.newaxis])
+        curves[lane] = timing_curve(timing_correlate(separated[lane], pcp, cfg), cfg)[0]
+    return FrontEnd(cfg=cfg, separated=separated, lanes=lanes,
+                    amplitudes=np.zeros((len(lanes), 1)), curves=curves)
 
 
 @dataclass
@@ -837,6 +894,7 @@ class UserSyncResult:
     cfo: CfoEstimate
     received: np.ndarray            # (K, N, L_p) the received region, rows in a
     amplitude: float                # the lane's noise amplitude a
+    shared: dict = field(repr=False)    # lane -> (received, cfo) of every lane of the search
 
     @property
     def region(self) -> np.ndarray:
@@ -853,16 +911,17 @@ def synchronize_user(front: FrontEnd, lane: int, user: int,
     every lane that reaches the same theta_hat.  The bundle is shared by all
     users; the search runs on the region de-rotated to its template
     (``derotate``), and the result gives the received region at the lane's
-    a when it is read.  ``theta_override`` (the genie TO) is the same at
-    every lane."""
+    a when it is read, and the search's other lanes (``shared``).
+    ``theta_override`` (the genie TO) is the same at every lane."""
     curves, to_est = front.timing
     first = int(to_est.first_peak[lane, user])
     if theta_override is None:
         theta, lanes = first, to_est.first_peak[:, user] == first
     else:
-        theta, lanes = int(theta_override), np.ones(len(front.snr_db), dtype=bool)
-    region, estimates = front.search(user, theta, lanes)
+        theta, lanes = int(theta_override), np.ones(len(front.lanes), dtype=bool)
+    shared = front.search(user, theta, lanes)
+    received, estimate = shared[lane]
     return UserSyncResult(
         to_estimate=ToEstimate(first_peak=first, max_peak=int(to_est.max_peak[lane, user])),
-        theta_used=theta, metric=curves[lane, user], cfo=estimates[lane],
-        received=region, amplitude=float(front.amplitudes[lane]))
+        theta_used=theta, metric=curves[lane, user], cfo=estimate, received=received,
+        amplitude=float(front.amplitudes.flat[lane]), shared=shared)

@@ -196,8 +196,9 @@ def per_point_trial(cfg, trial_index, absorbed=False):
     y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
     separated = sync.separate_user(y, cfg)
     corr = sync.timing_correlate(separated, draw.pcp, cfg)
-    front = sync.FrontEnd(cfg=cfg, separated=separated[np.newaxis], corr=corr[np.newaxis],
-                          snr_db=(cfg.snr_db,), amplitudes=np.zeros(1))
+    front = sync.FrontEnd(cfg=cfg, separated=separated[np.newaxis, np.newaxis],
+                          lanes=((cfg.snr_db, None),), amplitudes=np.zeros((1, 1)),
+                          curves=sync.timing_curve(corr, cfg)[np.newaxis])
     users = []
     for q in range(cfg.num_users):
         theta_true = int(draw.realization.to[q])
@@ -211,7 +212,7 @@ def per_point_trial(cfg, trial_index, absorbed=False):
                 "timing_metric": result.metric, "cfo_cost": result.cfo.cost_curve}
         if absorbed:
             h_abs = harness.absorbed_channel_fit(result.region, cfg, q, result.theta_used,
-                                                 eps_true)
+                                                 harness.absorbed_beta(cfg, eps_true))
             phase = sync.cfo_phase(pilot.region_kappa(cfg, theta_true), eps_true, cfg.n_s)
             user["nmse_absorbed"] = harness._nmse(h_abs, draw.truth[q] * phase[:, None, :])
         users.append(user)

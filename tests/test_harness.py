@@ -87,7 +87,7 @@ def test_debug_collection():
     for cfg in (cfg, quick_config(num_users=2, channel_model="eva", nu_max_t=1.0, snr_db=5.0)):
         want = per_point_trial(cfg, 0)
         for lanes in ((cfg.snr_db,), (cfg.snr_db, 30.0)):
-            draw = harness.draw_trial(cfg, 0, snr_db=lanes)
+            draw = harness.draw_trial(cfg, 0, [(snr, None) for snr in lanes])
             _, debug = harness.run_trial(cfg, 0, collect_debug=True, draw=draw)
             assert len(debug) == len(want) == cfg.num_users
             for entry, user in zip(debug, want):
@@ -378,10 +378,9 @@ def test_shared_draw_gives_each_points_own_records(sweep_var, workers):
     assert len(tables) == len(cfgs)
     for table, cfg, cfo_value in zip(tables, cfgs, cfo_values):
         # a fresh draw of the same kind: an SNR sweep's draw has a lane per point
+        lanes = [(c.snr_db, cfo) for c, cfo in zip(cfgs, cfo_values)]
         fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value, absorbed=absorbed,
-                                   draw=harness.draw_trial(cfg, k,
-                                                           pinned_cfo=cfo_value is not None,
-                                                           snr_db=[c.snr_db for c in cfgs]))[0]
+                                   draw=harness.draw_trial(cfg, k, lanes))[0]
                  for k in range(trials)]
         assert equal_tables(table, harness.record_table(fresh))
 
@@ -442,7 +441,7 @@ def test_one_cfo_projection_per_user_and_theta_per_draw(monkeypatch):
     distinct = sum(len(set(thetas[:, k, q])) for k, q in np.ndindex(trials, 4))
     assert distinct > trials * 4       # some users' theta_hat moves between points
     assert len(shapes) == distinct
-    assert all(shape[0] == 2 for shape in shapes)   # the signal and the unit noise
+    assert all(shape[-3] == 2 for shape in shapes)  # the signal and the unit noise
 
 
 def test_one_cfo_search_per_user_and_theta_per_draw(monkeypatch):
@@ -463,6 +462,73 @@ def test_one_cfo_search_per_user_and_theta_per_draw(monkeypatch):
     assert len(lanes) == distinct
     assert sum(lanes) == len(cfgs) * trials * 4
     assert max(lanes) == len(cfgs)     # and some search serves every point
+
+
+def pinned_points(genie_to=False):
+    """One pinned run (``draw_runs``): a repeated CFO point and mixed SNRs,
+    with absorbed bases of order 8 (|eps| > 0) and 7 (eps = 0).  At -30 dB
+    most users' theta_hat moves off the other points'."""
+    cfg = SystemConfig(num_users=2, channel_model="eva-bem", genie_to=genie_to, rng_seed=9)
+    inf, low = (apply_overrides(cfg, {"snr_db": snr}) for snr in ("inf", "-30"))
+    points = [(cfg, -0.4), (cfg, 0.0), (cfg, 0.0), (inf, 0.3), (low, 0.3)]
+    assert harness.draw_runs(points) == [points]
+    return points
+
+
+@pytest.mark.parametrize("genie_to", [False, True])
+def test_pinned_run_gives_each_points_own_trial_bit_for_bit(genie_to):
+    # each pinned point is a lane with a stream of its own, so sharing the
+    # draw, the searches and the absorbed fits changes no bit of its records
+    points = pinned_points(genie_to)
+    trials = 3
+    tables = harness.run_point(points, trials, absorbed=True)
+    for table, (cfg, cfo_value) in zip(tables, points):
+        assert not table["failed"].any()
+        fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value, absorbed=True)[0]
+                 for k in range(trials)]
+        assert equal_tables(table, harness.record_table(fresh))
+    assert equal_tables(tables[1], tables[2])      # the repeated point reads one lane
+    # and so do the timing curves and the CFO cost curves of the dump
+    lanes = [(cfg.snr_db, cfo_value) for cfg, cfo_value in points]
+    for k in range(trials):
+        draw = harness.draw_trial(points[0][0], k, lanes)
+        for cfg, cfo_value in points:
+            _, shared = harness.run_trial(cfg, k, cfo_value=cfo_value, collect_debug=True,
+                                          draw=draw)
+            assert shared == harness.run_trial(cfg, k, cfo_value=cfo_value,
+                                               collect_debug=True)[1]
+
+
+def test_one_cfo_search_per_user_and_theta_per_pinned_draw(monkeypatch):
+    # a pinned draw searches each user at each theta_hat once, for every lane
+    # that reaches it, and fits the absorbed baseline once per (user,
+    # theta_hat, beta), each lane as its region alone would be fitted
+    searches, fits = [], []
+    estimate_cfo, fit = sync.estimate_cfo, harness.absorbed_channel_fit
+    monkeypatch.setattr(sync, "estimate_cfo",
+                        lambda samples, bundle, cfg, amplitudes: searches.append(len(amplitudes))
+                        or estimate_cfo(samples, bundle, cfg, amplitudes))
+    monkeypatch.setattr(harness, "absorbed_channel_fit",
+                        lambda *args: fits.append((args, fit(*args))) or fits[-1][1])
+    points = pinned_points()
+    trials, num_users, lanes = 4, 2, 4          # the repeated point is one lane
+    tables = harness.run_point(points, trials, absorbed=True)
+    thetas = np.stack([table["theta_first"] for table in tables])     # (point, trial, user)
+    cfg = points[0][0]
+    searched = {(k, q, theta) for (p, k, q), theta in np.ndenumerate(thetas)}
+    fitted = {(k, q, theta, harness.absorbed_beta(cfg, points[p][1]))
+              for (p, k, q), theta in np.ndenumerate(thetas)}
+    assert len(searched) > trials * num_users        # some theta_hat moves between points
+    assert len(searches) == len(searched)
+    assert sum(searches) == trials * num_users * lanes
+    assert max(searches) == lanes                    # and some search serves every lane
+    assert len({beta for *_, beta in fitted}) == 2
+    assert len(fits) == len(fitted)
+    assert sum(len(regions) for (regions, *_), _ in fits) == trials * num_users * lanes
+    for (regions, cfg, user, theta, beta), got in fits:
+        assert regions.ndim == 3
+        for region, h_abs in zip(regions, got):
+            assert np.array_equal(h_abs, fit(region, cfg, user, theta, beta))
 
 
 def test_a_repeated_snr_point_gives_equal_records():
@@ -495,30 +561,31 @@ def test_absorbed_fit_builds_no_cfo_scan(monkeypatch):
 
 
 def test_front_end_is_shared_only_by_a_draw_that_serves_several_points(monkeypatch):
-    # each draw gets the SNRs of the run of points it serves; only a draw
-    # with several lanes keeps the stream and the noise apart (K = 2).  A
-    # lone SNR point and each Doppler point have one lane, whose stream holds
-    # its noise, and a cfo_value sweep's pinned draw has no front end: their
-    # records equal a fresh run_trial's
+    # each draw gets the lanes of the run of points it serves; only a draw
+    # with several SNR lanes keeps the stream and the noise apart, in one
+    # stream of K = 2 rows.  A lone SNR point and each Doppler point have one
+    # lane, and each point of a cfo_value sweep one lane of its own, whose
+    # K = 1 stream holds its noise: their records equal a fresh run_trial's
     draws = []
     draw_trial = harness.draw_trial
     monkeypatch.setattr(harness, "draw_trial",
-                        lambda cfg, k, **kw: draws.append(draw_trial(cfg, k, **kw))
+                        lambda cfg, k, *args: draws.append(draw_trial(cfg, k, *args))
                         or draws[-1])
     base = SystemConfig(num_users=2, nu_max_t=1.0, rng_seed=5)
     doppler = [apply_overrides(base, {"nu_max_t": nu}) for nu in ("0.5", "1.5")]
-    # per draw: the stack size K of its front end (0: none) and its lanes
-    cases = [(SHARED_DRAW_SWEEPS["snr_db"][:2], [(2, (0.0, 20.0, math.inf))]),
-             (([base], [None]), [(1, (20.0,))]),
-             ((doppler, [None] * 2), [(1, (20.0,))] * 2),
-             (SHARED_DRAW_SWEEPS["cfo_value"][:2], [(0, None)])]
+    # per draw: the (S, K) streams of its front end and its lanes
+    cases = [(SHARED_DRAW_SWEEPS["snr_db"][:2],
+              [((1, 2), ((0.0, None), (20.0, None), (math.inf, None)))]),
+             (([base], [None]), [((1, 1), ((20.0, None),))]),
+             ((doppler, [None] * 2), [((1, 1), ((20.0, None),))] * 2),
+             (SHARED_DRAW_SWEEPS["cfo_value"][:2], [((3, 1), tuple(
+                 (20.0, cfo) for cfo in SHARED_DRAW_SWEEPS["cfo_value"][1]))])]
     trials = 2
     for (cfgs, cfo_values), want in cases:
         draws.clear()
         tables = harness.run_point(list(zip(cfgs, cfo_values)), trials)
-        assert [(0, None) if d.front is None else (d.front.corr.shape[0], d.front.snr_db)
-                for d in draws] == want * trials
-        if all(stack < 2 for stack, _ in want):
+        assert [(d.front.separated.shape[:2], d.front.lanes) for d in draws] == want * trials
+        if all(stack < 2 for (_, stack), _ in want):
             for table, cfg, cfo_value in zip(tables, cfgs, cfo_values):
                 fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value)[0]
                          for k in range(trials)]
@@ -549,7 +616,7 @@ def test_pinned_draw_serves_every_pinned_cfo():
     pinned = [(cfg, -0.4), (cfg, 0.0), (inf, 0.3)]
     assert harness.draw_runs(pinned) == [pinned]
     # and its draw has zero CFOs
-    assert np.array_equal(harness.draw_trial(cfg, 3, pinned_cfo=True).realization.cfo,
+    assert np.array_equal(harness.draw_trial(cfg, 3, [(10.0, 0.3)]).realization.cfo,
                           [0.0, 0.0])
     # it serves no random-CFO point
     assert harness.draw_runs([(cfg, 0.3), (cfg, None)]) == [[(cfg, 0.3)], [(cfg, None)]]
@@ -557,17 +624,19 @@ def test_pinned_draw_serves_every_pinned_cfo():
 
 def test_draw_arrays_are_read_only():
     cfg = SystemConfig(num_users=2)
-    draw = harness.draw_trial(cfg, 0, pinned_cfo=True)
+    draw = harness.draw_trial(cfg, 0, [(20.0, -0.4), (20.0, 0.3)])
     arrays = (draw.rx, draw.noise, draw.pcp, draw.realization.to, draw.realization.cfo,
               *draw.truth)
     assert len(arrays) == 7
-    assert draw.front is None
+    # a pinned draw has a lane of its own per pinned CFO, and keeps their curves
+    assert draw.front.separated.shape == (2, 1, 2, cfg.m * cfg.n)
+    assert draw.front.curves.shape == (2, 2, cfg.m) and draw.front.corr is None
     one = harness.draw_trial(cfg, 0)
-    shared = harness.draw_trial(cfg, 0, snr_db=(20.0, 0.0))
-    assert one.front.corr.shape == (1, 2, cfg.m * cfg.n)
-    assert shared.front.corr.shape == (2, 2, cfg.m * cfg.n)
-    for array in arrays + (one.front.separated, one.front.corr,
-                           shared.front.separated, shared.front.corr):
+    shared = harness.draw_trial(cfg, 0, [(20.0, None), (0.0, None)])
+    assert one.front.curves.shape == (1, 2, cfg.m) and one.front.corr is None
+    assert shared.front.corr.shape == (2, 2, cfg.m * cfg.n) and shared.front.curves is None
+    for array in arrays + (draw.front.separated, draw.front.curves, one.front.separated,
+                           one.front.curves, shared.front.separated, shared.front.corr):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[...] = 0

@@ -131,20 +131,34 @@ def test_front_end_chooses_the_stream_stack_and_the_lane_amplitudes():
 
     # one lane (K = 1): the stream with its noise, bit for bit the per-point chain
     separated, corr = chain(chan.add_awgn(rx, cfg.snr_db, noise))
-    for snr_db in (None, (10.0,), (10.0, 10.0)):      # a repeated SNR is one lane
-        front = sync.front_end(rx, noise, pcp, cfg, snr_db)
-        assert front.snr_db == (10.0,) and front.amplitudes.tolist() == [0.0]
-        assert np.array_equal(front.separated, separated[np.newaxis])
-        assert np.array_equal(front.corr, corr[np.newaxis])
-    # several lanes (K = 2): the stream and the unit noise, each lane at its amplitude
-    front = sync.front_end(rx, noise, pcp, cfg, (0.0, 20.0, 0.0, math.inf))
-    assert front.snr_db == (0.0, 20.0, math.inf)
-    assert front.amplitudes.tolist() == [chan.noise_amplitude(snr) for snr in front.snr_db]
-    assert front.separated.shape == front.corr.shape == (2, 4, cfg.m * cfg.n)
-    for stream, separated, corr in zip((rx, noise), front.separated, front.corr):
+    for lanes in (None, [(10.0, None)], [(10.0, None)] * 2):   # a repeated SNR is one lane
+        front = sync.front_end(rx, noise, pcp, cfg, lanes)
+        assert front.lanes == ((10.0, None),) and front.amplitudes.tolist() == [[0.0]]
+        assert np.array_equal(front.separated, separated[np.newaxis, np.newaxis])
+        assert np.array_equal(front.curves, sync.timing_curve(corr, cfg)[np.newaxis])
+    # several SNR lanes (K = 2): one stream of two rows, the stream and the
+    # unit noise, each lane at its amplitude
+    lanes = [(snr, None) for snr in (0.0, 20.0, 0.0, math.inf)]
+    front = sync.front_end(rx, noise, pcp, cfg, lanes)
+    assert front.lanes == ((0.0, None), (20.0, None), (math.inf, None))
+    assert front.amplitudes.tolist() == [[chan.noise_amplitude(snr) for snr, _ in front.lanes]]
+    assert front.separated.shape == (1, 2, 4, cfg.m * cfg.n)
+    assert front.corr.shape == (2, 4, cfg.m * cfg.n)
+    for stream, separated, corr in zip((rx, noise), front.separated[0], front.corr):
         want_separated, want_corr = chain(stream)
         assert np.array_equal(separated, want_separated)
         assert np.array_equal(corr, want_corr)
+    # pinned CFOs (K = 1 each): the stream rotated by its CFO, with its noise,
+    # each lane bit for bit its own per-point chain; a repeated lane is one lane
+    lanes = [(10.0, -0.4), (10.0, 0.0), (math.inf, 0.3), (10.0, 0.0)]
+    front = sync.front_end(rx, noise, pcp, cfg, lanes)
+    assert front.lanes == tuple(lanes[:3]) and front.amplitudes.tolist() == [[0.0]] * 3
+    assert front.separated.shape == (3, 1, 4, cfg.m * cfg.n) and front.corr is None
+    for (snr, cfo), separated, curves in zip(front.lanes, front.separated, front.curves):
+        want_separated, want_corr = chain(chan.add_awgn(rx * chan.cfo_rotation(cfo, cfg.n_s),
+                                                        snr, noise))
+        assert np.array_equal(separated[0], want_separated)
+        assert np.array_equal(curves, sync.timing_curve(want_corr, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -834,9 +848,9 @@ def test_shared_bundle_matches_per_user_bundles():
         theta, eps = int(real.to[q]), float(real.cfo[q])
         result = sync.synchronize_user(front, 0, q, theta_override=theta)
         beta_abs = harness.absorbed_beta(cfg, eps)
-        h_abs = harness.absorbed_channel_fit(result.region, cfg, q, theta, eps)
+        h_abs = harness.absorbed_channel_fit(result.region, cfg, q, theta, beta_abs)
         eps_hat, c_hat, h_hat, h_abs_own = own_bundle_back_end(
-            front.separated[0], q, theta, cfg, pcp, beta_abs)
+            front.separated[0, 0], q, theta, cfg, pcp, beta_abs)
         assert abs(result.cfo.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
         assert close(result.cfo.c_hat, c_hat)
         assert close(result.cfo.h_hat, h_hat)
@@ -954,6 +968,29 @@ def test_lane_search_equals_one_search_per_amplitude():
         for name in ("cost_curve", "c_hat", "h_hat"):
             got, want = getattr(lane, name), getattr(alone, name)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_stacked_streams_search_as_each_stream_alone():
+    # S stacked one-row streams (a pinned run's lanes) give, stream by stream,
+    # the bits of each stream's search alone, and a stack of regions the
+    # bits of each region's LS solve alone
+    cfg = paper_config(num_users=2)
+    bundle = sync.estimator_bundle(cfg, 2)
+    rng = np.random.default_rng(48)
+    shape = (5, 1, cfg.n, cfg.zc_len)
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    lanes = sync.estimate_cfo(samples, bundle, cfg, [0.0] * len(samples))
+    assert len({est.epsilon_hat for est in lanes}) == len(samples)
+    for region, lane in zip(samples, lanes):
+        (alone,) = sync.estimate_cfo(region, bundle, cfg)
+        assert lane.epsilon_hat == alone.epsilon_hat
+        for name in ("cost_curve", "c_hat", "h_hat"):
+            assert np.array_equal(getattr(lane, name), getattr(alone, name))
+    flat = samples.reshape(len(samples), -1)
+    coeffs = bundle.regressor.coeffs(flat)
+    assert coeffs.shape == (len(samples), cfg.zc_len * cfg.beta)
+    for z, c in zip(flat, coeffs):
+        assert np.array_equal(c, bundle.regressor.coeffs(z))
 
 
 def test_pcp_toeplitz_is_built_once_contiguous_and_read_only():
