@@ -23,8 +23,8 @@ zero-CFO stream times exp(j 2 pi eps kappa / N_s).  That rotation does not
 commute with the filter bank, so each of its points is a lane with a
 stream of its own, the rotated stream with its noise added, which the
 front end filters and correlates lane by lane.  A lone point is such a
-lane, unrotated.  On first use the front end takes every (point, user)'s
-TO decision in one pass; each user's CFO search then runs once per
+lane, unrotated.  The front end takes every (point, user)'s TO decision in
+one pass when the draw is made; each user's CFO search then runs once per
 theta_hat, for every point that reaches that theta_hat at once, one lane
 per point, and the absorbed baseline fits every such point that shares a
 basis order at once.  ``run_trial`` still runs once per point and reads
@@ -141,16 +141,16 @@ class TrialDraw:
 
     ``front`` is the receive front end (``sync.front_end``) with one lane per
     (SNR, pinned CFO) of the points the draw serves, which makes every
-    point's TO decisions and each (user, theta_hat)'s CFO search once, for
-    every lane, when a point first needs them; ``absorbed`` keeps the
-    absorbed baseline's fits of each (user, theta_hat) likewise
+    point's TO decisions with the draw, and each (user, theta_hat)'s CFO
+    search once, for every lane, when a point first needs it; ``absorbed``
+    keeps the absorbed baseline's fits of each (user, theta_hat) likewise
     (``_absorbed_fits``).  A pinned draw's realization has zero CFOs and
     ``rx`` is the zero-CFO stream: a pinned CFO eps, the same for every
     user, is the rotation exp(j 2 pi eps kappa / N_s) of that stream, which
     the front end applies lane by lane.  So a pinned draw's realization
     depends neither on ``cfg.snr_db`` nor on the pinned values.  Its arrays
-    (``pcp``, the offsets, ``rx``, ``noise``, ``truth`` and the front end's)
-    are read-only."""
+    (``pcp``, the offsets, ``rx``, ``noise``, ``truth`` and the front end's
+    separated streams and timing curves) are read-only."""
 
     pcp: np.ndarray
     realization: chan.ChannelRealization
@@ -192,9 +192,8 @@ def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
                   for paths, theta in zip(realization.paths, realization.to))
     truth_energy = tuple(float(np.vdot(taps, taps).real) for taps in truth)
     front = sync.front_end(rx, noise, pcp, cfg, lanes)
-    shared = [array for array in (front.separated, front.curves, front.corr)
-              if array is not None]
-    for array in (pcp, realization.to, realization.cfo, rx, noise, *truth, *shared):
+    for array in (pcp, realization.to, realization.cfo, rx, noise, *truth, front.separated,
+                  front.curves):
         array.flags.writeable = False
     return TrialDraw(pcp=pcp, realization=realization, rx=rx, noise=noise, truth=truth,
                      truth_energy=truth_energy, front=front)
@@ -205,18 +204,17 @@ def _absorbed_fits(draw: TrialDraw, cfg: SystemConfig, user: int,
     """The absorbed baseline's fits (``absorbed_channel_fit``) of order
     ``beta`` of ``user``'s regions at ``result.theta_used``, by lane: one fit
     of every lane of ``result``'s search whose true CFO gives that order
-    (``absorbed_beta``), each lane's region at its a.  Made on the first
-    call for (user, theta_used, beta) and kept in the draw."""
+    (``absorbed_beta``).  Made on the first call for (user, theta_used,
+    beta) and kept in the draw."""
     key = (user, result.theta_used, beta)
     if key not in draw.absorbed:
-        front, lanes = draw.front, []
+        lanes = []
         for lane in result.shared:
-            cfo = front.lanes[lane][1]
+            cfo = draw.front.lanes[lane][1]
             eps = draw.realization.cfo[user] if cfo is None else cfo
             if absorbed_beta(cfg, float(eps)) == beta:
                 lanes.append(lane)
-        regions = np.stack([sync.at_amplitude(result.shared[lane][0], front.amplitudes.flat[lane])
-                            for lane in lanes])
+        regions = np.stack([result.shared[lane][0] for lane in lanes])
         draw.absorbed[key] = dict(zip(lanes, absorbed_channel_fit(regions, cfg, user,
                                                                   result.theta_used, beta)))
     return draw.absorbed[key]

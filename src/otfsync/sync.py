@@ -16,16 +16,18 @@ stream is the draw's zero-CFO stream rotated by the pinned CFO
 (``channel.cfo_rotation``).  ``separate_user`` runs the whole filter bank on
 every row of a stream at once and ``timing_correlate`` correlates every
 separated row with the PCP in one product.  The K = 1 lanes run the two
-lane by lane and keep only their timing curves; the K = 2 stream keeps its
-correlation and, on first use, forms each lane's at that lane's a
-(``channel.add_awgn``) and takes its curves.  The TO decisions of every
-(lane, user) are one ``estimate_to`` call.  The users split after that:
+lane by lane; the K = 2 stream runs them once and forms each lane's
+correlation at that lane's a (``channel.add_awgn``).  Either way the front
+end keeps each lane's timing curves and no correlation, and the TO
+decisions of every (lane, user) are one ``estimate_to`` call.  The users
+split after that:
 ``synchronize_user`` is the per-user back end of one lane (TO decision,
 pilot region, estimator bundle, CFO and channel), and the Q back ends are
 independent.  Each user's pilot region and CFO projection are polynomials
 in a too, so one CFO search per (user, theta_hat) serves every lane that
-reaches that theta_hat, one estimate per lane, whether the lanes share a
-stream or each have their own (``FrontEnd.search``, ``estimate_cfo``).
+reaches that theta_hat, one estimate and one region at the lane's a per
+lane, whether the lanes share a stream or each have their own
+(``FrontEnd.search``, ``estimate_cfo``).
 
 The pilot region is fitted one delay row at a time.  User q's pilot sits in
 Doppler column k_q, so its transmitted region sample (n, j) is
@@ -71,7 +73,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -786,67 +787,51 @@ def _cached_bundle(m, n, cp_len, zc_len, zc_root, pilot_power_db, anchor, cfo_ra
 @dataclass
 class FrontEnd:
     """The receiver's linear front end of a draw and the points it serves,
-    its lanes; ``front_end`` makes it and chooses its streams.
+    its lanes, one entry per lane; ``front_end`` makes it and chooses its
+    streams.
 
-    Lane p serves the point ``lanes[p]``, an (SNR, pinned CFO) pair, and is
-    the pair (stream, amplitude) at ``divmod(p, L)`` of the (S, L)
-    ``amplitudes``: stream s is ``separated[s]``, K rows whose row k is the
-    coefficient of a^k in the received quantity at noise amplitude a
-    (``at_amplitude``), and the lane reads it at a = ``amplitudes[s, l]``.
-    The lanes of an SNR sweep share one stream (S = 1) of K = 2 rows, the
-    signal and the unit noise, each lane at the noise amplitude of its SNR.
-    Every other lane has a stream of its own (L = 1) of K = 1 row that
-    already holds its noise, read at a = 0.  ``cfg`` is the geometry of
-    every lane (the lanes differ in the SNR and the pinned CFO alone).
-
-    ``curves`` holds the (P, Q, M) timing curves of K = 1 streams, taken
-    when they were made; ``corr`` the (K, Q, M*N) complex PCP lag
-    correlations of a shared K = 2 stream, whose curves ``timing`` takes.
-    ``timing`` makes every lane's TO decisions on first use, and ``search``
-    each user's CFO search at a theta_hat once, for every lane whose
-    theta_hat it is."""
+    Lane p serves the point ``lanes[p]``, an (SNR, pinned CFO) pair, and
+    reads stream ``stream[p]`` at noise amplitude a = ``amplitude[p]``.  A
+    stream is K rows of ``separated``, row k the coefficient of a^k in the
+    received quantity at noise amplitude a (``at_amplitude``).  The lanes of
+    an SNR sweep share one stream of K = 2 rows, the signal and the unit
+    noise, each lane at the noise amplitude of its SNR.  Every other lane
+    has a stream of its own of K = 1 row that already holds its noise, read
+    at a = 0; no front end mixes the two.  ``cfg`` is the geometry of every
+    lane (the lanes differ in the SNR and the pinned CFO alone).  ``curves``
+    and ``to_estimate`` are every lane's timing curves and TO decisions, and
+    ``search`` makes each user's CFO search at a theta_hat once, for every
+    lane whose theta_hat it is."""
 
     cfg: SystemConfig
     separated: np.ndarray           # (S, K, Q, M*N) separated streams
     lanes: tuple                    # the (snr_db, cfo_value) of each lane
-    amplitudes: np.ndarray          # (S, L) the noise amplitude a of each lane
-    curves: np.ndarray | None = None    # (P, Q, M) timing curves, K = 1
-    corr: np.ndarray | None = None      # (K, Q, M*N) lag correlations, S = 1
+    stream: np.ndarray              # (P,) the stream index of each lane
+    amplitude: np.ndarray           # (P,) the noise amplitude a of each lane
+    curves: np.ndarray              # (P, Q, M) timing curves
+    to_estimate: ToEstimate         # (P, Q) TO decisions
     searches: dict = field(default_factory=dict, repr=False)
-
-    @functools.cached_property
-    def timing(self) -> tuple[np.ndarray, ToEstimate]:
-        """The (P, Q, M) timing curves of the lanes and their (P, Q) TO
-        decisions (``estimate_to``, one call).  On a shared stream each
-        lane's (Q, M*N) lag correlation is made by one ``channel.add_awgn``
-        and dropped once its curves are taken."""
-        from . import channel         # channel imports this module
-        cfg, curves = self.cfg, self.curves
-        if curves is None:
-            corr = self.corr
-            curves = np.stack([timing_curve(channel.add_awgn(corr[0], snr, corr[1]), cfg)
-                               for snr, _ in self.lanes])
-        return curves, estimate_to(curves, cfg)
 
     def search(self, user: int, theta: int,
                lanes: np.ndarray) -> dict[int, tuple[np.ndarray, CfoEstimate]]:
-        """User ``user``'s (K, N, L_p) received pilot region at ``theta`` and
+        """User ``user``'s (N, L_p) received pilot region at ``theta`` and
         CFO estimate for each of the lanes ``lanes`` (a (P,) mask, the lanes
-        whose theta_hat is ``theta``), by lane, from one ``estimate_cfo`` on
-        the de-rotated regions of their streams and the shared bundle; made
-        by the first call and kept."""
+        whose theta_hat is ``theta``), by lane: one ``estimate_cfo`` on the
+        de-rotated regions of their streams and the shared bundle, and each
+        lane's region read at its a; made by the first call and kept."""
         key = (user, theta)
         if key not in self.searches:
-            cfg, width = self.cfg, self.amplitudes.shape[1]
-            # the streams and the amplitudes of the lanes, a grid that covers them
-            ids = np.flatnonzero(lanes).tolist()
-            rows, cols = sorted({i // width for i in ids}), sorted({i % width for i in ids})
-            region = extract_pilot_region(self.separated[:, :, user], theta, cfg)[rows]
+            cfg, ids = self.cfg, np.flatnonzero(lanes)
+            # the lanes share one stream or each have their own, so the
+            # amplitudes come stream by stream, as ``estimate_cfo`` reads them
+            streams = np.unique(self.stream[ids])
+            region = extract_pilot_region(self.separated[streams, :, user], theta, cfg)
             estimates = estimate_cfo(derotate(region, cfg, user), estimator_bundle(cfg, theta),
-                                     cfg, [self.amplitudes[s, l] for s in rows for l in cols])
-            found = zip(itertools.product(enumerate(rows), cols), estimates)
-            self.searches[key] = {s * width + l: (region[i], estimate)
-                                  for ((i, s), l), estimate in found}
+                                     cfg, self.amplitude[ids])
+            rows = np.searchsorted(streams, self.stream[ids])
+            self.searches[key] = {lane: (at_amplitude(region[row], a), estimate)
+                                  for lane, row, a, estimate
+                                  in zip(ids.tolist(), rows, self.amplitude[ids], estimates)}
         return self.searches[key]
 
 
@@ -860,10 +845,13 @@ def front_end(rx: np.ndarray, noise: np.ndarray, pcp: np.ndarray, cfg: SystemCon
     as it is.  Several SNRs of an unrotated stream share one stream of two
     rows, ``rx`` and the noise (K = 2), each lane at its
     ``channel.noise_amplitude``; the filter bank and the PCP correlation run
-    once on it.  Otherwise each lane has a stream of its own, ``rx`` rotated
-    and its noise added (K = 1), and the two run lane by lane, at the size
-    of one lane, keeping the lane's timing curves and not its correlation.
-    The timing-offset margin and the rest of the CP are removed first."""
+    once on it, and each lane's (Q, M*N) lag correlation is formed from the
+    two rows by one ``channel.add_awgn`` and dropped once its curves are
+    taken.  Otherwise each lane has a stream of its own, ``rx`` rotated and
+    its noise added (K = 1), and the two run lane by lane, at the size of
+    one lane, keeping the lane's timing curves and not its correlation.  The
+    TO decisions of every (lane, user) are one ``estimate_to`` call.  The
+    timing-offset margin and the rest of the CP are removed first."""
     from . import channel         # channel imports this module
     lanes = tuple(dict.fromkeys([(cfg.snr_db, None)] if lanes is None else lanes))
 
@@ -872,18 +860,22 @@ def front_end(rx: np.ndarray, noise: np.ndarray, pcp: np.ndarray, cfg: SystemCon
                                              out_len=cfg.m * cfg.n), cfg)
 
     if len(lanes) > 1 and all(cfo is None for _, cfo in lanes):
-        separated = separate(np.stack([rx, noise]))
-        return FrontEnd(cfg=cfg, separated=separated[np.newaxis], lanes=lanes,
-                        amplitudes=np.array([[channel.noise_amplitude(snr) for snr, _ in lanes]]),
-                        corr=timing_correlate(separated, pcp, cfg))
-    separated = np.empty((len(lanes), 1, cfg.num_users, cfg.m * cfg.n), dtype=complex)
-    curves = np.empty((len(lanes), cfg.num_users, cfg.m))
-    for lane, (snr, cfo) in enumerate(lanes):
-        stream = rx if cfo is None else rx * channel.cfo_rotation(cfo, cfg.n_s)
-        separated[lane] = separate(channel.add_awgn(stream, snr, noise)[np.newaxis])
-        curves[lane] = timing_curve(timing_correlate(separated[lane], pcp, cfg), cfg)[0]
-    return FrontEnd(cfg=cfg, separated=separated, lanes=lanes,
-                    amplitudes=np.zeros((len(lanes), 1)), curves=curves)
+        separated = separate(np.stack([rx, noise]))[np.newaxis]
+        corr = timing_correlate(separated[0], pcp, cfg)
+        curves = np.stack([timing_curve(channel.add_awgn(corr[0], snr, corr[1]), cfg)
+                           for snr, _ in lanes])
+        stream = np.zeros(len(lanes), dtype=np.intp)
+        amplitude = np.array([channel.noise_amplitude(snr) for snr, _ in lanes])
+    else:
+        separated = np.empty((len(lanes), 1, cfg.num_users, cfg.m * cfg.n), dtype=complex)
+        curves = np.empty((len(lanes), cfg.num_users, cfg.m))
+        for lane, (snr, cfo) in enumerate(lanes):
+            signal = rx if cfo is None else rx * channel.cfo_rotation(cfo, cfg.n_s)
+            separated[lane] = separate(channel.add_awgn(signal, snr, noise)[np.newaxis])
+            curves[lane] = timing_curve(timing_correlate(separated[lane], pcp, cfg), cfg)[0]
+        stream, amplitude = np.arange(len(lanes)), np.zeros(len(lanes))
+    return FrontEnd(cfg=cfg, separated=separated, lanes=lanes, stream=stream,
+                    amplitude=amplitude, curves=curves, to_estimate=estimate_to(curves, cfg))
 
 
 @dataclass
@@ -892,36 +884,30 @@ class UserSyncResult:
     theta_used: int
     metric: np.ndarray              # (M,) the user's timing curve
     cfo: CfoEstimate
-    received: np.ndarray            # (K, N, L_p) the received region, rows in a
-    amplitude: float                # the lane's noise amplitude a
-    shared: dict = field(repr=False)    # lane -> (received, cfo) of every lane of the search
-
-    @property
-    def region(self) -> np.ndarray:
-        """The (N, L_p) received region at the lane's a (``at_amplitude``)."""
-        return at_amplitude(self.received, self.amplitude)
+    region: np.ndarray              # (N, L_p) the received region at the lane's a
+    shared: dict = field(repr=False)    # lane -> (region, cfo) of every lane of the search
 
 
 def synchronize_user(front: FrontEnd, lane: int, user: int,
                      theta_override: int | None = None) -> UserSyncResult:
     """Per-user back end of the receiver at lane ``lane`` of the front end:
-    user ``user``'s timing curve and TO decision (``FrontEnd.timing``), and
-    the CFO estimate at the lane's noise amplitude from the search on its
-    pilot region at theta_hat (``FrontEnd.search``), which runs once for
-    every lane that reaches the same theta_hat.  The bundle is shared by all
-    users; the search runs on the region de-rotated to its template
-    (``derotate``), and the result gives the received region at the lane's
-    a when it is read, and the search's other lanes (``shared``).
-    ``theta_override`` (the genie TO) is the same at every lane."""
-    curves, to_est = front.timing
+    user ``user``'s timing curve and TO decision, and the CFO estimate at
+    the lane's noise amplitude from the search on its pilot region at
+    theta_hat (``FrontEnd.search``), which runs once for every lane that
+    reaches the same theta_hat.  The bundle is shared by all users; the
+    search runs on the region de-rotated to its template (``derotate``), and
+    the result holds the received region at the lane's a and the search's
+    other lanes (``shared``).  ``theta_override`` (the genie TO) is the same
+    at every lane."""
+    to_est = front.to_estimate
     first = int(to_est.first_peak[lane, user])
     if theta_override is None:
         theta, lanes = first, to_est.first_peak[:, user] == first
     else:
         theta, lanes = int(theta_override), np.ones(len(front.lanes), dtype=bool)
     shared = front.search(user, theta, lanes)
-    received, estimate = shared[lane]
+    region, estimate = shared[lane]
     return UserSyncResult(
         to_estimate=ToEstimate(first_peak=first, max_peak=int(to_est.max_peak[lane, user])),
-        theta_used=theta, metric=curves[lane, user], cfo=estimate, received=received,
-        amplitude=float(front.amplitudes.flat[lane]), shared=shared)
+        theta_used=theta, metric=front.curves[lane, user], cfo=estimate, region=region,
+        shared=shared)

@@ -195,10 +195,11 @@ def per_point_trial(cfg, trial_index, absorbed=False):
     rx = chan.add_awgn(draw.rx, cfg.snr_db, draw.noise)
     y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
     separated = sync.separate_user(y, cfg)
-    corr = sync.timing_correlate(separated, draw.pcp, cfg)
+    curves = sync.timing_curve(sync.timing_correlate(separated, draw.pcp, cfg), cfg)[np.newaxis]
     front = sync.FrontEnd(cfg=cfg, separated=separated[np.newaxis, np.newaxis],
-                          lanes=((cfg.snr_db, None),), amplitudes=np.zeros((1, 1)),
-                          curves=sync.timing_curve(corr, cfg)[np.newaxis])
+                          lanes=((cfg.snr_db, None),), stream=np.zeros(1, dtype=np.intp),
+                          amplitude=np.zeros(1), curves=curves,
+                          to_estimate=sync.estimate_to(curves, cfg))
     users = []
     for q in range(cfg.num_users):
         theta_true = int(draw.realization.to[q])

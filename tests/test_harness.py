@@ -427,6 +427,26 @@ def test_snr_sweep_matches_the_per_point_chain(num_users, genie_to, absorbed):
                     assert table[name][k, q] == pytest.approx(want[name], rel=1e-9, abs=0)
 
 
+def test_an_snr_lanes_region_is_the_per_point_chains():
+    # a lane of a shared draw reads its pilot region, kept as the (signal,
+    # unit noise) pair, at its own noise amplitude a; at a != 0 that is the
+    # region of a one-lane front end, which adds the noise before the bank
+    base = SystemConfig(num_users=2, rng_seed=17)
+    cfgs = [apply_overrides(base, {"snr_db": snr}) for snr in ("0", "20")]
+    trial = 1
+    draw = harness.draw_trial(base, trial, [(cfg.snr_db, None) for cfg in cfgs])
+    assert draw.front.separated.shape[:2] == (1, 2)
+    for lane, cfg in enumerate(cfgs):
+        assert draw.front.amplitude[lane] > 0
+        alone = harness.draw_trial(cfg, trial)
+        for q in range(cfg.num_users):
+            theta = int(draw.realization.to[q])     # one region for both
+            got = sync.synchronize_user(draw.front, lane, q, theta_override=theta).region
+            want = sync.synchronize_user(alone.front, 0, q, theta_override=theta).region
+            assert got.shape == want.shape == (cfg.n, cfg.zc_len)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_one_cfo_projection_per_user_and_theta_per_draw(monkeypatch):
     shapes = []
     node_sums = sync.CfoScan.node_sums
@@ -628,15 +648,16 @@ def test_draw_arrays_are_read_only():
     arrays = (draw.rx, draw.noise, draw.pcp, draw.realization.to, draw.realization.cfo,
               *draw.truth)
     assert len(arrays) == 7
-    # a pinned draw has a lane of its own per pinned CFO, and keeps their curves
-    assert draw.front.separated.shape == (2, 1, 2, cfg.m * cfg.n)
-    assert draw.front.curves.shape == (2, 2, cfg.m) and draw.front.corr is None
+    # every front end keeps its streams and each lane's timing curves: a
+    # pinned draw a stream per pinned CFO, a one-lane draw one stream, and a
+    # shared draw one stream of two rows for both of its lanes
     one = harness.draw_trial(cfg, 0)
     shared = harness.draw_trial(cfg, 0, [(20.0, None), (0.0, None)])
-    assert one.front.curves.shape == (1, 2, cfg.m) and one.front.corr is None
-    assert shared.front.corr.shape == (2, 2, cfg.m * cfg.n) and shared.front.curves is None
-    for array in arrays + (draw.front.separated, draw.front.curves, one.front.separated,
-                           one.front.curves, shared.front.separated, shared.front.corr):
+    fronts = (draw.front, one.front, shared.front)
+    assert [(front.separated.shape[:2], front.curves.shape) for front in fronts] == [
+        ((2, 1), (2, 2, cfg.m)), ((1, 1), (1, 2, cfg.m)), ((1, 2), (2, 2, cfg.m))]
+    for array in arrays + tuple(array for front in fronts
+                                for array in (front.separated, front.curves)):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[...] = 0

@@ -129,36 +129,50 @@ def test_front_end_chooses_the_stream_stack_and_the_lane_amplitudes():
         separated = sync.separate_user(modem.remove_cp(stream[cfg.theta_max:], cfg.cp_rem), cfg)
         return separated, sync.timing_correlate(separated, pcp, cfg)
 
+    def decided(front):
+        # every lane's TO decisions are those of its curves, in one call
+        want = sync.estimate_to(front.curves, cfg)
+        return (np.array_equal(front.to_estimate.first_peak, want.first_peak)
+                and np.array_equal(front.to_estimate.max_peak, want.max_peak))
+
     # one lane (K = 1): the stream with its noise, bit for bit the per-point chain
     separated, corr = chain(chan.add_awgn(rx, cfg.snr_db, noise))
     for lanes in (None, [(10.0, None)], [(10.0, None)] * 2):   # a repeated SNR is one lane
         front = sync.front_end(rx, noise, pcp, cfg, lanes)
-        assert front.lanes == ((10.0, None),) and front.amplitudes.tolist() == [[0.0]]
+        assert front.lanes == ((10.0, None),)
+        assert front.stream.tolist() == [0] and front.amplitude.tolist() == [0.0]
         assert np.array_equal(front.separated, separated[np.newaxis, np.newaxis])
         assert np.array_equal(front.curves, sync.timing_curve(corr, cfg)[np.newaxis])
+        assert decided(front)
     # several SNR lanes (K = 2): one stream of two rows, the stream and the
-    # unit noise, each lane at its amplitude
+    # unit noise, each lane at its amplitude, whose curves are those of the
+    # rows' correlations summed at that amplitude
     lanes = [(snr, None) for snr in (0.0, 20.0, 0.0, math.inf)]
     front = sync.front_end(rx, noise, pcp, cfg, lanes)
     assert front.lanes == ((0.0, None), (20.0, None), (math.inf, None))
-    assert front.amplitudes.tolist() == [[chan.noise_amplitude(snr) for snr, _ in front.lanes]]
+    assert front.stream.tolist() == [0, 0, 0]
+    assert front.amplitude.tolist() == [chan.noise_amplitude(snr) for snr, _ in front.lanes]
     assert front.separated.shape == (1, 2, 4, cfg.m * cfg.n)
-    assert front.corr.shape == (2, 4, cfg.m * cfg.n)
-    for stream, separated, corr in zip((rx, noise), front.separated[0], front.corr):
-        want_separated, want_corr = chain(stream)
-        assert np.array_equal(separated, want_separated)
-        assert np.array_equal(corr, want_corr)
+    (separated_rx, corr_rx), (separated_noise, corr_noise) = chain(rx), chain(noise)
+    assert np.array_equal(front.separated[0, 0], separated_rx)
+    assert np.array_equal(front.separated[0, 1], separated_noise)
+    for (snr, _), curves in zip(front.lanes, front.curves):
+        assert np.array_equal(curves, sync.timing_curve(chan.add_awgn(corr_rx, snr, corr_noise),
+                                                        cfg))
+    assert decided(front)
     # pinned CFOs (K = 1 each): the stream rotated by its CFO, with its noise,
     # each lane bit for bit its own per-point chain; a repeated lane is one lane
     lanes = [(10.0, -0.4), (10.0, 0.0), (math.inf, 0.3), (10.0, 0.0)]
     front = sync.front_end(rx, noise, pcp, cfg, lanes)
-    assert front.lanes == tuple(lanes[:3]) and front.amplitudes.tolist() == [[0.0]] * 3
-    assert front.separated.shape == (3, 1, 4, cfg.m * cfg.n) and front.corr is None
+    assert front.lanes == tuple(lanes[:3])
+    assert front.stream.tolist() == [0, 1, 2] and front.amplitude.tolist() == [0.0] * 3
+    assert front.separated.shape == (3, 1, 4, cfg.m * cfg.n)
     for (snr, cfo), separated, curves in zip(front.lanes, front.separated, front.curves):
         want_separated, want_corr = chain(chan.add_awgn(rx * chan.cfo_rotation(cfo, cfg.n_s),
                                                         snr, noise))
         assert np.array_equal(separated[0], want_separated)
         assert np.array_equal(curves, sync.timing_curve(want_corr, cfg))
+    assert decided(front)
 
 
 # ---------------------------------------------------------------------------
