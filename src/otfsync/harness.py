@@ -26,8 +26,7 @@ front end filters and correlates lane by lane.  A lone point is such a
 lane, unrotated.  The front end takes every (point, user)'s TO decision in
 one pass when the draw is made; each user's CFO search then runs once per
 theta_hat, for every point that reaches that theta_hat at once, one lane
-per point, and the absorbed baseline fits every such point that shares a
-basis order at once.  ``run_trial`` still runs once per point and reads
+per point, and the absorbed baseline fits every such point at once.  ``run_trial`` still runs once per point and reads
 its own lane.  The ``nu_max_t`` and ``pilot_power_db`` sweeps change the
 channel or the pilots, so each of their points has a draw of its own.
 """
@@ -107,11 +106,13 @@ def _nmse(estimate: np.ndarray, truth: np.ndarray, energy: float | None = None) 
     return float(np.vdot(error, error).real / denom)
 
 
-def absorbed_beta(cfg: SystemConfig, eps_true: float) -> int:
-    """Basis order for the CFO-absorbed baseline: the channel-only order,
-    inflated to cover the compound Doppler spread nu_max_t + |eps|, capped at
-    BEM_ORDER_CAP and at n (a larger order leaves the fit underdetermined)."""
-    bound = bem_order_bound(cfg.nu_max_t + abs(eps_true))
+def absorbed_beta(cfg: SystemConfig) -> int:
+    """Basis order for the CFO-absorbed baseline, from the config alone, as a
+    receiver that skips the CFO search knows no CFO: the channel-only order,
+    inflated to cover the largest compound Doppler spread of a CFO draw,
+    nu_max_t + cfo_max, capped at BEM_ORDER_CAP and at n (a larger order
+    leaves the fit underdetermined)."""
+    bound = bem_order_bound(cfg.nu_max_t + cfg.cfo_max)
     return max(cfg.beta, min(BEM_ORDER_CAP, cfg.n, bound))
 
 
@@ -200,23 +201,16 @@ def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
 
 
 def _absorbed_fits(draw: TrialDraw, cfg: SystemConfig, user: int,
-                   result: sync.UserSyncResult, beta: int) -> dict[int, np.ndarray]:
-    """The absorbed baseline's fits (``absorbed_channel_fit``) of order
-    ``beta`` of ``user``'s regions at ``result.theta_used``, by lane: one fit
-    of every lane of ``result``'s search whose true CFO gives that order
-    (``absorbed_beta``).  Made on the first call for (user, theta_used,
-    beta) and kept in the draw."""
-    key = (user, result.theta_used, beta)
+                   result: sync.UserSyncResult) -> dict[int, np.ndarray]:
+    """The absorbed baseline's fits (``absorbed_channel_fit``, of order
+    ``absorbed_beta``) of ``user``'s regions at ``result.theta_used``, by
+    lane: one fit of every lane of ``result``'s search.  Made on the first
+    call for (user, theta_used) and kept in the draw."""
+    key = (user, result.theta_used)
     if key not in draw.absorbed:
-        lanes = []
-        for lane in result.shared:
-            cfo = draw.front.lanes[lane][1]
-            eps = draw.realization.cfo[user] if cfo is None else cfo
-            if absorbed_beta(cfg, float(eps)) == beta:
-                lanes.append(lane)
-        regions = np.stack([result.shared[lane][0] for lane in lanes])
-        draw.absorbed[key] = dict(zip(lanes, absorbed_channel_fit(regions, cfg, user,
-                                                                  result.theta_used, beta)))
+        regions = np.stack([region for region, _ in result.shared.values()])
+        draw.absorbed[key] = dict(zip(result.shared, absorbed_channel_fit(
+            regions, cfg, user, result.theta_used, absorbed_beta(cfg))))
     return draw.absorbed[key]
 
 
@@ -257,8 +251,7 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
             truth = draw.truth[q]
             record.nmse = _nmse(result.cfo.h_hat, truth, draw.truth_energy[q])
             if absorbed:
-                h_abs = _absorbed_fits(draw, cfg, q, result,
-                                       absorbed_beta(cfg, eps_true))[lane]
+                h_abs = _absorbed_fits(draw, cfg, q, result)[lane]
                 # the CFO-absorbed compound taps h[l, kappa] exp(j 2 pi eps kappa / N_s)
                 phase = sync.cfo_phase(pilot.region_kappa(cfg, theta_true), eps_true,
                                        cfg.n_s)

@@ -213,7 +213,7 @@ def per_point_trial(cfg, trial_index, absorbed=False):
                 "timing_metric": result.metric, "cfo_cost": result.cfo.cost_curve}
         if absorbed:
             h_abs = harness.absorbed_channel_fit(result.region, cfg, q, result.theta_used,
-                                                 harness.absorbed_beta(cfg, eps_true))
+                                                 harness.absorbed_beta(cfg))
             phase = sync.cfo_phase(pilot.region_kappa(cfg, theta_true), eps_true, cfg.n_s)
             user["nmse_absorbed"] = harness._nmse(h_abs, draw.truth[q] * phase[:, None, :])
         users.append(user)

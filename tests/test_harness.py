@@ -97,9 +97,10 @@ def test_debug_collection():
 
 
 def test_absorbed_baseline_equals_compensated_at_zero_cfo():
-    # noiseless, eps pinned to zero: identical LS problems
-    cfg = quick_config(num_users=1, channel_model="eva-bem", nu_max_t=1.0)
-    assert harness.absorbed_beta(cfg, 0.0) == cfg.beta  # same basis in both fits
+    # noiseless, eps pinned to zero: identical LS problems; without a CFO
+    # draw (cfo_max = 0) the absorbed basis is the compensated one
+    cfg = quick_config(num_users=1, channel_model="eva-bem", nu_max_t=1.0, cfo_max=0.0)
+    assert harness.absorbed_beta(cfg) == cfg.beta  # same basis in both fits
     records, _ = harness.run_trial(cfg, 2, cfo_value=0.0, absorbed=True)
     rec = records[0]
     assert rec.eps_hat == 0.0
@@ -107,16 +108,16 @@ def test_absorbed_baseline_equals_compensated_at_zero_cfo():
 
 
 def test_absorbed_order_capped_at_doppler_axis():
-    # nu_max_t + |eps| = 1.8 asks for order 5 on an n = 4 Doppler axis, which
-    # left the absorbed fit underdetermined and failed the whole record
+    # nu_max_t + cfo_max = 1.8 asks for order 5 on an n = 4 Doppler axis,
+    # which left the absorbed fit underdetermined and failed the whole record
     spec = harness.ExperimentSpec(
         name="absorbed-small", sweep_var="cfo_value", sweep_points=(0.0, 0.5),
         trials=2, absorbed_baseline=True,
         config_overrides=(("m", "16"), ("n", "4"), ("num_users", "1"),
                           ("zc_len", "5"), ("nu_max_t", "1.3"), ("bem_order", "4")))
     cfg = apply_overrides(SystemConfig(), dict(spec.config_overrides))
-    assert bem_order_bound(cfg.nu_max_t + 0.5) > cfg.n
-    assert harness.absorbed_beta(cfg, 0.5) == cfg.n
+    assert bem_order_bound(cfg.nu_max_t + cfg.cfo_max) > cfg.n
+    assert harness.absorbed_beta(cfg) == cfg.n
     report = harness.run_experiment(spec)
     assert (report.n_trials, report.n_failed) == (4, 0)
     for point in spec.sweep_points:
@@ -485,9 +486,8 @@ def test_one_cfo_search_per_user_and_theta_per_draw(monkeypatch):
 
 
 def pinned_points(genie_to=False):
-    """One pinned run (``draw_runs``): a repeated CFO point and mixed SNRs,
-    with absorbed bases of order 8 (|eps| > 0) and 7 (eps = 0).  At -30 dB
-    most users' theta_hat moves off the other points'."""
+    """One pinned run (``draw_runs``): a repeated CFO point and mixed SNRs.
+    At -30 dB most users' theta_hat moves off the other points'."""
     cfg = SystemConfig(num_users=2, channel_model="eva-bem", genie_to=genie_to, rng_seed=9)
     inf, low = (apply_overrides(cfg, {"snr_db": snr}) for snr in ("inf", "-30"))
     points = [(cfg, -0.4), (cfg, 0.0), (cfg, 0.0), (inf, 0.3), (low, 0.3)]
@@ -521,8 +521,8 @@ def test_pinned_run_gives_each_points_own_trial_bit_for_bit(genie_to):
 
 def test_one_cfo_search_per_user_and_theta_per_pinned_draw(monkeypatch):
     # a pinned draw searches each user at each theta_hat once, for every lane
-    # that reaches it, and fits the absorbed baseline once per (user,
-    # theta_hat, beta), each lane as its region alone would be fitted
+    # that reaches it, and fits the absorbed baseline of those lanes in the
+    # same pass, each lane as its region alone would be fitted
     searches, fits = [], []
     estimate_cfo, fit = sync.estimate_cfo, harness.absorbed_channel_fit
     monkeypatch.setattr(sync, "estimate_cfo",
@@ -534,16 +534,12 @@ def test_one_cfo_search_per_user_and_theta_per_pinned_draw(monkeypatch):
     trials, num_users, lanes = 4, 2, 4          # the repeated point is one lane
     tables = harness.run_point(points, trials, absorbed=True)
     thetas = np.stack([table["theta_first"] for table in tables])     # (point, trial, user)
-    cfg = points[0][0]
     searched = {(k, q, theta) for (p, k, q), theta in np.ndenumerate(thetas)}
-    fitted = {(k, q, theta, harness.absorbed_beta(cfg, points[p][1]))
-              for (p, k, q), theta in np.ndenumerate(thetas)}
     assert len(searched) > trials * num_users        # some theta_hat moves between points
     assert len(searches) == len(searched)
     assert sum(searches) == trials * num_users * lanes
     assert max(searches) == lanes                    # and some search serves every lane
-    assert len({beta for *_, beta in fitted}) == 2
-    assert len(fits) == len(fitted)
+    assert len(fits) == len(searched)
     assert sum(len(regions) for (regions, *_), _ in fits) == trials * num_users * lanes
     for (regions, cfg, user, theta, beta), got in fits:
         assert regions.ndim == 3
@@ -573,10 +569,10 @@ def test_absorbed_fit_builds_no_cfo_scan(monkeypatch):
     cfg = SystemConfig(num_users=2, channel_model="eva-bem", snr_db=20.0).validate()
     records, _ = harness.run_trial(cfg, 0, cfo_value=0.3, absorbed=True)
     assert not any(rec.failed for rec in records)
-    assert harness.absorbed_beta(cfg, 0.3) != cfg.beta
+    assert harness.absorbed_beta(cfg) != cfg.beta
     assert len(scans) == len({rec.theta_first for rec in records})
     for rec in records:
-        fit = sync.estimator_bundle(cfg, rec.theta_first, beta=harness.absorbed_beta(cfg, 0.3))
+        fit = sync.estimator_bundle(cfg, rec.theta_first, beta=harness.absorbed_beta(cfg))
         assert "scan" not in vars(fit)
 
 
@@ -831,7 +827,9 @@ def test_golden_records(model, num_users, cfo_value):
 
 # two small sweeps at rng_seed 20250809; golden_sweeps.json holds their rows,
 # totals and per-trial integer fields as the record-by-record (Welford)
-# aggregation wrote them, which the (trials, Q) table reductions replaced
+# aggregation wrote them, which the (trials, Q) table reductions replaced.
+# The absorbed rows at cfo_value 0 were re-pinned when the absorbed basis
+# order came from the config alone (``absorbed_beta``): 7 -> 8 there
 GOLDEN_SWEEPS = {
     "eva-snr": harness.ExperimentSpec(
         name="eva-snr", sweep_var="snr_db", sweep_points=(0.0, 20.0), trials=3,

@@ -859,9 +859,9 @@ def test_shared_bundle_matches_per_user_bundles():
         return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     for q in range(cfg.num_users):
-        theta, eps = int(real.to[q]), float(real.cfo[q])
+        theta = int(real.to[q])
         result = sync.synchronize_user(front, 0, q, theta_override=theta)
-        beta_abs = harness.absorbed_beta(cfg, eps)
+        beta_abs = harness.absorbed_beta(cfg)
         h_abs = harness.absorbed_channel_fit(result.region, cfg, q, theta, beta_abs)
         eps_hat, c_hat, h_hat, h_abs_own = own_bundle_back_end(
             front.separated[0, 0], q, theta, cfg, pcp, beta_abs)

@@ -87,14 +87,11 @@ def test_cfo_sweep_batches_its_points_inside_traced_stages(tmp_path):
     assert stages["channel.add_awgn"][0] == TRIALS * lanes
     assert stages["sync.separate_user"][0] == TRIALS * lanes
     assert stages["sync.timing_correlate"][0] == TRIALS * lanes
-    # one search per (trial, user, theta_hat), one absorbed fit and one solve
-    # per (trial, user, theta_hat, beta), every point's lane in it
+    # one search, one absorbed fit and one solve per (trial, user,
+    # theta_hat), every point's lane in it
     with open(tmp_path / "trace-cfo" / "per-trial.jsonl", encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
-    cfg = SystemConfig(channel_model="eva-bem")
     searched = {(rec["trial"], rec["user"], rec["theta_first"]) for rec in records}
-    fitted = {(rec["trial"], rec["user"], rec["theta_first"],
-               harness.absorbed_beta(cfg, rec["eps_true"])) for rec in records}
     assert stages["sync.estimate_cfo"][0] == len(searched) < TRIALS * 2 * lanes
-    assert stages["harness.absorbed_channel_fit"][0] == len(fitted) < TRIALS * 2 * lanes
-    assert stages["sync.BemRegressor.coeffs"][0] == len(fitted)
+    assert stages["harness.absorbed_channel_fit"][0] == len(searched)
+    assert stages["sync.BemRegressor.coeffs"][0] == len(searched)
