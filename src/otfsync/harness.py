@@ -26,9 +26,10 @@ front end filters and correlates lane by lane.  A lone point is such a
 lane, unrotated.  The front end takes every (point, user)'s TO decision in
 one pass when the draw is made; each user's CFO search then runs once per
 theta_hat, for every point that reaches that theta_hat at once, one lane
-per point, and the absorbed baseline fits every such point at once.  ``run_trial`` still runs once per point and reads
-its own lane.  The ``nu_max_t`` and ``pilot_power_db`` sweeps change the
-channel or the pilots, so each of their points has a draw of its own.
+per point, and the absorbed baseline fits every such point at once.
+``run_trial`` still runs once per point and reads its own lane.  The
+``nu_max_t`` and ``pilot_power_db`` sweeps change the channel or the
+pilots, so each of their points has a draw of its own.
 """
 
 from __future__ import annotations

@@ -84,6 +84,7 @@ from . import modem, pilot
 from .config import SystemConfig
 from .errors import ConfigError, EstimationError
 
+#: read by ``golden_section_max`` alone, kept with it (TRACED in perfbench/tracing.py)
 GOLDEN_RATIO_CONJ = (np.sqrt(5.0) - 1.0) / 2.0
 #: iteration cap of the Newton CFO refinement (bisection alone needs
 #: log2(2 * cfo_step / (NEWTON_STEP_FRAC * cfo_tol)), 16 at the defaults)
@@ -399,6 +400,7 @@ def cfo_phase(kappa: np.ndarray, eps: float, n_s: int) -> np.ndarray:
     return np.exp(2j * np.pi * eps * np.asarray(kappa, dtype=float) / n_s)
 
 
+# no program path calls this; TRACED in perfbench/tracing.py names it, so a traced run needs it
 def cfo_cost(rbar: np.ndarray, regressor: BemRegressor, kappa: np.ndarray,
              eps: float, n_s: int) -> float:
     """Projection cost g(eps) = || proj_G( Phi^H(eps) rbar ) ||^2 (real, >= 0)."""
@@ -407,6 +409,7 @@ def cfo_cost(rbar: np.ndarray, regressor: BemRegressor, kappa: np.ndarray,
     return float(np.vdot(w, w).real)
 
 
+# no program path calls this; TRACED in perfbench/tracing.py names it, so a traced run needs it
 def golden_section_max(fun, lo: float, hi: float, tol: float):
     """Golden-section maximization on [lo, hi] to an interval of width tol."""
     a, b = float(lo), float(hi)

@@ -74,6 +74,21 @@ def test_snr_below_the_floor_is_a_config_error(capsys, command):
     assert "Traceback" not in captured.err and "configuration ok" not in captured.out
 
 
+@pytest.mark.parametrize("override, fragment", [
+    # every user's data lies in its filter band: a config that still picks an
+    # allocation scheme names an unknown key
+    ("allocation=interleaved", "unknown config key 'allocation'"),
+    # the config is the only guard of the pilot geometry: an offset past the
+    # band (16 bins at the default N=32, Q=2)
+    ("pilot_offset=16", "pilot_offset=16 outside the user band"),
+], ids=["allocation", "pilot-offset-past-band"])
+def test_validate_rejects_a_bad_override(capsys, override, fragment):
+    assert cli.main(["validate", "--override", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and fragment in captured.err
+    assert "Traceback" not in captured.err and "configuration ok" not in captured.out
+
+
 def test_trial_records_print_as_strict_json(capsys):
     # every record fails without a pilot: exit 3, NaN estimates printed as null
     assert cli.main(["trial", "--override", "pilot_power_db=-inf"]) == 3
