@@ -825,16 +825,17 @@ class FrontEnd:
         key = (user, theta)
         if key not in self.searches:
             cfg, ids = self.cfg, np.flatnonzero(lanes)
+            stream, amplitude = self.stream[ids], self.amplitude[ids]
             # the lanes share one stream or each have their own, so the
             # amplitudes come stream by stream, as ``estimate_cfo`` reads them
-            streams = np.unique(self.stream[ids])
-            region = extract_pilot_region(self.separated[streams, :, user], theta, cfg)
+            streams = sorted(set(stream.tolist()))
+            region = extract_pilot_region(self.separated[:, :, user], theta, cfg)[streams]
             estimates = estimate_cfo(derotate(region, cfg, user), estimator_bundle(cfg, theta),
-                                     cfg, self.amplitude[ids])
-            rows = np.searchsorted(streams, self.stream[ids])
-            self.searches[key] = {lane: (at_amplitude(region[row], a), estimate)
-                                  for lane, row, a, estimate
-                                  in zip(ids.tolist(), rows, self.amplitude[ids], estimates)}
+                                     cfg, amplitude)
+            # (K, lanes, N, L_p) rows, and each lane's region at its a
+            rows = region[np.searchsorted(streams, stream)].swapaxes(0, 1)
+            regions = at_amplitude(rows, amplitude[:, np.newaxis, np.newaxis])
+            self.searches[key] = dict(zip(ids.tolist(), zip(regions, estimates)))
         return self.searches[key]
 
 
