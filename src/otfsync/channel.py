@@ -90,8 +90,10 @@ def cfo_rotation(cfo_value: float, n_s: int) -> np.ndarray:
     """exp(j 2 pi eps kappa / N_s) over kappa = 0..N_s - 1 for a CFO eps =
     ``cfo_value`` pinned for every user (``phase_ramp``).  The CFO then
     factors out of the user sum, so the stream at CFO eps is the zero-CFO
-    stream times this rotation (``sync.front_end``); every draw of a
-    ``cfo_value`` point reads it, so it is made once per point; read-only."""
+    stream times this rotation, which a pinned draw applies to each lane's
+    stream before the receiver reads it (``harness.draw_trial``); every draw
+    of a ``cfo_value`` point reads it, so it is made once per point;
+    read-only."""
     ramp = phase_ramp(cfo_value / n_s, n_s)[0]
     ramp.flags.writeable = False
     return ramp

@@ -149,6 +149,9 @@ class SystemConfig:
             return bad
         if self.cp_len < 0 or self.theta_max < 0:
             bad.append("cp_len and theta_max must be >= 0")
+        if self.channel_len_cap < 1:
+            # the EVA profile clamps its tap delays into [0, channel_len_cap - 1]
+            bad.append(f"channel_len_cap={self.channel_len_cap} must be >= 1")
         if self.cp_len < self.channel_len_cap + self.theta_max - 1:
             bad.append(
                 "CP rule violated: need L_cp >= max L_ch + theta_max - 1, got "

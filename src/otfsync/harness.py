@@ -13,22 +13,23 @@ A sweep runs with the trial index outermost.  Each trial index has one
 ``TrialDraw`` at a time: its channel, offsets, frames, noiseless receive
 stream and unit noise, shared by the run of consecutive points that leave
 it unchanged (``draw_runs``), and a receive front end (``sync.front_end``)
-with one lane per point of the run.  An SNR sweep changes only the scale a
-of the noise, and the receiver is linear in the stream up to its two
-nonlinear steps (``sync``), so its points share one front end of the
-signal and of the unit noise, each lane at its a.  A ``cfo_value`` sweep
-changes only the CFO, pinned to the same value for every user, so it
-factors out of the channel's user sum: the stream at CFO eps is the draw's
-zero-CFO stream times exp(j 2 pi eps kappa / N_s).  That rotation does not
-commute with the filter bank, so each of its points is a lane with a
-stream of its own, the rotated stream with its noise added, which the
-front end filters and correlates lane by lane.  A lone point is such a
-lane, unrotated.  The front end takes every (point, user)'s TO decision in
-one pass when the draw is made; each user's CFO search then runs once per
-theta_hat, for every point that reaches that theta_hat at once, one lane
-per point, and the absorbed baseline fits every such point at once.
-``run_trial`` still runs once per point and reads its own lane.  The
-``nu_max_t`` and ``pilot_power_db`` sweeps change the channel or the
+with one lane per point of the run.  The draw makes the received streams
+that the front end reads, and which of them each lane reads at which noise
+amplitude a.  An SNR sweep changes only a, and the receiver is linear in
+the stream up to its two nonlinear steps (``sync``), so its points share
+one stream of two rows, the signal and the unit noise, each lane at its a.
+A ``cfo_value`` sweep changes only the CFO, pinned to the same value for
+every user, so it factors out of the channel's user sum: the stream at CFO
+eps is the draw's zero-CFO stream times exp(j 2 pi eps kappa / N_s).  That
+rotation does not commute with the filter bank, so each of its points is a
+lane with a stream of its own, the rotated stream with its noise added,
+which the front end filters and correlates lane by lane.  A lone point is
+such a lane, unrotated.  The front end takes every (point, user)'s TO
+decision in one pass when the draw is made; each user's CFO search then
+runs once per theta_hat, for every point that reaches that theta_hat at
+once, one lane per point, and the absorbed baseline fits every such point
+at once.  ``run_trial`` still runs once per point and reads its own lane.
+The ``nu_max_t`` and ``pilot_power_db`` sweeps change the channel or the
 pilots, so each of their points has a draw of its own.
 """
 
@@ -139,20 +140,21 @@ class TrialDraw:
     stream of ``channel.apply_channel``, each user's ``true_pilot_taps`` at
     its true timing offset and their energy, which every point scores its
     estimate against (``_nmse``), and the unit noise (``channel.unit_noise``)
-    that the front end scales to the SNR.
+    that the draw scales to each point's SNR.
 
-    ``front`` is the receive front end (``sync.front_end``) with one lane per
-    (SNR, pinned CFO) of the points the draw serves, which makes every
-    point's TO decisions with the draw, and each (user, theta_hat)'s CFO
-    search once, for every lane, when a point first needs it; ``absorbed``
-    keeps the absorbed baseline's fits of each (user, theta_hat) likewise
-    (``_absorbed_fits``).  A pinned draw's realization has zero CFOs and
-    ``rx`` is the zero-CFO stream: a pinned CFO eps, the same for every
-    user, is the rotation exp(j 2 pi eps kappa / N_s) of that stream, which
-    the front end applies lane by lane.  So a pinned draw's realization
-    depends neither on ``cfg.snr_db`` nor on the pinned values.  Its arrays
-    (``pcp``, the offsets, ``rx``, ``noise``, ``truth`` and the front end's
-    separated streams and timing curves) are read-only."""
+    ``lanes`` holds the distinct (SNR, pinned CFO) of the points the draw
+    serves, and ``front`` is the receive front end (``sync.front_end``)
+    with lane p at ``lanes[p]``, which makes every point's TO decisions with
+    the draw, and each (user, theta_hat)'s CFO search once, for every lane,
+    when a point first needs it; ``absorbed`` keeps the absorbed baseline's
+    fits of each (user, theta_hat) likewise (``_absorbed_fits``).  A pinned
+    draw's realization has zero CFOs and ``rx`` is the zero-CFO stream: a
+    pinned CFO eps, the same for every user, is the rotation
+    exp(j 2 pi eps kappa / N_s) of that stream, which ``draw_trial`` applies
+    lane by lane.  So a pinned draw's realization depends neither on
+    ``cfg.snr_db`` nor on the pinned values.  Its arrays (``pcp``, the
+    offsets, ``rx``, ``noise``, ``truth`` and the front end's separated
+    streams and timing curves) are read-only."""
 
     pcp: np.ndarray
     realization: chan.ChannelRealization
@@ -160,6 +162,7 @@ class TrialDraw:
     noise: np.ndarray
     truth: tuple[np.ndarray, ...]
     truth_energy: tuple[float, ...]
+    lanes: tuple[tuple[float, float | None], ...]
     front: sync.FrontEnd
     absorbed: dict = field(default_factory=dict, repr=False)
 
@@ -172,8 +175,14 @@ def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
     points the draw serves (default: ``cfg.snr_db`` at the drawn CFO, a
     cfo_value of None).  The cfo_values are all None or all pinned
     (``draw_runs``); pinned, the CFO draw is discarded and the channel runs
-    at zero CFO."""
-    lanes = [(cfg.snr_db, None)] if lanes is None else lanes
+    at zero CFO.
+
+    Two or more unpinned lanes share one stream of two rows, the receive
+    stream and the unit noise, each lane at its ``channel.noise_amplitude``.
+    Otherwise each lane has a stream of its own, read at a = 0: the receive
+    stream rotated by its pinned CFO (``channel.cfo_rotation``), if any,
+    with its noise added (``channel.add_awgn``), built one lane at a time."""
+    lanes = tuple(dict.fromkeys([(cfg.snr_db, None)] if lanes is None else lanes))
     rng = trial_rng(cfg.rng_seed, trial_index)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
 
@@ -193,12 +202,22 @@ def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
     truth = tuple(true_pilot_taps(paths, cfg, int(theta))
                   for paths, theta in zip(realization.paths, realization.to))
     truth_energy = tuple(float(np.vdot(taps, taps).real) for taps in truth)
-    front = sync.front_end(rx, noise, pcp, cfg, lanes)
+    if len(lanes) > 1 and all(cfo is None for _, cfo in lanes):
+        received = np.stack([rx, noise])[np.newaxis]
+        stream = np.zeros(len(lanes), dtype=np.intp)
+        amplitude = [chan.noise_amplitude(snr) for snr, _ in lanes]
+    else:
+        received = np.empty((len(lanes), 1, rx.size), dtype=complex)
+        for lane, (snr, cfo) in enumerate(lanes):
+            signal = rx if cfo is None else rx * chan.cfo_rotation(cfo, cfg.n_s)
+            received[lane, 0] = chan.add_awgn(signal, snr, noise)
+        stream, amplitude = np.arange(len(lanes)), np.zeros(len(lanes))
+    front = sync.front_end(received, stream, amplitude, pcp, cfg)
     for array in (pcp, realization.to, realization.cfo, rx, noise, *truth, front.separated,
                   front.curves):
         array.flags.writeable = False
     return TrialDraw(pcp=pcp, realization=realization, rx=rx, noise=noise, truth=truth,
-                     truth_energy=truth_energy, front=front)
+                     truth_energy=truth_energy, lanes=lanes, front=front)
 
 
 def _absorbed_fits(draw: TrialDraw, cfg: SystemConfig, user: int,
@@ -235,7 +254,7 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
     if draw is None:
         draw = draw_trial(cfg, trial_index, [(cfg.snr_db, cfo_value)])
     realization = draw.realization
-    lane = draw.front.lanes.index((cfg.snr_db, cfo_value))
+    lane = draw.lanes.index((cfg.snr_db, cfo_value))
     eps = realization.cfo if cfo_value is None else np.full(cfg.num_users, float(cfo_value))
 
     records, debug = [], []

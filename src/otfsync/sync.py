@@ -4,23 +4,20 @@ estimation on a Chebyshev basis expansion.
 
 The receiver is linear in the received stream up to two steps: the
 magnitude of the timing correlation and the quadratic cost of the CFO
-search.  Its front end (``front_end``) is the one place that turns a
-draw's receive stream and unit noise into the streams that the receiver
-reads, and the points it serves are its lanes (``FrontEnd``).  A lane is a
+search.  Its front end (``front_end``) reads the received streams of a
+draw, and the points it serves are its lanes (``FrontEnd``).  A lane is a
 (stream, amplitude) pair: a stream is a stack of K rows, and the lane reads
-sum_k a^k row_k at its noise amplitude a.  The points of an SNR sweep share
-one stream of K = 2 rows, the signal and the unit noise, and differ in a
-alone.  Every other lane has a K = 1 stream of its own that holds its noise,
-read at a = 0: a lone point, or a point of a ``cfo_value`` sweep, whose
-stream is the draw's zero-CFO stream rotated by the pinned CFO
-(``channel.cfo_rotation``).  ``separate_user`` runs the whole filter bank on
-every row of a stream at once and ``timing_correlate`` correlates every
-separated row with the PCP in one product.  The K = 1 lanes run the two
-lane by lane; the K = 2 stream runs them once and forms each lane's
-correlation at that lane's a (``channel.add_awgn``).  Either way the front
-end keeps each lane's timing curves and no correlation, and the TO
-decisions of every (lane, user) are one ``estimate_to`` call.  The users
-split after that:
+sum_k a^k row_k at its noise amplitude a (``at_amplitude``).  The draw
+makes the streams and the lane table (``harness.draw_trial``): the points
+of an SNR sweep share one stream of K = 2 rows, the signal and the unit
+noise, and differ in a alone, and every other lane has a K = 1 stream of
+its own that already holds its noise and its CFO, read at a = 0.  The front
+end runs one loop over the streams: ``separate_user`` runs the whole filter
+bank on every row of a stream at once, ``timing_correlate`` correlates
+every separated row with the PCP in one product, and each lane of the
+stream takes its timing curves from that correlation at its a.  The front
+end keeps the curves and no correlation, and the TO decisions of every
+(lane, user) are one ``estimate_to`` call.  The users split after that:
 ``synchronize_user`` is the per-user back end of one lane (TO decision,
 pilot region, estimator bundle, CFO and channel), and the Q back ends are
 independent.  Each user's pilot region and CFO projection are polynomials
@@ -790,25 +787,21 @@ def _cached_bundle(m, n, cp_len, zc_len, zc_root, pilot_power_db, anchor, cfo_ra
 @dataclass
 class FrontEnd:
     """The receiver's linear front end of a draw and the points it serves,
-    its lanes, one entry per lane; ``front_end`` makes it and chooses its
-    streams.
+    its lanes, one entry per lane; ``front_end`` makes it from the draw's
+    received streams and lane table (``harness.draw_trial``).
 
-    Lane p serves the point ``lanes[p]``, an (SNR, pinned CFO) pair, and
-    reads stream ``stream[p]`` at noise amplitude a = ``amplitude[p]``.  A
-    stream is K rows of ``separated``, row k the coefficient of a^k in the
-    received quantity at noise amplitude a (``at_amplitude``).  The lanes of
-    an SNR sweep share one stream of K = 2 rows, the signal and the unit
-    noise, each lane at the noise amplitude of its SNR.  Every other lane
-    has a stream of its own of K = 1 row that already holds its noise, read
-    at a = 0; no front end mixes the two.  ``cfg`` is the geometry of every
-    lane (the lanes differ in the SNR and the pinned CFO alone).  ``curves``
-    and ``to_estimate`` are every lane's timing curves and TO decisions, and
-    ``search`` makes each user's CFO search at a theta_hat once, for every
-    lane whose theta_hat it is."""
+    Lane p reads stream ``stream[p]`` at noise amplitude a =
+    ``amplitude[p]``.  A stream is K rows of ``separated``, row k the
+    coefficient of a^k in the received quantity at noise amplitude a
+    (``at_amplitude``).  Either every lane reads one stream, or each lane
+    has a stream of its own, as ``search`` and ``estimate_cfo`` read them.
+    ``cfg`` is the geometry of every lane (the lanes differ in the SNR and
+    the pinned CFO alone).  ``curves`` and ``to_estimate`` are every lane's
+    timing curves and TO decisions, and ``search`` makes each user's CFO
+    search at a theta_hat once, for every lane whose theta_hat it is."""
 
     cfg: SystemConfig
     separated: np.ndarray           # (S, K, Q, M*N) separated streams
-    lanes: tuple                    # the (snr_db, cfo_value) of each lane
     stream: np.ndarray              # (P,) the stream index of each lane
     amplitude: np.ndarray           # (P,) the noise amplitude a of each lane
     curves: np.ndarray              # (P, Q, M) timing curves
@@ -839,47 +832,27 @@ class FrontEnd:
         return self.searches[key]
 
 
-def front_end(rx: np.ndarray, noise: np.ndarray, pcp: np.ndarray, cfg: SystemConfig,
-              lanes=None) -> FrontEnd:
-    """The ``FrontEnd`` of the receive stream ``rx`` with the unit noise
-    ``noise`` (``channel.unit_noise``), one lane per distinct (snr_db,
-    cfo_value) in ``lanes`` (default: ``cfg.snr_db`` alone, at the CFO of
-    ``rx``).  A cfo_value is a CFO pinned for every user, which rotates the
-    zero-CFO stream ``rx`` (``channel.cfo_rotation``); None leaves ``rx``
-    as it is.  Several SNRs of an unrotated stream share one stream of two
-    rows, ``rx`` and the noise (K = 2), each lane at its
-    ``channel.noise_amplitude``; the filter bank and the PCP correlation run
-    once on it, and each lane's (Q, M*N) lag correlation is formed from the
-    two rows by one ``channel.add_awgn`` and dropped once its curves are
-    taken.  Otherwise each lane has a stream of its own, ``rx`` rotated and
-    its noise added (K = 1), and the two run lane by lane, at the size of
-    one lane, keeping the lane's timing curves and not its correlation.  The
-    TO decisions of every (lane, user) are one ``estimate_to`` call.  The
-    timing-offset margin and the rest of the CP are removed first."""
-    from . import channel         # channel imports this module
-    lanes = tuple(dict.fromkeys([(cfg.snr_db, None)] if lanes is None else lanes))
-
-    def separate(streams):
-        return separate_user(modem.remove_cp(streams[..., cfg.theta_max:], cfg.cp_rem,
-                                             out_len=cfg.m * cfg.n), cfg)
-
-    if len(lanes) > 1 and all(cfo is None for _, cfo in lanes):
-        separated = separate(np.stack([rx, noise]))[np.newaxis]
-        corr = timing_correlate(separated[0], pcp, cfg)
-        curves = np.stack([timing_curve(channel.add_awgn(corr[0], snr, corr[1]), cfg)
-                           for snr, _ in lanes])
-        stream = np.zeros(len(lanes), dtype=np.intp)
-        amplitude = np.array([channel.noise_amplitude(snr) for snr, _ in lanes])
-    else:
-        separated = np.empty((len(lanes), 1, cfg.num_users, cfg.m * cfg.n), dtype=complex)
-        curves = np.empty((len(lanes), cfg.num_users, cfg.m))
-        for lane, (snr, cfo) in enumerate(lanes):
-            signal = rx if cfo is None else rx * channel.cfo_rotation(cfo, cfg.n_s)
-            separated[lane] = separate(channel.add_awgn(signal, snr, noise)[np.newaxis])
-            curves[lane] = timing_curve(timing_correlate(separated[lane], pcp, cfg), cfg)[0]
-        stream, amplitude = np.arange(len(lanes)), np.zeros(len(lanes))
-    return FrontEnd(cfg=cfg, separated=separated, lanes=lanes, stream=stream,
-                    amplitude=amplitude, curves=curves, to_estimate=estimate_to(curves, cfg))
+def front_end(streams: np.ndarray, stream, amplitude, pcp: np.ndarray,
+              cfg: SystemConfig) -> FrontEnd:
+    """The ``FrontEnd`` of the (S, K, N_s) received streams ``streams``,
+    whose lane p reads stream ``stream[p]`` at noise amplitude
+    ``amplitude[p]``.  One stream at a time, the timing-offset margin and
+    the rest of the CP are removed, the filter bank and the PCP correlation
+    run once on its K rows, and each of its lanes takes its timing curves
+    from the correlation at its a; the correlation is dropped with the
+    stream.  The TO decisions of every (lane, user) are one ``estimate_to``
+    call."""
+    stream, amplitude = np.asarray(stream, dtype=np.intp), np.asarray(amplitude, dtype=float)
+    separated = np.empty(streams.shape[:2] + (cfg.num_users, cfg.m * cfg.n), dtype=complex)
+    curves = np.empty((len(stream), cfg.num_users, cfg.m))
+    for s, rows in enumerate(streams):
+        separated[s] = separate_user(modem.remove_cp(rows[..., cfg.theta_max:], cfg.cp_rem,
+                                                     out_len=cfg.m * cfg.n), cfg)
+        corr = timing_correlate(separated[s], pcp, cfg)
+        for lane in np.flatnonzero(stream == s):
+            curves[lane] = timing_curve(at_amplitude(corr, amplitude[lane]), cfg)
+    return FrontEnd(cfg=cfg, separated=separated, stream=stream, amplitude=amplitude,
+                    curves=curves, to_estimate=estimate_to(curves, cfg))
 
 
 @dataclass
@@ -908,7 +881,7 @@ def synchronize_user(front: FrontEnd, lane: int, user: int,
     if theta_override is None:
         theta, lanes = first, to_est.first_peak[:, user] == first
     else:
-        theta, lanes = int(theta_override), np.ones(len(front.lanes), dtype=bool)
+        theta, lanes = int(theta_override), np.ones(len(front.stream), dtype=bool)
     shared = front.search(user, theta, lanes)
     region, estimate = shared[lane]
     return UserSyncResult(

@@ -23,12 +23,15 @@ regressor factorized on that user's own pilot template, with a dense scan,
 exact Newton and the ``coeffs`` solve; ``sync.synchronize_user`` and
 ``harness.absorbed_channel_fit`` share one bundle across users and
 de-rotate each user's region to its Doppler-free template.
+``front_end_chain`` separates and correlates one received stream by the
+per-stream chain: CP removal, the filter bank and the PCP correlation.
 ``per_point_trial`` runs a trial of one SNR point by the per-point chain:
-the noise added to the received stream, then CP removal, the filter bank,
-the timing curve and ``sync.synchronize_user`` on that one stream;
-on a draw whose front end has a lane per point (an SNR sweep's),
-``harness.run_trial`` adds the noise after that front end, and each user's
-CFO search runs once for every lane that reaches the same theta_hat.
+the noise added to the received stream, then ``front_end_chain``, the
+timing curve and ``sync.synchronize_user`` on that one stream;
+on a draw whose front end has a lane per point (an SNR sweep's), each lane
+reads the shared stream of the signal and the unit noise at its noise
+amplitude, and each user's CFO search runs once for every lane that
+reaches the same theta_hat.
 """
 
 import math
@@ -186,20 +189,27 @@ def own_bundle_back_end(separated, user, theta, cfg, pcp, absorbed_beta):
             sync.reconstruct_channel(c_abs, bem_abs))
 
 
+def front_end_chain(stream, pcp, cfg):
+    """The (Q, M*N) separated streams of one received (N_s,) stream and
+    their lag correlation: the timing-offset margin and the rest of the CP
+    removed, then ``sync.separate_user`` and ``sync.timing_correlate``."""
+    y = modem.remove_cp(stream[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
+    separated = sync.separate_user(y, cfg)
+    return separated, sync.timing_correlate(separated, pcp, cfg)
+
+
 def per_point_trial(cfg, trial_index, absorbed=False):
     """One dict per user of trial ``trial_index`` of ``cfg``'s SNR point,
     with the fields of ``harness.UserTrialRecord`` that it estimates and the
     ``timing_metric`` and ``cfo_cost`` of its debug entry, by the per-point
     chain on ``harness.draw_trial``'s stream and unit noise."""
     draw = harness.draw_trial(cfg, trial_index)
-    rx = chan.add_awgn(draw.rx, cfg.snr_db, draw.noise)
-    y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
-    separated = sync.separate_user(y, cfg)
-    curves = sync.timing_curve(sync.timing_correlate(separated, draw.pcp, cfg), cfg)[np.newaxis]
+    separated, corr = front_end_chain(chan.add_awgn(draw.rx, cfg.snr_db, draw.noise),
+                                      draw.pcp, cfg)
+    curves = sync.timing_curve(corr, cfg)[np.newaxis]
     front = sync.FrontEnd(cfg=cfg, separated=separated[np.newaxis, np.newaxis],
-                          lanes=((cfg.snr_db, None),), stream=np.zeros(1, dtype=np.intp),
-                          amplitude=np.zeros(1), curves=curves,
-                          to_estimate=sync.estimate_to(curves, cfg))
+                          stream=np.zeros(1, dtype=np.intp), amplitude=np.zeros(1),
+                          curves=curves, to_estimate=sync.estimate_to(curves, cfg))
     users = []
     for q in range(cfg.num_users):
         theta_true = int(draw.realization.to[q])

@@ -81,7 +81,11 @@ def test_snr_below_the_floor_is_a_config_error(capsys, command):
     # the config is the only guard of the pilot geometry: an offset past the
     # band (16 bins at the default N=32, Q=2)
     ("pilot_offset=16", "pilot_offset=16 outside the user band"),
-], ids=["allocation", "pilot-offset-past-band"])
+    # a channel of no taps: at 0 every EVA tap would sit at delay -1 and each
+    # NMSE be null, below it the channel would raise an IndexError
+    ("channel_len_cap=0", "channel_len_cap=0 must be >= 1"),
+    ("channel_len_cap=-3", "channel_len_cap=-3 must be >= 1"),
+], ids=["allocation", "pilot-offset-past-band", "no-channel-taps", "negative-channel-length"])
 def test_validate_rejects_a_bad_override(capsys, override, fragment):
     assert cli.main(["validate", "--override", override]) == 2
     captured = capsys.readouterr()

@@ -36,6 +36,7 @@ def test_cp_rule_violation_message():
     ("n", "4", "bem_order=7 exceeds the Doppler axis n=4"),
     ("pilot_offset", "16", "outside the user band"),
     ("pilot_anchor", "0", "leaves the delay axis"),
+    ("channel_len_cap", "0", "channel_len_cap=0 must be >= 1"),
 ])
 def test_invariant_messages(field, value, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -15,7 +15,7 @@ from otfsync import harness, modem, pilot, sync
 from otfsync.config import (CHANNEL_MODELS, SystemConfig, apply_overrides, bem_order_bound,
                             default_bem_order)
 from otfsync.errors import ConfigError, OtfsyncError
-from sync_oracle import per_point_trial
+from sync_oracle import front_end_chain, per_point_trial
 
 
 def quick_config(**kw):
@@ -600,12 +600,58 @@ def test_front_end_is_shared_only_by_a_draw_that_serves_several_points(monkeypat
     for (cfgs, cfo_values), want in cases:
         draws.clear()
         tables = harness.run_point(list(zip(cfgs, cfo_values)), trials)
-        assert [(d.front.separated.shape[:2], d.front.lanes) for d in draws] == want * trials
+        assert [(d.front.separated.shape[:2], d.lanes) for d in draws] == want * trials
         if all(stack < 2 for (_, stack), _ in want):
             for table, cfg, cfo_value in zip(tables, cfgs, cfo_values):
                 fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value)[0]
                          for k in range(trials)]
                 assert equal_tables(table, harness.record_table(fresh))
+
+
+def test_draw_trial_builds_the_lane_table():
+    # the draw de-duplicates its lanes and chooses which received stream each
+    # lane reads at which noise amplitude; each stream is separated bit for
+    # bit as the per-stream chain, and each lane's curves are its own
+    cfg = SystemConfig(num_users=4, snr_db=10.0).validate()
+    # one lane (K = 1): the stream with its noise; a repeated SNR is one lane
+    for lanes in (None, [(10.0, None)], [(10.0, None)] * 2):
+        draw = harness.draw_trial(cfg, 0, lanes)
+        front = draw.front
+        assert draw.lanes == ((10.0, None),)
+        assert front.stream.tolist() == [0] and front.amplitude.tolist() == [0.0]
+        separated, corr = front_end_chain(chan.add_awgn(draw.rx, cfg.snr_db, draw.noise),
+                                          draw.pcp, cfg)
+        assert np.array_equal(front.separated, separated[np.newaxis, np.newaxis])
+        assert np.array_equal(front.curves, sync.timing_curve(corr, cfg)[np.newaxis])
+    # several SNR lanes (K = 2): one stream of two rows, the stream and the
+    # unit noise, each lane at the noise amplitude of its SNR
+    draw = harness.draw_trial(cfg, 0, [(snr, None) for snr in (0.0, 20.0, 0.0, math.inf)])
+    front = draw.front
+    assert draw.lanes == ((0.0, None), (20.0, None), (math.inf, None))
+    assert front.stream.tolist() == [0, 0, 0]
+    assert front.amplitude.tolist() == [chan.noise_amplitude(snr) for snr, _ in draw.lanes]
+    assert front.separated.shape == (1, 2, 4, cfg.m * cfg.n)
+    (separated_rx, corr_rx), (separated_noise, corr_noise) = (
+        front_end_chain(row, draw.pcp, cfg) for row in (draw.rx, draw.noise))
+    assert np.array_equal(front.separated[0, 0], separated_rx)
+    assert np.array_equal(front.separated[0, 1], separated_noise)
+    for (snr, _), curves in zip(draw.lanes, front.curves):
+        assert np.array_equal(curves, sync.timing_curve(chan.add_awgn(corr_rx, snr, corr_noise),
+                                                        cfg))
+    # pinned CFOs (K = 1 each): the zero-CFO stream rotated by its CFO, with
+    # its noise, a stream of its own per lane; a repeated lane is one lane
+    lanes = [(10.0, -0.4), (10.0, 0.0), (math.inf, 0.3), (10.0, 0.0)]
+    draw = harness.draw_trial(cfg, 0, lanes)
+    front = draw.front
+    assert draw.lanes == tuple(lanes[:3])
+    assert front.stream.tolist() == [0, 1, 2] and front.amplitude.tolist() == [0.0] * 3
+    assert front.separated.shape == (3, 1, 4, cfg.m * cfg.n)
+    for (snr, cfo), separated, curves in zip(draw.lanes, front.separated, front.curves):
+        want_separated, want_corr = front_end_chain(
+            chan.add_awgn(draw.rx * chan.cfo_rotation(cfo, cfg.n_s), snr, draw.noise),
+            draw.pcp, cfg)
+        assert np.array_equal(separated[0], want_separated)
+        assert np.array_equal(curves, sync.timing_curve(want_corr, cfg))
 
 
 def test_draw_serves_configs_that_differ_only_in_snr():

@@ -64,3 +64,32 @@ def test_numpy_imported_first_still_gets_one_blas_thread_unless_preset(preset, e
     if not threads:
         pytest.skip("numpy and scipy bundle no OpenBLAS here")
     assert threads == {package: expected for package in threads}
+
+
+def test_sync_runs_without_the_channel_module():
+    # channel imports sync and never the reverse: the receiver reads the
+    # received streams alone, so its front end and back end run with the
+    # channel module blocked, on a stream of its own per lane (K = 1) and on
+    # one stream of two rows shared by two lanes (K = 2)
+    code = """
+import sys
+sys.modules["otfsync.channel"] = None
+import numpy as np
+from otfsync import pilot, sync
+from otfsync.config import SystemConfig
+cfg = SystemConfig(num_users=2).validate()
+pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
+rng = np.random.default_rng(0)
+for shape, stream, amplitude in (((2, 1), [0, 1], [0.0, 0.0]), ((1, 2), [0, 0], [0.0, 0.5])):
+    streams = rng.standard_normal(shape + (cfg.n_s,)) + 1j * rng.standard_normal(shape + (cfg.n_s,))
+    front = sync.front_end(streams, stream, amplitude, pcp, cfg)
+    for lane in range(len(stream)):
+        for user in range(cfg.num_users):
+            assert np.isfinite(sync.synchronize_user(front, lane, user).cfo.epsilon_hat)
+print("ok")
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "ok\n"

@@ -15,9 +15,9 @@ from otfsync.config import SystemConfig
 from otfsync.errors import ConfigError, EstimationError
 from dd_oracle import pilot_region_ref, timing_template
 from sync_oracle import (DenseRegressor, bundle_template, cfo_cost_derivatives,
-                         dense_regressor, estimate_cfo_exact, own_bundle_back_end,
-                         regressor_matrix, separate_user_one, timing_correlate_one,
-                         timing_correlate_template)
+                         dense_regressor, estimate_cfo_exact, front_end_chain,
+                         own_bundle_back_end, regressor_matrix, separate_user_one,
+                         timing_correlate_one, timing_correlate_template)
 
 
 def paper_config(**kw):
@@ -118,16 +118,11 @@ def test_filter_bank_rows_at_full_geometry():
         assert np.array_equal(bank[user], separate_user_one(stream, user, cfg))
 
 
-def test_front_end_chooses_the_stream_stack_and_the_lane_amplitudes():
+def test_front_end_reads_each_stream_once_and_each_lane_at_its_amplitude():
     cfg = SystemConfig(num_users=4, snr_db=10.0).validate()
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     rng = np.random.default_rng(10)
-    size = cfg.theta_max + cfg.cp_rem + cfg.m * cfg.n
-    rx, noise = (rng.standard_normal(size) + 1j * rng.standard_normal(size) for _ in range(2))
-
-    def chain(stream):
-        separated = sync.separate_user(modem.remove_cp(stream[cfg.theta_max:], cfg.cp_rem), cfg)
-        return separated, sync.timing_correlate(separated, pcp, cfg)
+    rows = rng.standard_normal((3, cfg.n_s)) + 1j * rng.standard_normal((3, cfg.n_s))
 
     def decided(front):
         # every lane's TO decisions are those of its curves, in one call
@@ -135,43 +130,32 @@ def test_front_end_chooses_the_stream_stack_and_the_lane_amplitudes():
         return (np.array_equal(front.to_estimate.first_peak, want.first_peak)
                 and np.array_equal(front.to_estimate.max_peak, want.max_peak))
 
-    # one lane (K = 1): the stream with its noise, bit for bit the per-point chain
-    separated, corr = chain(chan.add_awgn(rx, cfg.snr_db, noise))
-    for lanes in (None, [(10.0, None)], [(10.0, None)] * 2):   # a repeated SNR is one lane
-        front = sync.front_end(rx, noise, pcp, cfg, lanes)
-        assert front.lanes == ((10.0, None),)
-        assert front.stream.tolist() == [0] and front.amplitude.tolist() == [0.0]
-        assert np.array_equal(front.separated, separated[np.newaxis, np.newaxis])
-        assert np.array_equal(front.curves, sync.timing_curve(corr, cfg)[np.newaxis])
-        assert decided(front)
-    # several SNR lanes (K = 2): one stream of two rows, the stream and the
-    # unit noise, each lane at its amplitude, whose curves are those of the
-    # rows' correlations summed at that amplitude
-    lanes = [(snr, None) for snr in (0.0, 20.0, 0.0, math.inf)]
-    front = sync.front_end(rx, noise, pcp, cfg, lanes)
-    assert front.lanes == ((0.0, None), (20.0, None), (math.inf, None))
-    assert front.stream.tolist() == [0, 0, 0]
-    assert front.amplitude.tolist() == [chan.noise_amplitude(snr) for snr, _ in front.lanes]
-    assert front.separated.shape == (1, 2, 4, cfg.m * cfg.n)
-    (separated_rx, corr_rx), (separated_noise, corr_noise) = chain(rx), chain(noise)
-    assert np.array_equal(front.separated[0, 0], separated_rx)
-    assert np.array_equal(front.separated[0, 1], separated_noise)
-    for (snr, _), curves in zip(front.lanes, front.curves):
-        assert np.array_equal(curves, sync.timing_curve(chan.add_awgn(corr_rx, snr, corr_noise),
-                                                        cfg))
-    assert decided(front)
-    # pinned CFOs (K = 1 each): the stream rotated by its CFO, with its noise,
-    # each lane bit for bit its own per-point chain; a repeated lane is one lane
-    lanes = [(10.0, -0.4), (10.0, 0.0), (math.inf, 0.3), (10.0, 0.0)]
-    front = sync.front_end(rx, noise, pcp, cfg, lanes)
-    assert front.lanes == tuple(lanes[:3])
+    # a stream of its own per lane (K = 1), read at a = 0: each lane bit for
+    # bit the per-stream chain
+    front = sync.front_end(rows[:, np.newaxis], [0, 1, 2], [0.0] * 3, pcp, cfg)
     assert front.stream.tolist() == [0, 1, 2] and front.amplitude.tolist() == [0.0] * 3
     assert front.separated.shape == (3, 1, 4, cfg.m * cfg.n)
-    for (snr, cfo), separated, curves in zip(front.lanes, front.separated, front.curves):
-        want_separated, want_corr = chain(chan.add_awgn(rx * chan.cfo_rotation(cfo, cfg.n_s),
-                                                        snr, noise))
+    for row, separated, curves in zip(rows, front.separated, front.curves):
+        want_separated, want_corr = front_end_chain(row, pcp, cfg)
         assert np.array_equal(separated[0], want_separated)
         assert np.array_equal(curves, sync.timing_curve(want_corr, cfg))
+    assert decided(front)
+    # several lanes on one stream of two rows (K = 2), the signal and the
+    # unit noise: the rows are separated bit for bit as two streams, and each
+    # lane's curves are those of the rows' correlations summed at its
+    # amplitude, the sum that ``channel.add_awgn`` forms
+    snrs = (0.0, 20.0, math.inf)
+    amplitudes = [chan.noise_amplitude(snr) for snr in snrs]
+    front = sync.front_end(rows[np.newaxis, :2], [0, 0, 0], amplitudes, pcp, cfg)
+    assert front.stream.tolist() == [0, 0, 0] and front.amplitude.tolist() == amplitudes
+    assert front.separated.shape == (1, 2, 4, cfg.m * cfg.n)
+    (separated_rx, corr_rx), (separated_noise, corr_noise) = (
+        front_end_chain(row, pcp, cfg) for row in rows[:2])
+    assert np.array_equal(front.separated[0, 0], separated_rx)
+    assert np.array_equal(front.separated[0, 1], separated_noise)
+    for snr, curves in zip(snrs, front.curves):
+        assert np.array_equal(curves, sync.timing_curve(chan.add_awgn(corr_rx, snr, corr_noise),
+                                                        cfg))
     assert decided(front)
 
 
@@ -713,7 +697,8 @@ def test_ls_residual_orthogonality():
         [np.zeros((cfg.m, cfg.n), complex) for _ in range(2)], cfg, pcp)
     streams = [modem.transmit(f, cfg.cp_len) for f in frames]
     r = chan.apply_channel(streams, real, cfg.n_s, cfg.theta_max)
-    front = sync.front_end(r, chan.unit_noise(rng, r.shape), pcp, cfg)
+    received = chan.add_awgn(r, cfg.snr_db, chan.unit_noise(rng, r.shape))
+    front = sync.front_end(received[np.newaxis, np.newaxis], [0], [0.0], pcp, cfg)
     result = sync.synchronize_user(front, 0, 0)
     bundle = sync.estimator_bundle(cfg, result.theta_used)
     g = regressor_matrix(pilot_region_ref(cfg, pcp, 0), bundle.bem)
@@ -853,7 +838,8 @@ def test_shared_bundle_matches_per_user_bundles():
                                 pilot.guard_rows(cfg)) for q in range(cfg.num_users)],
         cfg, pcp)
     rx = chan.apply_channel(modem.transmit(frames, cfg.cp_len), real, cfg.n_s, cfg.theta_max)
-    front = sync.front_end(rx, chan.unit_noise(rng, rx.shape), pcp, cfg)
+    received = chan.add_awgn(rx, cfg.snr_db, chan.unit_noise(rng, rx.shape))
+    front = sync.front_end(received[np.newaxis, np.newaxis], [0], [0.0], pcp, cfg)
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))

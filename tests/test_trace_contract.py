@@ -1,12 +1,14 @@
 """The program's contract with the benchmark's span tracer
 (``perfbench/tracing.py``), which wraps functions by name: the batched front
-end runs inside traced stages once per draw, each point adds its noise in a
-traced stage and runs the per-user back end once per user, each user's CFO
-projection is one traced call inside its search, made once per theta_hat
-and draw, and the users share their estimator bundles.  A ``cfo_value``
-sweep filters each point's stream in a traced stage, lane by lane, and
-batches its points' CFO searches and absorbed fits inside the traced
-``estimate_cfo`` and ``absorbed_channel_fit``."""
+end runs inside traced stages once per draw, the points of an SNR sweep read
+the draw's unit-noise row at their noise amplitudes and call
+``channel.add_awgn`` zero times, each point runs the per-user back end once
+per user, each user's CFO projection is one traced call inside its search,
+made once per theta_hat and draw, and the users share their estimator
+bundles.  A ``cfo_value`` sweep adds each point's noise to its stream and
+filters that stream in traced stages, lane by lane, and batches its points'
+CFO searches and absorbed fits inside the traced ``estimate_cfo`` and
+``absorbed_channel_fit``."""
 
 import json
 import os
@@ -46,10 +48,11 @@ def test_q4_eva_sweep_is_covered_by_traced_stages(tmp_path):
     assert 1.0 - own / inclusive >= 0.9
     # per_layer_metrics divides by the per-user call counts
     assert stages["sync.synchronize_user"][0] == USERS * TRIALS * len(POINTS)
-    # the front end runs once per draw, and each point adds its noise once
+    # the front end runs once per draw, and the points read the unit-noise
+    # row at their amplitudes, so no noise is added to any stream
     assert stages["sync.separate_user"][0] == TRIALS
     assert stages["sync.timing_correlate"][0] == TRIALS
-    assert stages["channel.add_awgn"][0] == TRIALS * len(POINTS)
+    assert "channel.add_awgn" not in stages
     # one projection, and one bundle fetch, per user, theta_hat and draw;
     # sync.cfo_coarse.ms reads the projections inside the CFO searches
     with open(tmp_path / "trace" / "per-trial.jsonl", encoding="utf-8") as fh:
