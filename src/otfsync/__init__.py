@@ -90,9 +90,10 @@ del _var
 if not any(var.startswith("MALLOC_") or var == "GLIBC_TUNABLES" for var in os.environ):
     _fixed_malloc_thresholds()
 
-# numpy >= 2 loads these submodules on first use.  Every trial needs them
-# (numpy.ma through np.unique), so they load with the package, about 25 ms,
-# instead of inside the first trial of each process.
+# numpy >= 2 loads these submodules on first use.  The first trial of each
+# process needs them (numpy.ma through the np.unique of its estimator bundle
+# builds and ``channel.eva_profile``), so they load with the package, about
+# 25 ms, instead of inside that trial.
 import numpy.fft  # noqa: E402,F401
 import numpy.ma  # noqa: E402,F401
 import numpy.random  # noqa: E402,F401

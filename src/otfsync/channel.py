@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import SystemConfig, SAMPLE_RATE_HZ
+from .config import SystemConfig, SAMPLE_RATE_HZ, default_bem_order
 from .errors import RealizationError
 from .sync import build_bem_basis
 
@@ -169,7 +169,8 @@ class PathSet:
 @dataclass
 class BemPathSet:
     """One user's taps as random Chebyshev series (trajectories inside the
-    estimator's model class; the order matches the configured Doppler spread)."""
+    default estimator's model class; ``draw_realization`` takes the order
+    from the Doppler spread, ``default_bem_order(nu_max_t)``)."""
 
     delays: np.ndarray          # (D,) int, distinct
     coeffs: np.ndarray          # (D, order) complex
@@ -267,14 +268,16 @@ def generate_eva_bem_channel(rng, n_s: int, order: int, len_cap: int = 10) -> Be
 
 def draw_realization(rng, cfg: SystemConfig) -> ChannelRealization:
     """Per-trial draw: channel paths per the config model, TO uniform on
-    [0, theta_max], CFO uniform on [-cfo_max, cfo_max]."""
+    [0, theta_max], CFO uniform on [-cfo_max, cfo_max].  An ``eva-bem``
+    channel has the order ``default_bem_order(nu_max_t)`` of its own, so a
+    ``bem_order`` override changes the estimator and not the channel."""
     paths = []
     for _ in range(cfg.num_users):
         if cfg.channel_model == "eva":
             paths.append(generate_eva_channel(rng, cfg.nu_max_t, cfg.n_s,
                                               cfg.channel_len_cap))
         elif cfg.channel_model == "eva-bem":
-            paths.append(generate_eva_bem_channel(rng, cfg.n_s, cfg.beta,
+            paths.append(generate_eva_bem_channel(rng, cfg.n_s, default_bem_order(cfg.nu_max_t),
                                                   cfg.channel_len_cap))
         elif cfg.channel_model == "single-tap":
             paths.append(generate_single_tap(rng, cfg.nu_max_t, cfg.n_s))

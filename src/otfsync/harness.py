@@ -25,12 +25,12 @@ rotation does not commute with the filter bank, so each of its points is a
 lane with a stream of its own, the rotated stream with its noise added,
 which the front end filters and correlates lane by lane.  A lone point is
 such a lane, unrotated.  The front end takes every (point, user)'s TO
-decision in one pass when the draw is made; each user's CFO search then
-runs once per theta_hat, for every point that reaches that theta_hat at
-once, one lane per point, and the absorbed baseline fits every such point
-at once.  ``run_trial`` still runs once per point and reads its own lane.
-The ``nu_max_t`` and ``pilot_power_db`` sweeps change the channel or the
-pilots, so each of their points has a draw of its own.
+decision in one pass when the draw is made.  One ``run_trial`` then scores
+every lane of the draw: each user's CFO search runs once per theta_hat,
+for every lane that reaches that theta_hat at once, the absorbed baseline
+fits those lanes at once, and nothing of a user is kept once its records
+are filled.  The ``nu_max_t`` and ``pilot_power_db`` sweeps change the
+channel or the pilots, so each of their points has a draw of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -145,16 +145,15 @@ class TrialDraw:
     ``lanes`` holds the distinct (SNR, pinned CFO) of the points the draw
     serves, and ``front`` is the receive front end (``sync.front_end``)
     with lane p at ``lanes[p]``, which makes every point's TO decisions with
-    the draw, and each (user, theta_hat)'s CFO search once, for every lane,
-    when a point first needs it; ``absorbed`` keeps the absorbed baseline's
-    fits of each (user, theta_hat) likewise (``_absorbed_fits``).  A pinned
-    draw's realization has zero CFOs and ``rx`` is the zero-CFO stream: a
-    pinned CFO eps, the same for every user, is the rotation
-    exp(j 2 pi eps kappa / N_s) of that stream, which ``draw_trial`` applies
-    lane by lane.  So a pinned draw's realization depends neither on
-    ``cfg.snr_db`` nor on the pinned values.  Its arrays (``pcp``, the
-    offsets, ``rx``, ``noise``, ``truth`` and the front end's separated
-    streams and timing curves) are read-only."""
+    the draw; ``run_trial`` scores every lane of it in one pass, and the
+    draw keeps nothing of that pass.  A pinned draw's realization has zero
+    CFOs and ``rx`` is the zero-CFO stream: a pinned CFO eps, the same for
+    every user, is the rotation exp(j 2 pi eps kappa / N_s) of that stream,
+    which ``draw_trial`` applies lane by lane.  So a pinned draw's
+    realization depends neither on ``cfg.snr_db`` nor on the pinned values.
+    Its arrays (``pcp``, the offsets, ``rx``, ``noise``, ``truth`` and the
+    front end's separated streams and timing curves) are read-only, and it
+    holds no cache."""
 
     pcp: np.ndarray
     realization: chan.ChannelRealization
@@ -164,7 +163,6 @@ class TrialDraw:
     truth_energy: tuple[float, ...]
     lanes: tuple[tuple[float, float | None], ...]
     front: sync.FrontEnd
-    absorbed: dict = field(default_factory=dict, repr=False)
 
 
 def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
@@ -220,20 +218,6 @@ def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
                      truth_energy=truth_energy, lanes=lanes, front=front)
 
 
-def _absorbed_fits(draw: TrialDraw, cfg: SystemConfig, user: int,
-                   result: sync.UserSyncResult) -> dict[int, np.ndarray]:
-    """The absorbed baseline's fits (``absorbed_channel_fit``, of order
-    ``absorbed_beta``) of ``user``'s regions at ``result.theta_used``, by
-    lane: one fit of every lane of ``result``'s search.  Made on the first
-    call for (user, theta_used) and kept in the draw."""
-    key = (user, result.theta_used)
-    if key not in draw.absorbed:
-        regions = np.stack([region for region, _ in result.shared.values()])
-        draw.absorbed[key] = dict(zip(result.shared, absorbed_channel_fit(
-            regions, cfg, user, result.theta_used, absorbed_beta(cfg))))
-    return draw.absorbed[key]
-
-
 def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = None,
               absorbed: bool = False, collect_debug: bool = False,
               draw: TrialDraw | None = None):
@@ -242,53 +226,65 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
     Per-user estimation failures become failed records, never exceptions.
     ``cfo_value`` pins every user's CFO (the Doppler-sweep experiments draw
     it instead); ``absorbed`` also evaluates the CFO-absorbed baseline.
-    ``draw``, if given, replaces the trial's own ``draw_trial``: it must be
-    trial ``trial_index``'s draw, of the same kind of CFO, for a config that
-    differs from ``cfg`` in ``snr_db`` alone, with a lane at
-    (``cfg.snr_db``, ``cfo_value``) (``draw_runs``).  The trial reads that
-    lane of the draw's front end and of the searches and fits that it shares
-    with the draw's other lanes.  The records are the same, to rounding if
-    the lanes share one stream (an SNR sweep's), and bit for bit if each
-    lane has its own (a ``cfo_value`` sweep's).
-    """
-    if draw is None:
-        draw = draw_trial(cfg, trial_index, [(cfg.snr_db, cfo_value)])
-    realization = draw.realization
-    lane = draw.lanes.index((cfg.snr_db, cfo_value))
-    eps = realization.cfo if cfo_value is None else np.full(cfg.num_users, float(cfo_value))
+    Without ``draw`` the trial makes its own one-lane draw (``draw_trial``)
+    and returns its Q records and its debug entries.
 
-    records, debug = [], []
+    ``draw``, if given, is trial ``trial_index``'s draw for a config that
+    differs from ``cfg`` in ``snr_db`` alone (``draw_runs``), and each lane
+    takes its (snr_db, cfo_value) from ``draw.lanes``, so ``cfo_value`` is
+    not read.  Every lane is scored in one pass, and records and debug are
+    lists by lane, each as the lone call at that lane would give it: the
+    same to rounding if the lanes share one stream (an SNR sweep's), and
+    bit for bit if each lane has its own (a ``cfo_value`` sweep's).
+
+    Each user's lanes are grouped by theta_hat, or form one group at the
+    true offset under ``genie_to``.  A group is one ``sync.synchronize_user``
+    call and one absorbed fit of all its regions, and an ``OtfsyncError`` in
+    either marks every lane of the group failed.
+    """
+    lone = draw is None
+    if lone:
+        draw = draw_trial(cfg, trial_index, [(cfg.snr_db, cfo_value)])
+    realization, front = draw.realization, draw.front
+    theta_true = realization.to.tolist()
+    records = [[UserTrialRecord(user=q, theta_true=theta_true[q], eps_true=float(eps))
+                for q, eps in enumerate(realization.cfo if pinned is None
+                                        else [pinned] * cfg.num_users)]
+               for _, pinned in draw.lanes]
+    debug = [[] for _ in draw.lanes]
+    first, peak = front.to_estimate.first_peak, front.to_estimate.max_peak
     for q in range(cfg.num_users):
-        theta_true = int(realization.to[q])
-        eps_true = float(eps[q])
-        record = UserTrialRecord(user=q, theta_true=theta_true, eps_true=eps_true)
-        try:
-            override = theta_true if cfg.genie_to else None
-            result = sync.synchronize_user(draw.front, lane, q, theta_override=override)
-            record.theta_first = result.to_estimate.first_peak
-            record.theta_max = result.to_estimate.max_peak
-            record.eps_hat = result.cfo.epsilon_hat
-            truth = draw.truth[q]
-            record.nmse = _nmse(result.cfo.h_hat, truth, draw.truth_energy[q])
-            if absorbed:
-                h_abs = _absorbed_fits(draw, cfg, q, result)[lane]
-                # the CFO-absorbed compound taps h[l, kappa] exp(j 2 pi eps kappa / N_s)
-                phase = sync.cfo_phase(pilot.region_kappa(cfg, theta_true), eps_true,
-                                       cfg.n_s)
-                record.nmse_absorbed = _nmse(h_abs, truth * phase[:, np.newaxis, :],
-                                             draw.truth_energy[q])     # |phase| = 1
-            if collect_debug:
-                debug.append({
-                    "user": q,
-                    "timing_metric": result.metric.tolist(),
-                    "cfo_grid": result.cfo.grid.tolist(),
-                    "cfo_cost": result.cfo.cost_curve.tolist(),
-                })
-        except OtfsyncError as exc:
-            record.failed = True
-            record.error = str(exc)
-        records.append(record)
-    return records, debug
+        truth, energy = draw.truth[q], draw.truth_energy[q]
+        thetas = np.full(len(draw.lanes), theta_true[q]) if cfg.genie_to else first[:, q]
+        for theta in dict.fromkeys(thetas.tolist()):
+            lanes = np.flatnonzero(thetas == theta)
+            group = [records[lane][q] for lane in lanes]
+            try:
+                regions, estimates = sync.synchronize_user(front, q, theta, lanes)
+                for lane, record, estimate in zip(lanes, group, estimates):
+                    record.theta_first, record.theta_max = int(first[lane, q]), int(peak[lane, q])
+                    record.eps_hat = estimate.epsilon_hat
+                    record.nmse = _nmse(estimate.h_hat, truth, energy)
+                if absorbed:
+                    fits = absorbed_channel_fit(regions, cfg, q, theta, absorbed_beta(cfg))
+                    kappa = pilot.region_kappa(cfg, theta_true[q])
+                    for record, h_abs in zip(group, fits):
+                        # the CFO-absorbed compound taps h[l, kappa] exp(j 2 pi eps kappa / N_s)
+                        phase = sync.cfo_phase(kappa, record.eps_true, cfg.n_s)
+                        record.nmse_absorbed = _nmse(h_abs, truth * phase[:, np.newaxis, :],
+                                                     energy)     # |phase| = 1
+                if collect_debug:
+                    for lane, estimate in zip(lanes, estimates):
+                        debug[lane].append({
+                            "user": q,
+                            "timing_metric": front.curves[lane, q].tolist(),
+                            "cfo_grid": estimate.grid.tolist(),
+                            "cfo_cost": estimate.cost_curve.tolist(),
+                        })
+            except OtfsyncError as exc:
+                for record in group:
+                    record.failed, record.error = True, str(exc)
+    return (records[0], debug[0]) if lone else (records, debug)
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +470,16 @@ def draw_runs(points: list[tuple[SystemConfig, float | None]]) -> list[list]:
 
 def _trial_worker(args):
     """Trial k's records at every point of a sweep, one list per point: one
-    draw per run of points (``draw_runs``), with a lane per point."""
+    draw per run of points (``draw_runs``), with a lane per point, and one
+    ``run_trial`` that scores every lane of it."""
     runs, trial_index, absorbed = args
     records = []
     for run in runs:
-        cfg, cfo_value = run[0]
-        draw = draw_trial(cfg, trial_index, [(point_cfg.snr_db, point_cfo)
-                                             for point_cfg, point_cfo in run])
-        records += [run_trial(point_cfg, trial_index, cfo_value=point_cfo, absorbed=absorbed,
-                              draw=draw)[0] for point_cfg, point_cfo in run]
-        del draw                        # one draw live at a time
+        keys = [(cfg.snr_db, cfo_value) for cfg, cfo_value in run]
+        draw = draw_trial(run[0][0], trial_index, keys)
+        by_lane, _ = run_trial(run[0][0], trial_index, absorbed=absorbed, draw=draw)
+        records += [by_lane[draw.lanes.index(key)] for key in keys]
+        del draw, by_lane               # one draw live at a time
     return records
 
 

@@ -18,13 +18,13 @@ every separated row with the PCP in one product, and each lane of the
 stream takes its timing curves from that correlation at its a.  The front
 end keeps the curves and no correlation, and the TO decisions of every
 (lane, user) are one ``estimate_to`` call.  The users split after that:
-``synchronize_user`` is the per-user back end of one lane (TO decision,
-pilot region, estimator bundle, CFO and channel), and the Q back ends are
+``synchronize_user`` is the per-user back end (pilot region, estimator
+bundle, CFO and channel) at one theta_hat, and the Q back ends are
 independent.  Each user's pilot region and CFO projection are polynomials
-in a too, so one CFO search per (user, theta_hat) serves every lane that
-reaches that theta_hat, one estimate and one region at the lane's a per
-lane, whether the lanes share a stream or each have their own
-(``FrontEnd.search``, ``estimate_cfo``).
+in a too, so one back end call serves every lane that reaches that
+theta_hat, one estimate and one region at the lane's a per lane, whether
+the lanes share a stream or each have their own (``estimate_cfo``);
+``harness.run_trial`` groups the lanes by theta_hat.
 
 The pilot region is fitted one delay row at a time.  User q's pilot sits in
 Doppler column k_q, so its transmitted region sample (n, j) is
@@ -784,7 +784,7 @@ def _cached_bundle(m, n, cp_len, zc_len, zc_root, pilot_power_db, anchor, cfo_ra
                            kappa=kappa, cfg=cfg)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrontEnd:
     """The receiver's linear front end of a draw and the points it serves,
     its lanes, one entry per lane; ``front_end`` makes it from the draw's
@@ -794,11 +794,11 @@ class FrontEnd:
     ``amplitude[p]``.  A stream is K rows of ``separated``, row k the
     coefficient of a^k in the received quantity at noise amplitude a
     (``at_amplitude``).  Either every lane reads one stream, or each lane
-    has a stream of its own, as ``search`` and ``estimate_cfo`` read them.
-    ``cfg`` is the geometry of every lane (the lanes differ in the SNR and
-    the pinned CFO alone).  ``curves`` and ``to_estimate`` are every lane's
-    timing curves and TO decisions, and ``search`` makes each user's CFO
-    search at a theta_hat once, for every lane whose theta_hat it is."""
+    has a stream of its own, as ``synchronize_user`` and ``estimate_cfo``
+    read them.  ``cfg`` is the geometry of every lane (the lanes differ in
+    the SNR and the pinned CFO alone).  ``curves`` and ``to_estimate`` are
+    every lane's timing curves and TO decisions.  Frozen: the back end
+    (``synchronize_user``) only reads it."""
 
     cfg: SystemConfig
     separated: np.ndarray           # (S, K, Q, M*N) separated streams
@@ -806,30 +806,6 @@ class FrontEnd:
     amplitude: np.ndarray           # (P,) the noise amplitude a of each lane
     curves: np.ndarray              # (P, Q, M) timing curves
     to_estimate: ToEstimate         # (P, Q) TO decisions
-    searches: dict = field(default_factory=dict, repr=False)
-
-    def search(self, user: int, theta: int,
-               lanes: np.ndarray) -> dict[int, tuple[np.ndarray, CfoEstimate]]:
-        """User ``user``'s (N, L_p) received pilot region at ``theta`` and
-        CFO estimate for each of the lanes ``lanes`` (a (P,) mask, the lanes
-        whose theta_hat is ``theta``), by lane: one ``estimate_cfo`` on the
-        de-rotated regions of their streams and the shared bundle, and each
-        lane's region read at its a; made by the first call and kept."""
-        key = (user, theta)
-        if key not in self.searches:
-            cfg, ids = self.cfg, np.flatnonzero(lanes)
-            stream, amplitude = self.stream[ids], self.amplitude[ids]
-            # the lanes share one stream or each have their own, so the
-            # amplitudes come stream by stream, as ``estimate_cfo`` reads them
-            streams = sorted(set(stream.tolist()))
-            region = extract_pilot_region(self.separated[:, :, user], theta, cfg)[streams]
-            estimates = estimate_cfo(derotate(region, cfg, user), estimator_bundle(cfg, theta),
-                                     cfg, amplitude)
-            # (K, lanes, N, L_p) rows, and each lane's region at its a
-            rows = region[np.searchsorted(streams, stream)].swapaxes(0, 1)
-            regions = at_amplitude(rows, amplitude[:, np.newaxis, np.newaxis])
-            self.searches[key] = dict(zip(ids.tolist(), zip(regions, estimates)))
-        return self.searches[key]
 
 
 def front_end(streams: np.ndarray, stream, amplitude, pcp: np.ndarray,
@@ -855,36 +831,23 @@ def front_end(streams: np.ndarray, stream, amplitude, pcp: np.ndarray,
                     curves=curves, to_estimate=estimate_to(curves, cfg))
 
 
-@dataclass
-class UserSyncResult:
-    to_estimate: ToEstimate
-    theta_used: int
-    metric: np.ndarray              # (M,) the user's timing curve
-    cfo: CfoEstimate
-    region: np.ndarray              # (N, L_p) the received region at the lane's a
-    shared: dict = field(repr=False)    # lane -> (region, cfo) of every lane of the search
-
-
-def synchronize_user(front: FrontEnd, lane: int, user: int,
-                     theta_override: int | None = None) -> UserSyncResult:
-    """Per-user back end of the receiver at lane ``lane`` of the front end:
-    user ``user``'s timing curve and TO decision, and the CFO estimate at
-    the lane's noise amplitude from the search on its pilot region at
-    theta_hat (``FrontEnd.search``), which runs once for every lane that
-    reaches the same theta_hat.  The bundle is shared by all users; the
-    search runs on the region de-rotated to its template (``derotate``), and
-    the result holds the received region at the lane's a and the search's
-    other lanes (``shared``).  ``theta_override`` (the genie TO) is the same
-    at every lane."""
-    to_est = front.to_estimate
-    first = int(to_est.first_peak[lane, user])
-    if theta_override is None:
-        theta, lanes = first, to_est.first_peak[:, user] == first
-    else:
-        theta, lanes = int(theta_override), np.ones(len(front.stream), dtype=bool)
-    shared = front.search(user, theta, lanes)
-    region, estimate = shared[lane]
-    return UserSyncResult(
-        to_estimate=ToEstimate(first_peak=first, max_peak=int(to_est.max_peak[lane, user])),
-        theta_used=theta, metric=front.curves[lane, user], cfo=estimate, region=region,
-        shared=shared)
+def synchronize_user(front: FrontEnd, user: int, theta: int,
+                     lanes) -> tuple[np.ndarray, list[CfoEstimate]]:
+    """Per-user back end of the receiver at timing offset ``theta`` for the
+    lanes ``lanes`` (ascending lane indices of the front end, those whose
+    theta_hat is ``theta``): user ``user``'s (lanes, N, L_p) received pilot
+    regions, each read at its lane's noise amplitude a, and one
+    ``CfoEstimate`` per lane, in the order of ``lanes``.  One
+    ``estimate_cfo`` runs on the de-rotated (``derotate``) regions of the
+    lanes' streams with the bundle at ``theta``, which all users share."""
+    cfg, lanes = front.cfg, np.asarray(lanes, dtype=np.intp)
+    stream, amplitude = front.stream[lanes], front.amplitude[lanes]
+    # the lanes share one stream or each have their own, so the amplitudes
+    # come stream by stream, as ``estimate_cfo`` reads them
+    streams = sorted(set(stream.tolist()))
+    region = extract_pilot_region(front.separated[:, :, user], theta, cfg)[streams]
+    estimates = estimate_cfo(derotate(region, cfg, user), estimator_bundle(cfg, theta), cfg,
+                             amplitude)
+    # (K, lanes, N, L_p) rows, and each lane's region at its a
+    rows = region[np.searchsorted(streams, stream)].swapaxes(0, 1)
+    return at_amplitude(rows, amplitude[:, np.newaxis, np.newaxis]), estimates

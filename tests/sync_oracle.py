@@ -27,11 +27,11 @@ de-rotate each user's region to its Doppler-free template.
 per-stream chain: CP removal, the filter bank and the PCP correlation.
 ``per_point_trial`` runs a trial of one SNR point by the per-point chain:
 the noise added to the received stream, then ``front_end_chain``, the
-timing curve and ``sync.synchronize_user`` on that one stream;
-on a draw whose front end has a lane per point (an SNR sweep's), each lane
-reads the shared stream of the signal and the unit noise at its noise
-amplitude, and each user's CFO search runs once for every lane that
-reaches the same theta_hat.
+timing curve and ``sync.synchronize_user`` of each user on that one stream,
+one lane; on a draw whose front end has a lane per point (an SNR sweep's),
+each lane reads the shared stream of the signal and the unit noise at its
+noise amplitude, and ``harness.run_trial`` searches each user once for
+every lane that reaches the same theta_hat.
 """
 
 import math
@@ -210,19 +210,19 @@ def per_point_trial(cfg, trial_index, absorbed=False):
     front = sync.FrontEnd(cfg=cfg, separated=separated[np.newaxis, np.newaxis],
                           stream=np.zeros(1, dtype=np.intp), amplitude=np.zeros(1),
                           curves=curves, to_estimate=sync.estimate_to(curves, cfg))
+    first, peak = front.to_estimate.first_peak[0], front.to_estimate.max_peak[0]
     users = []
     for q in range(cfg.num_users):
         theta_true = int(draw.realization.to[q])
         eps_true = float(draw.realization.cfo[q])
-        result = sync.synchronize_user(front, 0, q,
-                                       theta_override=theta_true if cfg.genie_to else None)
-        user = {"theta_first": result.to_estimate.first_peak,
-                "theta_max": result.to_estimate.max_peak,
-                "eps_hat": result.cfo.epsilon_hat,
-                "nmse": harness._nmse(result.cfo.h_hat, draw.truth[q]),
-                "timing_metric": result.metric, "cfo_cost": result.cfo.cost_curve}
+        theta = theta_true if cfg.genie_to else int(first[q])
+        (region,), (estimate,) = sync.synchronize_user(front, q, theta, [0])
+        user = {"theta_first": int(first[q]), "theta_max": int(peak[q]),
+                "eps_hat": estimate.epsilon_hat,
+                "nmse": harness._nmse(estimate.h_hat, draw.truth[q]),
+                "timing_metric": front.curves[0, q], "cfo_cost": estimate.cost_curve}
         if absorbed:
-            h_abs = harness.absorbed_channel_fit(result.region, cfg, q, result.theta_used,
+            h_abs = harness.absorbed_channel_fit(region, cfg, q, theta,
                                                  harness.absorbed_beta(cfg))
             phase = sync.cfo_phase(pilot.region_kappa(cfg, theta_true), eps_true, cfg.n_s)
             user["nmse_absorbed"] = harness._nmse(h_abs, draw.truth[q] * phase[:, None, :])

@@ -78,6 +78,20 @@ def test_bem_pathset_power_and_length():
     assert np.array_equal(paths.taps(np.arange(4109), 2), taps[:2])
 
 
+def test_bem_order_override_leaves_the_eva_bem_channel_unchanged():
+    # the channel's order comes from nu_max_t alone; bem_order sizes the
+    # estimator's basis and not the taps it is scored against
+    base = SystemConfig(num_users=2, channel_model="eva-bem").validate()
+    override = dataclasses.replace(base, bem_order=9).validate()
+    assert override.beta != base.beta
+    want = chan.draw_realization(np.random.default_rng(4), base)
+    got = chan.draw_realization(np.random.default_rng(4), override)
+    assert np.array_equal(got.to, want.to) and np.array_equal(got.cfo, want.cfo)
+    for got_paths, want_paths in zip(got.paths, want.paths):
+        assert np.array_equal(got_paths.delays, want_paths.delays)
+        assert np.array_equal(got_paths.coeffs, want_paths.coeffs)
+
+
 def test_taps_rows_match_per_path_sum():
     rng = np.random.default_rng(10)
     shared = chan.PathSet(gains=np.array([0.6, 0.3j, -0.5]), delays=np.array([2, 5, 2]),

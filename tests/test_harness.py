@@ -14,7 +14,7 @@ from otfsync import channel as chan
 from otfsync import harness, modem, pilot, sync
 from otfsync.config import (CHANNEL_MODELS, SystemConfig, apply_overrides, bem_order_bound,
                             default_bem_order)
-from otfsync.errors import ConfigError, OtfsyncError
+from otfsync.errors import ConfigError, EstimationError, OtfsyncError
 from sync_oracle import front_end_chain, per_point_trial
 
 
@@ -88,7 +88,9 @@ def test_debug_collection():
         want = per_point_trial(cfg, 0)
         for lanes in ((cfg.snr_db,), (cfg.snr_db, 30.0)):
             draw = harness.draw_trial(cfg, 0, [(snr, None) for snr in lanes])
-            _, debug = harness.run_trial(cfg, 0, collect_debug=True, draw=draw)
+            _, by_lane = harness.run_trial(cfg, 0, collect_debug=True, draw=draw)
+            assert len(by_lane) == len(lanes)
+            debug = by_lane[draw.lanes.index((cfg.snr_db, None))]
             assert len(debug) == len(want) == cfg.num_users
             for entry, user in zip(debug, want):
                 for name in ("timing_metric", "cfo_cost"):
@@ -377,13 +379,15 @@ def test_shared_draw_gives_each_points_own_records(sweep_var, workers):
     tables = harness.run_point(list(zip(cfgs, cfo_values)), trials, absorbed=absorbed,
                                workers=workers)
     assert len(tables) == len(cfgs)
-    for table, cfg, cfo_value in zip(tables, cfgs, cfo_values):
-        # a fresh draw of the same kind: an SNR sweep's draw has a lane per point
-        lanes = [(c.snr_db, cfo) for c, cfo in zip(cfgs, cfo_values)]
-        fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value, absorbed=absorbed,
-                                   draw=harness.draw_trial(cfg, k, lanes))[0]
-                 for k in range(trials)]
-        assert equal_tables(table, harness.record_table(fresh))
+    # a fresh draw of the same kind, with a lane per point, scored by one
+    # run_trial, whose records come lane by lane
+    lanes = [(c.snr_db, cfo) for c, cfo in zip(cfgs, cfo_values)]
+    draws = [harness.draw_trial(cfgs[0], k, lanes) for k in range(trials)]
+    fresh = [harness.run_trial(cfgs[0], k, absorbed=absorbed, draw=draw)[0]
+             for k, draw in enumerate(draws)]
+    for table, lane in zip(tables, lanes):
+        assert equal_tables(table, harness.record_table(
+            [by_lane[draw.lanes.index(lane)] for draw, by_lane in zip(draws, fresh)]))
 
 
 @pytest.mark.parametrize("sweep_var, channel_calls", [("snr_db", 2), ("cfo_value", 2)])
@@ -437,14 +441,14 @@ def test_an_snr_lanes_region_is_the_per_point_chains():
     trial = 1
     draw = harness.draw_trial(base, trial, [(cfg.snr_db, None) for cfg in cfgs])
     assert draw.front.separated.shape[:2] == (1, 2)
-    for lane, cfg in enumerate(cfgs):
-        assert draw.front.amplitude[lane] > 0
-        alone = harness.draw_trial(cfg, trial)
-        for q in range(cfg.num_users):
-            theta = int(draw.realization.to[q])     # one region for both
-            got = sync.synchronize_user(draw.front, lane, q, theta_override=theta).region
-            want = sync.synchronize_user(alone.front, 0, q, theta_override=theta).region
-            assert got.shape == want.shape == (cfg.n, cfg.zc_len)
+    for q in range(base.num_users):
+        theta = int(draw.realization.to[q])         # one region for both lanes
+        regions, _ = sync.synchronize_user(draw.front, q, theta, [0, 1])
+        assert regions.shape == (2, base.n, base.zc_len)
+        for lane, (cfg, got) in enumerate(zip(cfgs, regions)):
+            assert draw.front.amplitude[lane] > 0
+            alone = harness.draw_trial(cfg, trial)
+            (want,), _ = sync.synchronize_user(alone.front, q, theta, [0])
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -512,11 +516,11 @@ def test_pinned_run_gives_each_points_own_trial_bit_for_bit(genie_to):
     lanes = [(cfg.snr_db, cfo_value) for cfg, cfo_value in points]
     for k in range(trials):
         draw = harness.draw_trial(points[0][0], k, lanes)
-        for cfg, cfo_value in points:
-            _, shared = harness.run_trial(cfg, k, cfo_value=cfo_value, collect_debug=True,
-                                          draw=draw)
-            assert shared == harness.run_trial(cfg, k, cfo_value=cfo_value,
-                                               collect_debug=True)[1]
+        _, shared = harness.run_trial(points[0][0], k, collect_debug=True, draw=draw)
+        assert len(shared) == len(draw.lanes)
+        for (cfg, cfo_value), lane in zip(points, lanes):
+            assert shared[draw.lanes.index(lane)] == harness.run_trial(
+                cfg, k, cfo_value=cfo_value, collect_debug=True)[1]
 
 
 def test_one_cfo_search_per_user_and_theta_per_pinned_draw(monkeypatch):
@@ -746,13 +750,49 @@ def test_cfo_value_sweep_pins_cfo():
 
 
 def test_failed_trials_recorded_not_raised():
-    # an unusable pilot (zero power against loading 0 would raise deep inside)
+    # an unusable pilot (zero power against loading 0 would raise deep inside),
+    # in a lone trial, and in a two-point SNR draw and a two-point pinned draw,
+    # where the failed search fails every lane of its group
     cfg = quick_config(num_users=2, channel_model="eva", nu_max_t=2.91,
                        snr_db=0.0)
     bad = apply_overrides(cfg, {"pilot_power_db": "-inf"})
-    records, _ = harness.run_trial(bad, 0)
-    assert all(r.failed for r in records)
-    assert all("rank" in r.error for r in records)
+    by_lane = [harness.run_trial(bad, 0)[0]]
+    for lanes in ([(0.0, None), (20.0, None)], [(0.0, -0.3), (0.0, 0.3)]):
+        draw = harness.draw_trial(bad, 0, lanes)
+        records, debug = harness.run_trial(bad, 0, absorbed=True, collect_debug=True,
+                                           draw=draw)
+        assert len(records) == len(lanes) and debug == [[], []]
+        for (snr, cfo_value), lane_records in zip(lanes, records):
+            point = apply_overrides(bad, {"snr_db": str(snr)})
+            alone, _ = harness.run_trial(point, 0, cfo_value=cfo_value, absorbed=True)
+            assert equal_tables(harness.record_table([lane_records]),
+                                harness.record_table([alone]))
+        by_lane += records
+    assert len(by_lane) == 5
+    for records in by_lane:
+        assert len(records) == 2
+        assert all(r.failed for r in records)
+        assert all("rank" in r.error for r in records)
+        assert all(r.theta_first == r.theta_max == 0 for r in records)
+
+
+def test_a_failed_absorbed_fit_keeps_the_compensated_estimates(monkeypatch):
+    # the search of a group succeeds and its absorbed fit fails: every lane of
+    # the group is failed with the fit's message, its estimates kept
+    def fail(*args):
+        raise EstimationError("absorbed fit failed")
+
+    monkeypatch.setattr(harness, "absorbed_channel_fit", fail)
+    cfg = SystemConfig(num_users=2, channel_model="eva-bem", rng_seed=5)
+    draw = harness.draw_trial(cfg, 0, [(20.0, None), (30.0, None)])
+    by_lane, debug = harness.run_trial(cfg, 0, absorbed=True, collect_debug=True, draw=draw)
+    assert debug == [[], []]
+    for lane, records in enumerate(by_lane):
+        for q, rec in enumerate(records):
+            assert rec.failed and rec.error == "absorbed fit failed"
+            assert rec.theta_first == draw.front.to_estimate.first_peak[lane, q]
+            assert math.isfinite(rec.eps_hat) and math.isfinite(rec.nmse)
+            assert math.isnan(rec.nmse_absorbed)
 
 
 def test_report_value_lookup():

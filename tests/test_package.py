@@ -83,9 +83,14 @@ rng = np.random.default_rng(0)
 for shape, stream, amplitude in (((2, 1), [0, 1], [0.0, 0.0]), ((1, 2), [0, 0], [0.0, 0.5])):
     streams = rng.standard_normal(shape + (cfg.n_s,)) + 1j * rng.standard_normal(shape + (cfg.n_s,))
     front = sync.front_end(streams, stream, amplitude, pcp, cfg)
-    for lane in range(len(stream)):
-        for user in range(cfg.num_users):
-            assert np.isfinite(sync.synchronize_user(front, lane, user).cfo.epsilon_hat)
+    for user in range(cfg.num_users):
+        thetas = front.to_estimate.first_peak[:, user]
+        for theta in set(thetas.tolist()):
+            lanes = np.flatnonzero(thetas == theta)
+            regions, estimates = sync.synchronize_user(front, user, theta, lanes)
+            assert regions.shape == (len(lanes), cfg.n, cfg.zc_len)
+            assert len(estimates) == len(lanes)
+            assert all(np.isfinite(estimate.epsilon_hat) for estimate in estimates)
 print("ok")
 """
     env = dict(os.environ)

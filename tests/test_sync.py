@@ -699,12 +699,13 @@ def test_ls_residual_orthogonality():
     r = chan.apply_channel(streams, real, cfg.n_s, cfg.theta_max)
     received = chan.add_awgn(r, cfg.snr_db, chan.unit_noise(rng, r.shape))
     front = sync.front_end(received[np.newaxis, np.newaxis], [0], [0.0], pcp, cfg)
-    result = sync.synchronize_user(front, 0, 0)
-    bundle = sync.estimator_bundle(cfg, result.theta_used)
+    theta = int(front.to_estimate.first_peak[0, 0])
+    (region,), (estimate,) = sync.synchronize_user(front, 0, theta, [0])
+    bundle = sync.estimator_bundle(cfg, theta)
     g = regressor_matrix(pilot_region_ref(cfg, pcp, 0), bundle.bem)
-    phase = sync.cfo_phase(bundle.kappa.ravel(), result.cfo.epsilon_hat, cfg.n_s)
-    z = np.conj(phase) * result.region.ravel()
-    residual = g.conj().T @ (z - g @ result.cfo.c_hat)
+    phase = sync.cfo_phase(bundle.kappa.ravel(), estimate.epsilon_hat, cfg.n_s)
+    z = np.conj(phase) * region.ravel()
+    residual = g.conj().T @ (z - g @ estimate.c_hat)
     assert np.linalg.norm(residual) < 1e-9 * np.linalg.norm(g.conj().T @ z)
 
 
@@ -846,14 +847,14 @@ def test_shared_bundle_matches_per_user_bundles():
 
     for q in range(cfg.num_users):
         theta = int(real.to[q])
-        result = sync.synchronize_user(front, 0, q, theta_override=theta)
+        (region,), (estimate,) = sync.synchronize_user(front, q, theta, [0])
         beta_abs = harness.absorbed_beta(cfg)
-        h_abs = harness.absorbed_channel_fit(result.region, cfg, q, theta, beta_abs)
+        h_abs = harness.absorbed_channel_fit(region, cfg, q, theta, beta_abs)
         eps_hat, c_hat, h_hat, h_abs_own = own_bundle_back_end(
             front.separated[0, 0], q, theta, cfg, pcp, beta_abs)
-        assert abs(result.cfo.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
-        assert close(result.cfo.c_hat, c_hat)
-        assert close(result.cfo.h_hat, h_hat)
+        assert abs(estimate.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
+        assert close(estimate.c_hat, c_hat)
+        assert close(estimate.h_hat, h_hat)
         assert close(h_abs, h_abs_own)
 
 
