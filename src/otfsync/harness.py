@@ -25,12 +25,13 @@ rotation does not commute with the filter bank, so each of its points is a
 lane with a stream of its own, the rotated stream with its noise added,
 which the front end filters and correlates lane by lane.  A lone point is
 such a lane, unrotated.  The front end takes every (point, user)'s TO
-decision in one pass when the draw is made.  One ``run_trial`` then scores
-every lane of the draw: each user's CFO search runs once per theta_hat,
-for every lane that reaches that theta_hat at once, the absorbed baseline
-fits those lanes at once, and nothing of a user is kept once its records
-are filled.  The ``nu_max_t`` and ``pilot_power_db`` sweeps change the
-channel or the pilots, so each of their points has a draw of its own.
+decision in one pass when the draw is made.  ``run_trial`` runs once per
+point, and the draw's first one scores every lane of it (``score_draw``):
+each user's CFO search runs once per theta_hat, for every lane that
+reaches that theta_hat at once, the absorbed baseline fits those lanes at
+once, and nothing of a user but its records is kept once they are
+filled.  The ``nu_max_t`` and ``pilot_power_db`` sweeps change the channel
+or the pilots, so each of their points has a draw of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -145,15 +146,16 @@ class TrialDraw:
     ``lanes`` holds the distinct (SNR, pinned CFO) of the points the draw
     serves, and ``front`` is the receive front end (``sync.front_end``)
     with lane p at ``lanes[p]``, which makes every point's TO decisions with
-    the draw; ``run_trial`` scores every lane of it in one pass, and the
-    draw keeps nothing of that pass.  A pinned draw's realization has zero
-    CFOs and ``rx`` is the zero-CFO stream: a pinned CFO eps, the same for
-    every user, is the rotation exp(j 2 pi eps kappa / N_s) of that stream,
-    which ``draw_trial`` applies lane by lane.  So a pinned draw's
-    realization depends neither on ``cfg.snr_db`` nor on the pinned values.
-    Its arrays (``pcp``, the offsets, ``rx``, ``noise``, ``truth`` and the
-    front end's separated streams and timing curves) are read-only, and it
-    holds no cache."""
+    the draw.  ``scored`` is empty until the draw's first ``run_trial``,
+    which scores every lane in one pass (``score_draw``) and keeps only each
+    lane's records and debug entries there, for the other points to read.
+    A pinned draw's realization has zero CFOs and ``rx`` is the zero-CFO
+    stream: a pinned CFO eps, the same for every user, is the rotation
+    exp(j 2 pi eps kappa / N_s) of that stream, which ``draw_trial`` applies
+    lane by lane.  So a pinned draw's realization depends neither on
+    ``cfg.snr_db`` nor on the pinned values.  Its arrays (``pcp``, the
+    offsets, ``rx``, ``noise``, ``truth`` and the front end's separated
+    streams and timing curves) are read-only."""
 
     pcp: np.ndarray
     realization: chan.ChannelRealization
@@ -163,6 +165,7 @@ class TrialDraw:
     truth_energy: tuple[float, ...]
     lanes: tuple[tuple[float, float | None], ...]
     front: sync.FrontEnd
+    scored: list = field(default_factory=list, repr=False)
 
 
 def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
@@ -221,30 +224,39 @@ def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
 def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = None,
               absorbed: bool = False, collect_debug: bool = False,
               draw: TrialDraw | None = None):
-    """Run one end-to-end trial; returns (records, debug).
+    """Run one end-to-end trial of one point; returns its Q records and its
+    debug entries.
 
     Per-user estimation failures become failed records, never exceptions.
     ``cfo_value`` pins every user's CFO (the Doppler-sweep experiments draw
     it instead); ``absorbed`` also evaluates the CFO-absorbed baseline.
-    Without ``draw`` the trial makes its own one-lane draw (``draw_trial``)
-    and returns its Q records and its debug entries.
+    Without ``draw`` the trial makes its own one-lane draw (``draw_trial``).
 
     ``draw``, if given, is trial ``trial_index``'s draw for a config that
-    differs from ``cfg`` in ``snr_db`` alone (``draw_runs``), and each lane
-    takes its (snr_db, cfo_value) from ``draw.lanes``, so ``cfo_value`` is
-    not read.  Every lane is scored in one pass, and records and debug are
-    lists by lane, each as the lone call at that lane would give it: the
-    same to rounding if the lanes share one stream (an SNR sweep's), and
-    bit for bit if each lane has its own (a ``cfo_value`` sweep's).
+    differs from ``cfg`` in ``snr_db`` alone (``draw_runs``), with a lane at
+    (cfg.snr_db, cfo_value).  The draw's first ``run_trial`` scores every
+    lane of it (``score_draw``), with that call's ``absorbed`` and
+    ``collect_debug``, and each call returns its own lane: the same to
+    rounding as the lone call if the lanes share one stream (an SNR
+    sweep's), and bit for bit if each lane has its own (a ``cfo_value``
+    sweep's)."""
+    if draw is None:
+        draw = draw_trial(cfg, trial_index, [(cfg.snr_db, cfo_value)])
+    if not draw.scored:
+        draw.scored.extend(score_draw(cfg, draw, absorbed, collect_debug))
+    return draw.scored[draw.lanes.index((cfg.snr_db, cfo_value))]
+
+
+def score_draw(cfg: SystemConfig, draw: TrialDraw, absorbed: bool,
+               collect_debug: bool) -> list[tuple[list[UserTrialRecord], list[dict]]]:
+    """Every lane of ``draw`` scored in one pass: (records, debug) by lane,
+    as ``run_trial`` returns them, ``cfg`` the geometry of every lane.
 
     Each user's lanes are grouped by theta_hat, or form one group at the
     true offset under ``genie_to``.  A group is one ``sync.synchronize_user``
     call and one absorbed fit of all its regions, and an ``OtfsyncError`` in
-    either marks every lane of the group failed.
-    """
-    lone = draw is None
-    if lone:
-        draw = draw_trial(cfg, trial_index, [(cfg.snr_db, cfo_value)])
+    either marks every lane of the group failed; nothing of a user is kept
+    once its records are filled."""
     realization, front = draw.realization, draw.front
     theta_true = realization.to.tolist()
     records = [[UserTrialRecord(user=q, theta_true=theta_true[q], eps_true=float(eps))
@@ -252,17 +264,18 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
                                         else [pinned] * cfg.num_users)]
                for _, pinned in draw.lanes]
     debug = [[] for _ in draw.lanes]
-    first, peak = front.to_estimate.first_peak, front.to_estimate.max_peak
+    first, peak = front.to_estimate.first_peak.tolist(), front.to_estimate.max_peak.tolist()
     for q in range(cfg.num_users):
         truth, energy = draw.truth[q], draw.truth_energy[q]
-        thetas = np.full(len(draw.lanes), theta_true[q]) if cfg.genie_to else first[:, q]
-        for theta in dict.fromkeys(thetas.tolist()):
-            lanes = np.flatnonzero(thetas == theta)
+        groups = {}                     # theta_hat -> its lanes, ascending
+        for lane, row in enumerate(first):
+            groups.setdefault(theta_true[q] if cfg.genie_to else row[q], []).append(lane)
+        for theta, lanes in groups.items():
             group = [records[lane][q] for lane in lanes]
             try:
                 regions, estimates = sync.synchronize_user(front, q, theta, lanes)
                 for lane, record, estimate in zip(lanes, group, estimates):
-                    record.theta_first, record.theta_max = int(first[lane, q]), int(peak[lane, q])
+                    record.theta_first, record.theta_max = first[lane][q], peak[lane][q]
                     record.eps_hat = estimate.epsilon_hat
                     record.nmse = _nmse(estimate.h_hat, truth, energy)
                 if absorbed:
@@ -284,7 +297,7 @@ def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = 
             except OtfsyncError as exc:
                 for record in group:
                     record.failed, record.error = True, str(exc)
-    return (records[0], debug[0]) if lone else (records, debug)
+    return list(zip(records, debug))
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +483,16 @@ def draw_runs(points: list[tuple[SystemConfig, float | None]]) -> list[list]:
 
 def _trial_worker(args):
     """Trial k's records at every point of a sweep, one list per point: one
-    draw per run of points (``draw_runs``), with a lane per point, and one
-    ``run_trial`` that scores every lane of it."""
+    draw per run of points (``draw_runs``), with a lane per point."""
     runs, trial_index, absorbed = args
     records = []
     for run in runs:
-        keys = [(cfg.snr_db, cfo_value) for cfg, cfo_value in run]
-        draw = draw_trial(run[0][0], trial_index, keys)
-        by_lane, _ = run_trial(run[0][0], trial_index, absorbed=absorbed, draw=draw)
-        records += [by_lane[draw.lanes.index(key)] for key in keys]
-        del draw, by_lane               # one draw live at a time
+        cfg, cfo_value = run[0]
+        draw = draw_trial(cfg, trial_index, [(point_cfg.snr_db, point_cfo)
+                                             for point_cfg, point_cfo in run])
+        records += [run_trial(point_cfg, trial_index, cfo_value=point_cfo, absorbed=absorbed,
+                              draw=draw)[0] for point_cfg, point_cfo in run]
+        del draw                        # one draw live at a time
     return records
 
 

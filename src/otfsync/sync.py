@@ -24,7 +24,7 @@ independent.  Each user's pilot region and CFO projection are polynomials
 in a too, so one back end call serves every lane that reaches that
 theta_hat, one estimate and one region at the lane's a per lane, whether
 the lanes share a stream or each have their own (``estimate_cfo``);
-``harness.run_trial`` groups the lanes by theta_hat.
+``harness.score_draw`` groups the lanes by theta_hat.
 
 The pilot region is fitted one delay row at a time.  User q's pilot sits in
 Doppler column k_q, so its transmitted region sample (n, j) is

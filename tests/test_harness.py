@@ -88,9 +88,7 @@ def test_debug_collection():
         want = per_point_trial(cfg, 0)
         for lanes in ((cfg.snr_db,), (cfg.snr_db, 30.0)):
             draw = harness.draw_trial(cfg, 0, [(snr, None) for snr in lanes])
-            _, by_lane = harness.run_trial(cfg, 0, collect_debug=True, draw=draw)
-            assert len(by_lane) == len(lanes)
-            debug = by_lane[draw.lanes.index((cfg.snr_db, None))]
+            _, debug = harness.run_trial(cfg, 0, collect_debug=True, draw=draw)
             assert len(debug) == len(want) == cfg.num_users
             for entry, user in zip(debug, want):
                 for name in ("timing_metric", "cfo_cost"):
@@ -379,15 +377,13 @@ def test_shared_draw_gives_each_points_own_records(sweep_var, workers):
     tables = harness.run_point(list(zip(cfgs, cfo_values)), trials, absorbed=absorbed,
                                workers=workers)
     assert len(tables) == len(cfgs)
-    # a fresh draw of the same kind, with a lane per point, scored by one
-    # run_trial, whose records come lane by lane
-    lanes = [(c.snr_db, cfo) for c, cfo in zip(cfgs, cfo_values)]
-    draws = [harness.draw_trial(cfgs[0], k, lanes) for k in range(trials)]
-    fresh = [harness.run_trial(cfgs[0], k, absorbed=absorbed, draw=draw)[0]
-             for k, draw in enumerate(draws)]
-    for table, lane in zip(tables, lanes):
-        assert equal_tables(table, harness.record_table(
-            [by_lane[draw.lanes.index(lane)] for draw, by_lane in zip(draws, fresh)]))
+    for table, cfg, cfo_value in zip(tables, cfgs, cfo_values):
+        # a fresh draw of the same kind: an SNR sweep's draw has a lane per point
+        lanes = [(c.snr_db, cfo) for c, cfo in zip(cfgs, cfo_values)]
+        fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value, absorbed=absorbed,
+                                   draw=harness.draw_trial(cfg, k, lanes))[0]
+                 for k in range(trials)]
+        assert equal_tables(table, harness.record_table(fresh))
 
 
 @pytest.mark.parametrize("sweep_var, channel_calls", [("snr_db", 2), ("cfo_value", 2)])
@@ -516,11 +512,11 @@ def test_pinned_run_gives_each_points_own_trial_bit_for_bit(genie_to):
     lanes = [(cfg.snr_db, cfo_value) for cfg, cfo_value in points]
     for k in range(trials):
         draw = harness.draw_trial(points[0][0], k, lanes)
-        _, shared = harness.run_trial(points[0][0], k, collect_debug=True, draw=draw)
-        assert len(shared) == len(draw.lanes)
-        for (cfg, cfo_value), lane in zip(points, lanes):
-            assert shared[draw.lanes.index(lane)] == harness.run_trial(
-                cfg, k, cfo_value=cfo_value, collect_debug=True)[1]
+        for cfg, cfo_value in points:
+            _, shared = harness.run_trial(cfg, k, cfo_value=cfo_value, collect_debug=True,
+                                          draw=draw)
+            assert shared == harness.run_trial(cfg, k, cfo_value=cfo_value,
+                                               collect_debug=True)[1]
 
 
 def test_one_cfo_search_per_user_and_theta_per_pinned_draw(monkeypatch):
@@ -751,25 +747,25 @@ def test_cfo_value_sweep_pins_cfo():
 
 def test_failed_trials_recorded_not_raised():
     # an unusable pilot (zero power against loading 0 would raise deep inside),
-    # in a lone trial, and in a two-point SNR draw and a two-point pinned draw,
-    # where the failed search fails every lane of its group
+    # in a lone trial, and at each point of a two-point SNR draw and of a
+    # two-point pinned draw, where the failed search fails every lane of its group
     cfg = quick_config(num_users=2, channel_model="eva", nu_max_t=2.91,
                        snr_db=0.0)
     bad = apply_overrides(cfg, {"pilot_power_db": "-inf"})
-    by_lane = [harness.run_trial(bad, 0)[0]]
+    by_point = [harness.run_trial(bad, 0)[0]]
     for lanes in ([(0.0, None), (20.0, None)], [(0.0, -0.3), (0.0, 0.3)]):
         draw = harness.draw_trial(bad, 0, lanes)
-        records, debug = harness.run_trial(bad, 0, absorbed=True, collect_debug=True,
-                                           draw=draw)
-        assert len(records) == len(lanes) and debug == [[], []]
-        for (snr, cfo_value), lane_records in zip(lanes, records):
+        for snr, cfo_value in lanes:
             point = apply_overrides(bad, {"snr_db": str(snr)})
+            records, debug = harness.run_trial(point, 0, cfo_value=cfo_value, absorbed=True,
+                                               collect_debug=True, draw=draw)
+            assert debug == []
             alone, _ = harness.run_trial(point, 0, cfo_value=cfo_value, absorbed=True)
-            assert equal_tables(harness.record_table([lane_records]),
+            assert equal_tables(harness.record_table([records]),
                                 harness.record_table([alone]))
-        by_lane += records
-    assert len(by_lane) == 5
-    for records in by_lane:
+            by_point.append(records)
+    assert len(by_point) == 5
+    for records in by_point:
         assert len(records) == 2
         assert all(r.failed for r in records)
         assert all("rank" in r.error for r in records)
@@ -785,9 +781,10 @@ def test_a_failed_absorbed_fit_keeps_the_compensated_estimates(monkeypatch):
     monkeypatch.setattr(harness, "absorbed_channel_fit", fail)
     cfg = SystemConfig(num_users=2, channel_model="eva-bem", rng_seed=5)
     draw = harness.draw_trial(cfg, 0, [(20.0, None), (30.0, None)])
-    by_lane, debug = harness.run_trial(cfg, 0, absorbed=True, collect_debug=True, draw=draw)
-    assert debug == [[], []]
-    for lane, records in enumerate(by_lane):
+    for lane, snr in enumerate((20.0, 30.0)):
+        records, debug = harness.run_trial(replace(cfg, snr_db=snr), 0, absorbed=True,
+                                           collect_debug=True, draw=draw)
+        assert debug == []
         for q, rec in enumerate(records):
             assert rec.failed and rec.error == "absorbed fit failed"
             assert rec.theta_first == draw.front.to_estimate.first_peak[lane, q]

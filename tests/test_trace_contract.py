@@ -2,10 +2,11 @@
 (``perfbench/tracing.py``), which wraps functions by name: the batched front
 end runs inside traced stages once per draw, the points of an SNR sweep read
 the draw's unit-noise row at their noise amplitudes and call
-``channel.add_awgn`` zero times, one ``run_trial`` scores every point of a
-draw, and runs the per-user back end (``sync.synchronize_user``) once per
-user and theta_hat, each user's CFO projection is one traced call inside
-that search, and the users share their estimator bundles.  A ``cfo_value``
+``channel.add_awgn`` zero times, each point is one ``run_trial``, the
+first of a draw scores every point of it and runs the per-user back end
+(``sync.synchronize_user``) once per user and theta_hat, each user's CFO
+projection is one traced call inside that search, and the users share
+their estimator bundles.  A ``cfo_value``
 sweep adds each point's noise to its stream and filters that stream in
 traced stages, lane by lane, and batches its points' CFO searches and
 absorbed fits inside the traced ``estimate_cfo`` and
@@ -44,8 +45,7 @@ def test_q4_eva_sweep_is_covered_by_traced_stages(tmp_path):
     summary = tracing.summarize(str(spans))
     stages = summary["stages"]
     calls, inclusive, own = stages[tracing.TRIAL_SPAN]
-    # one run_trial span per (trial, run of points): the sweep is one run
-    assert calls == TRIALS
+    assert calls == TRIALS * len(POINTS)
     # trace.coverage of perfbench/run.py: the share of run_trial in traced children
     assert 1.0 - own / inclusive >= 0.9
     # the front end runs once per draw, and the points read the unit-noise
@@ -86,9 +86,8 @@ def test_cfo_sweep_batches_its_points_inside_traced_stages(tmp_path):
         tracer.uninstall()
     assert report.n_failed == 0
     stages = tracing.summarize(str(spans))["stages"]
-    # one run_trial span per (trial, run of points): the sweep is one run,
-    # the repeated point included
-    assert stages[tracing.TRIAL_SPAN][0] == TRIALS
+    # one run_trial span per (trial, point), the repeated point included
+    assert stages[tracing.TRIAL_SPAN][0] == TRIALS * len(points)
     # each lane's stream gets its noise and its filter bank once per draw
     lanes = len(set(points))
     assert stages["channel.add_awgn"][0] == TRIALS * lanes
