@@ -30,7 +30,7 @@ the noise added to the received stream, then ``front_end_chain``, the
 timing curve and ``sync.synchronize_user`` of each user on that one stream,
 one lane; on a draw whose front end has a lane per point (an SNR sweep's),
 each lane reads the shared stream of the signal and the unit noise at its
-noise amplitude, and ``harness.run_trial`` searches each user once for
+noise amplitude, and ``harness.score_draw`` searches each user once for
 every lane that reaches the same theta_hat.
 """
 
