@@ -90,12 +90,13 @@ del _var
 if not any(var.startswith("MALLOC_") or var == "GLIBC_TUNABLES" for var in os.environ):
     _fixed_malloc_thresholds()
 
-# numpy >= 2 loads these submodules on first use.  The first trial of each
-# process needs them (numpy.ma through the np.unique of its estimator bundle
-# builds and ``channel.eva_profile``), so they load with the package, about
-# 25 ms, instead of inside that trial.
+# numpy >= 2 loads these submodules on first use.  Every trial needs both
+# (the filter bank's FFTs and the draw's generator), so they load with the
+# package instead of inside the first trial.  Nothing else is preloaded: the
+# package never calls into numpy.ma (np.unique would load it) or
+# numpy.polynomial (``sync`` has its own Chebyshev recurrence), so that a
+# sweep process holds only what its trials use.
 import numpy.fft  # noqa: E402,F401
-import numpy.ma  # noqa: E402,F401
 import numpy.random  # noqa: E402,F401
 
 from .config import SystemConfig, load_config, apply_overrides

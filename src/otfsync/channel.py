@@ -38,7 +38,7 @@ def eva_profile(len_cap: int = 10):
     positions = np.round(EVA_DELAYS_NS * 1e-9 * SAMPLE_RATE_HZ).astype(int)
     positions = np.minimum(positions, len_cap - 1)
     powers_lin = 10.0 ** (EVA_POWERS_DB / 10.0)
-    delays = np.unique(positions)
+    delays = np.array(sorted(set(positions.tolist())))
     powers = np.array([powers_lin[positions == d].sum() for d in delays])
     powers /= powers.sum()
     delays.flags.writeable = False

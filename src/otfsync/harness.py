@@ -36,7 +36,6 @@ or the pilots, so each of their points has a draw of its own.
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import json
 import math
@@ -459,11 +458,18 @@ def load_experiment(path) -> ExperimentSpec:
     return parse_experiment_text(text)
 
 
+def point_text(point: float) -> str:
+    """A sweep point as ``spec-echo`` writes it: ``:g`` where that text
+    parses back to the same float, else the shortest text that does."""
+    text = f"{point:g}"
+    return text if float(text) == point else repr(float(point))
+
+
 def experiment_text(spec: ExperimentSpec) -> str:
     lines = [
         f"name = {spec.name}",
         f"sweep_var = {spec.sweep_var}",
-        "sweep_points = " + ", ".join(f"{p:g}" for p in spec.sweep_points),
+        "sweep_points = " + ", ".join(map(point_text, spec.sweep_points)),
         f"trials = {spec.trials}",
         f"absorbed_baseline = {spec.absorbed_baseline}",
         f"per_trial_dump = {spec.per_trial_dump}",
@@ -512,6 +518,8 @@ def run_point(points: list[tuple[SystemConfig, float | None]], trials: int, *,
     if workers <= 1:
         by_trial = [_trial_worker(job) for job in jobs]
     else:
+        # imported here: it loads logging and threading, which no serial sweep needs
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             by_trial = list(pool.map(_trial_worker, jobs))
     return [record_table(by_point) for by_point in zip(*by_trial)]
@@ -556,7 +564,7 @@ def run_experiment(spec: ExperimentSpec, base_cfg: SystemConfig | None = None,
             cfg, cfo_value = cfg0, float(point)
         else:
             cfg, cfo_value = apply_overrides(cfg0, {spec.sweep_var: point}), None
-        pilot_snr_lines.append(f"# {spec.sweep_var} = {point:g}: pilot SNR per bin "
+        pilot_snr_lines.append(f"# {spec.sweep_var} = {point_text(point)}: pilot SNR per bin "
                                f"{cfg.snr_db + cfg.pilot_power_db:g} dB")
         points.append((cfg, cfo_value))
     tables = run_point(points, spec.trials, absorbed=spec.absorbed_baseline,

@@ -14,13 +14,13 @@ noise, and differ in a alone, and every other lane has a K = 1 stream of
 its own that already holds its noise and its CFO, read at a = 0.  The front
 end runs one loop over the streams: ``separate_user`` runs the whole filter
 bank on every row of a stream at once, ``timing_correlate`` correlates
-every separated row with the PCP in one product, and each lane of the
-stream takes its timing curves from that correlation at its a.  The front
-end keeps the curves and no correlation, and the TO decisions of every
-(lane, user) are one ``estimate_to`` call.  The users split after that:
-``synchronize_user`` is the per-user back end (pilot region, estimator
-bundle, CFO and channel) at one theta_hat, and the Q back ends are
-independent.  Each user's pilot region and CFO projection are polynomials
+the separated rows with the PCP in one call, a Toeplitz product per row,
+and each lane of the stream takes its timing curves from that correlation
+at its a.  The front end keeps the curves and no correlation, and the TO
+decisions of every (lane, user) are one ``estimate_to`` call.  The users
+split after that: ``synchronize_user`` is the per-user back end (pilot
+region, estimator bundle, CFO and channel) at one theta_hat, and the Q back
+ends are independent.  Each user's pilot region and CFO projection are polynomials
 in a too, so one back end call serves every lane that reaches that
 theta_hat, one estimate and one region at the lane's a per lane, whether
 the lanes share a stream or each have their own (``estimate_cfo``);
@@ -75,7 +75,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
 
 from . import modem, pilot
 from .config import SystemConfig
@@ -182,9 +181,11 @@ def timing_correlate(separated: np.ndarray, pcp: np.ndarray,
 
     The correlation is a blocked Toeplitz product: each block of
     TIMING_BLOCK lags reads one window of TIMING_BLOCK + span - 1 samples,
-    and the windows of every user make one (Q * ceil(M*N / TIMING_BLOCK),
-    TIMING_BLOCK + span - 1) @ ``pcp_toeplitz`` product.  The stream is
-    zero-padded to whole blocks and the surplus lags are dropped.
+    and the windows of one stacked row make one (ceil(M*N / TIMING_BLOCK),
+    TIMING_BLOCK + span - 1) @ ``pcp_toeplitz`` product, written into that
+    row of the result.  The rows go one at a time through one zero-padded
+    buffer of whole blocks, so that the transient is one row's windows, not
+    those of the whole stack; the surplus lags are dropped.
     """
     m, n = cfg.m, cfg.n
     separated = np.asarray(separated)
@@ -193,12 +194,16 @@ def timing_correlate(separated: np.ndarray, pcp: np.ndarray,
     lo, span, block = cfg.delay_lo, pcp.size, TIMING_BLOCK
     blocks = -(-m * n // block)
     lead = separated.shape[:-1]
-    stream = np.zeros(lead + (blocks * block + span - 1,), dtype=complex)
-    stream[..., :m * n - lo] = separated[..., lo:]
-    stream[..., m * n - lo:m * n + span - 1] = separated[..., :lo + span - 1]
-    windows = sliding_window_view(stream, block + span - 1, axis=-1)[..., ::block, :]
-    rows = np.ascontiguousarray(windows).reshape(-1, block + span - 1)
-    return (rows @ pcp_toeplitz(pcp, block)).reshape(lead + (-1,))[..., :m * n]
+    toeplitz = pcp_toeplitz(pcp, block)
+    stream = np.zeros(blocks * block + span - 1, dtype=complex)
+    windows = sliding_window_view(stream, block + span - 1)[::block]
+    corr = np.empty(lead + (blocks, block), dtype=complex)
+    for index in np.ndindex(lead):
+        row = separated[index]
+        stream[:m * n - lo] = row[lo:]
+        stream[m * n - lo:m * n + span - 1] = row[:lo + span - 1]
+        np.matmul(np.ascontiguousarray(windows), toeplitz, out=corr[index])
+    return corr.reshape(lead + (-1,))[..., :m * n]
 
 
 def timing_curve(corr: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -263,13 +268,53 @@ def derotate(samples: np.ndarray, cfg: SystemConfig, user: int) -> np.ndarray:
 # Chebyshev basis expansion
 # ---------------------------------------------------------------------------
 
+def chebyshev_vander(x: np.ndarray, degree: int) -> np.ndarray:
+    """(*x.shape, degree + 1) first-kind Chebyshev values T_g(x), g <= degree,
+    by the three-term recurrence T_g = 2x T_{g-1} - T_{g-2}: the arithmetic
+    and the layout (a view of a (degree + 1, *x.shape) array) of numpy's
+    ``chebvander``, without loading ``numpy.polynomial``."""
+    x = np.asarray(x, dtype=float) + 0.0
+    v = np.empty((degree + 1,) + x.shape)
+    v[0] = 1.0
+    if degree > 0:
+        x2 = 2 * x
+        v[1] = x
+        for g in range(2, degree + 1):
+            v[g] = v[g - 1] * x2 - v[g - 2]
+    return np.moveaxis(v, 0, -1)
+
+
+def chebyshev_nodes(r: int) -> np.ndarray:
+    """The r first-kind Chebyshev nodes sin(pi (2i - r + 1) / (2r)) in
+    ascending order, as numpy's ``chebpts1`` computes them."""
+    return np.sin(0.5 * np.pi / r * np.arange(-r + 1, r + 1, 2))
+
+
+def chebyshev_derivative(c: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the derivative of the series c (along axis
+    0), one row shorter: numpy's ``chebder`` loop, which folds each
+    coefficient into the one two orders down as it goes, so that the result
+    matches it bit for bit (a closed-form matrix differs in the last bits)."""
+    c = np.array(c, dtype=float)
+    n = len(c) - 1
+    der = np.empty((n,) + c.shape[1:])
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der
+
+
 def build_bem_basis(beta: int, kappa: np.ndarray, n_s: int) -> np.ndarray:
     """(*kappa.shape, beta) first-kind Chebyshev values T_g(kprime) at the
-    normalized instants kprime = (2*kappa - N_s + 1)/(N_s - 1)."""
+    normalized instants kprime = (2*kappa - N_s + 1)/(N_s - 1)
+    (``chebyshev_vander``)."""
     if beta < 1:
         raise ConfigError(f"bem order {beta} must be >= 1")
     kprime = (2.0 * np.asarray(kappa, dtype=float) - n_s + 1.0) / (n_s - 1.0)
-    return chebvander(kprime, beta - 1)
+    return chebyshev_vander(kprime, beta - 1)
 
 
 @dataclass
@@ -522,18 +567,20 @@ def scan_operators(r: int, cfo_range: float, cfo_step: float) -> ScanOperators:
     """The inverse Chebyshev-Vandermonde matrix V^-1 of r first-kind nodes,
     the Chebyshev-Vandermonde matrix of degree 2r - 2 at the grid points, and
     [I, D_1 / cfo_range, D_2 / cfo_range**2]^T side by side, with D_k the
-    degree-2r - 2 matrix of ``chebder``, so that a row of cost coefficients
-    times ``derivs`` holds those of g, g' and g''; read-only."""
-    nodes = cfo_range * chebpts1(r)
+    k-th derivative of the identity of size 2r - 1, zero-padded to square
+    (``chebyshev_derivative`` applied k times), so that a row of cost
+    coefficients times ``derivs`` holds those of g, g' and g''; read-only."""
+    nodes = cfo_range * chebyshev_nodes(r)
     size = 2 * r - 1
-    derivs = [np.eye(size)]
+    deriv = np.eye(size)
+    derivs = [deriv]
     for order in (1, 2):
-        deriv = chebder(np.eye(size), m=order) / cfo_range ** order
-        derivs.append(np.vstack([deriv, np.zeros((order, size))]))
+        deriv = chebyshev_derivative(deriv)
+        derivs.append(np.vstack([deriv / cfo_range ** order, np.zeros((order, size))]))
     ops = ScanOperators(
-        to_coeffs=np.linalg.inv(chebvander(nodes / cfo_range, r - 1)),
-        grid_vander=chebvander(cfo_grid(cfo_range, cfo_step) / cfo_range, size - 1),
-        derivs=np.hstack([deriv.T for deriv in derivs]))
+        to_coeffs=np.linalg.inv(chebyshev_vander(nodes / cfo_range, r - 1)),
+        grid_vander=chebyshev_vander(cfo_grid(cfo_range, cfo_step) / cfo_range, size - 1),
+        derivs=np.hstack([part.T for part in derivs]))
     for array in (ops.to_coeffs, ops.grid_vander, ops.derivs):
         array.flags.writeable = False
     return ops
@@ -586,9 +633,9 @@ def cfo_scan(kappa: np.ndarray, row_basis: np.ndarray, cfo_range: float, cfo_ste
     kappa = np.asarray(kappa)
     n_slots, lp = kappa.shape
     slot = (kappa - kappa[0]) // m
-    slots = np.unique(slot)
+    slots = np.array(sorted(set(slot.ravel().tolist())), dtype=slot.dtype)
     r = scan_node_count(cfo_range, kappa, n_s)
-    nodes = cfo_range * chebpts1(r)
+    nodes = cfo_range * chebyshev_nodes(r)
     centre = 0.5 * float(kappa.max() + kappa.min())
     row = np.searchsorted(slots, slot)
     col = np.broadcast_to(np.arange(lp), slot.shape)
@@ -669,7 +716,7 @@ def estimate_cfo(samples: np.ndarray, bundle: EstimatorBundle, cfg: SystemConfig
     orders = np.arange(gamma.shape[-1])
 
     def angle(eps):
-        # T_s(x) = cos(s acos x): one call, where chebvander loops per order
+        # T_s(x) = cos(s acos x): one call, where the recurrence loops per order
         return math.acos(min(max(eps / cfg.cfo_range, -1.0), 1.0))
 
     # each lane's w at its estimate, rotated back from the region centre, is

@@ -255,6 +255,9 @@ def test_experiment_spec_text_round_trip():
     assert ("num_users", "2") in spec.config_overrides
     again = harness.parse_experiment_text(harness.experiment_text(spec))
     assert again == spec
+    # points that six significant digits would round are written in full
+    odd = replace(spec, sweep_points=(0.0, 0.1234567, 1 / 3, 10.0))
+    assert harness.parse_experiment_text(harness.experiment_text(odd)) == odd
 
 
 @pytest.mark.parametrize("name", ["../../escape", "a/b", "", ".", "..", "/abs"])
@@ -848,15 +851,18 @@ def test_valid_configs_run_or_fail_with_a_record(cfg, absorbed):
 
 def test_pilot_power_sweep_writes_each_points_pilot_snr(tmp_path):
     spec = harness.ExperimentSpec(
-        name="pilot-sweep", sweep_var="pilot_power_db", sweep_points=(0.0, 10.0), trials=1,
-        config_overrides=(("num_users", "1"), ("channel_model", "single-tap"),
-                          ("nu_max_t", "0.0"), ("snr_db", "15")))
+        name="pilot-sweep", sweep_var="pilot_power_db", sweep_points=(0.0, 10.0, 12.3456789),
+        trials=1, config_overrides=(("num_users", "1"), ("channel_model", "single-tap"),
+                                    ("nu_max_t", "0.0"), ("snr_db", "15")))
     report = harness.run_experiment(spec, out_dir=tmp_path)
-    assert {row.sweep_value for row in report.rows} == {0.0, 10.0}
-    assert report.n_trials == 2 and report.n_failed == 0
+    assert {row.sweep_value for row in report.rows} == {0.0, 10.0, 12.3456789}
+    assert report.n_trials == 3 and report.n_failed == 0
     echo = (tmp_path / "pilot-sweep" / "spec-echo").read_text()
     assert "# pilot_power_db = 0: pilot SNR per bin 15 dB" in echo
     assert "# pilot_power_db = 10: pilot SNR per bin 25 dB" in echo
+    # a point that :g would round is echoed in full, in the comment lines too
+    assert "sweep_points = 0, 10, 12.3456789\n" in echo
+    assert "# pilot_power_db = 12.3456789: pilot SNR per bin 27.3457 dB" in echo
     assert harness.parse_experiment_text(harness.experiment_text(spec)) == spec
 
 

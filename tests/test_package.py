@@ -98,3 +98,39 @@ print("ok")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "ok\n"
+
+
+def test_serial_sweeps_and_a_trial_load_only_what_their_trials_use():
+    # a one-trial sweep of every benchmark workload at workers=1 and one
+    # ``otfsync trial`` leave numpy.ma (np.unique's import), numpy.polynomial
+    # (the Chebyshev helpers are in ``sync``) and concurrent.futures (the
+    # pool's) unloaded.  Before numpy 2, ``import numpy`` loads the first two
+    # itself, so only the pool's import is checked there.
+    root = os.path.dirname(SRC)
+    code = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {os.path.join(root, "perfbench")!r})
+from workloads import WORKLOADS
+import numpy
+from otfsync import cli, harness
+from otfsync.config import SystemConfig
+with open({os.path.join(root, "BENCHMARK.json")!r}, encoding="utf-8") as fh:
+    names = [workload["name"] for workload in json.load(fh)["workloads"]]
+for name in names:
+    w = WORKLOADS[name]
+    spec = harness.ExperimentSpec(name, w.sweep_var, w.sweep_points, 1,
+                                  absorbed_baseline=w.absorbed_baseline,
+                                  config_overrides=w.config_overrides)
+    assert harness.run_experiment(spec, SystemConfig(), workers=1).n_trials
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["trial"])
+unused = ["concurrent.futures"]
+if int(numpy.__version__.split(".")[0]) >= 2:
+    unused += ["numpy.ma", "numpy.polynomial"]
+print(" ".join(name for name in unused if name in sys.modules) or "ok")
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "ok\n"

@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.polynomial.chebyshev import chebpts1, chebvander
+from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
 
 from otfsync import channel as chan
 from otfsync import modem, pilot, sync
-from otfsync.config import SystemConfig
+from otfsync.config import BEM_ORDER_CAP, SystemConfig
 from otfsync.errors import ConfigError, EstimationError
 from dd_oracle import pilot_region_ref, timing_template
 from sync_oracle import (DenseRegressor, bundle_template, cfo_cost_derivatives,
@@ -392,6 +392,38 @@ def test_bem_recursion_matches_closed_form():
     assert static.shape == kappa.shape + (1,)
     assert np.array_equal(static, chebvander(kprime, 0))
     assert np.all(static == 1.0)
+
+
+def test_chebyshev_vander_matches_numpy_bit_for_bit():
+    # on a region's normalized instants at every basis order, and at the
+    # cost polynomial's degree 2r - 2 on the CFO grid
+    cfg = paper_config(num_users=1)
+    for theta in (0, 2):
+        kappa = pilot.region_kappa(cfg, theta)
+        kprime = (2.0 * kappa - cfg.n_s + 1.0) / (cfg.n_s - 1.0)
+        for beta in range(1, BEM_ORDER_CAP + 1):
+            assert np.array_equal(sync.chebyshev_vander(kprime, beta - 1),
+                                  chebvander(kprime, beta - 1))
+            assert np.array_equal(sync.build_bem_basis(beta, kappa, cfg.n_s),
+                                  chebvander(kprime, beta - 1))
+        r = sync.scan_node_count(cfg.cfo_range, kappa, cfg.n_s)
+        x = sync.cfo_grid(cfg.cfo_range, cfg.cfo_step) / cfg.cfo_range
+        assert np.array_equal(sync.chebyshev_vander(x, 2 * r - 2), chebvander(x, 2 * r - 2))
+
+
+def test_chebyshev_nodes_match_numpy_bit_for_bit():
+    for r in range(2, 41):
+        assert np.array_equal(sync.chebyshev_nodes(r), chebpts1(r))
+
+
+@pytest.mark.parametrize("r", [29, 30])
+def test_chebyshev_derivative_operators_match_numpy_bit_for_bit(r):
+    # r = 29 and 30 are the scan's node counts at the default geometry
+    eye = np.eye(2 * r - 1)
+    first = sync.chebyshev_derivative(eye)
+    assert np.array_equal(first, chebder(eye, m=1))
+    assert np.array_equal(sync.chebyshev_derivative(first), chebder(eye, m=2))
+    assert np.array_equal(eye, np.eye(2 * r - 1))     # the input is left as it was
 
 
 def test_bem_requires_positive_order():
@@ -873,6 +905,28 @@ def test_estimate_cfo_allocates_less_than_the_dense_scan():
         tracemalloc.stop()
     # the dense (G, N*L_p) rotated region alone would take this much
     assert peak < bundle.grid.size * kappa.size * 16
+
+
+def test_timing_correlate_copies_the_windows_of_one_row_at_a_time():
+    cfg = paper_config(num_users=4)
+    pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
+    rng = np.random.default_rng(44)
+    shape = (2, cfg.num_users, cfg.m * cfg.n)
+    separated = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sync.timing_correlate(separated, pcp, cfg)      # warm: the cached Toeplitz matrix
+    tracemalloc.start()
+    try:
+        corr = sync.timing_correlate(separated, pcp, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the output plus one window copy of every row at once, 1.6 MB here
+    rows, block = separated.size // separated.shape[-1], sync.TIMING_BLOCK
+    windows = rows * -(-cfg.m * cfg.n // block) * (block + pcp.size - 1) * 16
+    assert peak < corr.nbytes + windows
+    # each row of the stack comes out as that row correlated alone
+    for index in np.ndindex(shape[:-1]):
+        assert np.array_equal(corr[index], sync.timing_correlate(separated[index], pcp, cfg))
 
 
 def test_reconstruct_channel_shapes_and_zero():
