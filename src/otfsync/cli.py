@@ -210,7 +210,8 @@ def _add_common(sub) -> None:
     sub.add_argument("--workers", type=int, default=1,
                      help="parallel trial workers")
     sub.add_argument("--override", action="append", metavar="KEY=VALUE",
-                     help="override a config field (or trials=N); repeatable")
+                     help="override a config field (or trials=N); repeatable, and "
+                     "the last of a repeated key wins")
     sub.add_argument("--debug-dump", action="store_true",
                      help="write per-trial diagnostics")
     sub.add_argument("--verbose", action="store_true")

@@ -30,6 +30,19 @@ SAMPLE_RATE_HZ = 3.84e6
 #: variance overflows near -1550 dB, the CFO search's products at -3070 dB,
 #: and the amplitude itself below -3082 dB.
 SNR_DB_FLOOR = -1000.0
+#: highest accepted pilot_power_db.  The pilot amplitude 10**(P / 20) is 1e50
+#: there, and the received pilot region scales with it.  The CFO cost and its
+#: lag correlations grow with its square (about 1e100 times the region's
+#: channel energy), and with its product with the noise amplitude, at most
+#: 7e99 at ``SNR_DB_FLOOR``, so every one stays inside the float range.
+#: Above it they do not: the CFO search's products overflow near 3080 dB,
+#: and the pilot amplitude itself above 6165 dB.
+PILOT_POWER_DB_CEIL = 1000.0
+#: largest cfo_range / cfo_step, the coarse CFO grid's points on either side
+#: of 0.  The search keeps a cost per grid point and lane, and a table of
+#: 2 (n + 1) reals per grid point (``sync.lag_tables``), 5 MB at the cap and
+#: n = 32; a step of 1e-9 would ask for 4e9 points, 32 GB for the grid alone.
+CFO_GRID_CAP = 5000
 #: largest default and absorbed-baseline BEM order; an order this large may
 #: fall below ``bem_order_bound``
 BEM_ORDER_CAP = 12
@@ -115,6 +128,16 @@ class SystemConfig:
         """Doppler bin of user ``user``'s pilot column, offset + user * band."""
         return self.offset + user * self.band
 
+    def cfo_violation(self, name: str, value: float) -> str | None:
+        """The message of a CFO ``value`` (in Doppler spacings) named
+        ``name`` past n/2, beyond which it wraps past the Doppler axis, or
+        None within it."""
+        if abs(value) <= self.n / 2:
+            return None
+        half = self.n / 2
+        return (f"{name}={value:g} is outside [-n/2, n/2] = [{-half:g}, {half:g}], past "
+                "which a CFO wraps past the Doppler axis")
+
     @property
     def beta(self) -> int:
         """BEM order per user (resolved)."""
@@ -141,6 +164,10 @@ class SystemConfig:
         if self.pilot_power_db == math.inf:
             bad.append("pilot_power_db=inf: the pilot power must be finite, "
                        "or -inf for no pilot")
+        elif self.pilot_power_db > PILOT_POWER_DB_CEIL:
+            bad.append(f"pilot_power_db={self.pilot_power_db:g} is above the ceiling of "
+                       f"{PILOT_POWER_DB_CEIL:g} dB, past which the receiver's pilot terms "
+                       "overflow")
         if self.nu_max_t < 0 or self.nu_max_t == math.inf:
             bad.append(f"nu_max_t={self.nu_max_t} must be finite and >= 0")
         if any(map(math.isinf, (self.cfo_range, self.cfo_step, self.cfo_tol, self.cfo_max))):
@@ -193,8 +220,14 @@ class SystemConfig:
                 f"cfo_range={self.cfo_range} exceeds the alias-free half band "
                 f"{self.band / 2}"
             )
+        steps = self.cfo_range / self.cfo_step if self.cfo_step > 0 else 0.0
+        if steps > CFO_GRID_CAP:
+            bad.append(f"cfo_range / cfo_step = {steps:g} exceeds {CFO_GRID_CAP}, the cap "
+                       "on the CFO grid's points on either side of 0")
         if self.cfo_max < 0:
             bad.append("cfo_max must be >= 0")
+        elif violation := self.cfo_violation("cfo_max", self.cfo_max):
+            bad.append(violation)
         if self.band > 0 and not 0 <= self.offset < self.band:
             bad.append(
                 f"pilot_offset={self.offset} outside the user band [0, {self.band})"
@@ -238,8 +271,9 @@ def coerce(kind: str, raw: str, name: str):
 
 def parse_lines(text: str) -> list[tuple[int, str, str]]:
     """(line number, key, raw value) of each ``key = value`` line; ``#``
-    starts a comment and blank lines are skipped."""
-    entries = []
+    starts a comment and blank lines are skipped.  A key given twice is an
+    error, not a silent choice of one of its values."""
+    entries, first = [], {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -247,6 +281,9 @@ def parse_lines(text: str) -> list[tuple[int, str, str]]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
+        if key in first:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {first[key]}")
+        first[key] = lineno
         entries.append((lineno, key, raw))
     return entries
 

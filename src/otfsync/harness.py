@@ -183,6 +183,10 @@ def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
     stream rotated by its pinned CFO (``channel.cfo_rotation``), if any,
     with its noise added (``channel.add_awgn``), built one lane at a time."""
     lanes = tuple(dict.fromkeys([(cfg.snr_db, None)] if lanes is None else lanes))
+    for _, cfo in lanes:
+        # pinned as every user's CFO directly, past the config's cfo_max check
+        if cfo is not None and (violation := cfg.cfo_violation("cfo_value", cfo)):
+            raise ConfigError(violation)
     rng = trial_rng(cfg.rng_seed, trial_index)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
 

@@ -51,24 +51,28 @@ because B_j is) the projection of a region z is the L_p*beta row sums
 its cost is ||w||^2 = sum_j ||Q_j^T z[:, j]||^2, and the LS coefficients
 are c = (C^-1 (x) I_beta) [R_j^-1 w[j]] = E w (``BemRegressor``).
 
-Each user's CFO search reads one projection: the coarse scan projects the
-region rotated to r Chebyshev nodes of +-cfo_range, whose rotation factors
-into a slot part and a row part (``cfo_scan``) that the row sums carry.
-That projection is the Chebyshev interpolant of w(eps), and ||w||^2 is a
-scalar Chebyshev polynomial of degree 2r - 2 (``cost_polynomial``) on
-which the grid costs and the Newton refinement run; the LS solve reads w
-at the estimate (``estimate_cfo``).  With the region signal + a noise, w is
-w_s + a w_n and the cost ||w_s||^2 + a 2 Re(w_n^H w_s) + a^2 ||w_n||^2, so
-the projection is made once for every a (``BemRegressor.cost_many``), and
-the scan, the derivative operators and the LS solve of all the lanes are
-one stacked product each, one slice per stream, so that each lane's
-arithmetic is that of its stream searched alone; only the Newton refinement
-runs lane by lane.
+Each user's CFO search reads one set of slot rows.  The CFO rotation of
+the region factors into a phase per delay row and exp(-j Omega eps s) per
+virtual slot s, one of V, with Omega = 2 pi M / N_s (``cfo_scan``), and the
+row sums carry it through: the projection at eps is the row phase times
+sum_s exp(-j Omega eps s) Y[s, j, k] for the slot rows Y of the region.  As
+the region is fitted one row at a time, the row phase drops out of
+||w||^2, so the cost is exactly the trigonometric polynomial
+g(eps) = rho[0] + 2 Re sum_(d >= 1) rho[d] exp(-j Omega eps d) of degree
+V - 1, whose coefficients rho[d] are the lag-d sums of the Gram matrix
+Y Y^H, the slot-lag correlations of the region (the correlation form of ML
+frequency estimation).  The grid costs and the Newton refinement run on it,
+and the LS solve reads w at the estimate (``estimate_cfo``).  With the
+region signal + a noise, Y is Y_s + a Y_n and rho is
+rho_ss + a (rho_sn + rho_ns) + a^2 rho_nn, so the correlations are made
+once for every a (``BemRegressor.cost_many``), and the scan, the derivative
+operators and the LS solve of all the lanes are one stacked product each,
+one slice per stream, so that each lane's arithmetic is that of its stream
+searched alone; only the Newton refinement runs lane by lane.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -284,29 +288,6 @@ def chebyshev_vander(x: np.ndarray, degree: int) -> np.ndarray:
     return np.moveaxis(v, 0, -1)
 
 
-def chebyshev_nodes(r: int) -> np.ndarray:
-    """The r first-kind Chebyshev nodes sin(pi (2i - r + 1) / (2r)) in
-    ascending order, as numpy's ``chebpts1`` computes them."""
-    return np.sin(0.5 * np.pi / r * np.arange(-r + 1, r + 1, 2))
-
-
-def chebyshev_derivative(c: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of the derivative of the series c (along axis
-    0), one row shorter: numpy's ``chebder`` loop, which folds each
-    coefficient into the one two orders down as it goes, so that the result
-    matches it bit for bit (a closed-form matrix differs in the last bits)."""
-    c = np.array(c, dtype=float)
-    n = len(c) - 1
-    der = np.empty((n,) + c.shape[1:])
-    for j in range(n, 2, -1):
-        der[j - 1] = (2 * j) * c[j]
-        c[j - 2] += (j * c[j]) / (j - 2)
-    if n > 1:
-        der[1] = 4 * c[2]
-    der[0] = c[1]
-    return der
-
-
 def build_bem_basis(beta: int, kappa: np.ndarray, n_s: int) -> np.ndarray:
     """(*kappa.shape, beta) first-kind Chebyshev values T_g(kprime) at the
     normalized instants kprime = (2*kappa - N_s + 1)/(N_s - 1)
@@ -334,27 +315,34 @@ class BemRegressor:
         z = np.asarray(z_batch).reshape(-1, n, lp)
         return np.einsum("bnj,njg->bjg", z, self.row_basis).reshape(z.shape[0], lp * beta)
 
-    def cost_many(self, node_sums: np.ndarray,
-                  to_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma, C) of a CFO scan from the (..., K, r, L_p*beta) projections
-        W of a region that is a polynomial sum_k a^k z_k in the noise
-        amplitude a, rotated to r Chebyshev nodes: W[k] holds the values there
-        of the interpolant w_k(x) of z_k, C[k] = to_coeffs @ W[k] its Chebyshev
-        coefficients (``to_coeffs`` the inverse Chebyshev-Vandermonde matrix
-        of the nodes), and gamma[i] (..., 2K - 1, 2r - 1) the Chebyshev
-        coefficients of the a^i term of the cost ||sum_k a^k w_k(x)||^2: the
-        sum over k + l = i of Re(w_l^H w_k) (``cost_polynomial``).  Leading
-        axes stack regions (streams), each made as it would be alone."""
-        # [Re, Im] interleaved, so that the real operator acts in real arithmetic
-        coeffs = (to_coeffs @ node_sums.view(np.float64)).view(np.complex128)
-        k = coeffs.shape[-3]
-        gamma = np.zeros(coeffs.shape[:-3] + (2 * k - 1, 2 * coeffs.shape[-2] - 1))
+    def cost_many(self, rows: np.ndarray) -> np.ndarray:
+        """The lag coefficients of the CFO cost of a region that is a
+        polynomial sum_k a^k z_k in the noise amplitude a, from its
+        (..., K, V, L_p*beta) slot rows Y_k (``CfoScan.slot_rows``): row i of
+        the (..., 2K - 1, V) result holds the c_d of the a^i term of
+        g(eps) = Re sum_d c_d exp(-j Omega eps d), c_0 = rho[0] and
+        c_d = 2 rho[d] for the lag sums rho[d] of sum over k + l = i of
+        Y_k Y_l^H along s - t = d (``estimate_cfo``); rho[0] is real but
+        for rounding, which the real part drops.  One Gram matrix of the
+        stacked [Y_0; ...; Y_{K-1}] per region; leading axes stack regions
+        (streams), each made as it would be alone."""
+        k, v = rows.shape[-3:-1]
+        lead = rows.shape[:-3]
+        stacked = rows.reshape(lead + (k * v, -1))
+        gram = stacked @ stacked.conj().swapaxes(-1, -2)
+        blocks = gram.reshape(lead + (k, v, k, v)).swapaxes(-3, -2)     # [k, l, s, t]
+        # each block with its columns reversed and padded to 2V columns: read
+        # as V rows of 2V - 1, entry (s, t) falls in column s - t + V - 1
+        skew = np.zeros(blocks.shape[:-1] + (2 * v,), dtype=complex)
+        skew[..., :v] = blocks[..., ::-1]
+        skew = skew.reshape(blocks.shape[:-2] + (-1,))[..., :v * (2 * v - 1)]
+        rho = skew.reshape(blocks.shape[:-1] + (2 * v - 1,)).sum(axis=-2)[..., v - 1:]
+        lags = np.zeros(lead + (2 * k - 1, v), dtype=complex)
         for i in range(k):
-            gamma[..., 2 * i, :] += cost_polynomial(coeffs[..., i, :, :])
-            for j in range(i + 1, k):
-                gamma[..., i + j, :] += 2.0 * cost_polynomial(coeffs[..., i, :, :],
-                                                              coeffs[..., j, :, :])
-        return gamma, coeffs
+            for j in range(k):
+                lags[..., i + j, :] += rho[..., i, j, :]
+        lags[..., 1:] *= 2.0
+        return lags
 
     def solve(self, w: np.ndarray) -> np.ndarray:
         """LS coefficients E w from a projection w, or from each row of a
@@ -402,35 +390,6 @@ def build_bem_regressor(p: np.ndarray, bem: np.ndarray) -> BemRegressor:
     solve = np.einsum("lj,jgk->lgjk", c_inv, np.linalg.inv(r_rows))
     return BemRegressor(row_basis=np.ascontiguousarray(q_rows.transpose(1, 0, 2)),
                         _solve=solve.reshape(n_cols, n_cols))
-
-
-def cost_polynomial(coeffs: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
-    """The 2r - 1 Chebyshev coefficients of g(x) = Re(v(x)^H w(x)) for
-    w(x) = sum_a coeffs[a] T_a(x) and v(x) likewise from ``other``, by
-    default ``coeffs`` itself, which gives g = ||w(x)||^2: with
-    H = Re(C conj(D)^T) for the rows C of coeffs and D of other,
-    g = sum_ab H[a, b] T_a T_b, and T_a T_b = (T_{a+b} + T_{|a-b|}) / 2.
-    A (..., r, n) stack gives (..., 2r - 1), each as it would be alone."""
-    parts = coeffs.view(np.float64)
-    gram = parts @ (parts if other is None else other.view(np.float64)).swapaxes(-1, -2)
-    r = coeffs.shape[-2]
-    count = gram.size // (r * r)
-    sums, diffs = _product_orders(r, count)
-    gram = gram.ravel()
-    size = count * (2 * r - 1)
-    costs = 0.5 * (np.bincount(sums, gram, size) + np.bincount(diffs, gram, size))
-    return costs.reshape(coeffs.shape[:-2] + (2 * r - 1,))
-
-
-@functools.lru_cache(maxsize=32)
-def _product_orders(r: int, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened a + b and |a - b| over the (r, r) orders of ``count``
-    stacked Gram matrices, matrix i offset by i (2r - 1), so that one
-    bincount reduces each matrix in its own run of bins."""
-    a = np.arange(r)
-    offsets = (2 * r - 1) * np.arange(count)[:, np.newaxis]
-    return ((a[:, None] + a).ravel() + offsets).ravel(), \
-        (np.abs(a[:, None] - a).ravel() + offsets).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -529,86 +488,54 @@ def cfo_grid(cfo_range: float, cfo_step: float) -> np.ndarray:
     return grid
 
 
-def scan_node_count(cfo_range: float, kappa: np.ndarray, n_s: int) -> int:
-    """Chebyshev nodes r of the coarse CFO scan over +-cfo_range.
-
-    About the centre of the region, the rotation of sample kappa is
-    exp(-j a x) with x = eps / cfo_range in [-1, 1] and
-    a = 2 pi cfo_range (kappa_max - kappa_min) / (2 N_s).  Interpolating it
-    at r first-kind nodes leaves a truncation error of at most
-    2 (a/2)**r / r!; r is the smallest count with (a/2)**r / r! < 2**-52,
-    plus one, which puts that error below 2**-52 (29 or 30 at the default
-    geometry, a of about 6).
-    """
-    a = math.pi * cfo_range * (np.max(kappa) - np.min(kappa)) / n_s
-    r, term = 0, 1.0
-    while term >= 2.0 ** -52:
-        r += 1
-        term *= a / (2 * r)
-    return r + 1
-
-
-@dataclass(frozen=True)
-class ScanOperators:
-    """The real operators of a CFO search over ``grid`` with r Chebyshev nodes
-    of +-cfo_range, in x = eps / cfo_range; they depend on (r, cfo_range,
-    cfo_step) only, so every bundle with that triple shares one copy
-    (``scan_operators``)."""
-
-    to_coeffs: np.ndarray     # (r, r) V^-1: node values -> Chebyshev coefficients
-    grid_vander: np.ndarray   # (G, 2r - 1) T_s(grid / cfo_range)
-    derivs: np.ndarray        # (2r - 1, 3 (2r - 1)) g -> [g, g', g''] in eps, rows times it
+def lag_phasors(eps, lag_turns: np.ndarray) -> np.ndarray:
+    """exp(j eps Omega d) at every lag turn j Omega d of ``lag_turns``, as
+    [Re, Im] interleaved reals: (2V,) for a scalar eps, (..., 2V) for eps of
+    shape (..., 1).  Its dot product with a cost's interleaved lag
+    coefficients c_d (``BemRegressor.cost_many``) is
+    Re sum_d c_d exp(-j Omega eps d), the cost at eps."""
+    return np.exp(eps * lag_turns).view(np.float64)
 
 
 # as large as the bundle cache (``_cached_bundle``), so that the bundles it
-# holds keep sharing the copy that this cache returns
+# holds share one copy per lag count
 @functools.lru_cache(maxsize=256)
-def scan_operators(r: int, cfo_range: float, cfo_step: float) -> ScanOperators:
-    """The inverse Chebyshev-Vandermonde matrix V^-1 of r first-kind nodes,
-    the Chebyshev-Vandermonde matrix of degree 2r - 2 at the grid points, and
-    [I, D_1 / cfo_range, D_2 / cfo_range**2]^T side by side, with D_k the
-    k-th derivative of the identity of size 2r - 1, zero-padded to square
-    (``chebyshev_derivative`` applied k times), so that a row of cost
-    coefficients times ``derivs`` holds those of g, g' and g''; read-only."""
-    nodes = cfo_range * chebyshev_nodes(r)
-    size = 2 * r - 1
-    deriv = np.eye(size)
-    derivs = [deriv]
-    for order in (1, 2):
-        deriv = chebyshev_derivative(deriv)
-        derivs.append(np.vstack([deriv / cfo_range ** order, np.zeros((order, size))]))
-    ops = ScanOperators(
-        to_coeffs=np.linalg.inv(chebyshev_vander(nodes / cfo_range, r - 1)),
-        grid_vander=chebyshev_vander(cfo_grid(cfo_range, cfo_step) / cfo_range, size - 1),
-        derivs=np.hstack([part.T for part in derivs]))
-    for array in (ops.to_coeffs, ops.grid_vander, ops.derivs):
-        array.flags.writeable = False
-    return ops
+def lag_tables(lags: int, m: int, n_s: int, cfo_range: float,
+               cfo_step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only tables of a CFO search over ``lags`` slot lags d at the
+    slot frequency Omega = 2 pi M / N_s: the (V,) lag turns j Omega d, the
+    (3, V) factors [1, -j Omega d, -(Omega d)^2] that take the lag
+    coefficients of g to those of g, g' and g'', and the (2V, G)
+    ``lag_phasors`` of the grid, one column per grid point."""
+    turns = 2j * np.pi * m / n_s * np.arange(lags)
+    derivs = np.stack([np.ones(lags), -turns, turns * turns])
+    grid = cfo_grid(cfo_range, cfo_step)[:, np.newaxis]
+    grid = np.ascontiguousarray(lag_phasors(grid, turns).T)
+    for table in (turns, derivs, grid):
+        table.flags.writeable = False
+    return turns, derivs, grid
 
 
 @dataclass(frozen=True)
 class CfoScan:
-    """The per-region fields of the CFO search (``cfo_scan``): the node
-    rotations U (r, V) over the virtual slots and v (r, L_p) over the rows,
-    the row bases per virtual slot, the flat region index of each, the
-    region centre and the shared ``ScanOperators``."""
+    """The per-region tables of the CFO search (``cfo_scan``): the row bases
+    and the flat region index of each virtual slot, the kappa of each row at
+    virtual slot 0, and the shared ``lag_tables``."""
 
-    ops: ScanOperators
-    slot_rot: np.ndarray            # (r, V) U: node rotation per virtual slot
-    row_rot: np.ndarray             # (r, L_p) v: node rotation per row
     scan_basis: np.ndarray          # (V, L_p, beta) row basis per virtual slot
     scan_index: np.ndarray          # (V, L_p) region index per virtual slot
-    centre: float                   # kappa of the region centre
+    row_kappa: np.ndarray           # (L_p,) kappa of each row at virtual slot 0
+    lag_turns: np.ndarray           # (V,) j Omega d per lag d
+    lag_derivs: np.ndarray          # (3, V) factors of g, g' and g'' per lag
+    grid_phasors: np.ndarray        # (2V, G) ``lag_phasors`` of the grid
 
-    def node_sums(self, samples: np.ndarray) -> np.ndarray:
-        """(..., r, L_p*beta) projections of the regions ``samples``
-        (..., N, L_p) rotated to the r nodes: v[i, j] sum_s U[i, s] Y[s, j, k]."""
+    def slot_rows(self, samples: np.ndarray) -> np.ndarray:
+        """(..., V, L_p*beta) slot rows Y[s, (j, k)] = Q_j[n, k] z[n, j] of
+        the regions z ``samples`` (..., N, L_p), sample (n, j) at its
+        virtual slot s, zero where a slot has no sample of row j."""
         lead = samples.shape[:-2]
         y = samples.reshape(lead + (-1,))[..., self.scan_index, np.newaxis] * self.scan_basis
-        r, lp = self.row_rot.shape
-        sums = (self.slot_rot @ y.reshape(y.shape[:-2] + (-1,))).reshape(lead + (r, lp, -1))
-        sums *= self.row_rot[:, :, np.newaxis]
-        return sums.reshape(lead + (r, -1))
+        return y.reshape(lead + (len(self.scan_index), -1))
 
 
 def cfo_scan(kappa: np.ndarray, row_basis: np.ndarray, cfo_range: float, cfo_step: float,
@@ -619,35 +546,29 @@ def cfo_scan(kappa: np.ndarray, row_basis: np.ndarray, cfo_range: float, cfo_ste
     Slot n of the region lies M samples after slot 0, except where the frame
     CP wraps it: kappa[n, j] = kappa[0, j] + s[n, j] M with the virtual slot
     s = n, or n - N for a sample that wrapped to the frame head (the tail of
-    slot N - 1 at theta_hat >= 1 at the default geometry).  The rotation to
-    node nu_i about the centre kappa_c then factors as
-    exp(-j 2 pi nu_i (kappa[n, j] - kappa_c) / N_s) = U[i, s] v[i, j], with
-    U[i, s] = exp(-j 2 pi nu_i s M / N_s) and
-    v[i, j] = exp(-j 2 pi nu_i (kappa[0, j] - kappa_c) / N_s), over the V
-    distinct virtual slots.  Row v of ``scan_basis`` holds the row bases
-    Q_j[n, :] of the samples in the v-th virtual slot, zero where that slot
-    has no sample, and ``scan_index`` the flat region index of each (that of
-    a hole is 0, its basis being 0).  Without a wrap the virtual slots are the
-    slots and ``scan_index`` is the identity.
+    slot N - 1 at theta_hat >= 1 at the default geometry).  The V virtual
+    slots run from the least s to the greatest, and the CFO rotation of
+    sample (n, j) factors as exp(-j 2 pi eps kappa[n, j] / N_s) =
+    exp(-j 2 pi eps row_kappa[j] / N_s) exp(-j Omega eps s), with s counted
+    from the first virtual slot, row_kappa the kappa of that slot, and
+    Omega = 2 pi M / N_s.  Row s of ``scan_basis`` holds the row bases
+    Q_j[n, :] of the samples in virtual slot s, zero where that slot has no
+    sample, and ``scan_index`` the flat region index of each (that of a hole
+    is 0, its basis being 0).  Without a wrap the virtual slots are the slots
+    and ``scan_index`` is the identity.
     """
     kappa = np.asarray(kappa)
     n_slots, lp = kappa.shape
     slot = (kappa - kappa[0]) // m
-    slots = np.array(sorted(set(slot.ravel().tolist())), dtype=slot.dtype)
-    r = scan_node_count(cfo_range, kappa, n_s)
-    nodes = cfo_range * chebyshev_nodes(r)
-    centre = 0.5 * float(kappa.max() + kappa.min())
-    row = np.searchsorted(slots, slot)
-    col = np.broadcast_to(np.arange(lp), slot.shape)
-    scan_basis = np.zeros((slots.size,) + row_basis.shape[1:])
+    first = int(slot.min())
+    row, col = slot - first, np.broadcast_to(np.arange(lp), slot.shape)
+    v = int(row.max()) + 1              # V virtual slots, so V lags 0 .. V - 1
+    scan_basis = np.zeros((v,) + row_basis.shape[1:])
     scan_basis[row, col] = row_basis
-    scan_index = np.zeros((slots.size, lp), dtype=np.intp)
+    scan_index = np.zeros((v, lp), dtype=np.intp)
     scan_index[row, col] = np.arange(n_slots * lp).reshape(n_slots, lp)
-    return CfoScan(
-        ops=scan_operators(r, cfo_range, cfo_step),
-        slot_rot=np.exp(-2j * np.pi * np.outer(nodes, slots * m) / n_s),
-        row_rot=np.exp(-2j * np.pi * np.outer(nodes, kappa[0] - centre) / n_s),
-        scan_basis=scan_basis, scan_index=scan_index, centre=centre)
+    return CfoScan(scan_basis, scan_index, kappa[0] + first * m,
+                   *lag_tables(v, m, n_s, cfo_range, cfo_step))
 
 
 def at_amplitude(rows: np.ndarray, amplitude: float) -> np.ndarray:
@@ -674,61 +595,46 @@ def estimate_cfo(samples: np.ndarray, bundle: EstimatorBundle, cfg: SystemConfig
     (streams), and ``amplitudes`` then holds the same number of lanes for
     each stream, stream by stream; the estimates come in that order.
 
-    All three read one projection (module docstring) of the region rotated
-    to the bundle's r Chebyshev nodes nu_i of +-cfo_range
+    All three read the slot rows Y[s, (j, k)] = Q_j[n, k] rbar[n, j] at
+    virtual slot s (``CfoScan.slot_rows``).  The rotation of a sample
+    factors into a row phase and exp(-j Omega eps s) (``cfo_scan``), so the
+    projection of the rotated region is
+    w[j, k] = exp(-j 2 pi eps row_kappa[j] / N_s) sum_s exp(-j Omega eps s) Y[s, j, k].
+    The row phase has modulus 1 and drops out of ||w||^2, so the cost is
+    exactly g(eps) = sum_(j, k) |sum_s exp(-j Omega eps s) Y[s, j, k]|^2
+    = Re sum_d c_d exp(-j Omega eps d), a trigonometric polynomial of degree
+    V - 1 whose coefficients are the slot-lag correlations of Y
     (``BemRegressor.cost_many``, made here so that the benchmark's tracer
-    times it inside the search).  The rotation factors into a slot part
-    and a row part (``cfo_scan``), and the row sums carry it through: with
-    Y[s, j, k] = Q_j[n, k] rbar[n, j] at virtual slot s
-    (``CfoScan.node_sums``), the projections at the nodes are
-    W_i[j, k] = v[i, j] sum_s U[i, s] Y[s, j, k], one (r, V) @ (V, L_p*beta)
-    product.  W holds the values at the nodes of the Chebyshev interpolant
-    of w(eps), the projection of Phi^H(eps) rbar, r by the rule of
-    ``scan_node_count``.  Its coefficients C = V^-1 W give the scalar cost
-    polynomial g(x) = ||w(x)||^2, of degree 2r - 2, through
-    T_a T_b = (T_{a+b} + T_{|a-b|}) / 2 (``cost_polynomial``).  Both are
-    polynomials in a, made once for every lane of a stream; each lane's g
-    is one row of a (lanes, 2K - 1) @ (2K - 1, 2r - 1) product with the
-    powers a^i.  The cost curves are one (lanes, 2r - 1) @ (2r - 1, G)
-    product, and differ from the dense scan by rounding only.  Each Newton
-    iterate of a lane reads g, g' and g'' as one (3, 2r - 1) array (that
-    lane's row of the product with the bundle's derivative operators) times
-    T_s(x) = cos(s acos x).  The LS solve evaluates every lane's w at its
-    estimate from C, one (lanes, r) @ (K, r, L_p*beta) product summed over k
-    at the lane's a, and applies E (``BemRegressor.solve``) and the
-    reconstruction to all lanes at once.  Every product is one stacked call
-    with a slice per stream, which gives each lane the arithmetic of its
-    stream searched alone.
+    times it inside the search).  They are polynomials in a, made once for
+    every lane of a stream; each lane's c is one row of a
+    (lanes, 2K - 1) @ (2K - 1, 2V) product with the powers a^i, in
+    [Re, Im] interleaved reals.  The cost curves are one (lanes, 2V) @ (2V, G)
+    product with the grid's phasors, and differ from the dense scan by
+    rounding only.  Each Newton iterate of a lane reads g, g' and g'' as one
+    (3, 2V) array (that lane's c times the ``lag_tables`` factors) times
+    the phasors at its eps (``lag_phasors``).  The LS solve forms every
+    lane's w at its estimate, one (lanes, V) @ (K, V, L_p*beta) product
+    summed over k at the lane's a, times the row phases, and applies E
+    (``BemRegressor.solve``) and the reconstruction to all lanes at once.
+    Every product is one stacked call with a slice per stream, which gives
+    each lane the arithmetic of its stream searched alone.
     """
     if cfg.cfo_tol <= 0:
         raise ConfigError("cfo_tol must be > 0")
     grid, scan = bundle.grid, bundle.scan
-    ops = scan.ops
     regions = np.asarray(samples)
     regions = regions.reshape((-1,) + regions.shape[-3:])
-    # (S, 2K - 1, 2r - 1), (S, K, r, L_p*beta)
-    gamma_rows, coeff_rows = bundle.regressor.cost_many(scan.node_sums(regions), ops.to_coeffs)
+    rows = scan.slot_rows(regions)                          # (S, K, V, L_p*beta)
+    lag_rows = bundle.regressor.cost_many(rows)             # (S, 2K - 1, V)
     a = np.array([float(amplitude) for amplitude in amplitudes]).reshape(len(regions), -1, 1)
-    gamma = (a ** np.arange(gamma_rows.shape[1])) @ gamma_rows    # (S, lanes, 2r - 1)
-    costs = gamma @ ops.grid_vander.T                   # (S, lanes, G)
-    best = np.argmax(costs, axis=-1).ravel().tolist()
-    derivs = (gamma @ ops.derivs).reshape(len(best), 3, -1)
-    orders = np.arange(gamma.shape[-1])
-
-    def angle(eps):
-        # T_s(x) = cos(s acos x): one call, where the recurrence loops per order
-        return math.acos(min(max(eps / cfg.cfo_range, -1.0), 1.0))
-
-    # each lane's w at its estimate, rotated back from the region centre, is
-    # sum_k a^k sum_s weights[s] C[k, s], weights[s] = T_s(x) exp(-j 2 pi eps centre / N_s)
-    turn = -2.0 * math.pi * scan.centre / cfg.n_s
-    weights = np.empty(a.shape[:2] + coeff_rows.shape[-2:-1], dtype=complex)
-    costs = costs.reshape(len(best), -1)
+    lags = (a ** np.arange(lag_rows.shape[1])) @ lag_rows.view(np.float64)   # (S, lanes, 2V)
+    costs = (lags @ scan.grid_phasors).reshape(-1, grid.size)
+    best = np.argmax(costs, axis=-1).tolist()
+    derivs = (lags.view(np.complex128)[..., np.newaxis, :] * scan.lag_derivs).view(np.float64)
     eps_hat = []
-    for lane_derivs, lane_costs, b, lane_weights in zip(derivs, costs, best,
-                                                         weights.reshape(len(best), -1)):
+    for lane_derivs, lane_costs, b in zip(derivs.reshape(len(best), 3, -1), costs, best):
         def cost_derivatives(eps, lane_derivs=lane_derivs):
-            g, g1, g2 = (lane_derivs @ np.cos(orders * angle(eps))).tolist()
+            g, g1, g2 = (lane_derivs @ lag_phasors(eps, scan.lag_turns)).tolist()
             return g, g1, g2
 
         eps_c = float(grid[b])
@@ -736,12 +642,15 @@ def estimate_cfo(samples: np.ndarray, bundle: EstimatorBundle, cfg: SystemConfig
         hi = min(eps_c + cfg.cfo_step, cfg.cfo_range)
         x_ref, f_ref = newton_max(cost_derivatives, eps_c, lo, hi, cfg.cfo_tol)
         # keep the exact grid point when refinement cannot improve on it
-        eps = eps_c if lane_costs[b] >= f_ref else float(x_ref)
-        lane_weights[:] = np.cos(orders[:len(lane_weights)] * angle(eps)) * cmath.exp(1j * turn * eps)
-        eps_hat.append(eps)
-    # (K, S, lanes, L_p*beta) at each lane's a
-    w = at_amplitude((weights[:, np.newaxis] @ coeff_rows).swapaxes(0, 1), a)
-    c_hat = bundle.regressor.solve(w).reshape(len(best), -1)
+        eps_hat.append(eps_c if lane_costs[b] >= f_ref else float(x_ref))
+    eps = np.array(eps_hat).reshape(a.shape[:2])
+    # each lane's exp(-j Omega eps s) over the slots, (K, S, lanes, L_p*beta)
+    # products summed at its a, then the row phases
+    weights = np.exp(-eps[..., np.newaxis] * scan.lag_turns)
+    w = at_amplitude((weights[:, np.newaxis] @ rows).swapaxes(0, 1), a)
+    w = w.reshape(eps.shape + scan.scan_basis.shape[1:])
+    w *= np.exp(-2j * np.pi / cfg.n_s * np.multiply.outer(eps, scan.row_kappa))[..., np.newaxis]
+    c_hat = bundle.regressor.solve(w.reshape(eps.shape + (-1,))).reshape(len(best), -1)
     h_hat = reconstruct_channel(c_hat, bundle.bem)
     return [CfoEstimate(epsilon_hat=eps, grid=grid, cost_curve=lane_costs, c_hat=c, h_hat=h)
             for eps, lane_costs, c, h in zip(eps_hat, costs, c_hat, h_hat)]
@@ -780,14 +689,12 @@ class EstimatorBundle:
     sums (``scan``), which is built on first read, so a bundle that only
     fits (the absorbed baseline's) never builds it.
 
-    The search rotates the region to r Chebyshev nodes of +-cfo_range about
-    the region centre (a phase common to every kappa leaves the cost
-    unchanged, and centring halves the bandwidth), r by the rule of
-    ``scan_node_count``.  The rotations are kept as their factors U (r, V)
-    over the virtual slots and v (r, L_p) over the rows (``cfo_scan``),
-    about 20 KB instead of an (r, N*L_p) table; the real operators of the
-    cost polynomial are shared through ``scan_operators``.  The scan, the
-    Newton refinement and the LS solve all read the one node projection
+    The search reads the region as its slot rows over the V virtual slots
+    (``cfo_scan``): the row bases and the region index of each virtual
+    slot, about 20 KB at the default geometry, where a table of rotations
+    would take G*N*L_p phases; the lag turns, derivative factors and grid
+    phasors are shared through ``lag_tables``.  The scan, the Newton
+    refinement and the LS solve all read the one set of slot rows
     (``estimate_cfo``).  Cached across trials because none of them depends
     on the received samples."""
 

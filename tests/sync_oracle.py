@@ -17,7 +17,7 @@ phase.
 ``estimate_cfo_exact`` refines the CFO by Newton steps on the exact cost
 derivatives, each one (3, N*L_p) product with Q, and solves the LS fit
 through ``DenseRegressor.coeffs``; ``sync.estimate_cfo`` reads both from the
-Chebyshev interpolant of its coarse scan.
+slot-lag correlations of its coarse scan.
 ``own_bundle_back_end`` fits one user's received region on a dense
 regressor factorized on that user's own pilot template, with a dense scan,
 exact Newton and the ``coeffs`` solve; ``sync.synchronize_user`` and

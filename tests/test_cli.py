@@ -45,9 +45,20 @@ def run_cli(tmp_path, *argv, spec=SPEC, config=None):
     # the spec name is one directory under --out: ../x would write beside it
     (SPEC.replace("name = tiny", "name = ../x"), (), None, "one directory name"),
     (SPEC.replace("name = tiny", "name ="), (), None, "one directory name"),
+    # a repeated key was taken at its last value, and both config lines echoed
+    (SPEC + "config.num_users = 2\n", (), None, "key 'config.num_users' repeats line 6"),
+    (SPEC, (), "snr_db = 10\nsnr_db = 30\n", "line 2: key 'snr_db' repeats line 1"),
+    # finite values that overflowed the run into inf or a traceback
+    (SPEC, ("--override", "cfo_max=1e300"), None,
+     "cfo_max=1e+300 is outside [-n/2, n/2] = [-16, 16]"),
+    (SPEC.replace("sweep_var = snr_db", "sweep_var = cfo_value").replace(
+        "sweep_points = 20", "sweep_points = 0.1, 1e300"), (), None,
+     "cfo_value=1e+300 is outside [-n/2, n/2]"),
+    (SPEC, ("--override", "pilot_power_db=1e300"), None, "above the ceiling of 1000 dB"),
 ], ids=["sweep-points", "bool", "trials-abc", "trials-x=1", "workers-0",
         "pilot-region-mode", "gram-loading", "sweep-point-nan", "cfo-value-inf",
-        "name-parent", "name-empty"])
+        "name-parent", "name-empty", "spec-key-repeated", "config-key-repeated",
+        "cfo-max-huge", "cfo-value-huge", "pilot-power-huge"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, spec, argv, config,
                                            fragment):
     assert run_cli(tmp_path, *argv, spec=spec, config=config) == 2
@@ -85,7 +96,10 @@ def test_snr_below_the_floor_is_a_config_error(capsys, command):
     # NMSE be null, below it the channel would raise an IndexError
     ("channel_len_cap=0", "channel_len_cap=0 must be >= 1"),
     ("channel_len_cap=-3", "channel_len_cap=-3 must be >= 1"),
-], ids=["allocation", "pilot-offset-past-band", "no-channel-taps", "negative-channel-length"])
+    # a grid of 4e9 points, 32 GB: only ever validated, never run
+    ("cfo_step=1e-9", "the cap on the CFO grid's points"),
+], ids=["allocation", "pilot-offset-past-band", "no-channel-taps", "negative-channel-length",
+        "cfo-step-tiny"])
 def test_validate_rejects_a_bad_override(capsys, override, fragment):
     assert cli.main(["validate", "--override", override]) == 2
     captured = capsys.readouterr()

@@ -6,8 +6,8 @@ import warnings
 import pytest
 
 from otfsync import harness
-from otfsync.config import (SNR_DB_FLOOR, SystemConfig, apply_overrides, default_bem_order,
-                            echo_config, parse_config_text)
+from otfsync.config import (CFO_GRID_CAP, PILOT_POWER_DB_CEIL, SNR_DB_FLOOR, SystemConfig,
+                            apply_overrides, default_bem_order, echo_config, parse_config_text)
 from otfsync.errors import ConfigError
 
 
@@ -37,6 +37,12 @@ def test_cp_rule_violation_message():
     ("pilot_offset", "16", "outside the user band"),
     ("pilot_anchor", "0", "leaves the delay axis"),
     ("channel_len_cap", "0", "channel_len_cap=0 must be >= 1"),
+    # finite values that overflowed the run, or would exhaust memory
+    ("cfo_max", "1e300", "cfo_max=1e\\+300 is outside \\[-n/2, n/2\\] = \\[-16, 16\\]"),
+    ("cfo_max", "16.5", "cfo_max=16.5 is outside"),
+    ("pilot_power_db", "1e300", "above the ceiling of 1000 dB"),
+    ("pilot_power_db", "3100", "above the ceiling of 1000 dB"),
+    ("cfo_step", "1e-9", "cfo_step = 2e\\+09 exceeds 5000"),
 ])
 def test_invariant_messages(field, value, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -90,6 +96,45 @@ def test_snr_at_the_floor_runs_with_finite_numbers(points):
     for row in report.rows:
         if row.metric != "to_err_var" or row.n_trials > 1:
             assert math.isfinite(row.value), row
+
+
+def test_bounds_admit_their_edges():
+    cfg = apply_overrides(SystemConfig(), {"cfo_max": "16", "pilot_power_db": "1000",
+                                           "cfo_step": "0.0004"})
+    assert cfg.cfo_max == cfg.n / 2 and cfg.cfo_violation("cfo_value", -cfg.n / 2) is None
+    assert cfg.pilot_power_db == PILOT_POWER_DB_CEIL
+    assert cfg.cfo_range / cfg.cfo_step == CFO_GRID_CAP
+
+
+@pytest.mark.parametrize("cfo_value", [1e300, -16.5, math.nan])
+def test_pinned_cfo_past_half_the_doppler_axis_rejected(cfo_value):
+    # a pinned CFO skips the config's cfo_max check; run_trial and
+    # run_experiment both reach it through the draw
+    with pytest.raises(ConfigError, match="is outside \\[-n/2, n/2\\] = \\[-16, 16\\]"):
+        harness.run_trial(SystemConfig(), 0, cfo_value=cfo_value)
+    spec = harness.ExperimentSpec("pinned", "cfo_value", (0.1, 1e300), 1)
+    with pytest.raises(ConfigError, match="cfo_value=1e\\+300 is outside"):
+        harness.run_experiment(spec)
+
+
+def test_pilot_power_at_the_ceiling_runs_with_finite_numbers():
+    # the pilot at 1e50 in amplitude, beside lanes at the SNR floor
+    spec = harness.ExperimentSpec("ceiling", "snr_db", (SNR_DB_FLOOR, 0.0, math.inf), 2,
+                                  config_overrides=(("num_users", "2"),
+                                                    ("pilot_power_db", str(PILOT_POWER_DB_CEIL))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = harness.run_experiment(spec)
+    assert report.n_failed == 0
+    for row in report.rows:
+        if row.metric != "to_err_var" or row.n_trials > 1:
+            assert math.isfinite(row.value), row
+
+
+def test_repeated_key_is_an_error():
+    # it was taken at its last value, silently
+    with pytest.raises(ConfigError, match="line 3: key 'snr_db' repeats line 1"):
+        parse_config_text("snr_db = 10\nm = 64\nsnr_db = 30\n")
 
 
 def test_meaningful_infinities_accepted():

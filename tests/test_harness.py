@@ -269,6 +269,19 @@ def test_spec_name_must_be_one_directory(name):
         harness.parse_experiment_text(text)
 
 
+@pytest.mark.parametrize("repeated, fragment", [
+    ("trials = 5", "line 6: key 'trials' repeats line 4"),
+    ("config.num_users = 4", "line 6: key 'config.num_users' repeats line 5"),
+], ids=["flat-key", "config-key"])
+def test_repeated_spec_key_is_an_error(repeated, fragment):
+    # a repeated flat key was taken at its last value, and a repeated
+    # config. key kept both overrides, the last one winning
+    text = ("name = x\nsweep_var = snr_db\nsweep_points = 0\ntrials = 2\n"
+            f"config.num_users = 2\n{repeated}\n")
+    with pytest.raises(ConfigError, match=fragment):
+        harness.parse_experiment_text(text)
+
+
 def test_experiment_unknown_key():
     with pytest.raises(ConfigError, match="unknown experiment key"):
         harness.parse_experiment_text("name = x\nsweeps = 1\n")
@@ -453,10 +466,9 @@ def test_an_snr_lanes_region_is_the_per_point_chains():
 
 def test_one_cfo_projection_per_user_and_theta_per_draw(monkeypatch):
     shapes = []
-    node_sums = sync.CfoScan.node_sums
-    monkeypatch.setattr(sync.CfoScan, "node_sums",
-                        lambda self, samples: shapes.append(samples.shape)
-                        or node_sums(self, samples))
+    cost_many = sync.BemRegressor.cost_many
+    monkeypatch.setattr(sync.BemRegressor, "cost_many",
+                        lambda self, rows: shapes.append(rows.shape) or cost_many(self, rows))
     base = SystemConfig(num_users=4, rng_seed=17)
     cfgs = [apply_overrides(base, {"snr_db": snr}) for snr in ("-20", "10", "inf")]
     trials = 4

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
+from numpy.polynomial.chebyshev import chebvander
 
 from otfsync import channel as chan
 from otfsync import modem, pilot, sync
@@ -395,8 +395,8 @@ def test_bem_recursion_matches_closed_form():
 
 
 def test_chebyshev_vander_matches_numpy_bit_for_bit():
-    # on a region's normalized instants at every basis order, and at the
-    # cost polynomial's degree 2r - 2 on the CFO grid
+    # on a region's normalized instants at every basis order, and at high
+    # degrees on the CFO grid
     cfg = paper_config(num_users=1)
     for theta in (0, 2):
         kappa = pilot.region_kappa(cfg, theta)
@@ -406,24 +406,9 @@ def test_chebyshev_vander_matches_numpy_bit_for_bit():
                                   chebvander(kprime, beta - 1))
             assert np.array_equal(sync.build_bem_basis(beta, kappa, cfg.n_s),
                                   chebvander(kprime, beta - 1))
-        r = sync.scan_node_count(cfg.cfo_range, kappa, cfg.n_s)
-        x = sync.cfo_grid(cfg.cfo_range, cfg.cfo_step) / cfg.cfo_range
-        assert np.array_equal(sync.chebyshev_vander(x, 2 * r - 2), chebvander(x, 2 * r - 2))
-
-
-def test_chebyshev_nodes_match_numpy_bit_for_bit():
-    for r in range(2, 41):
-        assert np.array_equal(sync.chebyshev_nodes(r), chebpts1(r))
-
-
-@pytest.mark.parametrize("r", [29, 30])
-def test_chebyshev_derivative_operators_match_numpy_bit_for_bit(r):
-    # r = 29 and 30 are the scan's node counts at the default geometry
-    eye = np.eye(2 * r - 1)
-    first = sync.chebyshev_derivative(eye)
-    assert np.array_equal(first, chebder(eye, m=1))
-    assert np.array_equal(sync.chebyshev_derivative(first), chebder(eye, m=2))
-    assert np.array_equal(eye, np.eye(2 * r - 1))     # the input is left as it was
+    x = sync.cfo_grid(cfg.cfo_range, cfg.cfo_step) / cfg.cfo_range
+    for degree in (56, 58):
+        assert np.array_equal(sync.chebyshev_vander(x, degree), chebvander(x, degree))
 
 
 def test_bem_requires_positive_order():
@@ -755,49 +740,67 @@ def test_estimator_bundle_cache_key_holds_the_grid():
     kflat = kappa.ravel().astype(float)
     for bundle, c in ((fine, cfg), (coarse, coarse_cfg)):
         assert np.array_equal(bundle.grid, sync.cfo_grid(c.cfo_range, c.cfo_step))
-        r = sync.scan_node_count(c.cfo_range, kflat, c.n_s)
-        assert r < bundle.grid.size
-        assert bundle.scan.ops is sync.scan_operators(r, c.cfo_range, c.cfo_step)
-        nodes = c.cfo_range * chebpts1(r)
-        assert np.array_equal(bundle.scan.ops.to_coeffs,
-                              np.linalg.inv(chebvander(nodes / c.cfo_range, r - 1)))
-        assert np.array_equal(bundle.scan.ops.grid_vander,
-                              chebvander(bundle.grid / c.cfo_range, 2 * r - 2))
+        scan = bundle.scan
+        phasors = sync.lag_phasors(bundle.grid[:, np.newaxis], scan.lag_turns)
+        assert np.array_equal(scan.grid_phasors, phasors.T)
         # theta = 2 wraps the tail of the last slot to the frame head, virtual slot -1
-        centre = 0.5 * (kflat.max() + kflat.min())
-        slots = np.arange(-1, c.n)
-        assert np.array_equal(bundle.scan.slot_rot,
-                              np.exp(-2j * np.pi * np.outer(nodes, slots * c.m) / c.n_s))
-        assert np.array_equal(bundle.scan.row_rot,
-                              np.exp(-2j * np.pi * np.outer(nodes, kappa[0] - centre) / c.n_s))
-        # their products are the node rotations of every sample
-        phases = np.exp(-2j * np.pi * np.outer(nodes, kflat - centre) / c.n_s)
-        column = ((kappa - kappa[0]) // c.m + 1).ravel()
-        factored = bundle.scan.slot_rot[:, column] * np.tile(bundle.scan.row_rot, c.n)
-        assert np.max(np.abs(factored - phases)) <= 1e-13
+        slot = (kappa - kappa[0]) // c.m + 1
+        assert np.array_equal(scan.row_kappa, kappa[0] - c.m)
+        # the row phase times the slot phase is the rotation of every sample
+        for eps in (-0.37, 0.8):
+            phases = np.exp(-2j * np.pi * eps * kflat / c.n_s)
+            slot_phase = np.exp(-eps * scan.lag_turns)
+            row_phase = np.exp(-2j * np.pi * eps * scan.row_kappa / c.n_s)
+            factored = (slot_phase[slot] * row_phase).ravel()
+            assert np.max(np.abs(factored - phases)) <= 1e-13
     assert (fine.grid.size, coarse.grid.size) == (201, 41)
 
 
-@pytest.mark.parametrize("theta, overrides, nodes", [
-    (0, {}, 29),                                    # kappa 131..4108
-    (3, {}, 30),                                    # wrapped region, kappa 13..4108
-    (0, {"cfo_range": 0.5}, 18),
-    (0, {"cfo_range": 4.0, "cfo_step": 0.05}, 40),
-    (0, {"cfo_range": 1.0, "cfo_step": 0.3}, 22),    # G = 7 < r: interpolated all the same
+@pytest.mark.parametrize("theta, overrides", [
+    (0, {}),                                    # kappa 131..4108
+    (3, {}),                                    # wrapped region, kappa 13..4108
+    (0, {"cfo_range": 0.5}),
+    (0, {"cfo_range": 4.0, "cfo_step": 0.05}),
+    (0, {"cfo_range": 1.0, "cfo_step": 0.3}),   # G = 7 grid points, fewer than the V lags
 ])
-def test_chebyshev_scan_matches_dense_scan(theta, overrides, nodes):
+def test_lag_scan_matches_dense_scan(theta, overrides):
+    # one region (K = 1) and signal + a noise (K = 2) at a = 0.3, against
+    # the dense cost of the region at every grid point
     cfg = paper_config(num_users=1, **overrides)
     pcp, _, kappa = region_fixture(cfg, theta)
     bundle = sync.estimator_bundle(cfg, theta)
-    assert bundle.scan.slot_rot.shape[0] == nodes
     kflat = kappa.ravel()
     dense_phases = np.exp(-2j * np.pi * np.outer(bundle.grid, kflat) / cfg.n_s)
+    dense = dense_regressor(bundle, cfg, pcp)
     rng = np.random.default_rng(41)
     for _ in range(5):
-        rflat = rng.standard_normal(kflat.size) + 1j * rng.standard_normal(kflat.size)
-        got = search(rflat.reshape(kappa.shape), bundle, cfg).cost_curve
-        dense = dense_regressor(bundle, cfg, pcp).cost_many(dense_phases * rflat)[0]
-        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(dense)
+        rows = rng.standard_normal((2, kflat.size)) + 1j * rng.standard_normal((2, kflat.size))
+        for region, amplitude in ((rows[:1], 0.0), (rows, 0.3)):
+            (est,) = sync.estimate_cfo(region.reshape((-1,) + kappa.shape), bundle, cfg,
+                                       (amplitude,))
+            want = dense.cost_many(dense_phases * sync.at_amplitude(region, amplitude))[0]
+            assert np.max(np.abs(est.cost_curve - want)) <= 1e-13 * np.max(want)
+
+
+@pytest.mark.parametrize("theta", [0, 3, 10])
+def test_cost_derivatives_of_the_lag_form_match_central_differences(theta):
+    # g, g' and g'' of the Newton refinement at off-grid eps against
+    # sync.cfo_cost; theta = 3 and 10 wrap the region
+    cfg = paper_config(num_users=4 if theta == 10 else 1, nu_max_t=1.0, bem_order=3)
+    region, bundle, _, _ = bem_exact_observation(cfg, np.random.default_rng(theta), 0.1,
+                                                 theta, noise=0.3)
+    rflat, kflat = region.ravel(), bundle.kappa.ravel()
+    scan = bundle.scan
+    lags = bundle.regressor.cost_many(scan.slot_rows(region[np.newaxis]))[0]
+    derivs = (lags * scan.lag_derivs).view(np.float64)
+    cost = lambda e: sync.cfo_cost(rflat, bundle.regressor, kflat, e, cfg.n_s)
+    h = 1e-4
+    for eps in (-0.913, -0.31, 0.0217, 0.455):
+        g, g1, g2 = derivs @ sync.lag_phasors(eps, scan.lag_turns)
+        assert g == pytest.approx(cost(eps), rel=1e-12)
+        assert g1 == pytest.approx((cost(eps + h) - cost(eps - h)) / (2 * h), rel=1e-6)
+        assert g2 == pytest.approx(
+            (cost(eps + h) - 2 * cost(eps) + cost(eps - h)) / h ** 2, rel=1e-6)
 
 
 def test_estimator_bundle_is_shared_across_user_counts():
@@ -810,20 +813,20 @@ def test_estimator_bundle_is_shared_across_user_counts():
     assert bundles[1] is bundles[0] and bundles[2] is bundles[0]
 
 
-@pytest.mark.parametrize("theta, overrides, eps0s, local_nodes", [
-    (0, {}, (0.137, -0.341, 0.02), 9),
-    (3, {}, (0.137, -0.341, 0.02), 9),                  # wrapped region
-    (0, {"cfo_range": 0.5}, (0.137, -0.452, 0.499), 9),
-    (0, {"cfo_range": 1.0, "cfo_step": 0.3}, (0.137, -0.83, 0.98), 15),   # G < r
-    (0, {"cfo_range": 1.0}, (1.013,), 9),               # bracket clipped at +cfo_range
-    (1, {"bem_order": 1, "nu_max_t": 0.0}, (0.137, -0.341), 9),   # one wrapped row
-    (9, {"num_users": 2}, (0.137, -0.341), 9),
-    (10, {"num_users": 4, "bem_order": 12}, (0.137, -0.341), 9),   # every row wrapped
-    (127, {"num_users": 7}, (0.137, -0.341), 9),
-    (0, {"num_users": 4, "bem_order": 12}, (0.137, -0.341), 9),
-    (3, {"cfo_range": 0.5}, (0.62, -0.57), 9),          # clipped at either end
+@pytest.mark.parametrize("theta, overrides, eps0s", [
+    (0, {}, (0.137, -0.341, 0.02)),
+    (3, {}, (0.137, -0.341, 0.02)),                     # wrapped region
+    (0, {"cfo_range": 0.5}, (0.137, -0.452, 0.499)),
+    (0, {"cfo_range": 1.0, "cfo_step": 0.3}, (0.137, -0.83, 0.98)),   # G = 7
+    (0, {"cfo_range": 1.0}, (1.013,)),                  # bracket clipped at +cfo_range
+    (1, {"bem_order": 1, "nu_max_t": 0.0}, (0.137, -0.341)),   # one wrapped row
+    (9, {"num_users": 2}, (0.137, -0.341)),
+    (10, {"num_users": 4, "bem_order": 12}, (0.137, -0.341)),   # every row wrapped
+    (127, {"num_users": 7}, (0.137, -0.341)),
+    (0, {"num_users": 4, "bem_order": 12}, (0.137, -0.341)),
+    (3, {"cfo_range": 0.5}, (0.62, -0.57)),             # clipped at either end
 ])
-def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_nodes):
+def test_local_refinement_matches_exact_newton(theta, overrides, eps0s):
     # the oracle: Newton on the exact cost derivatives with the dense Q, then
     # the coeffs solve
     cfg = paper_config(**{"num_users": 1, **overrides})
@@ -847,12 +850,6 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s, local_no
             edge = math.copysign(cfg.cfo_range, eps0)
             assert abs(est.grid[int(np.argmax(est.cost_curve))] - edge) < cfg.cfo_step
             assert est.epsilon_hat == edge
-    r = bundle.scan.slot_rot.shape[0]
-    assert bundle.scan.row_rot.shape == (r, cfg.zc_len)
-    assert bundle.scan.ops.grid_vander.shape == (bundle.grid.size, 2 * r - 1)
-    assert bundle.scan.ops.derivs.shape == (2 * r - 1, 3 * (2 * r - 1))
-    # the bracket alone would take local_nodes; the refinement reads the scan's r
-    assert local_nodes == sync.scan_node_count(cfg.cfo_step, bundle.kappa, cfg.n_s)
 
 
 def test_shared_bundle_matches_per_user_bundles():
@@ -978,8 +975,9 @@ def test_slot_projection_and_cost_curve_match_dense_q(num_users, theta, beta):
 
 
 def test_cost_polynomial_is_quadratic_in_the_noise_amplitude():
-    # a region signal + a * noise projects to C = C_s + a C_n, whose cost is
-    # gamma_ss + a gamma_sn + a^2 gamma_nn; each row projects as it would alone
+    # a region signal + a * noise has slot rows Y = Y_s + a Y_n, whose lag
+    # coefficients are rho_ss + a (rho_sn + rho_ns) + a^2 rho_nn; each row's
+    # coefficients are made as they would be alone
     cfg = paper_config(num_users=2)
     bundle = sync.estimator_bundle(cfg, 2)
     rng = np.random.default_rng(46)
@@ -987,21 +985,24 @@ def test_cost_polynomial_is_quadratic_in_the_noise_amplitude():
     samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     samples[0] *= 30.0
     scan = bundle.scan
-
-    def polynomials(samples):
-        return bundle.regressor.cost_many(scan.node_sums(samples), scan.ops.to_coeffs)
-
-    gamma, coeffs = polynomials(samples)
-    r = bundle.scan.slot_rot.shape[0]
-    assert gamma.shape == (3, 2 * r - 1) and coeffs.shape == (2, r, cfg.zc_len * cfg.beta)
+    rows = scan.slot_rows(samples)
+    lags = bundle.regressor.cost_many(rows)
+    lag_count = len(scan.lag_turns)
+    assert lags.shape == (3, lag_count) and rows.shape == (2, lag_count, cfg.zc_len * cfg.beta)
     for amplitude in (0.0, 0.05, math.sqrt(0.5), 3.0):
-        want = sync.cost_polynomial(coeffs[0] + amplitude * coeffs[1])
-        got = gamma[0] + amplitude * gamma[1] + amplitude ** 2 * gamma[2]
+        want = bundle.regressor.cost_many((rows[0] + amplitude * rows[1])[np.newaxis])[0]
+        got = lags[0] + amplitude * lags[1] + amplitude ** 2 * lags[2]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     for k in range(2):
-        alone_gamma, alone = polynomials(samples[k:k + 1])
-        assert np.max(np.abs(alone[0] - coeffs[k])) <= 1e-13 * np.max(np.abs(coeffs[k]))
-        assert np.max(np.abs(alone_gamma[0] - gamma[2 * k])) <= 1e-12 * np.max(gamma[2 * k])
+        alone = bundle.regressor.cost_many(scan.slot_rows(samples[k:k + 1]))[0]
+        assert np.max(np.abs(alone - lags[2 * k])) <= 1e-12 * np.max(np.abs(lags[2 * k]))
+    # the coefficients are the slot-lag correlations of the rows
+    y = rows[0] + 0.05 * rows[1]
+    gram = y @ y.conj().T
+    rho = [np.trace(gram, offset=-d) for d in range(lag_count)]
+    want = np.array(rho) * np.where(np.arange(lag_count) > 0, 2.0, 1.0)
+    got = lags[0] + 0.05 * lags[1] + 0.05 ** 2 * lags[2]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_lane_search_equals_one_search_per_amplitude():
@@ -1057,12 +1058,3 @@ def test_pcp_toeplitz_is_built_once_contiguous_and_read_only():
     lag = np.subtract.outer(np.arange(block + span - 1), np.arange(block))
     inside = (lag >= 0) & (lag < span)
     assert np.array_equal(toeplitz, np.where(inside, np.conj(pcp[np.clip(lag, 0, span - 1)]), 0))
-
-
-def test_cost_polynomial_is_the_squared_norm_of_the_interpolant():
-    rng = np.random.default_rng(45)
-    coeffs = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    x = np.linspace(-1.0, 1.0, 11)
-    w = chebvander(x, 5) @ coeffs
-    got = chebvander(x, 10) @ sync.cost_polynomial(coeffs)
-    assert np.allclose(got, np.sum(np.abs(w) ** 2, axis=1), rtol=1e-13, atol=0.0)
