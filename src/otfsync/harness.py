@@ -124,14 +124,16 @@ def absorbed_channel_fit(regions: np.ndarray, cfg: SystemConfig, user: int,
     the LS solve of order ``beta`` (``absorbed_beta``) runs at zero offset
     against the Doppler-free template 1 (x) p, on the user's (N, L_p) region
     de-rotated by its own slot phase (``sync.derotate``), or on each region
-    of a (lanes, N, L_p) stack, which gives (lanes, N, L_p, L_p).  At zero
-    offset no rotation is needed, so the fit is the regions' row sums, one
-    (L_p*beta)-square matrix product per region (``BemRegressor.coeffs``)
-    and one reconstruction of them all."""
-    bundle = sync.estimator_bundle(cfg, theta, beta=beta)
+    of a (lanes, N, L_p) stack, which gives (lanes, N, L_p, L_p).  It reads
+    the table of order ``beta`` (``sync.estimator_bundle``), not the
+    search's.  At zero offset no rotation is needed, so the fit is the
+    regions' slot rows summed over the slots, one (L_p*beta)-square matrix
+    product per region (``BemRegressor.coeffs``) and one reconstruction of
+    them all."""
+    regressor = sync.estimator_bundle(cfg, theta, beta=beta)
     samples = sync.derotate(regions, cfg, user)
-    c_hat = bundle.regressor.coeffs(samples.reshape(samples.shape[:-2] + (-1,)))
-    return sync.reconstruct_channel(c_hat, bundle.bem)
+    c_hat = regressor.coeffs(samples.reshape(samples.shape[:-2] + (-1,)))
+    return sync.reconstruct_channel(c_hat, regressor.bem)
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,10 @@ def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
     stream and the unit noise, each lane at its ``channel.noise_amplitude``.
     Otherwise each lane has a stream of its own, read at a = 0: the receive
     stream rotated by its pinned CFO (``channel.cfo_rotation``), if any,
-    with its noise added (``channel.add_awgn``), built one lane at a time."""
+    with its noise added (``channel.add_awgn``), built one lane at a time.
+    A config that ``SystemConfig.validate`` rejects raises its ``ConfigError``
+    here, before anything is drawn."""
+    cfg.validate()
     lanes = tuple(dict.fromkeys([(cfg.snr_db, None)] if lanes is None else lanes))
     for _, cfo in lanes:
         # pinned as every user's CFO directly, past the config's cfo_max check

@@ -19,7 +19,7 @@ and each lane of the stream takes its timing curves from that correlation
 at its a.  The front end keeps the curves and no correlation, and the TO
 decisions of every (lane, user) are one ``estimate_to`` call.  The users
 split after that: ``synchronize_user`` is the per-user back end (pilot
-region, estimator bundle, CFO and channel) at one theta_hat, and the Q back
+region, shared table, CFO and channel) at one theta_hat, and the Q back
 ends are independent.  Each user's pilot region and CFO projection are polynomials
 in a too, so one back end call serves every lane that reaches that
 theta_hat, one estimate and one region at the lane's a per lane, whether
@@ -32,10 +32,10 @@ phi_q[n] p[j] with the slot phase phi_q[n] = exp(j 2 pi k_q n / N)
 (``pilot.slot_phase``) and the pilot row p (``pilot.region_pilot``).  The
 phase is common to the slot and commutes with the CFO rotation and the
 taps, so every user's region, de-rotated by its own phase (``derotate``),
-fits the Doppler-free template 1 (x) p, and one bundle per (geometry,
-theta_hat, beta) serves all users.  The PCP makes each slot's tap
-convolution circular over the L_p region rows, so with the row-j Chebyshev
-matrix B_j[n, g] = T_g(kprime[n, j]) the model of row j is
+fits the Doppler-free template 1 (x) p, and one table (``BemRegressor``)
+per (geometry, theta_hat, beta) serves every user and trial.  The PCP makes
+each slot's tap convolution circular over the L_p region rows, so with the
+row-j Chebyshev matrix B_j[n, g] = T_g(kprime[n, j]) the model of row j is
 
     z[:, j] = B_j d_j,   d_j[g] = sum_l C[j, l] c[l, g],   C[j, l] = p[(j - l) mod L_p],
 
@@ -49,26 +49,27 @@ because B_j is) the projection of a region z is the L_p*beta row sums
     w[j, k] = sum_n Q_j[n, k] z[n, j],
 
 its cost is ||w||^2 = sum_j ||Q_j^T z[:, j]||^2, and the LS coefficients
-are c = (C^-1 (x) I_beta) [R_j^-1 w[j]] = E w (``BemRegressor``).
+are c = (C^-1 (x) I_beta) [R_j^-1 w[j]] = E w (``BemRegressor.solve``).
 
-Each user's CFO search reads one set of slot rows.  The CFO rotation of
-the region factors into a phase per delay row and exp(-j Omega eps s) per
-virtual slot s, one of V, with Omega = 2 pi M / N_s (``cfo_scan``), and the
-row sums carry it through: the projection at eps is the row phase times
-sum_s exp(-j Omega eps s) Y[s, j, k] for the slot rows Y of the region.  As
-the region is fitted one row at a time, the row phase drops out of
-||w||^2, so the cost is exactly the trigonometric polynomial
+The table lays the row sums out over the region's V virtual slots
+(``build_bem_regressor``), as slot rows Y[s, (j, k)] = Q_j[n, k] z[n, j]
+(``BemRegressor.slot_rows``) that sum over s to w.  The CFO rotation
+factors into a phase per delay row and exp(-j Omega eps s) per virtual slot
+s, Omega = 2 pi M / N_s, so the projection at eps is the row phase times
+sum_s exp(-j Omega eps s) Y[s, j, k].  As the region is fitted one row at a
+time, the row phase drops out of ||w||^2: the cost is exactly the
+trigonometric polynomial
 g(eps) = rho[0] + 2 Re sum_(d >= 1) rho[d] exp(-j Omega eps d) of degree
 V - 1, whose coefficients rho[d] are the lag-d sums of the Gram matrix
 Y Y^H, the slot-lag correlations of the region (the correlation form of ML
-frequency estimation).  The grid costs and the Newton refinement run on it,
-and the LS solve reads w at the estimate (``estimate_cfo``).  With the
-region signal + a noise, Y is Y_s + a Y_n and rho is
-rho_ss + a (rho_sn + rho_ns) + a^2 rho_nn, so the correlations are made
-once for every a (``BemRegressor.cost_many``), and the scan, the derivative
-operators and the LS solve of all the lanes are one stacked product each,
-one slice per stream, so that each lane's arithmetic is that of its stream
-searched alone; only the Newton refinement runs lane by lane.
+frequency estimation).  The grid costs (``lag_tables``) and the Newton
+refinement run on it, and the LS solve reads w at the estimate
+(``estimate_cfo``).  With the region signal + a noise, Y is Y_s + a Y_n
+and rho is rho_ss + a (rho_sn + rho_ns) + a^2 rho_nn, so the correlations
+are made once for every a (``BemRegressor.cost_many``), and the scan, the
+derivative operators and the LS solve of all the lanes are one stacked
+product each, one slice per stream, so that each lane's arithmetic is that
+of its stream searched alone; only the Newton refinement runs lane by lane.
 """
 
 from __future__ import annotations
@@ -298,27 +299,35 @@ def build_bem_basis(beta: int, kappa: np.ndarray, n_s: int) -> np.ndarray:
     return chebyshev_vander(kprime, beta - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BemRegressor:
-    """The LS fit of a pilot region on the Doppler-free template 1 (x) p,
-    one delay row at a time (module docstring): the real orthonormal row
-    bases Q_j, whose row sums are the projections w, and the solve matrix
-    E = (C^-1 (x) I_beta) blockdiag(R_j^-1) from w to the coefficients."""
+    """The receive-side table of one (geometry, theta_hat, beta) that every
+    user and trial reads (``estimator_bundle``): the row-wise LS fit of a
+    pilot region on the Doppler-free template 1 (x) p (module docstring)
+    over its V virtual slots (``build_bem_regressor``), and the solve matrix
+    E = (C^-1 (x) I_beta) blockdiag(R_j^-1) from a projection w to the
+    coefficients.  Its row bases take about 20 KB at the default geometry,
+    where a table of rotations would take G*N*L_p phases."""
 
-    row_basis: np.ndarray = field(repr=False)   # (N, L_p, beta) Q_j[n, k] at [n, j, k]
-    _solve: np.ndarray = field(repr=False)      # (L_p*beta, L_p*beta) E
+    bem: np.ndarray = field(repr=False)           # (N, L_p, beta) basis values
+    scan_basis: np.ndarray = field(repr=False)    # (V, L_p, beta) Q_j rows per virtual slot
+    scan_index: np.ndarray = field(repr=False)    # (V, L_p) region index per virtual slot
+    row_kappa: np.ndarray = field(repr=False)     # (L_p,) kappa of each row at virtual slot 0
+    _solve: np.ndarray = field(repr=False)        # (L_p*beta, L_p*beta) E
 
-    def slot_sums(self, z_batch: np.ndarray) -> np.ndarray:
-        """The projections w[j, k] = sum_n Q_j[n, k] z[n, j] of the rows z of
-        z_batch (each N*L_p samples in region order), as (rows, L_p*beta)."""
-        n, lp, beta = self.row_basis.shape
-        z = np.asarray(z_batch).reshape(-1, n, lp)
-        return np.einsum("bnj,njg->bjg", z, self.row_basis).reshape(z.shape[0], lp * beta)
+    def slot_rows(self, samples: np.ndarray) -> np.ndarray:
+        """(..., V, L_p*beta) slot rows Y[s, (j, k)] = Q_j[n, k] z[n, j] of
+        the regions z ``samples`` (..., N, L_p), sample (n, j) at its
+        virtual slot s, zero where a slot has no sample of row j; their sum
+        over s is the projection w."""
+        lead = samples.shape[:-2]
+        y = samples.reshape(lead + (-1,))[..., self.scan_index, np.newaxis] * self.scan_basis
+        return y.reshape(lead + (len(self.scan_index), -1))
 
     def cost_many(self, rows: np.ndarray) -> np.ndarray:
         """The lag coefficients of the CFO cost of a region that is a
         polynomial sum_k a^k z_k in the noise amplitude a, from its
-        (..., K, V, L_p*beta) slot rows Y_k (``CfoScan.slot_rows``): row i of
+        (..., K, V, L_p*beta) slot rows Y_k (``slot_rows``): row i of
         the (..., 2K - 1, V) result holds the c_d of the a^i term of
         g(eps) = Re sum_d c_d exp(-j Omega eps d), c_0 = rho[0] and
         c_d = 2 rho[d] for the lag sums rho[d] of sum over k + l = i of
@@ -352,19 +361,43 @@ class BemRegressor:
     def coeffs(self, z: np.ndarray) -> np.ndarray:
         """LS coefficient solve of one region z (N*L_p samples in region
         order), or of each row of a (lanes, N*L_p) stack, as one (L_p*beta,)
-        or (lanes, L_p*beta) array: one solve per region, each as it would
-        be alone."""
+        or (lanes, L_p*beta) array: E times the projection w, the slot rows
+        summed over the slots as one (1, V) @ (V, beta) product per region
+        and delay row; each region as it would be alone."""
         z = np.asarray(z)
-        return self.solve(self.slot_sums(z)[:, np.newaxis]).reshape(z.shape[:-1] + (-1,))
+        regions = z.reshape(-1, z.shape[-1])[:, self.scan_index]      # (lanes, V, L_p)
+        w = regions.swapaxes(1, 2)[:, :, np.newaxis] @ self.scan_basis.transpose(1, 0, 2)
+        return self.solve(w.reshape(len(regions), 1, -1)).reshape(z.shape[:-1] + (-1,))
 
 
-def build_bem_regressor(p: np.ndarray, bem: np.ndarray) -> BemRegressor:
-    """Factorize the regressor of the template 1 (x) p on the basis ``bem``
-    (N, L_p, beta) row by row: one stacked QR of the L_p row matrices B_j,
-    the rank checks of R_j and of the pilot circulant C through its
-    eigenvalues FFT(p), and E[(l, g), (j, k)] = C^-1[l, j] R_j^-1[g, k]."""
-    p = np.asarray(p)
-    n_slots, lp, beta = bem.shape
+def build_bem_regressor(p: np.ndarray, kappa: np.ndarray, beta: int, m: int,
+                        n_s: int) -> BemRegressor:
+    """The ``BemRegressor`` of the template 1 (x) p on the basis of order
+    ``beta`` (``build_bem_basis``) at the (N, L_p) region sample indices
+    ``kappa`` of a frame of ``n_s`` samples and M = ``m`` delay bins.
+
+    The fit is factorized row by row: one stacked QR of the L_p row matrices
+    B_j, the rank checks of R_j and of the pilot circulant C through its
+    eigenvalues FFT(p), and E[(l, g), (j, k)] = C^-1[l, j] R_j^-1[g, k].
+
+    The row bases are then laid out over the virtual slots.  Slot n of the
+    region lies M samples after slot 0, except where the frame CP wraps it:
+    kappa[n, j] = kappa[0, j] + s[n, j] M with the virtual slot s = n, or
+    n - N for a sample that wrapped to the frame head (the tail of slot
+    N - 1 at theta_hat >= 1 at the default geometry).  The V virtual slots
+    run from the least s to the greatest, and the CFO rotation of sample
+    (n, j) factors as exp(-j 2 pi eps kappa[n, j] / N_s) =
+    exp(-j 2 pi eps row_kappa[j] / N_s) exp(-j Omega eps s), with s counted
+    from the first virtual slot, row_kappa the kappa of that slot, and
+    Omega = 2 pi M / N_s.  Row s of ``scan_basis`` holds the row bases
+    Q_j[n, :] of the samples in virtual slot s, zero where that slot has no
+    sample, and ``scan_index`` the flat region index of each (that of a hole
+    is 0, its basis being 0).  Without a wrap the virtual slots are the
+    slots and ``scan_index`` is the identity.
+    """
+    p, kappa = np.asarray(p), np.asarray(kappa)
+    bem = build_bem_basis(beta, kappa, n_s)
+    n_slots, lp = kappa.shape
     if p.shape != (lp,):
         raise ConfigError("basis grid does not match the pilot row")
     n_rows, n_cols = n_slots * lp, lp * beta
@@ -388,8 +421,16 @@ def build_bem_regressor(p: np.ndarray, bem: np.ndarray) -> BemRegressor:
     j = np.arange(lp)
     c_inv = np.fft.ifft(1.0 / eig)[(j[:, np.newaxis] - j) % lp]   # [l, j]
     solve = np.einsum("lj,jgk->lgjk", c_inv, np.linalg.inv(r_rows))
-    return BemRegressor(row_basis=np.ascontiguousarray(q_rows.transpose(1, 0, 2)),
-                        _solve=solve.reshape(n_cols, n_cols))
+    slot = (kappa - kappa[0]) // m
+    first = int(slot.min())
+    row, col = slot - first, np.broadcast_to(j, slot.shape)
+    v = int(row.max()) + 1              # V virtual slots, so V lags 0 .. V - 1
+    scan_basis = np.zeros((v, lp, beta))
+    scan_basis[row, col] = q_rows.transpose(1, 0, 2)
+    scan_index = np.zeros((v, lp), dtype=np.intp)
+    scan_index[row, col] = np.arange(n_rows).reshape(n_slots, lp)
+    return BemRegressor(bem=bem, scan_basis=scan_basis, scan_index=scan_index,
+                        row_kappa=kappa[0] + first * m, _solve=solve.reshape(n_cols, n_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +447,7 @@ def cfo_cost(rbar: np.ndarray, regressor: BemRegressor, kappa: np.ndarray,
              eps: float, n_s: int) -> float:
     """Projection cost g(eps) = || proj_G( Phi^H(eps) rbar ) ||^2 (real, >= 0)."""
     z = np.conj(cfo_phase(kappa.ravel(), eps, n_s)) * np.asarray(rbar).ravel()
-    w = regressor.slot_sums(z)
+    w = regressor.slot_rows(z.reshape(regressor.bem.shape[:2])).sum(axis=0)
     return float(np.vdot(w, w).real)
 
 
@@ -474,8 +515,6 @@ class CfoEstimate:
 
 def cfo_grid(cfo_range: float, cfo_step: float) -> np.ndarray:
     """Symmetric whole multiples of cfo_step, including 0, within +-cfo_range."""
-    if cfo_range <= 0 or cfo_step <= 0:
-        raise ConfigError("cfo_range and cfo_step must be > 0")
     ratio = cfo_range / cfo_step
     k = round(ratio)
     whole = math.isclose(ratio, k, rel_tol=1e-9)
@@ -497,78 +536,23 @@ def lag_phasors(eps, lag_turns: np.ndarray) -> np.ndarray:
     return np.exp(eps * lag_turns).view(np.float64)
 
 
-# as large as the bundle cache (``_cached_bundle``), so that the bundles it
-# holds share one copy per lag count
+# as large as the table cache (``_cached_bundle``), so that the tables it
+# holds share one copy per lag count and grid
 @functools.lru_cache(maxsize=256)
 def lag_tables(lags: int, m: int, n_s: int, cfo_range: float,
-               cfo_step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               cfo_step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The read-only tables of a CFO search over ``lags`` slot lags d at the
-    slot frequency Omega = 2 pi M / N_s: the (V,) lag turns j Omega d, the
-    (3, V) factors [1, -j Omega d, -(Omega d)^2] that take the lag
-    coefficients of g to those of g, g' and g'', and the (2V, G)
+    slot frequency Omega = 2 pi M / N_s: the (G,) ``cfo_grid``, the (V,) lag
+    turns j Omega d, the (3, V) factors [1, -j Omega d, -(Omega d)^2] that
+    take the lag coefficients of g to those of g, g' and g'', and the (2V, G)
     ``lag_phasors`` of the grid, one column per grid point."""
+    grid = cfo_grid(cfo_range, cfo_step)
     turns = 2j * np.pi * m / n_s * np.arange(lags)
     derivs = np.stack([np.ones(lags), -turns, turns * turns])
-    grid = cfo_grid(cfo_range, cfo_step)[:, np.newaxis]
-    grid = np.ascontiguousarray(lag_phasors(grid, turns).T)
-    for table in (turns, derivs, grid):
+    phasors = np.ascontiguousarray(lag_phasors(grid[:, np.newaxis], turns).T)
+    for table in (grid, turns, derivs, phasors):
         table.flags.writeable = False
-    return turns, derivs, grid
-
-
-@dataclass(frozen=True)
-class CfoScan:
-    """The per-region tables of the CFO search (``cfo_scan``): the row bases
-    and the flat region index of each virtual slot, the kappa of each row at
-    virtual slot 0, and the shared ``lag_tables``."""
-
-    scan_basis: np.ndarray          # (V, L_p, beta) row basis per virtual slot
-    scan_index: np.ndarray          # (V, L_p) region index per virtual slot
-    row_kappa: np.ndarray           # (L_p,) kappa of each row at virtual slot 0
-    lag_turns: np.ndarray           # (V,) j Omega d per lag d
-    lag_derivs: np.ndarray          # (3, V) factors of g, g' and g'' per lag
-    grid_phasors: np.ndarray        # (2V, G) ``lag_phasors`` of the grid
-
-    def slot_rows(self, samples: np.ndarray) -> np.ndarray:
-        """(..., V, L_p*beta) slot rows Y[s, (j, k)] = Q_j[n, k] z[n, j] of
-        the regions z ``samples`` (..., N, L_p), sample (n, j) at its
-        virtual slot s, zero where a slot has no sample of row j."""
-        lead = samples.shape[:-2]
-        y = samples.reshape(lead + (-1,))[..., self.scan_index, np.newaxis] * self.scan_basis
-        return y.reshape(lead + (len(self.scan_index), -1))
-
-
-def cfo_scan(kappa: np.ndarray, row_basis: np.ndarray, cfo_range: float, cfo_step: float,
-             m: int, n_s: int) -> CfoScan:
-    """The ``CfoScan`` of a region at ``kappa`` with the row bases
-    ``row_basis``.
-
-    Slot n of the region lies M samples after slot 0, except where the frame
-    CP wraps it: kappa[n, j] = kappa[0, j] + s[n, j] M with the virtual slot
-    s = n, or n - N for a sample that wrapped to the frame head (the tail of
-    slot N - 1 at theta_hat >= 1 at the default geometry).  The V virtual
-    slots run from the least s to the greatest, and the CFO rotation of
-    sample (n, j) factors as exp(-j 2 pi eps kappa[n, j] / N_s) =
-    exp(-j 2 pi eps row_kappa[j] / N_s) exp(-j Omega eps s), with s counted
-    from the first virtual slot, row_kappa the kappa of that slot, and
-    Omega = 2 pi M / N_s.  Row s of ``scan_basis`` holds the row bases
-    Q_j[n, :] of the samples in virtual slot s, zero where that slot has no
-    sample, and ``scan_index`` the flat region index of each (that of a hole
-    is 0, its basis being 0).  Without a wrap the virtual slots are the slots
-    and ``scan_index`` is the identity.
-    """
-    kappa = np.asarray(kappa)
-    n_slots, lp = kappa.shape
-    slot = (kappa - kappa[0]) // m
-    first = int(slot.min())
-    row, col = slot - first, np.broadcast_to(np.arange(lp), slot.shape)
-    v = int(row.max()) + 1              # V virtual slots, so V lags 0 .. V - 1
-    scan_basis = np.zeros((v,) + row_basis.shape[1:])
-    scan_basis[row, col] = row_basis
-    scan_index = np.zeros((v, lp), dtype=np.intp)
-    scan_index[row, col] = np.arange(n_slots * lp).reshape(n_slots, lp)
-    return CfoScan(scan_basis, scan_index, kappa[0] + first * m,
-                   *lag_tables(v, m, n_s, cfo_range, cfo_step))
+    return grid, turns, derivs, phasors
 
 
 def at_amplitude(rows: np.ndarray, amplitude: float) -> np.ndarray:
@@ -582,23 +566,25 @@ def at_amplitude(rows: np.ndarray, amplitude: float) -> np.ndarray:
     return value
 
 
-def estimate_cfo(samples: np.ndarray, bundle: EstimatorBundle, cfg: SystemConfig,
+def estimate_cfo(samples: np.ndarray, bundle: BemRegressor, cfg: SystemConfig,
                  amplitudes=(0.0,)) -> list[CfoEstimate]:
-    """The CFO search of a pilot region in the frame of the bundle's
+    """The CFO search of a pilot region in the frame of the table's
     template (``derotate``), kept as a polynomial in the noise amplitude a
     (row k of the (K, N, L_p) ``samples`` the coefficient of a^k), at each a
     in ``amplitudes`` (a lane), one ``CfoEstimate`` per lane: coarse scan of the
-    projection cost over the bundle's grid, Newton refinement on [best grid
+    projection cost over the config's grid, Newton refinement on [best grid
     point +- cfo_step] within +-cfo_range (stopping at steps below
     NEWTON_STEP_FRAC * cfo_tol), then the LS coefficient solve at the
-    winning offset.  An (S, K, N, L_p) ``samples`` stacks S such regions
-    (streams), and ``amplitudes`` then holds the same number of lanes for
-    each stream, stream by stream; the estimates come in that order.
+    winning offset, all on the table ``bundle`` (``estimator_bundle``) and
+    the ``lag_tables`` of its V slots.  An (S, K, N, L_p) ``samples`` stacks
+    S such regions (streams), and ``amplitudes`` then holds the same number
+    of lanes for each stream, stream by stream; the estimates come in that
+    order.
 
     All three read the slot rows Y[s, (j, k)] = Q_j[n, k] rbar[n, j] at
-    virtual slot s (``CfoScan.slot_rows``).  The rotation of a sample
-    factors into a row phase and exp(-j Omega eps s) (``cfo_scan``), so the
-    projection of the rotated region is
+    virtual slot s (``BemRegressor.slot_rows``).  The rotation of a sample
+    factors into a row phase and exp(-j Omega eps s) (``build_bem_regressor``),
+    so the projection of the rotated region is
     w[j, k] = exp(-j 2 pi eps row_kappa[j] / N_s) sum_s exp(-j Omega eps s) Y[s, j, k].
     The row phase has modulus 1 and drops out of ||w||^2, so the cost is
     exactly g(eps) = sum_(j, k) |sum_s exp(-j Omega eps s) Y[s, j, k]|^2
@@ -619,22 +605,21 @@ def estimate_cfo(samples: np.ndarray, bundle: EstimatorBundle, cfg: SystemConfig
     Every product is one stacked call with a slice per stream, which gives
     each lane the arithmetic of its stream searched alone.
     """
-    if cfg.cfo_tol <= 0:
-        raise ConfigError("cfo_tol must be > 0")
-    grid, scan = bundle.grid, bundle.scan
+    grid, turns, lag_derivs, grid_phasors = lag_tables(
+        len(bundle.scan_index), cfg.m, cfg.n_s, cfg.cfo_range, cfg.cfo_step)
     regions = np.asarray(samples)
     regions = regions.reshape((-1,) + regions.shape[-3:])
-    rows = scan.slot_rows(regions)                          # (S, K, V, L_p*beta)
-    lag_rows = bundle.regressor.cost_many(rows)             # (S, 2K - 1, V)
+    rows = bundle.slot_rows(regions)                        # (S, K, V, L_p*beta)
+    lag_rows = bundle.cost_many(rows)                       # (S, 2K - 1, V)
     a = np.array([float(amplitude) for amplitude in amplitudes]).reshape(len(regions), -1, 1)
     lags = (a ** np.arange(lag_rows.shape[1])) @ lag_rows.view(np.float64)   # (S, lanes, 2V)
-    costs = (lags @ scan.grid_phasors).reshape(-1, grid.size)
+    costs = (lags @ grid_phasors).reshape(-1, grid.size)
     best = np.argmax(costs, axis=-1).tolist()
-    derivs = (lags.view(np.complex128)[..., np.newaxis, :] * scan.lag_derivs).view(np.float64)
+    derivs = (lags.view(np.complex128)[..., np.newaxis, :] * lag_derivs).view(np.float64)
     eps_hat = []
     for lane_derivs, lane_costs, b in zip(derivs.reshape(len(best), 3, -1), costs, best):
         def cost_derivatives(eps, lane_derivs=lane_derivs):
-            g, g1, g2 = (lane_derivs @ lag_phasors(eps, scan.lag_turns)).tolist()
+            g, g1, g2 = (lane_derivs @ lag_phasors(eps, turns)).tolist()
             return g, g1, g2
 
         eps_c = float(grid[b])
@@ -646,11 +631,11 @@ def estimate_cfo(samples: np.ndarray, bundle: EstimatorBundle, cfg: SystemConfig
     eps = np.array(eps_hat).reshape(a.shape[:2])
     # each lane's exp(-j Omega eps s) over the slots, (K, S, lanes, L_p*beta)
     # products summed at its a, then the row phases
-    weights = np.exp(-eps[..., np.newaxis] * scan.lag_turns)
+    weights = np.exp(-eps[..., np.newaxis] * turns)
     w = at_amplitude((weights[:, np.newaxis] @ rows).swapaxes(0, 1), a)
-    w = w.reshape(eps.shape + scan.scan_basis.shape[1:])
-    w *= np.exp(-2j * np.pi / cfg.n_s * np.multiply.outer(eps, scan.row_kappa))[..., np.newaxis]
-    c_hat = bundle.regressor.solve(w.reshape(eps.shape + (-1,))).reshape(len(best), -1)
+    w = w.reshape(eps.shape + bundle.scan_basis.shape[1:])
+    w *= np.exp(-2j * np.pi / cfg.n_s * np.multiply.outer(eps, bundle.row_kappa))[..., np.newaxis]
+    c_hat = bundle.solve(w.reshape(eps.shape + (-1,))).reshape(len(best), -1)
     h_hat = reconstruct_channel(c_hat, bundle.bem)
     return [CfoEstimate(epsilon_hat=eps, grid=grid, cost_curve=lane_costs, c_hat=c, h_hat=h)
             for eps, lane_costs, c, h in zip(eps_hat, costs, c_hat, h_hat)]
@@ -680,62 +665,27 @@ def reconstruct_channel(c_hat: np.ndarray, bem: np.ndarray) -> np.ndarray:
 # per-user pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EstimatorBundle:
-    """Receive-side quantities fixed by (config, theta, beta) and shared by
-    all users: the basis, the row-wise regressor of the Doppler-free
-    template 1 (x) p (module docstring; every user's region fits it after
-    ``derotate``), the coarse CFO grid, and the CFO search through the row
-    sums (``scan``), which is built on first read, so a bundle that only
-    fits (the absorbed baseline's) never builds it.
-
-    The search reads the region as its slot rows over the V virtual slots
-    (``cfo_scan``): the row bases and the region index of each virtual
-    slot, about 20 KB at the default geometry, where a table of rotations
-    would take G*N*L_p phases; the lag turns, derivative factors and grid
-    phasors are shared through ``lag_tables``.  The scan, the Newton
-    refinement and the LS solve all read the one set of slot rows
-    (``estimate_cfo``).  Cached across trials because none of them depends
-    on the received samples."""
-
-    bem: np.ndarray                 # (N, L_p, beta) basis values
-    regressor: BemRegressor
-    grid: np.ndarray                # (G,) coarse CFO search points
-    kappa: np.ndarray               # (N, L_p) sample indices of the region
-    cfg: SystemConfig               # the geometry and the CFO search range
-
-    @functools.cached_property
-    def scan(self) -> CfoScan:
-        cfg = self.cfg
-        return cfo_scan(self.kappa, self.regressor.row_basis, cfg.cfo_range, cfg.cfo_step,
-                        cfg.m, cfg.n_s)
-
-
 def estimator_bundle(cfg: SystemConfig, theta: int,
-                     beta: int | None = None) -> EstimatorBundle:
-    """The bundle of ``cfg`` at timing offset ``theta`` and basis order
-    ``beta`` (default ``cfg.beta``), fitted to the config's PCP
-    (``pilot.make_pcp(zc_len, zc_root, pilot_power_db)``)."""
-    # cached on every field the bundle reads: the user count, the pilot
-    # Doppler offset and the SNR are left out, as every user fits the
-    # Doppler-free template
+                     beta: int | None = None) -> BemRegressor:
+    """The table (``BemRegressor``) of ``cfg`` at timing offset ``theta``
+    and basis order ``beta`` (default ``cfg.beta``), fitted to the config's
+    PCP (``pilot.make_pcp(zc_len, zc_root, pilot_power_db)``), built once
+    and read by every user and trial."""
+    # cached on every field the table reads: the user count, the pilot
+    # Doppler offset, the SNR and the CFO grid (``lag_tables``) are left out
     return _cached_bundle(cfg.m, cfg.n, cfg.cp_len, cfg.zc_len, cfg.zc_root,
-                          cfg.pilot_power_db, cfg.anchor, cfg.cfo_range, cfg.cfo_step,
+                          cfg.pilot_power_db, cfg.anchor,
                           cfg.beta if beta is None else beta, int(theta))
 
 
 @functools.lru_cache(maxsize=256)
-def _cached_bundle(m, n, cp_len, zc_len, zc_root, pilot_power_db, anchor, cfo_range,
-                   cfo_step, beta, theta) -> EstimatorBundle:
+def _cached_bundle(m, n, cp_len, zc_len, zc_root, pilot_power_db, anchor, beta,
+                   theta) -> BemRegressor:
     cfg = SystemConfig(m=m, n=n, cp_len=cp_len, zc_len=zc_len, zc_root=zc_root,
-                       pilot_power_db=pilot_power_db, pilot_anchor=anchor,
-                       cfo_range=cfo_range, cfo_step=cfo_step)
-    kappa = pilot.region_kappa(cfg, theta)
-    bem = build_bem_basis(beta, kappa, cfg.n_s)
+                       pilot_power_db=pilot_power_db, pilot_anchor=anchor)
     pcp = pilot.make_pcp(zc_len, zc_root, pilot_power_db)
-    regressor = build_bem_regressor(pilot.region_pilot(cfg, pcp), bem)
-    return EstimatorBundle(bem=bem, regressor=regressor, grid=cfo_grid(cfo_range, cfo_step),
-                           kappa=kappa, cfg=cfg)
+    return build_bem_regressor(pilot.region_pilot(cfg, pcp), pilot.region_kappa(cfg, theta),
+                               beta, m, cfg.n_s)
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,19 @@ delay-time template over the serialized stream, one (N, M, span) window
 einsum; ``sync.timing_correlate`` correlates with the PCP alone.
 ``regressor_matrix`` builds the dense (N*L_p, L_p*beta) LS regressor G of a
 pilot template, and ``DenseRegressor`` projects through the orthonormal
-factor Q of its pivoted QR; ``sync.BemRegressor`` fits the Doppler-free
-template one delay row at a time and never forms G.  ``bundle_template``
-is that template, user 0's modulated-frame template de-rotated by its slot
-phase.
+factor Q of its pivoted QR; ``sync.BemRegressor``, the one table per
+(geometry, theta_hat, beta) that ``sync.estimator_bundle`` returns, fits
+the Doppler-free template one delay row at a time over the region's
+virtual slots and never forms G.  ``bundle_template`` is that template,
+user 0's modulated-frame template de-rotated by its slot phase.
 ``estimate_cfo_exact`` refines the CFO by Newton steps on the exact cost
 derivatives, each one (3, N*L_p) product with Q, and solves the LS fit
 through ``DenseRegressor.coeffs``; ``sync.estimate_cfo`` reads both from the
-slot-lag correlations of its coarse scan.
+slot-lag correlations of the table's slot rows.
 ``own_bundle_back_end`` fits one user's received region on a dense
 regressor factorized on that user's own pilot template, with a dense scan,
 exact Newton and the ``coeffs`` solve; ``sync.synchronize_user`` and
-``harness.absorbed_channel_fit`` share one bundle across users and
+``harness.absorbed_channel_fit`` share one table across users and
 de-rotate each user's region to its Doppler-free template.
 ``front_end_chain`` separates and correlates one received stream by the
 per-stream chain: CP removal, the filter bank and the PCP correlation.
@@ -101,7 +102,7 @@ def regressor_matrix(sbar, bem):
 
 
 def bundle_template(cfg, pcp):
-    """(N, L_p) Doppler-free template 1 (x) p that every bundle fits: user 0's
+    """(N, L_p) Doppler-free template 1 (x) p that every table fits: user 0's
     modulated-frame template de-rotated by its slot phase."""
     return np.conj(pilot.slot_phase(cfg, 0))[:, None] * pilot_region_ref(cfg, pcp, 0)
 
@@ -131,7 +132,8 @@ class DenseRegressor:
 
 
 def dense_regressor(bundle, cfg, pcp):
-    """The dense regressor of a bundle of ``cfg``: its template on its basis."""
+    """The dense regressor of a table of ``cfg`` (``sync.estimator_bundle``):
+    its template on its basis."""
     return DenseRegressor(bundle_template(cfg, pcp), bundle.bem)
 
 

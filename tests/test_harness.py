@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import replace
 
@@ -52,6 +53,19 @@ def test_negative_trial_index_is_a_config_error():
         harness.run_trial(cfg, -1)
     with pytest.raises(ConfigError, match="trial index"):
         harness.draw_trial(cfg, -1)
+
+
+@pytest.mark.parametrize("overrides", [{"cfo_tol": 0.0}, {"cp_len": 2}])
+def test_an_invalid_config_fails_where_the_trial_starts(overrides):
+    # the config check runs once per draw, before anything is drawn: a zero
+    # CFO tolerance raises instead of failing each user's search, and a CP
+    # shorter than theta_max raises the CP rule, not a CP-removal error
+    cfg = SystemConfig(**overrides)
+    message = "\n  ".join(cfg.violations())
+    assert message
+    for run in (harness.run_trial, harness.draw_trial):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run(cfg, 0)
 
 
 def test_trial_determinism():
@@ -571,24 +585,6 @@ def test_a_repeated_snr_point_gives_equal_records():
     assert equal_tables(tables[0], tables[1])
     alone = harness.run_point([(cfgs[0], None), (cfgs[2], None)], 3)
     assert equal_tables(tables[0], alone[0]) and equal_tables(tables[2], alone[1])
-
-
-def test_absorbed_fit_builds_no_cfo_scan(monkeypatch):
-    # the absorbed baseline's bundles only fit: the CFO scan is built for the
-    # bundles that the searches read and for no other (test_golden_records
-    # pins the absorbed records themselves)
-    scans = []
-    cfo_scan = sync.cfo_scan
-    monkeypatch.setattr(sync, "cfo_scan", lambda *args: scans.append(args) or cfo_scan(*args))
-    sync._cached_bundle.cache_clear()
-    cfg = SystemConfig(num_users=2, channel_model="eva-bem", snr_db=20.0).validate()
-    records, _ = harness.run_trial(cfg, 0, cfo_value=0.3, absorbed=True)
-    assert not any(rec.failed for rec in records)
-    assert harness.absorbed_beta(cfg) != cfg.beta
-    assert len(scans) == len({rec.theta_first for rec in records})
-    for rec in records:
-        fit = sync.estimator_bundle(cfg, rec.theta_first, beta=harness.absorbed_beta(cfg))
-        assert "scan" not in vars(fit)
 
 
 def test_front_end_is_shared_only_by_a_draw_that_serves_several_points(monkeypatch):

@@ -355,7 +355,20 @@ def test_region_kappa_is_the_bundle_kappa(theta):
     cfg = paper_config(num_users=1)
     kappa = pilot.region_kappa(cfg, theta)
     assert np.array_equal(kappa, cfg.cp_len + pilot.region_index(cfg, theta))
-    assert np.array_equal(kappa, sync.estimator_bundle(cfg, theta).kappa)
+    table = sync.estimator_bundle(cfg, theta)
+    assert np.array_equal(table.bem, sync.build_bem_basis(cfg.beta, kappa, cfg.n_s))
+    # sample (n, j) sits in virtual slot s at kappa = row_kappa[j] + s M, and
+    # the slot's region index reads it back
+    slot, rest = np.divmod(kappa - table.row_kappa, cfg.m)
+    assert not rest.any() and slot.min() == 0
+    col = np.broadcast_to(np.arange(cfg.zc_len), kappa.shape)
+    flat = np.arange(kappa.size).reshape(kappa.shape)
+    assert np.array_equal(table.scan_index[slot, col], flat)
+    assert np.array_equal(kappa.ravel()[table.scan_index[slot, col]], kappa)
+    # a virtual slot without a sample of row j has a zero basis there
+    hole = np.ones(table.scan_index.shape, dtype=bool)
+    hole[slot, col] = False
+    assert not table.scan_basis[hole].any()
 
 
 def test_wrong_offset_decorrelates_region():
@@ -451,8 +464,7 @@ def test_static_channel_ls_recovery():
     # beta = 1: LS recovery of static taps through the shifted-pilot dictionary
     cfg = paper_config(num_users=1, nu_max_t=0.0, bem_order=1)
     pcp, sbar, kappa = region_fixture(cfg)
-    bem = sync.build_bem_basis(1, kappa, cfg.n_s)
-    reg = sync.build_bem_regressor(pilot.region_pilot(cfg, pcp), bem)
+    reg = sync.build_bem_regressor(pilot.region_pilot(cfg, pcp), kappa, 1, cfg.m, cfg.n_s)
     rng = np.random.default_rng(21)
     taps = rng.standard_normal(cfg.zc_len) + 1j * rng.standard_normal(cfg.zc_len)
     rx = np.zeros((cfg.n, cfg.zc_len), dtype=complex)
@@ -465,17 +477,17 @@ def test_static_channel_ls_recovery():
 def test_zero_pilot_raises_rank_error():
     cfg = paper_config(num_users=1)
     _, _, kappa = region_fixture(cfg)
-    bem = sync.build_bem_basis(cfg.beta, kappa, cfg.n_s)
     with pytest.raises(EstimationError, match="rank"):
-        sync.build_bem_regressor(np.zeros(cfg.zc_len, complex), bem)
+        sync.build_bem_regressor(np.zeros(cfg.zc_len, complex), kappa, cfg.beta, cfg.m,
+                                 cfg.n_s)
 
 
 def test_underdetermined_regressor_raises():
     cfg = paper_config(num_users=1)
     pcp, _, kappa = region_fixture(cfg)
-    bem = sync.build_bem_basis(cfg.n + 1, kappa, cfg.n_s)
     with pytest.raises(EstimationError, match="underdetermined"):
-        sync.build_bem_regressor(pilot.region_pilot(cfg, pcp), bem)
+        sync.build_bem_regressor(pilot.region_pilot(cfg, pcp), kappa, cfg.n + 1, cfg.m,
+                                 cfg.n_s)
 
 
 def test_pilot_circulant_and_row_bases_are_well_conditioned():
@@ -537,13 +549,13 @@ def test_cost_matches_projection_matrix_oracle():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(22)
     region, bundle, g, _ = bem_exact_observation(cfg, rng, 0.2)
+    kflat = pilot.region_kappa(cfg, 0).ravel()
     proj = g @ np.linalg.inv(g.conj().T @ g) @ g.conj().T
     for eps in (-0.3, 0.0, 0.21):
-        phase = sync.cfo_phase(bundle.kappa.ravel(), eps, cfg.n_s)
+        phase = sync.cfo_phase(kflat, eps, cfg.n_s)
         z = np.conj(phase) * region.ravel()
         oracle = np.real(np.vdot(z, proj @ z))
-        got = sync.cfo_cost(region.ravel(), bundle.regressor,
-                            bundle.kappa.ravel(), eps, cfg.n_s)
+        got = sync.cfo_cost(region.ravel(), bundle, kflat, eps, cfg.n_s)
         assert abs(got - oracle) < 1e-10 * max(1.0, oracle)
 
 
@@ -551,12 +563,11 @@ def test_cost_nonnegative_and_phase_invariant():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(23)
     region, bundle, _, _ = bem_exact_observation(cfg, rng, 0.1)
-    reg = bundle.regressor
     rflat = region.ravel()
-    kflat = bundle.kappa.ravel()
-    base = sync.cfo_cost(rflat, reg, kflat, 0.07, cfg.n_s)
+    kflat = pilot.region_kappa(cfg, 0).ravel()
+    base = sync.cfo_cost(rflat, bundle, kflat, 0.07, cfg.n_s)
     assert base >= 0
-    rotated = sync.cfo_cost(np.exp(1j * 0.8) * rflat, reg, kflat, 0.07, cfg.n_s)
+    rotated = sync.cfo_cost(np.exp(1j * 0.8) * rflat, bundle, kflat, 0.07, cfg.n_s)
     assert abs(base - rotated) < 1e-9 * base
 
 
@@ -564,8 +575,8 @@ def test_cost_peak_captures_full_energy_at_truth():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(24)
     region, bundle, g, c = bem_exact_observation(cfg, rng, 0.14)
-    peak = sync.cfo_cost(region.ravel(), bundle.regressor,
-                         bundle.kappa.ravel(), 0.14, cfg.n_s)
+    peak = sync.cfo_cost(region.ravel(), bundle, pilot.region_kappa(cfg, 0).ravel(), 0.14,
+                         cfg.n_s)
     assert peak == pytest.approx(np.linalg.norm(g @ c) ** 2, rel=1e-10)
 
 
@@ -599,8 +610,8 @@ def test_estimate_cfo_cost_curve_maximum_at_estimate():
     rng = np.random.default_rng(27)
     region, bundle, _, _ = bem_exact_observation(cfg, rng, 0.33)
     est = search(region, bundle, cfg)
-    final = sync.cfo_cost(region.ravel(), bundle.regressor,
-                          bundle.kappa.ravel(), est.epsilon_hat, cfg.n_s)
+    final = sync.cfo_cost(region.ravel(), bundle, pilot.region_kappa(cfg, 0).ravel(),
+                          est.epsilon_hat, cfg.n_s)
     assert final >= est.cost_curve.max() - 1e-9 * final
     assert abs(est.epsilon_hat) <= cfg.cfo_range
 
@@ -626,9 +637,8 @@ def test_estimate_cfo_matches_fine_argmax_of_bracket(eps0, cfo_range):
     centre = est.grid[int(np.argmax(est.cost_curve))]
     lo = max(centre - cfg.cfo_step, -cfg.cfo_range)
     hi = min(centre + cfg.cfo_step, cfg.cfo_range)
-    pcp, _, _ = region_fixture(cfg)
-    target = fine_argmax(region, bundle.kappa, dense_regressor(bundle, cfg, pcp), lo, hi,
-                         cfg.n_s)
+    pcp, _, kappa = region_fixture(cfg)
+    target = fine_argmax(region, kappa, dense_regressor(bundle, cfg, pcp), lo, hi, cfg.n_s)
     if eps0 > cfo_range:
         assert target == hi == cfg.cfo_range
     else:
@@ -640,9 +650,9 @@ def test_cost_derivatives_match_central_differences():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(33)
     region, bundle, _, _ = bem_exact_observation(cfg, rng, 0.1)
-    _, sbar, _ = region_fixture(cfg)
-    rflat, kflat = region.ravel(), bundle.kappa.ravel()
-    cost = lambda e: sync.cfo_cost(rflat, bundle.regressor, kflat, e, cfg.n_s)
+    _, sbar, kappa = region_fixture(cfg)
+    rflat, kflat = region.ravel(), kappa.ravel()
+    cost = lambda e: sync.cfo_cost(rflat, bundle, kflat, e, cfg.n_s)
     dense = DenseRegressor(sbar, bundle.bem)
     h = 1e-4
     for eps in (-0.31, 0.02, 0.45):
@@ -720,40 +730,45 @@ def test_ls_residual_orthogonality():
     (region,), (estimate,) = sync.synchronize_user(front, 0, theta, [0])
     bundle = sync.estimator_bundle(cfg, theta)
     g = regressor_matrix(pilot_region_ref(cfg, pcp, 0), bundle.bem)
-    phase = sync.cfo_phase(bundle.kappa.ravel(), estimate.epsilon_hat, cfg.n_s)
+    phase = sync.cfo_phase(pilot.region_kappa(cfg, theta).ravel(), estimate.epsilon_hat,
+                           cfg.n_s)
     z = np.conj(phase) * region.ravel()
     residual = g.conj().T @ (z - g @ estimate.c_hat)
     assert np.linalg.norm(residual) < 1e-9 * np.linalg.norm(g.conj().T @ z)
 
 
-def test_estimator_bundle_cache_key_holds_the_grid():
-    # configs that differ only in cfo_step must not share a bundle, or the
-    # search would scan the grid of whichever config came first
+def test_configs_that_differ_in_the_grid_share_one_table():
+    # the table does not read the CFO grid, so configs that differ only in
+    # cfo_step share it, and each search scans the grid of its own config
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     coarse_cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3, cfo_step=0.1)
     _, _, kappa = region_fixture(cfg, theta=2)
-    fine = sync.estimator_bundle(cfg, 2)
-    assert sync.estimator_bundle(cfg, 2) is fine
-    coarse = sync.estimator_bundle(coarse_cfg, 2)
-    assert coarse is not fine
-    assert sync.estimator_bundle(coarse_cfg, 2) is coarse
+    table = sync.estimator_bundle(cfg, 2)
+    assert sync.estimator_bundle(coarse_cfg, 2) is table
+    rng = np.random.default_rng(49)
+    region = rng.standard_normal(kappa.shape) + 1j * rng.standard_normal(kappa.shape)
+    fine, coarse = (search(region, table, c) for c in (cfg, coarse_cfg))
+    for est, c, size in ((fine, cfg, 201), (coarse, coarse_cfg, 41)):
+        assert np.array_equal(est.grid, sync.cfo_grid(c.cfo_range, c.cfo_step))
+        assert est.grid.size == est.cost_curve.size == size
+    # every fifth fine point is a coarse point, at the same cost to rounding
+    assert np.allclose(fine.grid[::5], coarse.grid, rtol=0, atol=1e-15)
+    assert np.max(np.abs(fine.cost_curve[::5] - coarse.cost_curve)) <= (
+        1e-12 * np.max(coarse.cost_curve))
+    grid, turns, _, phasors = sync.lag_tables(len(table.scan_index), cfg.m, cfg.n_s,
+                                              cfg.cfo_range, cfg.cfo_step)
+    assert np.array_equal(phasors, sync.lag_phasors(grid[:, np.newaxis], turns).T)
+    # theta = 2 wraps the tail of the last slot to the frame head, virtual slot -1
+    slot = (kappa - kappa[0]) // cfg.m + 1
+    assert np.array_equal(table.row_kappa, kappa[0] - cfg.m)
+    # the row phase times the slot phase is the rotation of every sample
     kflat = kappa.ravel().astype(float)
-    for bundle, c in ((fine, cfg), (coarse, coarse_cfg)):
-        assert np.array_equal(bundle.grid, sync.cfo_grid(c.cfo_range, c.cfo_step))
-        scan = bundle.scan
-        phasors = sync.lag_phasors(bundle.grid[:, np.newaxis], scan.lag_turns)
-        assert np.array_equal(scan.grid_phasors, phasors.T)
-        # theta = 2 wraps the tail of the last slot to the frame head, virtual slot -1
-        slot = (kappa - kappa[0]) // c.m + 1
-        assert np.array_equal(scan.row_kappa, kappa[0] - c.m)
-        # the row phase times the slot phase is the rotation of every sample
-        for eps in (-0.37, 0.8):
-            phases = np.exp(-2j * np.pi * eps * kflat / c.n_s)
-            slot_phase = np.exp(-eps * scan.lag_turns)
-            row_phase = np.exp(-2j * np.pi * eps * scan.row_kappa / c.n_s)
-            factored = (slot_phase[slot] * row_phase).ravel()
-            assert np.max(np.abs(factored - phases)) <= 1e-13
-    assert (fine.grid.size, coarse.grid.size) == (201, 41)
+    for eps in (-0.37, 0.8):
+        phases = np.exp(-2j * np.pi * eps * kflat / cfg.n_s)
+        slot_phase = np.exp(-eps * turns)
+        row_phase = np.exp(-2j * np.pi * eps * table.row_kappa / cfg.n_s)
+        factored = (slot_phase[slot] * row_phase).ravel()
+        assert np.max(np.abs(factored - phases)) <= 1e-13
 
 
 @pytest.mark.parametrize("theta, overrides", [
@@ -770,7 +785,8 @@ def test_lag_scan_matches_dense_scan(theta, overrides):
     pcp, _, kappa = region_fixture(cfg, theta)
     bundle = sync.estimator_bundle(cfg, theta)
     kflat = kappa.ravel()
-    dense_phases = np.exp(-2j * np.pi * np.outer(bundle.grid, kflat) / cfg.n_s)
+    grid = sync.cfo_grid(cfg.cfo_range, cfg.cfo_step)
+    dense_phases = np.exp(-2j * np.pi * np.outer(grid, kflat) / cfg.n_s)
     dense = dense_regressor(bundle, cfg, pcp)
     rng = np.random.default_rng(41)
     for _ in range(5):
@@ -789,14 +805,15 @@ def test_cost_derivatives_of_the_lag_form_match_central_differences(theta):
     cfg = paper_config(num_users=4 if theta == 10 else 1, nu_max_t=1.0, bem_order=3)
     region, bundle, _, _ = bem_exact_observation(cfg, np.random.default_rng(theta), 0.1,
                                                  theta, noise=0.3)
-    rflat, kflat = region.ravel(), bundle.kappa.ravel()
-    scan = bundle.scan
-    lags = bundle.regressor.cost_many(scan.slot_rows(region[np.newaxis]))[0]
-    derivs = (lags * scan.lag_derivs).view(np.float64)
-    cost = lambda e: sync.cfo_cost(rflat, bundle.regressor, kflat, e, cfg.n_s)
+    rflat, kflat = region.ravel(), pilot.region_kappa(cfg, theta).ravel()
+    _, turns, lag_derivs, _ = sync.lag_tables(len(bundle.scan_index), cfg.m, cfg.n_s,
+                                              cfg.cfo_range, cfg.cfo_step)
+    lags = bundle.cost_many(bundle.slot_rows(region[np.newaxis]))[0]
+    derivs = (lags * lag_derivs).view(np.float64)
+    cost = lambda e: sync.cfo_cost(rflat, bundle, kflat, e, cfg.n_s)
     h = 1e-4
     for eps in (-0.913, -0.31, 0.0217, 0.455):
-        g, g1, g2 = derivs @ sync.lag_phasors(eps, scan.lag_turns)
+        g, g1, g2 = derivs @ sync.lag_phasors(eps, turns)
         assert g == pytest.approx(cost(eps), rel=1e-12)
         assert g1 == pytest.approx((cost(eps + h) - cost(eps - h)) / (2 * h), rel=1e-6)
         assert g2 == pytest.approx(
@@ -839,7 +856,7 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s):
         noise = 0.0 if abs(eps0) > cfg.cfo_range else 0.3
         region, bundle, _, _ = bem_exact_observation(cfg, rng, eps0, theta, noise=noise)
         est = search(region, bundle, cfg)
-        eps_hat, c_hat = estimate_cfo_exact(region, bundle.kappa,
+        eps_hat, c_hat = estimate_cfo_exact(region, pilot.region_kappa(cfg, theta),
                                             dense_regressor(bundle, cfg, pcp),
                                             cfg, est.cost_curve)
         assert abs(est.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
@@ -901,7 +918,7 @@ def test_estimate_cfo_allocates_less_than_the_dense_scan():
     finally:
         tracemalloc.stop()
     # the dense (G, N*L_p) rotated region alone would take this much
-    assert peak < bundle.grid.size * kappa.size * 16
+    assert peak < sync.cfo_grid(cfg.cfo_range, cfg.cfo_step).size * kappa.size * 16
 
 
 def test_timing_correlate_copies_the_windows_of_one_row_at_a_time():
@@ -939,7 +956,7 @@ def test_reconstruct_bem_exact_channel():
     cfg = paper_config(num_users=1, nu_max_t=1.0, bem_order=3)
     rng = np.random.default_rng(29)
     region, bundle, _, c = bem_exact_observation(cfg, rng, 0.0)
-    c_hat = bundle.regressor.coeffs(region.ravel())
+    c_hat = bundle.coeffs(region.ravel())
     h_hat = sync.reconstruct_channel(c_hat, bundle.bem)
     h_true = sync.reconstruct_channel(c, bundle.bem)
     assert np.max(np.abs(h_hat - h_true)) < 1e-8
@@ -961,14 +978,16 @@ def test_slot_projection_and_cost_curve_match_dense_q(num_users, theta, beta):
     dense = DenseRegressor(sbar, bundle.bem)
     rng = np.random.default_rng([theta, beta, num_users])
     z = rng.standard_normal((3, kappa.size)) + 1j * rng.standard_normal((3, kappa.size))
-    reg = bundle.regressor
     # the two bases differ, the squared norm of each projection does not
     want = np.sum(np.abs(dense.project(z)) ** 2, axis=1)
-    got = np.sum(np.abs(reg.slot_sums(z)) ** 2, axis=1)
+    w = bundle.slot_rows(z.reshape((-1,) + kappa.shape)).sum(axis=-2)
+    got = np.sum(np.abs(w) ** 2, axis=1)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
-    assert np.allclose(reg.coeffs(z[0]), dense.coeffs(z[0]), rtol=0, atol=1e-12 * np.max(
+    # the LS solve, at every theta, the wrapped ones too
+    assert np.allclose(bundle.coeffs(z[0]), dense.coeffs(z[0]), rtol=0, atol=1e-12 * np.max(
         np.abs(dense.coeffs(z[0]))))
-    rotations = np.exp(-2j * np.pi * np.outer(bundle.grid, kappa.ravel()) / cfg.n_s)
+    grid = sync.cfo_grid(cfg.cfo_range, cfg.cfo_step)
+    rotations = np.exp(-2j * np.pi * np.outer(grid, kappa.ravel()) / cfg.n_s)
     got = search(z[1].reshape(kappa.shape), bundle, cfg).cost_curve
     dense_curve = dense.cost_many(rotations * z[1])[0]
     assert np.max(np.abs(got - dense_curve)) <= 1e-13 * np.max(dense_curve)
@@ -984,17 +1003,16 @@ def test_cost_polynomial_is_quadratic_in_the_noise_amplitude():
     shape = (2, cfg.n, cfg.zc_len)
     samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     samples[0] *= 30.0
-    scan = bundle.scan
-    rows = scan.slot_rows(samples)
-    lags = bundle.regressor.cost_many(rows)
-    lag_count = len(scan.lag_turns)
+    rows = bundle.slot_rows(samples)
+    lags = bundle.cost_many(rows)
+    lag_count = len(bundle.scan_index)
     assert lags.shape == (3, lag_count) and rows.shape == (2, lag_count, cfg.zc_len * cfg.beta)
     for amplitude in (0.0, 0.05, math.sqrt(0.5), 3.0):
-        want = bundle.regressor.cost_many((rows[0] + amplitude * rows[1])[np.newaxis])[0]
+        want = bundle.cost_many((rows[0] + amplitude * rows[1])[np.newaxis])[0]
         got = lags[0] + amplitude * lags[1] + amplitude ** 2 * lags[2]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     for k in range(2):
-        alone = bundle.regressor.cost_many(scan.slot_rows(samples[k:k + 1]))[0]
+        alone = bundle.cost_many(bundle.slot_rows(samples[k:k + 1]))[0]
         assert np.max(np.abs(alone - lags[2 * k])) <= 1e-12 * np.max(np.abs(lags[2 * k]))
     # the coefficients are the slot-lag correlations of the rows
     y = rows[0] + 0.05 * rows[1]
@@ -1043,10 +1061,10 @@ def test_stacked_streams_search_as_each_stream_alone():
         for name in ("cost_curve", "c_hat", "h_hat"):
             assert np.array_equal(getattr(lane, name), getattr(alone, name))
     flat = samples.reshape(len(samples), -1)
-    coeffs = bundle.regressor.coeffs(flat)
+    coeffs = bundle.coeffs(flat)
     assert coeffs.shape == (len(samples), cfg.zc_len * cfg.beta)
     for z, c in zip(flat, coeffs):
-        assert np.array_equal(c, bundle.regressor.coeffs(z))
+        assert np.array_equal(c, bundle.coeffs(z))
 
 
 def test_pcp_toeplitz_is_built_once_contiguous_and_read_only():
