@@ -26,12 +26,25 @@ lane with a stream of its own, the rotated stream with its noise added,
 which the front end filters and correlates lane by lane.  A lone point is
 such a lane, unrotated.  The front end takes every (point, user)'s TO
 decision in one pass when the draw is made.  ``run_trial`` runs once per
-point, and the draw's first one scores every lane of it (``score_draw``):
-each user's CFO search runs once per theta_hat, for every lane that
-reaches that theta_hat at once, the absorbed baseline fits those lanes at
-once, and nothing of a user but its records is kept once they are
-filled.  The ``nu_max_t`` and ``pilot_power_db`` sweeps change the channel
-or the pilots, so each of their points has a draw of its own.
+point and trial.  The ``nu_max_t`` and ``pilot_power_db`` sweeps change
+the channel or the pilots, so each of their points has a draw of its own.
+
+The unit of scoring is a block of BLOCK_TRIALS consecutive trial indices,
+whose boundaries depend on the trial index alone (``run_point``).  The
+block's draws are made one at a time (``draw_block``), and of each only
+what scoring reads is kept (``ScoringInputs``): the TO decisions, each
+(user, theta_hat) group's de-rotated pilot regions and lane amplitudes
+(``sync.pilot_regions``), the truth's projection p = B^T h on the basis B
+of the table at that theta_hat and the truth energy ||h||^2.  The block's first
+``run_trial`` scores every lane of every draw of it (``score_block``): the
+back end (``sync.synchronize_user``) runs once per theta_hat over every
+draw, user and lane that reaches it, and the absorbed baseline fits the
+same lanes at once.  Each estimate is scored from its coefficients c in
+closed form, sum_l (c_l^H G c_l - 2 Re c_l^H p_l) + ||h||^2 with the
+table's Gram matrix G = B^T B (``channel_nmse``), so that no tap
+trajectory is built.  Every lane's arithmetic is that of the lane scored
+alone, so the records do not depend on the block size, nor on the worker
+count.
 """
 
 from __future__ import annotations
@@ -92,20 +105,37 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 def true_pilot_taps(paths: chan.PathSet, cfg: SystemConfig, theta: int) -> np.ndarray:
     """Ground-truth taps h[n, l, j] over the pilot region at true alignment,
-    C-contiguous, so that ``_nmse`` reads them without a copy."""
+    C-contiguous."""
     kappa = pilot.region_kappa(cfg, theta)
     return np.ascontiguousarray(paths.taps(kappa, cfg.zc_len).transpose(1, 0, 2))
 
 
-def _nmse(estimate: np.ndarray, truth: np.ndarray, energy: float | None = None) -> float:
-    """||estimate - truth||^2 / ||truth||^2, NaN for an all-zero truth.
-    ``energy``, if given, is ||truth||^2 as ``np.vdot(truth, truth).real``
-    makes it (``TrialDraw.truth_energy``)."""
-    denom = np.vdot(truth, truth).real if energy is None else energy
-    if denom == 0:
-        return math.nan
-    error = estimate - truth
-    return float(np.vdot(error, error).real / denom)
+def truth_projection(bem: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """p[l, g] = sum_(n, j) B[n, j, g] h[n, l, j], the projection of the
+    (N, L_p, L_p) truth taps h (``true_pilot_taps``) on the (N, L_p, beta)
+    basis B of a table, as (L_p, beta): one real (beta, N*L_p) @
+    (N*L_p, 2 L_p) product on the [Re, Im] interleaved taps."""
+    n, lp, beta = bem.shape
+    taps = np.ascontiguousarray(truth.transpose(0, 2, 1)).reshape(n * lp, lp)
+    return (bem.reshape(n * lp, beta).T @ taps.view(np.float64)).view(np.complex128).T
+
+
+def channel_nmse(c_hat: np.ndarray, gram: np.ndarray, proj: np.ndarray,
+                 energy: np.ndarray) -> np.ndarray:
+    """||B c - h||^2 / ||h||^2 of each lane, from its (L_p*beta,) basis
+    coefficients c (a row of ``c_hat``), the Gram matrix G = B^T B of the
+    table's basis (``sync.BemRegressor.gram``), the truth's projection
+    p = B^T h (``truth_projection``, a (lanes, L_p, beta) stack) and the
+    truth energy ||h||^2 (``energy``, one per lane), in closed form:
+
+        ||B c - h||^2 = sum_l (c_l^H G c_l - 2 Re c_l^H p_l) + ||h||^2,
+
+    the tap trajectories B c being those of ``sync.reconstruct_channel``.
+    One (L_p, beta) @ (beta, beta) product per lane; NaN for an all-zero
+    truth."""
+    c = c_hat.reshape(proj.shape)
+    error = np.einsum("plg,plg->p", c.conj(), c @ gram - 2.0 * proj).real + energy
+    return np.divide(error, energy, out=np.full(error.shape, math.nan), where=energy != 0)
 
 
 def absorbed_beta(cfg: SystemConfig) -> int:
@@ -118,22 +148,20 @@ def absorbed_beta(cfg: SystemConfig) -> int:
     return max(cfg.beta, min(BEM_ORDER_CAP, cfg.n, bound))
 
 
-def absorbed_channel_fit(regions: np.ndarray, cfg: SystemConfig, user: int,
-                         theta: int, beta: int) -> np.ndarray:
+def absorbed_channel_fit(regions, cfg: SystemConfig, theta: int, beta: int) -> np.ndarray:
     """Baseline fit with the CFO left inside the channel (search disabled):
     the LS solve of order ``beta`` (``absorbed_beta``) runs at zero offset
-    against the Doppler-free template 1 (x) p, on the user's (N, L_p) region
-    de-rotated by its own slot phase (``sync.derotate``), or on each region
-    of a (lanes, N, L_p) stack, which gives (lanes, N, L_p, L_p).  It reads
-    the table of order ``beta`` (``sync.estimator_bundle``), not the
-    search's.  At zero offset no rotation is needed, so the fit is the
-    regions' slot rows summed over the slots, one (L_p*beta)-square matrix
-    product per region (``BemRegressor.coeffs``) and one reconstruction of
-    them all."""
-    regressor = sync.estimator_bundle(cfg, theta, beta=beta)
-    samples = sync.derotate(regions, cfg, user)
-    c_hat = regressor.coeffs(samples.reshape(samples.shape[:-2] + (-1,)))
-    return sync.reconstruct_channel(c_hat, regressor.bem)
+    against the Doppler-free template 1 (x) p, on the region of each lane of
+    the ``sync.pilot_regions`` results ``regions`` (``sync.stack_regions``),
+    already de-rotated by its user's slot phase and read at its noise
+    amplitude (``sync.lane_regions``), as (lanes, L_p*beta) basis
+    coefficients.  It reads the table of order ``beta``
+    (``sync.estimator_bundle``), not the search's.  At zero offset no
+    rotation is needed, so the fit is the regions' slot rows summed over
+    the slots, one (L_p*beta)-square matrix product per region
+    (``sync.lane_coeffs``)."""
+    return sync.lane_coeffs(sync.estimator_bundle(cfg, theta, beta=beta),
+                            *sync.stack_regions(regions))
 
 
 @dataclass(frozen=True)
@@ -141,16 +169,16 @@ class TrialDraw:
     """Everything a trial draws: the realization, the noiseless receive
     stream of ``channel.apply_channel``, each user's ``true_pilot_taps`` at
     its true timing offset and their energy, which every point scores its
-    estimate against (``_nmse``), and the unit noise (``channel.unit_noise``)
-    that the draw scales to each point's SNR.
+    estimate against (``scoring_inputs``), and the unit noise
+    (``channel.unit_noise``) that the draw scales to each point's SNR.
 
     ``lanes`` holds the distinct (SNR, pinned CFO) of the points the draw
     serves, and ``front`` is the receive front end (``sync.front_end``)
     with lane p at ``lanes[p]``, which makes every point's TO decisions with
     the draw.  ``scored`` is empty until the draw's first ``run_trial``,
-    which scores every lane in one pass (``score_draw``) and keeps only each
-    lane's records and debug entries there, for the other points to read.
-    A pinned draw's realization has zero CFOs and ``rx`` is the zero-CFO
+    which reduces it to a block of one trial (``TrialBlock``) and keeps that
+    there, for the other points to read.  A pinned draw's realization has
+    zero CFOs and ``rx`` is the zero-CFO
     stream: a pinned CFO eps, the same for every user, is the rotation
     exp(j 2 pi eps kappa / N_s) of that stream, which ``draw_trial`` applies
     lane by lane.  So a pinned draw's realization depends neither on
@@ -229,83 +257,216 @@ def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
                      truth_energy=truth_energy, lanes=lanes, front=front)
 
 
-def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = None,
-              absorbed: bool = False, collect_debug: bool = False,
-              draw: TrialDraw | None = None):
-    """Run one end-to-end trial of one point; returns its Q records and its
-    debug entries.
+@dataclass(frozen=True)
+class PilotGroup:
+    """One user's lanes of a draw that reach one theta_hat, as scoring reads
+    them: the lanes' streams' de-rotated (S, K, N, L_p) pilot regions, each
+    lane's stream index into them and noise amplitude a (``regions``, of
+    ``sync.pilot_regions``), the user's truth energy ||h||^2, and the
+    truth's projection p = B^T h on the basis of the table at that
+    theta_hat (``truth_projection``): (L_p, beta) for the compensated
+    estimate, and per lane (lanes, L_p, absorbed beta) on the absorbed
+    baseline's basis, which compares its fit with the truth times the
+    lane's true CFO rotation, or None without the absorbed baseline."""
 
-    Per-user estimation failures become failed records, never exceptions.
-    ``cfo_value`` pins every user's CFO (the Doppler-sweep experiments draw
-    it instead); ``absorbed`` also evaluates the CFO-absorbed baseline.
-    Without ``draw`` the trial makes its own one-lane draw (``draw_trial``).
-
-    ``draw``, if given, is trial ``trial_index``'s draw for a config that
-    differs from ``cfg`` in ``snr_db`` alone (``draw_runs``), with a lane at
-    (cfg.snr_db, cfo_value).  The draw's first ``run_trial`` scores every
-    lane of it (``score_draw``), with that call's ``absorbed`` and
-    ``collect_debug``, and each call returns its own lane: the same to
-    rounding as the lone call if the lanes share one stream (an SNR
-    sweep's), and bit for bit if each lane has its own (a ``cfo_value``
-    sweep's)."""
-    if draw is None:
-        draw = draw_trial(cfg, trial_index, [(cfg.snr_db, cfo_value)])
-    if not draw.scored:
-        draw.scored.extend(score_draw(cfg, draw, absorbed, collect_debug))
-    return draw.scored[draw.lanes.index((cfg.snr_db, cfo_value))]
+    lanes: list[int]
+    regions: tuple[np.ndarray, np.ndarray, np.ndarray]
+    energy: float
+    proj: np.ndarray
+    proj_absorbed: np.ndarray | None
 
 
-def score_draw(cfg: SystemConfig, draw: TrialDraw, absorbed: bool,
-               collect_debug: bool) -> list[tuple[list[UserTrialRecord], list[dict]]]:
-    """Every lane of ``draw`` scored in one pass: (records, debug) by lane,
-    as ``run_trial`` returns them, ``cfg`` the geometry of every lane.
+@dataclass(frozen=True)
+class ScoringInputs:
+    """What scoring reads of trial ``trial``'s draw (``scoring_inputs``):
+    its lanes, each lane's Q records with the true timing offsets and CFOs
+    filled in, every (lane, user)'s TO decisions, the (user, theta_hat)
+    groups (``PilotGroup``) and, for a debug dump, the timing curves."""
 
-    Each user's lanes are grouped by theta_hat, or form one group at the
-    true offset under ``genie_to``.  A group is one ``sync.synchronize_user``
-    call and one absorbed fit of all its regions, and an ``OtfsyncError`` in
-    either marks every lane of the group failed; nothing of a user is kept
-    once its records are filled."""
+    trial: int
+    lanes: tuple[tuple[float, float | None], ...]
+    records: list[list[UserTrialRecord]]    # (P, Q)
+    first_peak: list[list[int]]             # (P, Q)
+    max_peak: list[list[int]]               # (P, Q)
+    groups: dict[tuple[int, int], PilotGroup]
+    curves: np.ndarray | None               # (P, Q, M) under a debug dump
+
+
+def scoring_inputs(cfg: SystemConfig, draw: TrialDraw, trial_index: int, absorbed: bool,
+                   debug: bool, bases: dict | None = None) -> ScoringInputs:
+    """The ``ScoringInputs`` of ``draw``, trial ``trial_index``'s: each
+    user's lanes are grouped by theta_hat, or form one group at the true
+    offset under ``genie_to``, and each group keeps its regions and the
+    truth's projections on the bases of the tables it is scored on.  The
+    bases are those of ``sync.estimator_bundle``, made here from the region's
+    sample indices (``sync.build_bem_basis``) rather than fetched with their
+    tables, so that each table is built by the back end that searches on it
+    and its build is timed with the scoring; ``bases`` holds them by
+    (theta_hat, beta) across the draws of a block."""
+    bases = {} if bases is None else bases
+
+    def basis(theta, beta):
+        if (theta, beta) not in bases:
+            bases[theta, beta] = sync.build_bem_basis(beta, pilot.region_kappa(cfg, theta),
+                                                      cfg.n_s)
+        return bases[theta, beta]
+
     realization, front = draw.realization, draw.front
     theta_true = realization.to.tolist()
     records = [[UserTrialRecord(user=q, theta_true=theta_true[q], eps_true=float(eps))
                 for q, eps in enumerate(realization.cfo if pinned is None
                                         else [pinned] * cfg.num_users)]
                for _, pinned in draw.lanes]
-    debug = [[] for _ in draw.lanes]
-    first, peak = front.to_estimate.first_peak.tolist(), front.to_estimate.max_peak.tolist()
+    first = front.to_estimate.first_peak
+    groups = {}
     for q in range(cfg.num_users):
-        truth, energy = draw.truth[q], draw.truth_energy[q]
-        groups = {}                     # theta_hat -> its lanes, ascending
-        for lane, row in enumerate(first):
-            groups.setdefault(theta_true[q] if cfg.genie_to else row[q], []).append(lane)
-        for theta, lanes in groups.items():
-            group = [records[lane][q] for lane in lanes]
-            try:
-                regions, estimates = sync.synchronize_user(front, q, theta, lanes)
-                for lane, record, estimate in zip(lanes, group, estimates):
-                    record.theta_first, record.theta_max = first[lane][q], peak[lane][q]
-                    record.eps_hat = estimate.epsilon_hat
-                    record.nmse = _nmse(estimate.h_hat, truth, energy)
-                if absorbed:
-                    fits = absorbed_channel_fit(regions, cfg, q, theta, absorbed_beta(cfg))
-                    kappa = pilot.region_kappa(cfg, theta_true[q])
-                    for record, h_abs in zip(group, fits):
-                        # the CFO-absorbed compound taps h[l, kappa] exp(j 2 pi eps kappa / N_s)
-                        phase = sync.cfo_phase(kappa, record.eps_true, cfg.n_s)
-                        record.nmse_absorbed = _nmse(h_abs, truth * phase[:, np.newaxis, :],
-                                                     energy)     # |phase| = 1
-                if collect_debug:
-                    for lane, estimate in zip(lanes, estimates):
-                        debug[lane].append({
-                            "user": q,
-                            "timing_metric": front.curves[lane, q].tolist(),
-                            "cfo_grid": estimate.grid.tolist(),
-                            "cfo_cost": estimate.cost_curve.tolist(),
-                        })
-            except OtfsyncError as exc:
-                for record in group:
-                    record.failed, record.error = True, str(exc)
-    return list(zip(records, debug))
+        truth = draw.truth[q]
+        thetas = np.full(len(draw.lanes), theta_true[q]) if cfg.genie_to else first[:, q]
+        for theta in dict.fromkeys(thetas.tolist()):
+            lanes = np.flatnonzero(thetas == theta)
+            proj_absorbed = None
+            if absorbed:
+                # the CFO-absorbed compound taps h[l, kappa] exp(j 2 pi eps kappa / N_s),
+                # one per distinct CFO of the lanes
+                kappa = pilot.region_kappa(cfg, theta_true[q])
+                bem = basis(theta, absorbed_beta(cfg))
+                eps = [records[lane][q].eps_true for lane in lanes]
+                by_eps = {value: truth_projection(
+                    bem, truth * sync.cfo_phase(kappa, value, cfg.n_s)[:, np.newaxis, :])
+                          for value in dict.fromkeys(eps)}
+                proj_absorbed = np.stack([by_eps[value] for value in eps])
+            groups[q, theta] = PilotGroup(
+                lanes=lanes.tolist(), regions=sync.pilot_regions(front, q, theta, lanes),
+                energy=draw.truth_energy[q], proj=truth_projection(basis(theta, cfg.beta), truth),
+                proj_absorbed=proj_absorbed)
+    return ScoringInputs(trial=trial_index, lanes=draw.lanes, records=records,
+                         first_peak=first.tolist(),
+                         max_peak=front.to_estimate.max_peak.tolist(), groups=groups,
+                         curves=front.curves if debug else None)
+
+
+@dataclass
+class TrialBlock:
+    """The scoring inputs of a block of trials' draws (``draw_block``), all
+    drawn for one config and lane table, and whether they hold what the
+    absorbed baseline and a debug dump read.  ``scored`` is empty until the
+    block's first ``run_trial``, which scores every lane of every draw in
+    one pass (``score_block``) and keeps each lane's records and debug
+    entries there, keyed by (trial, (snr_db, cfo_value)), for the other
+    points and trials to read."""
+
+    draws: list[ScoringInputs]
+    absorbed: bool
+    debug: bool
+    scored: dict = field(default_factory=dict, repr=False)
+
+
+def draw_block(cfg: SystemConfig, trials, lanes=None, *, absorbed: bool = False,
+               debug: bool = False) -> TrialBlock:
+    """The ``TrialBlock`` of trial indices ``trials``: each draw
+    (``draw_trial``, with the lanes ``lanes``) is made and reduced to its
+    ``scoring_inputs`` before the next is made."""
+    bases = {}
+    return TrialBlock(draws=[scoring_inputs(cfg, draw_trial(cfg, k, lanes), k, absorbed, debug,
+                                            bases) for k in trials],
+                      absorbed=absorbed, debug=debug)
+
+
+def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = None,
+              absorbed: bool = False, collect_debug: bool = False,
+              draw: TrialDraw | TrialBlock | None = None):
+    """Run one end-to-end trial of one point; returns its Q records and its
+    debug entries.
+
+    Per-user estimation failures become failed records, never exceptions.
+    ``cfo_value`` pins every user's CFO (the Doppler-sweep experiments draw
+    it instead); ``absorbed`` also evaluates the CFO-absorbed baseline.
+    Without ``draw`` the trial makes its own block of one one-lane draw
+    (``draw_block``).
+
+    ``draw``, if given, is trial ``trial_index``'s draw (``TrialDraw``), or
+    a block of draws that holds it (``TrialBlock``), for a config that
+    differs from ``cfg`` in ``snr_db`` alone (``draw_runs``), with a lane at
+    (cfg.snr_db, cfo_value).  A draw becomes a block of one trial at its
+    first ``run_trial``, with that call's ``absorbed`` and
+    ``collect_debug``; a block is scored with those it was drawn with, and
+    a call that asks for others is a ValueError.  The block's first
+    ``run_trial`` scores every lane of it (``score_block``), and each call
+    returns its own lane: the same to rounding as the lone call if the
+    lanes share one stream (an SNR sweep's), and bit for bit if each lane
+    has its own (a ``cfo_value`` sweep's)."""
+    if draw is None:
+        draw = draw_block(cfg, [trial_index], [(cfg.snr_db, cfo_value)], absorbed=absorbed,
+                          debug=collect_debug)
+    elif isinstance(draw, TrialDraw):
+        if not draw.scored:
+            draw.scored.append(TrialBlock(
+                draws=[scoring_inputs(cfg, draw, trial_index, absorbed, collect_debug)],
+                absorbed=absorbed, debug=collect_debug))
+        draw = draw.scored[0]
+    if (draw.absorbed, draw.debug) != (absorbed, collect_debug):
+        raise ValueError(f"a block drawn with absorbed={draw.absorbed}, "
+                         f"collect_debug={draw.debug} scored with absorbed={absorbed}, "
+                         f"collect_debug={collect_debug}")
+    if not draw.scored:
+        draw.scored.update(score_block(cfg, draw))
+    return draw.scored[trial_index, (cfg.snr_db, cfo_value)]
+
+
+def score_block(cfg: SystemConfig, block: TrialBlock) -> dict:
+    """Every lane of every draw of ``block`` scored in one pass:
+    (records, debug) by (trial, (snr_db, cfo_value)), as ``run_trial``
+    returns them, ``cfg`` the geometry of every lane.
+
+    The (user, theta_hat) groups of all draws are grouped again by
+    theta_hat.  Each theta_hat is one ``sync.synchronize_user`` call over
+    the regions of all its groups and one absorbed fit of all their lanes,
+    and each estimate and fit is scored in closed form (``channel_nmse``);
+    an ``OtfsyncError`` marks every lane at that theta_hat failed.  A failed
+    search leaves ``theta_first`` and ``theta_max`` at 0, and a failed
+    absorbed fit keeps the compensated estimates."""
+    by_theta, debug, beta = {}, {}, absorbed_beta(cfg)
+    for draw in block.draws:
+        for (q, theta), group in draw.groups.items():
+            by_theta.setdefault(theta, []).append((draw, q, group))
+    for theta, members in by_theta.items():
+        # every lane that reaches theta_hat: its record, draw, user, index and group
+        lanes = [(draw.records[lane][q], draw, q, lane, group)
+                 for draw, q, group in members for lane in group.lanes]
+        regions = [group.regions for *_, group in members]
+        energy = np.array([group.energy for *_, group in lanes])
+        try:
+            estimates = sync.synchronize_user(regions, theta, cfg)
+            nmse = channel_nmse(np.array([estimate.c_hat for estimate in estimates]),
+                                sync.estimator_bundle(cfg, theta).gram,
+                                np.array([group.proj for *_, group in lanes]), energy)
+            for (record, draw, q, lane, _), estimate, value in zip(lanes, estimates,
+                                                                   nmse.tolist()):
+                record.theta_first = draw.first_peak[lane][q]
+                record.theta_max = draw.max_peak[lane][q]
+                record.eps_hat, record.nmse = estimate.epsilon_hat, value
+            if block.absorbed:
+                nmse = channel_nmse(
+                    absorbed_channel_fit(regions, cfg, theta, beta),
+                    sync.estimator_bundle(cfg, theta, beta).gram,
+                    np.concatenate([group.proj_absorbed for *_, group in members]), energy)
+                for (record, *_), value in zip(lanes, nmse.tolist()):
+                    record.nmse_absorbed = value
+            if block.debug:
+                for (_, draw, q, lane, _), estimate in zip(lanes, estimates):
+                    debug[draw.trial, lane, q] = {
+                        "user": q,
+                        "timing_metric": draw.curves[lane, q].tolist(),
+                        "cfo_grid": estimate.grid.tolist(),
+                        "cfo_cost": estimate.cost_curve.tolist(),
+                    }
+        except OtfsyncError as exc:
+            for record, *_ in lanes:
+                record.failed, record.error = True, str(exc)
+    return {(draw.trial, key): (draw.records[lane],
+                                [debug[draw.trial, lane, q] for q in range(cfg.num_users)
+                                 if (draw.trial, lane, q) in debug])
+            for draw in block.draws for lane, key in enumerate(draw.lanes)}
 
 
 # ---------------------------------------------------------------------------
@@ -496,18 +657,24 @@ def draw_runs(points: list[tuple[SystemConfig, float | None]]) -> list[list]:
     return [list(run) for _, run in runs]
 
 
-def _trial_worker(args):
-    """Trial k's records at every point of a sweep, one list per point: one
-    draw per run of points (``draw_runs``), with a lane per point."""
-    runs, trial_index, absorbed = args
-    records = []
+#: trial indices per block, the unit of scoring (``score_block``)
+BLOCK_TRIALS = 16
+
+
+def _block_worker(args):
+    """The records of a block of trial indices at every point of a sweep,
+    one list per trial, one entry per point: one ``TrialBlock`` per run of
+    points (``draw_runs``), with a lane per point, and one run's block live
+    at a time."""
+    runs, trials, absorbed = args
+    records = [[] for _ in trials]
     for run in runs:
-        cfg, cfo_value = run[0]
-        draw = draw_trial(cfg, trial_index, [(point_cfg.snr_db, point_cfo)
-                                             for point_cfg, point_cfo in run])
-        records += [run_trial(point_cfg, trial_index, cfo_value=point_cfo, absorbed=absorbed,
-                              draw=draw)[0] for point_cfg, point_cfo in run]
-        del draw                        # one draw live at a time
+        block = draw_block(run[0][0], trials, [(cfg.snr_db, cfo) for cfg, cfo in run],
+                           absorbed=absorbed)
+        for by_point, k in zip(records, trials):
+            by_point += [run_trial(cfg, k, cfo_value=cfo, absorbed=absorbed, draw=block)[0]
+                         for cfg, cfo in run]
+        del block
     return records
 
 
@@ -515,22 +682,29 @@ def run_point(points: list[tuple[SystemConfig, float | None]], trials: int, *,
               absorbed=False, workers: int = 1) -> list[dict[str, np.ndarray]]:
     """Every point of one sweep: ``points`` is a list of (cfg, cfo_value),
     and the result holds each point's (trials, Q) table (``record_table``),
-    rows in trial order.
+    rows in trial order.  Every point's config is validated before anything
+    is drawn.
 
-    One job per trial index runs that trial at every point, with one
-    ``TrialDraw`` per run of consecutive points that it serves; a pool, if
-    any, lives for the whole sweep.  The name stays ``run_point`` because
-    the benchmark's tracer (``perfbench/tracing.py``) wraps it by name.
+    One job per block of BLOCK_TRIALS consecutive trial indices runs those
+    trials at every point, with one ``TrialBlock`` per run of consecutive
+    points that it serves; the blocks are the same whatever the worker
+    count, and a pool, if any, lives for the whole sweep.  The name stays
+    ``run_point`` because the benchmark's tracer (``perfbench/tracing.py``)
+    wraps it by name.
     """
+    for cfg, _ in points:
+        cfg.validate()
     runs = draw_runs(points)
-    jobs = [(runs, k, absorbed) for k in range(trials)]
+    jobs = [(runs, range(start, min(start + BLOCK_TRIALS, trials)), absorbed)
+            for start in range(0, trials, BLOCK_TRIALS)]
     if workers <= 1:
-        by_trial = [_trial_worker(job) for job in jobs]
+        by_block = [_block_worker(job) for job in jobs]
     else:
         # imported here: it loads logging and threading, which no serial sweep needs
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            by_trial = list(pool.map(_trial_worker, jobs))
+            by_block = list(pool.map(_block_worker, jobs))
+    by_trial = [records for block in by_block for records in block]
     return [record_table(by_point) for by_point in zip(*by_trial)]
 
 

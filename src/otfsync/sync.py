@@ -18,13 +18,14 @@ the separated rows with the PCP in one call, a Toeplitz product per row,
 and each lane of the stream takes its timing curves from that correlation
 at its a.  The front end keeps the curves and no correlation, and the TO
 decisions of every (lane, user) are one ``estimate_to`` call.  The users
-split after that: ``synchronize_user`` is the per-user back end (pilot
-region, shared table, CFO and channel) at one theta_hat, and the Q back
-ends are independent.  Each user's pilot region and CFO projection are polynomials
-in a too, so one back end call serves every lane that reaches that
-theta_hat, one estimate and one region at the lane's a per lane, whether
-the lanes share a stream or each have their own (``estimate_cfo``);
-``harness.score_draw`` groups the lanes by theta_hat.
+split after that: ``pilot_regions`` takes a user's de-rotated pilot regions
+at one theta_hat, for the lanes that reach it, and the draw keeps only
+those.  Each region is a polynomial in a too, so the back end
+(``synchronize_user``: the shared table, CFO and channel at one theta_hat)
+runs once for every stream and lane that reaches that theta_hat, whichever
+draw and user they come from, one estimate per lane at the lane's a
+(``estimate_cfo``); ``harness.score_block`` groups a block of trials' draws
+by theta_hat.
 
 The pilot region is fitted one delay row at a time.  User q's pilot sits in
 Doppler column k_q, so its transmitted region sample (n, j) is
@@ -66,10 +67,15 @@ frequency estimation).  The grid costs (``lag_tables``) and the Newton
 refinement run on it, and the LS solve reads w at the estimate
 (``estimate_cfo``).  With the region signal + a noise, Y is Y_s + a Y_n
 and rho is rho_ss + a (rho_sn + rho_ns) + a^2 rho_nn, so the correlations
-are made once for every a (``BemRegressor.cost_many``), and the scan, the
-derivative operators and the LS solve of all the lanes are one stacked
-product each, one slice per stream, so that each lane's arithmetic is that
-of its stream searched alone; only the Newton refinement runs lane by lane.
+are made once for every a (``BemRegressor.cost_many``), a few streams at a
+time.  Everything after them is made lane by lane in stacked products, one
+slice per lane, so that each lane's arithmetic does not depend on the other
+lanes searched with it: the scan, one Newton refinement of every lane at
+once (``newton_max_many``) and the LS solve, a few lanes at a time
+(``lane_coeffs``).
+The channel estimate is never formed as tap trajectories: the table also
+holds the Gram matrix B^T B of its basis, from which the harness scores the
+coefficients in closed form (``harness.channel_nmse``).
 """
 
 from __future__ import annotations
@@ -92,6 +98,11 @@ GOLDEN_RATIO_CONJ = (np.sqrt(5.0) - 1.0) / 2.0
 NEWTON_MAX_ITER = 40
 #: the refinement stops at a step below this share of cfo_tol
 NEWTON_STEP_FRAC = 0.01
+#: bytes of the temporaries that the CFO search and the LS solve of many lanes
+#: hold at once: ``estimate_cfo`` correlates as many streams per
+#: ``BemRegressor.cost_many`` call, and ``lane_coeffs`` solves as many lanes
+#: per ``BemRegressor.coeffs`` call, as fit in it
+SEARCH_CHUNK_BYTES = 1 << 19
 #: lags per block of the timing correlation's Toeplitz product
 TIMING_BLOCK = 16
 #: smallest eigenvalue modulus of the pilot circulant, and smallest |R_j[g, g]|
@@ -306,13 +317,17 @@ class BemRegressor:
     pilot region on the Doppler-free template 1 (x) p (module docstring)
     over its V virtual slots (``build_bem_regressor``), and the solve matrix
     E = (C^-1 (x) I_beta) blockdiag(R_j^-1) from a projection w to the
-    coefficients.  Its row bases take about 20 KB at the default geometry,
-    where a table of rotations would take G*N*L_p phases."""
+    coefficients, and the (beta, beta) Gram matrix
+    G = sum_(n, j) B[n, j]^T B[n, j] of the basis, with which
+    ||B c - h||^2 needs no tap trajectories (``harness.channel_nmse``).  Its
+    row bases take about 20 KB at the default geometry, where a table of
+    rotations would take G*N*L_p phases."""
 
     bem: np.ndarray = field(repr=False)           # (N, L_p, beta) basis values
     scan_basis: np.ndarray = field(repr=False)    # (V, L_p, beta) Q_j rows per virtual slot
     scan_index: np.ndarray = field(repr=False)    # (V, L_p) region index per virtual slot
     row_kappa: np.ndarray = field(repr=False)     # (L_p,) kappa of each row at virtual slot 0
+    gram: np.ndarray = field(repr=False)          # (beta, beta) B^T B
     _solve: np.ndarray = field(repr=False)        # (L_p*beta, L_p*beta) E
 
     def slot_rows(self, samples: np.ndarray) -> np.ndarray:
@@ -358,15 +373,25 @@ class BemRegressor:
         (..., lanes, L_p*beta) stack of them."""
         return w @ self._solve.T
 
-    def coeffs(self, z: np.ndarray) -> np.ndarray:
+    def coeffs(self, z: np.ndarray, slot_phase: np.ndarray | None = None,
+               row_phase: np.ndarray | None = None) -> np.ndarray:
         """LS coefficient solve of one region z (N*L_p samples in region
         order), or of each row of a (lanes, N*L_p) stack, as one (L_p*beta,)
         or (lanes, L_p*beta) array: E times the projection w, the slot rows
         summed over the slots as one (1, V) @ (V, beta) product per region
-        and delay row; each region as it would be alone."""
+        and delay row; each region as it would be alone.
+
+        With ``slot_phase`` (lanes, V) and ``row_phase`` (lanes, L_p) the
+        regions are first de-rotated by the CFO rotation that factors into
+        them (``build_bem_regressor``): the slot phase weighs each virtual
+        slot before the sum, and the row phase multiplies each row's w."""
         z = np.asarray(z)
         regions = z.reshape(-1, z.shape[-1])[:, self.scan_index]      # (lanes, V, L_p)
+        if slot_phase is not None:
+            regions = regions * slot_phase[:, :, np.newaxis]
         w = regions.swapaxes(1, 2)[:, :, np.newaxis] @ self.scan_basis.transpose(1, 0, 2)
+        if row_phase is not None:
+            w *= row_phase[:, :, np.newaxis, np.newaxis]
         return self.solve(w.reshape(len(regions), 1, -1)).reshape(z.shape[:-1] + (-1,))
 
 
@@ -379,6 +404,8 @@ def build_bem_regressor(p: np.ndarray, kappa: np.ndarray, beta: int, m: int,
     The fit is factorized row by row: one stacked QR of the L_p row matrices
     B_j, the rank checks of R_j and of the pilot circulant C through its
     eigenvalues FFT(p), and E[(l, g), (j, k)] = C^-1[l, j] R_j^-1[g, k].
+    The Gram matrix of the basis is one (beta, N*L_p) @ (N*L_p, beta)
+    product.
 
     The row bases are then laid out over the virtual slots.  Slot n of the
     region lies M samples after slot 0, except where the frame CP wraps it:
@@ -429,8 +456,10 @@ def build_bem_regressor(p: np.ndarray, kappa: np.ndarray, beta: int, m: int,
     scan_basis[row, col] = q_rows.transpose(1, 0, 2)
     scan_index = np.zeros((v, lp), dtype=np.intp)
     scan_index[row, col] = np.arange(n_rows).reshape(n_slots, lp)
+    flat = bem.reshape(n_rows, beta)
     return BemRegressor(bem=bem, scan_basis=scan_basis, scan_index=scan_index,
-                        row_kappa=kappa[0] + first * m, _solve=solve.reshape(n_cols, n_cols))
+                        row_kappa=kappa[0] + first * m, gram=flat.T @ flat,
+                        _solve=solve.reshape(n_cols, n_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -471,36 +500,45 @@ def golden_section_max(fun, lo: float, hi: float, tol: float):
     return x, fun(x)
 
 
-def newton_max(fun, x: float, lo: float, hi: float, tol: float):
-    """Safeguarded Newton ascent on [lo, hi] from x, where fun(x) returns
-    (f, f', f''); returns the best evaluated (x, f).
+def newton_max_many(fun, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """Safeguarded Newton ascent of every lane at once, lane p on
+    [lo[p], hi[p]] from x[p], where fun(x, lanes) returns the arrays
+    (f, f', f'') of the lanes ``lanes`` (indices) at their points ``x``;
+    returns the best evaluated (x, f) of each lane.
 
-    The sign of f' shrinks the bracket [a, b].  A step that is not an ascent
-    step (f'' >= 0), or that leaves the bracket through an end already
-    evaluated, becomes a bisection, i.e. a half-bracket step along f'; any
-    other step is clamped to the bracket.  Stops at a step below
-    NEWTON_STEP_FRAC * tol, at f' = 0 or after NEWTON_MAX_ITER evaluations.
+    Per lane: the sign of f' shrinks the bracket [a, b].  A step that is not
+    an ascent step (f'' >= 0), or that leaves the bracket through an end
+    already evaluated, becomes a bisection, i.e. a half-bracket step along
+    f'; any other step is clamped to the bracket.  A lane stops at a step
+    below NEWTON_STEP_FRAC * tol, at f' = 0 (or NaN) or after
+    NEWTON_MAX_ITER evaluations, and is not evaluated again; each lane
+    takes the steps it would take alone.
     """
-    a, b = float(lo), float(hi)
-    a_seen = b_seen = False
-    x_best, f_best = x, -math.inf
+    x = np.array(x, dtype=float)
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    a_seen, b_seen = np.zeros(x.shape, dtype=bool), np.zeros(x.shape, dtype=bool)
+    x_best, f_best = x.copy(), np.full(x.shape, -math.inf)
+    active = np.arange(x.size)
     for _ in range(NEWTON_MAX_ITER):
-        f, f1, f2 = fun(x)
-        if f > f_best:
-            x_best, f_best = x, f
-        if f1 > 0:
-            a, a_seen = x, True
-        elif f1 < 0:
-            b, b_seen = x, True
-        else:
+        if not active.size:
             break
-        target = x - f1 / f2 if f2 < 0 else None
-        if target is None or (target >= b and b_seen) or (target <= a and a_seen):
-            target = 0.5 * (a + b)
-        x_next = min(max(target, a), b)
-        if abs(x_next - x) < NEWTON_STEP_FRAC * tol:
-            break
-        x = x_next
+        xa = x[active]
+        f, f1, f2 = fun(xa, active)
+        better = f > f_best[active]
+        x_best[active[better]], f_best[active[better]] = xa[better], f[better]
+        up, down = f1 > 0, f1 < 0
+        a[active[up]], a_seen[active[up]] = xa[up], True
+        b[active[down]], b_seen[active[down]] = xa[down], True
+        lo_a, hi_b = a[active], b[active]
+        concave = f2 < 0
+        target = xa - np.divide(f1, f2, out=np.zeros_like(f1), where=concave)
+        bisect = (~concave | ((target >= hi_b) & b_seen[active])
+                  | ((target <= lo_a) & a_seen[active]))
+        target[bisect] = 0.5 * (lo_a + hi_b)[bisect]
+        x_next = np.minimum(np.maximum(target, lo_a), hi_b)
+        go = (up | down) & ~(np.abs(x_next - xa) < NEWTON_STEP_FRAC * tol)
+        x[active[go]] = x_next[go]
+        active = active[go]
     return x_best, f_best
 
 
@@ -510,7 +548,6 @@ class CfoEstimate:
     grid: np.ndarray         # coarse search points
     cost_curve: np.ndarray   # cost at each grid point
     c_hat: np.ndarray        # (L_p * beta,) basis coefficients
-    h_hat: np.ndarray        # (N, L_p taps, L_p samples) reconstructed taps
 
 
 def cfo_grid(cfo_range: float, cfo_step: float) -> np.ndarray:
@@ -566,87 +603,114 @@ def at_amplitude(rows: np.ndarray, amplitude: float) -> np.ndarray:
     return value
 
 
+def lane_regions(samples: np.ndarray, stream, amplitude) -> np.ndarray:
+    """The (lanes, N, L_p) region of each lane: the K rows of its stream
+    ``stream[p]`` of the (S, K, N, L_p) ``samples``, read at its noise
+    amplitude ``amplitude[p]`` (``at_amplitude``)."""
+    rows = np.asarray(samples)[stream].swapaxes(0, 1)
+    return at_amplitude(rows, np.asarray(amplitude, dtype=float)[:, np.newaxis, np.newaxis])
+
+
+def lane_coeffs(bundle: BemRegressor, samples: np.ndarray, stream, amplitude,
+                slot_phase: np.ndarray | None = None,
+                row_phase: np.ndarray | None = None) -> np.ndarray:
+    """The (lanes, L_p*beta) LS coefficients of each lane's region
+    (``lane_regions``), de-rotated by its slot and row phases if given
+    (``BemRegressor.coeffs``): as many lanes per solve as keep the gathered
+    rows, the lane regions and their virtual-slot copies within
+    SEARCH_CHUNK_BYTES."""
+    samples, stream = np.asarray(samples), np.asarray(stream)
+    k, size = samples.shape[1], samples[0, 0].size
+    step = max(1, SEARCH_CHUNK_BYTES // (16 * (k + 3) * size))
+    parts = [slice(start, start + step) for start in range(0, len(stream), step)]
+    return np.concatenate([
+        bundle.coeffs(lane_regions(samples, stream[part], amplitude[part]).reshape(-1, size),
+                      None if slot_phase is None else slot_phase[part],
+                      None if row_phase is None else row_phase[part])
+        for part in parts])
+
+
 def estimate_cfo(samples: np.ndarray, bundle: BemRegressor, cfg: SystemConfig,
-                 amplitudes=(0.0,)) -> list[CfoEstimate]:
-    """The CFO search of a pilot region in the frame of the table's
-    template (``derotate``), kept as a polynomial in the noise amplitude a
-    (row k of the (K, N, L_p) ``samples`` the coefficient of a^k), at each a
-    in ``amplitudes`` (a lane), one ``CfoEstimate`` per lane: coarse scan of the
-    projection cost over the config's grid, Newton refinement on [best grid
-    point +- cfo_step] within +-cfo_range (stopping at steps below
+                 amplitudes=(0.0,), stream=None) -> list[CfoEstimate]:
+    """The CFO search of pilot regions in the frame of the table's template
+    (``derotate``), each kept as a polynomial in the noise amplitude a (row
+    k of a (K, N, L_p) region the coefficient of a^k), at each a in
+    ``amplitudes`` (a lane), one ``CfoEstimate`` per lane: coarse scan of
+    the projection cost over the config's grid, Newton refinement on [best
+    grid point +- cfo_step] within +-cfo_range (stopping at steps below
     NEWTON_STEP_FRAC * cfo_tol), then the LS coefficient solve at the
     winning offset, all on the table ``bundle`` (``estimator_bundle``) and
     the ``lag_tables`` of its V slots.  An (S, K, N, L_p) ``samples`` stacks
-    S such regions (streams), and ``amplitudes`` then holds the same number
-    of lanes for each stream, stream by stream; the estimates come in that
-    order.
+    S such regions (streams), and lane p reads stream ``stream[p]``; without
+    ``stream`` each stream has the same number of lanes, stream by stream.
+    The estimates come in the order of the lanes.
 
-    All three read the slot rows Y[s, (j, k)] = Q_j[n, k] rbar[n, j] at
-    virtual slot s (``BemRegressor.slot_rows``).  The rotation of a sample
-    factors into a row phase and exp(-j Omega eps s) (``build_bem_regressor``),
-    so the projection of the rotated region is
-    w[j, k] = exp(-j 2 pi eps row_kappa[j] / N_s) sum_s exp(-j Omega eps s) Y[s, j, k].
-    The row phase has modulus 1 and drops out of ||w||^2, so the cost is
-    exactly g(eps) = sum_(j, k) |sum_s exp(-j Omega eps s) Y[s, j, k]|^2
+    The rotation of a sample factors into a row phase and
+    exp(-j Omega eps s) at its virtual slot s (``build_bem_regressor``), so
+    the projection of the rotated region is
+    w[j, k] = exp(-j 2 pi eps row_kappa[j] / N_s) sum_s exp(-j Omega eps s) Y[s, j, k]
+    for the slot rows Y[s, (j, k)] = Q_j[n, k] rbar[n, j]
+    (``BemRegressor.slot_rows``).  The row phase has modulus 1 and drops out
+    of ||w||^2, so the cost is exactly
+    g(eps) = sum_(j, k) |sum_s exp(-j Omega eps s) Y[s, j, k]|^2
     = Re sum_d c_d exp(-j Omega eps d), a trigonometric polynomial of degree
     V - 1 whose coefficients are the slot-lag correlations of Y
     (``BemRegressor.cost_many``, made here so that the benchmark's tracer
-    times it inside the search).  They are polynomials in a, made once for
-    every lane of a stream; each lane's c is one row of a
-    (lanes, 2K - 1) @ (2K - 1, 2V) product with the powers a^i, in
-    [Re, Im] interleaved reals.  The cost curves are one (lanes, 2V) @ (2V, G)
-    product with the grid's phasors, and differ from the dense scan by
-    rounding only.  Each Newton iterate of a lane reads g, g' and g'' as one
-    (3, 2V) array (that lane's c times the ``lag_tables`` factors) times
-    the phasors at its eps (``lag_phasors``).  The LS solve forms every
-    lane's w at its estimate, one (lanes, V) @ (K, V, L_p*beta) product
-    summed over k at the lane's a, times the row phases, and applies E
-    (``BemRegressor.solve``) and the reconstruction to all lanes at once.
-    Every product is one stacked call with a slice per stream, which gives
-    each lane the arithmetic of its stream searched alone.
+    times it inside the search).  They are polynomials in a, made once per
+    stream, a few streams per call so that the lag temporaries stay within
+    SEARCH_CHUNK_BYTES.  Each lane's c is its powers a^i times its stream's
+    coefficients, in [Re, Im] interleaved reals, and its cost curve is c
+    times the grid's phasors.  Every lane's Newton iterate reads g, g' and
+    g'' as one (3, 2V) array (that lane's c times the ``lag_tables``
+    factors) times the phasors at its eps (``lag_phasors``), and all lanes
+    refine at once (``newton_max_many``).  The LS solve de-rotates each
+    lane's region (``lane_regions``) by its estimate, a few lanes per solve
+    (``lane_coeffs``).  Every product after the correlations is a stacked
+    call with one slice per lane, which gives each lane the arithmetic of
+    its search alone, whichever lanes are searched with it.
     """
     grid, turns, lag_derivs, grid_phasors = lag_tables(
         len(bundle.scan_index), cfg.m, cfg.n_s, cfg.cfo_range, cfg.cfo_step)
     regions = np.asarray(samples)
     regions = regions.reshape((-1,) + regions.shape[-3:])
-    rows = bundle.slot_rows(regions)                        # (S, K, V, L_p*beta)
-    lag_rows = bundle.cost_many(rows)                       # (S, 2K - 1, V)
-    a = np.array([float(amplitude) for amplitude in amplitudes]).reshape(len(regions), -1, 1)
-    lags = (a ** np.arange(lag_rows.shape[1])) @ lag_rows.view(np.float64)   # (S, lanes, 2V)
-    costs = (lags @ grid_phasors).reshape(-1, grid.size)
-    best = np.argmax(costs, axis=-1).tolist()
-    derivs = (lags.view(np.complex128)[..., np.newaxis, :] * lag_derivs).view(np.float64)
-    eps_hat = []
-    for lane_derivs, lane_costs, b in zip(derivs.reshape(len(best), 3, -1), costs, best):
-        def cost_derivatives(eps, lane_derivs=lane_derivs):
-            g, g1, g2 = (lane_derivs @ lag_phasors(eps, turns)).tolist()
-            return g, g1, g2
+    a = np.array([float(amplitude) for amplitude in amplitudes])
+    if stream is None:
+        stream = np.repeat(np.arange(len(regions)), len(a) // len(regions))
+    k, v = regions.shape[1], len(turns)
+    chunk = max(1, SEARCH_CHUNK_BYTES // (16 * k * k * v * 2 * v))
+    lag_rows = np.concatenate([bundle.cost_many(bundle.slot_rows(regions[start:start + chunk]))
+                               for start in range(0, len(regions), chunk)])   # (S, 2K - 1, V)
+    powers = a[:, np.newaxis, np.newaxis] ** np.arange(2 * k - 1)            # (lanes, 1, 2K - 1)
+    lags = powers @ lag_rows.view(np.float64)[stream]                        # (lanes, 1, 2V)
+    costs = (lags @ grid_phasors)[:, 0]
+    best = np.argmax(costs, axis=-1)
+    eps_c = grid[best]
+    derivs = (lags.view(np.complex128) * lag_derivs).view(np.float64)        # (lanes, 3, 2V)
 
-        eps_c = float(grid[b])
-        lo = max(eps_c - cfg.cfo_step, -cfg.cfo_range)
-        hi = min(eps_c + cfg.cfo_step, cfg.cfo_range)
-        x_ref, f_ref = newton_max(cost_derivatives, eps_c, lo, hi, cfg.cfo_tol)
-        # keep the exact grid point when refinement cannot improve on it
-        eps_hat.append(eps_c if lane_costs[b] >= f_ref else float(x_ref))
-    eps = np.array(eps_hat).reshape(a.shape[:2])
-    # each lane's exp(-j Omega eps s) over the slots, (K, S, lanes, L_p*beta)
-    # products summed at its a, then the row phases
-    weights = np.exp(-eps[..., np.newaxis] * turns)
-    w = at_amplitude((weights[:, np.newaxis] @ rows).swapaxes(0, 1), a)
-    w = w.reshape(eps.shape + bundle.scan_basis.shape[1:])
-    w *= np.exp(-2j * np.pi / cfg.n_s * np.multiply.outer(eps, bundle.row_kappa))[..., np.newaxis]
-    c_hat = bundle.solve(w.reshape(eps.shape + (-1,))).reshape(len(best), -1)
-    h_hat = reconstruct_channel(c_hat, bundle.bem)
-    return [CfoEstimate(epsilon_hat=eps, grid=grid, cost_curve=lane_costs, c_hat=c, h_hat=h)
-            for eps, lane_costs, c, h in zip(eps_hat, costs, c_hat, h_hat)]
+    def cost_derivatives(eps, lanes):
+        return (derivs[lanes] @ lag_phasors(eps[:, np.newaxis], turns)[..., np.newaxis])[..., 0].T
+
+    x_ref, f_ref = newton_max_many(cost_derivatives, eps_c,
+                                   np.maximum(eps_c - cfg.cfo_step, -cfg.cfo_range),
+                                   np.minimum(eps_c + cfg.cfo_step, cfg.cfo_range), cfg.cfo_tol)
+    # keep the exact grid point when refinement cannot improve on it
+    eps = np.where(costs[np.arange(len(a)), best] >= f_ref, eps_c, x_ref)
+    c_hat = lane_coeffs(bundle, regions, stream, a,
+                        slot_phase=np.exp(-eps[:, np.newaxis] * turns),
+                        row_phase=np.exp(-2j * np.pi / cfg.n_s
+                                         * np.multiply.outer(eps, bundle.row_kappa)))
+    return [CfoEstimate(epsilon_hat=eps, grid=grid, cost_curve=lane_costs, c_hat=c)
+            for eps, lane_costs, c in zip(eps.tolist(), costs, c_hat)]
 
 
+# no program path calls this; TRACED in perfbench/tracing.py names it, so a
+# traced run needs it, and the tests score the closed form against it
 def reconstruct_channel(c_hat: np.ndarray, bem: np.ndarray) -> np.ndarray:
     """Tap trajectories over the pilot region from basis coefficients.
 
     Returns h[n, l, j] = sum_g T_g(kprime[n, j]) c[l*beta + g] for taps
     l = 0..L_p-1 and every time slot n, C-ordered like the truth taps
-    (``harness.true_pilot_taps``) that it is scored on; a (..., L_p*beta)
+    (``harness.true_pilot_taps``); a (..., L_p*beta)
     stack of coefficients gives (..., N, L_p, L_p).  One real
     (N*L_p, beta) @ (beta, 2 L_p lanes) product on the [Re, Im] interleaved
     coefficients of every lane, and one transposing copy.
@@ -698,11 +762,10 @@ class FrontEnd:
     ``amplitude[p]``.  A stream is K rows of ``separated``, row k the
     coefficient of a^k in the received quantity at noise amplitude a
     (``at_amplitude``).  Either every lane reads one stream, or each lane
-    has a stream of its own, as ``synchronize_user`` and ``estimate_cfo``
-    read them.  ``cfg`` is the geometry of every lane (the lanes differ in
-    the SNR and the pinned CFO alone).  ``curves`` and ``to_estimate`` are
-    every lane's timing curves and TO decisions.  Frozen: the back end
-    (``synchronize_user``) only reads it."""
+    has a stream of its own.  ``cfg`` is the geometry of every lane (the
+    lanes differ in the SNR and the pinned CFO alone).  ``curves`` and
+    ``to_estimate`` are every lane's timing curves and TO decisions.
+    Frozen: ``pilot_regions`` only reads it."""
 
     cfg: SystemConfig
     separated: np.ndarray           # (S, K, Q, M*N) separated streams
@@ -735,23 +798,41 @@ def front_end(streams: np.ndarray, stream, amplitude, pcp: np.ndarray,
                     curves=curves, to_estimate=estimate_to(curves, cfg))
 
 
-def synchronize_user(front: FrontEnd, user: int, theta: int,
-                     lanes) -> tuple[np.ndarray, list[CfoEstimate]]:
-    """Per-user back end of the receiver at timing offset ``theta`` for the
+def pilot_regions(front: FrontEnd, user: int, theta: int,
+                  lanes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """User ``user``'s pilot regions at timing offset ``theta`` for the
     lanes ``lanes`` (ascending lane indices of the front end, those whose
-    theta_hat is ``theta``): user ``user``'s (lanes, N, L_p) received pilot
-    regions, each read at its lane's noise amplitude a, and one
-    ``CfoEstimate`` per lane, in the order of ``lanes``.  One
-    ``estimate_cfo`` runs on the de-rotated (``derotate``) regions of the
-    lanes' streams with the bundle at ``theta``, which all users share."""
+    theta_hat is ``theta``), as the back end reads them: the (S, K, N, L_p)
+    regions of the streams that the lanes read, de-rotated by the user's
+    slot phase (``derotate``) into the frame of the table that all users
+    share, each lane's stream index into them, and each lane's noise
+    amplitude a."""
     cfg, lanes = front.cfg, np.asarray(lanes, dtype=np.intp)
     stream, amplitude = front.stream[lanes], front.amplitude[lanes]
-    # the lanes share one stream or each have their own, so the amplitudes
-    # come stream by stream, as ``estimate_cfo`` reads them
+    # the lanes share one stream or each have their own
     streams = sorted(set(stream.tolist()))
     region = extract_pilot_region(front.separated[:, :, user], theta, cfg)[streams]
-    estimates = estimate_cfo(derotate(region, cfg, user), estimator_bundle(cfg, theta), cfg,
-                             amplitude)
-    # (K, lanes, N, L_p) rows, and each lane's region at its a
-    rows = region[np.searchsorted(streams, stream)].swapaxes(0, 1)
-    return at_amplitude(rows, amplitude[:, np.newaxis, np.newaxis]), estimates
+    return derotate(region, cfg, user), np.searchsorted(streams, stream), amplitude
+
+
+def stack_regions(regions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Several ``pilot_regions`` results, (samples, stream, amplitude) each,
+    as one: their (S, K, N, L_p) samples stacked, and each lane's stream
+    index into the stack and amplitude, lane by lane in their order."""
+    samples, stream, amplitude = zip(*regions)
+    starts = np.cumsum([0] + [len(part) for part in samples[:-1]])
+    return (np.concatenate(samples),
+            np.concatenate([part + start for part, start in zip(stream, starts)]),
+            np.concatenate(amplitude))
+
+
+def synchronize_user(regions, theta: int, cfg: SystemConfig) -> list[CfoEstimate]:
+    """The back end of the receiver at timing offset ``theta``: one
+    ``CfoEstimate`` per lane of the ``pilot_regions`` results ``regions``,
+    lane by lane in their order (``stack_regions``).  One ``estimate_cfo``
+    on the table at ``theta``, which every user shares, so that the regions
+    may come from any users and draws.  The name stays because the
+    benchmark's tracer wraps ``synchronize_user`` by name, until stage
+    timing moves into the library (ROADMAP Direction 4)."""
+    samples, stream, amplitude = stack_regions(regions)
+    return estimate_cfo(samples, estimator_bundle(cfg, theta), cfg, amplitude, stream)

@@ -15,7 +15,9 @@ factor Q of its pivoted QR; ``sync.BemRegressor``, the one table per
 the Doppler-free template one delay row at a time over the region's
 virtual slots and never forms G.  ``bundle_template`` is that template,
 user 0's modulated-frame template de-rotated by its slot phase.
-``estimate_cfo_exact`` refines the CFO by Newton steps on the exact cost
+``newton_max`` is the safeguarded Newton ascent of one lane, a scalar loop;
+``sync.newton_max_many`` refines every lane of a search at once.
+``estimate_cfo_exact`` refines the CFO by ``newton_max`` on the exact cost
 derivatives, each one (3, N*L_p) product with Q, and solves the LS fit
 through ``DenseRegressor.coeffs``; ``sync.estimate_cfo`` reads both from the
 slot-lag correlations of the table's slot rows.
@@ -24,15 +26,19 @@ regressor factorized on that user's own pilot template, with a dense scan,
 exact Newton and the ``coeffs`` solve; ``sync.synchronize_user`` and
 ``harness.absorbed_channel_fit`` share one table across users and
 de-rotate each user's region to its Doppler-free template.
+``nmse`` scores reconstructed tap trajectories against the truth taps
+directly; ``harness.channel_nmse`` scores the basis coefficients in closed
+form.
 ``front_end_chain`` separates and correlates one received stream by the
 per-stream chain: CP removal, the filter bank and the PCP correlation.
 ``per_point_trial`` runs a trial of one SNR point by the per-point chain:
 the noise added to the received stream, then ``front_end_chain``, the
 timing curve and ``sync.synchronize_user`` of each user on that one stream,
-one lane; on a draw whose front end has a lane per point (an SNR sweep's),
-each lane reads the shared stream of the signal and the unit noise at its
-noise amplitude, and ``harness.score_draw`` searches each user once for
-every lane that reaches the same theta_hat.
+one lane, scored by ``nmse`` on the reconstructed taps; on a draw whose
+front end has a lane per point (an SNR sweep's), each lane reads the shared
+stream of the signal and the unit noise at its noise amplitude, and
+``harness.score_block`` searches once for every user and lane of a block of
+draws that reaches the same theta_hat, and scores in closed form.
 """
 
 import math
@@ -149,6 +155,49 @@ def cfo_cost_derivatives(rbar, regressor, kappa, eps, n_s):
             2.0 * float(np.vdot(w1, w1).real + np.vdot(w0, w2).real))
 
 
+def newton_max(fun, x, lo, hi, tol):
+    """Safeguarded Newton ascent on [lo, hi] from x, where fun(x) returns
+    (f, f', f''); returns the best evaluated (x, f).
+
+    The sign of f' shrinks the bracket [a, b].  A step that is not an ascent
+    step (f'' >= 0), or that leaves the bracket through an end already
+    evaluated, becomes a bisection, i.e. a half-bracket step along f'; any
+    other step is clamped to the bracket.  Stops at a step below
+    NEWTON_STEP_FRAC * tol, at f' = 0 or after NEWTON_MAX_ITER evaluations.
+    """
+    a, b = float(lo), float(hi)
+    a_seen = b_seen = False
+    x_best, f_best = x, -math.inf
+    for _ in range(sync.NEWTON_MAX_ITER):
+        f, f1, f2 = fun(x)
+        if f > f_best:
+            x_best, f_best = x, f
+        if f1 > 0:
+            a, a_seen = x, True
+        elif f1 < 0:
+            b, b_seen = x, True
+        else:
+            break
+        target = x - f1 / f2 if f2 < 0 else None
+        if target is None or (target >= b and b_seen) or (target <= a and a_seen):
+            target = 0.5 * (a + b)
+        x_next = min(max(target, a), b)
+        if abs(x_next - x) < sync.NEWTON_STEP_FRAC * tol:
+            break
+        x = x_next
+    return x_best, f_best
+
+
+def nmse(estimate, truth, energy=None):
+    """||estimate - truth||^2 / ||truth||^2 of tap trajectories, NaN for an
+    all-zero truth; ``energy``, if given, is ||truth||^2."""
+    denom = np.vdot(truth, truth).real if energy is None else energy
+    if denom == 0:
+        return math.nan
+    error = estimate - truth
+    return float(np.vdot(error, error).real / denom)
+
+
 def estimate_cfo_exact(region, kappa, regressor, cfg, cost_curve):
     """(eps_hat, c_hat) of the (N, L_p) region at the sample indices
     ``kappa`` by exact Newton on the ``DenseRegressor`` from the best point
@@ -160,7 +209,7 @@ def estimate_cfo_exact(region, kappa, regressor, cfg, cost_curve):
     best = int(np.argmax(cost_curve))
     lo = max(grid[best] - cfg.cfo_step, -cfg.cfo_range)
     hi = min(grid[best] + cfg.cfo_step, cfg.cfo_range)
-    x_ref, f_ref = sync.newton_max(
+    x_ref, f_ref = newton_max(
         lambda e: cfo_cost_derivatives(rflat, regressor, kflat, e, cfg.n_s),
         float(grid[best]), lo, hi, cfg.cfo_tol)
     eps_hat = float(grid[best]) if cost_curve[best] >= f_ref else float(x_ref)
@@ -218,15 +267,17 @@ def per_point_trial(cfg, trial_index, absorbed=False):
         theta_true = int(draw.realization.to[q])
         eps_true = float(draw.realization.cfo[q])
         theta = theta_true if cfg.genie_to else int(first[q])
-        (region,), (estimate,) = sync.synchronize_user(front, q, theta, [0])
+        regions = sync.pilot_regions(front, q, theta, [0])
+        (estimate,) = sync.synchronize_user([regions], theta, cfg)
+        h_hat = sync.reconstruct_channel(estimate.c_hat, sync.estimator_bundle(cfg, theta).bem)
         user = {"theta_first": int(first[q]), "theta_max": int(peak[q]),
-                "eps_hat": estimate.epsilon_hat,
-                "nmse": harness._nmse(estimate.h_hat, draw.truth[q]),
+                "eps_hat": estimate.epsilon_hat, "nmse": nmse(h_hat, draw.truth[q]),
                 "timing_metric": front.curves[0, q], "cfo_cost": estimate.cost_curve}
         if absorbed:
-            h_abs = harness.absorbed_channel_fit(region, cfg, q, theta,
-                                                 harness.absorbed_beta(cfg))
+            beta = harness.absorbed_beta(cfg)
+            c_abs = harness.absorbed_channel_fit([regions], cfg, theta, beta)
+            h_abs = sync.reconstruct_channel(c_abs[0], sync.estimator_bundle(cfg, theta, beta).bem)
             phase = sync.cfo_phase(pilot.region_kappa(cfg, theta_true), eps_true, cfg.n_s)
-            user["nmse_absorbed"] = harness._nmse(h_abs, draw.truth[q] * phase[:, None, :])
+            user["nmse_absorbed"] = nmse(h_abs, draw.truth[q] * phase[:, None, :])
         users.append(user)
     return users

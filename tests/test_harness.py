@@ -16,7 +16,7 @@ from otfsync import harness, modem, pilot, sync
 from otfsync.config import (CHANNEL_MODELS, SystemConfig, apply_overrides, bem_order_bound,
                             default_bem_order)
 from otfsync.errors import ConfigError, EstimationError, OtfsyncError
-from sync_oracle import front_end_chain, per_point_trial
+from sync_oracle import front_end_chain, nmse, per_point_trial
 
 
 def quick_config(**kw):
@@ -399,6 +399,58 @@ def equal_tables(a, b):
         np.array_equal(a[name], b[name], equal_nan=a[name].dtype.kind == "f") for name in a)
 
 
+@pytest.mark.parametrize("sweep_var", list(SHARED_DRAW_SWEEPS))
+def test_records_do_not_depend_on_the_block_size_or_the_workers(monkeypatch, sweep_var):
+    # a block scores each lane with the arithmetic of the lane scored alone,
+    # so blocks of 1, 5 and 16 trials, serial or pooled, give every bit of
+    # every record; 11 trials leave a partial last block of 5
+    cfgs, cfo_values, absorbed = SHARED_DRAW_SWEEPS[sweep_var]
+    points, trials = list(zip(cfgs, cfo_values)), 11
+    runs = []
+    for block, workers in ((1, 1), (5, 1), (5, 2), (16, 1)):
+        monkeypatch.setattr(harness, "BLOCK_TRIALS", block)
+        runs.append(harness.run_point(points, trials, absorbed=absorbed, workers=workers))
+    for tables in runs[1:]:
+        assert all(equal_tables(a, b) for a, b in zip(runs[0], tables))
+
+
+def test_every_points_config_is_validated_before_anything_is_drawn(monkeypatch):
+    # the second point of a run shares the first's draw; its config is
+    # checked all the same, and nothing is drawn
+    base = SystemConfig(num_users=2, rng_seed=5)
+    monkeypatch.setattr(harness, "draw_trial", lambda *args: pytest.fail("drew a trial"))
+    with pytest.raises(ConfigError, match="below the floor of -1000 dB"):
+        harness.run_point([(base, None), (replace(base, snr_db=-5000.0), None)], 1)
+
+
+@pytest.mark.parametrize("theta", [0, 3, 10, 127])
+def test_closed_form_nmse_is_the_nmse_of_the_reconstructed_taps(theta):
+    # the compensated estimate and the absorbed fit of every lane of a draw
+    # at theta_hat (10 and 127 wrap the region), scored in closed form
+    # against the truth's projection, and by the taps that they reconstruct
+    cfg = SystemConfig(num_users=2, channel_model="eva-bem", rng_seed=7, snr_db=15.0)
+    lanes = [(cfg.snr_db, cfo) for cfo in (-0.3, 0.0, 0.4)]
+    draw = harness.draw_trial(cfg, 2, lanes)
+    beta = harness.absorbed_beta(cfg)
+    for q in range(cfg.num_users):
+        regions = sync.pilot_regions(draw.front, q, theta, [0, 1, 2])
+        c_hat = np.array([e.c_hat for e in sync.synchronize_user([regions], theta, cfg)])
+        c_abs = harness.absorbed_channel_fit([regions], cfg, theta, beta)
+        truth, energy = draw.truth[q], draw.truth_energy[q]
+        kappa = pilot.region_kappa(cfg, int(draw.realization.to[q]))
+        for coeffs, order, rotate in ((c_hat, cfg.beta, False), (c_abs, beta, True)):
+            table = sync.estimator_bundle(cfg, theta, order)
+            truths = [truth * sync.cfo_phase(kappa, cfo, cfg.n_s)[:, np.newaxis, :]
+                      if rotate else truth for _, cfo in lanes]
+            got = harness.channel_nmse(coeffs, table.gram,
+                                       np.array([harness.truth_projection(table.bem, h)
+                                                 for h in truths]),
+                                       np.full(len(lanes), energy))
+            want = [nmse(sync.reconstruct_channel(c, table.bem), h)
+                    for c, h in zip(coeffs, truths)]
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("sweep_var", list(SHARED_DRAW_SWEEPS))
 def test_shared_draw_gives_each_points_own_records(sweep_var, workers):
@@ -469,12 +521,14 @@ def test_an_snr_lanes_region_is_the_per_point_chains():
     assert draw.front.separated.shape[:2] == (1, 2)
     for q in range(base.num_users):
         theta = int(draw.realization.to[q])         # one region for both lanes
-        regions, _ = sync.synchronize_user(draw.front, q, theta, [0, 1])
+        samples, stream, amplitude = sync.pilot_regions(draw.front, q, theta, [0, 1])
+        assert samples.shape == (1, 2, base.n, base.zc_len)
+        regions = sync.lane_regions(samples, stream, amplitude)
         assert regions.shape == (2, base.n, base.zc_len)
         for lane, (cfg, got) in enumerate(zip(cfgs, regions)):
             assert draw.front.amplitude[lane] > 0
             alone = harness.draw_trial(cfg, trial)
-            (want,), _ = sync.synchronize_user(alone.front, q, theta, [0])
+            (want,) = sync.lane_regions(*sync.pilot_regions(alone.front, q, theta, [0]))
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -490,28 +544,43 @@ def test_one_cfo_projection_per_user_and_theta_per_draw(monkeypatch):
     thetas = np.stack([table["theta_first"] for table in tables])     # (point, trial, user)
     distinct = sum(len(set(thetas[:, k, q])) for k, q in np.ndindex(trials, 4))
     assert distinct > trials * 4       # some users' theta_hat moves between points
-    assert len(shapes) == distinct
+    # each (trial, user, theta_hat) is one stream, correlated once, a few
+    # streams of the block per call
+    assert sum(shape[0] for shape in shapes) == distinct
+    assert len(shapes) < distinct
     assert all(shape[-3] == 2 for shape in shapes)  # the signal and the unit noise
 
 
-def test_one_cfo_search_per_user_and_theta_per_draw(monkeypatch):
-    # each user's search runs once per theta_hat and draw, with one lane per
-    # point that reaches that theta_hat, so every (point, user) gets one lane
-    lanes = []
+def record_searches(monkeypatch):
+    """The (streams, lanes per stream) of every ``sync.estimate_cfo`` call."""
+    searches = []
     estimate_cfo = sync.estimate_cfo
     monkeypatch.setattr(sync, "estimate_cfo",
-                        lambda samples, bundle, cfg, amplitudes: lanes.append(len(amplitudes))
-                        or estimate_cfo(samples, bundle, cfg, amplitudes))
+                        lambda samples, bundle, cfg, amplitudes, stream: searches.append(
+                            (len(samples), np.bincount(stream, minlength=len(samples))))
+                        or estimate_cfo(samples, bundle, cfg, amplitudes, stream))
+    return searches
+
+
+def test_one_cfo_search_per_user_and_theta_per_draw(monkeypatch):
+    # the search runs once per theta_hat of the block, over every trial and
+    # user that reaches it: one stream per (trial, user, theta_hat), with one
+    # lane per point that reaches that theta_hat, so every (point, user) gets
+    # one lane
+    searches = record_searches(monkeypatch)
     base = SystemConfig(num_users=4, rng_seed=17)
     cfgs = [apply_overrides(base, {"snr_db": snr}) for snr in ("-20", "10", "inf")]
     trials = 4
+    assert trials <= harness.BLOCK_TRIALS                               # one block
     tables = harness.run_point([(cfg, None) for cfg in cfgs], trials)
     thetas = np.stack([table["theta_first"] for table in tables])     # (point, trial, user)
     distinct = sum(len(set(thetas[:, k, q])) for k, q in np.ndindex(trials, 4))
     assert distinct > trials * 4       # some users' theta_hat moves between points
-    assert len(lanes) == distinct
-    assert sum(lanes) == len(cfgs) * trials * 4
-    assert max(lanes) == len(cfgs)     # and some search serves every point
+    assert len(searches) == len(set(thetas.ravel().tolist()))
+    lanes = np.concatenate([per_stream for _, per_stream in searches])
+    assert sum(streams for streams, _ in searches) == len(lanes) == distinct
+    assert lanes.sum() == len(cfgs) * trials * 4
+    assert lanes.max() == len(cfgs)    # and some stream serves every point
 
 
 def pinned_points(genie_to=False):
@@ -549,31 +618,36 @@ def test_pinned_run_gives_each_points_own_trial_bit_for_bit(genie_to):
 
 
 def test_one_cfo_search_per_user_and_theta_per_pinned_draw(monkeypatch):
-    # a pinned draw searches each user at each theta_hat once, for every lane
-    # that reaches it, and fits the absorbed baseline of those lanes in the
-    # same pass, each lane as its region alone would be fitted
-    searches, fits = [], []
-    estimate_cfo, fit = sync.estimate_cfo, harness.absorbed_channel_fit
-    monkeypatch.setattr(sync, "estimate_cfo",
-                        lambda samples, bundle, cfg, amplitudes: searches.append(len(amplitudes))
-                        or estimate_cfo(samples, bundle, cfg, amplitudes))
+    # a block of pinned draws is searched once per theta_hat, every trial's
+    # and user's lanes that reach it at once, and the absorbed baseline of
+    # those lanes is fitted in the same pass, each lane as its region alone
+    # would be fitted
+    fits = []
+    searches = record_searches(monkeypatch)
+    fit = harness.absorbed_channel_fit
     monkeypatch.setattr(harness, "absorbed_channel_fit",
                         lambda *args: fits.append((args, fit(*args))) or fits[-1][1])
     points = pinned_points()
     trials, num_users, lanes = 4, 2, 4          # the repeated point is one lane
+    assert trials <= harness.BLOCK_TRIALS                               # one block
     tables = harness.run_point(points, trials, absorbed=True)
     thetas = np.stack([table["theta_first"] for table in tables])     # (point, trial, user)
     searched = {(k, q, theta) for (p, k, q), theta in np.ndenumerate(thetas)}
     assert len(searched) > trials * num_users        # some theta_hat moves between points
-    assert len(searches) == len(searched)
-    assert sum(searches) == trials * num_users * lanes
-    assert max(searches) == lanes                    # and some search serves every lane
-    assert len(fits) == len(searched)
-    assert sum(len(regions) for (regions, *_), _ in fits) == trials * num_users * lanes
-    for (regions, cfg, user, theta, beta), got in fits:
-        assert regions.ndim == 3
-        for region, h_abs in zip(regions, got):
-            assert np.array_equal(h_abs, fit(region, cfg, user, theta, beta))
+    assert len(searches) == len(set(thetas.ravel().tolist()))
+    # each lane has a stream of its own
+    assert sum(streams for streams, _ in searches) == trials * num_users * lanes
+    assert all(np.all(per_stream == 1) for _, per_stream in searches)
+    assert len(fits) == len(searches)
+    assert sum(len(stream) for (regions, *_), _ in fits
+               for _, stream, _ in regions) == trials * num_users * lanes
+    for (regions, cfg, theta, beta), got in fits:
+        alone = [fit([(samples, stream[index:index + 1], amplitude[index:index + 1])], cfg,
+                     theta, beta)[0]
+                 for samples, stream, amplitude in regions for index in range(len(stream))]
+        assert len(alone) == len(got)
+        for c_abs, want in zip(got, alone):
+            assert np.array_equal(c_abs, want)
 
 
 def test_a_repeated_snr_point_gives_equal_records():

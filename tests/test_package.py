@@ -87,8 +87,9 @@ for shape, stream, amplitude in (((2, 1), [0, 1], [0.0, 0.0]), ((1, 2), [0, 0], 
         thetas = front.to_estimate.first_peak[:, user]
         for theta in set(thetas.tolist()):
             lanes = np.flatnonzero(thetas == theta)
-            regions, estimates = sync.synchronize_user(front, user, theta, lanes)
-            assert regions.shape == (len(lanes), cfg.n, cfg.zc_len)
+            regions = sync.pilot_regions(front, user, theta, lanes)
+            assert regions[0].shape[1:] == (shape[1], cfg.n, cfg.zc_len)
+            estimates = sync.synchronize_user([regions], theta, cfg)
             assert len(estimates) == len(lanes)
             assert all(np.isfinite(estimate.epsilon_hat) for estimate in estimates)
 print("ok")

@@ -15,7 +15,7 @@ from otfsync.config import BEM_ORDER_CAP, SystemConfig
 from otfsync.errors import ConfigError, EstimationError
 from dd_oracle import pilot_region_ref, timing_template
 from sync_oracle import (DenseRegressor, bundle_template, cfo_cost_derivatives,
-                         dense_regressor, estimate_cfo_exact, front_end_chain,
+                         dense_regressor, estimate_cfo_exact, front_end_chain, newton_max,
                          own_bundle_back_end, regressor_matrix, separate_user_one,
                          timing_correlate_one, timing_correlate_template)
 
@@ -669,20 +669,81 @@ def test_estimate_cfo_all_zero_region_returns_grid_point():
     zero = np.zeros_like(region)
     est = search(zero, bundle, cfg)
     assert est.epsilon_hat == est.grid[int(np.argmax(est.cost_curve))]
-    assert np.all(est.c_hat == 0) and np.all(np.isfinite(est.h_hat))
+    assert np.all(est.c_hat == 0)
+
+
+def lanes_of(*funs):
+    """One vectorized function of ``sync.newton_max_many`` from scalar ones,
+    one per lane: fun(x, lanes) -> (f, f', f'') arrays."""
+    def fun(x, lanes):
+        return np.array([funs[lane](float(t)) for t, lane in zip(x, lanes)], dtype=float).T
+    return fun
+
+
+# f = -(t - 0.3)^4 has f'' = 0 at its maximum: Newton slows, the bracket holds
+QUARTIC = lambda t: (-(t - 0.3) ** 4, -4 * (t - 0.3) ** 3, -12 * (t - 0.3) ** 2)
+# increasing f on the whole bracket: a concave f steps onto the upper edge
+# and stops there, a linear one (f'' = 0) bisects towards it
+PARABOLA = lambda t: (-(t - 0.5) ** 2, -2 * (t - 0.5), -2.0)
+LINEAR = lambda t: (t, 1.0, 0.0)
+FLAT = lambda t: (1.0, 0.0, -1.0)       # f' = 0 stops at the start
 
 
 def test_newton_max_on_quartic_and_at_bracket_edge():
-    # f = -(t - 0.3)^4 has f'' = 0 at its maximum: Newton slows, the bracket holds
-    quartic = lambda t: (-(t - 0.3) ** 4, -4 * (t - 0.3) ** 3, -12 * (t - 0.3) ** 2)
-    x, _ = sync.newton_max(quartic, 0.25, 0.2, 0.4, 1e-4)
+    x, _ = newton_max(QUARTIC, 0.25, 0.2, 0.4, 1e-4)
     assert abs(x - 0.3) < 1e-4
-    # increasing f on the whole bracket: a concave f steps onto the upper edge
-    # and stops there, a linear one (f'' = 0) bisects towards it
-    parabola = lambda t: (-(t - 0.5) ** 2, -2 * (t - 0.5), -2.0)
-    assert sync.newton_max(parabola, 0.1, 0.0, 0.2, 1e-4)[0] == 0.2
-    x, fx = sync.newton_max(lambda t: (t, 1.0, 0.0), 0.1, 0.0, 0.2, 1e-4)
+    assert newton_max(PARABOLA, 0.1, 0.0, 0.2, 1e-4)[0] == 0.2
+    x, fx = newton_max(LINEAR, 0.1, 0.0, 0.2, 1e-4)
     assert 0.2 - 2e-6 <= x <= 0.2 and fx == x  # bisection stops at a step below 1e-6
+
+
+def test_newton_max_many_takes_each_lanes_own_steps():
+    # the lanes of one call stop at different iterations, each where the
+    # scalar ascent of that lane alone stops, bit for bit
+    cases = [(QUARTIC, 0.25, 0.2, 0.4), (PARABOLA, 0.1, 0.0, 0.2), (LINEAR, 0.1, 0.0, 0.2),
+             (FLAT, 0.05, 0.0, 0.2), (QUARTIC, 0.39, 0.2, 0.4)]
+    funs, x0, lo, hi = zip(*cases)
+    x, f = sync.newton_max_many(lanes_of(*funs), np.array(x0), np.array(lo), np.array(hi),
+                                1e-4)
+    for (fun, *start), got_x, got_f in zip(cases, x, f):
+        assert (got_x, got_f) == newton_max(fun, *start, 1e-4)
+    # a lane alone gives what it gives among the others
+    for lane, (fun, *start) in enumerate(cases):
+        alone = sync.newton_max_many(lanes_of(fun), *map(np.array, ([s] for s in start)), 1e-4)
+        assert (alone[0][0], alone[1][0]) == (x[lane], f[lane])
+
+
+@pytest.mark.parametrize("theta", [0, 3])
+def test_newton_refinement_of_a_search_matches_the_scalar_ascent_lane_by_lane(theta):
+    # the lanes of one real search: several streams, each read at a few noise
+    # amplitudes, refined at once; the scalar ascent of each lane on the same
+    # cost derivatives (the lag form) from the same bracket ends where the
+    # search's refinement of it ends
+    cfg = paper_config(num_users=2, snr_db=10.0)
+    bundle = sync.estimator_bundle(cfg, theta)
+    rng = np.random.default_rng([theta, 3])
+    shape = (4, 2, cfg.n, cfg.zc_len)
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    samples[:, 0] *= 10.0
+    stream = np.array([0, 0, 1, 2, 2, 2, 3])
+    amplitudes = np.array([0.0, 0.3, 1.0, 0.0, 0.1, 3.0, 0.7])
+    estimates = sync.estimate_cfo(samples, bundle, cfg, amplitudes, stream)
+    grid, turns, lag_derivs, _ = sync.lag_tables(len(bundle.scan_index), cfg.m, cfg.n_s,
+                                                 cfg.cfo_range, cfg.cfo_step)
+    lags = bundle.cost_many(bundle.slot_rows(samples)).view(np.float64)
+    moved = 0
+    for s, a, est in zip(stream, amplitudes, estimates):
+        lane = ((a ** np.arange(3))[np.newaxis] @ lags[s]).view(np.complex128)
+        derivs = (lane * lag_derivs).view(np.float64)
+        fun = lambda e: tuple((derivs @ sync.lag_phasors(e, turns)).tolist())
+        best = int(np.argmax(est.cost_curve))
+        eps_c = float(grid[best])
+        lo, hi = max(eps_c - cfg.cfo_step, -cfg.cfo_range), min(eps_c + cfg.cfo_step,
+                                                                 cfg.cfo_range)
+        x, f = newton_max(fun, eps_c, lo, hi, cfg.cfo_tol)
+        assert est.epsilon_hat == (eps_c if est.cost_curve[best] >= f else x)
+        moved += est.epsilon_hat != eps_c
+    assert moved > 0
 
 
 @pytest.mark.parametrize("cfo_range, cfo_step, size, whole", [
@@ -727,7 +788,8 @@ def test_ls_residual_orthogonality():
     received = chan.add_awgn(r, cfg.snr_db, chan.unit_noise(rng, r.shape))
     front = sync.front_end(received[np.newaxis, np.newaxis], [0], [0.0], pcp, cfg)
     theta = int(front.to_estimate.first_peak[0, 0])
-    (region,), (estimate,) = sync.synchronize_user(front, 0, theta, [0])
+    (estimate,) = sync.synchronize_user([sync.pilot_regions(front, 0, theta, [0])], theta, cfg)
+    region = sync.extract_pilot_region(front.separated[0, 0, 0], theta, cfg)
     bundle = sync.estimator_bundle(cfg, theta)
     g = regressor_matrix(pilot_region_ref(cfg, pcp, 0), bundle.bem)
     phase = sync.cfo_phase(pilot.region_kappa(cfg, theta).ravel(), estimate.epsilon_hat,
@@ -862,7 +924,8 @@ def test_local_refinement_matches_exact_newton(theta, overrides, eps0s):
         assert abs(est.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
         assert np.linalg.norm(est.c_hat - c_hat) <= 1e-9 * np.linalg.norm(c_hat)
         taps = np.einsum("njg,lg->nlj", bundle.bem, c_hat.reshape(cfg.zc_len, -1))
-        assert np.max(np.abs(est.h_hat - taps)) <= 1e-9 * np.max(np.abs(taps))
+        h_hat = sync.reconstruct_channel(est.c_hat, bundle.bem)
+        assert np.max(np.abs(h_hat - taps)) <= 1e-9 * np.max(np.abs(taps))
         if abs(eps0) > cfg.cfo_range:
             edge = math.copysign(cfg.cfo_range, eps0)
             assert abs(est.grid[int(np.argmax(est.cost_curve))] - edge) < cfg.cfo_step
@@ -893,15 +956,18 @@ def test_shared_bundle_matches_per_user_bundles():
 
     for q in range(cfg.num_users):
         theta = int(real.to[q])
-        (region,), (estimate,) = sync.synchronize_user(front, q, theta, [0])
+        regions = sync.pilot_regions(front, q, theta, [0])
+        (estimate,) = sync.synchronize_user([regions], theta, cfg)
         beta_abs = harness.absorbed_beta(cfg)
-        h_abs = harness.absorbed_channel_fit(region, cfg, q, theta, beta_abs)
+        (c_abs,) = harness.absorbed_channel_fit([regions], cfg, theta, beta_abs)
         eps_hat, c_hat, h_hat, h_abs_own = own_bundle_back_end(
             front.separated[0, 0], q, theta, cfg, pcp, beta_abs)
         assert abs(estimate.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
         assert close(estimate.c_hat, c_hat)
-        assert close(estimate.h_hat, h_hat)
-        assert close(h_abs, h_abs_own)
+        bem = sync.estimator_bundle(cfg, theta).bem
+        assert close(sync.reconstruct_channel(estimate.c_hat, bem), h_hat)
+        bem_abs = sync.estimator_bundle(cfg, theta, beta_abs).bem
+        assert close(sync.reconstruct_channel(c_abs, bem_abs), h_abs_own)
 
 
 def test_estimate_cfo_allocates_less_than_the_dense_scan():
@@ -1039,7 +1105,7 @@ def test_lane_search_equals_one_search_per_amplitude():
     for amplitude, lane in zip(amplitudes, lanes):
         (alone,) = sync.estimate_cfo(samples, bundle, cfg, (amplitude,))
         assert lane.epsilon_hat == pytest.approx(alone.epsilon_hat, rel=1e-12, abs=1e-15)
-        for name in ("cost_curve", "c_hat", "h_hat"):
+        for name in ("cost_curve", "c_hat"):
             got, want = getattr(lane, name), getattr(alone, name)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -1058,7 +1124,7 @@ def test_stacked_streams_search_as_each_stream_alone():
     for region, lane in zip(samples, lanes):
         (alone,) = sync.estimate_cfo(region, bundle, cfg)
         assert lane.epsilon_hat == alone.epsilon_hat
-        for name in ("cost_curve", "c_hat", "h_hat"):
+        for name in ("cost_curve", "c_hat"):
             assert np.array_equal(getattr(lane, name), getattr(alone, name))
     flat = samples.reshape(len(samples), -1)
     coeffs = bundle.coeffs(flat)

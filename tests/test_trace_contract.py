@@ -2,15 +2,20 @@
 (``perfbench/tracing.py``), which wraps functions by name: the batched front
 end runs inside traced stages once per draw, the points of an SNR sweep read
 the draw's unit-noise row at their noise amplitudes and call
-``channel.add_awgn`` zero times, each point is one ``run_trial``, the
-first of a draw scores every point of it and runs the per-user back end
-(``sync.synchronize_user``) once per user and theta_hat, each user's CFO
-projection is one traced call inside that search, and the users share
-their estimator bundles.  A ``cfo_value``
-sweep adds each point's noise to its stream and filters that stream in
-traced stages, lane by lane, and batches its points' CFO searches and
-absorbed fits inside the traced ``estimate_cfo`` and
-``absorbed_channel_fit``."""
+``channel.add_awgn`` zero times, and each (trial, point) is one
+``run_trial``.  Trials are scored a block at a time: the first
+``run_trial`` of a block scores every trial and point of it, and runs the
+back end (``sync.synchronize_user``, one ``sync.estimate_cfo``) once per
+theta_hat of the block, over every trial, user and lane that reaches it.
+The CFO projections of that search are traced ``BemRegressor.cost_many``
+calls inside it, one per chunk of a few streams, each stream a
+(trial, user, theta_hat), and its LS solve is one traced
+``BemRegressor.coeffs`` call; the users share their estimator bundles, and
+scoring fetches each theta_hat's bundle once more for its Gram matrix.  A
+``cfo_value`` sweep adds each point's noise to its stream and filters that
+stream in traced stages, lane by lane, and batches its points' CFO searches
+and absorbed fits inside the traced ``estimate_cfo`` and
+``absorbed_channel_fit``, one of each per theta_hat of the block."""
 
 import json
 import os
@@ -53,20 +58,35 @@ def test_q4_eva_sweep_is_covered_by_traced_stages(tmp_path):
     assert stages["sync.separate_user"][0] == TRIALS
     assert stages["sync.timing_correlate"][0] == TRIALS
     assert "channel.add_awgn" not in stages
-    # one projection, and one bundle fetch, per user, theta_hat and draw;
-    # sync.cfo_coarse.ms reads the projections inside the CFO searches
+    # the two trials are one block: one search per theta_hat of it, whichever
+    # trials and users reach it
+    assert TRIALS <= harness.BLOCK_TRIALS
     with open(tmp_path / "trace" / "per-trial.jsonl", encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
-    projections = {(rec["trial"], rec["user"], rec["theta_first"]) for rec in records}
-    # per_layer_metrics divides by the back-end call count: one per (trial,
-    # user, theta_hat), each one search
-    assert stages["sync.synchronize_user"][0] == len(projections) > 0
-    assert stages["sync.estimate_cfo"][0] == len(projections)
-    assert stages["sync.BemRegressor.cost_many"][0] == len(projections)
-    assert summary["in_cfo"]["sync.BemRegressor.cost_many"] > 0
-    assert stages["sync.estimator_bundle"][0] == len(projections)
-    # one bundle per distinct theta_hat, whichever users it came from
+    streams = {(rec["trial"], rec["user"], rec["theta_first"]) for rec in records}
     thetas = {rec["theta_first"] for rec in records}
+    assert len(thetas) < len(streams)
+    # per_layer_metrics divides by the back-end call count: one per theta_hat
+    # of the block, each one search
+    assert stages["sync.synchronize_user"][0] == len(thetas) > 0
+    assert stages["sync.estimate_cfo"][0] == len(thetas)
+    # sync.cfo_coarse.ms reads the projections inside the CFO searches, one
+    # call per chunk of the theta_hat's streams (K = 2 rows each)
+    chunks = 0
+    for theta in thetas:
+        lags = len(sync.estimator_bundle(SystemConfig(), theta).scan_index)
+        chunk = max(1, sync.SEARCH_CHUNK_BYTES // (16 * 4 * lags * 2 * lags))
+        chunks += -(-sum(key[2] == theta for key in streams) // chunk)
+    assert stages["sync.BemRegressor.cost_many"][0] == chunks
+    assert summary["in_cfo"]["sync.BemRegressor.cost_many"] > 0
+    # and the LS solve of every lane at once, which sync.cfo_solve.ms reads
+    assert stages["sync.BemRegressor.coeffs"][0] == len(thetas)
+    assert summary["in_cfo"]["sync.BemRegressor.coeffs"] > 0
+    assert "sync.reconstruct_channel" not in stages
+    # two bundle fetches per theta_hat: the search's and its Gram matrix for
+    # the closed-form score; a draw makes its truth projections on the bases
+    assert stages["sync.estimator_bundle"][0] == 2 * len(thetas)
+    # one bundle per distinct theta_hat, whichever users it came from
     assert 1 <= stages["sync.build_bem_regressor"][0] <= len(thetas)
 
 
@@ -93,12 +113,13 @@ def test_cfo_sweep_batches_its_points_inside_traced_stages(tmp_path):
     assert stages["channel.add_awgn"][0] == TRIALS * lanes
     assert stages["sync.separate_user"][0] == TRIALS * lanes
     assert stages["sync.timing_correlate"][0] == TRIALS * lanes
-    # one search, one absorbed fit and one solve per (trial, user,
-    # theta_hat), every point's lane in it
+    # one search and one absorbed fit per theta_hat of the block, every
+    # trial's, user's and point's lane in it, and two solves: the search's
+    # and the absorbed fit's
     with open(tmp_path / "trace-cfo" / "per-trial.jsonl", encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
-    searched = {(rec["trial"], rec["user"], rec["theta_first"]) for rec in records}
-    assert stages["sync.estimate_cfo"][0] == len(searched) < TRIALS * 2 * lanes
-    assert stages["sync.synchronize_user"][0] == len(searched) > 0
-    assert stages["harness.absorbed_channel_fit"][0] == len(searched)
-    assert stages["sync.BemRegressor.coeffs"][0] == len(searched)
+    thetas = {rec["theta_first"] for rec in records}
+    assert stages["sync.estimate_cfo"][0] == len(thetas) < TRIALS * 2 * lanes
+    assert stages["sync.synchronize_user"][0] == len(thetas) > 0
+    assert stages["harness.absorbed_channel_fit"][0] == len(thetas)
+    assert stages["sync.BemRegressor.coeffs"][0] == 2 * len(thetas)
