@@ -66,7 +66,7 @@ def test_estimate_cfo_of_one_region(benchmark, cfg):
     shape = (1, 1, cfg.n, cfg.zc_len)
     samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     bundle = sync.estimator_bundle(cfg, 2)
-    benchmark(sync.estimate_cfo, samples, bundle, cfg)
+    benchmark(sync.estimate_cfo, samples, bundle, cfg, [0.0], [0])
 
 
 def test_run_trial_of_one_point(benchmark, cfg):

@@ -30,16 +30,19 @@ point and trial.  The ``nu_max_t`` and ``pilot_power_db`` sweeps change
 the channel or the pilots, so each of their points has a draw of its own.
 
 The unit of scoring is a block of BLOCK_TRIALS consecutive trial indices,
-whose boundaries depend on the trial index alone (``run_point``).  The
-block's draws are made one at a time (``draw_block``), and of each only
-what scoring reads is kept (``ScoringInputs``): the TO decisions, each
-(user, theta_hat) group's de-rotated pilot regions and lane amplitudes
+whose boundaries depend on the trial index alone (``run_point``), and
+``run_trial`` reads only blocks (``TrialBlock``).  The block's draws are
+made one at a time (``draw_block``), and of each only what scoring reads
+is kept (``ScoringInputs``): each lane's records, with the truth and the
+TO decisions written in when they are made, each (user, theta_hat)
+group's de-rotated pilot regions and lane amplitudes
 (``sync.pilot_regions``), the truth's projection p = B^T h on the basis B
-of the table at that theta_hat and the truth energy ||h||^2.  The block's first
-``run_trial`` scores every lane of every draw of it (``score_block``): the
-back end (``sync.synchronize_user``) runs once per theta_hat over every
-draw, user and lane that reaches it, and the absorbed baseline fits the
-same lanes at once.  Each estimate is scored from its coefficients c in
+of the table at that theta_hat and the truth energy ||h||^2.  The block's
+first ``run_trial`` scores every lane of every draw of it
+(``score_block``): the regions of every draw, user and lane that reaches
+a theta_hat are stacked once (``sync.stack_regions``), and the back end
+(``sync.synchronize_user``) and the absorbed baseline fit that one stack.
+Each estimate is scored from its coefficients c in
 closed form, sum_l (c_l^H G c_l - 2 Re c_l^H p_l) + ||h||^2 with the
 table's Gram matrix G = B^T B (``channel_nmse``), so that no tap
 trajectory is built.  Every lane's arithmetic is that of the lane scored
@@ -152,16 +155,15 @@ def absorbed_channel_fit(regions, cfg: SystemConfig, theta: int, beta: int) -> n
     """Baseline fit with the CFO left inside the channel (search disabled):
     the LS solve of order ``beta`` (``absorbed_beta``) runs at zero offset
     against the Doppler-free template 1 (x) p, on the region of each lane of
-    the ``sync.pilot_regions`` results ``regions`` (``sync.stack_regions``),
-    already de-rotated by its user's slot phase and read at its noise
-    amplitude (``sync.lane_regions``), as (lanes, L_p*beta) basis
-    coefficients.  It reads the table of order ``beta``
-    (``sync.estimator_bundle``), not the search's.  At zero offset no
-    rotation is needed, so the fit is the regions' slot rows summed over
-    the slots, one (L_p*beta)-square matrix product per region
-    (``sync.lane_coeffs``)."""
-    return sync.lane_coeffs(sync.estimator_bundle(cfg, theta, beta=beta),
-                            *sync.stack_regions(regions))
+    the region stack ``regions``, the (samples, stream, amplitude) triple
+    that the back end reads (``sync.synchronize_user``), already de-rotated
+    by its user's slot phase and read at its noise amplitude
+    (``sync.lane_regions``), as (lanes, L_p*beta) basis coefficients.  It
+    reads the table of order ``beta`` (``sync.estimator_bundle``), not the
+    search's.  At zero offset no rotation is needed, so the fit is the
+    regions' slot rows summed over the slots, one (L_p*beta)-square matrix
+    product per region (``sync.lane_coeffs``)."""
+    return sync.lane_coeffs(sync.estimator_bundle(cfg, theta, beta=beta), *regions)
 
 
 @dataclass(frozen=True)
@@ -175,16 +177,14 @@ class TrialDraw:
     ``lanes`` holds the distinct (SNR, pinned CFO) of the points the draw
     serves, and ``front`` is the receive front end (``sync.front_end``)
     with lane p at ``lanes[p]``, which makes every point's TO decisions with
-    the draw.  ``scored`` is empty until the draw's first ``run_trial``,
-    which reduces it to a block of one trial (``TrialBlock``) and keeps that
-    there, for the other points to read.  A pinned draw's realization has
-    zero CFOs and ``rx`` is the zero-CFO
-    stream: a pinned CFO eps, the same for every user, is the rotation
-    exp(j 2 pi eps kappa / N_s) of that stream, which ``draw_trial`` applies
-    lane by lane.  So a pinned draw's realization depends neither on
-    ``cfg.snr_db`` nor on the pinned values.  Its arrays (``pcp``, the
-    offsets, ``rx``, ``noise``, ``truth`` and the front end's separated
-    streams and timing curves) are read-only."""
+    the draw.  Scoring reads the draw through its ``scoring_inputs``, in a
+    block (``draw_block``).  A pinned draw's realization has zero CFOs and
+    ``rx`` is the zero-CFO stream: a pinned CFO eps, the same for every
+    user, is the rotation exp(j 2 pi eps kappa / N_s) of that stream, which
+    ``draw_trial`` applies lane by lane.  So a pinned draw's realization
+    depends neither on ``cfg.snr_db`` nor on the pinned values.  Its arrays
+    (``pcp``, the offsets, ``rx``, ``noise``, ``truth`` and the front end's
+    separated streams and timing curves) are read-only."""
 
     pcp: np.ndarray
     realization: chan.ChannelRealization
@@ -194,7 +194,6 @@ class TrialDraw:
     truth_energy: tuple[float, ...]
     lanes: tuple[tuple[float, float | None], ...]
     front: sync.FrontEnd
-    scored: list = field(default_factory=list, repr=False)
 
 
 def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
@@ -280,30 +279,29 @@ class PilotGroup:
 class ScoringInputs:
     """What scoring reads of trial ``trial``'s draw (``scoring_inputs``):
     its lanes, each lane's Q records with the true timing offsets and CFOs
-    filled in, every (lane, user)'s TO decisions, the (user, theta_hat)
+    and the front end's TO decisions filled in, the (user, theta_hat)
     groups (``PilotGroup``) and, for a debug dump, the timing curves."""
 
     trial: int
     lanes: tuple[tuple[float, float | None], ...]
     records: list[list[UserTrialRecord]]    # (P, Q)
-    first_peak: list[list[int]]             # (P, Q)
-    max_peak: list[list[int]]               # (P, Q)
     groups: dict[tuple[int, int], PilotGroup]
     curves: np.ndarray | None               # (P, Q, M) under a debug dump
 
 
 def scoring_inputs(cfg: SystemConfig, draw: TrialDraw, trial_index: int, absorbed: bool,
-                   debug: bool, bases: dict | None = None) -> ScoringInputs:
+                   debug: bool, bases: dict) -> ScoringInputs:
     """The ``ScoringInputs`` of ``draw``, trial ``trial_index``'s: each
-    user's lanes are grouped by theta_hat, or form one group at the true
-    offset under ``genie_to``, and each group keeps its regions and the
-    truth's projections on the bases of the tables it is scored on.  The
-    bases are those of ``sync.estimator_bundle``, made here from the region's
-    sample indices (``sync.build_bem_basis``) rather than fetched with their
-    tables, so that each table is built by the back end that searches on it
-    and its build is timed with the scoring; ``bases`` holds them by
-    (theta_hat, beta) across the draws of a block."""
-    bases = {} if bases is None else bases
+    lane's records hold the truth and the front end's TO decisions, which
+    a failed search keeps; each user's lanes are grouped by theta_hat, or
+    form one group at the true offset under ``genie_to``, and each group
+    keeps its regions and the truth's projections on the bases of the
+    tables it is scored on.  The bases are those of ``sync.estimator_bundle``,
+    made here from the region's sample indices (``sync.build_bem_basis``)
+    rather than fetched with their tables, so that each table is built by
+    the back end that searches on it and its build is timed with the
+    scoring; ``bases`` holds them by (theta_hat, beta) across the draws of
+    a block."""
 
     def basis(theta, beta):
         if (theta, beta) not in bases:
@@ -313,11 +311,13 @@ def scoring_inputs(cfg: SystemConfig, draw: TrialDraw, trial_index: int, absorbe
 
     realization, front = draw.realization, draw.front
     theta_true = realization.to.tolist()
-    records = [[UserTrialRecord(user=q, theta_true=theta_true[q], eps_true=float(eps))
+    first = front.to_estimate.first_peak
+    records = [[UserTrialRecord(user=q, theta_true=theta_true[q], theta_first=theta_first[q],
+                                theta_max=theta_max[q], eps_true=float(eps))
                 for q, eps in enumerate(realization.cfo if pinned is None
                                         else [pinned] * cfg.num_users)]
-               for _, pinned in draw.lanes]
-    first = front.to_estimate.first_peak
+               for (_, pinned), theta_first, theta_max in zip(
+                   draw.lanes, first.tolist(), front.to_estimate.max_peak.tolist())]
     groups = {}
     for q in range(cfg.num_users):
         truth = draw.truth[q]
@@ -339,9 +339,7 @@ def scoring_inputs(cfg: SystemConfig, draw: TrialDraw, trial_index: int, absorbe
                 lanes=lanes.tolist(), regions=sync.pilot_regions(front, q, theta, lanes),
                 energy=draw.truth_energy[q], proj=truth_projection(basis(theta, cfg.beta), truth),
                 proj_absorbed=proj_absorbed)
-    return ScoringInputs(trial=trial_index, lanes=draw.lanes, records=records,
-                         first_peak=first.tolist(),
-                         max_peak=front.to_estimate.max_peak.tolist(), groups=groups,
+    return ScoringInputs(trial=trial_index, lanes=draw.lanes, records=records, groups=groups,
                          curves=front.curves if debug else None)
 
 
@@ -374,43 +372,36 @@ def draw_block(cfg: SystemConfig, trials, lanes=None, *, absorbed: bool = False,
 
 def run_trial(cfg: SystemConfig, trial_index: int, *, cfo_value: float | None = None,
               absorbed: bool = False, collect_debug: bool = False,
-              draw: TrialDraw | TrialBlock | None = None):
+              block: TrialBlock | None = None):
     """Run one end-to-end trial of one point; returns its Q records and its
     debug entries.
 
     Per-user estimation failures become failed records, never exceptions.
     ``cfo_value`` pins every user's CFO (the Doppler-sweep experiments draw
     it instead); ``absorbed`` also evaluates the CFO-absorbed baseline.
-    Without ``draw`` the trial makes its own block of one one-lane draw
+    Without ``block`` the trial makes its own block of one one-lane draw
     (``draw_block``).
 
-    ``draw``, if given, is trial ``trial_index``'s draw (``TrialDraw``), or
-    a block of draws that holds it (``TrialBlock``), for a config that
-    differs from ``cfg`` in ``snr_db`` alone (``draw_runs``), with a lane at
-    (cfg.snr_db, cfo_value).  A draw becomes a block of one trial at its
-    first ``run_trial``, with that call's ``absorbed`` and
-    ``collect_debug``; a block is scored with those it was drawn with, and
-    a call that asks for others is a ValueError.  The block's first
-    ``run_trial`` scores every lane of it (``score_block``), and each call
-    returns its own lane: the same to rounding as the lone call if the
-    lanes share one stream (an SNR sweep's), and bit for bit if each lane
-    has its own (a ``cfo_value`` sweep's)."""
-    if draw is None:
-        draw = draw_block(cfg, [trial_index], [(cfg.snr_db, cfo_value)], absorbed=absorbed,
-                          debug=collect_debug)
-    elif isinstance(draw, TrialDraw):
-        if not draw.scored:
-            draw.scored.append(TrialBlock(
-                draws=[scoring_inputs(cfg, draw, trial_index, absorbed, collect_debug)],
-                absorbed=absorbed, debug=collect_debug))
-        draw = draw.scored[0]
-    if (draw.absorbed, draw.debug) != (absorbed, collect_debug):
-        raise ValueError(f"a block drawn with absorbed={draw.absorbed}, "
-                         f"collect_debug={draw.debug} scored with absorbed={absorbed}, "
+    ``block``, if given, is a block of draws (``draw_block``) that holds
+    trial ``trial_index``'s, for a config that differs from ``cfg`` in
+    ``snr_db`` alone (``draw_runs``), with a lane at (cfg.snr_db,
+    cfo_value).  It is scored with the ``absorbed`` and ``collect_debug``
+    it was drawn with, and a call that asks for others is a ValueError.
+    The block's first ``run_trial`` scores every lane of it
+    (``score_block``), and each call returns its own lane: the same to
+    rounding as the lone call if the lanes share one stream (an SNR
+    sweep's), and bit for bit if each lane has its own (a ``cfo_value``
+    sweep's)."""
+    if block is None:
+        block = draw_block(cfg, [trial_index], [(cfg.snr_db, cfo_value)], absorbed=absorbed,
+                           debug=collect_debug)
+    if (block.absorbed, block.debug) != (absorbed, collect_debug):
+        raise ValueError(f"a block drawn with absorbed={block.absorbed}, "
+                         f"collect_debug={block.debug} scored with absorbed={absorbed}, "
                          f"collect_debug={collect_debug}")
-    if not draw.scored:
-        draw.scored.update(score_block(cfg, draw))
-    return draw.scored[trial_index, (cfg.snr_db, cfo_value)]
+    if not block.scored:
+        block.scored.update(score_block(cfg, block))
+    return block.scored[trial_index, (cfg.snr_db, cfo_value)]
 
 
 def score_block(cfg: SystemConfig, block: TrialBlock) -> dict:
@@ -419,12 +410,13 @@ def score_block(cfg: SystemConfig, block: TrialBlock) -> dict:
     returns them, ``cfg`` the geometry of every lane.
 
     The (user, theta_hat) groups of all draws are grouped again by
-    theta_hat.  Each theta_hat is one ``sync.synchronize_user`` call over
-    the regions of all its groups and one absorbed fit of all their lanes,
-    and each estimate and fit is scored in closed form (``channel_nmse``);
-    an ``OtfsyncError`` marks every lane at that theta_hat failed.  A failed
-    search leaves ``theta_first`` and ``theta_max`` at 0, and a failed
-    absorbed fit keeps the compensated estimates."""
+    theta_hat.  The regions of all the groups at a theta_hat are stacked
+    once (``sync.stack_regions``); that stack is one
+    ``sync.synchronize_user`` call and one absorbed fit of all their lanes,
+    and each estimate and fit is scored in closed form (``channel_nmse``).
+    An ``OtfsyncError`` marks every lane at that theta_hat failed: a failed
+    search keeps the records' TO decisions, and a failed absorbed fit the
+    compensated estimates."""
     by_theta, debug, beta = {}, {}, absorbed_beta(cfg)
     for draw in block.draws:
         for (q, theta), group in draw.groups.items():
@@ -433,17 +425,14 @@ def score_block(cfg: SystemConfig, block: TrialBlock) -> dict:
         # every lane that reaches theta_hat: its record, draw, user, index and group
         lanes = [(draw.records[lane][q], draw, q, lane, group)
                  for draw, q, group in members for lane in group.lanes]
-        regions = [group.regions for *_, group in members]
+        regions = sync.stack_regions([group.regions for *_, group in members])
         energy = np.array([group.energy for *_, group in lanes])
         try:
             estimates = sync.synchronize_user(regions, theta, cfg)
             nmse = channel_nmse(np.array([estimate.c_hat for estimate in estimates]),
                                 sync.estimator_bundle(cfg, theta).gram,
                                 np.array([group.proj for *_, group in lanes]), energy)
-            for (record, draw, q, lane, _), estimate, value in zip(lanes, estimates,
-                                                                   nmse.tolist()):
-                record.theta_first = draw.first_peak[lane][q]
-                record.theta_max = draw.max_peak[lane][q]
+            for (record, *_), estimate, value in zip(lanes, estimates, nmse.tolist()):
                 record.eps_hat, record.nmse = estimate.epsilon_hat, value
             if block.absorbed:
                 nmse = channel_nmse(
@@ -463,6 +452,7 @@ def score_block(cfg: SystemConfig, block: TrialBlock) -> dict:
         except OtfsyncError as exc:
             for record, *_ in lanes:
                 record.failed, record.error = True, str(exc)
+        del regions         # before the next theta_hat's stack is made
     return {(draw.trial, key): (draw.records[lane],
                                 [debug[draw.trial, lane, q] for q in range(cfg.num_users)
                                  if (draw.trial, lane, q) in debug])
@@ -672,7 +662,7 @@ def _block_worker(args):
         block = draw_block(run[0][0], trials, [(cfg.snr_db, cfo) for cfg, cfo in run],
                            absorbed=absorbed)
         for by_point, k in zip(records, trials):
-            by_point += [run_trial(cfg, k, cfo_value=cfo, absorbed=absorbed, draw=block)[0]
+            by_point += [run_trial(cfg, k, cfo_value=cfo, absorbed=absorbed, block=block)[0]
                          for cfg, cfo in run]
         del block
     return records
@@ -688,7 +678,8 @@ def run_point(points: list[tuple[SystemConfig, float | None]], trials: int, *,
     One job per block of BLOCK_TRIALS consecutive trial indices runs those
     trials at every point, with one ``TrialBlock`` per run of consecutive
     points that it serves; the blocks are the same whatever the worker
-    count, and a pool, if any, lives for the whole sweep.  The name stays
+    count, and a pool, if any, lives for the whole sweep, with no more
+    workers than blocks.  The name stays
     ``run_point`` because the benchmark's tracer (``perfbench/tracing.py``)
     wraps it by name.
     """
@@ -702,7 +693,8 @@ def run_point(points: list[tuple[SystemConfig, float | None]], trials: int, *,
     else:
         # imported here: it loads logging and threading, which no serial sweep needs
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forked pool starts all of its workers at the first submit
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             by_block = list(pool.map(_block_worker, jobs))
     by_trial = [records for block in by_block for records in block]
     return [record_table(by_point) for by_point in zip(*by_trial)]

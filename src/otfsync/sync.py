@@ -50,7 +50,7 @@ because B_j is) the projection of a region z is the L_p*beta row sums
     w[j, k] = sum_n Q_j[n, k] z[n, j],
 
 its cost is ||w||^2 = sum_j ||Q_j^T z[:, j]||^2, and the LS coefficients
-are c = (C^-1 (x) I_beta) [R_j^-1 w[j]] = E w (``BemRegressor.solve``).
+are c = (C^-1 (x) I_beta) [R_j^-1 w[j]] = E w (``BemRegressor.coeffs``).
 
 The table lays the row sums out over the region's V virtual slots
 (``build_bem_regressor``), as slot rows Y[s, (j, k)] = Q_j[n, k] z[n, j]
@@ -368,11 +368,6 @@ class BemRegressor:
         lags[..., 1:] *= 2.0
         return lags
 
-    def solve(self, w: np.ndarray) -> np.ndarray:
-        """LS coefficients E w from a projection w, or from each row of a
-        (..., lanes, L_p*beta) stack of them."""
-        return w @ self._solve.T
-
     def coeffs(self, z: np.ndarray, slot_phase: np.ndarray | None = None,
                row_phase: np.ndarray | None = None) -> np.ndarray:
         """LS coefficient solve of one region z (N*L_p samples in region
@@ -392,7 +387,7 @@ class BemRegressor:
         w = regions.swapaxes(1, 2)[:, :, np.newaxis] @ self.scan_basis.transpose(1, 0, 2)
         if row_phase is not None:
             w *= row_phase[:, :, np.newaxis, np.newaxis]
-        return self.solve(w.reshape(len(regions), 1, -1)).reshape(z.shape[:-1] + (-1,))
+        return (w.reshape(len(regions), 1, -1) @ self._solve.T).reshape(z.shape[:-1] + (-1,))
 
 
 def build_bem_regressor(p: np.ndarray, kappa: np.ndarray, beta: int, m: int,
@@ -631,19 +626,17 @@ def lane_coeffs(bundle: BemRegressor, samples: np.ndarray, stream, amplitude,
 
 
 def estimate_cfo(samples: np.ndarray, bundle: BemRegressor, cfg: SystemConfig,
-                 amplitudes=(0.0,), stream=None) -> list[CfoEstimate]:
-    """The CFO search of pilot regions in the frame of the table's template
-    (``derotate``), each kept as a polynomial in the noise amplitude a (row
-    k of a (K, N, L_p) region the coefficient of a^k), at each a in
-    ``amplitudes`` (a lane), one ``CfoEstimate`` per lane: coarse scan of
-    the projection cost over the config's grid, Newton refinement on [best
-    grid point +- cfo_step] within +-cfo_range (stopping at steps below
-    NEWTON_STEP_FRAC * cfo_tol), then the LS coefficient solve at the
-    winning offset, all on the table ``bundle`` (``estimator_bundle``) and
-    the ``lag_tables`` of its V slots.  An (S, K, N, L_p) ``samples`` stacks
-    S such regions (streams), and lane p reads stream ``stream[p]``; without
-    ``stream`` each stream has the same number of lanes, stream by stream.
-    The estimates come in the order of the lanes.
+                 amplitudes, stream) -> list[CfoEstimate]:
+    """The CFO search of the lanes of a region stack (``stack_regions``), in
+    the frame of the table's template (``derotate``): the (S, K, N, L_p)
+    ``samples`` hold S regions (streams), each kept as a polynomial in the
+    noise amplitude a (row k the coefficient of a^k), and lane p reads
+    stream ``stream[p]`` at a = ``amplitudes[p]``.  One ``CfoEstimate`` per
+    lane, in the order of the lanes: coarse scan of the projection cost over
+    the config's grid, Newton refinement on [best grid point +- cfo_step]
+    within +-cfo_range (stopping at steps below NEWTON_STEP_FRAC * cfo_tol),
+    then the LS coefficient solve at the winning offset, all on the table
+    ``bundle`` (``estimator_bundle``) and the ``lag_tables`` of its V slots.
 
     The rotation of a sample factors into a row phase and
     exp(-j Omega eps s) at its virtual slot s (``build_bem_regressor``), so
@@ -671,15 +664,11 @@ def estimate_cfo(samples: np.ndarray, bundle: BemRegressor, cfg: SystemConfig,
     """
     grid, turns, lag_derivs, grid_phasors = lag_tables(
         len(bundle.scan_index), cfg.m, cfg.n_s, cfg.cfo_range, cfg.cfo_step)
-    regions = np.asarray(samples)
-    regions = regions.reshape((-1,) + regions.shape[-3:])
-    a = np.array([float(amplitude) for amplitude in amplitudes])
-    if stream is None:
-        stream = np.repeat(np.arange(len(regions)), len(a) // len(regions))
-    k, v = regions.shape[1], len(turns)
+    a = np.asarray(amplitudes, dtype=float)
+    k, v = samples.shape[1], len(turns)
     chunk = max(1, SEARCH_CHUNK_BYTES // (16 * k * k * v * 2 * v))
-    lag_rows = np.concatenate([bundle.cost_many(bundle.slot_rows(regions[start:start + chunk]))
-                               for start in range(0, len(regions), chunk)])   # (S, 2K - 1, V)
+    lag_rows = np.concatenate([bundle.cost_many(bundle.slot_rows(samples[start:start + chunk]))
+                               for start in range(0, len(samples), chunk)])   # (S, 2K - 1, V)
     powers = a[:, np.newaxis, np.newaxis] ** np.arange(2 * k - 1)            # (lanes, 1, 2K - 1)
     lags = powers @ lag_rows.view(np.float64)[stream]                        # (lanes, 1, 2V)
     costs = (lags @ grid_phasors)[:, 0]
@@ -695,7 +684,7 @@ def estimate_cfo(samples: np.ndarray, bundle: BemRegressor, cfg: SystemConfig,
                                    np.minimum(eps_c + cfg.cfo_step, cfg.cfo_range), cfg.cfo_tol)
     # keep the exact grid point when refinement cannot improve on it
     eps = np.where(costs[np.arange(len(a)), best] >= f_ref, eps_c, x_ref)
-    c_hat = lane_coeffs(bundle, regions, stream, a,
+    c_hat = lane_coeffs(bundle, samples, stream, a,
                         slot_phase=np.exp(-eps[:, np.newaxis] * turns),
                         row_phase=np.exp(-2j * np.pi / cfg.n_s
                                          * np.multiply.outer(eps, bundle.row_kappa)))
@@ -817,8 +806,10 @@ def pilot_regions(front: FrontEnd, user: int, theta: int,
 
 def stack_regions(regions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Several ``pilot_regions`` results, (samples, stream, amplitude) each,
-    as one: their (S, K, N, L_p) samples stacked, and each lane's stream
-    index into the stack and amplitude, lane by lane in their order."""
+    as one of the same form, which the back end (``synchronize_user``) and
+    the absorbed fit (``harness.absorbed_channel_fit``) read: their
+    (S, K, N, L_p) samples stacked, and each lane's stream index into the
+    stack and amplitude, lane by lane in their order."""
     samples, stream, amplitude = zip(*regions)
     starts = np.cumsum([0] + [len(part) for part in samples[:-1]])
     return (np.concatenate(samples),
@@ -828,11 +819,12 @@ def stack_regions(regions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def synchronize_user(regions, theta: int, cfg: SystemConfig) -> list[CfoEstimate]:
     """The back end of the receiver at timing offset ``theta``: one
-    ``CfoEstimate`` per lane of the ``pilot_regions`` results ``regions``,
-    lane by lane in their order (``stack_regions``).  One ``estimate_cfo``
-    on the table at ``theta``, which every user shares, so that the regions
-    may come from any users and draws.  The name stays because the
-    benchmark's tracer wraps ``synchronize_user`` by name, until stage
-    timing moves into the library (ROADMAP Direction 4)."""
-    samples, stream, amplitude = stack_regions(regions)
+    ``CfoEstimate`` per lane of the region stack ``regions``, a (samples,
+    stream, amplitude) triple of ``pilot_regions`` or ``stack_regions``, in
+    the order of its lanes.  One ``estimate_cfo`` on the table at ``theta``,
+    which every user shares, so that the regions may come from any users
+    and draws.  The name stays because the benchmark's tracer wraps
+    ``synchronize_user`` by name, until stage timing moves into the library
+    (ROADMAP Direction 4)."""
+    samples, stream, amplitude = regions
     return estimate_cfo(samples, estimator_bundle(cfg, theta), cfg, amplitude, stream)

@@ -24,8 +24,10 @@ slot-lag correlations of the table's slot rows.
 ``own_bundle_back_end`` fits one user's received region on a dense
 regressor factorized on that user's own pilot template, with a dense scan,
 exact Newton and the ``coeffs`` solve; ``sync.synchronize_user`` and
-``harness.absorbed_channel_fit`` share one table across users and
-de-rotate each user's region to its Doppler-free template.
+``harness.absorbed_channel_fit`` share one table across users, read one
+stack of regions (``sync.stack_regions``; one ``sync.pilot_regions``
+result is such a stack) and de-rotate each user's region to its
+Doppler-free template.
 ``nmse`` scores reconstructed tap trajectories against the truth taps
 directly; ``harness.channel_nmse`` scores the basis coefficients in closed
 form.
@@ -37,8 +39,9 @@ timing curve and ``sync.synchronize_user`` of each user on that one stream,
 one lane, scored by ``nmse`` on the reconstructed taps; on a draw whose
 front end has a lane per point (an SNR sweep's), each lane reads the shared
 stream of the signal and the unit noise at its noise amplitude, and
-``harness.score_block`` searches once for every user and lane of a block of
-draws that reaches the same theta_hat, and scores in closed form.
+``harness.score_block`` stacks the regions of every user and lane of a
+block of draws that reaches the same theta_hat once, searches and fits that
+stack, and scores in closed form.
 """
 
 import math
@@ -268,14 +271,14 @@ def per_point_trial(cfg, trial_index, absorbed=False):
         eps_true = float(draw.realization.cfo[q])
         theta = theta_true if cfg.genie_to else int(first[q])
         regions = sync.pilot_regions(front, q, theta, [0])
-        (estimate,) = sync.synchronize_user([regions], theta, cfg)
+        (estimate,) = sync.synchronize_user(regions, theta, cfg)
         h_hat = sync.reconstruct_channel(estimate.c_hat, sync.estimator_bundle(cfg, theta).bem)
         user = {"theta_first": int(first[q]), "theta_max": int(peak[q]),
                 "eps_hat": estimate.epsilon_hat, "nmse": nmse(h_hat, draw.truth[q]),
                 "timing_metric": front.curves[0, q], "cfo_cost": estimate.cost_curve}
         if absorbed:
             beta = harness.absorbed_beta(cfg)
-            c_abs = harness.absorbed_channel_fit([regions], cfg, theta, beta)
+            c_abs = harness.absorbed_channel_fit(regions, cfg, theta, beta)
             h_abs = sync.reconstruct_channel(c_abs[0], sync.estimator_bundle(cfg, theta, beta).bem)
             phase = sync.cfo_phase(pilot.region_kappa(cfg, theta_true), eps_true, cfg.n_s)
             user["nmse_absorbed"] = nmse(h_abs, draw.truth[q] * phase[:, None, :])

@@ -101,8 +101,8 @@ def test_debug_collection():
     for cfg in (cfg, quick_config(num_users=2, channel_model="eva", nu_max_t=1.0, snr_db=5.0)):
         want = per_point_trial(cfg, 0)
         for lanes in ((cfg.snr_db,), (cfg.snr_db, 30.0)):
-            draw = harness.draw_trial(cfg, 0, [(snr, None) for snr in lanes])
-            _, debug = harness.run_trial(cfg, 0, collect_debug=True, draw=draw)
+            block = harness.draw_block(cfg, [0], [(snr, None) for snr in lanes], debug=True)
+            _, debug = harness.run_trial(cfg, 0, collect_debug=True, block=block)
             assert len(debug) == len(want) == cfg.num_users
             for entry, user in zip(debug, want):
                 for name in ("timing_metric", "cfo_cost"):
@@ -414,6 +414,35 @@ def test_records_do_not_depend_on_the_block_size_or_the_workers(monkeypatch, swe
         assert all(equal_tables(a, b) for a, b in zip(runs[0], tables))
 
 
+def test_a_pool_starts_no_more_workers_than_there_are_blocks(monkeypatch):
+    # a forked pool starts every worker at its first submit, so 20 trials,
+    # two blocks, at workers=8 open a pool of 2; an in-process executor stands
+    # in for the pool and starts no process
+    import concurrent.futures
+    opened = []
+
+    class Executor:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+    points, trials = [(SystemConfig(num_users=2, rng_seed=5), None)], 20
+    assert -(-trials // harness.BLOCK_TRIALS) == 2
+    (pooled,) = harness.run_point(points, trials, workers=8)
+    assert opened == [2]
+    (serial,) = harness.run_point(points, trials)
+    assert opened == [2] and equal_tables(pooled, serial)
+
+
 def test_every_points_config_is_validated_before_anything_is_drawn(monkeypatch):
     # the second point of a run shares the first's draw; its config is
     # checked all the same, and nothing is drawn
@@ -434,8 +463,8 @@ def test_closed_form_nmse_is_the_nmse_of_the_reconstructed_taps(theta):
     beta = harness.absorbed_beta(cfg)
     for q in range(cfg.num_users):
         regions = sync.pilot_regions(draw.front, q, theta, [0, 1, 2])
-        c_hat = np.array([e.c_hat for e in sync.synchronize_user([regions], theta, cfg)])
-        c_abs = harness.absorbed_channel_fit([regions], cfg, theta, beta)
+        c_hat = np.array([e.c_hat for e in sync.synchronize_user(regions, theta, cfg)])
+        c_abs = harness.absorbed_channel_fit(regions, cfg, theta, beta)
         truth, energy = draw.truth[q], draw.truth_energy[q]
         kappa = pilot.region_kappa(cfg, int(draw.realization.to[q]))
         for coeffs, order, rotate in ((c_hat, cfg.beta, False), (c_abs, beta, True)):
@@ -463,7 +492,8 @@ def test_shared_draw_gives_each_points_own_records(sweep_var, workers):
         # a fresh draw of the same kind: an SNR sweep's draw has a lane per point
         lanes = [(c.snr_db, cfo) for c, cfo in zip(cfgs, cfo_values)]
         fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value, absorbed=absorbed,
-                                   draw=harness.draw_trial(cfg, k, lanes))[0]
+                                   block=harness.draw_block(cfg, [k], lanes,
+                                                            absorbed=absorbed))[0]
                  for k in range(trials)]
         assert equal_tables(table, harness.record_table(fresh))
 
@@ -609,10 +639,10 @@ def test_pinned_run_gives_each_points_own_trial_bit_for_bit(genie_to):
     # and so do the timing curves and the CFO cost curves of the dump
     lanes = [(cfg.snr_db, cfo_value) for cfg, cfo_value in points]
     for k in range(trials):
-        draw = harness.draw_trial(points[0][0], k, lanes)
+        block = harness.draw_block(points[0][0], [k], lanes, debug=True)
         for cfg, cfo_value in points:
             _, shared = harness.run_trial(cfg, k, cfo_value=cfo_value, collect_debug=True,
-                                          draw=draw)
+                                          block=block)
             assert shared == harness.run_trial(cfg, k, cfo_value=cfo_value,
                                                collect_debug=True)[1]
 
@@ -639,15 +669,35 @@ def test_one_cfo_search_per_user_and_theta_per_pinned_draw(monkeypatch):
     assert sum(streams for streams, _ in searches) == trials * num_users * lanes
     assert all(np.all(per_stream == 1) for _, per_stream in searches)
     assert len(fits) == len(searches)
-    assert sum(len(stream) for (regions, *_), _ in fits
-               for _, stream, _ in regions) == trials * num_users * lanes
-    for (regions, cfg, theta, beta), got in fits:
-        alone = [fit([(samples, stream[index:index + 1], amplitude[index:index + 1])], cfg,
+    assert sum(len(stream) for ((_, stream, _), *_), _ in fits) == trials * num_users * lanes
+    for ((samples, stream, amplitude), cfg, theta, beta), got in fits:
+        alone = [fit((samples[stream[index:index + 1]], [0], amplitude[index:index + 1]), cfg,
                      theta, beta)[0]
-                 for samples, stream, amplitude in regions for index in range(len(stream))]
+                 for index in range(len(stream))]
         assert len(alone) == len(got)
         for c_abs, want in zip(got, alone):
             assert np.array_equal(c_abs, want)
+
+
+def test_one_region_stack_per_theta_of_a_block(monkeypatch):
+    # the regions of a block at each theta_hat are stacked once, and the back
+    # end and the absorbed fit read that one stack
+    stacks, read = [], []
+    stack_regions, search, fit = (sync.stack_regions, sync.synchronize_user,
+                                  harness.absorbed_channel_fit)
+    monkeypatch.setattr(sync, "stack_regions",
+                        lambda regions: stacks.append(stack_regions(regions)) or stacks[-1])
+    monkeypatch.setattr(sync, "synchronize_user",
+                        lambda regions, *args: read.append(regions) or search(regions, *args))
+    monkeypatch.setattr(harness, "absorbed_channel_fit",
+                        lambda regions, *args: read.append(regions) or fit(regions, *args))
+    tables = harness.run_point(pinned_points(), 4, absorbed=True)
+    thetas = {theta for table in tables for theta in table["theta_first"].ravel().tolist()}
+    assert len(stacks) == len(thetas) > 1
+    # each stack is searched, then fitted
+    assert len(read) == 2 * len(stacks)
+    assert all(read[2 * i] is stack and read[2 * i + 1] is stack
+               for i, stack in enumerate(stacks))
 
 
 def test_a_repeated_snr_point_gives_equal_records():
@@ -824,6 +874,51 @@ def test_filter_bank_passes_all_of_the_data(monkeypatch, n, num_users):
             assert np.all(pilot_column != 0) == (pilot_power_db > -math.inf)
 
 
+def test_a_block_is_scored_with_the_flags_it_was_drawn_with():
+    # a call that asks for an absorbed baseline or a debug dump that the
+    # block was not drawn with raises before anything is scored
+    cfg = quick_config()
+    block = harness.draw_block(cfg, [0], absorbed=True)
+    for flags in ({}, {"collect_debug": True}, {"absorbed": True, "collect_debug": True}):
+        with pytest.raises(ValueError, match="drawn with absorbed=True, collect_debug=False"):
+            harness.run_trial(cfg, 0, block=block, **flags)
+    assert not block.scored
+    records, debug = harness.run_trial(cfg, 0, absorbed=True, block=block)
+    assert not records[0].failed and debug == []
+
+
+@pytest.mark.parametrize("num_users, model", [(2, "eva"), (4, "eva-bem")])
+def test_the_receiver_reads_no_truth(num_users, model):
+    # the split between the receiver and its scoring, pinned: a draw whose
+    # true offsets, CFOs, paths, taps and tap energies are unusable gives
+    # every estimate of the real draw bit for bit, on an SNR draw and on a
+    # pinned one; only the channel NMSE, scored against the truth, is NaN
+    cfg = SystemConfig(num_users=num_users, channel_model=model, rng_seed=11)
+    for lanes in ([(0.0, None), (20.0, None)], [(20.0, -0.3), (20.0, 0.4)]):
+        draw = harness.draw_trial(cfg, 1, lanes)
+        blind = replace(draw,
+                        realization=replace(draw.realization, paths=[None] * num_users,
+                                            to=np.full(num_users, -1),
+                                            cfo=np.full(num_users, math.nan)),
+                        truth=tuple(np.full_like(taps, complex(math.nan, math.nan))
+                                    for taps in draw.truth),
+                        truth_energy=(math.nan,) * num_users)
+        want, got = (harness.score_block(cfg, harness.TrialBlock(
+            draws=[harness.scoring_inputs(cfg, d, 1, False, False, {})], absorbed=False,
+            debug=False)) for d in (draw, blind))
+        assert want.keys() == got.keys()
+        for key, (records, _) in got.items():
+            pinned = key[1][1]
+            for rec, ref in zip(records, want[key][0]):
+                assert not rec.failed
+                for name in ("theta_first", "theta_max", "eps_hat"):
+                    value = getattr(rec, name)
+                    assert value == getattr(ref, name) and math.isfinite(value)
+                assert math.isnan(rec.nmse) and math.isfinite(ref.nmse)
+                if pinned is not None:
+                    assert rec.eps_true == pinned
+
+
 def test_cfo_value_sweep_pins_cfo():
     cfg = quick_config(num_users=1, channel_model="eva-bem", nu_max_t=0.5)
     records, _ = harness.run_trial(cfg, 0, cfo_value=0.3)
@@ -833,28 +928,32 @@ def test_cfo_value_sweep_pins_cfo():
 def test_failed_trials_recorded_not_raised():
     # an unusable pilot (zero power against loading 0 would raise deep inside),
     # in a lone trial, and at each point of a two-point SNR draw and of a
-    # two-point pinned draw, where the failed search fails every lane of its group
+    # two-point pinned draw, where the failed search fails every lane of its
+    # group; each failed record keeps the front end's TO decisions
     cfg = quick_config(num_users=2, channel_model="eva", nu_max_t=2.91,
                        snr_db=0.0)
     bad = apply_overrides(cfg, {"pilot_power_db": "-inf"})
-    by_point = [harness.run_trial(bad, 0)[0]]
+    by_point = [(harness.run_trial(bad, 0)[0], harness.draw_trial(bad, 0).front, 0)]
     for lanes in ([(0.0, None), (20.0, None)], [(0.0, -0.3), (0.0, 0.3)]):
-        draw = harness.draw_trial(bad, 0, lanes)
-        for snr, cfo_value in lanes:
+        block = harness.draw_block(bad, [0], lanes, absorbed=True, debug=True)
+        front = harness.draw_trial(bad, 0, lanes).front
+        for lane, (snr, cfo_value) in enumerate(lanes):
             point = apply_overrides(bad, {"snr_db": str(snr)})
             records, debug = harness.run_trial(point, 0, cfo_value=cfo_value, absorbed=True,
-                                               collect_debug=True, draw=draw)
+                                               collect_debug=True, block=block)
             assert debug == []
             alone, _ = harness.run_trial(point, 0, cfo_value=cfo_value, absorbed=True)
             assert equal_tables(harness.record_table([records]),
                                 harness.record_table([alone]))
-            by_point.append(records)
+            by_point.append((records, front, lane))
     assert len(by_point) == 5
-    for records in by_point:
+    for records, front, lane in by_point:
         assert len(records) == 2
         assert all(r.failed for r in records)
         assert all("rank" in r.error for r in records)
-        assert all(r.theta_first == r.theta_max == 0 for r in records)
+        for q, r in enumerate(records):
+            assert r.theta_first == front.to_estimate.first_peak[lane, q]
+            assert r.theta_max == front.to_estimate.max_peak[lane, q]
 
 
 def test_a_failed_absorbed_fit_keeps_the_compensated_estimates(monkeypatch):
@@ -865,14 +964,16 @@ def test_a_failed_absorbed_fit_keeps_the_compensated_estimates(monkeypatch):
 
     monkeypatch.setattr(harness, "absorbed_channel_fit", fail)
     cfg = SystemConfig(num_users=2, channel_model="eva-bem", rng_seed=5)
-    draw = harness.draw_trial(cfg, 0, [(20.0, None), (30.0, None)])
-    for lane, snr in enumerate((20.0, 30.0)):
+    lanes = [(20.0, None), (30.0, None)]
+    block = harness.draw_block(cfg, [0], lanes, absorbed=True, debug=True)
+    front = harness.draw_trial(cfg, 0, lanes).front
+    for lane, (snr, _) in enumerate(lanes):
         records, debug = harness.run_trial(replace(cfg, snr_db=snr), 0, absorbed=True,
-                                           collect_debug=True, draw=draw)
+                                           collect_debug=True, block=block)
         assert debug == []
         for q, rec in enumerate(records):
             assert rec.failed and rec.error == "absorbed fit failed"
-            assert rec.theta_first == draw.front.to_estimate.first_peak[lane, q]
+            assert rec.theta_first == front.to_estimate.first_peak[lane, q]
             assert math.isfinite(rec.eps_hat) and math.isfinite(rec.nmse)
             assert math.isnan(rec.nmse_absorbed)
 

@@ -89,7 +89,7 @@ for shape, stream, amplitude in (((2, 1), [0, 1], [0.0, 0.0]), ((1, 2), [0, 0], 
             lanes = np.flatnonzero(thetas == theta)
             regions = sync.pilot_regions(front, user, theta, lanes)
             assert regions[0].shape[1:] == (shape[1], cfg.n, cfg.zc_len)
-            estimates = sync.synchronize_user([regions], theta, cfg)
+            estimates = sync.synchronize_user(regions, theta, cfg)
             assert len(estimates) == len(lanes)
             assert all(np.isfinite(estimate.epsilon_hat) for estimate in estimates)
 print("ok")

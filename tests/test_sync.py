@@ -542,7 +542,7 @@ def bem_exact_observation(cfg, rng, eps0, theta=0, beta=None, noise=0.0):
 def search(region, bundle, cfg):
     """``sync.estimate_cfo`` of one region, in the frame of the bundle's
     template, on a fresh projection, at one lane."""
-    return sync.estimate_cfo(region[np.newaxis], bundle, cfg)[0]
+    return sync.estimate_cfo(region[np.newaxis, np.newaxis], bundle, cfg, [0.0], [0])[0]
 
 
 def test_cost_matches_projection_matrix_oracle():
@@ -788,7 +788,7 @@ def test_ls_residual_orthogonality():
     received = chan.add_awgn(r, cfg.snr_db, chan.unit_noise(rng, r.shape))
     front = sync.front_end(received[np.newaxis, np.newaxis], [0], [0.0], pcp, cfg)
     theta = int(front.to_estimate.first_peak[0, 0])
-    (estimate,) = sync.synchronize_user([sync.pilot_regions(front, 0, theta, [0])], theta, cfg)
+    (estimate,) = sync.synchronize_user(sync.pilot_regions(front, 0, theta, [0]), theta, cfg)
     region = sync.extract_pilot_region(front.separated[0, 0, 0], theta, cfg)
     bundle = sync.estimator_bundle(cfg, theta)
     g = regressor_matrix(pilot_region_ref(cfg, pcp, 0), bundle.bem)
@@ -854,8 +854,8 @@ def test_lag_scan_matches_dense_scan(theta, overrides):
     for _ in range(5):
         rows = rng.standard_normal((2, kflat.size)) + 1j * rng.standard_normal((2, kflat.size))
         for region, amplitude in ((rows[:1], 0.0), (rows, 0.3)):
-            (est,) = sync.estimate_cfo(region.reshape((-1,) + kappa.shape), bundle, cfg,
-                                       (amplitude,))
+            (est,) = sync.estimate_cfo(region.reshape((1, -1) + kappa.shape), bundle, cfg,
+                                       (amplitude,), [0])
             want = dense.cost_many(dense_phases * sync.at_amplitude(region, amplitude))[0]
             assert np.max(np.abs(est.cost_curve - want)) <= 1e-13 * np.max(want)
 
@@ -957,9 +957,9 @@ def test_shared_bundle_matches_per_user_bundles():
     for q in range(cfg.num_users):
         theta = int(real.to[q])
         regions = sync.pilot_regions(front, q, theta, [0])
-        (estimate,) = sync.synchronize_user([regions], theta, cfg)
+        (estimate,) = sync.synchronize_user(regions, theta, cfg)
         beta_abs = harness.absorbed_beta(cfg)
-        (c_abs,) = harness.absorbed_channel_fit([regions], cfg, theta, beta_abs)
+        (c_abs,) = harness.absorbed_channel_fit(regions, cfg, theta, beta_abs)
         eps_hat, c_hat, h_hat, h_abs_own = own_bundle_back_end(
             front.separated[0, 0], q, theta, cfg, pcp, beta_abs)
         assert abs(estimate.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
@@ -1095,15 +1095,15 @@ def test_lane_search_equals_one_search_per_amplitude():
     cfg = paper_config(num_users=2)
     bundle = sync.estimator_bundle(cfg, 2)
     rng = np.random.default_rng(47)
-    shape = (2, cfg.n, cfg.zc_len)
+    shape = (1, 2, cfg.n, cfg.zc_len)
     samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    samples[0] *= 30.0
+    samples[0, 0] *= 30.0
     amplitudes = (0.0, 0.05, math.sqrt(0.5), 3.0, 0.05)
-    lanes = sync.estimate_cfo(samples, bundle, cfg, amplitudes)
+    lanes = sync.estimate_cfo(samples, bundle, cfg, amplitudes, [0] * len(amplitudes))
     assert len(lanes) == len(amplitudes)
     assert len({est.epsilon_hat for est in lanes}) == 4     # the lanes differ
     for amplitude, lane in zip(amplitudes, lanes):
-        (alone,) = sync.estimate_cfo(samples, bundle, cfg, (amplitude,))
+        (alone,) = sync.estimate_cfo(samples, bundle, cfg, (amplitude,), [0])
         assert lane.epsilon_hat == pytest.approx(alone.epsilon_hat, rel=1e-12, abs=1e-15)
         for name in ("cost_curve", "c_hat"):
             got, want = getattr(lane, name), getattr(alone, name)
@@ -1119,10 +1119,11 @@ def test_stacked_streams_search_as_each_stream_alone():
     rng = np.random.default_rng(48)
     shape = (5, 1, cfg.n, cfg.zc_len)
     samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    lanes = sync.estimate_cfo(samples, bundle, cfg, [0.0] * len(samples))
+    lanes = sync.estimate_cfo(samples, bundle, cfg, [0.0] * len(samples),
+                              np.arange(len(samples)))
     assert len({est.epsilon_hat for est in lanes}) == len(samples)
     for region, lane in zip(samples, lanes):
-        (alone,) = sync.estimate_cfo(region, bundle, cfg)
+        (alone,) = sync.estimate_cfo(region[np.newaxis], bundle, cfg, [0.0], [0])
         assert lane.epsilon_hat == alone.epsilon_hat
         for name in ("cost_curve", "c_hat"):
             assert np.array_equal(getattr(lane, name), getattr(alone, name))
