@@ -9,7 +9,10 @@ through an entry point of the library's public API (``harness.draw_trial``,
 ``channel.apply_channel``, ``sync.estimator_bundle`` on a cold cache,
 ``sync.estimate_cfo`` of one region, ``harness.true_pilot_taps``, a
 one-point ``harness.run_trial`` and a small ``harness.run_experiment``), on
-the north-star configs: default Q = 2 EVA, Q = 4 EVA and ``eva-bem``.  A
+the north-star configs: default Q = 2 EVA, Q = 4 EVA and ``eva-bem``.
+``sync.front_end`` (the filtered PCP correlation and the TO decisions of a
+draw) is timed on the two lane layouts of the benchmark's workloads instead
+(``FRONT_ENDS``).  A
 BENCH file of one commit is comparable with another's when both ran on the
 same machine.
 """
@@ -28,6 +31,15 @@ CONFIGS = {
 }
 #: trial index of every one-trial case
 TRIAL = 3
+#: the front end's lane layouts: (config, SNR points, pinned CFOs).  The seven
+#: SNR points of a Q = 4 sweep read one stream of K = 2 rows, the signal and
+#: the unit noise; the six pinned CFOs of an ``eva-bem`` sweep at 20 dB are a
+#: K = 1 stream each, holding its rotation and its noise
+FRONT_ENDS = {
+    "q4-snr-stack": (SystemConfig(num_users=4), (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0), ()),
+    "q2-pinned-cfo": (SystemConfig(channel_model="eva-bem", snr_db=20.0), (),
+                      (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
+}
 
 
 @pytest.fixture(params=list(CONFIGS), ids=list(CONFIGS))
@@ -67,6 +79,22 @@ def test_estimate_cfo_of_one_region(benchmark, cfg):
     samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     bundle = sync.estimator_bundle(cfg, 2)
     benchmark(sync.estimate_cfo, samples, bundle, cfg, [0.0], [0])
+
+
+@pytest.mark.parametrize("layout", list(FRONT_ENDS))
+def test_front_end(benchmark, layout):
+    cfg, snrs, cfos = FRONT_ENDS[layout]
+    cfg = cfg.validate()
+    if snrs:
+        draw = harness.draw_trial(cfg, TRIAL)
+        received = np.stack([draw.rx, draw.noise])[np.newaxis]
+        stream, amplitude = [0] * len(snrs), [chan.noise_amplitude(snr) for snr in snrs]
+    else:
+        draw = harness.draw_trial(cfg, TRIAL, [(cfg.snr_db, cfo) for cfo in cfos])
+        received = np.stack([chan.add_awgn(draw.rx * chan.cfo_rotation(cfo, cfg.n_s),
+                                           cfg.snr_db, draw.noise) for cfo in cfos])[:, np.newaxis]
+        stream, amplitude = list(range(len(cfos))), [0.0] * len(cfos)
+    benchmark(sync.front_end, received, stream, amplitude, draw.pcp, cfg)
 
 
 def test_run_trial_of_one_point(benchmark, cfg):

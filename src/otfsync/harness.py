@@ -23,11 +23,13 @@ every user, so it factors out of the channel's user sum: the stream at CFO
 eps is the draw's zero-CFO stream times exp(j 2 pi eps kappa / N_s).  That
 rotation does not commute with the filter bank, so each of its points is a
 lane with a stream of its own, the rotated stream with its noise added,
-which the front end filters and correlates lane by lane.  A lone point is
-such a lane, unrotated.  The front end takes every (point, user)'s TO
-decision in one pass when the draw is made.  ``run_trial`` runs once per
-point and trial.  The ``nu_max_t`` and ``pilot_power_db`` sweeps change
-the channel or the pilots, so each of their points has a draw of its own.
+whose filtered PCP correlation the front end takes lane by lane.  A lone
+point is such a lane, unrotated.  The front end takes every (point, user)'s
+TO decision in one pass when the draw is made, and keeps the CP-removed
+streams, from which each user's pilot regions are filtered later.
+``run_trial`` runs once per point and trial.  The ``nu_max_t`` and
+``pilot_power_db`` sweeps change the channel or the pilots, so each of
+their points has a draw of its own.
 
 The unit of scoring is a block of BLOCK_TRIALS consecutive trial indices,
 whose boundaries depend on the trial index alone (``run_point``), and
@@ -35,19 +37,19 @@ whose boundaries depend on the trial index alone (``run_point``), and
 made one at a time (``draw_block``), and of each only what scoring reads
 is kept (``ScoringInputs``): each lane's records, with the truth and the
 TO decisions written in when they are made, each (user, theta_hat)
-group's de-rotated pilot regions and lane amplitudes
-(``sync.pilot_regions``), the truth's projection p = B^T h on the basis B
-of the table at that theta_hat and the truth energy ||h||^2.  The block's
-first ``run_trial`` scores every lane of every draw of it
-(``score_block``): the regions of every draw, user and lane that reaches
-a theta_hat are stacked once (``sync.stack_regions``), and the back end
-(``sync.synchronize_user``) and the absorbed baseline fit that one stack.
-Each estimate is scored from its coefficients c in
-closed form, sum_l (c_l^H G c_l - 2 Re c_l^H p_l) + ||h||^2 with the
-table's Gram matrix G = B^T B (``channel_nmse``), so that no tap
-trajectory is built.  Every lane's arithmetic is that of the lane scored
-alone, so the records do not depend on the block size, nor on the worker
-count.
+group's de-rotated pilot regions, filtered from the streams' delay columns
+of the region alone, and lane amplitudes (``sync.pilot_regions``), the
+truth's projection p = B^T h on the basis B of the table at that theta_hat
+and the truth energy ||h||^2.  The block's first ``run_trial`` scores
+every lane of every draw of it (``score_block``): the regions of every
+draw, user and lane that reaches a theta_hat are stacked once
+(``sync.stack_regions``), and the back end (``sync.synchronize_user``) and
+the absorbed baseline fit that one stack.  Each estimate is scored from
+its coefficients c in closed form, sum_l (c_l^H G c_l - 2 Re c_l^H p_l) +
+||h||^2 with the table's Gram matrix G = B^T B (``channel_nmse``), so that
+no tap trajectory is built.  Every lane's arithmetic is that of the lane
+scored alone, so the records do not depend on the block size, nor on the
+worker count.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ class TrialDraw:
     ``draw_trial`` applies lane by lane.  So a pinned draw's realization
     depends neither on ``cfg.snr_db`` nor on the pinned values.  Its arrays
     (``pcp``, the offsets, ``rx``, ``noise``, ``truth`` and the front end's
-    separated streams and timing curves) are read-only."""
+    CP-removed streams and timing curves) are read-only."""
 
     pcp: np.ndarray
     realization: chan.ChannelRealization
@@ -249,7 +251,7 @@ def draw_trial(cfg: SystemConfig, trial_index: int, lanes=None) -> TrialDraw:
             received[lane, 0] = chan.add_awgn(signal, snr, noise)
         stream, amplitude = np.arange(len(lanes)), np.zeros(len(lanes))
     front = sync.front_end(received, stream, amplitude, pcp, cfg)
-    for array in (pcp, realization.to, realization.cfo, rx, noise, *truth, front.separated,
+    for array in (pcp, realization.to, realization.cfo, rx, noise, *truth, front.rows,
                   front.curves):
         array.flags.writeable = False
     return TrialDraw(pcp=pcp, realization=realization, rx=rx, noise=noise, truth=truth,

@@ -98,6 +98,14 @@ def slot_phase(cfg: SystemConfig, user: int) -> np.ndarray:
     PCP / sqrt(N) in every slot, so user q's region template is
     outer(slot_phase(q), region_pilot), and the region de-rotated by the
     phase fits the Doppler-free template 1 (x) p that all users share.
-    k_q n is reduced modulo N first, which keeps the phase exact to rounding."""
-    k = cfg.pilot_bin(user)
-    return np.exp(2j * np.pi * (k * np.arange(cfg.n) % cfg.n) / cfg.n)
+    k_q n is reduced modulo N first, which keeps the phase exact to rounding.
+    Cached per (n, k_q), so that every draw and user with that pilot bin
+    shares it, and read-only."""
+    return _slot_phase(cfg.n, cfg.pilot_bin(user))
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_phase(n: int, k: int) -> np.ndarray:
+    phase = np.exp(2j * np.pi * (k * np.arange(n) % n) / n)
+    phase.flags.writeable = False
+    return phase

@@ -11,21 +11,21 @@ sum_k a^k row_k at its noise amplitude a (``at_amplitude``).  The draw
 makes the streams and the lane table (``harness.draw_trial``): the points
 of an SNR sweep share one stream of K = 2 rows, the signal and the unit
 noise, and differ in a alone, and every other lane has a K = 1 stream of
-its own that already holds its noise and its CFO, read at a = 0.  The front
-end runs one loop over the streams: ``separate_user`` runs the whole filter
-bank on every row of a stream at once, ``timing_correlate`` correlates
-the separated rows with the PCP in one call, a Toeplitz product per row,
-and each lane of the stream takes its timing curves from that correlation
-at its a.  The front end keeps the curves and no correlation, and the TO
-decisions of every (lane, user) are one ``estimate_to`` call.  The users
-split after that: ``pilot_regions`` takes a user's de-rotated pilot regions
-at one theta_hat, for the lanes that reach it, and the draw keeps only
-those.  Each region is a polynomial in a too, so the back end
-(``synchronize_user``: the shared table, CFO and channel at one theta_hat)
-runs once for every stream and lane that reaches that theta_hat, whichever
-draw and user they come from, one estimate per lane at the lane's a
-(``estimate_cfo``); ``harness.score_block`` groups a block of trials' draws
-by theta_hat.
+its own that already holds its noise and its CFO, read at a = 0.  The
+filter bank and the PCP correlation are both circular filters of the
+serialized stream, so ``timing_correlate`` takes every user's filtered
+correlation of a stream's K rows as one weight on their M*N-point DFTs, and
+each lane of the stream takes its timing curves from it at its a.  The
+front end keeps the CP-removed rows and the curves, and the TO decisions of
+every (lane, user) are one ``estimate_to`` call.  The users split after
+that: ``pilot_regions`` passes only the L_p delay columns of a user's pilot
+region at one theta_hat through that user's filter (``separate_user``),
+and the draw keeps only those regions.  Each region is a polynomial in a
+too, so the back end (``synchronize_user``: the shared table, CFO and
+channel at one theta_hat) runs once for every stream and lane that reaches
+that theta_hat, whichever draw and user they come from, one estimate per
+lane at the lane's a (``estimate_cfo``); ``harness.score_block`` groups a
+block of trials' draws by theta_hat.
 
 The pilot region is fitted one delay row at a time.  User q's pilot sits in
 Doppler column k_q, so its transmitted region sample (n, j) is
@@ -85,7 +85,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import modem, pilot
 from .config import SystemConfig
@@ -103,8 +102,6 @@ NEWTON_STEP_FRAC = 0.01
 #: ``BemRegressor.cost_many`` call, and ``lane_coeffs`` solves as many lanes
 #: per ``BemRegressor.coeffs`` call, as fit in it
 SEARCH_CHUNK_BYTES = 1 << 19
-#: lags per block of the timing correlation's Toeplitz product
-TIMING_BLOCK = 16
 #: smallest eigenvalue modulus of the pilot circulant, and smallest |R_j[g, g]|
 #: of the row bases, as a share of the largest, that counts toward the
 #: regressor's rank (``build_bem_regressor``)
@@ -122,27 +119,24 @@ def doppler_mask(cfg: SystemConfig, user) -> np.ndarray:
     return np.arange(cfg.n) // cfg.band == np.asarray(user)
 
 
-def separate_user(stream: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """The filter bank: unit-gain brickwall filters isolating every user's
-    Doppler band, returned as the (Q, M*N) separated streams in serialized
-    order, row q for user q; a (..., M*N) stack of streams gives
-    (..., Q, M*N).
+def separate_user(grid: np.ndarray, cfg: SystemConfig, user: int) -> np.ndarray:
+    """User ``user``'s unit-gain brickwall filter of its Doppler band
+    (``doppler_mask``) along the time slots of a slot-major (..., N, C) grid
+    of any C delay columns, such as the (N, M) view of a serialized stream
+    or a pilot region's L_p columns (``pilot_regions``); same shape out.
 
-    Implemented as one DFT over the time slots of the (N, M) slot-major
-    view of each stream, Q masks, and one batched IDFT; each filter is
-    equivalent to a circulant filter along the time axis.  The name stays
-    singular because the benchmark's tracer wraps ``separate_user`` by name,
-    until stage timing moves into the library (ROADMAP Direction 4).
+    One DFT over the slots, the band mask and one IDFT: a circulant filter
+    of each column that reads no other column, so a column comes out the
+    same bits whichever columns are filtered with it.  The whole bank runs
+    inside the PCP correlation (``timing_correlate``).  The name stays
+    because the benchmark's tracer wraps ``separate_user`` by name, until
+    stage timing moves into the library (ROADMAP Direction 4).
     """
-    m, n, num_users = cfg.m, cfg.n, cfg.num_users
-    stream = np.asarray(stream)
-    if stream.shape[-1] != m * n:
-        raise ConfigError(f"expected {m * n} samples, got {stream.shape[-1]}")
-    lead = stream.shape[:-1]
-    spectrum = np.fft.fft(stream.reshape(lead + (n, m)), axis=-2)
-    masks = doppler_mask(cfg, np.arange(num_users)[:, np.newaxis])
-    bank = np.where(masks[:, :, np.newaxis], spectrum[..., np.newaxis, :, :], 0.0)
-    return np.fft.ifft(bank, axis=-2).reshape(lead + (num_users, m * n))
+    grid = np.asarray(grid)
+    if grid.ndim < 2 or grid.shape[-2] != cfg.n:
+        raise ConfigError(f"expected a grid of {cfg.n} slots, got shape {grid.shape}")
+    spectrum = np.fft.fft(grid, axis=-2)
+    return np.fft.ifft(np.where(doppler_mask(cfg, user)[:, np.newaxis], spectrum, 0.0), axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -155,71 +149,59 @@ class ToEstimate:
     max_peak: int | np.ndarray     # argmax variant
 
 
-def pcp_toeplitz(pcp: np.ndarray, block: int) -> np.ndarray:
-    """(block + span - 1, block) banded Toeplitz matrix T[j, i] =
-    conj(pcp[j - i]) for 0 <= j - i < span (span = pcp.size), else 0: a row
-    of window samples w[j] = s[t + j] times T gives the ``block``
-    correlation lags t + i, i < block.  Built once per (PCP, block),
-    C-contiguous and read-only."""
-    return _pcp_toeplitz(np.asarray(pcp, dtype=np.complex128).tobytes(), block)
+def timing_weights(pcp: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """The (Q, M*N) weights of ``timing_correlate``: row q is user q's band
+    mask at f mod N (``doppler_mask``, so a bin past Q*band is in no row)
+    times the conjugate M*N-point DFT of the PCP placed at delay rows
+    delay_lo, delay_lo + 1, ... (mod M*N).  Built once per (geometry, PCP),
+    read-only."""
+    return _timing_weights(np.asarray(pcp, dtype=np.complex128).tobytes(), cfg.m, cfg.n,
+                           cfg.num_users, cfg.band, cfg.delay_lo)
 
 
 @functools.lru_cache(maxsize=32)
-def _pcp_toeplitz(pcp: bytes, block: int) -> np.ndarray:
-    taps = np.concatenate([np.zeros(block - 1), np.conj(np.frombuffer(pcp, np.complex128)),
-                           np.zeros(block - 1)])
-    toeplitz = np.ascontiguousarray(sliding_window_view(taps, block)[:, ::-1])
-    toeplitz.flags.writeable = False
-    return toeplitz
+def _timing_weights(pcp: bytes, m: int, n: int, num_users: int, band: int,
+                    lo: int) -> np.ndarray:
+    taps = np.frombuffer(pcp, np.complex128)
+    placed = np.zeros(m * n, dtype=complex)
+    placed[(lo + np.arange(taps.size)) % (m * n)] = taps
+    bins = np.arange(m * n) % n // band
+    weights = np.where(bins == np.arange(num_users)[:, np.newaxis],
+                       np.conj(np.fft.fft(placed)), 0.0)
+    weights.flags.writeable = False
+    return weights
 
 
-def timing_correlate(separated: np.ndarray, pcp: np.ndarray,
+def timing_correlate(stream: np.ndarray, pcp: np.ndarray,
                      cfg: SystemConfig) -> np.ndarray:
-    """Correlate every slot of the filtered streams with the PCP.
-
-    ``separated`` is one M*N-sample stream or a (..., M*N) stack of them,
-    such as the (..., Q, M*N) bank of ``separate_user``; the complex lag
-    correlation has the same shape, lag n*M + d at index n*M + d, and is
-    linear in the stream (``timing_curve`` takes its magnitude).
+    """Every user's filtered lag correlation with the PCP of a CP-removed
+    (M*N,) stream, as (Q, M*N), lag n*M + d at index n*M + d; a (..., M*N)
+    stack of rows gives (..., Q, M*N).  It is linear in the stream
+    (``timing_curve`` takes its magnitude).
 
     Assumes that the user's pilot occupies a single Doppler column k_q (as
     ``pilot.embed_pilots`` places it): the pilot block of time slot n in the
     delay-time grid is then pcp * exp(j 2 pi k_q n / N) / sqrt(N), one PCP
     times a phase common to the slot, and the phase drops out of the
-    magnitude.  The correlation of slot n at lag d is therefore
-    |sum_z s[n*M + delay_lo + d + z] conj(pcp[z])| / sqrt(N), and the
-    M*N lags are one circular correlation of the serialized stream with the
-    2*zc_len - 1 PCP taps.  The window follows the serialized sample order
-    instead of wrapping inside one slot: the delayed pilot of slot n spills
-    past the slot boundary into the next slot's head (it keeps the slot-n
-    Doppler phase there), which keeps the full pilot coherent at every
-    candidate lag; the frame CP makes the last slot wrap to the first.
+    magnitude.  The correlation of user q's filtered stream s_q at lag
+    n*M + d is therefore sum_z s_q[n*M + delay_lo + d + z] conj(pcp[z]),
+    indices mod M*N: the window follows the serialized sample order instead
+    of wrapping inside one slot (the delayed pilot of slot n spills past
+    the slot boundary into the next slot's head, keeping the slot-n Doppler
+    phase there, which keeps the full pilot coherent at every candidate
+    lag), and the frame CP makes the last slot wrap to the first.
 
-    The correlation is a blocked Toeplitz product: each block of
-    TIMING_BLOCK lags reads one window of TIMING_BLOCK + span - 1 samples,
-    and the windows of one stacked row make one (ceil(M*N / TIMING_BLOCK),
-    TIMING_BLOCK + span - 1) @ ``pcp_toeplitz`` product, written into that
-    row of the result.  The rows go one at a time through one zero-padded
-    buffer of whole blocks, so that the transient is one row's windows, not
-    those of the whole stack; the surplus lags are dropped.
+    Both steps are circular over the M*N serialized samples: user q's
+    filter (``separate_user``), a circular convolution with a kernel on the
+    multiples of M, keeps the bins f of the M*N-point DFT whose f mod N is
+    in its band, and the correlation multiplies by the conjugate DFT of the
+    placed PCP.  So it is one DFT per row, times the ``timing_weights``,
+    and one inverse DFT per user.
     """
-    m, n = cfg.m, cfg.n
-    separated = np.asarray(separated)
-    if separated.shape[-1] != m * n:
-        raise ConfigError(f"expected {m * n} samples, got {separated.shape[-1]}")
-    lo, span, block = cfg.delay_lo, pcp.size, TIMING_BLOCK
-    blocks = -(-m * n // block)
-    lead = separated.shape[:-1]
-    toeplitz = pcp_toeplitz(pcp, block)
-    stream = np.zeros(blocks * block + span - 1, dtype=complex)
-    windows = sliding_window_view(stream, block + span - 1)[::block]
-    corr = np.empty(lead + (blocks, block), dtype=complex)
-    for index in np.ndindex(lead):
-        row = separated[index]
-        stream[:m * n - lo] = row[lo:]
-        stream[m * n - lo:m * n + span - 1] = row[:lo + span - 1]
-        np.matmul(np.ascontiguousarray(windows), toeplitz, out=corr[index])
-    return corr.reshape(lead + (-1,))[..., :m * n]
+    stream = np.asarray(stream)
+    if stream.shape[-1] != cfg.m * cfg.n:
+        raise ConfigError(f"expected {cfg.m * cfg.n} samples, got {stream.shape[-1]}")
+    return np.fft.ifft(np.fft.fft(stream)[..., np.newaxis, :] * timing_weights(pcp, cfg))
 
 
 def timing_curve(corr: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -259,15 +241,17 @@ def estimate_to(curves: np.ndarray, cfg: SystemConfig) -> ToEstimate:
 # pilot-region extraction
 # ---------------------------------------------------------------------------
 
-def extract_pilot_region(filtered: np.ndarray, theta_hat: int,
+def extract_pilot_region(columns: np.ndarray, theta_hat: int,
                          cfg: SystemConfig) -> np.ndarray:
-    """The (N, L_p) pilot region of a filtered (M*N,) stream at timing offset
-    ``theta_hat``: the L_p samples of every time slot after the PCP prefix
-    (``pilot.region_index``); a (..., M*N) stack gives (..., N, L_p)."""
-    filtered = np.asarray(filtered)
-    if filtered.shape[-1] != cfg.m * cfg.n:
-        raise ConfigError(f"expected {cfg.m * cfg.n} samples, got {filtered.shape[-1]}")
-    return filtered[..., pilot.region_index(cfg, theta_hat)]
+    """The (N, L_p) pilot region at timing offset ``theta_hat`` from the
+    slot-major (N, L_p) grid of its delay columns, column j the delay row
+    ``pilot.region_index`` mod M of region row j: sample (n, j) is slot
+    ``region_index`` // M of column j, which wraps past the frame's end to
+    its head.  A (..., N, L_p) stack gives (..., N, L_p)."""
+    columns = np.asarray(columns)
+    if columns.shape[-2:] != (cfg.n, cfg.zc_len):
+        raise ConfigError(f"expected (..., {cfg.n}, {cfg.zc_len}), got {columns.shape}")
+    return columns[..., pilot.region_index(cfg, theta_hat) // cfg.m, np.arange(cfg.zc_len)]
 
 
 def derotate(samples: np.ndarray, cfg: SystemConfig, user: int) -> np.ndarray:
@@ -748,16 +732,17 @@ class FrontEnd:
     received streams and lane table (``harness.draw_trial``).
 
     Lane p reads stream ``stream[p]`` at noise amplitude a =
-    ``amplitude[p]``.  A stream is K rows of ``separated``, row k the
+    ``amplitude[p]``.  A stream is K CP-removed rows of ``rows``, row k the
     coefficient of a^k in the received quantity at noise amplitude a
-    (``at_amplitude``).  Either every lane reads one stream, or each lane
-    has a stream of its own.  ``cfg`` is the geometry of every lane (the
-    lanes differ in the SNR and the pinned CFO alone).  ``curves`` and
-    ``to_estimate`` are every lane's timing curves and TO decisions.
-    Frozen: ``pilot_regions`` only reads it."""
+    (``at_amplitude``); no user is separated from them until its pilot
+    region is read (``pilot_regions``).  Either every lane reads one
+    stream, or each lane has a stream of its own.  ``cfg`` is the geometry
+    of every lane (the lanes differ in the SNR and the pinned CFO alone).
+    ``curves`` and ``to_estimate`` are every lane's timing curves and TO
+    decisions.  Frozen: ``pilot_regions`` only reads it."""
 
     cfg: SystemConfig
-    separated: np.ndarray           # (S, K, Q, M*N) separated streams
+    rows: np.ndarray                # (S, K, M*N) CP-removed received rows
     stream: np.ndarray              # (P,) the stream index of each lane
     amplitude: np.ndarray           # (P,) the noise amplitude a of each lane
     curves: np.ndarray              # (P, Q, M) timing curves
@@ -768,22 +753,19 @@ def front_end(streams: np.ndarray, stream, amplitude, pcp: np.ndarray,
               cfg: SystemConfig) -> FrontEnd:
     """The ``FrontEnd`` of the (S, K, N_s) received streams ``streams``,
     whose lane p reads stream ``stream[p]`` at noise amplitude
-    ``amplitude[p]``.  One stream at a time, the timing-offset margin and
-    the rest of the CP are removed, the filter bank and the PCP correlation
-    run once on its K rows, and each of its lanes takes its timing curves
-    from the correlation at its a; the correlation is dropped with the
-    stream.  The TO decisions of every (lane, user) are one ``estimate_to``
-    call."""
+    ``amplitude[p]``.  The timing-offset margin and the rest of the CP are
+    removed from every row, a view of ``streams``.  One stream at a time,
+    the filtered PCP correlation of its K rows (``timing_correlate``) gives
+    each of its lanes its timing curves at its a and is dropped.  The TO
+    decisions of every (lane, user) are one ``estimate_to`` call."""
     stream, amplitude = np.asarray(stream, dtype=np.intp), np.asarray(amplitude, dtype=float)
-    separated = np.empty(streams.shape[:2] + (cfg.num_users, cfg.m * cfg.n), dtype=complex)
+    rows = modem.remove_cp(streams[..., cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
     curves = np.empty((len(stream), cfg.num_users, cfg.m))
-    for s, rows in enumerate(streams):
-        separated[s] = separate_user(modem.remove_cp(rows[..., cfg.theta_max:], cfg.cp_rem,
-                                                     out_len=cfg.m * cfg.n), cfg)
-        corr = timing_correlate(separated[s], pcp, cfg)
+    for s, row in enumerate(rows):
+        corr = timing_correlate(row, pcp, cfg)
         for lane in np.flatnonzero(stream == s):
             curves[lane] = timing_curve(at_amplitude(corr, amplitude[lane]), cfg)
-    return FrontEnd(cfg=cfg, separated=separated, stream=stream, amplitude=amplitude,
+    return FrontEnd(cfg=cfg, rows=rows, stream=stream, amplitude=amplitude,
                     curves=curves, to_estimate=estimate_to(curves, cfg))
 
 
@@ -795,12 +777,16 @@ def pilot_regions(front: FrontEnd, user: int, theta: int,
     regions of the streams that the lanes read, de-rotated by the user's
     slot phase (``derotate``) into the frame of the table that all users
     share, each lane's stream index into them, and each lane's noise
-    amplitude a."""
+    amplitude a.  Only the region's L_p delay columns of the slot-major
+    (N, M) rows pass the user's filter (``separate_user``), which filters
+    each column alone: the same bits as the whole separated stream's."""
     cfg, lanes = front.cfg, np.asarray(lanes, dtype=np.intp)
     stream, amplitude = front.stream[lanes], front.amplitude[lanes]
     # the lanes share one stream or each have their own
     streams = sorted(set(stream.tolist()))
-    region = extract_pilot_region(front.separated[:, :, user], theta, cfg)[streams]
+    grid = front.rows.reshape(front.rows.shape[:-1] + (cfg.n, cfg.m))
+    columns = grid[..., pilot.region_index(cfg, theta)[0] % cfg.m][streams]
+    region = extract_pilot_region(separate_user(columns, cfg, user), theta, cfg)
     return derotate(region, cfg, user), np.searchsorted(streams, stream), amplitude
 
 

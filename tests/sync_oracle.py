@@ -1,13 +1,19 @@
 """Direct forms of the receive-side estimators: the oracles for ``sync``.
 
 ``separate_user_one`` filters one user's band with its own DFT and IDFT of
-the (M, N) grid; ``sync.separate_user`` runs the whole bank on one DFT.
-``timing_correlate_one`` correlates one separated stream with the PCP by
-``np.correlate``; ``sync.timing_correlate`` correlates every user at once
-as a blocked Toeplitz product.
+the whole (M, N) grid of a stream; ``sync.separate_user`` filters any
+columns of a slot-major grid, and the receiver filters only a pilot
+region's columns.
+``pcp_correlation_one`` correlates one separated stream with the PCP by
+``np.correlate``, and ``timing_correlate_one`` averages its magnitude into
+the timing curve; ``sync.timing_correlate`` takes every user's filtered
+correlation of the unseparated stream at once, as one weight on its
+M*N-point DFT.
 ``timing_correlate_template`` slides every slot's pilot block of the full
 delay-time template over the serialized stream, one (N, M, span) window
 einsum; ``sync.timing_correlate`` correlates with the PCP alone.
+``assert_same_timing`` holds ``sync``'s timing curves to an oracle's within
+CURVE_TOL of its peak, and their TO decisions to the oracle's.
 ``regressor_matrix`` builds the dense (N*L_p, L_p*beta) LS regressor G of a
 pilot template, and ``DenseRegressor`` projects through the orthonormal
 factor Q of its pivoted QR; ``sync.BemRegressor``, the one table per
@@ -32,16 +38,18 @@ Doppler-free template.
 directly; ``harness.channel_nmse`` scores the basis coefficients in closed
 form.
 ``front_end_chain`` separates and correlates one received stream by the
-per-stream chain: CP removal, the filter bank and the PCP correlation.
+per-user chain, which calls neither ``sync.separate_user`` nor
+``sync.timing_correlate``: CP removal, then each user's
+``separate_user_one`` and ``pcp_correlation_one``.
 ``per_point_trial`` runs a trial of one SNR point by the per-point chain:
-the noise added to the received stream, then ``front_end_chain``, the
-timing curve and ``sync.synchronize_user`` of each user on that one stream,
-one lane, scored by ``nmse`` on the reconstructed taps; on a draw whose
-front end has a lane per point (an SNR sweep's), each lane reads the shared
-stream of the signal and the unit noise at its noise amplitude, and
-``harness.score_block`` stacks the regions of every user and lane of a
-block of draws that reaches the same theta_hat once, searches and fits that
-stack, and scores in closed form.
+the noise added to the received stream, then the timing curves of
+``front_end_chain``, and each user's ``sync.pilot_regions`` and
+``sync.synchronize_user`` on that one stream, one lane, scored by ``nmse``
+on the reconstructed taps; on a draw whose front end has a lane per point
+(an SNR sweep's), each lane reads the shared stream of the signal and the
+unit noise at its noise amplitude, and ``harness.score_block`` stacks the
+regions of every user and lane of a block of draws that reaches the same
+theta_hat once, searches and fits that stack, and scores in closed form.
 """
 
 import math
@@ -53,6 +61,10 @@ from dd_oracle import pilot_region_ref
 from otfsync import channel as chan
 from otfsync import harness, modem, pilot, sync
 
+#: largest difference between a timing curve of ``sync`` and its oracle, as a
+#: share of the oracle curve's peak: the folded correlation sums in another order
+CURVE_TOL = 1e-13
+
 
 def separate_user_one(stream, user, cfg):
     """One user's brickwall Doppler filter: per-delay-row DFT -> mask -> IDFT
@@ -63,16 +75,32 @@ def separate_user_one(stream, user, cfg):
     return np.fft.ifft(spectrum, axis=1).flatten(order="F")
 
 
-def timing_correlate_one(separated, pcp, cfg):
-    """One user's (M,) timing curve: one circular ``np.correlate`` of the
-    serialized stream with the PCP taps, starting at the config's delay_lo."""
-    m, n = cfg.m, cfg.n
+def pcp_correlation_one(separated, pcp, cfg):
+    """One user's (M*N,) lag correlation, lag n*M + d at index n*M + d: one
+    circular ``np.correlate`` of the serialized stream with the PCP taps,
+    starting at the config's delay_lo."""
     lo = cfg.delay_lo
     stream = np.concatenate([separated[lo:], separated[:lo + pcp.size - 1]])
-    corr = np.correlate(stream, pcp, "valid")             # lag n*M + d
+    return np.correlate(stream, pcp, "valid")
+
+
+def timing_correlate_one(separated, pcp, cfg):
+    """One user's (M,) timing curve from ``pcp_correlation_one``."""
+    m, n = cfg.m, cfg.n
+    corr = pcp_correlation_one(separated, pcp, cfg)
     curve = np.abs(corr).reshape(n, m).mean(axis=0) / (m * math.sqrt(n))
     shift = (cfg.cp_len - cfg.anchor - 1) % m
     return np.roll(curve, -shift)
+
+
+def assert_same_timing(got, want, cfg):
+    """(..., M) timing curves within CURVE_TOL of each oracle curve's peak,
+    with the same TO decisions (``sync.estimate_to``)."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= CURVE_TOL * np.max(want, axis=-1, keepdims=True))
+    got_to, want_to = sync.estimate_to(got, cfg), sync.estimate_to(want, cfg)
+    assert np.array_equal(got_to.first_peak, want_to.first_peak)
+    assert np.array_equal(got_to.max_peak, want_to.max_peak)
 
 
 def timing_correlate_template(separated, template, cfg):
@@ -220,14 +248,16 @@ def estimate_cfo_exact(region, kappa, regressor, cfg, cost_curve):
     return eps_hat, c_hat
 
 
-def own_bundle_back_end(separated, user, theta, cfg, pcp, absorbed_beta):
+def own_bundle_back_end(row, user, theta, cfg, pcp, absorbed_beta):
     """(eps_hat, c_hat, h_hat, h_absorbed) of user ``user`` at timing offset
     ``theta`` from a dense regressor on the user's own pilot template
     (``pilot_region_ref(user)``) applied to the received region as it
-    is: the cost of every grid point from its own rotation, exact Newton
-    (``estimate_cfo_exact``), and the absorbed baseline as the ``coeffs``
-    solve at zero offset on a basis of order ``absorbed_beta``."""
-    region = sync.extract_pilot_region(separated[user], theta, cfg)
+    is, read at ``pilot.region_index`` from the user's ``separate_user_one``
+    of the CP-removed (M*N,) ``row``: the cost of every grid point from its
+    own rotation, exact Newton (``estimate_cfo_exact``), and the absorbed
+    baseline as the ``coeffs`` solve at zero offset on a basis of order
+    ``absorbed_beta``."""
+    region = separate_user_one(row, user, cfg)[pilot.region_index(cfg, theta)]
     kappa = pilot.region_kappa(cfg, theta)
     sbar = pilot_region_ref(cfg, pcp, user)
     rflat, kflat = region.ravel(), kappa.ravel().astype(float)
@@ -245,11 +275,12 @@ def own_bundle_back_end(separated, user, theta, cfg, pcp, absorbed_beta):
 
 def front_end_chain(stream, pcp, cfg):
     """The (Q, M*N) separated streams of one received (N_s,) stream and
-    their lag correlation: the timing-offset margin and the rest of the CP
-    removed, then ``sync.separate_user`` and ``sync.timing_correlate``."""
+    their (Q, M*N) lag correlations: the timing-offset margin and the rest
+    of the CP removed, then each user's ``separate_user_one`` and
+    ``pcp_correlation_one``."""
     y = modem.remove_cp(stream[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
-    separated = sync.separate_user(y, cfg)
-    return separated, sync.timing_correlate(separated, pcp, cfg)
+    separated = np.stack([separate_user_one(y, user, cfg) for user in range(cfg.num_users)])
+    return separated, np.stack([pcp_correlation_one(row, pcp, cfg) for row in separated])
 
 
 def per_point_trial(cfg, trial_index, absorbed=False):
@@ -258,10 +289,11 @@ def per_point_trial(cfg, trial_index, absorbed=False):
     ``timing_metric`` and ``cfo_cost`` of its debug entry, by the per-point
     chain on ``harness.draw_trial``'s stream and unit noise."""
     draw = harness.draw_trial(cfg, trial_index)
-    separated, corr = front_end_chain(chan.add_awgn(draw.rx, cfg.snr_db, draw.noise),
-                                      draw.pcp, cfg)
+    received = chan.add_awgn(draw.rx, cfg.snr_db, draw.noise)
+    _, corr = front_end_chain(received, draw.pcp, cfg)
     curves = sync.timing_curve(corr, cfg)[np.newaxis]
-    front = sync.FrontEnd(cfg=cfg, separated=separated[np.newaxis, np.newaxis],
+    rows = modem.remove_cp(received[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
+    front = sync.FrontEnd(cfg=cfg, rows=rows[np.newaxis, np.newaxis],
                           stream=np.zeros(1, dtype=np.intp), amplitude=np.zeros(1),
                           curves=curves, to_estimate=sync.estimate_to(curves, cfg))
     first, peak = front.to_estimate.first_peak[0], front.to_estimate.max_peak[0]

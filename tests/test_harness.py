@@ -16,7 +16,7 @@ from otfsync import harness, modem, pilot, sync
 from otfsync.config import (CHANNEL_MODELS, SystemConfig, apply_overrides, bem_order_bound,
                             default_bem_order)
 from otfsync.errors import ConfigError, EstimationError, OtfsyncError
-from sync_oracle import front_end_chain, nmse, per_point_trial
+from sync_oracle import assert_same_timing, front_end_chain, nmse, per_point_trial
 
 
 def quick_config(**kw):
@@ -24,6 +24,12 @@ def quick_config(**kw):
                 channel_model="single-tap")
     base.update(kw)
     return SystemConfig(**base).validate()
+
+
+def cp_removed(stream, cfg):
+    """The (M*N,) rows of a received (N_s,) stream that the front end reads:
+    the timing-offset margin and the rest of the CP removed."""
+    return modem.remove_cp(stream[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
 
 
 def report_value(report, sweep_value, user, variant, metric):
@@ -548,7 +554,7 @@ def test_an_snr_lanes_region_is_the_per_point_chains():
     cfgs = [apply_overrides(base, {"snr_db": snr}) for snr in ("0", "20")]
     trial = 1
     draw = harness.draw_trial(base, trial, [(cfg.snr_db, None) for cfg in cfgs])
-    assert draw.front.separated.shape[:2] == (1, 2)
+    assert draw.front.rows.shape[:2] == (1, 2)
     for q in range(base.num_users):
         theta = int(draw.realization.to[q])         # one region for both lanes
         samples, stream, amplitude = sync.pilot_regions(draw.front, q, theta, [0, 1])
@@ -735,7 +741,7 @@ def test_front_end_is_shared_only_by_a_draw_that_serves_several_points(monkeypat
     for (cfgs, cfo_values), want in cases:
         draws.clear()
         tables = harness.run_point(list(zip(cfgs, cfo_values)), trials)
-        assert [(d.front.separated.shape[:2], d.lanes) for d in draws] == want * trials
+        assert [(d.front.rows.shape[:2], d.lanes) for d in draws] == want * trials
         if all(stack < 2 for (_, stack), _ in want):
             for table, cfg, cfo_value in zip(tables, cfgs, cfo_values):
                 fresh = [harness.run_trial(cfg, k, cfo_value=cfo_value)[0]
@@ -745,8 +751,9 @@ def test_front_end_is_shared_only_by_a_draw_that_serves_several_points(monkeypat
 
 def test_draw_trial_builds_the_lane_table():
     # the draw de-duplicates its lanes and chooses which received stream each
-    # lane reads at which noise amplitude; each stream is separated bit for
-    # bit as the per-stream chain, and each lane's curves are its own
+    # lane reads at which noise amplitude; the front end keeps each stream's
+    # CP-removed rows bit for bit, and each lane's curves are those of the
+    # per-user chain on its own stream, with the same TO decisions
     cfg = SystemConfig(num_users=4, snr_db=10.0).validate()
     # one lane (K = 1): the stream with its noise; a repeated SNR is one lane
     for lanes in (None, [(10.0, None)], [(10.0, None)] * 2):
@@ -754,10 +761,10 @@ def test_draw_trial_builds_the_lane_table():
         front = draw.front
         assert draw.lanes == ((10.0, None),)
         assert front.stream.tolist() == [0] and front.amplitude.tolist() == [0.0]
-        separated, corr = front_end_chain(chan.add_awgn(draw.rx, cfg.snr_db, draw.noise),
-                                          draw.pcp, cfg)
-        assert np.array_equal(front.separated, separated[np.newaxis, np.newaxis])
-        assert np.array_equal(front.curves, sync.timing_curve(corr, cfg)[np.newaxis])
+        received = chan.add_awgn(draw.rx, cfg.snr_db, draw.noise)
+        assert np.array_equal(front.rows, cp_removed(received, cfg)[np.newaxis, np.newaxis])
+        _, corr = front_end_chain(received, draw.pcp, cfg)
+        assert_same_timing(front.curves, sync.timing_curve(corr, cfg)[np.newaxis], cfg)
     # several SNR lanes (K = 2): one stream of two rows, the stream and the
     # unit noise, each lane at the noise amplitude of its SNR
     draw = harness.draw_trial(cfg, 0, [(snr, None) for snr in (0.0, 20.0, 0.0, math.inf)])
@@ -765,14 +772,14 @@ def test_draw_trial_builds_the_lane_table():
     assert draw.lanes == ((0.0, None), (20.0, None), (math.inf, None))
     assert front.stream.tolist() == [0, 0, 0]
     assert front.amplitude.tolist() == [chan.noise_amplitude(snr) for snr, _ in draw.lanes]
-    assert front.separated.shape == (1, 2, 4, cfg.m * cfg.n)
-    (separated_rx, corr_rx), (separated_noise, corr_noise) = (
+    assert front.rows.shape == (1, 2, cfg.m * cfg.n)
+    assert np.array_equal(front.rows[0, 0], cp_removed(draw.rx, cfg))
+    assert np.array_equal(front.rows[0, 1], cp_removed(draw.noise, cfg))
+    (_, corr_rx), (_, corr_noise) = (
         front_end_chain(row, draw.pcp, cfg) for row in (draw.rx, draw.noise))
-    assert np.array_equal(front.separated[0, 0], separated_rx)
-    assert np.array_equal(front.separated[0, 1], separated_noise)
     for (snr, _), curves in zip(draw.lanes, front.curves):
-        assert np.array_equal(curves, sync.timing_curve(chan.add_awgn(corr_rx, snr, corr_noise),
-                                                        cfg))
+        assert_same_timing(
+            curves, sync.timing_curve(chan.add_awgn(corr_rx, snr, corr_noise), cfg), cfg)
     # pinned CFOs (K = 1 each): the zero-CFO stream rotated by its CFO, with
     # its noise, a stream of its own per lane; a repeated lane is one lane
     lanes = [(10.0, -0.4), (10.0, 0.0), (math.inf, 0.3), (10.0, 0.0)]
@@ -780,13 +787,12 @@ def test_draw_trial_builds_the_lane_table():
     front = draw.front
     assert draw.lanes == tuple(lanes[:3])
     assert front.stream.tolist() == [0, 1, 2] and front.amplitude.tolist() == [0.0] * 3
-    assert front.separated.shape == (3, 1, 4, cfg.m * cfg.n)
-    for (snr, cfo), separated, curves in zip(draw.lanes, front.separated, front.curves):
-        want_separated, want_corr = front_end_chain(
-            chan.add_awgn(draw.rx * chan.cfo_rotation(cfo, cfg.n_s), snr, draw.noise),
-            draw.pcp, cfg)
-        assert np.array_equal(separated[0], want_separated)
-        assert np.array_equal(curves, sync.timing_curve(want_corr, cfg))
+    assert front.rows.shape == (3, 1, cfg.m * cfg.n)
+    for (snr, cfo), rows, curves in zip(draw.lanes, front.rows, front.curves):
+        received = chan.add_awgn(draw.rx * chan.cfo_rotation(cfo, cfg.n_s), snr, draw.noise)
+        assert np.array_equal(rows[0], cp_removed(received, cfg))
+        _, corr = front_end_chain(received, draw.pcp, cfg)
+        assert_same_timing(curves, sync.timing_curve(corr, cfg), cfg)
 
 
 def test_draw_serves_configs_that_differ_only_in_snr():
@@ -831,10 +837,10 @@ def test_draw_arrays_are_read_only():
     one = harness.draw_trial(cfg, 0)
     shared = harness.draw_trial(cfg, 0, [(20.0, None), (0.0, None)])
     fronts = (draw.front, one.front, shared.front)
-    assert [(front.separated.shape[:2], front.curves.shape) for front in fronts] == [
+    assert [(front.rows.shape[:2], front.curves.shape) for front in fronts] == [
         ((2, 1), (2, 2, cfg.m)), ((1, 1), (1, 2, cfg.m)), ((1, 2), (2, 2, cfg.m))]
     for array in arrays + tuple(array for front in fronts
-                                for array in (front.separated, front.curves)):
+                                for array in (front.rows, front.curves)):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[...] = 0
@@ -858,9 +864,10 @@ def test_filter_bank_passes_all_of_the_data(monkeypatch, n, num_users):
         cfg = replace(base, pilot_power_db=pilot_power_db, pilot_offset=offset).validate()
         data.clear()
         draw = harness.draw_trial(cfg, 0)
-        y = modem.remove_cp(draw.rx[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
-        separated = sync.separate_user(y, cfg)
-        ratio = np.sum(np.abs(separated) ** 2) / np.sum(np.abs(y) ** 2)
+        y = cp_removed(draw.rx, cfg)
+        grid = y.reshape(cfg.n, cfg.m)
+        separated = [sync.separate_user(grid, cfg, q) for q in range(num_users)]
+        ratio = sum(np.sum(np.abs(part) ** 2) for part in separated) / np.sum(np.abs(y) ** 2)
         assert abs(ratio - 1.0) < 1e-12
         data_rows = np.ones(cfg.m, dtype=bool)
         data_rows[list(pilot.guard_rows(cfg))] = False

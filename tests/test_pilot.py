@@ -132,6 +132,8 @@ def test_pilot_region_ref_is_slot_phase_times_shared_template(num_users):
             for user in range(num_users):
                 phase = pilot.slot_phase(cfg, user)
                 assert phase.shape == (cfg.n,)
+                # cached per (N, pilot bin), read-only
+                assert pilot.slot_phase(cfg, user) is phase and not phase.flags.writeable
                 want = pilot_region_ref(cfg, pcp, user)
                 got = np.outer(phase, row)
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), \

@@ -14,10 +14,10 @@ from otfsync import modem, pilot, sync
 from otfsync.config import BEM_ORDER_CAP, SystemConfig
 from otfsync.errors import ConfigError, EstimationError
 from dd_oracle import pilot_region_ref, timing_template
-from sync_oracle import (DenseRegressor, bundle_template, cfo_cost_derivatives,
-                         dense_regressor, estimate_cfo_exact, front_end_chain, newton_max,
-                         own_bundle_back_end, regressor_matrix, separate_user_one,
-                         timing_correlate_one, timing_correlate_template)
+from sync_oracle import (DenseRegressor, assert_same_timing, bundle_template,
+                         cfo_cost_derivatives, dense_regressor, estimate_cfo_exact,
+                         front_end_chain, newton_max, own_bundle_back_end, regressor_matrix,
+                         separate_user_one, timing_correlate_one, timing_correlate_template)
 
 
 def paper_config(**kw):
@@ -49,10 +49,18 @@ def bank_config(m, n, num_users):
     return SystemConfig(m=m, n=n, num_users=num_users)
 
 
+def separate(stream, cfg):
+    """The (Q, M*N) separated streams of a serialized (M*N,) stream: every
+    user's ``sync.separate_user`` of its whole slot-major (N, M) grid."""
+    grid = np.asarray(stream).reshape(cfg.n, cfg.m)
+    return np.stack([sync.separate_user(grid, cfg, user).reshape(-1)
+                     for user in range(cfg.num_users)])
+
+
 def test_separate_single_user_all_pass():
     rng = np.random.default_rng(0)
     stream = rng.standard_normal(16 * 8) + 1j * rng.standard_normal(16 * 8)
-    out = sync.separate_user(stream, bank_config(16, 8, 1))[0]
+    out = separate(stream, bank_config(16, 8, 1))[0]
     assert np.max(np.abs(out - stream)) < 1e-12
 
 
@@ -64,9 +72,9 @@ def test_separate_passes_own_bins_blocks_others():
     other = np.zeros((m, n), complex)
     other[:, [0, 9, 13]] = rng.standard_normal((m, 3))
     to_stream = lambda grid: modem.serialize(modem.modulate(grid))
-    kept = sync.separate_user(to_stream(own), bank_config(m, n, q))[1]
+    kept = separate(to_stream(own), bank_config(m, n, q))[1]
     assert np.max(np.abs(kept - to_stream(own))) < 1e-10
-    removed = sync.separate_user(to_stream(other), bank_config(m, n, q))[1]
+    removed = separate(to_stream(other), bank_config(m, n, q))[1]
     assert np.max(np.abs(removed)) < 1e-10
 
 
@@ -74,7 +82,7 @@ def test_separate_matches_circulant_kronecker_oracle():
     m, n, q = 4, 8, 2
     rng = np.random.default_rng(2)
     stream = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-    bank = sync.separate_user(stream, bank_config(m, n, q))
+    bank = separate(stream, bank_config(m, n, q))
     for user in range(q):
         mask = sync.doppler_mask(bank_config(m, n, q), user).astype(float)
         f = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
@@ -91,29 +99,37 @@ def test_filter_bank_completeness():
     m, n, q = 8, 12, 3
     rng = np.random.default_rng(3)
     stream = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-    total = sync.separate_user(stream, bank_config(m, n, q)).sum(axis=0)
+    total = separate(stream, bank_config(m, n, q)).sum(axis=0)
     assert np.max(np.abs(total - stream)) < 1e-10
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(m=st.integers(1, 12), n=st.integers(1, 12), data=st.data())
 def test_filter_bank_rows_equal_per_user_filters(m, n, data):
-    # odd geometries included: each row of the one-DFT bank is bit for bit
-    # the user's own DFT -> mask -> IDFT
+    # odd geometries included: each user's filter of the whole grid is bit
+    # for bit the user's own DFT -> mask -> IDFT, and of any subset of its
+    # columns, those columns of the whole grid's, alone or stacked
     q = data.draw(st.integers(1, n))
+    cols = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    cfg = bank_config(m, n, q)
     rng = np.random.default_rng([5, m, n, q])
     stream = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-    bank = sync.separate_user(stream, bank_config(m, n, q))
+    bank = separate(stream, cfg)
     assert bank.shape == (q, m * n)
+    grid = stream.reshape(n, m)
+    stacked = np.stack([grid[:, cols], grid[:, cols][::-1]])
     for user in range(q):
-        assert np.array_equal(bank[user], separate_user_one(stream, user, bank_config(m, n, q)))
+        assert np.array_equal(bank[user], separate_user_one(stream, user, cfg))
+        whole = sync.separate_user(grid, cfg, user)
+        assert np.array_equal(sync.separate_user(grid[:, cols], cfg, user), whole[:, cols])
+        assert np.array_equal(sync.separate_user(stacked, cfg, user)[0], whole[:, cols])
 
 
 def test_filter_bank_rows_at_full_geometry():
     cfg = SystemConfig(num_users=4).validate()
     rng = np.random.default_rng(6)
     stream = rng.standard_normal(cfg.m * cfg.n) + 1j * rng.standard_normal(cfg.m * cfg.n)
-    bank = sync.separate_user(stream, cfg)
+    bank = separate(stream, cfg)
     for user in range(4):
         assert np.array_equal(bank[user], separate_user_one(stream, user, cfg))
 
@@ -130,32 +146,34 @@ def test_front_end_reads_each_stream_once_and_each_lane_at_its_amplitude():
         return (np.array_equal(front.to_estimate.first_peak, want.first_peak)
                 and np.array_equal(front.to_estimate.max_peak, want.max_peak))
 
-    # a stream of its own per lane (K = 1), read at a = 0: each lane bit for
-    # bit the per-stream chain
+    # a stream of its own per lane (K = 1), read at a = 0: the front end keeps
+    # the CP-removed rows, and each lane's curves are bit for bit those of its
+    # stream's correlation, and those of the per-user oracle chain
     front = sync.front_end(rows[:, np.newaxis], [0, 1, 2], [0.0] * 3, pcp, cfg)
     assert front.stream.tolist() == [0, 1, 2] and front.amplitude.tolist() == [0.0] * 3
-    assert front.separated.shape == (3, 1, 4, cfg.m * cfg.n)
-    for row, separated, curves in zip(rows, front.separated, front.curves):
-        want_separated, want_corr = front_end_chain(row, pcp, cfg)
-        assert np.array_equal(separated[0], want_separated)
-        assert np.array_equal(curves, sync.timing_curve(want_corr, cfg))
+    assert front.rows.shape == (3, 1, cfg.m * cfg.n)
+    for row, kept, curves in zip(rows, front.rows, front.curves):
+        y = modem.remove_cp(row[cfg.theta_max:], cfg.cp_rem)
+        assert np.array_equal(kept[0], y)
+        assert np.array_equal(curves, sync.timing_curve(sync.timing_correlate(y, pcp, cfg), cfg))
+        assert_same_timing(curves, sync.timing_curve(front_end_chain(row, pcp, cfg)[1], cfg), cfg)
     assert decided(front)
     # several lanes on one stream of two rows (K = 2), the signal and the
-    # unit noise: the rows are separated bit for bit as two streams, and each
-    # lane's curves are those of the rows' correlations summed at its
-    # amplitude, the sum that ``channel.add_awgn`` forms
+    # unit noise: each lane's curves are those of the rows' correlations
+    # summed at its amplitude, the sum that ``channel.add_awgn`` forms
     snrs = (0.0, 20.0, math.inf)
     amplitudes = [chan.noise_amplitude(snr) for snr in snrs]
     front = sync.front_end(rows[np.newaxis, :2], [0, 0, 0], amplitudes, pcp, cfg)
     assert front.stream.tolist() == [0, 0, 0] and front.amplitude.tolist() == amplitudes
-    assert front.separated.shape == (1, 2, 4, cfg.m * cfg.n)
-    (separated_rx, corr_rx), (separated_noise, corr_noise) = (
-        front_end_chain(row, pcp, cfg) for row in rows[:2])
-    assert np.array_equal(front.separated[0, 0], separated_rx)
-    assert np.array_equal(front.separated[0, 1], separated_noise)
-    for snr, curves in zip(snrs, front.curves):
-        assert np.array_equal(curves, sync.timing_curve(chan.add_awgn(corr_rx, snr, corr_noise),
-                                                        cfg))
+    assert front.rows.shape == (1, 2, cfg.m * cfg.n)
+    y = modem.remove_cp(rows[:2, cfg.theta_max:], cfg.cp_rem)
+    assert np.array_equal(front.rows[0], y)
+    corr = sync.timing_correlate(y, pcp, cfg)
+    (_, corr_rx), (_, corr_noise) = (front_end_chain(row, pcp, cfg) for row in rows[:2])
+    for amplitude, snr, curves in zip(amplitudes, snrs, front.curves):
+        assert np.array_equal(curves, sync.timing_curve(corr[0] + amplitude * corr[1], cfg))
+        assert_same_timing(
+            curves, sync.timing_curve(chan.add_awgn(corr_rx, snr, corr_noise), cfg), cfg)
     assert decided(front)
 
 
@@ -174,8 +192,7 @@ def single_tap_realization(cfg, thetas, cfos=None, gain=1.0):
 
 def timing_pipeline(cfg, y, user, pcp):
     """User ``user``'s timing curve of the receive stream ``y``."""
-    return sync.timing_curve(sync.timing_correlate(sync.separate_user(y, cfg), pcp, cfg),
-                             cfg)[user]
+    return sync.timing_curve(sync.timing_correlate(y, pcp, cfg), cfg)[user]
 
 
 def test_matched_filter_peak_at_zero_offset():
@@ -242,10 +259,13 @@ def test_threshold_one_reduces_to_max_peak():
     assert est.first_peak == est.max_peak
 
 
-@pytest.mark.parametrize("num_users", [1, 2, 4])
+@pytest.mark.parametrize("num_users", [1, 2, 3, 4])
 def test_pcp_correlation_matches_template_correlation(num_users):
-    # a full EVA trial stream with data and noise; every user's curve against
-    # the per-slot correlation with the delay-time pilot template
+    # a full EVA trial stream with data and noise, at the full geometry; every
+    # user's curve against the per-slot correlation with the delay-time pilot
+    # template and against the per-user chain's np.correlate, with the same
+    # TO decisions.  Q = 3 leaves Doppler bins 30 and 31 in no band, which no
+    # row of the folded weights may pass
     cfg = SystemConfig(num_users=num_users, snr_db=10.0).validate()
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     for theta in (0, cfg.theta_max):
@@ -260,8 +280,9 @@ def test_pcp_correlation_matches_template_correlation(num_users):
                                 real, cfg.n_s, cfg.theta_max)
         rx = chan.add_awgn(rx, cfg.snr_db, chan.unit_noise(rng, rx.shape))
         y = modem.remove_cp(rx[cfg.theta_max:], cfg.cp_rem)
-        separated = sync.separate_user(y, cfg)
-        bank = sync.timing_curve(sync.timing_correlate(separated, pcp, cfg), cfg)
+        bank = sync.timing_curve(sync.timing_correlate(y, pcp, cfg), cfg)
+        separated, corr = front_end_chain(rx, pcp, cfg)
+        assert_same_timing(bank, sync.timing_curve(corr, cfg), cfg)
         for user in range(num_users):
             oracle = timing_correlate_template(
                 separated[user], timing_template(cfg, pcp, user), cfg)
@@ -271,9 +292,10 @@ def test_pcp_correlation_matches_template_correlation(num_users):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(zc_len=st.integers(1, 6), extra_rows=st.integers(0, 9), n=st.integers(1, 9),
        data=st.data())
-def test_blocked_correlation_matches_np_correlate(zc_len, extra_rows, n, data):
-    # M*N is rarely a multiple of the 16-lag block here, so the padded tail
-    # of the Toeplitz product is exercised; every user against np.correlate
+def test_folded_correlation_matches_np_correlate(zc_len, extra_rows, n, data):
+    # odd geometries, where Q often does not divide N, so that the bins past
+    # Q*band are in no row of the folded weights; every user against the
+    # per-user chain's np.correlate
     m = 2 * zc_len - 1 + extra_rows
     q = data.draw(st.integers(1, n))
     anchor = data.draw(st.integers(zc_len - 1, m - zc_len))
@@ -282,25 +304,11 @@ def test_blocked_correlation_matches_np_correlate(zc_len, extra_rows, n, data):
                        pilot_offset=0, cp_len=cp_len)
     pcp = pilot.make_pcp(zc_len, 1, 40.0)
     rng = np.random.default_rng([7, m, n, q, zc_len])
-    separated = rng.standard_normal((q, m * n)) + 1j * rng.standard_normal((q, m * n))
-    bank = sync.timing_curve(sync.timing_correlate(separated, pcp, cfg), cfg)
+    stream = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
+    bank = sync.timing_curve(sync.timing_correlate(stream, pcp, cfg), cfg)
     assert bank.shape == (q, m)
     for user in range(q):
-        oracle = timing_correlate_one(separated[user], pcp, cfg)
-        assert np.max(np.abs(bank[user] - oracle)) <= 1e-13 * oracle.max()
-        single = sync.timing_curve(sync.timing_correlate(separated[user], pcp, cfg), cfg)
-        assert np.max(np.abs(single - oracle)) <= 1e-13 * oracle.max()
-
-
-def test_blocked_correlation_at_full_geometry():
-    cfg = SystemConfig(num_users=4).validate()
-    assert cfg.m * cfg.n % sync.TIMING_BLOCK == 0
-    pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
-    rng = np.random.default_rng(8)
-    separated = rng.standard_normal((4, cfg.m * cfg.n)) + 1j * rng.standard_normal((4, cfg.m * cfg.n))
-    bank = sync.timing_curve(sync.timing_correlate(separated, pcp, cfg), cfg)
-    for user in range(4):
-        oracle = timing_correlate_one(separated[user], pcp, cfg)
+        oracle = timing_correlate_one(separate_user_one(stream, user, cfg), pcp, cfg)
         assert np.max(np.abs(bank[user] - oracle)) <= 1e-13 * oracle.max()
 
 
@@ -313,12 +321,21 @@ def test_estimate_to_rejects_empty_metric():
 # pilot-region extraction
 # ---------------------------------------------------------------------------
 
+def region_of(stream, theta, cfg):
+    """The (N, L_p) pilot region at ``theta`` of a serialized (M*N,) stream:
+    ``sync.extract_pilot_region`` of the region's delay columns of the
+    stream's slot-major (N, M) grid."""
+    columns = pilot.region_index(cfg, theta)[0] % cfg.m
+    return sync.extract_pilot_region(np.asarray(stream).reshape(cfg.n, cfg.m)[:, columns],
+                                     theta, cfg)
+
+
 def test_extraction_recovers_transmitted_pilot():
     cfg = paper_config(num_users=1)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     real = single_tap_realization(cfg, [0])
     y = transmit_pilot_only(cfg, pcp, real)
-    region = sync.extract_pilot_region(y, 0, cfg)
+    region = region_of(y, 0, cfg)
     sbar = pilot_region_ref(cfg, pcp, 0)
     assert np.max(np.abs(region - sbar)) < 1e-9
 
@@ -329,7 +346,7 @@ def test_extraction_pure_cfo_phase_ramp():
     eps = 0.31
     real = single_tap_realization(cfg, [0], cfos=[eps])
     y = transmit_pilot_only(cfg, pcp, real)
-    region = sync.extract_pilot_region(y, 0, cfg)
+    region = region_of(y, 0, cfg)
     sbar = pilot_region_ref(cfg, pcp, 0)
     model = sync.cfo_phase(pilot.region_kappa(cfg, 0), eps, cfg.n_s) * sbar
     assert np.max(np.abs(region - model)) < 1e-9
@@ -338,8 +355,8 @@ def test_extraction_pure_cfo_phase_ramp():
 def test_extraction_wrap_indices():
     cfg = paper_config(num_users=1)
     stream = np.arange(cfg.m * cfg.n, dtype=complex)
-    for theta in range(cfg.theta_max + 1):
-        region = sync.extract_pilot_region(stream, theta, cfg)
+    for theta in (*range(cfg.theta_max + 1), 127):
+        region = region_of(stream, theta, cfg)
         # last slot's tail wraps to the head of the stream
         idx = (np.arange(cfg.n)[:, None] * cfg.m + cfg.anchor + theta
                + np.arange(cfg.zc_len)) % (cfg.m * cfg.n)
@@ -347,6 +364,32 @@ def test_extraction_wrap_indices():
         assert np.array_equal(region.real.astype(int), idx)
         assert idx.max() < cfg.m * cfg.n
         assert (idx < cfg.anchor).any() == (theta > 0)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("theta", [0, 1, 4, 127])
+def test_regions_from_their_columns_are_the_whole_banks(theta, rows):
+    # a front end's regions come from the region's L_p delay columns alone,
+    # filtered by the user's filter; they are bit for bit the regions read
+    # from the user's whole separated streams (``separate_user_one``), across
+    # the wrap of the last slot's tail to the frame head (theta_hat =
+    # theta_max = 4 at the default geometry, and 127, where every row of the
+    # last slot wraps), for streams of K = 1 and 2 rows
+    cfg = paper_config(num_users=4)
+    assert cfg.theta_max == 4
+    pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
+    rng = np.random.default_rng([46, theta, rows])
+    shape = (2, rows, cfg.n_s)
+    streams = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    front = sync.front_end(streams, [0, 1], [0.0, 0.0], pcp, cfg)
+    index = pilot.region_index(cfg, theta)
+    for user in range(cfg.num_users):
+        samples, stream, amplitude = sync.pilot_regions(front, user, theta, [0, 1])
+        assert samples.shape == (2, rows, cfg.n, cfg.zc_len)
+        assert stream.tolist() == [0, 1] and amplitude.tolist() == [0.0, 0.0]
+        for got, kept in zip(samples, front.rows):
+            whole = np.stack([separate_user_one(row, user, cfg)[index] for row in kept])
+            assert np.array_equal(got, sync.derotate(whole, cfg, user))
 
 
 @pytest.mark.parametrize("theta", [0, 127])
@@ -379,7 +422,7 @@ def test_wrong_offset_decorrelates_region():
     sbar = pilot_region_ref(cfg, pcp, 0)
 
     def correlation(theta_hat):
-        region = sync.extract_pilot_region(y, theta_hat, cfg)
+        region = region_of(y, theta_hat, cfg)
         num = abs(np.vdot(sbar, region))
         return num / (np.linalg.norm(sbar) * np.linalg.norm(region))
 
@@ -789,7 +832,7 @@ def test_ls_residual_orthogonality():
     front = sync.front_end(received[np.newaxis, np.newaxis], [0], [0.0], pcp, cfg)
     theta = int(front.to_estimate.first_peak[0, 0])
     (estimate,) = sync.synchronize_user(sync.pilot_regions(front, 0, theta, [0]), theta, cfg)
-    region = sync.extract_pilot_region(front.separated[0, 0, 0], theta, cfg)
+    region = separate_user_one(front.rows[0, 0], 0, cfg)[pilot.region_index(cfg, theta)]
     bundle = sync.estimator_bundle(cfg, theta)
     g = regressor_matrix(pilot_region_ref(cfg, pcp, 0), bundle.bem)
     phase = sync.cfo_phase(pilot.region_kappa(cfg, theta).ravel(), estimate.epsilon_hat,
@@ -961,7 +1004,7 @@ def test_shared_bundle_matches_per_user_bundles():
         beta_abs = harness.absorbed_beta(cfg)
         (c_abs,) = harness.absorbed_channel_fit(regions, cfg, theta, beta_abs)
         eps_hat, c_hat, h_hat, h_abs_own = own_bundle_back_end(
-            front.separated[0, 0], q, theta, cfg, pcp, beta_abs)
+            front.rows[0, 0], q, theta, cfg, pcp, beta_abs)
         assert abs(estimate.epsilon_hat - eps_hat) <= 1e-9 * abs(eps_hat)
         assert close(estimate.c_hat, c_hat)
         bem = sync.estimator_bundle(cfg, theta).bem
@@ -987,26 +1030,26 @@ def test_estimate_cfo_allocates_less_than_the_dense_scan():
     assert peak < sync.cfo_grid(cfg.cfo_range, cfg.cfo_step).size * kappa.size * 16
 
 
-def test_timing_correlate_copies_the_windows_of_one_row_at_a_time():
+def test_timing_correlate_correlates_each_row_alone():
     cfg = paper_config(num_users=4)
     pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
     rng = np.random.default_rng(44)
-    shape = (2, cfg.num_users, cfg.m * cfg.n)
-    separated = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    sync.timing_correlate(separated, pcp, cfg)      # warm: the cached Toeplitz matrix
+    shape = (2, 3, cfg.m * cfg.n)
+    stream = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sync.timing_correlate(stream, pcp, cfg)      # warm: the cached weights
     tracemalloc.start()
     try:
-        corr = sync.timing_correlate(separated, pcp, cfg)
+        corr = sync.timing_correlate(stream, pcp, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the output plus one window copy of every row at once, 1.6 MB here
-    rows, block = separated.size // separated.shape[-1], sync.TIMING_BLOCK
-    windows = rows * -(-cfg.m * cfg.n // block) * (block + pcp.size - 1) * 16
-    assert peak < corr.nbytes + windows
+    # the weighted spectra and the output at most, 3.1 MB here, and the rows'
+    # spectra
+    assert corr.shape == (2, 3, cfg.num_users, cfg.m * cfg.n)
+    assert peak < stream.nbytes + 2 * corr.nbytes
     # each row of the stack comes out as that row correlated alone
     for index in np.ndindex(shape[:-1]):
-        assert np.array_equal(corr[index], sync.timing_correlate(separated[index], pcp, cfg))
+        assert np.array_equal(corr[index], sync.timing_correlate(stream[index], pcp, cfg))
 
 
 def test_reconstruct_channel_shapes_and_zero():
@@ -1134,12 +1177,19 @@ def test_stacked_streams_search_as_each_stream_alone():
         assert np.array_equal(c, bundle.coeffs(z))
 
 
-def test_pcp_toeplitz_is_built_once_contiguous_and_read_only():
-    pcp = pilot.make_pcp(10, 1, 40.0)
-    block, span = sync.TIMING_BLOCK, pcp.size
-    toeplitz = sync.pcp_toeplitz(pcp, block)
-    assert sync.pcp_toeplitz(pcp.copy(), block) is toeplitz
-    assert toeplitz.flags.c_contiguous and not toeplitz.flags.writeable
-    lag = np.subtract.outer(np.arange(block + span - 1), np.arange(block))
-    inside = (lag >= 0) & (lag < span)
-    assert np.array_equal(toeplitz, np.where(inside, np.conj(pcp[np.clip(lag, 0, span - 1)]), 0))
+def test_timing_weights_are_built_once_and_read_only():
+    # Q = 3 at N = 32: Doppler bins 30 and 31 are in no band
+    cfg = paper_config(num_users=3)
+    pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
+    weights = sync.timing_weights(pcp, cfg)
+    assert sync.timing_weights(pcp.copy(), replace(cfg, snr_db=0.0)) is weights
+    assert weights.shape == (3, cfg.m * cfg.n) and not weights.flags.writeable
+    # row q: user q's band mask at f mod N times the conjugate DFT of the PCP
+    # at delay rows delay_lo, ..., by the DFT's sum
+    f = np.arange(cfg.m * cfg.n)
+    rows = cfg.delay_lo + np.arange(pcp.size)
+    spectrum = np.exp(-2j * np.pi * np.outer(f, rows) / (cfg.m * cfg.n)) @ pcp
+    for user in range(cfg.num_users):
+        want = np.where(sync.doppler_mask(cfg, user)[f % cfg.n], np.conj(spectrum), 0.0)
+        assert np.max(np.abs(weights[user] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert not weights[:, f % cfg.n >= 30].any()

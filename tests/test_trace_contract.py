@@ -1,21 +1,24 @@
 """The program's contract with the benchmark's span tracer
 (``perfbench/tracing.py``), which wraps functions by name: the batched front
-end runs inside traced stages once per draw, the points of an SNR sweep read
+end runs inside traced stages once per draw, one CP removal of its streams
+and one ``sync.timing_correlate`` per stream, the points of an SNR sweep read
 the draw's unit-noise row at their noise amplitudes and call
 ``channel.add_awgn`` zero times, and each (trial, point) is one
-``run_trial``.  Trials are scored a block at a time: the first
-``run_trial`` of a block scores every trial and point of it, and runs the
-back end (``sync.synchronize_user``, one ``sync.estimate_cfo``) once per
-theta_hat of the block, over every trial, user and lane that reaches it.
-The CFO projections of that search are traced ``BemRegressor.cost_many``
-calls inside it, one per chunk of a few streams, each stream a
-(trial, user, theta_hat), and its LS solve is one traced
-``BemRegressor.coeffs`` call; the users share their estimator bundles, and
-scoring fetches each theta_hat's bundle once more for its Gram matrix.  A
-``cfo_value`` sweep adds each point's noise to its stream and filters that
-stream in traced stages, lane by lane, and batches its points' CFO searches
-and absorbed fits inside the traced ``estimate_cfo`` and
-``absorbed_channel_fit``, one of each per theta_hat of the block."""
+``run_trial``.  A draw filters each user's pilot region from its own delay
+columns, one traced ``sync.separate_user`` and ``sync.extract_pilot_region``
+per (user, theta_hat) group of its lanes.  Trials are scored a block at a
+time: the first ``run_trial`` of a block scores every trial and point of
+it, and runs the back end (``sync.synchronize_user``, one
+``sync.estimate_cfo``) once per theta_hat of the block, over every trial,
+user and lane that reaches it.  The CFO projections of that search are
+traced ``BemRegressor.cost_many`` calls inside it, one per chunk of a few
+streams, each stream a (trial, user, theta_hat), and its LS solve is one
+traced ``BemRegressor.coeffs`` call; the users share their estimator
+bundles, and scoring fetches each theta_hat's bundle once more for its Gram
+matrix.  A ``cfo_value`` sweep adds each point's noise to its stream and
+correlates that stream in traced stages, lane by lane, and batches its
+points' CFO searches and absorbed fits inside the traced ``estimate_cfo``
+and ``absorbed_channel_fit``, one of each per theta_hat of the block."""
 
 import json
 import os
@@ -55,7 +58,7 @@ def test_q4_eva_sweep_is_covered_by_traced_stages(tmp_path):
     assert 1.0 - own / inclusive >= 0.9
     # the front end runs once per draw, and the points read the unit-noise
     # row at their amplitudes, so no noise is added to any stream
-    assert stages["sync.separate_user"][0] == TRIALS
+    assert stages["modem.remove_cp"][0] == TRIALS
     assert stages["sync.timing_correlate"][0] == TRIALS
     assert "channel.add_awgn" not in stages
     # the two trials are one block: one search per theta_hat of it, whichever
@@ -66,6 +69,10 @@ def test_q4_eva_sweep_is_covered_by_traced_stages(tmp_path):
     streams = {(rec["trial"], rec["user"], rec["theta_first"]) for rec in records}
     thetas = {rec["theta_first"] for rec in records}
     assert len(thetas) < len(streams)
+    # each (trial, user, theta_hat) filters its region's columns once, for
+    # both points
+    assert stages["sync.separate_user"][0] == len(streams)
+    assert stages["sync.extract_pilot_region"][0] == len(streams)
     # per_layer_metrics divides by the back-end call count: one per theta_hat
     # of the block, each one search
     assert stages["sync.synchronize_user"][0] == len(thetas) > 0
@@ -108,16 +115,20 @@ def test_cfo_sweep_batches_its_points_inside_traced_stages(tmp_path):
     stages = tracing.summarize(str(spans))["stages"]
     # one run_trial span per (trial, point), the repeated point included
     assert stages[tracing.TRIAL_SPAN][0] == TRIALS * len(points)
-    # each lane's stream gets its noise and its filter bank once per draw
+    # each lane's stream gets its noise and its filtered correlation once
+    # per draw
     lanes = len(set(points))
     assert stages["channel.add_awgn"][0] == TRIALS * lanes
-    assert stages["sync.separate_user"][0] == TRIALS * lanes
     assert stages["sync.timing_correlate"][0] == TRIALS * lanes
+    # and each (trial, user, theta_hat) filters its region's columns once, of
+    # the streams of every lane that reaches it
+    with open(tmp_path / "trace-cfo" / "per-trial.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    groups = {(rec["trial"], rec["user"], rec["theta_first"]) for rec in records}
+    assert stages["sync.separate_user"][0] == len(groups) < TRIALS * 2 * lanes
     # one search and one absorbed fit per theta_hat of the block, every
     # trial's, user's and point's lane in it, and two solves: the search's
     # and the absorbed fit's
-    with open(tmp_path / "trace-cfo" / "per-trial.jsonl", encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh]
     thetas = {rec["theta_first"] for rec in records}
     assert stages["sync.estimate_cfo"][0] == len(thetas) < TRIALS * 2 * lanes
     assert stages["sync.synchronize_user"][0] == len(thetas) > 0
