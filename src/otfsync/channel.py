@@ -237,14 +237,6 @@ def generate_eva_channel(rng, nu_max_t: float, n_s: int, len_cap: int = 10) -> P
     return PathSet(gains=gains, delays=delays.copy(), dopplers=dopplers)
 
 
-def generate_single_tap(rng, nu_max_t: float, n_s: int) -> PathSet:
-    """One Rayleigh tap at delay zero."""
-    gain = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
-    nu = (nu_max_t / n_s) * np.cos(rng.uniform(0.0, 2.0 * np.pi))
-    return PathSet(gains=np.array([gain]), delays=np.array([0]),
-                   dopplers=np.array([nu]))
-
-
 def identity_pathset() -> PathSet:
     return PathSet(gains=np.array([1.0 + 0.0j]), delays=np.array([0]),
                    dopplers=np.array([0.0]))
@@ -279,8 +271,6 @@ def draw_realization(rng, cfg: SystemConfig) -> ChannelRealization:
         elif cfg.channel_model == "eva-bem":
             paths.append(generate_eva_bem_channel(rng, cfg.n_s, default_bem_order(cfg.nu_max_t),
                                                   cfg.channel_len_cap))
-        elif cfg.channel_model == "single-tap":
-            paths.append(generate_single_tap(rng, cfg.nu_max_t, cfg.n_s))
         else:
             paths.append(identity_pathset())
     to = rng.integers(0, cfg.theta_max + 1, size=cfg.num_users)

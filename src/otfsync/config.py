@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
-CHANNEL_MODELS = ("eva", "eva-bem", "single-tap", "identity")
+CHANNEL_MODELS = ("eva", "eva-bem", "identity")
 
 #: sample rate the delay axis is quantized to (Hz)
 SAMPLE_RATE_HZ = 3.84e6

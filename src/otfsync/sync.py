@@ -754,12 +754,13 @@ def front_end(streams: np.ndarray, stream, amplitude, pcp: np.ndarray,
     """The ``FrontEnd`` of the (S, K, N_s) received streams ``streams``,
     whose lane p reads stream ``stream[p]`` at noise amplitude
     ``amplitude[p]``.  The timing-offset margin and the rest of the CP are
-    removed from every row, a view of ``streams``.  One stream at a time,
-    the filtered PCP correlation of its K rows (``timing_correlate``) gives
-    each of its lanes its timing curves at its a and is dropped.  The TO
+    removed from every row, a view of ``streams``, which leaves M*N samples
+    (``timing_correlate`` raises a ``ConfigError`` if not).  One stream at a
+    time, the filtered PCP correlation of its K rows (``timing_correlate``)
+    gives each of its lanes its timing curves at its a and is dropped.  The TO
     decisions of every (lane, user) are one ``estimate_to`` call."""
     stream, amplitude = np.asarray(stream, dtype=np.intp), np.asarray(amplitude, dtype=float)
-    rows = modem.remove_cp(streams[..., cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
+    rows = modem.remove_cp(streams[..., cfg.theta_max:], cfg.cp_rem)
     curves = np.empty((len(stream), cfg.num_users, cfg.m))
     for s, row in enumerate(rows):
         corr = timing_correlate(row, pcp, cfg)

@@ -278,7 +278,7 @@ def front_end_chain(stream, pcp, cfg):
     their (Q, M*N) lag correlations: the timing-offset margin and the rest
     of the CP removed, then each user's ``separate_user_one`` and
     ``pcp_correlation_one``."""
-    y = modem.remove_cp(stream[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
+    y = modem.remove_cp(stream[cfg.theta_max:], cfg.cp_rem)
     separated = np.stack([separate_user_one(y, user, cfg) for user in range(cfg.num_users)])
     return separated, np.stack([pcp_correlation_one(row, pcp, cfg) for row in separated])
 
@@ -292,7 +292,7 @@ def per_point_trial(cfg, trial_index, absorbed=False):
     received = chan.add_awgn(draw.rx, cfg.snr_db, draw.noise)
     _, corr = front_end_chain(received, draw.pcp, cfg)
     curves = sync.timing_curve(corr, cfg)[np.newaxis]
-    rows = modem.remove_cp(received[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
+    rows = modem.remove_cp(received[cfg.theta_max:], cfg.cp_rem)
     front = sync.FrontEnd(cfg=cfg, rows=rows[np.newaxis, np.newaxis],
                           stream=np.zeros(1, dtype=np.intp), amplitude=np.zeros(1),
                           curves=curves, to_estimate=sync.estimate_to(curves, cfg))

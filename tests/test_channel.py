@@ -47,6 +47,23 @@ def test_eva_quantization_oracle():
     assert chan.eva_profile()[0] is delays
 
 
+def test_eva_at_len_cap_one_is_one_rayleigh_tap():
+    # a cap of 1 clamps every EVA tap to delay 0, which merges them into one
+    # tap of the whole power: the one-tap channel of channel_len_cap = 1
+    delays, powers = chan.eva_profile(1)
+    assert delays.tolist() == [0] and powers.tolist() == [1.0]
+    nu_max_t, n_s = 1.3, 4114
+    rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(200):
+        paths = chan.generate_eva_channel(rng, nu_max_t, n_s, len_cap=1)
+        # a unit-power Rayleigh gain, then nu_max cos(psi), psi uniform on [0, 2 pi)
+        gain = (ref.standard_normal() + 1j * ref.standard_normal()) / np.sqrt(2.0)
+        doppler = (nu_max_t / n_s) * np.cos(ref.uniform(0.0, 2.0 * np.pi))
+        assert paths.delays.tolist() == [0]
+        assert abs(paths.gains[0] - gain) <= 4e-16 * abs(gain)
+        assert paths.dopplers.tolist() == [doppler]
+
+
 def test_eva_zero_doppler_when_static():
     rng = np.random.default_rng(0)
     paths = chan.generate_eva_channel(rng, nu_max_t=0.0, n_s=4114)
@@ -153,7 +170,7 @@ def direct_receive(stream, paths, theta, eps, n_s):
     return np.exp(2j * np.pi * eps * k / n_s) * acc
 
 
-@pytest.mark.parametrize("model", ["eva", "eva-bem", "single-tap"])
+@pytest.mark.parametrize("model", ["eva", "eva-bem"])
 def test_apply_channel_matches_definition_at_full_geometry(model):
     # N_s = 4109 is not a multiple of the ramp block, and the EVA taps span
     # the whole delay cap, so every ramp block and padded row is exercised
@@ -171,7 +188,7 @@ def test_apply_channel_matches_definition_at_full_geometry(model):
             assert np.max(np.abs(r - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("model", ["eva", "eva-bem", "single-tap"])
+@pytest.mark.parametrize("model", ["eva", "eva-bem"])
 def test_apply_channel_sums_users_with_distinct_offsets(model):
     # Q = 4 users through one batched pass, each with its own TO and CFO
     cfg = dataclasses.replace(SystemConfig(), num_users=4, channel_model=model).validate()
@@ -186,7 +203,7 @@ def test_apply_channel_sums_users_with_distinct_offsets(model):
     assert np.max(np.abs(r - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("model", ["eva", "eva-bem", "single-tap", "identity"])
+@pytest.mark.parametrize("model", ["eva", "eva-bem", "identity"])
 def test_shared_cfo_is_a_rotation_of_the_zero_cfo_stream(model):
     # one CFO for every user factors out of the user sum, which is what lets a
     # cfo_value sweep rotate one zero-CFO stream per trial

@@ -14,7 +14,8 @@ sweep_var = snr_db
 sweep_points = 20
 trials = 2
 config.num_users = 1
-config.channel_model = single-tap
+config.channel_model = eva
+config.channel_len_cap = 1
 config.nu_max_t = 0.0
 """
 
@@ -98,8 +99,10 @@ def test_snr_below_the_floor_is_a_config_error(capsys, command):
     ("channel_len_cap=-3", "channel_len_cap=-3 must be >= 1"),
     # a grid of 4e9 points, 32 GB: only ever validated, never run
     ("cfo_step=1e-9", "the cap on the CFO grid's points"),
+    # a removed model: channel_model = eva with channel_len_cap = 1 draws it
+    ("channel_model=single-tap", "not one of ('eva', 'eva-bem', 'identity')"),
 ], ids=["allocation", "pilot-offset-past-band", "no-channel-taps", "negative-channel-length",
-        "cfo-step-tiny"])
+        "cfo-step-tiny", "removed-channel-model"])
 def test_validate_rejects_a_bad_override(capsys, override, fragment):
     assert cli.main(["validate", "--override", override]) == 2
     captured = capsys.readouterr()

@@ -32,6 +32,9 @@ def test_cp_rule_violation_message():
     ("zc_len", "70", "exceeds m"),
     ("zc_root", "5", "coprime"),
     ("allocation", "interleaved", "unknown config key 'allocation'"),
+    # a removed model: eva with channel_len_cap = 1 draws its one Rayleigh tap
+    ("channel_model", "single-tap",
+     "channel_model='single-tap' not one of \\('eva', 'eva-bem', 'identity'\\)"),
     ("num_users", "200", "exceeds"),
     ("n", "4", "bem_order=7 exceeds the Doppler axis n=4"),
     ("pilot_offset", "16", "outside the user band"),

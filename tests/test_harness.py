@@ -21,7 +21,7 @@ from sync_oracle import assert_same_timing, front_end_chain, nmse, per_point_tri
 
 def quick_config(**kw):
     base = dict(num_users=1, snr_db=math.inf, nu_max_t=0.0,
-                channel_model="single-tap")
+                channel_model="eva", channel_len_cap=1)
     base.update(kw)
     return SystemConfig(**base).validate()
 
@@ -29,7 +29,7 @@ def quick_config(**kw):
 def cp_removed(stream, cfg):
     """The (M*N,) rows of a received (N_s,) stream that the front end reads:
     the timing-offset margin and the rest of the CP removed."""
-    return modem.remove_cp(stream[cfg.theta_max:], cfg.cp_rem, out_len=cfg.m * cfg.n)
+    return modem.remove_cp(stream[cfg.theta_max:], cfg.cp_rem)
 
 
 def report_value(report, sweep_value, user, variant, metric):
@@ -310,8 +310,8 @@ def test_experiment_unknown_key():
 def test_run_experiment_csv_shape(tmp_path):
     spec = harness.ExperimentSpec(
         name="one-point", sweep_var="snr_db", sweep_points=(20.0,), trials=1,
-        config_overrides=(("num_users", "2"), ("channel_model", "single-tap"),
-                          ("nu_max_t", "0.0")))
+        config_overrides=(("num_users", "2"), ("channel_model", "eva"),
+                          ("channel_len_cap", "1"), ("nu_max_t", "0.0")))
     report = harness.run_experiment(spec, out_dir=tmp_path)
     csv_path = tmp_path / "one-point" / "results.csv"
     lines = csv_path.read_text().strip().splitlines()
@@ -328,8 +328,8 @@ def test_run_experiment_per_trial_dump(tmp_path):
     spec = harness.ExperimentSpec(
         name="dumped", sweep_var="snr_db", sweep_points=(20.0,), trials=2,
         per_trial_dump=True,
-        config_overrides=(("num_users", "1"), ("channel_model", "single-tap"),
-                          ("nu_max_t", "0.0")))
+        config_overrides=(("num_users", "1"), ("channel_model", "eva"),
+                          ("channel_len_cap", "1"), ("nu_max_t", "0.0")))
     harness.run_experiment(spec, out_dir=tmp_path)
     dump = (tmp_path / "dumped" / "per-trial.jsonl").read_text().strip()
     entries = [json.loads(line) for line in dump.splitlines()]
@@ -351,8 +351,8 @@ def test_per_trial_dump_is_strict_json(tmp_path):
     spec = harness.ExperimentSpec(
         name="strict", sweep_var="pilot_power_db", sweep_points=(-math.inf, 40.0),
         trials=2, per_trial_dump=True,
-        config_overrides=(("num_users", "1"), ("channel_model", "single-tap"),
-                          ("nu_max_t", "0.0")))
+        config_overrides=(("num_users", "1"), ("channel_model", "eva"),
+                          ("channel_len_cap", "1"), ("nu_max_t", "0.0")))
     harness.run_experiment(spec, out_dir=tmp_path)
     with open(tmp_path / "strict" / "per-trial.jsonl", encoding="utf-8") as fh:
         entries = [strict_json(line) for line in fh]
@@ -379,8 +379,8 @@ def test_run_experiment_deterministic_csv(tmp_path):
 
 
 def test_workers_do_not_change_results():
-    cfg_overrides = (("num_users", "1"), ("channel_model", "single-tap"),
-                     ("nu_max_t", "0.0"))
+    cfg_overrides = (("num_users", "1"), ("channel_model", "eva"),
+                     ("channel_len_cap", "1"), ("nu_max_t", "0.0"))
     spec = harness.ExperimentSpec(name="par", sweep_var="snr_db",
                                   sweep_points=(20.0,), trials=4,
                                   config_overrides=cfg_overrides)
@@ -988,8 +988,8 @@ def test_a_failed_absorbed_fit_keeps_the_compensated_estimates(monkeypatch):
 def test_report_value_lookup():
     spec = harness.ExperimentSpec(
         name="look", sweep_var="snr_db", sweep_points=(20.0,), trials=1,
-        config_overrides=(("num_users", "1"), ("channel_model", "single-tap"),
-                          ("nu_max_t", "0.0")))
+        config_overrides=(("num_users", "1"), ("channel_model", "eva"),
+                          ("channel_len_cap", "1"), ("nu_max_t", "0.0")))
     report = harness.run_experiment(spec)
     val = report_value(report, 20.0, 0, "first-peak", "to_mean_abs_err")
     assert val == 0.0
@@ -1042,8 +1042,9 @@ def test_valid_configs_run_or_fail_with_a_record(cfg, absorbed):
 def test_pilot_power_sweep_writes_each_points_pilot_snr(tmp_path):
     spec = harness.ExperimentSpec(
         name="pilot-sweep", sweep_var="pilot_power_db", sweep_points=(0.0, 10.0, 12.3456789),
-        trials=1, config_overrides=(("num_users", "1"), ("channel_model", "single-tap"),
-                                    ("nu_max_t", "0.0"), ("snr_db", "15")))
+        trials=1, config_overrides=(("num_users", "1"), ("channel_model", "eva"),
+                                    ("channel_len_cap", "1"), ("nu_max_t", "0.0"),
+                                    ("snr_db", "15")))
     report = harness.run_experiment(spec, out_dir=tmp_path)
     assert {row.sweep_value for row in report.rows} == {0.0, 10.0, 12.3456789}
     assert report.n_trials == 3 and report.n_failed == 0

@@ -78,8 +78,6 @@ def test_remove_cp():
     assert np.array_equal(modem.remove_cp(modem.add_cp(x, 4), 4), x)
     with pytest.raises(ConfigError):
         modem.remove_cp(np.arange(3), 5)
-    with pytest.raises(ConfigError):
-        modem.remove_cp(np.arange(6), 2, out_len=3)
 
 
 def test_demodulate_round_trip():

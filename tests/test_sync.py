@@ -177,6 +177,20 @@ def test_front_end_reads_each_stream_once_and_each_lane_at_its_amplitude():
     assert decided(front)
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_front_end_rejects_a_stream_of_the_wrong_length(extra):
+    # the rows left after the timing-offset margin and the CP must be one
+    # M*N-sample frame; timing_correlate is the one check of their length
+    cfg = paper_config()
+    pcp = pilot.make_pcp(cfg.zc_len, cfg.zc_root, cfg.pilot_power_db)
+    streams = np.zeros((1, 1, cfg.n_s + extra), dtype=complex)
+    with pytest.raises(ConfigError, match=f"expected {cfg.m * cfg.n} samples"):
+        sync.front_end(streams, [0], [0.0], pcp, cfg)
+    rows = modem.remove_cp(streams[0, 0, cfg.theta_max:], cfg.cp_rem)
+    with pytest.raises(ConfigError, match=f"expected {cfg.m * cfg.n} samples"):
+        sync.timing_correlate(rows, pcp, cfg)
+
+
 # ---------------------------------------------------------------------------
 # timing metric
 # ---------------------------------------------------------------------------
